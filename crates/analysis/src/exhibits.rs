@@ -1,7 +1,8 @@
 //! Assembly of the paper's tables and figures from experiment runs.
 //!
 //! Each function produces both the data (serialisable) and a rendered
-//! text block; the binaries print the text and dump the JSON next to it.
+//! text block; the [`crate::registry`] entries write the JSON and hand the
+//! text to `ibpower exhibits`.
 
 use crate::experiment::{run_runtime_only_jobs, run_with_baseline_jobs, RunConfig, RunResult};
 use crate::gt_select::{sweep, GtPoint};
@@ -21,8 +22,8 @@ pub const SELECT_DISPLACEMENT: f64 = 0.01;
 
 /// Which slice of the paper's `app × nprocs` grid an exhibit covers.
 ///
-/// The full paper grid (`ExhibitGrid::paper()`) is what the binaries
-/// run; the golden-exhibit regression suite runs a capped grid
+/// The full paper grid (`ExhibitGrid::paper()`) is what `ibpower
+/// exhibits` runs; the golden-exhibit regression suite runs a capped grid
 /// (`ExhibitGrid::capped(16)`) so the snapshots stay cheap enough for
 /// debug-profile CI while still pinning every metric the engine can
 /// perturb.

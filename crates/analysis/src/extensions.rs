@@ -18,12 +18,12 @@ use crate::experiment::RunConfig;
 use crate::report::{f1, f2, Table};
 use crate::sweep::{CellKey, SweepEngine, SweepOptions, SweepStats, TraceFn, VARIANT_WEAK};
 use ibp_core::{
-    annotate_trace, history_annotate_trace_jobs, oracle_annotate_trace_jobs,
-    reactive_annotate_trace_jobs, PowerConfig, TraceAnnotations,
+    annotate_trace, history_annotate_rank, map_ranks, oracle_annotate_rank,
+    reactive_annotate_rank, PowerConfig, RankAnnotation, TraceAnnotations,
 };
 use ibp_network::{replay, ReplayOptions, SimParams, SimResult};
 use ibp_simcore::SimDuration;
-use ibp_trace::Trace;
+use ibp_trace::{RankTrace, Trace};
 use ibp_workloads::{AppKind, Scaling, Workload};
 use serde::{Deserialize, Serialize};
 
@@ -48,6 +48,18 @@ fn run_policy(
 ) -> (f64, f64) {
     let managed = replay(trace, Some(ann), params, &ReplayOptions::default()).expect("replay");
     (managed.power_saving_pct(), managed.slowdown_pct(baseline))
+}
+
+/// Annotate every rank of `trace` with a per-rank policy driver, on up
+/// to `jobs` threads (identical output for any `jobs`).
+fn annotate_ranks(
+    trace: &Trace,
+    jobs: usize,
+    policy: impl Fn(&RankTrace) -> RankAnnotation + Sync,
+) -> TraceAnnotations {
+    TraceAnnotations {
+        ranks: map_ranks(&trace.ranks, jobs, policy),
+    }
 }
 
 /// Nearest valid NAS BT (square) process count.
@@ -86,18 +98,25 @@ pub fn policy_ablation(engine: &SweepEngine, nprocs: u32, seed: u64) -> Vec<Poli
             let jobs = ctx.rank_jobs;
             let policies: Vec<(String, TraceAnnotations)> = vec![
                 ("ppa".into(), ctx.annotate(&cfg)),
-                ("oracle".into(), oracle_annotate_trace_jobs(trace, &cfg, jobs)),
+                (
+                    "oracle".into(),
+                    annotate_ranks(trace, jobs, |r| oracle_annotate_rank(r, &cfg)),
+                ),
                 (
                     "reactive-0us".into(),
-                    reactive_annotate_trace_jobs(trace, &cfg, SimDuration::ZERO, jobs),
+                    annotate_ranks(trace, jobs, |r| {
+                        reactive_annotate_rank(r, &cfg, SimDuration::ZERO)
+                    }),
                 ),
                 (
                     "reactive-50us".into(),
-                    reactive_annotate_trace_jobs(trace, &cfg, SimDuration::from_us(50), jobs),
+                    annotate_ranks(trace, jobs, |r| {
+                        reactive_annotate_rank(r, &cfg, SimDuration::from_us(50))
+                    }),
                 ),
                 (
                     "history-8".into(),
-                    history_annotate_trace_jobs(trace, &cfg, 8, jobs),
+                    annotate_ranks(trace, jobs, |r| history_annotate_rank(r, &cfg, 8)),
                 ),
             ];
             policies
@@ -500,7 +519,6 @@ pub fn render_robustness(rows: &[RobustnessPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibp_core::{oracle_annotate_trace, reactive_annotate_trace};
 
     #[test]
     fn oracle_bounds_ppa_from_above() {
@@ -511,8 +529,8 @@ mod tests {
         let cfg = PowerConfig::paper(SimDuration::from_us(20), 0.01);
         let baseline = replay(&trace, None, &params, &ReplayOptions::default()).expect("replay");
         let (ppa_s, ppa_d) = run_policy(&trace, &baseline, &annotate_trace(&trace, &cfg), &params);
-        let (ora_s, ora_d) =
-            run_policy(&trace, &baseline, &oracle_annotate_trace(&trace, &cfg), &params);
+        let oracle = annotate_ranks(&trace, 1, |r| oracle_annotate_rank(r, &cfg));
+        let (ora_s, ora_d) = run_policy(&trace, &baseline, &oracle, &params);
         assert!(ora_s >= ppa_s, "oracle {ora_s} < ppa {ppa_s}");
         assert!(ora_d <= ppa_d + 0.05, "oracle slowdown {ora_d} vs ppa {ppa_d}");
     }
@@ -525,12 +543,10 @@ mod tests {
         let cfg = PowerConfig::paper(SimDuration::from_us(20), 0.01);
         let baseline = replay(&trace, None, &params, &ReplayOptions::default()).expect("replay");
         let (ppa_s, ppa_d) = run_policy(&trace, &baseline, &annotate_trace(&trace, &cfg), &params);
-        let (rea_s, rea_d) = run_policy(
-            &trace,
-            &baseline,
-            &reactive_annotate_trace(&trace, &cfg, SimDuration::ZERO),
-            &params,
-        );
+        let reactive = annotate_ranks(&trace, 1, |r| {
+            reactive_annotate_rank(r, &cfg, SimDuration::ZERO)
+        });
+        let (rea_s, rea_d) = run_policy(&trace, &baseline, &reactive, &params);
         // Reactive exploits every gap (even unpredictable ones) → more
         // savings, but pays T_react on every wake-up → more slowdown.
         assert!(rea_s >= ppa_s, "reactive {rea_s} < ppa {ppa_s}");

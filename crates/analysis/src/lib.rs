@@ -1,21 +1,24 @@
 //! # ibp-analysis — experiment drivers for every table and figure
 //!
-//! Reproduction harness for the paper's evaluation: each module (and the
-//! matching binary in `src/bin/`) regenerates one exhibit:
+//! Reproduction harness for the paper's evaluation. Every exhibit is an
+//! entry of the [`registry`], run by `ibpower exhibits <name>` (or all
+//! of them, plus `summary.txt`, by `ibpower exhibits all`):
 //!
-//! | exhibit | module / binary |
-//! |---|---|
-//! | Table I (idle-interval distribution) | [`table1`] / `table1` |
-//! | Table II (simulation parameters) | `params` binary |
-//! | Table III (chosen GT + hit rate) | [`gt_select`] / `table3` |
-//! | Table IV (PPA overheads) | [`table4`] / `table4` |
-//! | Figs. 7–9 (savings + slowdown per displacement) | [`figures`] / `fig7`–`fig9` |
-//! | Fig. 10 (GT sweep) | [`gt_select`] / `fig10` |
-//! | Generation × sleep-depth frontier (extension) | [`generation`] |
+//! | exhibit | registry name | computed by |
+//! |---|---|---|
+//! | Table I (idle-interval distribution) | `table1` | [`exhibits::table1`] |
+//! | Table II (simulation parameters) | `params` | `ibp_network::SimParams::paper` |
+//! | Table III (chosen GT + hit rate) | `table3` | [`exhibits::table3`], [`gt_select`] |
+//! | Table IV (PPA overheads) | `table4` | [`exhibits::table4`] |
+//! | Figs. 7–9 (savings + slowdown per displacement) | `fig7`–`fig9` | [`exhibits::figure`] |
+//! | Fig. 10 (GT sweep) | `fig10` | [`exhibits::fig10`], [`gt_select`] |
+//! | Generation × sleep-depth frontier | `generation_frontier` | [`generation`] |
+//! | Policy ablation, deep sleep, weak scaling, robustness, fault tolerance | `ablation`, `deepsleep`, `weak_scaling`, `robustness`, `fault_tolerance` | [`extensions`] |
 //!
-//! [`paper_ref`] holds the published values so every binary prints
+//! [`paper_ref`] holds the published values so every exhibit prints
 //! ours-vs-paper columns, and `EXPERIMENTS.md` is assembled from the same
-//! data.
+//! data. The one binary left in `src/bin/`, `calibrate`, is a tuning
+//! probe rather than an exhibit.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -27,6 +30,7 @@ pub mod generation;
 pub mod gt_select;
 pub mod output;
 pub mod paper_ref;
+pub mod registry;
 pub mod report;
 pub mod svg;
 pub mod sweep;
@@ -42,5 +46,6 @@ pub use generation::{
 };
 pub use gt_select::{choose_gt, select, sweep, GtPoint, GT_GRID_US};
 pub use output::{bin_main, OutputDir};
+pub use registry::{Exhibit, EXHIBITS};
 pub use report::Table;
 pub use sweep::{sweep_args, CellCtx, CellKey, SweepEngine, SweepOptions, SweepStats};

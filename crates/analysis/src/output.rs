@@ -1,10 +1,10 @@
-//! Results-directory output for the exhibit binaries.
+//! Results-directory output for the exhibits.
 //!
-//! The binaries used to swallow every IO error with `.ok()`, which
-//! turned a read-only or otherwise broken `results/` directory into
-//! silent empty output. This module gives them one narrow interface
-//! that propagates `std::io::Result` with the failing path attached,
-//! so `main` can exit nonzero with a usable message instead.
+//! Swallowing IO errors turns a read-only or otherwise broken
+//! `results/` directory into silent empty output. This module gives the
+//! exhibit registry one narrow interface that propagates
+//! `std::io::Result` with the failing path attached, so `ibpower` can
+//! exit nonzero with a usable message instead.
 
 use crate::sweep::SweepStats;
 use serde::Serialize;
@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 /// (used by tests and the CI serial-vs-parallel diff).
 pub const RESULTS_DIR_ENV: &str = "IBP_RESULTS_DIR";
 
-/// A results directory the exhibit binaries write into.
+/// A results directory the exhibits write into.
 #[derive(Debug, Clone)]
 pub struct OutputDir {
     root: PathBuf,
@@ -72,7 +72,7 @@ impl OutputDir {
     }
 }
 
-/// Shared entry point for the exhibit binaries: strips `--jobs N` /
+/// Entry point for the `src/bin/` probes: strips `--jobs N` /
 /// `--serial` from argv (exit 2 on a malformed flag), hands the
 /// remaining positional args to `f`, and exits 1 with the error —
 /// which names the failing path — if `f` fails.

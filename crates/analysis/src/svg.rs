@@ -97,7 +97,8 @@ pub fn figure_svg(fig: &FigureData, mode: Mode) -> String {
     let baseline = mt + plot_h;
 
     let napps = fig.rows.len();
-    let nscales = 5usize;
+    // Five scales on the paper grid, fewer on a capped one.
+    let nscales = fig.rows.iter().map(|r| r.procs.len()).max().unwrap_or(0);
     let max_val = fig
         .rows
         .iter()

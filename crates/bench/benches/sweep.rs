@@ -37,7 +37,7 @@ fn bench_serial_vs_parallel(c: &mut Criterion) {
     let mut g = c.benchmark_group("sweep");
     g.sample_size(10);
     // Cold engine per iteration: measures generation + baseline + cell
-    // work end to end, which is what the exhibit binaries pay.
+    // work end to end, which is what `ibpower exhibits` pays.
     g.bench_function("grid_serial_cold", |b| {
         b.iter(|| run_grid(&SweepEngine::new(SweepOptions::serial()), &cells))
     });

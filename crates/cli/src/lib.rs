@@ -122,10 +122,9 @@ pub enum Command {
         /// Output path (stdout if absent).
         output: Option<String>,
     },
-    /// Regenerate paper exhibits on the parallel sweep engine.
+    /// Regenerate exhibits on the parallel sweep engine.
     Exhibits {
-        /// Exhibit name (`all`, `table1`, `table3`, `table4`,
-        /// `fig7`–`fig10`, `generation_frontier`).
+        /// A name from the `ibp_analysis::EXHIBITS` registry, or `all`.
         name: String,
         /// Worker threads (0 = available parallelism / `IBP_JOBS`).
         jobs: usize,
@@ -462,26 +461,13 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             })
         }
         "exhibits" => {
+            let names = || exhibit_names().join("|");
             let name = positional
                 .first()
-                .ok_or(
-                    "missing <exhibit> \
-                     (all|table1|table3|table4|fig7|fig8|fig9|fig10|generation_frontier)",
-                )?
+                .ok_or_else(|| format!("missing <exhibit> (all|{})", names()))?
                 .to_string();
-            const KNOWN: [&str; 9] = [
-                "all",
-                "table1",
-                "table3",
-                "table4",
-                "fig7",
-                "fig8",
-                "fig9",
-                "fig10",
-                "generation_frontier",
-            ];
-            if !KNOWN.contains(&name.as_str()) {
-                return Err(format!("unknown exhibit '{name}'"));
+            if name != "all" && ibp_analysis::Exhibit::find(&name).is_none() {
+                return Err(format!("unknown exhibit '{name}' (all|{})", names()));
             }
             let jobs = match flag_val("--jobs") {
                 Some(s) => s
@@ -680,8 +666,19 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
     }
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
+/// Every exhibit name the `exhibits` subcommand accepts besides `all`,
+/// in registry order.
+fn exhibit_names() -> Vec<&'static str> {
+    ibp_analysis::EXHIBITS.iter().map(|e| e.name).collect()
+}
+
+/// The `help` text, with the registry's exhibit names filled in.
+pub fn usage() -> String {
+    USAGE.replace("{exhibits}", &format!("all, {}", exhibit_names().join(", ")))
+}
+
+/// The `help` text template; [`usage`] fills in `{exhibits}`.
+const USAGE: &str = "\
 ibpower — software-managed InfiniBand link power reduction (ICPP 2014 reproduction)
 
 USAGE:
@@ -712,16 +709,20 @@ USAGE:
 
 APPS: gromacs, alya, wrf, nas-bt, nas-mg (nas-bt needs square nprocs)
 
-EXHIBITS: all, table1, table3, table4, fig7, fig8, fig9, fig10,
-  generation_frontier — run on the parallel sweep engine (traces and
+EXHIBITS: {exhibits}
+  — the paper's Tables I–IV (params = Table II) and Figs. 7–10, then the
+  studies beyond it, run on the parallel sweep engine (traces and
   baselines memoized per key; results are byte-identical for any --jobs
-  value). --jobs N sets the worker count (default: IBP_JOBS, else all
-  cores); --serial forces the in-thread path; --out DIR overrides the
-  results directory (default: IBP_RESULTS_DIR or results/). Each results
-  JSON gets a <name>.stats.json with cache counters. generation_frontier
-  sweeps the five apps across IB generations (QDR/FDR/EDR/HDR) × three
-  sleep policies (wrps, deep, full depth ladder) and reports each
-  point's savings, slowdown, and whole-switch saving.
+  value). `all` runs every exhibit on one shared engine and also writes
+  summary.txt with every rendered table. --jobs N sets the worker count
+  (default: IBP_JOBS, else all cores); --serial forces the in-thread
+  path; --out DIR overrides the results directory (default:
+  IBP_RESULTS_DIR or results/). Each exhibit writes <name>.json (figures
+  also SVGs) and a <name>.stats.json with its cache counters.
+  generation_frontier sweeps the five apps across IB generations
+  (QDR/FDR/EDR/HDR) × three sleep policies (wrps, deep, full depth
+  ladder) and reports each point's savings, slowdown, and whole-switch
+  saving.
 
 FAULTS & RESILIENCE:
   --fault-rate F   inject link faults (wake misfires, flaps, 1X degrades)
@@ -1047,9 +1048,12 @@ mod tests {
     #[test]
     fn exhibits_rejects_bad_input() {
         assert!(parse(&argv("exhibits")).is_err());
-        assert!(parse(&argv("exhibits fig11"))
-            .unwrap_err()
-            .contains("unknown exhibit"));
+        let err = parse(&argv("exhibits fig11")).unwrap_err();
+        assert!(err.contains("unknown exhibit"), "{err}");
+        for e in ibp_analysis::EXHIBITS {
+            assert!(err.contains(e.name), "error must list '{}': {err}", e.name);
+            assert!(parse(&argv(&format!("exhibits {}", e.name))).is_ok());
+        }
         assert!(parse(&argv("exhibits all --jobs 0"))
             .unwrap_err()
             .contains("bad --jobs"));

@@ -1,4 +1,4 @@
-//! The `ibpower` binary: see [`ibpower_cli::USAGE`].
+//! The `ibpower` binary: see [`ibpower_cli::usage`].
 
 mod signal;
 
@@ -7,7 +7,7 @@ use ibp_network::{replay, LinkPower, ReplayOptions, SimParams};
 use ibp_simcore::{SimDuration, SimTime};
 use ibp_trace::{ActivityProfile, CallProfile, CommMatrix, IdleDistribution, Trace};
 use ibpower_cli::{
-    fault_config, parse, power_config, power_config_resilient, workload_of, Command, USAGE,
+    fault_config, parse, power_config, power_config_resilient, usage, workload_of, Command,
 };
 use std::process::ExitCode;
 
@@ -22,7 +22,7 @@ fn main() -> ExitCode {
             }
         },
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            eprintln!("error: {e}\n\n{}", usage());
             ExitCode::FAILURE
         }
     }
@@ -168,7 +168,7 @@ fn render_report(ep: &ibp_serve::Endpoint, report: &ibp_serve::ObsReport) -> Str
 fn run(cmd: Command) -> Result<(), String> {
     match cmd {
         Command::Help => {
-            println!("{USAGE}");
+            println!("{}", usage());
             Ok(())
         }
         Command::Generate {
@@ -405,7 +405,9 @@ fn run(cmd: Command) -> Result<(), String> {
             seed,
             out,
         } => {
-            use ibp_analysis::{exhibits, ExhibitGrid, OutputDir, SweepEngine, SweepOptions};
+            use ibp_analysis::{
+                Exhibit, ExhibitGrid, OutputDir, SweepEngine, SweepOptions, SweepStats, EXHIBITS,
+            };
             let mut opts = if jobs == 0 {
                 SweepOptions::from_env()
             } else {
@@ -414,73 +416,49 @@ fn run(cmd: Command) -> Result<(), String> {
             if serial {
                 opts.parallel = false;
             }
-            let engine = SweepEngine::new(opts);
-            let grid = ExhibitGrid::paper();
             let out = match out {
                 Some(dir) => OutputDir::new(dir),
                 None => OutputDir::default_dir(),
             }
             .map_err(|e| e.to_string())?;
             let io = |e: std::io::Error| format!("writing under {}: {e}", out.root().display());
-            match name.as_str() {
-                "table1" => {
-                    let rows = exhibits::table1(&engine, &grid, seed);
-                    print!("{}", exhibits::render_table1(&rows));
-                    out.write_json("table1.json", &rows).map_err(io)?;
+            let all = name == "all";
+            let batch: Vec<&Exhibit> = if all {
+                EXHIBITS.iter().collect()
+            } else {
+                vec![Exhibit::find(&name).expect("validated by parse")]
+            };
+            // One shared engine: each (app, nprocs, seed) trace is
+            // generated and its baseline replayed once for the whole
+            // batch. Each exhibit's stats sidecar records only the work
+            // it added on top of the shared caches.
+            let engine = SweepEngine::new(opts);
+            let grid = ExhibitGrid::paper();
+            let mut mark = SweepStats::default();
+            let mut summary = Vec::new();
+            for (i, exhibit) in batch.iter().enumerate() {
+                if all {
+                    println!("[{}/{}] {}", i + 1, batch.len(), exhibit.name);
                 }
-                "table3" => {
-                    let rows = exhibits::table3(&engine, &grid, seed);
-                    print!("{}", exhibits::render_table3(&rows));
-                    out.write_json("table3.json", &rows).map_err(io)?;
+                let text = (exhibit.run)(&engine, &grid, seed, &out).map_err(io)?;
+                let now = engine.stats();
+                out.write_stats(exhibit.name, &now.since(&mark)).map_err(io)?;
+                mark = now;
+                if all {
+                    summary.push(text);
+                } else {
+                    print!("{text}");
                 }
-                "table4" => {
-                    let rows = exhibits::table4(&engine, seed);
-                    print!("{}", exhibits::render_table4(&rows));
-                    out.write_json("table4.json", &rows).map_err(io)?;
-                }
-                "fig7" | "fig8" | "fig9" => {
-                    let disp = match name.as_str() {
-                        "fig7" => 0.10,
-                        "fig8" => 0.05,
-                        _ => 0.01,
-                    };
-                    let fig = exhibits::figure(&engine, &grid, disp, seed);
-                    print!("{}", exhibits::render_figure(&fig));
-                    out.write_json(&format!("{name}.json"), &fig).map_err(io)?;
-                }
-                "fig10" => {
-                    let data = exhibits::fig10(&engine, seed);
-                    print!("{}", exhibits::render_fig10(&data));
-                    out.write_json("fig10.json", &data).map_err(io)?;
-                }
-                "generation_frontier" => {
-                    let rows = ibp_analysis::generation_frontier(&engine, seed)
-                        .map_err(|e| format!("generation_frontier: {e}"))?;
-                    print!("{}", ibp_analysis::render_generation_frontier(&rows));
-                    out.write_json("generation_frontier.json", &rows).map_err(io)?;
-                }
-                "all" => {
-                    let t1 = exhibits::table1(&engine, &grid, seed);
-                    out.write_json("table1.json", &t1).map_err(io)?;
-                    let t3 = exhibits::table3(&engine, &grid, seed);
-                    out.write_json("table3.json", &t3).map_err(io)?;
-                    let t4 = exhibits::table4(&engine, seed);
-                    out.write_json("table4.json", &t4).map_err(io)?;
-                    for (fname, disp) in [("fig7", 0.10), ("fig8", 0.05), ("fig9", 0.01)] {
-                        let fig = exhibits::figure(&engine, &grid, disp, seed);
-                        out.write_json(&format!("{fname}.json"), &fig).map_err(io)?;
-                    }
-                    let f10 = exhibits::fig10(&engine, seed);
-                    out.write_json("fig10.json", &f10).map_err(io)?;
-                    let frontier = ibp_analysis::generation_frontier(&engine, seed)
-                        .map_err(|e| format!("generation_frontier: {e}"))?;
-                    out.write_json("generation_frontier.json", &frontier).map_err(io)?;
-                    println!("all exhibit JSONs written to {}", out.root().display());
-                }
-                other => unreachable!("validated by parse: {other}"),
             }
             let stats = engine.stats();
-            out.write_stats(&name, &stats).map_err(io)?;
+            if all {
+                out.write_text("summary.txt", &summary.join("\n")).map_err(io)?;
+                out.write_stats("all", &stats).map_err(io)?;
+                println!(
+                    "all exhibits written to {} (summary.txt holds every table)",
+                    out.root().display()
+                );
+            }
             eprintln!(
                 "sweep: {} cells, {} job(s), {} traces generated / {} hits, {:.1}s",
                 stats.cells,

@@ -26,7 +26,7 @@ use crate::config::{PowerConfig, SleepKind};
 use crate::runtime::{LaneDirective, RankAnnotation};
 use crate::stats::RankStats;
 use ibp_simcore::SimDuration;
-use ibp_trace::{RankTrace, Trace};
+use ibp_trace::RankTrace;
 
 /// Annotate one rank with the oracle policy (see module docs).
 pub fn oracle_annotate_rank(trace: &RankTrace, cfg: &PowerConfig) -> RankAnnotation {
@@ -203,76 +203,11 @@ pub fn history_annotate_rank(
     }
 }
 
-/// History-window policy over a whole trace.
-pub fn history_annotate_trace(
-    trace: &Trace,
-    cfg: &PowerConfig,
-    window: usize,
-) -> crate::TraceAnnotations {
-    history_annotate_trace_jobs(trace, cfg, window, 1)
-}
-
-/// [`history_annotate_trace`] with rank-level parallelism; identical
-/// output for any `jobs`.
-pub fn history_annotate_trace_jobs(
-    trace: &Trace,
-    cfg: &PowerConfig,
-    window: usize,
-    jobs: usize,
-) -> crate::TraceAnnotations {
-    crate::TraceAnnotations {
-        ranks: crate::annotate::map_ranks(&trace.ranks, jobs, |r| {
-            history_annotate_rank(r, cfg, window)
-        }),
-    }
-}
-
-/// Oracle policy over a whole trace.
-pub fn oracle_annotate_trace(trace: &Trace, cfg: &PowerConfig) -> crate::TraceAnnotations {
-    oracle_annotate_trace_jobs(trace, cfg, 1)
-}
-
-/// [`oracle_annotate_trace`] with rank-level parallelism; identical
-/// output for any `jobs`.
-pub fn oracle_annotate_trace_jobs(
-    trace: &Trace,
-    cfg: &PowerConfig,
-    jobs: usize,
-) -> crate::TraceAnnotations {
-    crate::TraceAnnotations {
-        ranks: crate::annotate::map_ranks(&trace.ranks, jobs, |r| oracle_annotate_rank(r, cfg)),
-    }
-}
-
-/// Reactive policy over a whole trace.
-pub fn reactive_annotate_trace(
-    trace: &Trace,
-    cfg: &PowerConfig,
-    timeout: SimDuration,
-) -> crate::TraceAnnotations {
-    reactive_annotate_trace_jobs(trace, cfg, timeout, 1)
-}
-
-/// [`reactive_annotate_trace`] with rank-level parallelism; identical
-/// output for any `jobs`.
-pub fn reactive_annotate_trace_jobs(
-    trace: &Trace,
-    cfg: &PowerConfig,
-    timeout: SimDuration,
-    jobs: usize,
-) -> crate::TraceAnnotations {
-    crate::TraceAnnotations {
-        ranks: crate::annotate::map_ranks(&trace.ranks, jobs, |r| {
-            reactive_annotate_rank(r, cfg, timeout)
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotate::annotate_trace;
-    use ibp_trace::{MpiOp, TraceBuilder};
+    use crate::annotate::{annotate_trace, map_ranks};
+    use ibp_trace::{MpiOp, Trace, TraceBuilder};
 
     fn us(x: u64) -> SimDuration {
         SimDuration::from_us(x)
@@ -341,7 +276,9 @@ mod tests {
         }
         let t = b.build();
         let cfg = PowerConfig::paper(us(20).max(SimDuration::from_us(20)), 0.01);
-        let oracle = oracle_annotate_trace(&t, &cfg);
+        let oracle = crate::TraceAnnotations {
+            ranks: map_ranks(&t.ranks, 1, |r| oracle_annotate_rank(r, &cfg)),
+        };
         let predicted = annotate_trace(&t, &cfg);
         let o = oracle.aggregate_stats().low_power_time;
         let p = predicted.aggregate_stats().low_power_time;

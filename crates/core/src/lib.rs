@@ -56,11 +56,7 @@ pub use annotate::{
     annotate_trace, annotate_trace_jobs, effective_jobs, map_ranks, TraceAnnotations,
     SERIAL_CUTOVER_EVENTS,
 };
-pub use baselines::{
-    history_annotate_rank, history_annotate_trace, history_annotate_trace_jobs,
-    oracle_annotate_rank, oracle_annotate_trace, oracle_annotate_trace_jobs,
-    reactive_annotate_rank, reactive_annotate_trace, reactive_annotate_trace_jobs,
-};
+pub use baselines::{history_annotate_rank, oracle_annotate_rank, reactive_annotate_rank};
 pub use config::{PowerConfig, PowerPolicy, ResilienceConfig, SleepKind};
 pub use gram::{Gram, GramBuilder, GramId, GramInterner};
 pub use pattern::{
