@@ -1,6 +1,6 @@
-//! Golden-exhibit regression suite: Table I/III/IV, Figs. 7–9 and the
-//! generation frontier at the canonical seed, pinned as JSON snapshots
-//! in `tests/golden/`.
+//! Golden-exhibit regression suite: Table I/III/IV, Figs. 7–9, the
+//! generation frontier and the deep-sleep study at the canonical seed,
+//! pinned as JSON snapshots in `tests/golden/`.
 //!
 //! Each test runs one entry of the exhibit registry by name — the same
 //! code `ibpower exhibits` runs — and compares the JSON it writes. All
@@ -85,4 +85,10 @@ fn golden_generation_frontier() {
         ibp_analysis::FRONTIER_GENERATIONS.len() * 5 * 3,
         "4 generations x 5 apps x 3 policies"
     );
+}
+
+#[test]
+fn golden_deepsleep() {
+    let t = golden("deepsleep", ExhibitGrid::paper());
+    assert_eq!(rows(&t), 5, "one row per application");
 }
