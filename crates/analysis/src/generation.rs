@@ -2,7 +2,8 @@
 //! sleep depth across InfiniBand generations.
 //!
 //! The paper evaluates one hardware point (4X QDR, WRPS only). The
-//! [`ibp_network::genlink`] ladder generalizes both axes; this exhibit
+//! [`ibp_network::genlink`] generations and the planner's rung sets
+//! ([`ibp_core::SleepRungs`]) generalize both axes; this exhibit
 //! drives the paper's five applications across generations × sleep
 //! policies on the sweep engine and reports the per-port and
 //! whole-switch frontier each generation offers:
@@ -19,7 +20,7 @@
 use crate::exhibits::SELECT_DISPLACEMENT;
 use crate::report::{f1, f2, Table};
 use crate::sweep::{CellKey, SweepEngine};
-use ibp_core::PowerConfig;
+use ibp_core::{PowerConfig, SleepKind};
 use ibp_network::{replay, IbGeneration, ReplayOptions};
 use ibp_simcore::SimDuration;
 use ibp_workloads::AppKind;
@@ -68,23 +69,23 @@ pub struct GenerationFrontierRow {
 }
 
 /// The sleep policies the frontier compares, in row order.
-fn policies(gen: IbGeneration, gt: SimDuration) -> Vec<(&'static str, PowerConfig)> {
+fn policies(gt: SimDuration) -> Vec<(&'static str, PowerConfig)> {
     vec![
         ("wrps", PowerConfig::paper(gt, SELECT_DISPLACEMENT)),
         (
             "deep",
             PowerConfig::paper(gt, SELECT_DISPLACEMENT).with_deep_sleep(DEEP_THRESHOLD),
         ),
-        ("ladder", gen.ladder().power_config(gt, SELECT_DISPLACEMENT)),
+        ("ladder", PowerConfig::paper(gt, SELECT_DISPLACEMENT).with_ladder()),
     ]
 }
 
 /// Compute the generation frontier: every app (8/9 ranks) × every
 /// [`FRONTIER_GENERATIONS`] entry × three sleep policies.
 ///
-/// Each generation's hardware description is validated up front, so a
-/// disordered ladder or inconsistent switch model surfaces as one typed
-/// error naming the generation instead of a panic mid-sweep.
+/// Each generation's switch model and the policies' configs are
+/// validated up front, so an inconsistent one surfaces as one typed
+/// error instead of a panic mid-sweep.
 pub fn generation_frontier(
     engine: &SweepEngine,
     seed: u64,
@@ -93,13 +94,9 @@ pub fn generation_frontier(
         gen.switch_power_model()
             .validate()
             .map_err(|e| format!("generation {gen}: switch power model: {e}"))?;
-        gen.ladder()
-            .validate()
-            .map_err(|e| format!("generation {gen}: sleep ladder: {e}"))?;
-        for (name, cfg) in policies(gen, SimDuration::from_us(20)) {
-            cfg.validate()
-                .map_err(|e| format!("generation {gen}: {name} policy: {e}"))?;
-        }
+    }
+    for (name, cfg) in policies(SimDuration::from_us(20)) {
+        cfg.validate().map_err(|e| format!("{name} policy: {e}"))?;
     }
 
     // Generation-major cell order; all 4 × 5 cells share the engine's
@@ -133,7 +130,7 @@ pub fn generation_frontier(
                 )
             };
             let model = gen.switch_power_model();
-            policies(gen, SimDuration::from_us(20))
+            policies(SimDuration::from_us(20))
                 .into_iter()
                 .map(|(name, cfg)| {
                     let ann = ctx.annotate(&cfg);
@@ -149,9 +146,9 @@ pub fn generation_frontier(
                         saving_pct: managed.power_saving_pct(),
                         slowdown_pct: managed.slowdown_pct(&baseline),
                         switch_saving_pct: report.switch_saving_pct,
-                        wrps_time_pct: 100.0 * managed.mean_low_fraction(),
-                        rate_time_pct: 100.0 * managed.mean_rate_fraction(),
-                        deep_time_pct: 100.0 * managed.mean_deep_fraction(),
+                        wrps_time_pct: 100.0 * managed.mean_sleep_fraction(SleepKind::Wrps),
+                        rate_time_pct: 100.0 * managed.mean_sleep_fraction(SleepKind::Rate),
+                        deep_time_pct: 100.0 * managed.mean_sleep_fraction(SleepKind::Deep),
                     }
                 })
                 .collect()

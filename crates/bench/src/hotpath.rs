@@ -8,7 +8,7 @@
 //! committed `BENCH_hotpath.json` trajectory and local criterion runs
 //! describe the same code paths.
 
-use ibp_core::{annotate_trace_jobs, Ppa, PowerConfig, RankRuntime};
+use ibp_core::{annotate_trace_jobs, Ppa, PowerConfig, RankRuntime, SleepKind};
 use ibp_network::{replay_with_scratch, ReplayOptions, ReplayScratch, SimParams};
 use ibp_simcore::SimDuration;
 use ibp_trace::MpiCall::{Allreduce, Sendrecv};
@@ -245,9 +245,7 @@ pub fn probe_ladder_apply_windows(nprocs: u32, iters: usize, reps: u32) -> Probe
         }
     }
     let trace = b.build();
-    let cfg = ibp_network::IbGeneration::Qdr
-        .ladder()
-        .power_config(SimDuration::from_us(20), 0.01);
+    let cfg = PowerConfig::paper(SimDuration::from_us(20), 0.01).with_ladder();
     let ann = annotate_trace_jobs(&trace, &cfg, 1);
     let params = SimParams::paper();
     let opts = ReplayOptions::default();
@@ -257,7 +255,8 @@ pub fn probe_ladder_apply_windows(nprocs: u32, iters: usize, reps: u32) -> Probe
         let r = replay_with_scratch(&trace, Some(&ann), &params, &opts, &mut scratch)
             .expect("bench ladder replay");
         assert!(
-            r.mean_rate_fraction() > 0.0 && r.mean_deep_fraction() > 0.0,
+            r.mean_sleep_fraction(SleepKind::Rate) > 0.0
+                && r.mean_sleep_fraction(SleepKind::Deep) > 0.0,
             "ladder probe never reached its deeper rungs"
         );
         events

@@ -57,7 +57,7 @@ pub fn oracle_annotate_rank(trace: &RankTrace, cfg: &PowerConfig) -> RankAnnotat
                 kind: SleepKind::Wrps,
             });
             stats.lane_off_count += 1;
-            stats.low_power_time += timer - cfg.t_react;
+            stats.sleep_time[SleepKind::Wrps as usize] += timer - cfg.t_react;
         }
     }
     stats.nominal_duration += trace.final_compute;
@@ -107,7 +107,7 @@ pub fn reactive_annotate_rank(
                 kind: SleepKind::Wrps,
             });
             stats.lane_off_count += 1;
-            stats.low_power_time += gap - timeout - cfg.t_react;
+            stats.sleep_time[SleepKind::Wrps as usize] += gap - timeout - cfg.t_react;
             // Full reactivation stall on the communication that wakes it.
             penalty[i] = cfg.t_react;
             stats.total_penalty += cfg.t_react;
@@ -168,7 +168,7 @@ pub fn history_annotate_rank(
                     penalty[i] = stall;
                 }
                 let span = d.timer.min(gap).saturating_sub(cfg.t_react);
-                stats.low_power_time += span;
+                stats.sleep_time[SleepKind::Wrps as usize] += span;
             }
         }
 
@@ -260,7 +260,7 @@ mod tests {
         // τ = 600 µs: no gap qualifies.
         let ann = reactive_annotate_rank(&t.ranks[0], &cfg, us(600));
         assert!(ann.directives.is_empty());
-        assert!(ann.stats.low_power_time.is_zero());
+        assert!(ann.stats.sleep_time[SleepKind::Wrps as usize].is_zero());
     }
 
     #[test]
@@ -280,8 +280,8 @@ mod tests {
             ranks: map_ranks(&t.ranks, 1, |r| oracle_annotate_rank(r, &cfg)),
         };
         let predicted = annotate_trace(&t, &cfg);
-        let o = oracle.aggregate_stats().low_power_time;
-        let p = predicted.aggregate_stats().low_power_time;
+        let o = oracle.aggregate_stats().sleep_time[SleepKind::Wrps as usize];
+        let p = predicted.aggregate_stats().sleep_time[SleepKind::Wrps as usize];
         assert!(o >= p, "oracle {o} < predictive {p}");
         assert!(!p.is_zero());
     }
@@ -321,8 +321,8 @@ mod tests {
         let hist = history_annotate_rank(&t.ranks[0], &cfg, 8);
         let oracle = oracle_annotate_rank(&t.ranks[0], &cfg);
         assert_eq!(hist.stats.timing_mispredictions, 0);
-        let h = hist.stats.low_power_time.as_us_f64();
-        let o = oracle.stats.low_power_time.as_us_f64();
+        let h = hist.stats.sleep_time[SleepKind::Wrps as usize].as_us_f64();
+        let o = oracle.stats.sleep_time[SleepKind::Wrps as usize].as_us_f64();
         assert!(h > 0.8 * o, "history {h} far below oracle {o}");
     }
 
@@ -338,7 +338,8 @@ mod tests {
         let cfg = PowerConfig::default();
         let oracle = oracle_annotate_rank(&t.ranks[0], &cfg);
         let reactive = reactive_annotate_rank(&t.ranks[0], &cfg, SimDuration::ZERO);
-        let extra = reactive.stats.low_power_time - oracle.stats.low_power_time;
+        let wrps = SleepKind::Wrps as usize;
+        let extra = reactive.stats.sleep_time[wrps] - oracle.stats.sleep_time[wrps];
         assert_eq!(extra, cfg.t_react * 9, "one T_react per exploited gap");
         assert!(reactive.stats.total_penalty > SimDuration::ZERO);
         assert!(oracle.stats.total_penalty.is_zero());

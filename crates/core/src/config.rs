@@ -14,33 +14,18 @@
 use ibp_simcore::SimDuration;
 use serde::{Deserialize, Serialize};
 
-/// Which sleep depths the controller may use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PowerPolicy {
-    /// The paper's mechanism: WRPS lane-width reduction only.
-    WidthReduction,
-    /// The paper's §VI extension: predicted idles of at least
-    /// `deep_threshold` power down switch buffers/crossbar too
-    /// (millisecond-class reactivation, much deeper power state);
-    /// shorter idles still use WRPS.
-    DeepSleep,
-    /// The full depth ladder: for every predicted idle, commit to the
-    /// deepest state — deep sleep, rate reduction, then WRPS — whose
-    /// wake cost fits inside the prediction minus the guard band
-    /// (Rodríguez-Pérez-style multi-state opportunistic sleeping).
-    Ladder,
-}
-
-/// The depth chosen for one sleep window.
+/// The depth chosen for one sleep window. The discriminant is the
+/// depth's index in [`SleepKind::ALL`] and in every per-depth `[T; 3]`
+/// table (`kind as usize`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SleepKind {
     /// Lane-width reduction (4X → 1X), `T_react ≈ 10 µs`, 43% draw.
-    Wrps,
+    Wrps = 0,
     /// Rate reduction: all four lanes drop to the lowest signalling
     /// rate (retrain ≈ 100 µs, ~25% draw).
-    Rate,
+    Rate = 1,
     /// Deep switch sleep, `T_react ≈ 1 ms`, ~10% draw.
-    Deep,
+    Deep = 2,
 }
 
 impl SleepKind {
@@ -56,6 +41,34 @@ impl SleepKind {
             SleepKind::Rate => "rate",
             SleepKind::Deep => "deep",
         }
+    }
+}
+
+/// The sleep depths the controller may plan: a bitmask over
+/// [`SleepKind`] (bit `kind as usize`). WRPS, the paper's mechanism,
+/// is always present; [`PowerConfig::validate`] rejects a set without
+/// it or with unknown bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SleepRungs(u8);
+
+impl SleepRungs {
+    /// The paper's mechanism alone.
+    pub const WRPS: SleepRungs = SleepRungs(1 << SleepKind::Wrps as u8);
+    /// The paper's §VI extension: WRPS plus deep sleep.
+    pub const DEEP: SleepRungs = SleepRungs(Self::WRPS.0 | 1 << SleepKind::Deep as u8);
+    /// The full three-rung ladder.
+    pub const ALL: SleepRungs = SleepRungs(Self::DEEP.0 | 1 << SleepKind::Rate as u8);
+
+    /// Whether the set enables `kind`.
+    #[inline]
+    #[must_use]
+    pub fn contains(self, kind: SleepKind) -> bool {
+        self.0 & 1 << kind as u8 != 0
+    }
+
+    /// Enabled depths, shallowest first.
+    pub fn iter(self) -> impl DoubleEndedIterator<Item = SleepKind> {
+        SleepKind::ALL.into_iter().filter(move |&k| self.contains(k))
     }
 }
 
@@ -174,18 +187,17 @@ pub struct PowerConfig {
     pub ppa_base_overhead: SimDuration,
     /// Additional PPA overhead per gram element examined in the invocation.
     pub ppa_per_element_overhead: SimDuration,
-    /// Sleep-depth policy.
-    pub policy: PowerPolicy,
-    /// Minimum predicted idle for a deep sleep (only with
-    /// [`PowerPolicy::DeepSleep`]).
+    /// The sleep depths the planner may choose from. No serde default:
+    /// a config without it predates the rung set and must not decode.
+    pub rungs: SleepRungs,
+    /// Minimum predicted idle for a deep sleep.
     pub deep_threshold: SimDuration,
     /// Reactivation time of the deep state (buffers/crossbar power-up;
     /// the paper quotes "up to a millisecond").
     pub deep_t_react: SimDuration,
     /// Relative power draw of the deep state.
     pub deep_power_fraction: f64,
-    /// Minimum predicted idle for a rate-reduction sleep (only with
-    /// [`PowerPolicy::Ladder`]).
+    /// Minimum predicted idle for a rate-reduction sleep.
     #[serde(default = "default_rate_threshold")]
     pub rate_threshold: SimDuration,
     /// Retrain time of the rate-reduced state (lanes renegotiate back
@@ -249,7 +261,7 @@ impl PowerConfig {
             intercept_overhead: SimDuration::from_us(1),
             ppa_base_overhead: SimDuration::from_us(5),
             ppa_per_element_overhead: SimDuration::from_ns(200),
-            policy: PowerPolicy::WidthReduction,
+            rungs: SleepRungs::WRPS,
             deep_threshold: SimDuration::from_ms(5),
             deep_t_react: SimDuration::from_ms(1),
             deep_power_fraction: 0.10,
@@ -277,20 +289,7 @@ impl PowerConfig {
     /// time (i.e. `predictIdleTime ≤ T_react`, since the off-transition
     /// itself consumes `T_react` at full power).
     pub fn lane_off_timer(&self, predicted_idle: SimDuration) -> Option<SimDuration> {
-        self.lane_off_timer_with(self.displacement, predicted_idle)
-    }
-
-    /// [`PowerConfig::lane_off_timer`] with an explicit displacement —
-    /// the resilience controller widens the effective displacement (its
-    /// guard band) after timing mispredictions.
-    pub fn lane_off_timer_with(
-        &self,
-        displacement: f64,
-        predicted_idle: SimDuration,
-    ) -> Option<SimDuration> {
-        let safety = predicted_idle.mul_f64(displacement) + self.t_react;
-        let timer = predicted_idle.saturating_sub(safety);
-        (timer > self.t_react).then_some(timer)
+        self.depth_timer_with(self.displacement, predicted_idle, SleepKind::Wrps)
     }
 
     /// Relative power saved while a link sits in low-power mode
@@ -307,7 +306,7 @@ impl PowerConfig {
             threshold >= self.deep_t_react * 2,
             "deep threshold {threshold} below 2×deep T_react"
         );
-        self.policy = PowerPolicy::DeepSleep;
+        self.rungs = SleepRungs::DEEP;
         self.deep_threshold = threshold;
         self
     }
@@ -321,7 +320,7 @@ impl PowerConfig {
     /// (power floors must strictly deepen, wake latencies must not
     /// shrink with depth, thresholds must cover two reactivations).
     pub fn with_ladder(mut self) -> Self {
-        self.policy = PowerPolicy::Ladder;
+        self.rungs = SleepRungs::ALL;
         if let Err(e) = self.validate() {
             panic!("invalid sleep ladder: {e}");
         }
@@ -346,8 +345,7 @@ impl PowerConfig {
         }
     }
 
-    /// Minimum predicted idle that makes a sleep kind eligible under
-    /// the ladder policy.
+    /// Minimum predicted idle that makes a sleep kind eligible.
     pub fn threshold_of(&self, kind: SleepKind) -> SimDuration {
         match kind {
             SleepKind::Wrps => SimDuration::ZERO,
@@ -356,10 +354,10 @@ impl PowerConfig {
         }
     }
 
-    /// Plan a sleep for a predicted idle interval: pick the depth (per
-    /// the policy) and compute the Algorithm 3 timer for it. Deep sleep
-    /// falls back to WRPS when the idle is below the deep threshold or
-    /// the deep timer would be unprofitable.
+    /// Plan a sleep for a predicted idle interval: pick the depth (among
+    /// the enabled [`SleepRungs`]) and compute the Algorithm 3 timer for
+    /// it. Deeper rungs fall back to shallower ones when the idle is
+    /// below their threshold or their timer would be unprofitable.
     pub fn plan_sleep(&self, predicted_idle: SimDuration) -> Option<(SleepKind, SimDuration)> {
         self.plan_sleep_with(self.displacement, predicted_idle)
     }
@@ -371,33 +369,16 @@ impl PowerConfig {
         displacement: f64,
         predicted_idle: SimDuration,
     ) -> Option<(SleepKind, SimDuration)> {
-        match self.policy {
-            PowerPolicy::WidthReduction => {}
-            PowerPolicy::DeepSleep => {
-                if predicted_idle >= self.deep_threshold {
-                    if let Some(timer) =
-                        self.depth_timer_with(displacement, predicted_idle, SleepKind::Deep)
-                    {
-                        return Some((SleepKind::Deep, timer));
-                    }
-                }
-            }
-            PowerPolicy::Ladder => {
-                // Deepest first: commit to the deepest state whose wake
-                // cost fits inside the prediction minus the guard band.
-                for kind in [SleepKind::Deep, SleepKind::Rate] {
-                    if predicted_idle < self.threshold_of(kind) {
-                        continue;
-                    }
-                    if let Some(timer) = self.depth_timer_with(displacement, predicted_idle, kind)
-                    {
-                        return Some((kind, timer));
-                    }
-                }
-            }
-        }
-        self.lane_off_timer_with(displacement, predicted_idle)
-            .map(|t| (SleepKind::Wrps, t))
+        // Deepest first: commit to the deepest enabled state whose wake
+        // cost fits inside the prediction minus the guard band.
+        self.rungs
+            .iter()
+            .rev()
+            .filter(|&kind| predicted_idle >= self.threshold_of(kind))
+            .find_map(|kind| {
+                self.depth_timer_with(displacement, predicted_idle, kind)
+                    .map(|timer| (kind, timer))
+            })
     }
 
     /// Algorithm 3's timer generalized to an arbitrary sleep depth:
@@ -441,26 +422,41 @@ impl PowerConfig {
         {
             return Err("power fractions must be in [0, 1]".into());
         }
-        if self.policy == PowerPolicy::Ladder {
-            if !(self.deep_power_fraction < self.rate_power_fraction
-                && self.rate_power_fraction < self.low_power_fraction)
-            {
+        if self.rungs.0 & !SleepRungs::ALL.0 != 0 || !self.rungs.contains(SleepKind::Wrps) {
+            return Err(format!(
+                "rung set {:#05b} must contain WRPS and only known depths",
+                self.rungs.0
+            ));
+        }
+        // One ordering check over the enabled rungs, shallowest first.
+        let mut shallower = SleepKind::Wrps;
+        for kind in self.rungs.iter().skip(1) {
+            if self.draw_of(kind) >= self.draw_of(shallower) {
                 return Err(format!(
-                    "ladder power floors must strictly deepen: deep {} < rate {} < wrps {}",
-                    self.deep_power_fraction, self.rate_power_fraction, self.low_power_fraction
+                    "power floors must strictly deepen: {} {} not below {} {}",
+                    kind.label(),
+                    self.draw_of(kind),
+                    shallower.label(),
+                    self.draw_of(shallower)
                 ));
             }
-            if self.rate_t_react < self.t_react || self.deep_t_react < self.rate_t_react {
+            if self.react_of(kind) < self.react_of(shallower) {
                 return Err(format!(
-                    "ladder wake latencies must not shrink with depth: wrps {} <= rate {} <= deep {}",
-                    self.t_react, self.rate_t_react, self.deep_t_react
+                    "wake latencies must not shrink with depth: {} {} below {} {}",
+                    kind.label(),
+                    self.react_of(kind),
+                    shallower.label(),
+                    self.react_of(shallower)
                 ));
             }
-            if self.rate_threshold < self.rate_t_react * 2
-                || self.deep_threshold < self.deep_t_react * 2
-            {
-                return Err("ladder thresholds below 2x their reactivation time".into());
+            if self.threshold_of(kind) < self.react_of(kind) * 2 {
+                return Err(format!(
+                    "{} threshold {} below 2x its reactivation time",
+                    kind.label(),
+                    self.threshold_of(kind)
+                ));
             }
+            shallower = kind;
         }
         let r = &self.resilience;
         if r.enabled {
@@ -643,10 +639,41 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_malformed_rung_sets() {
+        // No WRPS, only unknown bits, or a known set plus an unknown bit.
+        for bits in [0b000, 0b110, 0b1000, 0b1001, 0xff] {
+            let c = PowerConfig {
+                rungs: SleepRungs(bits),
+                ..PowerConfig::default()
+            };
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("rung set"), "{bits:#b}: {err}");
+        }
+        for rungs in [SleepRungs::WRPS, SleepRungs::DEEP, SleepRungs::ALL] {
+            let c = PowerConfig { rungs, ..PowerConfig::default() };
+            assert_eq!(c.validate(), Ok(()), "{rungs:?}");
+        }
+    }
+
+    #[test]
     fn sleep_kind_labels() {
         assert_eq!(SleepKind::Wrps.label(), "wrps");
         assert_eq!(SleepKind::Rate.label(), "rate");
         assert_eq!(SleepKind::Deep.label(), "deep");
+    }
+
+    #[test]
+    fn pre_rung_set_configs_do_not_decode() {
+        // A config written with the old `policy` enum has no rung set;
+        // it must fail to decode rather than fall back to WRPS.
+        let mut v = PowerConfig::default().with_ladder().to_value();
+        let serde::Value::Map(entries) = &mut v else {
+            panic!("config serializes as an object");
+        };
+        entries.retain(|(k, _)| k != "rungs");
+        entries.push(("policy".into(), serde::Value::Str("Ladder".into())));
+        let err = PowerConfig::from_value(&v).unwrap_err();
+        assert!(err.to_string().contains("rungs"), "{err}");
     }
 
     #[test]

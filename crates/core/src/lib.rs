@@ -57,7 +57,7 @@ pub use annotate::{
     SERIAL_CUTOVER_EVENTS,
 };
 pub use baselines::{history_annotate_rank, oracle_annotate_rank, reactive_annotate_rank};
-pub use config::{PowerConfig, PowerPolicy, ResilienceConfig, SleepKind};
+pub use config::{PowerConfig, ResilienceConfig, SleepKind, SleepRungs};
 pub use gram::{Gram, GramBuilder, GramId, GramInterner};
 pub use pattern::{
     OccurrenceWindow, PatternEntry, PatternId, PatternInterner, PatternList, PatternUpdate,

@@ -445,11 +445,7 @@ impl RankRuntime {
                         // transition's end until the timer fired — or
                         // until the early call forced a wake-up.
                         let span = p.timer.min(gap).saturating_sub(react);
-                        match p.kind {
-                            SleepKind::Wrps => self.stats.low_power_time += span,
-                            SleepKind::Rate => self.stats.rate_time += span,
-                            SleepKind::Deep => self.stats.deep_time += span,
-                        }
+                        self.stats.sleep_time[p.kind as usize] += span;
                     }
                     if gap < gt {
                         // The previous gram was not over: the pattern has
@@ -965,11 +961,11 @@ mod tests {
     }
 
     #[test]
-    fn low_power_time_accumulates() {
+    fn wrps_sleep_time_accumulates() {
         let mut rt = RankRuntime::new(0, cfg());
         feed_alya(&mut rt, 40, 500);
         let ann = rt.finish(SimDuration::ZERO);
-        assert!(ann.stats.low_power_time > SimDuration::ZERO);
+        assert!(ann.stats.sleep_time[SleepKind::Wrps as usize] > SimDuration::ZERO);
         let frac = ann.stats.low_power_fraction();
         assert!(frac > 0.3 && frac < 1.0, "fraction {frac}");
         let est = ann.stats.est_power_saving_pct(0.43);
@@ -1228,6 +1224,34 @@ mod tests {
             panic!("runtime should be predicting after 8 iterations");
         }
 
+        // A v2 snapshot (the `policy` enum and per-depth time fields)
+        // fails on its version, through the one JSON decoder.
+        let mut v2 = good.to_value();
+        let serde::Value::Map(entries) = &mut v2 else {
+            panic!("snapshot serializes as an object");
+        };
+        for (key, value) in entries.iter_mut() {
+            match (key.as_str(), value) {
+                ("version", value) => *value = serde::Value::U64(2),
+                ("cfg", serde::Value::Map(cfg)) => {
+                    cfg.retain(|(k, _)| k != "rungs");
+                    cfg.push(("policy".into(), serde::Value::Str("WidthReduction".into())));
+                }
+                ("stats", serde::Value::Map(stats)) => {
+                    stats.retain(|(k, _)| k != "sleep_time");
+                    for old in ["low_power_time", "deep_time", "rate_time"] {
+                        stats.push((old.into(), serde::Value::U64(0)));
+                    }
+                }
+                _ => {}
+            }
+        }
+        let bytes = serde_json::to_string(&v2).unwrap().into_bytes();
+        assert_eq!(
+            RuntimeSnapshot::from_json_bytes(&bytes),
+            Err(SnapshotError::VersionMismatch { found: 2, expected: 3 })
+        );
+
         // The untouched snapshot still restores.
         assert!(RankRuntime::from_snapshot(&good).is_ok());
     }
@@ -1264,6 +1288,18 @@ mod tests {
             ..crate::ResilienceConfig::standard()
         };
         assert!(RankRuntime::from_snapshot(&bad).is_err());
+
+        for bits in [0b110, 0b1001] {
+            let mut bad = good.clone();
+            bad.cfg.rungs = crate::SleepRungs::from_value(&serde::Value::U64(bits)).unwrap();
+            assert!(
+                matches!(
+                    RankRuntime::from_snapshot(&bad),
+                    Err(SnapshotError::Inconsistent(_))
+                ),
+                "rung set {bits:#b} restored"
+            );
+        }
 
         for bad_guard in [-0.1, f64::NAN, f64::INFINITY] {
             let mut bad = good.clone();

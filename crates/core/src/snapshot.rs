@@ -35,9 +35,12 @@ use serde::{Deserialize, Serialize};
 ///
 /// Version history:
 /// * 1 — initial layout (two-depth `SleepKind`, no ladder fields).
-/// * 2 — sleep-depth ladder: `SleepKind::Rate`, `RankStats::rate_time`,
-///   and the `rate_*` ladder parameters in [`PowerConfig`].
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// * 2 — sleep-depth ladder: `SleepKind::Rate`, a rate-reduced time
+///   counter in `RankStats`, and the `rate_*` ladder parameters in
+///   [`PowerConfig`].
+/// * 3 — one depth model: `PowerConfig::rungs` replaces `policy`, and
+///   `RankStats::sleep_time` replaces the per-depth time fields.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// A snapshot failed validation on restore.
 ///
@@ -272,8 +275,20 @@ impl RuntimeSnapshot {
     pub fn from_json_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let text = std::str::from_utf8(bytes)
             .map_err(|e| SnapshotError::Inconsistent(format!("snapshot not utf-8: {e}")))?;
-        serde_json::from_str(text)
-            .map_err(|e| SnapshotError::Inconsistent(format!("snapshot not valid JSON: {e}")))
+        let value: serde::Value = serde_json::from_str(text)
+            .map_err(|e| SnapshotError::Inconsistent(format!("snapshot not valid JSON: {e}")))?;
+        // Gate on the version before decoding the layout, so a snapshot
+        // from another layout reports `VersionMismatch`, not the first
+        // field that layout lacks.
+        let version = value
+            .as_map()
+            .and_then(|m| m.iter().find(|(k, _)| k == "version"))
+            .and_then(|(_, v)| u32::from_value(v).ok());
+        if let Some(found) = version {
+            check_version(found)?;
+        }
+        Self::from_value(&value)
+            .map_err(|e| SnapshotError::Inconsistent(format!("snapshot layout invalid: {e}")))
     }
 
     /// Check the layout version alone, without the full invariant
@@ -282,14 +297,18 @@ impl RuntimeSnapshot {
     /// an incompatible build is skipped with a precise reason instead
     /// of surfacing as a generic restore failure later.
     pub fn validate_version(&self) -> Result<(), SnapshotError> {
-        if self.version == SNAPSHOT_VERSION {
-            Ok(())
-        } else {
-            Err(SnapshotError::VersionMismatch {
-                found: self.version,
-                expected: SNAPSHOT_VERSION,
-            })
-        }
+        check_version(self.version)
+    }
+}
+
+fn check_version(found: u32) -> Result<(), SnapshotError> {
+    if found == SNAPSHOT_VERSION {
+        Ok(())
+    } else {
+        Err(SnapshotError::VersionMismatch {
+            found,
+            expected: SNAPSHOT_VERSION,
+        })
     }
 }
 

@@ -10,6 +10,7 @@
 //! * the quick power estimate used by GT sweeps (Fig. 10), where a full
 //!   network replay per GT value would be wasteful.
 
+use crate::SleepKind;
 use ibp_simcore::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -41,13 +42,8 @@ pub struct RankStats {
     pub intercept_overhead: SimDuration,
     /// Lane-off directives issued.
     pub lane_off_count: u64,
-    /// Nominal time spent with lanes in low-power (WRPS 1X) mode.
-    pub low_power_time: SimDuration,
-    /// Nominal time spent in the deep switch-sleep state (§VI extension).
-    pub deep_time: SimDuration,
-    /// Nominal time spent in the rate-reduced state (ladder policy).
-    #[serde(default)]
-    pub rate_time: SimDuration,
+    /// Nominal time spent in each sleep depth, indexed by [`SleepKind`].
+    pub sleep_time: [SimDuration; 3],
     /// Total reactivation stall injected into this rank.
     pub total_penalty: SimDuration,
     /// Nominal (communication-free) duration of the rank's trace.
@@ -102,13 +98,14 @@ impl RankStats {
         }
     }
 
-    /// Fraction of the rank's nominal duration spent in low-power mode.
+    /// Fraction of the rank's nominal duration spent in WRPS low-power
+    /// mode.
     pub fn low_power_fraction(&self) -> f64 {
         let total = self.nominal_duration.as_secs_f64();
         if total == 0.0 {
             0.0
         } else {
-            (self.low_power_time.as_secs_f64() / total).min(1.0)
+            (self.sleep_time[SleepKind::Wrps as usize].as_secs_f64() / total).min(1.0)
         }
     }
 
@@ -131,9 +128,9 @@ impl RankStats {
         self.ppa_overhead += other.ppa_overhead;
         self.intercept_overhead += other.intercept_overhead;
         self.lane_off_count += other.lane_off_count;
-        self.low_power_time += other.low_power_time;
-        self.deep_time += other.deep_time;
-        self.rate_time += other.rate_time;
+        for (mine, theirs) in self.sleep_time.iter_mut().zip(other.sleep_time) {
+            *mine += theirs;
+        }
         self.total_penalty += other.total_penalty;
         self.nominal_duration += other.nominal_duration;
         self.storms += other.storms;
@@ -172,7 +169,7 @@ mod tests {
             ppa_invoked_calls: 40,
             ppa_overhead: SimDuration::from_us(600),
             intercept_overhead: SimDuration::from_us(1000),
-            low_power_time: SimDuration::from_ms(570),
+            sleep_time: [SimDuration::from_ms(570), SimDuration::ZERO, SimDuration::ZERO],
             nominal_duration: SimDuration::from_secs(1),
             ..RankStats::default()
         }
@@ -214,7 +211,7 @@ mod tests {
     #[test]
     fn low_power_fraction_clamped() {
         let s = RankStats {
-            low_power_time: SimDuration::from_secs(2),
+            sleep_time: [SimDuration::from_secs(2), SimDuration::ZERO, SimDuration::ZERO],
             nominal_duration: SimDuration::from_secs(1),
             ..RankStats::default()
         };

@@ -9,33 +9,45 @@ use ibp_core::{GramInterner, PowerConfig, RankRuntime};
 use ibp_simcore::SimDuration;
 use ibp_trace::MpiCall::{Allreduce, Sendrecv};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Pass-through to the system allocator that counts every heap request
-/// (alloc, zeroed alloc, and growth via realloc) while armed.
+/// (alloc, zeroed alloc, and growth via realloc) made by a thread while
+/// that thread is armed.
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Armed per thread, so the libtest harness's own threads (progress
+    /// output, result plumbing) never land in a measured window. Const
+    /// initialised: reading it never allocates.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+fn armed() -> bool {
+    ARMED.try_with(Cell::get).unwrap_or(false)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
@@ -49,19 +61,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Tests in this binary run concurrently, but the counter is global: an
-/// armed window must not see another test's allocations — including its
-/// *setup* allocations, which happen outside `count_allocs`. Each test
-/// therefore holds this lock for its whole body.
+/// Tests in this binary run concurrently and share the counter, so
+/// armed sections take this lock. A panic inside an armed section
+/// poisons it; later tests take it anyway instead of failing with it.
 static GATE: Mutex<()> = Mutex::new(());
 
-/// Run `f` with allocation counting armed and return how many heap
-/// requests it made. The caller must hold [`GATE`].
+/// Run `f` on this thread with allocation counting armed and return how
+/// many heap requests it made.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
+    ARMED.with(|a| a.set(true));
     let out = f();
-    ARMED.store(false, Ordering::SeqCst);
+    ARMED.with(|a| a.set(false));
     (ALLOCS.load(Ordering::SeqCst), out)
 }
 
@@ -79,7 +91,6 @@ fn period(lead_us: u64) -> [(ibp_trace::MpiCall, SimDuration); 5] {
 
 #[test]
 fn steady_state_intercept_path_is_allocation_free() {
-    let _gate = GATE.lock().unwrap();
     const TRAIN_ITERS: usize = 40;
     const MEASURED_ITERS: usize = 250; // 1250 intercepted calls
 
@@ -121,7 +132,6 @@ fn steady_state_intercept_path_is_allocation_free() {
 
 #[test]
 fn gram_interner_hit_path_is_allocation_free() {
-    let _gate = GATE.lock().unwrap();
     let mut interner = GramInterner::new();
     let shapes: Vec<Vec<u16>> = (0..32)
         .map(|i| (0..=(i % 5) as u16).map(|k| k + i as u16).collect())

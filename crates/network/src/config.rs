@@ -1,5 +1,6 @@
 //! Simulation parameters — the paper's Table II.
 
+use ibp_core::SleepKind;
 use ibp_simcore::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -98,6 +99,30 @@ impl SimParams {
     #[must_use]
     pub fn for_generation(generation: crate::genlink::IbGeneration) -> Self {
         generation.sim_params()
+    }
+
+    /// Reactivation time of a sleep kind (mirrors
+    /// [`ibp_core::PowerConfig::react_of`]).
+    #[inline]
+    #[must_use]
+    pub fn react_of(&self, kind: SleepKind) -> SimDuration {
+        match kind {
+            SleepKind::Wrps => self.t_react,
+            SleepKind::Rate => self.rate_t_react,
+            SleepKind::Deep => self.deep_t_react,
+        }
+    }
+
+    /// Relative draw of a sleep kind (mirrors
+    /// [`ibp_core::PowerConfig::draw_of`]).
+    #[inline]
+    #[must_use]
+    pub fn draw_of(&self, kind: SleepKind) -> f64 {
+        match kind {
+            SleepKind::Wrps => self.low_power_fraction,
+            SleepKind::Rate => self.rate_power_fraction,
+            SleepKind::Deep => self.deep_power_fraction,
+        }
     }
 
     /// Total node slots in the fat tree.

@@ -1,31 +1,26 @@
-//! Multi-generation InfiniBand link models and the sleep-depth ladder.
+//! Multi-generation InfiniBand link models.
 //!
 //! The paper evaluates exactly one hardware point: IB 4X QDR links with
-//! the WRPS 4X→1X width-reduction pair. This module generalizes that
-//! point along two axes:
+//! the WRPS 4X→1X width-reduction pair. This module generalizes the
+//! link along the IB signalling ladder (QDR → XDR), with the per-lane
+//! rates of the standard naming table (`getIBStandardName`): QDR 10,
+//! FDR 14, EDR 25, HDR 50, NDR 100, XDR 200 Gb/s per lane, four lanes
+//! per link. Each generation also carries a representative 36–64-port
+//! switch power envelope so [`crate::SwitchPowerModel`] can report
+//! switch-level savings per generation.
 //!
-//! * **Generations** — the IB signalling ladder (QDR → XDR), with the
-//!   per-lane rates of the standard naming table (`getIBStandardName`):
-//!   QDR 10, FDR 14, EDR 25, HDR 50, NDR 100, XDR 200 Gb/s per lane,
-//!   four lanes per link. Each generation also carries a representative
-//!   36–64-port switch power envelope so [`crate::SwitchPowerModel`]
-//!   can report switch-level savings per generation.
-//! * **Sleep depths** — a three-rung ladder: WRPS width reduction
-//!   (4X→1X, µs-class retrain, 43% draw), rate reduction (all lanes
-//!   drop to the lowest signalling rate, ~100 µs retrain, 25% draw) and
-//!   deep sleep (buffers/crossbar down, ms-class wake, 10% draw). Each
-//!   rung has its own wake latency, transition energy, and relative
-//!   power floor.
+//! A generation changes the link bandwidth and the switch model only.
+//! The sleep depths (WRPS, rate reduction, deep sleep) are one model
+//! shared by every generation: their floors and wake latencies live in
+//! [`SimParams`] and `ibp_core::PowerConfig`, and the planner's rung
+//! set (`ibp_core::SleepRungs`) picks which of them a run may use.
 //!
 //! Everything here is opt-in: [`IbGeneration::Qdr`]'s parameters are
-//! bit-identical to [`SimParams::paper`], and the ladder policy is off
-//! by default, so the paper's exhibits are unchanged unless a caller
-//! explicitly asks for another generation or depth.
+//! bit-identical to [`SimParams::paper`], so the paper's exhibits are
+//! unchanged unless a caller explicitly asks for another generation.
 
 use crate::config::SimParams;
 use crate::switch_power::SwitchPowerModel;
-use ibp_core::{PowerConfig, SleepKind};
-use ibp_simcore::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// An InfiniBand signalling generation.
@@ -145,14 +140,6 @@ impl IbGeneration {
         }
     }
 
-    /// Per-port link power at full rate: the switch's link share spread
-    /// over its ports.
-    #[must_use]
-    pub fn port_power_w(self) -> f64 {
-        let model = self.switch_power_model();
-        model.nominal_w * model.link_share / f64::from(self.switch_ports())
-    }
-
     /// Replay parameters for this generation: the paper's Table II with
     /// the link bandwidth swapped for this generation's 4X rate. For
     /// [`IbGeneration::Qdr`] this is exactly [`SimParams::paper`].
@@ -175,12 +162,6 @@ impl IbGeneration {
             ..SwitchPowerModel::default()
         }
     }
-
-    /// The sleep-depth ladder for this generation's links.
-    #[must_use]
-    pub fn ladder(self) -> SleepLadder {
-        SleepLadder::for_generation(self)
-    }
 }
 
 impl std::fmt::Display for IbGeneration {
@@ -189,120 +170,11 @@ impl std::fmt::Display for IbGeneration {
     }
 }
 
-/// One rung of the sleep-depth ladder.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LadderRung {
-    /// The depth this rung describes.
-    pub kind: SleepKind,
-    /// Relative power floor while resting on this rung.
-    pub power_fraction: f64,
-    /// Wake latency back to full rate.
-    pub wake_latency: SimDuration,
-    /// Energy of one enter+exit transition pair, joules (the port draws
-    /// full power for both transitions).
-    pub transition_energy_j: f64,
-}
-
-/// The per-generation sleep-depth ladder, shallowest rung first.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SleepLadder {
-    /// The generation the ladder describes.
-    pub generation: IbGeneration,
-    /// Rungs in [`SleepKind::ALL`] order (WRPS, rate, deep).
-    pub rungs: Vec<LadderRung>,
-}
-
-impl SleepLadder {
-    /// Relative power floors per depth: WRPS 1X (43%, the paper's
-    /// SX6036 measurement), rate reduction (25%), deep sleep (10%).
-    pub const POWER_FRACTIONS: [f64; 3] = [0.43, 0.25, 0.10];
-
-    /// Wake latencies per depth: lane retrain 10 µs, rate renegotiation
-    /// 100 µs, buffers/crossbar power-up 1 ms.
-    pub const WAKE_LATENCIES_US: [u64; 3] = [10, 100, 1_000];
-
-    /// Build the standard ladder for a generation. Power floors and
-    /// wake latencies are generation-independent (retrain time is set
-    /// by handshake protocol, not by rate); transition energy scales
-    /// with the generation's per-port power.
-    #[must_use]
-    pub fn for_generation(generation: IbGeneration) -> SleepLadder {
-        let port_w = generation.port_power_w();
-        let rungs = SleepKind::ALL
-            .iter()
-            .zip(Self::POWER_FRACTIONS)
-            .zip(Self::WAKE_LATENCIES_US)
-            .map(|((&kind, power_fraction), wake_us)| {
-                let wake_latency = SimDuration::from_us(wake_us);
-                LadderRung {
-                    kind,
-                    power_fraction,
-                    wake_latency,
-                    // Both transitions (off + on) bill the port at full
-                    // power for one wake latency each.
-                    transition_energy_j: 2.0 * port_w * wake_latency.as_secs_f64(),
-                }
-            })
-            .collect();
-        SleepLadder { generation, rungs }
-    }
-
-    /// The rung for a given depth.
-    #[must_use]
-    pub fn rung(&self, kind: SleepKind) -> &LadderRung {
-        self.rungs
-            .iter()
-            .find(|r| r.kind == kind)
-            .expect("standard ladders carry every depth")
-    }
-
-    /// Check the ladder's ordering invariants: walking deeper must
-    /// strictly lower the power floor and must not shrink the wake
-    /// latency.
-    pub fn validate(&self) -> Result<(), String> {
-        for pair in self.rungs.windows(2) {
-            let (shallow, deep) = (&pair[0], &pair[1]);
-            if deep.power_fraction >= shallow.power_fraction {
-                return Err(format!(
-                    "rung {} floor {} not below rung {} floor {}",
-                    deep.kind.label(),
-                    deep.power_fraction,
-                    shallow.kind.label(),
-                    shallow.power_fraction
-                ));
-            }
-            if deep.wake_latency < shallow.wake_latency {
-                return Err(format!(
-                    "rung {} wake {} below rung {} wake {}",
-                    deep.kind.label(),
-                    deep.wake_latency,
-                    shallow.kind.label(),
-                    shallow.wake_latency
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// A [`PowerConfig`] running this ladder: the paper's mechanism
-    /// with the ladder policy enabled and the rung floors/latencies
-    /// installed.
-    #[must_use]
-    pub fn power_config(&self, gt: SimDuration, displacement: f64) -> PowerConfig {
-        let mut cfg = PowerConfig::paper(gt, displacement);
-        cfg.low_power_fraction = self.rung(SleepKind::Wrps).power_fraction;
-        cfg.rate_power_fraction = self.rung(SleepKind::Rate).power_fraction;
-        cfg.deep_power_fraction = self.rung(SleepKind::Deep).power_fraction;
-        cfg.t_react = self.rung(SleepKind::Wrps).wake_latency;
-        cfg.rate_t_react = self.rung(SleepKind::Rate).wake_latency;
-        cfg.deep_t_react = self.rung(SleepKind::Deep).wake_latency;
-        cfg.with_ladder()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ibp_core::{PowerConfig, SleepKind, SleepRungs};
+    use ibp_simcore::SimDuration;
 
     #[test]
     fn generation_rates_follow_the_standard_table() {
@@ -365,38 +237,18 @@ mod tests {
     }
 
     #[test]
-    fn every_generation_ladder_is_ordered() {
-        for g in IbGeneration::ALL {
-            let ladder = g.ladder();
-            ladder.validate().expect("standard ladder ordered");
-            assert_eq!(ladder.rungs.len(), 3);
-            // Transition energy deepens with the rung: longer wakes at
-            // the same port power cost more energy.
-            assert!(
-                ladder.rung(SleepKind::Deep).transition_energy_j
-                    > ladder.rung(SleepKind::Wrps).transition_energy_j
-            );
-        }
-    }
-
-    #[test]
     fn ladder_power_config_is_valid_and_ladder_enabled() {
-        let cfg = IbGeneration::Edr
-            .ladder()
-            .power_config(SimDuration::from_us(20), 0.01);
-        assert_eq!(cfg.policy, ibp_core::PowerPolicy::Ladder);
+        // A generation changes bandwidth and the switch model only: the
+        // planner's ladder config describes every generation's links.
+        let cfg = PowerConfig::paper(SimDuration::from_us(20), 0.01).with_ladder();
+        assert_eq!(cfg.rungs, SleepRungs::ALL);
         cfg.validate().expect("ladder config valid");
-        assert!((cfg.rate_power_fraction - 0.25).abs() < 1e-12);
-        assert_eq!(cfg.rate_t_react, SimDuration::from_us(100));
-    }
-
-    #[test]
-    fn ladder_validate_flags_disorder() {
-        let mut ladder = IbGeneration::Qdr.ladder();
-        ladder.rungs[2].power_fraction = 0.9;
-        assert!(ladder.validate().is_err());
-        let mut ladder = IbGeneration::Qdr.ladder();
-        ladder.rungs[1].wake_latency = SimDuration::from_ns(1);
-        assert!(ladder.validate().is_err());
+        for g in IbGeneration::ALL {
+            let p = g.sim_params();
+            for kind in SleepKind::ALL {
+                assert_eq!(cfg.draw_of(kind), p.draw_of(kind), "{g} {kind:?} floor");
+                assert_eq!(cfg.react_of(kind), p.react_of(kind), "{g} {kind:?} wake");
+            }
+        }
     }
 }

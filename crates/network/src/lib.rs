@@ -35,7 +35,7 @@ pub use collectives::{decompose, for_each_micro, MicroOp};
 pub use config::{SimParams, DEEP_POWER_FRACTION, RATE_POWER_FRACTION};
 pub use fabric::{Fabric, FabricStats};
 pub use faults::{FaultConfig, FaultPlan, FaultStats, SendFault};
-pub use genlink::{IbGeneration, LadderRung, SleepLadder};
+pub use genlink::IbGeneration;
 pub use power::{LinkPower, LinkPowerTracker};
 pub use replay::{replay, replay_with_scratch, ReplayError, ReplayOptions, ReplayScratch};
 pub use results::SimResult;

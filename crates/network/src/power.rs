@@ -30,20 +30,6 @@ pub enum LinkPower {
 }
 
 impl LinkPower {
-    /// Relative power draw of the state (rate/deep floors at their
-    /// standard-ladder values; see [`LinkPower::relative_draw_in`] for
-    /// parameter-driven accounting).
-    #[inline]
-    #[must_use]
-    pub fn relative_draw(self, low_fraction: f64) -> f64 {
-        match self {
-            LinkPower::Full | LinkPower::Transition => 1.0,
-            LinkPower::Low => low_fraction,
-            LinkPower::Rate => crate::config::RATE_POWER_FRACTION,
-            LinkPower::Deep => crate::config::DEEP_POWER_FRACTION,
-        }
-    }
-
     /// Relative power draw of the state under a parameter set.
     #[inline]
     #[must_use]
@@ -136,12 +122,8 @@ pub struct SleepWindow {
 pub struct LinkPowerTracker {
     /// Optional full state timeline (for Fig. 6-style rendering).
     pub timeline: Option<StateTimeline<LinkPower>>,
-    /// Accumulated time in WRPS low-power mode.
-    pub low_time: SimDuration,
-    /// Accumulated time in the rate-reduced state.
-    pub rate_time: SimDuration,
-    /// Accumulated time in the deep sleep state.
-    pub deep_time: SimDuration,
+    /// Accumulated time in each sleep depth, indexed by [`SleepKind`].
+    pub sleep_time: [SimDuration; 3],
     /// Accumulated transition time.
     pub transition_time: SimDuration,
     /// No new state may begin before this instant (end of the last
@@ -156,9 +138,7 @@ impl LinkPowerTracker {
     pub fn new(record: bool) -> Self {
         LinkPowerTracker {
             timeline: record.then(|| StateTimeline::new(LinkPower::Full)),
-            low_time: SimDuration::ZERO,
-            rate_time: SimDuration::ZERO,
-            deep_time: SimDuration::ZERO,
+            sleep_time: [SimDuration::ZERO; 3],
             transition_time: SimDuration::ZERO,
             floor: SimTime::ZERO,
             sleeps: 0,
@@ -188,8 +168,8 @@ impl LinkPowerTracker {
     }
 
     /// [`LinkPowerTracker::apply_sleep`] with an explicit sleep depth:
-    /// deep sleeps use the deep reactivation time and are accounted in
-    /// `deep_time`.
+    /// the window uses that depth's reactivation time and is accounted
+    /// in its `sleep_time` slot.
     pub fn apply_sleep_kind(
         &mut self,
         params: &SimParams,
@@ -226,16 +206,7 @@ impl LinkPowerTracker {
         t_want: SimTime,
         kind: SleepKind,
     ) -> SimDuration {
-        let react = match kind {
-            SleepKind::Wrps => params.t_react,
-            SleepKind::Rate => params.rate_t_react,
-            SleepKind::Deep => params.deep_t_react,
-        };
-        let state = match kind {
-            SleepKind::Wrps => LinkPower::Low,
-            SleepKind::Rate => LinkPower::Rate,
-            SleepKind::Deep => LinkPower::Deep,
-        };
+        let react = params.react_of(kind);
         let t0 = t0.max(self.floor);
         let off_end = t0 + react;
         // Demand wake cannot precede the end of the off transition (the
@@ -251,16 +222,12 @@ impl LinkPowerTracker {
         if let Some(tl) = &mut self.timeline {
             tl.record(t0, LinkPower::Transition);
             if !low_span.is_zero() {
-                tl.record(off_end, state);
+                tl.record(off_end, LinkPower::from_pending_sleep(Some(kind)));
             }
             tl.record(wake, LinkPower::Transition);
             tl.record(full_again, LinkPower::Full);
         }
-        match kind {
-            SleepKind::Wrps => self.low_time += low_span,
-            SleepKind::Rate => self.rate_time += low_span,
-            SleepKind::Deep => self.deep_time += low_span,
-        }
+        self.sleep_time[kind as usize] += low_span;
         self.transition_time += full_again.since(wake) + off_end.since(t0);
         self.floor = full_again;
         self.sleeps += 1;
@@ -289,12 +256,10 @@ impl LinkPowerTracker {
             return 1.0;
         }
         let t = total.as_secs_f64();
-        let low = (self.low_time.as_secs_f64() / t).min(1.0);
-        let rate = (self.rate_time.as_secs_f64() / t).min(1.0);
-        let deep = (self.deep_time.as_secs_f64() / t).min(1.0);
-        1.0 - low * (1.0 - params.low_power_fraction)
-            - rate * (1.0 - params.rate_power_fraction)
-            - deep * (1.0 - params.deep_power_fraction)
+        SleepKind::ALL.iter().fold(1.0, |draw, &kind| {
+            let share = (self.sleep_time[kind as usize].as_secs_f64() / t).min(1.0);
+            draw - share * (1.0 - params.draw_of(kind))
+        })
     }
 }
 
@@ -318,7 +283,7 @@ mod tests {
         let span = t.apply_sleep(&p, us(100), dur(90), us(200));
         // Low power from 110 to 190 µs.
         assert_eq!(span, dur(80));
-        assert_eq!(t.low_time, dur(80));
+        assert_eq!(t.sleep_time, [dur(80), SimDuration::ZERO, SimDuration::ZERO]);
         assert_eq!(t.transition_time, dur(20));
         assert_eq!(t.floor(), us(200));
         let tl = t.timeline.as_ref().unwrap();
@@ -428,9 +393,7 @@ mod tests {
         }
         let mut batched = LinkPowerTracker::new(true);
         batched.apply_windows(&p, &windows);
-        assert_eq!(batched.low_time, single.low_time);
-        assert_eq!(batched.rate_time, single.rate_time);
-        assert_eq!(batched.deep_time, single.deep_time);
+        assert_eq!(batched.sleep_time, single.sleep_time);
         assert_eq!(batched.transition_time, single.transition_time);
         assert_eq!(batched.floor(), single.floor());
         assert_eq!(batched.sleeps, single.sleeps);
@@ -448,21 +411,12 @@ mod tests {
 
     #[test]
     fn relative_draw_values() {
-        assert_eq!(LinkPower::Full.relative_draw(0.43), 1.0);
-        assert_eq!(LinkPower::Transition.relative_draw(0.43), 1.0);
-        assert_eq!(LinkPower::Low.relative_draw(0.43), 0.43);
-        assert_eq!(LinkPower::Rate.relative_draw(0.43), 0.25);
-        assert_eq!(LinkPower::Deep.relative_draw(0.43), 0.10);
         let p = SimParams::paper();
-        for s in [
-            LinkPower::Full,
-            LinkPower::Low,
-            LinkPower::Rate,
-            LinkPower::Deep,
-            LinkPower::Transition,
-        ] {
-            assert_eq!(s.relative_draw_in(&p), s.relative_draw(p.low_power_fraction));
-        }
+        assert_eq!(LinkPower::Full.relative_draw_in(&p), 1.0);
+        assert_eq!(LinkPower::Transition.relative_draw_in(&p), 1.0);
+        assert_eq!(LinkPower::Low.relative_draw_in(&p), 0.43);
+        assert_eq!(LinkPower::Rate.relative_draw_in(&p), 0.25);
+        assert_eq!(LinkPower::Deep.relative_draw_in(&p), 0.10);
     }
 
     #[test]
@@ -474,8 +428,7 @@ mod tests {
         let span = t.apply_sleep_kind(&p, us(1000), dur(900), us(10_000), SleepKind::Rate);
         // Rate-reduced from 1100 to 1900 µs.
         assert_eq!(span, dur(800));
-        assert_eq!(t.rate_time, dur(800));
-        assert_eq!(t.low_time, SimDuration::ZERO);
+        assert_eq!(t.sleep_time, [SimDuration::ZERO, dur(800), SimDuration::ZERO]);
         assert_eq!(t.transition_time, dur(200));
         assert_eq!(t.floor(), us(2000));
         let tl = t.timeline.as_ref().unwrap();
@@ -486,9 +439,7 @@ mod tests {
     fn mean_power_blends_all_three_depths() {
         let p = SimParams::paper();
         let mut t = LinkPowerTracker::new(false);
-        t.low_time = dur(100);
-        t.rate_time = dur(200);
-        t.deep_time = dur(300);
+        t.sleep_time = [dur(100), dur(200), dur(300)];
         let draw = t.mean_relative_power(&p, dur(1000));
         let want = 1.0 - 0.1 * (1.0 - 0.43) - 0.2 * (1.0 - 0.25) - 0.3 * (1.0 - 0.10);
         assert!((draw - want).abs() < 1e-12, "{draw} vs {want}");

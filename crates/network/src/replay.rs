@@ -623,9 +623,7 @@ pub fn replay_with_scratch(
     Ok(SimResult {
         exec_time: exec.since(SimTime::ZERO),
         rank_finish: engine.ranks.iter().map(|s| s.t).collect(),
-        link_low: engine.ranks.iter().map(|s| s.power.low_time).collect(),
-        link_rate: engine.ranks.iter().map(|s| s.power.rate_time).collect(),
-        link_deep: engine.ranks.iter().map(|s| s.power.deep_time).collect(),
+        link_sleep: engine.ranks.iter().map(|s| s.power.sleep_time).collect(),
         link_transition: engine
             .ranks
             .iter()
@@ -640,9 +638,7 @@ pub fn replay_with_scratch(
                 .collect()
         }),
         fabric: engine.fabric.stats(),
-        low_power_fraction: params.low_power_fraction,
-        rate_power_fraction: params.rate_power_fraction,
-        deep_power_fraction: params.deep_power_fraction,
+        sleep_power_fraction: SleepKind::ALL.map(|kind| params.draw_of(kind)),
         faults: engine.fault_stats,
     })
 }
@@ -798,11 +794,7 @@ impl<'a> Replay<'a> {
                         t_want: state.t,
                         kind,
                     });
-                    let react = match kind {
-                        SleepKind::Wrps => self.params.t_react,
-                        SleepKind::Rate => self.params.rate_t_react,
-                        SleepKind::Deep => self.params.deep_t_react,
-                    };
+                    let react = self.params.react_of(kind);
                     state.t += react;
                     self.fault_stats.wake_misfires += 1;
                     self.fault_stats.misfire_stall += react;
@@ -1268,8 +1260,8 @@ mod tests {
         let baseline = replay(&t, None, &p, &o).expect("replay");
         let managed = replay(&t, Some(&ann), &p, &o).expect("replay");
 
-        assert!(baseline.link_low.iter().all(|l| l.is_zero()));
-        assert!(managed.link_low.iter().all(|l| !l.is_zero()));
+        assert!(baseline.link_sleep.iter().all(|l| l[SleepKind::Wrps as usize].is_zero()));
+        assert!(managed.link_sleep.iter().all(|l| !l[SleepKind::Wrps as usize].is_zero()));
         let saving = managed.power_saving_pct();
         assert!(saving > 10.0 && saving < 57.0, "saving {saving}");
         // Overheads make the managed run slightly slower, but only
@@ -1433,8 +1425,9 @@ mod tests {
         let cap = SimDuration::from_ns(p.t_react.as_ns() * faulted.faults.wake_misfires);
         assert!(faulted.faults.misfire_stall <= cap);
         // Lanes stay down until demand → at least as much low-power time.
-        let low_ok: SimDuration = managed.link_low.iter().copied().sum();
-        let low_bad: SimDuration = faulted.link_low.iter().copied().sum();
+        let wrps = SleepKind::Wrps as usize;
+        let low_ok: SimDuration = managed.link_sleep.iter().map(|l| l[wrps]).sum();
+        let low_bad: SimDuration = faulted.link_sleep.iter().map(|l| l[wrps]).sum();
         assert!(low_bad >= low_ok, "{low_bad} < {low_ok}");
         assert!(faulted.exec_time >= managed.exec_time);
     }

@@ -3,6 +3,7 @@
 use crate::fabric::FabricStats;
 use crate::faults::FaultStats;
 use crate::power::LinkPower;
+use ibp_core::SleepKind;
 use ibp_simcore::{SimDuration, SimTime, StateTimeline};
 
 /// Outcome of one replay run.
@@ -12,14 +13,9 @@ pub struct SimResult {
     pub exec_time: SimDuration,
     /// Per-rank finish times.
     pub rank_finish: Vec<SimTime>,
-    /// Per-rank host-link low-power (WRPS) time.
-    pub link_low: Vec<SimDuration>,
-    /// Per-rank host-link rate-reduced time (ladder middle rung; zero
-    /// unless the ladder policy is on).
-    pub link_rate: Vec<SimDuration>,
-    /// Per-rank host-link deep-sleep time (§VI extension; zero under the
-    /// paper's baseline WRPS policy).
-    pub link_deep: Vec<SimDuration>,
+    /// Per-rank host-link time in each sleep depth, indexed by
+    /// [`SleepKind`] (only WRPS under the paper's rung set).
+    pub link_sleep: Vec<[SimDuration; 3]>,
     /// Per-rank host-link transition time.
     pub link_transition: Vec<SimDuration>,
     /// Per-rank sleep-window counts.
@@ -28,12 +24,9 @@ pub struct SimResult {
     pub timelines: Option<Vec<StateTimeline<LinkPower>>>,
     /// Fabric traffic statistics.
     pub fabric: FabricStats,
-    /// Relative draw of the low-power state (from the parameters used).
-    pub low_power_fraction: f64,
-    /// Relative draw of the rate-reduced state.
-    pub rate_power_fraction: f64,
-    /// Relative draw of the deep-sleep state.
-    pub deep_power_fraction: f64,
+    /// Relative draw of each sleep depth (from the parameters used),
+    /// indexed by [`SleepKind`].
+    pub sleep_power_fraction: [f64; 3],
     /// Fault-injection accounting (all zeros on a reliable fabric).
     pub faults: FaultStats,
 }
@@ -45,38 +38,19 @@ impl SimResult {
         self.rank_finish.len()
     }
 
-    /// Mean fraction of the run spent in a state, averaged over ranks.
-    fn mean_fraction(&self, per_rank: &[SimDuration]) -> f64 {
-        if self.exec_time.is_zero() || per_rank.is_empty() {
+    /// Fraction of the run each rank's host link spent in sleep depth
+    /// `kind`, averaged over ranks.
+    #[must_use]
+    pub fn mean_sleep_fraction(&self, kind: SleepKind) -> f64 {
+        if self.exec_time.is_zero() || self.link_sleep.is_empty() {
             return 0.0;
         }
         let total = self.exec_time.as_secs_f64();
-        per_rank
+        self.link_sleep
             .iter()
-            .map(|l| (l.as_secs_f64() / total).min(1.0))
+            .map(|l| (l[kind as usize].as_secs_f64() / total).min(1.0))
             .sum::<f64>()
-            / per_rank.len() as f64
-    }
-
-    /// Fraction of the run each rank's host link spent in low power,
-    /// averaged over ranks.
-    #[must_use]
-    pub fn mean_low_fraction(&self) -> f64 {
-        self.mean_fraction(&self.link_low)
-    }
-
-    /// Fraction of the run each rank's host link spent rate-reduced,
-    /// averaged over ranks.
-    #[must_use]
-    pub fn mean_rate_fraction(&self) -> f64 {
-        self.mean_fraction(&self.link_rate)
-    }
-
-    /// Fraction of the run each rank's host link spent in deep sleep,
-    /// averaged over ranks.
-    #[must_use]
-    pub fn mean_deep_fraction(&self) -> f64 {
-        self.mean_fraction(&self.link_deep)
+            / self.link_sleep.len() as f64
     }
 
     /// IB switch power saving (%) relative to always-on links — the
@@ -86,9 +60,13 @@ impl SimResult {
     /// averaged over the managed (host-facing) ports.
     #[must_use]
     pub fn power_saving_pct(&self) -> f64 {
-        100.0 * (1.0 - self.low_power_fraction) * self.mean_low_fraction()
-            + 100.0 * (1.0 - self.rate_power_fraction) * self.mean_rate_fraction()
-            + 100.0 * (1.0 - self.deep_power_fraction) * self.mean_deep_fraction()
+        SleepKind::ALL
+            .iter()
+            .map(|&kind| {
+                100.0 * (1.0 - self.sleep_power_fraction[kind as usize])
+                    * self.mean_sleep_fraction(kind)
+            })
+            .sum()
     }
 
     /// Mean relative power draw of the managed links (1.0 = always-on).
@@ -120,16 +98,15 @@ mod tests {
                 .iter()
                 .map(|_| SimTime::from_us(exec_us))
                 .collect(),
-            link_low: low_us.iter().map(|&l| SimDuration::from_us(l)).collect(),
-            link_rate: vec![SimDuration::ZERO; low_us.len()],
-            link_deep: vec![SimDuration::ZERO; low_us.len()],
+            link_sleep: low_us
+                .iter()
+                .map(|&l| [SimDuration::from_us(l), SimDuration::ZERO, SimDuration::ZERO])
+                .collect(),
             link_transition: vec![SimDuration::ZERO; low_us.len()],
             link_sleeps: vec![0; low_us.len()],
             timelines: None,
             fabric: FabricStats::default(),
-            low_power_fraction: 0.43,
-            rate_power_fraction: 0.25,
-            deep_power_fraction: 0.10,
+            sleep_power_fraction: [0.43, 0.25, 0.10],
             faults: FaultStats::default(),
         }
     }
@@ -145,15 +122,15 @@ mod tests {
     #[test]
     fn asymmetric_ranks_average() {
         let r = result(1000, &[1000, 0]);
-        assert!((r.mean_low_fraction() - 0.5).abs() < 1e-12);
+        assert!((r.mean_sleep_fraction(SleepKind::Wrps) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn depth_savings_stack() {
         // One rank: 20% low, 30% rate, 40% deep.
         let mut r = result(1000, &[200]);
-        r.link_rate = vec![SimDuration::from_us(300)];
-        r.link_deep = vec![SimDuration::from_us(400)];
+        r.link_sleep[0][SleepKind::Rate as usize] = SimDuration::from_us(300);
+        r.link_sleep[0][SleepKind::Deep as usize] = SimDuration::from_us(400);
         let want = 100.0 * (0.2 * (1.0 - 0.43) + 0.3 * (1.0 - 0.25) + 0.4 * (1.0 - 0.10));
         assert!((r.power_saving_pct() - want).abs() < 1e-9);
     }

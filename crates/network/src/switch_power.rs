@@ -20,6 +20,7 @@
 //! Per-port figures divide the per-port shares by the port count.
 
 use crate::results::SimResult;
+use ibp_core::SleepKind;
 use ibp_simcore::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -207,9 +208,9 @@ impl SwitchPowerModel {
     /// Panics if the result has more ranks than the switch has ports.
     pub fn report(&self, result: &SimResult, duration: SimDuration) -> SwitchPowerReport {
         let managed = result.nprocs() as u32;
-        let low = result.mean_low_fraction();
-        let rate = result.mean_rate_fraction();
-        let deep = result.mean_deep_fraction();
+        let low = result.mean_sleep_fraction(SleepKind::Wrps);
+        let rate = result.mean_sleep_fraction(SleepKind::Rate);
+        let deep = result.mean_sleep_fraction(SleepKind::Deep);
         let managed_w = self.mean_power_ladder_w(managed, low, rate, deep);
         let secs = duration.as_secs_f64();
         SwitchPowerReport {
@@ -285,16 +286,13 @@ mod tests {
         let result = SimResult {
             exec_time: SimDuration::from_secs(10),
             rank_finish: vec![SimTime::from_secs(10); n],
-            link_low: vec![SimDuration::from_secs(5); n], // half the run low
-            link_rate: vec![SimDuration::ZERO; n],
-            link_deep: vec![SimDuration::ZERO; n],
+            // Half the run low.
+            link_sleep: vec![[SimDuration::from_secs(5), SimDuration::ZERO, SimDuration::ZERO]; n],
             link_transition: vec![SimDuration::ZERO; n],
             link_sleeps: vec![1; n],
             timelines: None,
             fabric: FabricStats::default(),
-            low_power_fraction: 0.43,
-            rate_power_fraction: 0.25,
-            deep_power_fraction: 0.10,
+            sleep_power_fraction: [0.43, 0.25, 0.10],
             faults: crate::faults::FaultStats::default(),
         };
         let rep = m.report(&result, result.exec_time);

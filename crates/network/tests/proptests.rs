@@ -3,6 +3,7 @@
 use ibp_network::{
     replay, Fabric, FaultConfig, LinkPowerTracker, ReplayOptions, SimParams, Xgft,
 };
+use ibp_core::SleepKind;
 use ibp_simcore::{DetRng, SimDuration, SimTime};
 use ibp_trace::{MpiOp, Trace, TraceBuilder};
 use proptest::prelude::*;
@@ -188,7 +189,7 @@ proptest! {
         let tl = tracker.timeline.as_ref().unwrap();
         let low = tl.time_in(end, |s| s == LinkPower::Low);
         let trans = tl.time_in(end, |s| s == LinkPower::Transition);
-        prop_assert_eq!(low, tracker.low_time);
+        prop_assert_eq!(low, tracker.sleep_time[SleepKind::Wrps as usize]);
         prop_assert_eq!(trans, tracker.transition_time);
         prop_assert_eq!(
             trans,

@@ -883,6 +883,7 @@ pub fn read_hello<R: Read>(r: &mut R) -> Result<(), ProtocolError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Serialize;
 
     fn roundtrip_client(f: ClientFrame) {
         let payload = f.encode();
@@ -1047,18 +1048,41 @@ mod tests {
 
     #[test]
     fn hostile_open_config_rejected() {
+        let open = |config: &serde::Value| {
+            let mut payload = vec![K_OPEN];
+            payload.extend_from_slice(&1u32.to_le_bytes());
+            payload.extend_from_slice(&0u32.to_le_bytes());
+            payload.extend_from_slice(serde_json::to_string(config).unwrap().as_bytes());
+            decode_client(&payload)
+        };
+        let with = |key: &str, value: serde::Value| {
+            let mut v = PowerConfig::default().to_value();
+            let serde::Value::Map(entries) = &mut v else {
+                panic!("config serializes as an object");
+            };
+            entries.retain(|(k, _)| k != key);
+            entries.push((key.into(), value));
+            v
+        };
         // displacement >= 1 would trip an assert in the runtime; the
         // decoder must reject it instead.
-        let cfg = PowerConfig { displacement: 1.5, ..PowerConfig::default() };
-        let json = serde_json::to_string(&cfg).unwrap();
-        let mut payload = vec![K_OPEN];
-        payload.extend_from_slice(&1u32.to_le_bytes());
-        payload.extend_from_slice(&0u32.to_le_bytes());
-        payload.extend_from_slice(json.as_bytes());
-        assert!(matches!(
-            decode_client(&payload),
-            Err(ProtocolError::Malformed { .. })
-        ));
+        let bad = with("displacement", serde::Value::F64(1.5));
+        assert!(matches!(open(&bad), Err(ProtocolError::Malformed { .. })));
+        // A rung set without WRPS, or with bits past the known depths.
+        for bits in [0b110, 0b1001, 0xff] {
+            let bad = with("rungs", serde::Value::U64(bits));
+            assert!(
+                matches!(open(&bad), Err(ProtocolError::Malformed { .. })),
+                "rung set {bits:#b} accepted"
+            );
+        }
+        // A config from before the rung set: the old `policy` enum and
+        // no `rungs`. It must not decode as a WRPS-only config.
+        let mut old = with("policy", serde::Value::Str("Ladder".into()));
+        if let serde::Value::Map(entries) = &mut old {
+            entries.retain(|(k, _)| k != "rungs");
+        }
+        assert!(matches!(open(&old), Err(ProtocolError::Malformed { .. })));
     }
 
     #[test]

@@ -17,33 +17,45 @@
 
 use ibp_serve::{MetricsRegistry, Session};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Pass-through to the system allocator that counts every heap request
-/// (alloc, zeroed alloc, and growth via realloc) while armed.
+/// (alloc, zeroed alloc, and growth via realloc) made by a thread while
+/// that thread is armed.
 struct CountingAlloc;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Armed per thread, so the libtest harness's own threads (progress
+    /// output, result plumbing) never land in a measured window. Const
+    /// initialised: reading it never allocates.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+}
+
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+fn armed() -> bool {
+    ARMED.try_with(Cell::get).unwrap_or(false)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
+        if armed() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
@@ -57,35 +69,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Tests in this binary run concurrently; the armed window must not see
-/// another test's allocations, so armed sections take this lock.
+/// Tests in this binary run concurrently and share the counter, so
+/// armed sections take this lock. A panic inside an armed section
+/// poisons it; later tests take it anyway instead of failing with it.
 static GATE: Mutex<()> = Mutex::new(());
 
-/// Run `f` with allocation counting armed, up to `ATTEMPTS` times, and
-/// return the *minimum* count observed (plus the last run's result).
-/// The counter is global, so the armed window can catch stray
-/// allocations from the libtest harness's own threads (progress
-/// output, result plumbing) — transient noise under a loaded machine.
-/// A real allocation in the measured code is deterministic and shows
-/// up in every attempt, so the minimum still proves allocation-freedom
-/// while ignoring one-off bystanders.
-const ATTEMPTS: usize = 5;
-
-fn count_allocs<R>(mut f: impl FnMut() -> R) -> (u64, R) {
-    let _guard = GATE.lock().unwrap();
-    let mut best = u64::MAX;
-    let mut out = None;
-    for _ in 0..ATTEMPTS {
-        ALLOCS.store(0, Ordering::SeqCst);
-        ARMED.store(true, Ordering::SeqCst);
-        out = Some(f());
-        ARMED.store(false, Ordering::SeqCst);
-        best = best.min(ALLOCS.load(Ordering::SeqCst));
-        if best == 0 {
-            break;
-        }
-    }
-    (best, out.expect("at least one attempt"))
+/// Run `f` on this thread with allocation counting armed and return how
+/// many heap requests it made (plus its result).
+fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.with(|a| a.set(true));
+    let out = f();
+    ARMED.with(|a| a.set(false));
+    (ALLOCS.load(Ordering::SeqCst), out)
 }
 
 #[test]
@@ -114,10 +111,7 @@ fn metric_updates_are_allocation_free() {
         }
     });
     assert_eq!(allocs, 0, "metric updates allocated {allocs} times over {ROUNDS} rounds");
-    // The armed section may have run several times; every full pass
-    // adds exactly 64 * ROUNDS.
-    let applied = m.events_applied.load(Ordering::Relaxed);
-    assert!(applied >= 64 * ROUNDS && applied % (64 * ROUNDS) == 0, "applied: {applied}");
+    assert_eq!(m.events_applied.load(Ordering::Relaxed), 64 * ROUNDS);
 }
 
 #[test]

@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release -p ibpower-examples --bin quickstart`
 
-use ibp_core::{PowerConfig, RankRuntime};
+use ibp_core::{PowerConfig, RankRuntime, SleepKind};
 use ibp_simcore::SimDuration;
 use ibp_trace::MpiCall::{self, Allreduce, Sendrecv};
 
@@ -91,7 +91,8 @@ fn main() {
     );
     println!(
         "Nominal low-power time     : {} of {} total idle",
-        ann.stats.low_power_time, ann.stats.nominal_duration
+        ann.stats.sleep_time[SleepKind::Wrps as usize],
+        ann.stats.nominal_duration
     );
     println!(
         "Estimated IB switch saving : {:.1}% (WRPS low-power draw 43%)",

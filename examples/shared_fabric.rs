@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release -p ibpower-examples --bin shared_fabric`
 
-use ibp_core::{annotate_trace, PowerConfig};
+use ibp_core::{annotate_trace, PowerConfig, SleepKind};
 use ibp_network::{replay, ReplayOptions, SimParams};
 use ibp_simcore::{DetRng, SimDuration};
 use ibp_trace::{combine, MpiOp, TraceBuilder};
@@ -91,9 +91,9 @@ fn main() {
         let lo = place.first_rank as usize;
         let hi = lo + place.nprocs as usize;
         let exec = managed.exec_time.as_secs_f64();
-        let frac: f64 = managed.link_low[lo..hi]
+        let frac: f64 = managed.link_sleep[lo..hi]
             .iter()
-            .map(|l| l.as_secs_f64() / exec)
+            .map(|l| l[SleepKind::Wrps as usize].as_secs_f64() / exec)
             .sum::<f64>()
             / place.nprocs as f64;
         let hit: f64 = ann.ranks[lo..hi]

@@ -3,7 +3,7 @@
 //! applications (shrunk iteration counts for test speed).
 
 use ibp_analysis::{run_on_trace, RunConfig};
-use ibp_core::{annotate_trace, PowerConfig};
+use ibp_core::{annotate_trace, PowerConfig, SleepKind};
 use ibp_network::{replay, ReplayOptions, SimParams};
 use ibp_simcore::SimDuration;
 use ibp_trace::Trace;
@@ -123,9 +123,9 @@ fn per_rank_low_power_is_within_run_bounds() {
         &SimParams::paper(),
         &ReplayOptions::default(),
     ).expect("replay");
-    for (r, low) in result.link_low.iter().enumerate() {
+    for (r, sleep) in result.link_sleep.iter().enumerate() {
         assert!(
-            *low <= result.exec_time,
+            sleep[SleepKind::Wrps as usize] <= result.exec_time,
             "rank {r}: low-power time exceeds the run"
         );
     }

@@ -46,7 +46,7 @@ proptest! {
         prop_assert_eq!(s.total_calls as usize, calls.len());
         prop_assert!(s.correct_calls <= s.predicted_calls);
         prop_assert!(s.predicted_calls <= s.total_calls);
-        prop_assert!(s.low_power_time <= s.nominal_duration);
+        prop_assert!(s.sleep_time[SleepKind::Wrps as usize] <= s.nominal_duration);
         prop_assert!(s.hit_rate_pct() <= 100.0);
         prop_assert_eq!(ann.overhead.len(), calls.len());
         prop_assert_eq!(ann.penalty.len(), calls.len());
@@ -171,18 +171,16 @@ proptest! {
         }
     }
 
-    /// A generation's ladder stays ordered for any (GT, displacement)
-    /// the sweep could hand it: the built `PowerConfig` validates, and
-    /// each deeper depth keeps a strictly lower draw with a wake
-    /// latency at least as long.
+    /// The ladder stays ordered for any (GT, displacement) the sweep
+    /// could hand it: the built `PowerConfig` validates, and each
+    /// deeper depth keeps a strictly lower draw with a wake latency at
+    /// least as long.
     #[test]
     fn ladder_configs_validate_for_any_sweep_point(
         gt_us in 20u64..1_000,
         disp in 0.0f64..0.5,
-        gen_idx in 0usize..IbGeneration::ALL.len(),
     ) {
-        let gen = IbGeneration::ALL[gen_idx];
-        let cfg = gen.ladder().power_config(SimDuration::from_us(gt_us), disp);
+        let cfg = PowerConfig::paper(SimDuration::from_us(gt_us), disp).with_ladder();
         prop_assert!(cfg.validate().is_ok(), "{:?}", cfg.validate());
         for pair in SleepKind::ALL.windows(2) {
             prop_assert!(cfg.draw_of(pair[1]) < cfg.draw_of(pair[0]));
@@ -191,30 +189,24 @@ proptest! {
     }
 }
 
-/// Every generation's sleep ladder trades wake latency for power:
-/// deeper rungs have strictly lower power floors, wake latencies and
-/// transition energies at least as large. Exhaustive over the enum —
-/// stronger than sampling.
+/// Every generation's links trade wake latency for power as the replay
+/// charges them: deeper rungs have strictly lower power floors and wake
+/// latencies at least as large. Exhaustive over the enum — stronger
+/// than sampling.
 #[test]
 fn deeper_rungs_trade_latency_for_power_in_every_generation() {
     for gen in IbGeneration::ALL {
-        let ladder = gen.ladder();
+        let p = gen.sim_params();
         for pair in SleepKind::ALL.windows(2) {
-            let (shallow, deep) = (ladder.rung(pair[0]), ladder.rung(pair[1]));
+            let (shallow, deep) = (pair[0], pair[1]);
             assert!(
-                deep.power_fraction < shallow.power_fraction,
-                "{gen:?}: {:?} floor {} not below {:?} floor {}",
-                pair[1], deep.power_fraction, pair[0], shallow.power_fraction
+                p.draw_of(deep) < p.draw_of(shallow),
+                "{gen:?}: {deep:?} floor {} not below {shallow:?} floor {}",
+                p.draw_of(deep), p.draw_of(shallow)
             );
             assert!(
-                deep.wake_latency >= shallow.wake_latency,
-                "{gen:?}: {:?} wakes faster than {:?}",
-                pair[1], pair[0]
-            );
-            assert!(
-                deep.transition_energy_j >= shallow.transition_energy_j,
-                "{gen:?}: {:?} transition cheaper than {:?}",
-                pair[1], pair[0]
+                p.react_of(deep) >= p.react_of(shallow),
+                "{gen:?}: {deep:?} wakes faster than {shallow:?}"
             );
         }
     }
@@ -291,7 +283,9 @@ fn ladder_disabled_runs_match_the_paper_baseline_on_all_apps() {
             pre.power_saving_pct().to_bits(),
             "{app:?}: power accounting diverges"
         );
-        assert_eq!(now.mean_rate_fraction(), 0.0, "{app:?}: rate rung engaged while off");
-        assert_eq!(now.mean_deep_fraction(), 0.0, "{app:?}: deep rung engaged while off");
+        for kind in [SleepKind::Rate, SleepKind::Deep] {
+            let share = now.mean_sleep_fraction(kind);
+            assert_eq!(share, 0.0, "{app:?}: {kind:?} rung engaged while off");
+        }
     }
 }

@@ -174,8 +174,7 @@ proptest! {
             .expect("fresh replay");
             prop_assert_eq!(a.exec_time, b.exec_time);
             prop_assert_eq!(&a.rank_finish, &b.rank_finish);
-            prop_assert_eq!(&a.link_low, &b.link_low);
-            prop_assert_eq!(&a.link_deep, &b.link_deep);
+            prop_assert_eq!(&a.link_sleep, &b.link_sleep);
             prop_assert_eq!(&a.link_transition, &b.link_transition);
             prop_assert_eq!(&a.link_sleeps, &b.link_sleeps);
             prop_assert_eq!(a.fabric, b.fabric);
