@@ -293,3 +293,229 @@ fn message_ordering_is_fifo_per_pair() {
         "FIFO violated"
     );
 }
+
+/// One round of the digest corpus, shared by every rank: what to run,
+/// its payload, and a selector (root, shift) drawn once per round.
+#[derive(Clone, Copy)]
+struct CorpusRound {
+    kind: u8,
+    bytes: u64,
+    sel: u32,
+}
+
+/// A valid trace mixing every collective with point-to-point traffic
+/// on the pairs the collectives use: blocking ring sends and the
+/// allgather ring share `r → r + 1`, and non-blocking receives are
+/// posted on those pairs *before* a collective and waited after it, so
+/// collective and point-to-point arrivals interleave in one FIFO.
+///
+/// The rounds repeat with a short period, like an iterative solver, and
+/// each (rank, slot) keeps its compute gap from short to several
+/// milliseconds up to a few percent of jitter, so the runtime predicts
+/// idle periods and issues directives for every sleep depth.
+fn corpus_trace(nprocs: u32, rounds: usize, seed: u64) -> Trace {
+    let mut rng = DetRng::seed_from_u64(seed);
+    let period = 3 + rng.index(4);
+    let slots: Vec<CorpusRound> = (0..period)
+        .map(|_| CorpusRound {
+            kind: rng.index(10) as u8,
+            bytes: 1 + rng.index(1 << 17) as u64,
+            sel: rng.index(nprocs as usize) as u32,
+        })
+        .collect();
+    let plan: Vec<CorpusRound> = (0..rounds).map(|i| slots[i % period]).collect();
+    let mut b = TraceBuilder::new("digest-corpus", nprocs);
+    for r in 0..nprocs {
+        let mut rank_rng = DetRng::seed_from_u64(seed ^ (u64::from(r) << 32));
+        let gaps_us: Vec<f64> = (0..period)
+            .map(|_| match rank_rng.index(3) {
+                0 => rank_rng.uniform_range(1.0, 30.0),
+                1 => rank_rng.uniform_range(50.0, 900.0),
+                _ => rank_rng.uniform_range(1_000.0, 8_000.0),
+            })
+            .collect();
+        let right = (r + 1) % nprocs;
+        let left = (r + nprocs - 1) % nprocs;
+        for (i, round) in plan.iter().enumerate() {
+            let bytes = round.bytes;
+            let jitter = rank_rng.uniform_range(0.97, 1.03);
+            b.compute(r, SimDuration::from_us_f64(gaps_us[i % period] * jitter));
+            match round.kind {
+                0 => b.op(r, MpiOp::Alltoall { bytes }),
+                1 => b.op(r, MpiOp::Allgather { bytes }),
+                2 => b.op(r, MpiOp::Bcast { root: round.sel, bytes }),
+                3 => b.op(r, MpiOp::Reduce { root: round.sel, bytes }),
+                4 => b.op(r, MpiOp::Barrier),
+                5 => b.op(r, MpiOp::Allreduce { bytes }),
+                6 => {
+                    let shift = 1 + round.sel % (nprocs - 1);
+                    b.op(
+                        r,
+                        MpiOp::Sendrecv {
+                            to: (r + shift) % nprocs,
+                            send_bytes: bytes,
+                            from: (r + nprocs - shift) % nprocs,
+                            recv_bytes: bytes,
+                        },
+                    );
+                }
+                7 => {
+                    let a = b.irecv(r, left, bytes);
+                    let c = b.irecv(r, right, bytes);
+                    let d = b.isend(r, right, bytes);
+                    let e = b.isend(r, left, bytes);
+                    b.op(r, MpiOp::Allgather { bytes: bytes / 8 + 1 });
+                    b.op(r, MpiOp::Waitall { reqs: vec![a, c, d, e] });
+                }
+                8 => {
+                    b.op(r, MpiOp::Send { to: right, bytes });
+                    b.op(r, MpiOp::Recv { from: left, bytes });
+                }
+                _ => {
+                    let a = b.irecv(r, left, bytes);
+                    b.op(r, MpiOp::Send { to: right, bytes });
+                    b.op(r, MpiOp::Barrier);
+                    b.op(r, MpiOp::Wait { req: a });
+                }
+            }
+        }
+    }
+    b.build()
+}
+
+/// FNV-1a over every field of a [`ibp_network::SimResult`].
+fn digest_result(r: &ibp_network::SimResult) -> String {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    let mut eat = |x: u64| {
+        for byte in x.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0100_0000_01B3);
+        }
+    };
+    eat(r.exec_time.as_ns());
+    for t in &r.rank_finish {
+        eat(t.as_ns());
+    }
+    for depths in &r.link_sleep {
+        for d in depths {
+            eat(d.as_ns());
+        }
+    }
+    for d in &r.link_transition {
+        eat(d.as_ns());
+    }
+    for &n in &r.link_sleeps {
+        eat(n);
+    }
+    match &r.timelines {
+        None => eat(0),
+        Some(tls) => {
+            eat(1);
+            for tl in tls {
+                let end = tl.last_transition().max(ibp_simcore::SimTime::ZERO + r.exec_time);
+                for iv in tl.intervals(end) {
+                    eat(iv.start.as_ns());
+                    eat(iv.end.as_ns());
+                    eat(iv.state as u64);
+                }
+            }
+        }
+    }
+    eat(r.fabric.messages);
+    eat(r.fabric.bytes);
+    eat(r.fabric.contended);
+    for f in r.sleep_power_fraction {
+        eat(f.to_bits());
+    }
+    let f = &r.faults;
+    eat(f.wake_misfires);
+    eat(f.misfire_stall.as_ns());
+    eat(f.link_flaps);
+    eat(f.flap_delay.as_ns());
+    eat(f.degraded_sends);
+    eat(f.degraded_extra.as_ns());
+    format!("{h:016x}")
+}
+
+/// The replay engine's exact output, pinned: a seeded corpus of mixed
+/// collective / point-to-point traces at 2–252 ranks (252 fills the
+/// paper XGFT), each replayed as a baseline, annotated under the paper
+/// rung set with faults on, and annotated under the full sleep ladder
+/// with faults on. Every `SimResult` field goes into the digest, so any
+/// change to scheduling order, arrival matching, routing draws or fault
+/// draws shows up here even where the paper goldens would not notice.
+///
+/// Regenerate only after an intentional model change:
+/// `IBP_UPDATE_GOLDEN=1 cargo test -p ibpower-integration-tests --test replay_semantics`
+#[test]
+fn replay_digest_matches_golden() {
+    use ibpower_integration_tests::golden::assert_matches_golden;
+    use serde::Value;
+
+    let params = SimParams::paper();
+    let gt = SimDuration::from_us(20);
+    let paper = PowerConfig::paper(gt, 0.01);
+    let ladder = PowerConfig::paper(gt, 0.01).with_ladder();
+    let cases: [(u32, usize); 9] = [
+        (2, 60),
+        (3, 48),
+        (5, 48),
+        (8, 40),
+        (17, 36),
+        (36, 30),
+        (64, 24),
+        (128, 24),
+        (252, 30),
+    ];
+    let mut rows = Vec::new();
+    let mut scratch = ReplayScratch::new();
+    let mut seen = std::collections::BTreeSet::new();
+    for (i, &(nprocs, rounds)) in cases.iter().enumerate() {
+        let seed = 0xD16E_0000 + i as u64;
+        let trace = corpus_trace(nprocs, rounds, seed);
+        trace.validate().unwrap();
+        for ev in &trace.ranks[0].events {
+            let name = format!("{:?}", ev.op);
+            seen.insert(name.split([' ', '{']).next().unwrap_or_default().to_string());
+        }
+        let faulty = ReplayOptions {
+            faults: Some(FaultConfig::with_rate(seed, 20.0)),
+            record_timelines: nprocs <= 17,
+            ..ReplayOptions::default()
+        };
+        let runs = [
+            ("baseline", None, ReplayOptions::default()),
+            ("paper+faults", Some(&paper), faulty.clone()),
+            ("ladder+faults", Some(&ladder), faulty),
+        ];
+        for (label, cfg, opts) in runs {
+            let ann = cfg.map(|c| annotate_trace_jobs(&trace, c, 1));
+            let r = replay_with_scratch(&trace, ann.as_ref(), &params, &opts, &mut scratch)
+                .expect("corpus replay");
+            rows.push(Value::Map(vec![
+                ("nprocs".into(), Value::U64(u64::from(nprocs))),
+                ("run".into(), Value::Str(label.into())),
+                ("exec_ns".into(), Value::U64(r.exec_time.as_ns())),
+                ("messages".into(), Value::U64(r.fabric.messages)),
+                ("fault_events".into(), Value::U64(r.faults.total_events())),
+                (
+                    "sleep_windows".into(),
+                    Value::U64(r.link_sleeps.iter().sum()),
+                ),
+                (
+                    "deep_ns".into(),
+                    Value::U64(r.link_sleep.iter().map(|l| l[2].as_ns()).sum()),
+                ),
+                ("digest".into(), Value::Str(digest_result(&r))),
+            ]));
+        }
+    }
+    let every_op = [
+        "Alltoall", "Allgather", "Bcast", "Reduce", "Barrier", "Allreduce", "Sendrecv", "Send",
+        "Recv", "Isend", "Irecv", "Wait", "Waitall",
+    ];
+    for op in every_op {
+        assert!(seen.contains(op), "corpus never issues {op}: {seen:?}");
+    }
+    assert_matches_golden("replay_digest.json", &Value::Seq(rows));
+}
