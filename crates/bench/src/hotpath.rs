@@ -115,6 +115,12 @@ pub const REPLAY_PROBE: &str = "replay_ns_per_event";
 /// entries predate the probe).
 pub const REPLAY_BIG_PROBE: &str = "replay_big_ns_per_event";
 
+/// Name of the wide-fabric replay probe: the [`REPLAY_BIG_PROBE`] shape
+/// at 128 ranks (≥32k events), where collectives fan out across leaf
+/// switches and the scheduler heap holds every rank. Gated only when the
+/// baseline entry records it (older entries predate the probe).
+pub const REPLAY_WIDE_PROBE: &str = "replay_wide_ns_per_event";
+
 /// Name of the depth-ladder replay probe: annotated replay under the
 /// full three-rung sleep ladder, so the tracker's batched
 /// `apply_windows` path carries WRPS, rate-reduction, and deep-sleep
@@ -193,6 +199,14 @@ pub fn probe_replay(nprocs: u32, iters: usize, reps: u32) -> Probe {
 /// event loop itself.
 pub fn probe_replay_big(nprocs: u32, iters: usize, reps: u32) -> Probe {
     replay_probe_named(nprocs, iters, reps, REPLAY_BIG_PROBE)
+}
+
+/// [`probe_replay`] on a wide fabric (128 ranks, ≥32k events at the
+/// default `--iters`), reported as [`REPLAY_WIDE_PROBE`]: the regime of
+/// the paper's largest cells, where a replay costs several times more
+/// per event than at 16 ranks.
+pub fn probe_replay_wide(nprocs: u32, iters: usize, reps: u32) -> Probe {
+    replay_probe_named(nprocs, iters, reps, REPLAY_WIDE_PROBE)
 }
 
 fn replay_probe_named(nprocs: u32, iters: usize, reps: u32, name: &str) -> Probe {
@@ -451,6 +465,8 @@ pub fn run_all(iters: usize, reps: u32) -> Vec<Probe> {
     // 16 ranks x 2 events/iter: 1024 iterations give the probe its
     // 32k-event floor even when --iters is small.
     let replay_big_iters = iters.max(2048) / 2;
+    // 128 ranks x 2 events/iter: 128 iterations, the same 32k-event floor.
+    let replay_wide_iters = iters.max(2048) / 16;
     // 8 ranks x 2 events/iter: 2048 iterations is exactly the serial
     // cutover, so the big probes always take the parallel path.
     let big_iters = iters.max(ibp_core::SERIAL_CUTOVER_EVENTS / 16);
@@ -459,6 +475,7 @@ pub fn run_all(iters: usize, reps: u32) -> Vec<Probe> {
         probe_ppa_scan((3 * iters / 2).max(12), reps),
         probe_replay(8, replay_iters, reps),
         probe_replay_big(16, replay_big_iters, reps),
+        probe_replay_wide(128, replay_wide_iters, reps),
         // Enough periods that the predictor trains and the ladder's
         // deeper rungs engage even at the CLI's minimum --iters.
         probe_ladder_apply_windows(8, replay_iters.max(30), reps),

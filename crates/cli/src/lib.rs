@@ -793,12 +793,12 @@ OBSERVABILITY: `serve --metrics-addr ADDR` exposes every server counter
   connection reader, out of band of the session work queues, so probing
   a busy server never perturbs its streams.
 
-BENCH-REPORT: time the hot paths (PMPI interception, PPA scan, replay,
-  rank-parallel annotation, serve round trip) and append an entry to the
-  trajectory JSON (default BENCH_hotpath.json). --check exits non-zero if
-  intercept-path ns/call regressed more than 25% against the file's last
-  entry, or the serve round trip more than 50% when the baseline entry
-  records it (the CI smoke gate); --label names the entry; --iters/--reps
+BENCH-REPORT: time the hot paths (PMPI interception, PPA scan, replay at
+  8/16/128 ranks, rank-parallel annotation, serve round trip) and append
+  an entry to the trajectory JSON (default BENCH_hotpath.json). --check
+  exits non-zero if intercept-path ns/call regressed more than 25% against
+  the file's last entry, or a serve or replay probe more than 50% when
+  the baseline entry records it (the CI smoke gate); --label names the entry; --iters/--reps
   set probe scale.
 
 DEFAULTS: --seed 0xD1C0, --gt 20 (µs), --disp 0.01

@@ -478,7 +478,7 @@ fn run(cmd: Command) -> Result<(), String> {
         } => {
             use ibp_bench::hotpath::{
                 ReportEntry, Trajectory, INTERCEPT_PROBE, LADDER_PROBE, REPLAY_BIG_PROBE,
-                REPLAY_PROBE, SCALE_PROBE, SERVE_PROBE,
+                REPLAY_PROBE, REPLAY_WIDE_PROBE, SCALE_PROBE, SERVE_PROBE,
             };
             let mut traj: Trajectory = match std::fs::read_to_string(&output) {
                 Ok(json) => serde_json::from_str(&json).map_err(|e| format!("{output}: {e}"))?,
@@ -553,6 +553,7 @@ fn run(cmd: Command) -> Result<(), String> {
                 gate_50(SCALE_PROBE)?;
                 gate_50(REPLAY_PROBE)?;
                 gate_50(REPLAY_BIG_PROBE)?;
+                gate_50(REPLAY_WIDE_PROBE)?;
                 gate_50(LADDER_PROBE)?;
             }
             traj.entries.push(entry);
