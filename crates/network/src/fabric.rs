@@ -34,7 +34,9 @@ pub struct Fabric {
     topo: FatTree,
     /// Per-channel busy-until time.
     free: Vec<SimTime>,
-    rng: DetRng,
+    /// The routing stream's split base ([`DetRng::split_from`]): each
+    /// cross-leaf message derives its own stream from it.
+    route_base: u64,
     /// Per (src,dst) message sequence numbers for identity-stable
     /// routing, stored dense (`src * nprocs + dst`): replays touch most
     /// pairs anyway and the direct index beats a hash probe per message.
@@ -57,7 +59,7 @@ impl Fabric {
             params,
             topo,
             free,
-            rng: DetRng::seed_from_u64(seed).split(0xFAB),
+            route_base: DetRng::seed_from_u64(seed).split(0xFAB).next_u64(),
             pair_seq: vec![0; (nprocs as usize) * (nprocs as usize)],
             nprocs,
             stats: FabricStats::default(),
@@ -100,10 +102,13 @@ impl Fabric {
             *c += 1;
             *c
         };
-        let mut msg_rng = self
-            .rng
-            .split((u64::from(src) << 40) | (u64::from(dst) << 16) | (seq & 0xFFFF));
-        let route = self.topo.route_inline(src, dst, &mut msg_rng);
+        // Only a cross-leaf route draws (its top switch), so only then
+        // is the message's stream derived.
+        let label = (u64::from(src) << 40) | (u64::from(dst) << 16) | (seq & 0xFFFF);
+        let route_base = self.route_base;
+        let route = self.topo.route_with(src, dst, |tops| {
+            DetRng::split_from(route_base, label).index(tops as usize) as u32
+        });
         let serial = self.serial(bytes);
         let mut head = send_time + self.params.mpi_latency;
         let mut contended = false;

@@ -209,43 +209,8 @@ impl FaultPlan {
 
     /// Draw the fault outcome for a send leaving `link` at `now`.
     pub fn send_fault(&mut self, link: usize, now: SimTime) -> SendFault {
-        self.link_run(link).send_fault(now)
-    }
-
-    /// Borrow `link`'s drawing state once for a *run* of consecutive
-    /// sends on that link — the batch-oriented entry point the replay
-    /// engine's send-run fast path uses, skipping the per-call link
-    /// lookup. Draws come from the same per-link stream in the same
-    /// order as repeated [`FaultPlan::send_fault`] calls, so results are
-    /// bit-identical either way.
-    pub fn link_run(&mut self, link: usize) -> LinkRun<'_> {
-        LinkRun {
-            cfg: &self.cfg,
-            st: &mut self.links[link],
-        }
-    }
-
-    /// Extra serialization charged to a degraded (1X) transfer: the wire
-    /// time is 4× nominal, so 3 extra copies of the 4X serialization.
-    pub fn degraded_extra(params: &SimParams, bytes: u64) -> SimDuration {
-        let one = params.serialize(bytes);
-        one + one + one
-    }
-}
-
-/// One link's fault-drawing state, borrowed for a run of consecutive
-/// sends (see [`FaultPlan::link_run`]).
-#[derive(Debug)]
-pub struct LinkRun<'a> {
-    cfg: &'a FaultConfig,
-    st: &'a mut LinkFaultState,
-}
-
-impl LinkRun<'_> {
-    /// Draw the fault outcome for the next send of this run at `now`.
-    pub fn send_fault(&mut self, now: SimTime) -> SendFault {
-        let cfg = self.cfg;
-        let st = &mut *self.st;
+        let cfg = &self.cfg;
+        let st = &mut self.links[link];
         let mut fault = SendFault::default();
         if cfg.flap_prob > 0.0 && st.rng.chance(cfg.flap_prob) {
             let lo = cfg.flap_outage_min.as_ns();
@@ -265,6 +230,13 @@ impl LinkRun<'_> {
             fault.degraded = true;
         }
         fault
+    }
+
+    /// Extra serialization charged to a degraded (1X) transfer: the wire
+    /// time is 4× nominal, so 3 extra copies of the 4X serialization.
+    pub fn degraded_extra(params: &SimParams, bytes: u64) -> SimDuration {
+        let one = params.serialize(bytes);
+        one + one + one
     }
 }
 
@@ -406,26 +378,6 @@ mod tests {
         assert_eq!(draw(&cfg), draw(&cfg));
         let other = FaultConfig::with_rate(0xD1C1, 10.0);
         assert_ne!(draw(&cfg), draw(&other));
-    }
-
-    #[test]
-    fn link_run_draws_match_single_calls() {
-        let cfg = FaultConfig::with_rate(0xBEEF, 25.0);
-        let mut single = FaultPlan::new(&cfg, 3);
-        let mut batched = FaultPlan::new(&cfg, 3);
-        for round in 0..40u64 {
-            for link in 0..3 {
-                let t = |i: u64| SimTime::from_us(round * 100 + i * 7);
-                let a: Vec<SendFault> = (0..5).map(|i| single.send_fault(link, t(i))).collect();
-                let mut run = batched.link_run(link);
-                let b: Vec<SendFault> = (0..5).map(|i| run.send_fault(t(i))).collect();
-                for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.flapped, y.flapped);
-                    assert_eq!(x.flap_delay, y.flap_delay);
-                    assert_eq!(x.degraded, y.degraded);
-                }
-            }
-        }
     }
 
     #[test]

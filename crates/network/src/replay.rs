@@ -18,21 +18,29 @@
 //! [`ibp_trace::Trace::validate`] cannot deadlock: every receive has a
 //! matching send and request discipline is enforced.
 //!
+//! The scheduler heap holds one packed `u64` key per runnable rank: the
+//! clock in nanoseconds above just enough low bits for the rank id, so
+//! one integer compare orders by (clock, rank). A rank that yields at the
+//! send gate swaps itself into the heap top's slot and the displaced
+//! rank runs next — one sift-down instead of a push and a pop.
+//!
 //! ## Memory and data layout
 //!
 //! All growable engine state lives in a [`ReplayScratch`] arena that is
 //! reused across replays. A single build pass over the trace lays every
-//! rank's micro-operations out as a flat structure-of-arrays **step
-//! stream** (parallel kind/arg/bytes/k vectors walked by a per-rank
-//! cursor), assigns each receive its arrival index up front, and counts
-//! the sends of every (src, dst) pair; prefix sums turn the counts into
-//! offsets into one flat arrival array, and parked waiters are per-pair
-//! slots (only the destination rank ever receives on a pair, so at most
-//! one rank can wait on it). Collective events expand through a memoized
-//! schedule cache keyed by (collective, root, bytes, nprocs), so a sweep
-//! decomposes each distinct collective once instead of once per cell.
-//! [`replay`] keeps a thread-local scratch; sweeps that replay thousands
-//! of cells can pass their own via [`replay_with_scratch`].
+//! rank's events out as a flat structure-of-arrays **step stream**
+//! (parallel kind/arg/bytes vectors walked by a per-rank cursor) and
+//! counts the sends of every (src, dst) pair; prefix sums turn the
+//! counts into offsets into one flat arrival array, and parked waiters
+//! are per-pair slots (only the destination rank ever receives on a
+//! pair, so at most one rank can wait on it). A collective event is one
+//! step naming a memoized schedule keyed by (collective, root, nprocs);
+//! the rank walks its segment of that schedule with a sub-cursor, so a
+//! sweep decomposes each distinct collective once instead of once per
+//! cell, and the stream stays one step per event. Receives reserve their
+//! arrival index when they run. [`replay`] keeps a thread-local scratch;
+//! sweeps that replay thousands of cells can pass their own via
+//! [`replay_with_scratch`].
 //!
 //! Per-link *power* accounting is decoupled from the timing loop: sleep
 //! windows are resolved (timestamped) on the hot path but buffered, and
@@ -121,6 +129,18 @@ pub enum ReplayError {
         /// How many ranks were parked on missing messages.
         parked: usize,
     },
+    /// A rank's clock outgrew the scheduler key. The key packs the clock
+    /// (ns) above just enough bits for the rank id, so the clock must
+    /// stay at or below `u64::MAX >> rank_bits` — about 2.3 simulated
+    /// years on the paper's 252-node fabric.
+    ClockOverflow {
+        /// The rank whose clock overflowed.
+        rank: usize,
+        /// Its clock, ns.
+        clock_ns: u64,
+        /// The largest clock the key holds at this rank count, ns.
+        max_ns: u64,
+    },
 }
 
 impl fmt::Display for ReplayError {
@@ -153,6 +173,15 @@ impl fmt::Display for ReplayError {
                 "replay deadlock: rank {rank} stuck at event {event} \
                  ({parked} parked)"
             ),
+            ReplayError::ClockOverflow {
+                rank,
+                clock_ns,
+                max_ns,
+            } => write!(
+                f,
+                "rank {rank}: simulated clock {clock_ns} ns exceeds the \
+                 scheduler's {max_ns} ns limit at this rank count"
+            ),
         }
     }
 }
@@ -162,27 +191,29 @@ impl std::error::Error for ReplayError {}
 /// Cost of posting a non-blocking operation (library bookkeeping only).
 const POST_OVERHEAD: SimDuration = SimDuration::from_ns(300);
 
-/// Micro-step kinds of the flat step stream (see [`ReplayScratch`]).
+/// Step kinds of the flat step stream (see [`ReplayScratch`]).
 ///
 /// The stream is structure-of-arrays: `step_kind[i]` says how to read the
-/// parallel `step_arg` / `step_bytes` / `step_k` slots at `i` (documented
-/// per variant), so the hot loop dispatches on a one-byte tag and reads
+/// parallel `step_arg` / `step_bytes` slots at `i` (documented per
+/// variant), so the hot loop dispatches on a one-byte tag and reads
 /// dense arrays instead of matching a trace-event enum per step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StepKind {
     /// Blocking send: `arg` = destination rank, `bytes` = payload.
     Send,
-    /// Blocking receive: `arg` = pair id, `k` = arrival index.
+    /// Blocking receive: `arg` = pair id.
     Recv,
-    /// Non-blocking send post: `arg` = destination, `bytes` = payload,
-    /// `k` = request id.
+    /// Non-blocking send post: `arg` = destination, `bytes` = payload
+    /// (the request id is read from the trace event).
     IsendPost,
     /// Non-blocking receive post (consumed at event expansion, never
-    /// scheduled): `arg` = pair id, `k` = arrival index, `bytes` =
-    /// request id.
+    /// scheduled): `arg` = pair id, `bytes` = request id.
     IrecvPost,
     /// Wait on a posted request: `arg` = request id.
     WaitReq,
+    /// A whole collective: `arg` = index of its memoized schedule,
+    /// `bytes` = payload of every message it sends.
+    Coll,
     /// Event boundary: advance the event counter, resolve directives.
     OpDone,
 }
@@ -198,6 +229,10 @@ struct RankState {
     ev: usize,
     /// Cursor into the scratch step stream (this rank's segment).
     cur: usize,
+    /// Sub-cursor into the current `Coll` step's schedule: the next
+    /// micro-op of this rank's segment, and the segment's end.
+    sub: u32,
+    sub_end: u32,
     /// Whether the cursor sits inside an expanded event (between the
     /// event's expansion bookkeeping and its `OpDone`).
     in_event: bool,
@@ -208,16 +243,11 @@ struct RankState {
     done: bool,
 }
 
-enum StepOutcome {
-    Ran,
-    Parked { pair: u32, k: u32 },
-    EventDone,
-}
-
 /// What `advance_rank` did with its scheduling quantum.
 enum Advance {
-    /// The rank ran and re-enters scheduling at the given clock.
-    Run(SimTime),
+    /// The rank yielded at the send gate and took the heap top's slot;
+    /// the displaced rank runs next.
+    Yield(Rank),
     /// The rank parked on a missing message or finished its trace.
     Blocked,
 }
@@ -226,9 +256,10 @@ enum Advance {
 const NO_WAITER: Rank = Rank::MAX;
 
 /// Memoization key of a collective schedule: (collective id, root,
-/// payload bytes, nprocs). A barrier shares the allreduce entry — it *is*
-/// a 1-byte allreduce (reduce + broadcast over the same trees).
-type SchedKey = (u8, Rank, u64, u32);
+/// nprocs). The payload is not part of it — a schedule's structure does
+/// not depend on the bytes moved. A barrier shares the allreduce entry:
+/// it *is* a 1-byte allreduce (reduce + broadcast over the same trees).
+type SchedKey = (u8, Rank, u32);
 
 const K_ALLREDUCE: u8 = 1;
 const K_BCAST: u8 = 2;
@@ -236,60 +267,54 @@ const K_REDUCE: u8 = 3;
 const K_ALLGATHER: u8 = 4;
 const K_ALLTOALL: u8 = 5;
 
-/// Cache key for `op`, or `None` for point-to-point / request ops (which
-/// never go through the schedule cache).
-fn sched_key(op: &MpiOp, nprocs: u32) -> Option<SchedKey> {
-    match *op {
-        MpiOp::Barrier => Some((K_ALLREDUCE, 0, 1, nprocs)),
-        MpiOp::Allreduce { bytes } => Some((K_ALLREDUCE, 0, bytes, nprocs)),
-        MpiOp::Bcast { root, bytes } => Some((K_BCAST, root, bytes, nprocs)),
-        MpiOp::Reduce { root, bytes } => Some((K_REDUCE, root, bytes, nprocs)),
-        MpiOp::Allgather { bytes } => Some((K_ALLGATHER, 0, bytes, nprocs)),
-        MpiOp::Alltoall { bytes } => Some((K_ALLTOALL, 0, bytes, nprocs)),
-        _ => None,
-    }
+/// Cache key and payload bytes of `op`, or `None` for point-to-point /
+/// request ops (which never go through the schedule cache).
+fn sched_key(op: &MpiOp, nprocs: u32) -> Option<(SchedKey, u64)> {
+    Some(match *op {
+        MpiOp::Barrier => ((K_ALLREDUCE, 0, nprocs), 1),
+        MpiOp::Allreduce { bytes } => ((K_ALLREDUCE, 0, nprocs), bytes),
+        MpiOp::Bcast { root, bytes } => ((K_BCAST, root, nprocs), bytes),
+        MpiOp::Reduce { root, bytes } => ((K_REDUCE, root, nprocs), bytes),
+        MpiOp::Allgather { bytes } => ((K_ALLGATHER, 0, nprocs), bytes),
+        MpiOp::Alltoall { bytes } => ((K_ALLTOALL, 0, nprocs), bytes),
+        _ => return None,
+    })
 }
 
-/// A memoized collective schedule: every rank's micro-ops, flattened into
-/// parallel direction/peer arrays. Payload size is not stored — all
-/// micro-ops of one collective carry the same byte count, which lives in
-/// the cache key.
+/// Direction flag of a packed schedule micro-op (set = send).
+const SEND_BIT: u32 = 1 << 31;
+
+/// A memoized collective schedule: every rank's micro-ops, one packed
+/// word each — the peer rank, with [`SEND_BIT`] set for a send. Payload
+/// size is not stored: every micro-op of one collective event carries the
+/// event's bytes, which ride on its `Coll` step.
 #[derive(Debug)]
 struct CollSched {
-    /// Exclusive per-rank offsets into `send` / `peer` (`nprocs + 1`).
+    /// Exclusive per-rank offsets into `ops` (`nprocs + 1`).
     rank_base: Vec<u32>,
-    /// Micro-op direction: send (`true`) or receive (`false`).
-    send: Vec<bool>,
-    /// Peer rank of each micro-op.
-    peer: Vec<Rank>,
+    /// Packed micro-ops, rank-major, in execution order.
+    ops: Vec<u32>,
 }
 
 fn build_sched(op: &MpiOp, nprocs: u32) -> CollSched {
     let mut sched = CollSched {
         rank_base: Vec::with_capacity(nprocs as usize + 1),
-        send: Vec::new(),
-        peer: Vec::new(),
+        ops: Vec::new(),
     };
     sched.rank_base.push(0);
     for me in 0..nprocs {
         for_each_micro(op, me, nprocs, &mut |m| match m {
-            MicroOp::SendTo { to, .. } => {
-                sched.send.push(true);
-                sched.peer.push(to);
-            }
-            MicroOp::RecvFrom { from, .. } => {
-                sched.send.push(false);
-                sched.peer.push(from);
-            }
+            MicroOp::SendTo { to, .. } => sched.ops.push(SEND_BIT | to),
+            MicroOp::RecvFrom { from, .. } => sched.ops.push(from),
         });
-        sched.rank_base.push(sched.send.len() as u32);
+        sched.rank_base.push(sched.ops.len() as u32);
     }
     sched
 }
 
 /// Entry bound on the schedule cache — far above what any sweep produces
-/// (distinct (collective, bytes, nprocs) combinations), a guard against
-/// unbounded growth under pathological byte diversity.
+/// (distinct (collective, root, nprocs) combinations), a guard against
+/// unbounded growth under pathological root diversity.
 const SCHED_CACHE_CAP: usize = 4096;
 
 /// Reusable buffers for the replay engine.
@@ -302,14 +327,14 @@ const SCHED_CACHE_CAP: usize = 4096;
 /// [`replay`] keeps one per thread automatically; hand a scratch to
 /// [`replay_with_scratch`] to control reuse explicitly.
 ///
-/// The step stream is flat: one build pass expands every rank's events
-/// (collectives through the schedule cache) into parallel
-/// `step_kind` / `step_arg` / `step_bytes` / `step_k` arrays, with rank
-/// `r`'s segment at `rank_step_base[r] .. rank_step_base[r + 1]`. The
-/// same pass assigns receive arrival indices and tallies every pair's
-/// sends; an exclusive prefix sum turns the tallies into `base` offsets,
-/// and pair `p`'s arrivals occupy `times[base[p] .. base[p] + len[p]]`.
-/// Steady-state replay therefore never reallocates or rehashes.
+/// The step stream is flat: one build pass lowers every rank's events
+/// into parallel `step_kind` / `step_arg` / `step_bytes` arrays (a
+/// collective becomes one `Coll` step naming its memoized schedule),
+/// with rank `r`'s segment at `rank_step_base[r] .. rank_step_base[r +
+/// 1]`. The same pass tallies every pair's sends; an exclusive prefix
+/// sum turns the tallies into `base` offsets, and pair `p`'s arrivals
+/// occupy `times[base[p] .. base[p] + len[p]]`. Steady-state replay
+/// therefore never reallocates or rehashes.
 #[derive(Debug, Default)]
 pub struct ReplayScratch {
     /// Exclusive prefix sums of per-pair send counts (`pairs + 1` long).
@@ -318,22 +343,20 @@ pub struct ReplayScratch {
     len: Vec<u32>,
     /// Flat arrival times; pair `p` owns `times[base[p]..base[p]+len[p]]`.
     times: Vec<SimTime>,
-    /// Per pair: next receive index to hand out.
+    /// Per pair: the next arrival index a receive reserves.
     recv_next: Vec<u32>,
     /// Rank parked on each pair ([`NO_WAITER`] when none).
     parked_rank: Vec<Rank>,
     /// Which send index the parked rank waits for.
     parked_k: Vec<u32>,
-    /// Runnable ranks, keyed by (clock, rank) — min first.
-    heap: BinaryHeap<Reverse<(SimTime, Rank)>>,
+    /// Runnable ranks as packed (clock, rank) keys — min first.
+    heap: BinaryHeap<Reverse<u64>>,
     /// Step stream: kind tags (see [`StepKind`] for slot meanings).
     step_kind: Vec<StepKind>,
-    /// Step stream: peer rank / pair id / request id.
+    /// Step stream: peer rank / pair id / request id / schedule index.
     step_arg: Vec<u32>,
     /// Step stream: payload bytes (request id for `IrecvPost`).
     step_bytes: Vec<u64>,
-    /// Step stream: arrival index / request id.
-    step_k: Vec<u32>,
     /// Per-rank segment starts in the step stream (`nprocs + 1`).
     rank_step_base: Vec<usize>,
     /// Flat per-event compute bursts — the only per-event trace field the
@@ -345,8 +368,10 @@ pub struct ReplayScratch {
     /// and applied in one batched power pass afterwards.
     windows: Vec<Vec<SleepWindow>>,
     /// Memoized collective schedules, kept across `prepare` calls so a
-    /// sweep decomposes each distinct collective once, not once per cell.
-    sched: FxHashMap<SchedKey, CollSched>,
+    /// sweep decomposes each distinct collective once, not once per cell;
+    /// `Coll` steps index into `scheds` through `sched_index`.
+    scheds: Vec<CollSched>,
+    sched_index: FxHashMap<SchedKey, u32>,
 }
 
 impl ReplayScratch {
@@ -359,12 +384,9 @@ impl ReplayScratch {
     /// Size every arena for `trace`, build the step stream, and reset
     /// per-run state.
     ///
-    /// One pass over the trace emits every micro step, counts each pair's
-    /// sends (prefix-summed into `base`), and assigns receives their
-    /// arrival indices. Assigning indices at build time is sound because
-    /// only a pair's destination rank ever receives on it and the engine
-    /// executes each rank's steps in program order — the indices are
-    /// exactly the ones runtime reservation would hand out.
+    /// One pass over the trace emits every step and counts each pair's
+    /// sends (prefix-summed into `base`). Receives get their arrival
+    /// indices at run time, from `recv_next`.
     fn prepare(&mut self, trace: &Trace) {
         let nprocs = trace.nprocs;
         let pairs = (nprocs as usize) * (nprocs as usize);
@@ -380,7 +402,6 @@ impl ReplayScratch {
         self.step_kind.clear();
         self.step_arg.clear();
         self.step_bytes.clear();
-        self.step_k.clear();
         self.rank_step_base.clear();
         self.ev_compute.clear();
         self.rank_ev_base.clear();
@@ -389,32 +410,19 @@ impl ReplayScratch {
         for w in &mut self.windows {
             w.clear();
         }
-        if self.sched.len() > SCHED_CACHE_CAP {
-            self.sched.clear();
+        if self.scheds.len() > SCHED_CACHE_CAP {
+            self.scheds.clear();
+            self.sched_index.clear();
         }
 
         // Per-pair send counts accumulate shifted by one so the in-place
-        // prefix sum below yields exclusive base offsets.
+        // prefix sum below yields exclusive base offsets; rank `r`'s sends
+        // to `to` count at `base[row + to]`.
         self.base.clear();
         self.base.resize(pairs + 1, 0);
 
-        macro_rules! step {
-            ($kind:expr, $arg:expr, $bytes:expr, $k:expr) => {{
-                self.step_kind.push($kind);
-                self.step_arg.push($arg);
-                self.step_bytes.push($bytes);
-                self.step_k.push($k);
-            }};
-        }
-        macro_rules! recv_step {
-            ($from:expr, $me:expr) => {{
-                let pair = $from * nprocs + $me;
-                let k = self.recv_next[pair as usize];
-                self.recv_next[pair as usize] += 1;
-                step!(StepKind::Recv, pair, 0, k);
-            }};
-        }
         for (r, rank_trace) in trace.ranks.iter().enumerate() {
+            let row = r * nprocs as usize + 1;
             let r = r as Rank;
             self.rank_step_base.push(self.step_kind.len());
             self.rank_ev_base.push(self.ev_compute.len());
@@ -422,65 +430,57 @@ impl ReplayScratch {
                 self.ev_compute.push(ev.compute_before);
                 match &ev.op {
                     MpiOp::Send { to, bytes } => {
-                        self.base[(r * nprocs + *to) as usize + 1] += 1;
-                        step!(StepKind::Send, *to, *bytes, 0);
+                        self.base[row + *to as usize] += 1;
+                        self.step(StepKind::Send, *to, *bytes);
                     }
-                    MpiOp::Recv { from, .. } => recv_step!(*from, r),
+                    MpiOp::Recv { from, .. } => self.step(StepKind::Recv, *from * nprocs + r, 0),
                     MpiOp::Sendrecv {
                         to,
                         send_bytes,
                         from,
                         ..
                     } => {
-                        self.base[(r * nprocs + *to) as usize + 1] += 1;
-                        step!(StepKind::Send, *to, *send_bytes, 0);
-                        recv_step!(*from, r);
+                        self.base[row + *to as usize] += 1;
+                        self.step(StepKind::Send, *to, *send_bytes);
+                        self.step(StepKind::Recv, *from * nprocs + r, 0);
                     }
-                    MpiOp::Isend { to, bytes, req } => {
-                        self.base[(r * nprocs + *to) as usize + 1] += 1;
-                        step!(StepKind::IsendPost, *to, *bytes, *req);
+                    MpiOp::Isend { to, bytes, .. } => {
+                        self.base[row + *to as usize] += 1;
+                        self.step(StepKind::IsendPost, *to, *bytes);
                     }
                     MpiOp::Irecv { from, req, .. } => {
-                        let pair = *from * nprocs + r;
-                        let k = self.recv_next[pair as usize];
-                        self.recv_next[pair as usize] += 1;
-                        step!(StepKind::IrecvPost, pair, u64::from(*req), k);
+                        self.step(StepKind::IrecvPost, *from * nprocs + r, u64::from(*req));
                     }
-                    MpiOp::Wait { req } => step!(StepKind::WaitReq, *req, 0, 0),
+                    MpiOp::Wait { req } => self.step(StepKind::WaitReq, *req, 0),
                     MpiOp::Waitall { reqs } => {
                         for &req in reqs {
-                            step!(StepKind::WaitReq, req, 0, 0);
+                            self.step(StepKind::WaitReq, req, 0);
                         }
                     }
                     op => {
-                        let key = sched_key(op, nprocs)
-                            .expect("point-to-point ops are handled above");
-                        self.sched.entry(key).or_insert_with(|| build_sched(op, nprocs));
-                        let sched = &self.sched[&key];
-                        let bytes = key.2;
+                        let (key, bytes) =
+                            sched_key(op, nprocs).expect("point-to-point ops are handled above");
+                        let idx = match self.sched_index.get(&key) {
+                            Some(&idx) => idx,
+                            None => {
+                                let idx = self.scheds.len() as u32;
+                                self.scheds.push(build_sched(op, nprocs));
+                                self.sched_index.insert(key, idx);
+                                idx
+                            }
+                        };
+                        let sched = &self.scheds[idx as usize];
                         let lo = sched.rank_base[r as usize] as usize;
                         let hi = sched.rank_base[r as usize + 1] as usize;
-                        for i in lo..hi {
-                            let peer = sched.peer[i];
-                            if sched.send[i] {
-                                self.base[(r * nprocs + peer) as usize + 1] += 1;
-                                self.step_kind.push(StepKind::Send);
-                                self.step_arg.push(peer);
-                                self.step_bytes.push(bytes);
-                                self.step_k.push(0);
-                            } else {
-                                let pair = peer * nprocs + r;
-                                let k = self.recv_next[pair as usize];
-                                self.recv_next[pair as usize] += 1;
-                                self.step_kind.push(StepKind::Recv);
-                                self.step_arg.push(pair);
-                                self.step_bytes.push(0);
-                                self.step_k.push(k);
+                        for &micro in &sched.ops[lo..hi] {
+                            if micro & SEND_BIT != 0 {
+                                self.base[row + (micro & !SEND_BIT) as usize] += 1;
                             }
                         }
+                        self.step(StepKind::Coll, idx, bytes);
                     }
                 }
-                step!(StepKind::OpDone, 0, 0, 0);
+                self.step(StepKind::OpDone, 0, 0);
             }
         }
         self.rank_step_base.push(self.step_kind.len());
@@ -491,6 +491,14 @@ impl ReplayScratch {
         let total = self.base[pairs];
         self.times.clear();
         self.times.resize(total, SimTime::ZERO);
+    }
+
+    /// Append one step to the stream.
+    #[inline]
+    fn step(&mut self, kind: StepKind, arg: u32, bytes: u64) {
+        self.step_kind.push(kind);
+        self.step_arg.push(arg);
+        self.step_bytes.push(bytes);
     }
 }
 
@@ -504,6 +512,11 @@ struct Replay<'a> {
     /// Arenas (arrivals, cursors, parked slots, heap), prepared for this
     /// trace and recycled across replays.
     scratch: &'a mut ReplayScratch,
+    /// Low bits of a scheduler key that hold the rank id: just enough
+    /// for `nprocs` (8 on the paper's 252-node fabric).
+    rank_bits: u32,
+    /// The largest clock (ns) a key holds: `u64::MAX >> rank_bits`.
+    max_clock: u64,
     /// How many ranks are parked on missing messages.
     parked: usize,
     /// Fault drawing plan (None on a reliable fabric).
@@ -582,6 +595,8 @@ pub fn replay_with_scratch(
             t: SimTime::ZERO,
             ev: 0,
             cur: scratch.rank_step_base[r as usize],
+            sub: 0,
+            sub_end: 0,
             in_event: false,
             reqs: FxHashMap::default(),
             next_directive: 0,
@@ -590,6 +605,7 @@ pub fn replay_with_scratch(
             done: false,
         })
         .collect();
+    let rank_bits = u32::BITS - (n - 1).leading_zeros();
     let mut engine = Replay {
         trace,
         ann,
@@ -597,14 +613,18 @@ pub fn replay_with_scratch(
         fabric: Fabric::new(params.clone(), n, opts.seed),
         ranks,
         scratch,
+        rank_bits,
+        max_clock: u64::MAX >> rank_bits,
         parked: 0,
         faults,
         fault_stats: FaultStats::default(),
     };
 
-    for r in 0..n {
-        engine.scratch.heap.push(Reverse((SimTime::ZERO, r)));
-    }
+    // Every rank starts runnable at clock zero: its key is its id.
+    engine
+        .scratch
+        .heap
+        .extend((0..n).map(|r| Reverse(u64::from(r))));
     engine.run()?;
 
     // Batched power pass: the timing loop only buffered each link's
@@ -644,15 +664,42 @@ pub fn replay_with_scratch(
 }
 
 impl<'a> Replay<'a> {
-    fn pair(&self, src: Rank, dst: Rank) -> u32 {
-        src * self.trace.nprocs + dst
+    /// The scheduler key of rank `r` at clock `t`: the clock above
+    /// `rank_bits` bits of rank id, so one compare orders by (clock,
+    /// rank). A clock the key cannot hold is an error, never a silent
+    /// misorder.
+    #[inline]
+    fn key(&self, t: SimTime, r: Rank) -> Result<u64, ReplayError> {
+        let ns = t.as_ns();
+        if ns > self.max_clock {
+            return Err(ReplayError::ClockOverflow {
+                rank: r as usize,
+                clock_ns: ns,
+                max_ns: self.max_clock,
+            });
+        }
+        Ok((ns << self.rank_bits) | u64::from(r))
+    }
+
+    /// The rank a scheduler key belongs to.
+    #[inline]
+    fn rank_of(&self, key: u64) -> Rank {
+        (key & ((1u64 << self.rank_bits) - 1)) as Rank
+    }
+
+    /// Pop the earliest runnable rank.
+    fn pop_rank(&mut self) -> Option<Rank> {
+        let Reverse(key) = self.scratch.heap.pop()?;
+        Some(self.rank_of(key))
     }
 
     fn run(&mut self) -> Result<(), ReplayError> {
-        while let Some(Reverse((_, r))) = self.scratch.heap.pop() {
-            if let Advance::Run(t) = self.advance_rank(r) {
-                self.scratch.heap.push(Reverse((t, r)));
-            }
+        let mut next = self.pop_rank();
+        while let Some(r) = next {
+            next = match self.advance_rank(r)? {
+                Advance::Yield(w) => Some(w),
+                Advance::Blocked => self.pop_rank(),
+            };
         }
         if let Some((r, s)) = self.ranks.iter().enumerate().find(|(_, s)| !s.done) {
             return Err(ReplayError::Deadlock {
@@ -664,56 +711,142 @@ impl<'a> Replay<'a> {
         Ok(())
     }
 
+    /// The send gate: if another runnable rank is earlier than `r`, `r`
+    /// takes its place at the heap top and the displaced rank is returned
+    /// to run next. The top is smaller than `r`'s key by construction, so
+    /// the swap costs one sift-down where a push and a pop cost two.
+    #[inline]
+    fn yield_to_earlier(&mut self, r: Rank) -> Result<Option<Rank>, ReplayError> {
+        let Some(&Reverse(top)) = self.scratch.heap.peek() else {
+            return Ok(None);
+        };
+        let key = self.key(self.ranks[r as usize].t, r)?;
+        if top > key {
+            return Ok(None);
+        }
+        if let Some(mut slot) = self.scratch.heap.peek_mut() {
+            *slot = Reverse(key);
+        }
+        Ok(Some(self.rank_of(top)))
+    }
+
     /// Advance rank `r` as far as it can go in one scheduling quantum:
     /// until it parks, finishes, or is preempted before a fabric send.
     ///
-    /// Only *fabric-mutating* steps (`Send` / `IsendPost`) are gated on
-    /// the rank's clock being minimal among runnable ranks — channel
-    /// occupancy, pair sequence numbers and contention stats depend on
-    /// the global order of `Fabric::transfer` calls. Everything else
-    /// commutes with other ranks and runs eagerly without a heap round
-    /// trip: event expansion, compute, sleep-window buffering and
+    /// Only *fabric-mutating* steps (sends, including a collective's) are
+    /// gated on the rank's clock being minimal among runnable ranks —
+    /// channel occupancy, pair sequence numbers and contention stats
+    /// depend on the global order of `Fabric::transfer` calls. Everything
+    /// else commutes with other ranks and runs eagerly without a heap
+    /// round trip: event expansion, compute, sleep-window buffering and
     /// directive resolution are rank-local (misfire draws come from the
     /// rank's own per-link fault stream, so their order per link is the
-    /// rank's program order either way), and arrival reads (`Recv` /
-    /// `WaitReq`) are order-independent — a delivered arrival time never
+    /// rank's program order either way), and arrival reads (receives and
+    /// waits) are order-independent — a delivered arrival time never
     /// changes, and reading "too early" just parks the rank until the
     /// sender wakes it at the exact same clock.
-    fn advance_rank(&mut self, r: Rank) -> Advance {
+    fn advance_rank(&mut self, r: Rank) -> Result<Advance, ReplayError> {
         let ri = r as usize;
         loop {
             if !self.ranks[ri].in_event {
                 if !self.expand_next_event(r) {
-                    return Advance::Blocked; // rank finished
+                    return Ok(Advance::Blocked); // rank finished
                 }
                 continue;
             }
             let cur = self.ranks[ri].cur;
-            let kind = self.scratch.step_kind[cur];
-            if matches!(kind, StepKind::Send | StepKind::IsendPost) {
-                let t = self.ranks[ri].t;
-                if let Some(&Reverse(top)) = self.scratch.heap.peek() {
-                    if top < (t, r) {
-                        // Another rank is earlier: yield before touching
-                        // the fabric.
-                        return Advance::Run(t);
+            let arg = self.scratch.step_arg[cur];
+            match self.scratch.step_kind[cur] {
+                StepKind::Send => {
+                    if let Some(w) = self.yield_to_earlier(r)? {
+                        return Ok(Advance::Yield(w));
                     }
+                    let t = self.ranks[ri].t;
+                    self.ranks[ri].t = self.send(r, arg, t, self.scratch.step_bytes[cur])?;
+                    self.ranks[ri].cur = cur + 1;
                 }
-            }
-            match self.execute_step(r, cur, kind) {
-                StepOutcome::Ran | StepOutcome::EventDone => {}
-                StepOutcome::Parked { pair, k } => {
-                    // Only the pair's destination rank ever receives on
-                    // it, so the slot is necessarily free.
-                    let p = pair as usize;
-                    debug_assert_eq!(self.scratch.parked_rank[p], NO_WAITER);
-                    self.scratch.parked_rank[p] = r;
-                    self.scratch.parked_k[p] = k;
-                    self.parked += 1;
-                    return Advance::Blocked;
+                StepKind::IsendPost => {
+                    if let Some(w) = self.yield_to_earlier(r)? {
+                        return Ok(Advance::Yield(w));
+                    }
+                    let t = self.ranks[ri].t;
+                    let done = self.send(r, arg, t, self.scratch.step_bytes[cur])?;
+                    let req = self.isend_req(ri);
+                    let state = &mut self.ranks[ri];
+                    state.reqs.insert(req, Req::Send { done });
+                    state.t += POST_OVERHEAD;
+                    state.cur = cur + 1;
                 }
+                StepKind::Recv => {
+                    if !self.recv(r, arg) {
+                        return Ok(Advance::Blocked);
+                    }
+                    self.ranks[ri].cur = cur + 1;
+                }
+                StepKind::Coll => {
+                    if let Some(advance) = self.advance_coll(r, cur)? {
+                        return Ok(advance);
+                    }
+                    self.ranks[ri].cur = cur + 1;
+                }
+                StepKind::WaitReq => {
+                    let handle = *self.ranks[ri]
+                        .reqs
+                        .get(&arg)
+                        .expect("wait on unknown request (trace validated?)");
+                    let at = match handle {
+                        Req::Send { done } => done,
+                        Req::Recv { pair, k } => match self.arrival(pair, k) {
+                            Some(at) => at,
+                            None => {
+                                self.park(r, pair, k);
+                                return Ok(Advance::Blocked);
+                            }
+                        },
+                    };
+                    let state = &mut self.ranks[ri];
+                    state.reqs.remove(&arg);
+                    state.t = state.t.max(at);
+                    state.cur = cur + 1;
+                }
+                StepKind::IrecvPost => unreachable!("IrecvPost is consumed at event expansion"),
+                StepKind::OpDone => self.finish_event(ri),
             }
         }
+    }
+
+    /// Walk rank `r`'s segment of the collective at step `cur` from its
+    /// sub-cursor: sends pass the same gate as point-to-point sends,
+    /// receives reserve arrivals like `Recv`. Returns `None` once the
+    /// segment is done, or how the quantum ended if the rank yields or
+    /// parks mid-collective (the sub-cursor keeps its place).
+    fn advance_coll(&mut self, r: Rank, cur: usize) -> Result<Option<Advance>, ReplayError> {
+        let ri = r as usize;
+        let sched = self.scratch.step_arg[cur] as usize;
+        let bytes = self.scratch.step_bytes[cur];
+        let (mut i, end) = (self.ranks[ri].sub, self.ranks[ri].sub_end);
+        while i < end {
+            let micro = self.scratch.scheds[sched].ops[i as usize];
+            let peer = micro & !SEND_BIT;
+            let stop = if micro & SEND_BIT != 0 {
+                match self.yield_to_earlier(r)? {
+                    Some(w) => Some(Advance::Yield(w)),
+                    None => {
+                        let t = self.ranks[ri].t;
+                        self.ranks[ri].t = self.send(r, peer, t, bytes)?;
+                        None
+                    }
+                }
+            } else {
+                (!self.recv(r, peer * self.trace.nprocs + r)).then_some(Advance::Blocked)
+            };
+            if stop.is_some() {
+                self.ranks[ri].sub = i;
+                return Ok(stop);
+            }
+            i += 1;
+        }
+        Ok(None)
     }
 
     /// Enter the next trace event of rank `r`: apply compute, overhead,
@@ -813,178 +946,106 @@ impl<'a> Replay<'a> {
         }
 
         // The event's steps were laid out by `prepare`. A non-blocking
-        // receive is pure library bookkeeping and posts here, at
-        // expansion, leaving its `OpDone` as the only scheduled step.
+        // receive is pure library bookkeeping: it reserves its arrival
+        // index and posts here, at expansion, leaving its `OpDone` as the
+        // only scheduled step. A collective starts its sub-cursor at this
+        // rank's schedule segment.
         self.ranks[ri].in_event = true;
         let cur = self.ranks[ri].cur;
-        if self.scratch.step_kind[cur] == StepKind::IrecvPost {
-            let pair = self.scratch.step_arg[cur];
-            let req = self.scratch.step_bytes[cur] as u32;
-            let k = self.scratch.step_k[cur];
-            self.ranks[ri].reqs.insert(req, Req::Recv { pair, k });
-            self.ranks[ri].t += POST_OVERHEAD;
-            self.ranks[ri].cur = cur + 1;
+        match self.scratch.step_kind[cur] {
+            StepKind::IrecvPost => {
+                let pair = self.scratch.step_arg[cur];
+                let req = self.scratch.step_bytes[cur] as u32;
+                let k = self.scratch.recv_next[pair as usize];
+                self.scratch.recv_next[pair as usize] = k + 1;
+                let state = &mut self.ranks[ri];
+                state.reqs.insert(req, Req::Recv { pair, k });
+                state.t += POST_OVERHEAD;
+                state.cur = cur + 1;
+            }
+            StepKind::Coll => {
+                let sched = &self.scratch.scheds[self.scratch.step_arg[cur] as usize];
+                let state = &mut self.ranks[ri];
+                state.sub = sched.rank_base[ri];
+                state.sub_end = sched.rank_base[ri + 1];
+            }
+            _ => {}
         }
         true
     }
 
-    /// Execute the micro step at rank `r`'s cursor (`cur` and `kind`
-    /// come from the caller, which already loaded them to decide
-    /// whether to gate on the heap).
-    fn execute_step(&mut self, r: Rank, cur: usize, kind: StepKind) -> StepOutcome {
-        let ri = r as usize;
-        match kind {
-            StepKind::Send => self.execute_send_run(r),
-            StepKind::IsendPost => {
-                let to = self.scratch.step_arg[cur];
-                let bytes = self.scratch.step_bytes[cur];
-                let req = self.scratch.step_k[cur];
-                self.ranks[ri].cur = cur + 1;
-                let t0 = self.ranks[ri].t;
-                let (t, extra) = self.draw_send_fault(ri, t0, bytes);
-                self.deliver(r, to, t, bytes, extra);
-                let done = self.fabric.inject_done(t, bytes) + extra;
-                self.ranks[ri].reqs.insert(req, Req::Send { done });
-                self.ranks[ri].t += POST_OVERHEAD;
-                StepOutcome::Ran
-            }
-            StepKind::Recv => {
-                let pair = self.scratch.step_arg[cur];
-                let k = self.scratch.step_k[cur];
-                match self.arrival(pair, k) {
-                    Some(at) => {
-                        self.ranks[ri].cur = cur + 1;
-                        self.ranks[ri].t = self.ranks[ri].t.max(at);
-                        StepOutcome::Ran
-                    }
-                    None => StepOutcome::Parked { pair, k },
-                }
-            }
-            StepKind::WaitReq => {
-                let req = self.scratch.step_arg[cur];
-                let handle = *self.ranks[ri]
-                    .reqs
-                    .get(&req)
-                    .expect("wait on unknown request (trace validated?)");
-                match handle {
-                    Req::Send { done } => {
-                        self.ranks[ri].cur = cur + 1;
-                        self.ranks[ri].reqs.remove(&req);
-                        self.ranks[ri].t = self.ranks[ri].t.max(done);
-                        StepOutcome::Ran
-                    }
-                    Req::Recv { pair, k } => match self.arrival(pair, k) {
-                        Some(at) => {
-                            self.ranks[ri].cur = cur + 1;
-                            self.ranks[ri].reqs.remove(&req);
-                            self.ranks[ri].t = self.ranks[ri].t.max(at);
-                            StepOutcome::Ran
-                        }
-                        None => StepOutcome::Parked { pair, k },
-                    },
-                }
-            }
-            StepKind::IrecvPost => unreachable!("IrecvPost is consumed at event expansion"),
-            StepKind::OpDone => {
-                self.ranks[ri].cur = cur + 1;
-                self.ranks[ri].in_event = false;
-                let ev = self.ranks[ri].ev;
-                self.ranks[ri].ev += 1;
-                if let Some(a) = self.ann {
-                    let ra = &a.ranks[ri];
-                    let di = self.ranks[ri].next_directive;
-                    if di < ra.directives.len() && ra.directives[di].after_event == ev {
-                        let state = &mut self.ranks[ri];
-                        state.next_directive += 1;
-                        // The lanes shut down when the call completes
-                        // (plus any reactive-policy delay); a window still
-                        // in its wake transition pushes the start forward
-                        // (the tracker clamps to its floor).
-                        state.pending_sleep = Some((
-                            state.t + ra.directives[di].delay,
-                            ra.directives[di].timer,
-                            ra.directives[di].kind,
-                        ));
-                    }
-                }
-                StepOutcome::EventDone
+    /// The `OpDone` step: close the event and pick up the directive (if
+    /// any) the runtime attached after it.
+    fn finish_event(&mut self, ri: usize) {
+        let state = &mut self.ranks[ri];
+        state.cur += 1;
+        state.in_event = false;
+        let ev = state.ev;
+        state.ev += 1;
+        if let Some(a) = self.ann {
+            let ra = &a.ranks[ri];
+            let di = state.next_directive;
+            if di < ra.directives.len() && ra.directives[di].after_event == ev {
+                state.next_directive += 1;
+                // The lanes shut down when the call completes (plus any
+                // reactive-policy delay); a window still in its wake
+                // transition pushes the start forward (the tracker clamps
+                // to its floor).
+                state.pending_sleep = Some((
+                    state.t + ra.directives[di].delay,
+                    ra.directives[di].timer,
+                    ra.directives[di].kind,
+                ));
             }
         }
     }
 
-    /// Execute the send at the cursor plus any directly following sends
-    /// of the same event, for as long as this rank stays the
-    /// minimum-clock runnable rank — the batched link-advancement fast
-    /// path. All fault draws go through one borrowed
-    /// [`crate::faults::LinkRun`], in exactly the order the single-step
-    /// path would draw them.
-    fn execute_send_run(&mut self, r: Rank) -> StepOutcome {
-        let ri = r as usize;
-        let nprocs = self.trace.nprocs;
-        let mut t = self.ranks[ri].t;
-        let mut cur = self.ranks[ri].cur;
-        let mut fault_run = self.faults.as_mut().map(|plan| plan.link_run(ri));
-        loop {
-            let to = self.scratch.step_arg[cur];
-            let bytes = self.scratch.step_bytes[cur];
-            let (t_inj, extra) = match &mut fault_run {
-                Some(run) => {
-                    let fault = run.send_fault(t);
-                    let mut t_inj = t;
-                    if fault.flapped {
-                        self.fault_stats.link_flaps += 1;
-                        self.fault_stats.flap_delay += fault.flap_delay;
-                        t_inj += fault.flap_delay;
-                    }
-                    let extra = if fault.degraded {
-                        let extra = FaultPlan::degraded_extra(&self.params, bytes);
-                        self.fault_stats.degraded_sends += 1;
-                        self.fault_stats.degraded_extra += extra;
-                        extra
-                    } else {
-                        SimDuration::ZERO
-                    };
-                    (t_inj, extra)
-                }
-                None => (t, SimDuration::ZERO),
-            };
-            // Inject and wake any parked waiter (`deliver`, inlined: the
-            // borrowed fault run pins `self.faults`, but every field it
-            // touches is disjoint).
-            let arrival = self.fabric.transfer(t_inj, r, to, bytes) + extra;
-            let p = (r * nprocs + to) as usize;
-            let k = self.scratch.len[p];
-            self.scratch.times[self.scratch.base[p] + k as usize] = arrival;
-            self.scratch.len[p] = k + 1;
-            if self.scratch.parked_rank[p] != NO_WAITER && self.scratch.parked_k[p] == k {
-                let w = self.scratch.parked_rank[p];
-                self.scratch.parked_rank[p] = NO_WAITER;
-                self.parked -= 1;
-                let tw = self.ranks[w as usize].t;
-                self.scratch.heap.push(Reverse((tw, w)));
-            }
-            t = self.fabric.inject_done(t_inj, bytes) + extra;
-            cur += 1;
-            // Keep going only into another send (`OpDone` terminates every
-            // event, so `cur` is in bounds), and only while the scheduler
-            // would hand the quantum straight back to this rank anyway.
-            if self.scratch.step_kind[cur] != StepKind::Send {
-                break;
-            }
-            if let Some(&Reverse(top)) = self.scratch.heap.peek() {
-                if top < (t, r) {
-                    break;
-                }
-            }
+    /// Request id of rank `ri`'s current event, an `Isend` (its step
+    /// carries only the peer and payload).
+    fn isend_req(&self, ri: usize) -> u32 {
+        match self.trace.ranks[ri].events[self.ranks[ri].ev].op {
+            MpiOp::Isend { req, .. } => req,
+            _ => unreachable!("an IsendPost step lowers an Isend event"),
         }
-        self.ranks[ri].t = t;
-        self.ranks[ri].cur = cur;
-        StepOutcome::Ran
     }
 
     fn arrival(&self, pair: u32, k: u32) -> Option<SimTime> {
         let p = pair as usize;
         (k < self.scratch.len[p]).then(|| self.scratch.times[self.scratch.base[p] + k as usize])
+    }
+
+    /// Complete a receive of rank `r` on `pair`: take the pair's next
+    /// arrival index and wait for that message. Returns `false` after
+    /// parking `r` if the message has not been sent yet; the index stays
+    /// unreserved, so the retry after the wake-up takes the same one.
+    /// Only a pair's destination rank receives on it, in program order,
+    /// so the indices follow the senders' FIFO order.
+    #[inline]
+    fn recv(&mut self, r: Rank, pair: u32) -> bool {
+        let k = self.scratch.recv_next[pair as usize];
+        match self.arrival(pair, k) {
+            Some(at) => {
+                self.scratch.recv_next[pair as usize] = k + 1;
+                let state = &mut self.ranks[r as usize];
+                state.t = state.t.max(at);
+                true
+            }
+            None => {
+                self.park(r, pair, k);
+                false
+            }
+        }
+    }
+
+    /// Park rank `r` until arrival `k` of `pair` is delivered. Only the
+    /// pair's destination rank ever receives on it, so the slot is
+    /// necessarily free.
+    fn park(&mut self, r: Rank, pair: u32, k: u32) {
+        let p = pair as usize;
+        debug_assert_eq!(self.scratch.parked_rank[p], NO_WAITER);
+        self.scratch.parked_rank[p] = r;
+        self.scratch.parked_k[p] = k;
+        self.parked += 1;
     }
 
     /// Draw fault effects for a send leaving rank `link` at `t`: returns
@@ -1012,11 +1073,21 @@ impl<'a> Replay<'a> {
         (t, extra)
     }
 
-    /// Inject a message and wake any rank parked on it. `extra` is fault
-    /// surcharge added to the arrival (degraded-link serialization).
-    fn deliver(&mut self, src: Rank, dst: Rank, t: SimTime, bytes: u64, extra: SimDuration) {
+    /// Send one message from rank `src` whose clock is `t`: draw the
+    /// link's faults, inject, record the arrival, and wake the
+    /// destination if it is parked on exactly this message. Returns the
+    /// sender-side completion (eager protocol), including any fault
+    /// surcharge.
+    fn send(
+        &mut self,
+        src: Rank,
+        dst: Rank,
+        t: SimTime,
+        bytes: u64,
+    ) -> Result<SimTime, ReplayError> {
+        let (t, extra) = self.draw_send_fault(src as usize, t, bytes);
         let arrival = self.fabric.transfer(t, src, dst, bytes) + extra;
-        let p = self.pair(src, dst) as usize;
+        let p = (src * self.trace.nprocs + dst) as usize;
         let k = self.scratch.len[p];
         self.scratch.times[self.scratch.base[p] + k as usize] = arrival;
         self.scratch.len[p] = k + 1;
@@ -1024,9 +1095,10 @@ impl<'a> Replay<'a> {
             let w = self.scratch.parked_rank[p];
             self.scratch.parked_rank[p] = NO_WAITER;
             self.parked -= 1;
-            let t = self.ranks[w as usize].t;
-            self.scratch.heap.push(Reverse((t, w)));
+            let key = self.key(self.ranks[w as usize].t, w)?;
+            self.scratch.heap.push(Reverse(key));
         }
+        Ok(self.fabric.inject_done(t, bytes) + extra)
     }
 }
 
@@ -1228,6 +1300,72 @@ mod tests {
             assert_eq!(scratch.recv_next[p] as usize, cap, "pair {p} recvs");
             assert_eq!(scratch.parked_rank[p], NO_WAITER, "pair {p} waiter left");
         }
+    }
+
+    #[test]
+    fn collective_schedules_are_keyed_without_payload() {
+        // 500 distinct sizes of each collective: the schedule structure
+        // does not depend on bytes, so one prepare builds one allgather
+        // schedule and one allreduce schedule (shared with the barrier).
+        let n = 8;
+        let mut b = TraceBuilder::new("sizes", n);
+        for r in 0..n {
+            for bytes in 1..=500 {
+                b.op(r, MpiOp::Allgather { bytes });
+                b.op(r, MpiOp::Allreduce { bytes });
+                b.op(r, MpiOp::Barrier);
+            }
+        }
+        let t = b.build();
+        let mut scratch = ReplayScratch::new();
+        scratch.prepare(&t);
+        assert_eq!(scratch.scheds.len(), 2);
+        assert_eq!(scratch.sched_index.len(), 2);
+        // One step per collective event plus its boundary.
+        assert_eq!(scratch.step_kind.len(), 2 * 3 * 500 * n as usize);
+        let r = replay_with_scratch(
+            &t,
+            None,
+            &SimParams::paper(),
+            &ReplayOptions::default(),
+            &mut scratch,
+        )
+        .expect("replay");
+        // Ring allgather: n(n-1) messages; allreduce and barrier: a
+        // reduce tree and a broadcast tree of n-1 messages each.
+        let per_round = u64::from(n * (n - 1) + 2 * 2 * (n - 1));
+        assert_eq!(r.fabric.messages, 500 * per_round);
+    }
+
+    #[test]
+    fn clock_past_the_key_limit_is_a_typed_error() {
+        // Two ranks leave one bit for the rank id in the scheduler key,
+        // so clocks up to 2^63 - 1 ns fit and 2^63 ns does not.
+        let run = |compute_ns: u64| {
+            let mut b = TraceBuilder::new("far", 2);
+            b.compute(0, SimDuration::from_ns(compute_ns));
+            b.op(0, MpiOp::Send { to: 1, bytes: 64 });
+            b.op(1, MpiOp::Recv { from: 0, bytes: 64 });
+            replay(
+                &b.build(),
+                None,
+                &SimParams::paper(),
+                &ReplayOptions::default(),
+            )
+        };
+        let limit = 1u64 << 63;
+        let ok = run(limit - 1_000_000).expect("clock below the limit");
+        assert!(ok.exec_time.as_ns() > limit - 1_000_000);
+        let err = run(limit).expect_err("clock at the limit");
+        assert_eq!(
+            err,
+            ReplayError::ClockOverflow {
+                rank: 0,
+                clock_ns: limit,
+                max_ns: limit - 1,
+            }
+        );
+        assert!(err.to_string().contains("clock"), "{err}");
     }
 
     #[test]

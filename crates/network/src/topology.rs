@@ -142,6 +142,22 @@ impl FatTree {
     /// # Panics
     /// Panics if `src == dst` (loopback traffic never enters the fabric).
     pub fn route_inline(&self, src: Rank, dst: Rank, rng: &mut DetRng) -> InlineRoute {
+        self.route_with(src, dst, |tops| rng.index(tops as usize) as u32)
+    }
+
+    /// [`FatTree::route_inline`] with the top-switch draw deferred:
+    /// `draw_top(top_count)` runs only for a cross-leaf route, so a
+    /// caller can skip building a random stream for same-leaf traffic.
+    ///
+    /// # Panics
+    /// Panics if `src == dst` (loopback traffic never enters the fabric).
+    #[inline]
+    pub(crate) fn route_with(
+        &self,
+        src: Rank,
+        dst: Rank,
+        draw_top: impl FnOnce(u32) -> u32,
+    ) -> InlineRoute {
         assert_ne!(src, dst, "loopback route requested");
         let (sn, dn) = (self.node_of(src), self.node_of(dst));
         let (sl, dl) = (self.leaf_of(sn), self.leaf_of(dn));
@@ -152,7 +168,7 @@ impl FatTree {
                 hops: 1,
             }
         } else {
-            let top = rng.index(self.top_count as usize) as u32;
+            let top = draw_top(self.top_count);
             InlineRoute {
                 channels: [
                     self.host_up(sn),

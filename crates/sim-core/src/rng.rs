@@ -31,13 +31,17 @@ impl DetRng {
     /// that are uncorrelated in practice and — crucially — *stable*: adding
     /// a new consumer of randomness does not perturb existing streams.
     pub fn split(&self, label: u64) -> DetRng {
+        DetRng::split_from(self.clone().next_u64(), label)
+    }
+
+    /// [`DetRng::split`] with the parent's draw precomputed: `base` is
+    /// `parent.clone().next_u64()`, so `split_from(base, label)` equals
+    /// `parent.split(label)`. A consumer that splits one parent many
+    /// times (one stream per message) draws `base` once.
+    pub fn split_from(base: u64, label: u64) -> DetRng {
         // SplitMix64 finalizer over (fresh draw ^ label).
-        let mut z = self
-            .inner
-            .clone()
-            .gen::<u64>()
-            .wrapping_add(0x9E37_79B9_7F4A_7C15)
-            ^ label.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let mut z =
+            base.wrapping_add(0x9E37_79B9_7F4A_7C15) ^ label.wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
@@ -140,6 +144,19 @@ mod tests {
         let x = s1a.next_u64();
         assert_eq!(x, s1b.next_u64(), "same label must give same stream");
         assert_ne!(x, s2.next_u64(), "different labels must differ");
+    }
+
+    #[test]
+    fn split_from_a_precomputed_base_matches_split() {
+        let root = DetRng::seed_from_u64(0xFAB);
+        let base = root.clone().next_u64();
+        for label in [0, 1, 0xFAB, u64::MAX] {
+            let mut a = root.split(label);
+            let mut b = DetRng::split_from(base, label);
+            for _ in 0..8 {
+                assert_eq!(a.next_u64(), b.next_u64());
+            }
+        }
     }
 
     #[test]

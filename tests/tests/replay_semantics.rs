@@ -103,7 +103,8 @@ proptest! {
 
 /// Like [`random_spmd_trace`] but with a per-step payload size:
 /// exercises the replay scratch's collective-schedule cache across its
-/// full key space (collective kind × root × payload bytes × nprocs).
+/// full key space (collective kind × root × nprocs) with many payloads
+/// sharing each schedule.
 fn random_sized_trace(nprocs: u32, schedule: &[(u8, u32)], seed: u64) -> Trace {
     let mut b = TraceBuilder::new("random-sized", nprocs);
     for r in 0..nprocs {
@@ -139,9 +140,10 @@ proptest! {
     /// The collective-schedule cache is semantically invisible: pushing a
     /// stream of differently-shaped traces through ONE warm scratch —
     /// annotated, with fault injection live — produces results identical
-    /// in every field to a fresh scratch per trace. A memoized expansion
-    /// leaking across (collective, root, bytes, nprocs) keys, or any
-    /// stale arena state surviving `prepare`, breaks this immediately.
+    /// in every field to a fresh scratch per trace. A memoized schedule
+    /// leaking across (collective, root, nprocs) keys, a payload leaking
+    /// between events that share a schedule, or any stale arena state
+    /// surviving `prepare`, breaks this immediately.
     #[test]
     fn warm_schedule_cache_is_byte_identical(
         nprocs in 2u32..13,
@@ -343,8 +345,20 @@ fn corpus_trace(nprocs: u32, rounds: usize, seed: u64) -> Trace {
             match round.kind {
                 0 => b.op(r, MpiOp::Alltoall { bytes }),
                 1 => b.op(r, MpiOp::Allgather { bytes }),
-                2 => b.op(r, MpiOp::Bcast { root: round.sel, bytes }),
-                3 => b.op(r, MpiOp::Reduce { root: round.sel, bytes }),
+                2 => b.op(
+                    r,
+                    MpiOp::Bcast {
+                        root: round.sel,
+                        bytes,
+                    },
+                ),
+                3 => b.op(
+                    r,
+                    MpiOp::Reduce {
+                        root: round.sel,
+                        bytes,
+                    },
+                ),
                 4 => b.op(r, MpiOp::Barrier),
                 5 => b.op(r, MpiOp::Allreduce { bytes }),
                 6 => {
@@ -364,8 +378,18 @@ fn corpus_trace(nprocs: u32, rounds: usize, seed: u64) -> Trace {
                     let c = b.irecv(r, right, bytes);
                     let d = b.isend(r, right, bytes);
                     let e = b.isend(r, left, bytes);
-                    b.op(r, MpiOp::Allgather { bytes: bytes / 8 + 1 });
-                    b.op(r, MpiOp::Waitall { reqs: vec![a, c, d, e] });
+                    b.op(
+                        r,
+                        MpiOp::Allgather {
+                            bytes: bytes / 8 + 1,
+                        },
+                    );
+                    b.op(
+                        r,
+                        MpiOp::Waitall {
+                            reqs: vec![a, c, d, e],
+                        },
+                    );
                 }
                 8 => {
                     b.op(r, MpiOp::Send { to: right, bytes });
@@ -412,7 +436,9 @@ fn digest_result(r: &ibp_network::SimResult) -> String {
         Some(tls) => {
             eat(1);
             for tl in tls {
-                let end = tl.last_transition().max(ibp_simcore::SimTime::ZERO + r.exec_time);
+                let end = tl
+                    .last_transition()
+                    .max(ibp_simcore::SimTime::ZERO + r.exec_time);
                 for iv in tl.intervals(end) {
                     eat(iv.start.as_ns());
                     eat(iv.end.as_ns());
@@ -476,7 +502,12 @@ fn replay_digest_matches_golden() {
         trace.validate().unwrap();
         for ev in &trace.ranks[0].events {
             let name = format!("{:?}", ev.op);
-            seen.insert(name.split([' ', '{']).next().unwrap_or_default().to_string());
+            seen.insert(
+                name.split([' ', '{'])
+                    .next()
+                    .unwrap_or_default()
+                    .to_string(),
+            );
         }
         let faulty = ReplayOptions {
             faults: Some(FaultConfig::with_rate(seed, 20.0)),
@@ -511,8 +542,19 @@ fn replay_digest_matches_golden() {
         }
     }
     let every_op = [
-        "Alltoall", "Allgather", "Bcast", "Reduce", "Barrier", "Allreduce", "Sendrecv", "Send",
-        "Recv", "Isend", "Irecv", "Wait", "Waitall",
+        "Alltoall",
+        "Allgather",
+        "Bcast",
+        "Reduce",
+        "Barrier",
+        "Allreduce",
+        "Sendrecv",
+        "Send",
+        "Recv",
+        "Isend",
+        "Irecv",
+        "Wait",
+        "Waitall",
     ];
     for op in every_op {
         assert!(seen.contains(op), "corpus never issues {op}: {seen:?}");
