@@ -436,7 +436,7 @@ pub fn fig10(engine: &SweepEngine, seed: u64) -> Fig10Data {
         |ctx, key, _| {
             (
                 key.nprocs,
-                sweep(&ctx.trace, AppKind::Gromacs, SELECT_DISPLACEMENT),
+                sweep(&ctx.trace, SELECT_DISPLACEMENT),
             )
         },
     );

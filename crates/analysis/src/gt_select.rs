@@ -4,14 +4,14 @@
 //! (Fig. 10 shows the GROMACS curves) and picks, per application and
 //! scale, the GT that maximises correct prediction while not grouping
 //! away the exploitable idle intervals (Table III). We sweep the same
-//! range with the runtime-only pass (no network replay needed) and select
-//! by the quick power-saving estimate, which penalises both failure
+//! range with the annotation pass alone (no network replay needed) and
+//! select by the quick power-saving estimate, which penalises both failure
 //! modes: mispredictions (low coverage) and over-grouping (idle windows
 //! swallowed into grams). Hit rate breaks ties.
 
-use crate::experiment::{run_runtime_only, RunConfig, RunResult};
+use crate::experiment::RunConfig;
+use ibp_core::annotate_trace_jobs;
 use ibp_trace::Trace;
-use ibp_workloads::AppKind;
 use serde::{Deserialize, Serialize};
 
 /// The GT grid swept, in µs. Starts at the legal minimum `2·T_react`
@@ -33,17 +33,18 @@ pub struct GtPoint {
     pub est_saving_pct: f64,
 }
 
-/// Sweep the GT grid over one trace (runtime pass only).
-pub fn sweep(trace: &Trace, app: AppKind, displacement: f64) -> Vec<GtPoint> {
+/// Sweep the GT grid over one trace: annotate at each point and read
+/// the hit rate and saving estimate straight off the annotation.
+pub fn sweep(trace: &Trace, displacement: f64) -> Vec<GtPoint> {
     GT_GRID_US
         .iter()
         .map(|&gt| {
-            let cfg = RunConfig::new(gt, displacement);
-            let r: RunResult = run_runtime_only(trace, app, &cfg);
+            let pc = RunConfig::new(gt, displacement).power_config();
+            let ann = annotate_trace_jobs(trace, &pc, 1);
             GtPoint {
                 gt_us: gt,
-                hit_rate_pct: r.hit_rate_pct,
-                est_saving_pct: r.est_saving_pct,
+                hit_rate_pct: ann.mean_hit_rate_pct(),
+                est_saving_pct: ann.mean_est_power_saving_pct(pc.low_power_fraction),
             }
         })
         .collect()
@@ -64,9 +65,9 @@ pub fn select(points: &[GtPoint]) -> &GtPoint {
         .expect("non-empty sweep")
 }
 
-/// Sweep + select in one step for an application at one scale.
-pub fn choose_gt(trace: &Trace, app: AppKind, displacement: f64) -> GtPoint {
-    let points = sweep(trace, app, displacement);
+/// Sweep + select in one step for one trace.
+pub fn choose_gt(trace: &Trace, displacement: f64) -> GtPoint {
+    let points = sweep(trace, displacement);
     select(&points).clone()
 }
 
@@ -86,7 +87,7 @@ mod tests {
     #[test]
     fn sweep_covers_grid() {
         let t = small_alya(8);
-        let pts = sweep(&t, AppKind::Alya, 0.01);
+        let pts = sweep(&t, 0.01);
         assert_eq!(pts.len(), GT_GRID_US.len());
         assert!(pts.iter().all(|p| p.hit_rate_pct >= 0.0));
     }
@@ -100,7 +101,7 @@ mod tests {
     #[test]
     fn selection_maximises_estimate() {
         let t = small_alya(8);
-        let pts = sweep(&t, AppKind::Alya, 0.01);
+        let pts = sweep(&t, 0.01);
         let best = select(&pts);
         assert!(pts.iter().all(|p| p.est_saving_pct <= best.est_saving_pct));
         // ALYA at 8 ranks saves meaningfully at its best GT.
@@ -113,7 +114,7 @@ mod tests {
         // survives, but the structure coarsens): the estimate at GT=400
         // must not beat the selected one.
         let t = small_alya(8);
-        let pts = sweep(&t, AppKind::Alya, 0.01);
+        let pts = sweep(&t, 0.01);
         let best = select(&pts);
         let last = pts.last().unwrap();
         assert!(last.est_saving_pct <= best.est_saving_pct);

@@ -361,7 +361,7 @@ impl SweepEngine {
         let trace = self.trace(key);
         self.gt_choices
             .get_or_compute(&(*key, displacement.to_bits()), || {
-                choose_gt(&trace, key.app, displacement)
+                choose_gt(&trace, displacement)
             })
     }
 
