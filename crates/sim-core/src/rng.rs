@@ -147,14 +147,24 @@ mod tests {
     }
 
     #[test]
-    fn split_from_a_precomputed_base_matches_split() {
+    fn split_streams_are_pinned() {
+        // First two draws of `root.split(label)`. Every routed or
+        // fault-injected replay derives its streams this way, so moving
+        // them would move every committed result.
+        let pins: [(u64, [u64; 2]); 4] = [
+            (0, [0x1a0f_e7b9_757a_984a, 0x1421_63d1_ecc0_4c6b]),
+            (1, [0x0bef_df68_7c3c_c1c6, 0x2207_aa19_6907_0712]),
+            (0xFAB, [0x9967_9ef7_fbc1_31c7, 0x0692_888b_4f46_451a]),
+            (u64::MAX, [0xb118_c56f_0624_9d30, 0x6db6_300e_d9b8_b747]),
+        ];
         let root = DetRng::seed_from_u64(0xFAB);
         let base = root.clone().next_u64();
-        for label in [0, 1, 0xFAB, u64::MAX] {
+        for (label, want) in pins {
             let mut a = root.split(label);
             let mut b = DetRng::split_from(base, label);
-            for _ in 0..8 {
-                assert_eq!(a.next_u64(), b.next_u64());
+            for w in want {
+                assert_eq!(a.next_u64(), w, "split({label:#x})");
+                assert_eq!(b.next_u64(), w, "split_from(base, {label:#x})");
             }
         }
     }
