@@ -128,6 +128,11 @@ pub const REPLAY_WIDE_PROBE: &str = "replay_wide_ns_per_event";
 /// it (older entries predate the ladder).
 pub const LADDER_PROBE: &str = "ladder_apply_windows_ns_per_event";
 
+/// Name of the GT-sweep probe: [`ibp_analysis::sweep`] over NAS-MG at
+/// 16 ranks, ns per (event × grid point). Gated only when the baseline
+/// entry records it (older entries predate the probe).
+pub const GT_SWEEP_PROBE: &str = "gt_sweep_ns_per_event";
+
 fn min_ns_per_elem<F: FnMut() -> u64>(reps: u32, mut run: F) -> (f64, u64) {
     let mut best = f64::INFINITY;
     let mut elems = 0;
@@ -277,6 +282,29 @@ pub fn probe_ladder_apply_windows(nprocs: u32, iters: usize, reps: u32) -> Probe
     });
     Probe {
         name: LADDER_PROBE.into(),
+        ns_per_elem: ns,
+        elems,
+        reps,
+    }
+}
+
+/// The Table III / Fig. 10 GT sweep at 1% displacement on NAS-MG at 16
+/// ranks (the paper seed), reported as [`GT_SWEEP_PROBE`]. The element
+/// is one event at one grid point, the work a sweep that annotated
+/// every point would do, so the probe falls when the sweep skips
+/// annotations. The trace is a fixed paper cell: `--iters` does not
+/// scale it.
+pub fn probe_gt_sweep(reps: u32) -> Probe {
+    use ibp_analysis::{exhibits::SEED, make_trace, sweep, GT_GRID_US};
+    let trace = make_trace(ibp_workloads::AppKind::NasMg, 16, SEED);
+    let events: u64 = trace.ranks.iter().map(|r| r.events.len() as u64).sum();
+    let (ns, elems) = min_ns_per_elem(reps, || {
+        let points = sweep(&trace, 0.01);
+        assert_eq!(points.len(), GT_GRID_US.len());
+        events * GT_GRID_US.len() as u64
+    });
+    Probe {
+        name: GT_SWEEP_PROBE.into(),
         ns_per_elem: ns,
         elems,
         reps,
@@ -483,6 +511,7 @@ pub fn run_all(iters: usize, reps: u32) -> Vec<Probe> {
         probe_annotate(8, replay_iters, 4, reps),
         probe_annotate_big(8, big_iters, 1, reps),
         probe_annotate_big(8, big_iters, 4, reps),
+        probe_gt_sweep(reps),
         probe_serve_roundtrip((iters / 4).max(2), 4, reps),
         probe_serve_scale((iters / 8).max(2), 48, reps),
     ]

@@ -794,12 +794,12 @@ OBSERVABILITY: `serve --metrics-addr ADDR` exposes every server counter
   a busy server never perturbs its streams.
 
 BENCH-REPORT: time the hot paths (PMPI interception, PPA scan, replay at
-  8/16/128 ranks, rank-parallel annotation, serve round trip) and append
-  an entry to the trajectory JSON (default BENCH_hotpath.json). --check
-  exits non-zero if intercept-path ns/call regressed more than 25% against
-  the file's last entry, or a serve or replay probe more than 50% when
-  the baseline entry records it (the CI smoke gate); --label names the
-  entry; --iters/--reps set probe scale.
+  8/16/128 ranks, rank-parallel annotation, GT sweep, serve round trip)
+  and append an entry to the trajectory JSON (default BENCH_hotpath.json).
+  --check exits non-zero if intercept-path ns/call regressed more than 25%
+  against the file's last entry, or a serve, replay or sweep probe more
+  than 50% when the baseline entry records it (the CI smoke gate); --label
+  names the entry; --iters/--reps set probe scale.
 
 DEFAULTS: --seed 0xD1C0, --gt 20 (µs), --disp 0.01
 ";

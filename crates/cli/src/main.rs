@@ -477,8 +477,8 @@ fn run(cmd: Command) -> Result<(), String> {
             label,
         } => {
             use ibp_bench::hotpath::{
-                ReportEntry, Trajectory, INTERCEPT_PROBE, LADDER_PROBE, REPLAY_BIG_PROBE,
-                REPLAY_PROBE, REPLAY_WIDE_PROBE, SCALE_PROBE, SERVE_PROBE,
+                ReportEntry, Trajectory, GT_SWEEP_PROBE, INTERCEPT_PROBE, LADDER_PROBE,
+                REPLAY_BIG_PROBE, REPLAY_PROBE, REPLAY_WIDE_PROBE, SCALE_PROBE, SERVE_PROBE,
             };
             let mut traj: Trajectory = match std::fs::read_to_string(&output) {
                 Ok(json) => serde_json::from_str(&json).map_err(|e| format!("{output}: {e}"))?,
@@ -555,6 +555,7 @@ fn run(cmd: Command) -> Result<(), String> {
                 gate_50(REPLAY_BIG_PROBE)?;
                 gate_50(REPLAY_WIDE_PROBE)?;
                 gate_50(LADDER_PROBE)?;
+                gate_50(GT_SWEEP_PROBE)?;
             }
             traj.entries.push(entry);
             let json = serde_json::to_string_pretty(&traj).map_err(|e| e.to_string())?;
