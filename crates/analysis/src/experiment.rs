@@ -65,7 +65,7 @@ pub struct RunResult {
     /// Figs. 7b/8b/9b metric: execution-time increase (%).
     pub slowdown_pct: f64,
     /// Quick estimate of the saving from the runtime alone (no replay
-    /// denominator; used by GT sweeps).
+    /// denominator; the number GT selection maximises).
     pub est_saving_pct: f64,
     /// Baseline execution time.
     pub baseline_exec: SimDuration,
@@ -159,7 +159,8 @@ pub fn run(app: AppKind, nprocs: u32, cfg: &RunConfig) -> RunResult {
     run_on_trace(&trace, app, cfg)
 }
 
-/// Runtime-only pass (annotation, no replay): cheap, used by GT sweeps.
+/// Runtime-only pass (annotation, no replay): the runtime's own
+/// counters at one configuration, as Table IV reads them.
 /// `est_saving_pct` and `hit_rate_pct` are filled; replay metrics are 0.
 pub fn run_runtime_only(trace: &Trace, app: AppKind, cfg: &RunConfig) -> RunResult {
     run_runtime_only_jobs(trace, app, cfg, 1)

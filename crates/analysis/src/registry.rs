@@ -1,6 +1,6 @@
 //! The exhibit registry: every table and figure this repository
-//! regenerates, as the one list that `ibpower exhibits`, the golden
-//! suite and the criterion bench all read.
+//! regenerates, as the one list that `ibpower exhibits` and the golden
+//! suite read.
 //!
 //! An entry's `run` computes its exhibit on a shared [`SweepEngine`],
 //! writes `<name>.json` (plus any SVGs) through the [`OutputDir`], and
@@ -167,10 +167,12 @@ pub const EXHIBITS: &[Exhibit] = &[
     Exhibit {
         name: "robustness",
         run: |engine, _, seed, out| {
-            // The jitter workloads get a private trace cache, so this
-            // study's cache counters are not in the shared engine's.
-            let (rows, _) =
+            // The jitter workloads get a private trace cache; fold its
+            // counters into the shared engine's so the sidecar reports
+            // this study's cells.
+            let (rows, stats) =
                 extensions::robustness_study(engine.options().clone(), EXTENSION_PROCS, seed);
+            engine.absorb(&stats);
             study(
                 out,
                 "robustness",
@@ -254,6 +256,21 @@ mod tests {
         assert!(text.starts_with("== Table II ==\nSimulator"), "{text}");
         assert!(text.ends_with('\n'));
         assert!(dir.join("params.json").exists());
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn robustness_delta_counts_its_private_cells() {
+        let dir = std::env::temp_dir().join(format!("ibp-registry-rob-{}", std::process::id()));
+        let out = OutputDir::new(&dir).unwrap();
+        let engine = SweepEngine::new(crate::SweepOptions::serial());
+        let mark = engine.stats();
+        let run = Exhibit::find("robustness").unwrap().run;
+        run(&engine, &ExhibitGrid::paper(), exhibits::SEED, &out).unwrap();
+        let delta = engine.stats().since(&mark);
+        assert_eq!(delta.cells, 7);
+        assert_eq!(delta.traces_generated, 7);
+        assert_eq!(delta.baselines_computed, 7);
         std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -423,6 +423,22 @@ impl SweepEngine {
         }
     }
 
+    /// Add another engine's counters to this one's, so that a study
+    /// run on a private engine (see [`SweepEngine::with_trace_fn`])
+    /// reports its work through the shared one. `jobs`, `parallel` and
+    /// `wall_ms` stay this engine's own: the private run's wall time
+    /// already elapsed inside this engine's.
+    pub fn absorb(&self, other: &SweepStats) {
+        self.cells.fetch_add(other.cells, Ordering::Relaxed);
+        let add = |counter: &AtomicU64, n: u64| counter.fetch_add(n, Ordering::Relaxed);
+        add(&self.traces.computed, other.traces_generated);
+        add(&self.traces.hits, other.trace_hits);
+        add(&self.baselines.computed, other.baselines_computed);
+        add(&self.baselines.hits, other.baseline_hits);
+        add(&self.gt_choices.computed, other.gt_selections);
+        add(&self.gt_choices.hits, other.gt_hits);
+    }
+
     /// Cumulative counters since engine construction. Use
     /// [`SweepStats::since`] to attribute a slice of a shared engine.
     pub fn stats(&self) -> SweepStats {

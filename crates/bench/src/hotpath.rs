@@ -3,10 +3,8 @@
 //! Each probe repeats its workload a caller-chosen number of times and
 //! reports the **minimum** per-element time across repetitions — the
 //! standard trick for wall-clock microbenchmarks, since scheduling noise
-//! only ever adds time. The probes are deliberately the same shapes the
-//! criterion benches run (`benches/hotpath.rs` wraps them), so the
-//! committed `BENCH_hotpath.json` trajectory and local criterion runs
-//! describe the same code paths.
+//! only ever adds time. `ibpower bench-report` runs them and appends
+//! the results to the committed `BENCH_hotpath.json` trajectory.
 
 use ibp_core::{annotate_trace_jobs, Ppa, PowerConfig, RankRuntime, SleepKind};
 use ibp_network::{replay_with_scratch, ReplayOptions, ReplayScratch, SimParams};
@@ -18,7 +16,7 @@ use std::time::Instant;
 
 /// The synthetic ALYA-like call stream every probe trains on (Fig. 2
 /// shape: three tight Sendrecvs, two Allreduces after long compute).
-pub fn alya_stream(iters: usize) -> Vec<(ibp_trace::MpiCall, SimDuration)> {
+fn alya_stream(iters: usize) -> Vec<(ibp_trace::MpiCall, SimDuration)> {
     let mut v = Vec::with_capacity(iters * 5);
     for i in 0..iters {
         let lead = if i == 0 { 0 } else { 300 };
@@ -32,7 +30,7 @@ pub fn alya_stream(iters: usize) -> Vec<(ibp_trace::MpiCall, SimDuration)> {
 }
 
 /// A small multi-rank trace for the replay and annotation probes.
-pub fn replay_trace(nprocs: u32, iters: usize) -> Trace {
+fn replay_trace(nprocs: u32, iters: usize) -> Trace {
     let mut b = ibp_trace::TraceBuilder::new("bench", nprocs);
     for it in 0..iters {
         for r in 0..nprocs {
@@ -485,7 +483,7 @@ pub fn probe_serve_scale(iters: usize, sessions: usize, reps: u32) -> Probe {
 }
 
 /// Run every probe at a size scaled by `iters` (the `--iters` flag;
-/// the default 2000 matches the criterion benches' 10k-call stream).
+/// the default 2000 is a 10k-call intercept stream).
 pub fn run_all(iters: usize, reps: u32) -> Vec<Probe> {
     // Clamp the derived sizes so even the smallest accepted --iters
     // still produces non-empty workloads for every probe.

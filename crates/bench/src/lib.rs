@@ -1,10 +1,8 @@
-//! Benchmark support crate; criterion benches live in `benches/`.
+//! Hot-path measurement for `ibpower bench-report`.
 //!
-//! [`hotpath`] is the dependency-light measurement core shared by the
-//! criterion wrappers and the `ibpower bench-report` subcommand: it
-//! times the paper-critical paths (PMPI interception, PPA scan, trace
-//! replay, rank-parallel annotation) with plain [`std::time::Instant`]
-//! so the CLI can emit regression-trackable numbers without pulling a
-//! benchmark harness into the binary.
+//! [`hotpath`] times the paper-critical paths (PMPI interception, PPA
+//! scan, trace replay, rank-parallel annotation, the GT sweep, the serve
+//! round trip) with plain [`std::time::Instant`], so the CLI can emit
+//! regression-trackable numbers without a benchmark harness.
 
 pub mod hotpath;

@@ -143,8 +143,8 @@ pub enum Command {
         /// Exit non-zero if the intercept path regressed >25% against
         /// the last recorded entry.
         check: bool,
-        /// Stream scale (iterations of the ALYA pattern; 2000 ≈ the
-        /// criterion benches' 10k-call stream).
+        /// Stream scale (iterations of the ALYA pattern; 2000 is a
+        /// 10k-call intercept stream).
         iters: usize,
         /// Repetitions per probe (minimum is reported).
         reps: u32,
