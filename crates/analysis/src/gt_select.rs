@@ -245,7 +245,7 @@ mod tests {
     }
 
     #[test]
-    fn class_sweep_matches_reference_on_paper_cells() {
+    fn class_sweep_matches_reference_on_alya_and_an_empty_trace() {
         let t = small_alya(8);
         assert_eq!(
             bits(&sweep(&t, 0.01)),

@@ -429,8 +429,8 @@ impl SweepEngine {
     /// `wall_ms` stay this engine's own: the private run's wall time
     /// already elapsed inside this engine's.
     pub fn absorb(&self, other: &SweepStats) {
-        self.cells.fetch_add(other.cells, Ordering::Relaxed);
         let add = |counter: &AtomicU64, n: u64| counter.fetch_add(n, Ordering::Relaxed);
+        add(&self.cells, other.cells);
         add(&self.traces.computed, other.traces_generated);
         add(&self.traces.hits, other.trace_hits);
         add(&self.baselines.computed, other.baselines_computed);
