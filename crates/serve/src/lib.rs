@@ -55,7 +55,8 @@ pub mod store;
 pub use chaos::{ChaosConfig, ChaosCounters, ChaosStream};
 pub use client::{run_load, Client, LoadConfig, LoadReport, RetryPolicy, SessionOutcome, SessionSpec};
 pub use metrics::{
-    spawn_exporter, MetricsRegistry, ObsReport, ServerProbe, SessionProbe, StoreProbe,
+    spawn_exporter, Histogram, MetricsRegistry, ObsReport, ServerProbe, SessionProbe, Stage,
+    StoreProbe,
 };
 pub use protocol::{ClientFrame, ProtocolError, ServerFrame, WireEvent, PROTOCOL_VERSION};
 pub use server::{Endpoint, ServeConfig, ServeSummary, Server, Stream};

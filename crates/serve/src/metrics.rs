@@ -4,10 +4,10 @@
 //!
 //! Three consumers share one source of truth:
 //!
-//! * the server's hot path bumps [`MetricsRegistry`] counters and
-//!   gauges — plain relaxed atomics, no locks and no allocation on the
-//!   intercept path (asserted by the counting-allocator test in
-//!   `tests/metrics_alloc.rs`);
+//! * the server's hot path bumps [`MetricsRegistry`] counters, gauges
+//!   and per-stage latency histograms — plain relaxed atomics, no locks
+//!   and no allocation on the intercept path (asserted by the
+//!   counting-allocator test in `tests/metrics_alloc.rs`);
 //! * the `--metrics-addr` HTTP/1.0 listener ([`spawn_exporter`])
 //!   renders the registry as Prometheus text exposition on every
 //!   scrape — the exact byte format is a compatibility contract,
@@ -37,6 +37,108 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// The serve pipeline stages timed by [`MetricsRegistry::stages`], in
+/// the order one batch passes through them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// CRC check and decode of one inbound client frame.
+    Decode = 0,
+    /// Time a work item sat in its session mailbox before a worker
+    /// popped it. A batch the event loop applies inline never queues
+    /// and records zero.
+    MailboxWait = 1,
+    /// `Session::apply` of an `Events` batch (or the stats read of a
+    /// `Flush`) under the engine lock, with its metric upkeep.
+    Engine = 2,
+    /// Encoding and framing (CRC, length prefix) of one reply frame.
+    Encode = 3,
+    /// One `write(2)` of queued reply bytes to the socket.
+    Write = 4,
+}
+
+impl Stage {
+    /// Every stage, in exposition order.
+    pub const ALL: [Stage; 5] =
+        [Stage::Decode, Stage::MailboxWait, Stage::Engine, Stage::Encode, Stage::Write];
+
+    /// The `stage` label value in the Prometheus exposition.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            Stage::Decode => "decode",
+            Stage::MailboxWait => "mailbox",
+            Stage::Engine => "engine",
+            Stage::Encode => "encode",
+            Stage::Write => "write",
+        }
+    }
+}
+
+/// Buckets of a [`Histogram`]: `le` = 0 µs (exactly zero — an inline
+/// batch's mailbox wait), then 1, 2, 4, … 65 536 µs, then `+Inf`.
+pub const HISTOGRAM_BUCKETS: usize = 19;
+
+/// A fixed-bucket latency histogram with log2-microsecond bounds (see
+/// [`HISTOGRAM_BUCKETS`]). Recording is two relaxed atomic adds: no
+/// lock, no allocation.
+#[derive(Debug, Default)]
+pub struct Histogram {
+    /// Per-bucket (non-cumulative) observation counts.
+    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
+    sum_ns: AtomicU64,
+}
+
+impl Histogram {
+    /// Record one observation.
+    pub fn observe(&self, elapsed: Duration) {
+        self.observe_ns(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+    }
+
+    /// Record one observation given in nanoseconds.
+    pub fn observe_ns(&self, ns: u64) {
+        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+    }
+
+    /// Observations recorded.
+    #[must_use]
+    pub fn count(&self) -> u64 {
+        self.bucket_counts().iter().sum()
+    }
+
+    /// Sum of every observation, nanoseconds.
+    #[must_use]
+    pub fn sum_ns(&self) -> u64 {
+        self.sum_ns.load(Ordering::Relaxed)
+    }
+
+    /// Observations per bucket (not cumulative), in bound order.
+    #[must_use]
+    pub fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
+        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
+    }
+}
+
+/// The bucket an observation of `ns` nanoseconds falls in: the first
+/// whose bound (0, then 2^(i-1) µs) is at least the value.
+fn bucket_of(ns: u64) -> usize {
+    if ns == 0 {
+        return 0;
+    }
+    let us = ns.div_ceil(1000);
+    let log2_ceil = (u64::BITS - (us - 1).leading_zeros()) as usize;
+    (1 + log2_ceil).min(HISTOGRAM_BUCKETS - 1)
+}
+
+/// The `le` label of bucket `i`.
+fn bucket_bound(i: usize) -> String {
+    match i {
+        0 => "0".into(),
+        i if i == HISTOGRAM_BUCKETS - 1 => "+Inf".into(),
+        i => (1u64 << (i - 1)).to_string(),
+    }
+}
 
 /// Lock-free counters and gauges for the serving stack.
 ///
@@ -97,6 +199,9 @@ pub struct MetricsRegistry {
     /// Registry occupancy per session-table shard — labeled gauge
     /// (`ibp_session_shard_sessions{shard="N"}`).
     pub session_shards: [AtomicU64; SESSION_TABLE_SHARDS],
+    /// Latency per serve pipeline stage, indexed by [`Stage`] —
+    /// labeled histogram (`ibp_stage_duration_us{stage="..."}`).
+    pub stages: [Histogram; Stage::ALL.len()],
 }
 
 /// One metric's identity for the exposition: Prometheus type keyword,
@@ -145,6 +250,13 @@ const SHARD_GAUGE: MetricDesc = MetricDesc {
     kind: "gauge",
     name: "ibp_session_shard_sessions",
     help: "Registry occupancy per session-table shard.",
+};
+
+/// The per-stage latency histogram, rendered with a `stage` label.
+const STAGE_HISTOGRAM: MetricDesc = MetricDesc {
+    kind: "histogram",
+    name: "ibp_stage_duration_us",
+    help: "Serve pipeline stage latency in microseconds (decode, mailbox wait, engine apply, encode, socket write).",
 };
 
 impl MetricsRegistry {
@@ -215,6 +327,12 @@ impl MetricsRegistry {
         }
     }
 
+    /// Record one observation of `stage`. Relaxed atomics only — safe
+    /// on the event hot path.
+    pub fn observe_stage(&self, stage: Stage, elapsed: Duration) {
+        self.stages[stage as usize].observe(elapsed);
+    }
+
     /// Render the registry as Prometheus text exposition (format
     /// version 0.0.4). The output — names, HELP strings, ordering,
     /// whitespace — is byte-pinned by the committed golden fixture.
@@ -251,6 +369,27 @@ impl MetricsRegistry {
                 shard,
                 occupancy.load(Ordering::Relaxed)
             );
+        }
+        let name = STAGE_HISTOGRAM.name;
+        let _ = writeln!(out, "# HELP {name} {}", STAGE_HISTOGRAM.help);
+        let _ = writeln!(out, "# TYPE {name} {}", STAGE_HISTOGRAM.kind);
+        for (stage, hist) in Stage::ALL.iter().zip(self.stages.iter()) {
+            let label = stage.label();
+            let mut cumulative = 0u64;
+            for (i, n) in hist.bucket_counts().into_iter().enumerate() {
+                cumulative += n;
+                let le = bucket_bound(i);
+                let _ = writeln!(
+                    out,
+                    "{name}_bucket{{stage=\"{label}\",le=\"{le}\"}} {cumulative}"
+                );
+            }
+            let sum = hist.sum_ns();
+            let (whole, frac) = (sum / 1000, sum % 1000);
+            let _ = writeln!(out, "{name}_sum{{stage=\"{label}\"}} {whole}.{frac:03}");
+            // The count is the +Inf bucket, so one scrape never shows
+            // the two disagreeing.
+            let _ = writeln!(out, "{name}_count{{stage=\"{label}\"}} {cumulative}");
         }
         out
     }
@@ -532,6 +671,49 @@ mod tests {
         let help_lines =
             text.lines().filter(|l| l.starts_with("# HELP ibp_sessions_asleep")).count();
         assert_eq!(help_lines, 1, "depth gauge HELP emitted once");
+    }
+
+    #[test]
+    fn histogram_buckets_are_log2_microseconds() {
+        assert_eq!(bucket_of(0), 0);
+        assert_eq!(bucket_of(1), 1);
+        assert_eq!(bucket_of(1_000), 1);
+        assert_eq!(bucket_of(1_001), 2);
+        assert_eq!(bucket_of(2_000), 2);
+        assert_eq!(bucket_of(2_001), 3);
+        assert_eq!(bucket_of(4_000), 3);
+        assert_eq!(bucket_of(65_536_000), HISTOGRAM_BUCKETS - 2);
+        assert_eq!(bucket_of(65_536_001), HISTOGRAM_BUCKETS - 1);
+        assert_eq!(bucket_of(u64::MAX), HISTOGRAM_BUCKETS - 1);
+        assert_eq!(bucket_bound(0), "0");
+        assert_eq!(bucket_bound(1), "1");
+        assert_eq!(bucket_bound(HISTOGRAM_BUCKETS - 2), "65536");
+        assert_eq!(bucket_bound(HISTOGRAM_BUCKETS - 1), "+Inf");
+    }
+
+    #[test]
+    fn stage_histograms_render_cumulative_buckets() {
+        let m = MetricsRegistry::default();
+        m.observe_stage(Stage::Engine, Duration::from_nanos(1_500));
+        m.observe_stage(Stage::Engine, Duration::from_nanos(3_000));
+        m.observe_stage(Stage::MailboxWait, Duration::ZERO);
+        let text = m.render_prometheus();
+        let engine =
+            |le: &str| format!("ibp_stage_duration_us_bucket{{stage=\"engine\",le=\"{le}\"}}");
+        assert!(text.contains(&format!("{} 0\n", engine("1"))), "{text}");
+        assert!(text.contains(&format!("{} 1\n", engine("2"))), "{text}");
+        assert!(text.contains(&format!("{} 2\n", engine("4"))), "{text}");
+        assert!(text.contains(&format!("{} 2\n", engine("+Inf"))), "{text}");
+        assert!(text.contains("ibp_stage_duration_us_sum{stage=\"engine\"} 4.500\n"), "{text}");
+        assert!(text.contains("ibp_stage_duration_us_count{stage=\"engine\"} 2\n"), "{text}");
+        assert!(text.contains("ibp_stage_duration_us_bucket{stage=\"mailbox\",le=\"0\"} 1\n"));
+        for stage in Stage::ALL {
+            let count = format!("ibp_stage_duration_us_count{{stage=\"{}\"}}", stage.label());
+            assert_eq!(text.matches(&count).count(), 1, "{count}");
+        }
+        let help_lines =
+            text.lines().filter(|l| l.starts_with("# HELP ibp_stage_duration_us")).count();
+        assert_eq!(help_lines, 1, "histogram HELP emitted once");
     }
 
     #[test]

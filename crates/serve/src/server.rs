@@ -106,7 +106,7 @@
 
 use crate::chaos::ChaosConfig;
 use crate::metrics::{
-    spawn_exporter, MetricsRegistry, ObsReport, ServerProbe, SessionProbe, StoreProbe,
+    spawn_exporter, MetricsRegistry, ObsReport, ServerProbe, SessionProbe, Stage, StoreProbe,
 };
 use crate::protocol::{
     decode_client, error_code, read_frame_header, verify_frame_crc, ClientFrame, ProtocolError,
@@ -421,6 +421,7 @@ const DRAIN_QUANTUM: usize = 32;
 // ------------------------------------------------------- outbound queue
 
 struct OutboundState {
+    /// Framed replies (length prefix + CRC + payload), ready to write.
     frames: VecDeque<Vec<u8>>,
     /// Set when the socket died: producers drop their frames instead
     /// of queueing.
@@ -433,9 +434,9 @@ struct OutboundState {
     flush_queued: bool,
 }
 
-/// One connection's bounded outbound queue. Workers push encoded
-/// frames without ever blocking on the socket and kick the owning
-/// event loop, which encodes and writes them on writability.
+/// One connection's bounded outbound queue. Workers push framed
+/// replies without ever blocking on the socket and kick the owning
+/// event loop, which writes them on writability.
 struct ConnTx {
     q: Mutex<OutboundState>,
     cap: usize,
@@ -463,7 +464,7 @@ impl ConnTx {
         })
     }
 
-    /// Queue one encoded frame, shedding the oldest entries (plus one
+    /// Queue one framed reply, shedding the oldest entries (plus one
     /// in-band overload error) when the queue is full. Never blocks on
     /// the socket. `wake` kicks the owning loop (callers already on
     /// that loop skip it — the loop flushes after servicing the
@@ -490,7 +491,7 @@ impl ConnTx {
                               reconnect and restore"
                         .into(),
                 };
-                q.frames.push_back(err.encode());
+                q.frames.push_back(encode_frame(&err));
                 queued += 1;
             }
         }
@@ -512,7 +513,7 @@ impl ConnTx {
         shed
     }
 
-    /// Drain every queued frame for the owning loop to encode. Clears
+    /// Drain every queued frame for the owning loop to write. Clears
     /// the kick-coalescing flag under the same lock, so pushes after
     /// this drain re-notify.
     fn take_batch(&self, into: &mut Vec<Vec<u8>>) {
@@ -554,7 +555,9 @@ struct Waiter {
 }
 
 struct MailboxState {
-    deque: VecDeque<Work>,
+    /// Pending work, each item stamped with when it was queued (the
+    /// mailbox-wait stage is measured from there to the pop).
+    deque: VecDeque<(Instant, Work)>,
     scheduled: bool,
     /// A parked connection waiting for space (at most one: a session's
     /// frames all arrive on one connection).
@@ -608,7 +611,7 @@ impl SessionCell {
             mb.waiter = Some(waiter());
             return PushOutcome::Full(work);
         }
-        mb.deque.push_back(work);
+        mb.deque.push_back((Instant::now(), work));
         let needs_schedule = !mb.scheduled;
         mb.scheduled = true;
         PushOutcome::Queued(needs_schedule)
@@ -618,10 +621,10 @@ impl SessionCell {
     /// when the mailbox is empty, and fires any parked connection's
     /// waiter now that there is space.
     fn pop(&self) -> Option<Work> {
-        let (work, waiter) = {
+        let (item, waiter) = {
             let mut mb = lock_ok(&self.mailbox);
             match mb.deque.pop_front() {
-                Some(w) => (Some(w), mb.waiter.take()),
+                Some(item) => (Some(item), mb.waiter.take()),
                 None => {
                     mb.scheduled = false;
                     (None, mb.waiter.take())
@@ -631,7 +634,9 @@ impl SessionCell {
         if let Some(w) = waiter {
             w.home.request_service(w.token);
         }
-        work
+        let (queued, work) = item?;
+        self.metrics.observe_stage(Stage::MailboxWait, queued.elapsed());
+        Some(work)
     }
 
     /// Called when a drain quantum expires while the worker still holds
@@ -1487,6 +1492,7 @@ impl Reactor {
                         break;
                     }
                     let payload = &conn.rd[pos + FRAME_HEADER_LEN..pos + FRAME_HEADER_LEN + len];
+                    let decode_start = Instant::now();
                     // The transport corrupting bytes (or an undecodable
                     // frame) means framing itself can no longer be
                     // trusted: tell the client if the wire still works,
@@ -1516,6 +1522,7 @@ impl Reactor {
                             break;
                         }
                     };
+                    metrics.observe_stage(Stage::Decode, decode_start.elapsed());
                     pos += FRAME_HEADER_LEN + len;
                     route(frame, token, self);
                 }
@@ -1562,12 +1569,14 @@ impl Reactor {
         let mut dead = false;
         loop {
             if conn.outpos < conn.outbuf.len() {
+                let write_start = Instant::now();
                 match conn.stream.write(&conn.outbuf[conn.outpos..]) {
                     Ok(0) => {
                         dead = true;
                         break;
                     }
                     Ok(n) => {
+                        self.shared.metrics.observe_stage(Stage::Write, write_start.elapsed());
                         conn.outpos += n;
                         conn.write_blocked_since = None;
                         continue;
@@ -1596,8 +1605,8 @@ impl Reactor {
                     conn.batch = batch;
                     break;
                 }
-                for payload in batch.drain(..) {
-                    encode_frame(&mut conn.outbuf, payload);
+                for framed in batch.drain(..) {
+                    conn.outbuf.extend_from_slice(&framed);
                 }
                 conn.batch = batch;
             }
@@ -1684,44 +1693,48 @@ impl Reactor {
     }
 }
 
-/// Append one length-prefixed frame to the write buffer, converting
+/// Encode one reply as a length-prefixed, CRC-stamped frame, converting
 /// the too-large case into an in-band error (the response outgrew the
 /// frame cap — a snapshot embedding a long stream's grams can; nothing
 /// hit the wire yet, so tell the client instead of leaving it blocked
-/// on a reply that will never come). The payload's session id sits at
-/// bytes 1–4.
-fn encode_frame(outbuf: &mut Vec<u8>, payload: Vec<u8>) {
+/// on a reply that will never come).
+fn encode_frame(frame: &ServerFrame) -> Vec<u8> {
+    let payload = frame.encode();
     if payload.len() > MAX_FRAME_LEN as usize {
-        let session = payload
-            .get(1..5)
-            .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte slice")))
-            .unwrap_or(CONNECTION_SESSION);
-        let err = ServerFrame::Error {
-            session,
+        return encode_frame(&ServerFrame::Error {
+            session: frame.session(),
             code: error_code::FRAME_TOO_LARGE,
             message: format!(
                 "response frame of {len} bytes exceeds the {max}-byte cap",
                 len = payload.len(),
                 max = MAX_FRAME_LEN
             ),
-        };
-        return encode_frame(outbuf, err.encode());
+        });
     }
-    let crc = crate::protocol::crc32(&payload);
-    outbuf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    outbuf.extend_from_slice(&crc.to_le_bytes());
-    outbuf.extend_from_slice(&payload);
+    let mut framed = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    framed.extend_from_slice(&crate::protocol::crc32(&payload).to_le_bytes());
+    framed.extend_from_slice(&payload);
+    framed
 }
 
 /// Queue a response on the connection's outbound queue (never blocks
-/// on the socket). `wake` routes through the owning loop's eventfd;
-/// callers already on that loop pass `false` and flush in `service`.
+/// on the socket), timing its encoding as the encode stage. `wake`
+/// routes through the owning loop's eventfd; callers already on that
+/// loop pass `false` and flush in `service`.
+fn push_frame(tx: &ConnTx, frame: &ServerFrame, wake: bool) {
+    let start = Instant::now();
+    let framed = encode_frame(frame);
+    tx.metrics.observe_stage(Stage::Encode, start.elapsed());
+    tx.push(framed, wake);
+}
+
 fn send_frame(tx: &ConnTx, frame: &ServerFrame) {
-    tx.push(frame.encode(), true);
+    push_frame(tx, frame, true);
 }
 
 fn send_frame_local(tx: &ConnTx, frame: &ServerFrame) {
-    tx.push(frame.encode(), false);
+    push_frame(tx, frame, false);
 }
 
 fn send_error(tx: &ConnTx, metrics: &MetricsRegistry, session: u32, code: u16, message: String) {
@@ -2259,6 +2272,7 @@ fn handle_work(cell: &Arc<SessionCell>, work: Work, shared: &Shared) {
                     "chaos hook: panic_on_call {bad} hit"
                 );
             }
+            let engine_start = Instant::now();
             metrics.events_applied.fetch_add(events.len() as u64, Ordering::Relaxed);
             let depth_before = sess.pending_depth();
             let (events_applied, directives) = sess.apply(&events);
@@ -2276,6 +2290,7 @@ fn handle_work(cell: &Arc<SessionCell>, work: Work, shared: &Shared) {
                 && shared.cfg.persist_every > 0
                 && sess.events_since_persist() >= shared.cfg.persist_every;
             drop(guard);
+            metrics.observe_stage(Stage::Engine, engine_start.elapsed());
             send_frame(
                 tx,
                 &ServerFrame::Directives { session: cell.id, events_applied, directives },
@@ -2288,9 +2303,11 @@ fn handle_work(cell: &Arc<SessionCell>, work: Work, shared: &Shared) {
             }
         }
         Work::Flush => {
+            let engine_start = Instant::now();
             let stats = sess.stats();
             sess.mark_stats_emitted();
             drop(guard);
+            metrics.observe_stage(Stage::Engine, engine_start.elapsed());
             send_frame(tx, &ServerFrame::Stats { session: cell.id, stats: Box::new(stats) });
         }
         Work::Snapshot => {

@@ -9,13 +9,16 @@
 //!    scrape start from) never touches the heap;
 //! 3. probing a live, predicting session engine ([`Session::probe`],
 //!    the per-link row `ibpower stat`/`top` render) never touches the
-//!    heap — every `SessionProbe` field is a scalar.
+//!    heap — every `SessionProbe` field is a scalar;
+//! 4. recording a stage-latency observation (what the server does per
+//!    decoded frame, applied batch, encoded reply and socket write)
+//!    never touches the heap — each histogram is a fixed atomic array.
 //!
 //! The serve library itself forbids `unsafe`; this integration-test
 //! binary is a separate crate, so a `#[global_allocator]` wrapper is
 //! allowed here.
 
-use ibp_serve::{MetricsRegistry, Session};
+use ibp_serve::{MetricsRegistry, Session, Stage};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,6 +115,25 @@ fn metric_updates_are_allocation_free() {
     });
     assert_eq!(allocs, 0, "metric updates allocated {allocs} times over {ROUNDS} rounds");
     assert_eq!(m.events_applied.load(Ordering::Relaxed), 64 * ROUNDS);
+}
+
+#[test]
+fn stage_observations_are_allocation_free() {
+    const ROUNDS: u64 = 10_000;
+    let m = MetricsRegistry::default();
+    let (allocs, ()) = count_allocs(|| {
+        for i in 0..ROUNDS {
+            for stage in Stage::ALL {
+                // Sweep every bucket, the zero and overflow ones too.
+                let ns = if i % 20 == 19 { u64::MAX / 2 } else { (1u64 << (i % 20)) * 7 };
+                m.observe_stage(stage, std::time::Duration::from_nanos(ns));
+            }
+            m.observe_stage(Stage::MailboxWait, std::time::Duration::ZERO);
+        }
+    });
+    assert_eq!(allocs, 0, "stage observations allocated {allocs} times over {ROUNDS} rounds");
+    assert_eq!(m.stages[Stage::Engine as usize].count(), ROUNDS);
+    assert_eq!(m.stages[Stage::MailboxWait as usize].count(), 2 * ROUNDS);
 }
 
 #[test]

@@ -57,6 +57,14 @@ fn distinct_registry() -> MetricsRegistry {
     for (i, g) in m.session_shards.iter().enumerate() {
         g.store(301 + i as u64, Ordering::Relaxed);
     }
+    // Stage `i` gets `i + 1` observations spread over distinct buckets
+    // (0 ns, then 1.5, 3, 6, ... µs), so each stage's buckets, sum and
+    // count differ from every other stage's.
+    for (i, h) in m.stages.iter().enumerate() {
+        for k in 0..=i as u64 {
+            h.observe_ns(if k == 0 { 0 } else { 1_500 << (k - 1) } + 7 * i as u64);
+        }
+    }
     m
 }
 
