@@ -277,25 +277,27 @@ impl RuntimeSnapshot {
             .map_err(|e| SnapshotError::Inconsistent(format!("snapshot not utf-8: {e}")))?;
         let value: serde::Value = serde_json::from_str(text)
             .map_err(|e| SnapshotError::Inconsistent(format!("snapshot not valid JSON: {e}")))?;
-        // Gate on the version before decoding the layout, so a snapshot
-        // from another layout reports `VersionMismatch`, not the first
-        // field that layout lacks.
-        let version = value
-            .as_map()
-            .and_then(|m| m.iter().find(|(k, _)| k == "version"))
-            .and_then(|(_, v)| u32::from_value(v).ok());
-        if let Some(found) = version {
-            check_version(found)?;
-        }
+        Self::check_json_version(&value)?;
         Self::from_value(&value)
             .map_err(|e| SnapshotError::Inconsistent(format!("snapshot layout invalid: {e}")))
     }
 
+    /// Check the layout version of a snapshot still in parsed JSON
+    /// form, before its layout is decoded, so a snapshot from another
+    /// layout reports `VersionMismatch`, not the first field that
+    /// layout lacks. A tree with no readable `version` passes; decoding
+    /// it then names the missing field. The durable snapshot store runs
+    /// this on a record's embedded snapshot during crash recovery.
+    pub fn check_json_version(value: &serde::Value) -> Result<(), SnapshotError> {
+        let version = value
+            .as_map()
+            .and_then(|m| m.iter().find(|(k, _)| k == "version"))
+            .and_then(|(_, v)| u32::from_value(v).ok());
+        version.map_or(Ok(()), check_version)
+    }
+
     /// Check the layout version alone, without the full invariant
-    /// revalidation `RankRuntime::from_snapshot` performs. The durable
-    /// snapshot store runs this during crash recovery so a record from
-    /// an incompatible build is skipped with a precise reason instead
-    /// of surfacing as a generic restore failure later.
+    /// revalidation `RankRuntime::from_snapshot` performs.
     pub fn validate_version(&self) -> Result<(), SnapshotError> {
         check_version(self.version)
     }

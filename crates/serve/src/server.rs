@@ -5,18 +5,24 @@
 //! ```text
 //!  event-loop threads (io_threads; loop 0 also owns the listener)
 //!    epoll ──▶ per-connection state machine (frame reassembly)
-//!    │             │  Open/Restore/Query handled inline
-//!    │             │  Events/Flush/Snapshot/Close pushed into the
-//!    │             ▼  session's bounded mailbox
-//!    │   per-session mailbox (VecDeque, cap = queue_depth)
-//!    │             │  first push marks the session ready
-//!    │             ▼
-//!    │        ready queue ◀── worker pool (supervised, respawned)
-//!    │             │  a worker drains one session at a time
-//!    │             ▼
-//!    │   per-connection outbound queue (bounded, shed-oldest)
-//!    │             │  worker push kicks the owning loop's eventfd
-//!    └──◀──────────┘  loop encodes + writes on writability
+//!    │             │  Open/Restore/Query answered inline
+//!    │             │  Events/Flush for a hot, idle session (empty
+//!    │             │  mailbox, no worker scheduled, engine lock free):
+//!    │             │  applied inline, run to completion ─────────────┐
+//!    │             │  everything else (cold session, Snapshot, Close, │
+//!    │             ▼  work behind queued work, busy engine)           │
+//!    │   per-session mailbox (VecDeque, cap = queue_depth)            │
+//!    │             │  first push marks the session ready;             │
+//!    │             │  an inline batch's due checkpoint queues here    │
+//!    │             ▼                                                  │
+//!    │        ready queue ◀── worker pool (supervised, respawned)     │
+//!    │             │  store IO (rehydrate, checkpoint, durable        │
+//!    │             │  close) and backlog, one session at a time       │
+//!    │             ▼                                                  │
+//!    │   per-connection outbound queue (bounded, shed-oldest) ◀───────┘
+//!    │             │  a worker's push kicks the owning loop's
+//!    │             │  eventfd; an inline reply needs no kick
+//!    └──◀──────────┘  loop writes on writability
 //! ```
 //!
 //! Connections are nonblocking and owned by a small fixed pool of
@@ -25,6 +31,19 @@
 //! waker (for worker→loop notifications), and the shared shutdown
 //! eventfd; loop 0 additionally owns the listening socket, so accept
 //! readiness — not a sleep poll — drives new connections.
+//!
+//! **Run to completion.** A batch for a hot session whose mailbox is
+//! empty, with no worker scheduled on it and its engine lock free
+//! (`try_lock`), is applied on the event loop in the wake that read
+//! it: decode, apply, encode and write with no thread hand-off. That
+//! is the common case for a PMPI shim waiting on every reply, and it
+//! removes the mailbox → worker → outbound-queue → eventfd round trip
+//! from each batch. Workers are left with what may block — store IO
+//! (rehydrating a cold session, periodic checkpoints, the durable
+//! persist before a `Close` ack) — and with backlog. A checkpoint that
+//! falls due after an inline batch is queued on the session's mailbox
+//! as a work item and never runs on the loop. Both paths apply through
+//! one helper, `apply_events`.
 //!
 //! **Backpressure (inbound).** A session's mailbox holds at most
 //! `queue_depth` pending work items. When it is full the connection
@@ -49,22 +68,34 @@
 //! connection stays bounded no matter how slow the reader: queued
 //! frames move to the write buffer only once it has fully drained.
 //!
-//! **Fairness.** A worker drains at most [`DRAIN_QUANTUM`] items from
-//! one mailbox per scheduling turn, then re-enqueues the session, so a
-//! continuously-fed session cannot pin a worker while other ready
+//! **Fairness.** An event loop applies at most `DRAIN_QUANTUM`
+//! batches inline per connection per wake; past that budget the
+//! connection's further batches that wake go to the mailboxes, so one
+//! flooding connection costs the loop a bounded slice before the other
+//! connections are served (and its overflow is spread over the
+//! workers). A worker likewise drains at most `DRAIN_QUANTUM` items
+//! from one mailbox per scheduling turn, then re-enqueues the session,
+//! so a continuously-fed session cannot pin a worker while other ready
 //! sessions wait. Event loops read at most a fixed budget per
 //! connection per wake before moving on (level triggering re-notifies).
 //!
-//! **Ordering.** The `scheduled` flag inside the mailbox mutex
-//! guarantees at most one outstanding ready-queue entry per session, so
-//! exactly one worker drains a session at a time and work is applied in
-//! arrival order. The flag is cleared under the same lock that observes
-//! the queue empty, so a concurrent push either sees `scheduled == true`
-//! (the worker has not yet drained its item) or re-schedules the
-//! session — a wakeup can never be lost. The park/unpark handshake has
-//! the same shape: the waiter is installed under the mailbox lock that
-//! observed it full, and a non-empty mailbox is by construction
-//! scheduled, so a future `pop` (which fires the waiter) is guaranteed.
+//! **Ordering.** Only the event loop that owns a session's connection
+//! ever pushes to its mailbox. A frame is applied inline only when the
+//! mailbox is empty and unscheduled, so no earlier frame of that
+//! session is still pending or in a worker's hands; once anything is
+//! queued, every later frame of the session queues behind it until a
+//! worker has drained the mailbox — including frames that arrive
+//! while a worker holds the engine lock for a checkpoint. The
+//! `scheduled` flag inside the mailbox mutex guarantees at most one
+//! outstanding ready-queue entry per session, so exactly one worker
+//! drains a session at a time and work is applied in arrival order.
+//! The flag is cleared under the same lock that observes the queue
+//! empty, so a concurrent push either sees `scheduled == true` (the
+//! worker has not yet drained its item) or re-schedules the session —
+//! a wakeup can never be lost. The park/unpark handshake has the same
+//! shape: the waiter is installed under the mailbox lock that observed
+//! it full, and a non-empty mailbox is by construction scheduled, so a
+//! future `pop` (which fires the waiter) is guaranteed.
 //!
 //! **Session table sharding.** The live-session registry is split
 //! across [`SESSION_TABLE_SHARDS`] independently locked shards (hash =
@@ -84,9 +115,11 @@
 //! rehydrate can never read a stale record.
 //!
 //! **Panic isolation.** Each work item is applied under
-//! `catch_unwind`: a panic poisons nothing (locks are acquired
-//! poison-tolerantly), retires only the offending session, and answers
-//! the client with an [`error_code::INTERNAL`] error. The `run` thread
+//! `catch_unwind`, on a worker and inline on the event loop alike: a
+//! panic poisons nothing (locks are acquired poison-tolerantly),
+//! retires only the offending session, counts in `worker_panics`, and
+//! answers the client with an [`error_code::INTERNAL`] error; the
+//! loop and its other connections carry on. The `run` thread
 //! supervises the worker pool and respawns any thread that dies.
 //!
 //! **Durability.** With a [`SnapshotStore`] attached, sessions persist
@@ -110,7 +143,7 @@ use crate::metrics::{
 };
 use crate::protocol::{
     decode_client, error_code, read_frame_header, verify_frame_crc, ClientFrame, ProtocolError,
-    ServerFrame, CONNECTION_SESSION, FRAME_HEADER_LEN, MAX_FRAME_LEN,
+    ServerFrame, WireEvent, CONNECTION_SESSION, FRAME_HEADER_LEN, MAX_FRAME_LEN,
 };
 use crate::session::Session;
 use crate::store::{SnapshotStore, StoreRecord, RECORD_VERSION};
@@ -407,15 +440,26 @@ struct Shared {
     conn_seq: AtomicU64,
 }
 
-enum Work {
-    Events(Vec<(u16, u64)>),
+/// The frames the event loop may apply inline on a hot engine (see
+/// [`apply_events`]).
+enum Batch {
+    Events(Vec<WireEvent>),
     Flush,
+}
+
+enum Work {
+    Batch(Batch),
     Snapshot,
     Close(u64),
+    /// A periodic persist that fell due after a batch the event loop
+    /// applied inline. It is store IO, so a worker runs it.
+    Checkpoint,
 }
 
 /// Work items a worker applies from one mailbox before handing the
-/// session back to the ready queue (see the module docs on fairness).
+/// session back to the ready queue, and batches an event loop applies
+/// inline for one connection per wake (see the module docs on
+/// fairness).
 const DRAIN_QUANTUM: usize = 32;
 
 // ------------------------------------------------------- outbound queue
@@ -755,16 +799,7 @@ fn maybe_evict(shared: &Shared) {
         let SessionSlot::Hot(sess) = std::mem::replace(&mut *guard, SessionSlot::Cold) else {
             unreachable!("checked Hot above");
         };
-        let record = StoreRecord {
-            record_version: RECORD_VERSION,
-            session: cell.id,
-            rank: sess.rank,
-            events: sess.events_applied(),
-            closed: false,
-            history_complete: sess.history_complete(),
-            directives: sess.history(),
-            snapshot: sess.snapshot(),
-        };
+        let record = record_of(cell.id, &sess, false);
         // Persist *inside* the engine lock: a concurrent work item for
         // this session blocks on the lock until the record is written,
         // so its rehydrate reads exactly this state. The fast variant
@@ -1210,6 +1245,9 @@ struct Conn {
     /// A work item that did not fit its session's mailbox; the
     /// connection is parked (not reading) until it goes through.
     paused: Option<(u32, Work)>,
+    /// Batches this connection may still apply inline in the current
+    /// wake; refilled to [`DRAIN_QUANTUM`] whenever the loop reads it.
+    inline_budget: usize,
     last_activity: Instant,
     write_blocked_since: Option<Instant>,
     /// Interest currently registered with the poller.
@@ -1391,6 +1429,7 @@ impl Reactor {
                 batch: Vec::new(),
                 sessions: HashMap::new(),
                 paused: None,
+                inline_budget: DRAIN_QUANTUM,
                 last_activity: Instant::now(),
                 write_blocked_since: None,
                 interest: Interest::READ,
@@ -1406,6 +1445,7 @@ impl Reactor {
         if conn.closing || conn.paused.is_some() {
             return;
         }
+        conn.inline_budget = DRAIN_QUANTUM;
         for _ in 0..READS_PER_WAKE {
             match conn.stream.read(&mut self.scratch) {
                 Ok(0) => {
@@ -1540,6 +1580,19 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&token) else { return };
         let Some((session, work)) = conn.paused.take() else { return };
         let Some(cell) = conn.sessions.get(&session).cloned() else { return };
+        conn.inline_budget = DRAIN_QUANTUM;
+        if self.enqueue(token, cell, session, work) {
+            self.parse_conn(poller, token);
+        }
+    }
+
+    /// Push work onto a session's mailbox, putting the session on the
+    /// ready queue if no worker has it yet. A full mailbox parks the
+    /// connection with the item stashed (returns `false`). A queued
+    /// `Close` retires the id on this connection (no further frames
+    /// may address it; a later Open may reuse it for a new session).
+    fn enqueue(&mut self, token: u64, cell: Arc<SessionCell>, session: u32, work: Work) -> bool {
+        let Some(conn) = self.conns.get_mut(&token) else { return false };
         let is_close = matches!(work, Work::Close(_));
         let handle = Arc::clone(&self.handle);
         match cell.try_push(work, || Waiter { home: handle, token }) {
@@ -1551,10 +1604,11 @@ impl Reactor {
                     self.shared.metrics.ready_queue_depth.fetch_add(1, Ordering::Relaxed);
                     let _ = self.ready.send(cell);
                 }
-                self.parse_conn(poller, token);
+                true
             }
             PushOutcome::Full(work) => {
-                self.conns.get_mut(&token).expect("conn present").paused = Some((session, work));
+                conn.paused = Some((session, work));
+                false
             }
         }
     }
@@ -1746,8 +1800,9 @@ fn send_error(tx: &ConnTx, metrics: &MetricsRegistry, session: u32, code: u16, m
 // -------------------------------------------------------------- routing
 
 /// Handle one decoded client frame on the owning event loop.
-/// Open/Restore/Query answer inline; Events/Flush/Snapshot/Close go
-/// through the session mailbox (and may park the connection).
+/// Open/Restore/Query answer inline, and so do Events/Flush for an
+/// idle hot session; everything else goes through the session mailbox
+/// (and may park the connection).
 fn route(frame: ClientFrame, token: u64, r: &mut Reactor) {
     let shared = Arc::clone(&r.shared);
     let metrics = &shared.metrics;
@@ -1829,10 +1884,10 @@ fn route(frame: ClientFrame, token: u64, r: &mut Reactor) {
             }
         }
         ClientFrame::Events { session, events } => {
-            try_enqueue(r, token, session, Work::Events(events));
+            try_enqueue(r, token, session, Work::Batch(Batch::Events(events)));
         }
         ClientFrame::Flush { session } => {
-            try_enqueue(r, token, session, Work::Flush);
+            try_enqueue(r, token, session, Work::Batch(Batch::Flush));
         }
         ClientFrame::Snapshot { session } => {
             try_enqueue(r, token, session, Work::Snapshot);
@@ -1856,9 +1911,9 @@ fn route(frame: ClientFrame, token: u64, r: &mut Reactor) {
     }
 }
 
-/// Route mailbox-bound work, parking the connection on a full mailbox.
-/// A routed `Close` retires the id on this connection (no further
-/// frames may address it; a later Open may reuse it for a new session).
+/// Route session work: apply a batch inline when [`apply_inline`]
+/// can and the connection has budget left this wake, else (and for a
+/// checkpoint the inline batch made due) go through the mailbox.
 fn try_enqueue(r: &mut Reactor, token: u64, session: u32, work: Work) {
     let shared = Arc::clone(&r.shared);
     let Some(conn) = r.conns.get_mut(&token) else { return };
@@ -1872,22 +1927,58 @@ fn try_enqueue(r: &mut Reactor, token: u64, session: u32, work: Work) {
         );
         return;
     };
-    let is_close = matches!(work, Work::Close(_));
-    let handle = Arc::clone(&r.handle);
-    match cell.try_push(work, || Waiter { home: handle, token }) {
-        PushOutcome::Queued(needs_schedule) => {
-            if is_close {
-                conn.sessions.remove(&session);
+    let work = match work {
+        Work::Batch(batch) if conn.inline_budget > 0 => match apply_inline(&cell, batch, &shared) {
+            Ok(checkpoint) => {
+                conn.inline_budget -= 1;
+                if !checkpoint {
+                    return;
+                }
+                Work::Checkpoint
             }
-            if needs_schedule {
-                shared.metrics.ready_queue_depth.fetch_add(1, Ordering::Relaxed);
-                let _ = r.ready.send(cell);
-            }
-        }
-        PushOutcome::Full(work) => {
-            conn.paused = Some((session, work));
+            Err(batch) => Work::Batch(batch),
+        },
+        work => work,
+    };
+    r.enqueue(token, cell, session, work);
+}
+
+/// Run to completion: apply a batch on the event loop, with no worker
+/// hand-off, when the session is hot, its mailbox is empty, no worker
+/// is scheduled on it, and its engine lock is free. Only the owning
+/// loop ever pushes to a session's mailbox, so once it is seen empty
+/// and unscheduled no worker can touch the session until this loop
+/// queues something — per-session order holds. The replies go on the
+/// outbound queue without a wake (the loop flushes the connection at
+/// the end of this wake). Returns whether a periodic checkpoint fell
+/// due (the caller queues it for a worker); hands the batch back when
+/// it must take the mailbox path instead.
+fn apply_inline(cell: &Arc<SessionCell>, batch: Batch, shared: &Shared) -> Result<bool, Batch> {
+    {
+        let mb = lock_ok(&cell.mailbox);
+        if mb.scheduled || !mb.deque.is_empty() {
+            return Err(batch);
         }
     }
+    let mut guard = match cell.state.try_lock() {
+        Ok(g) => g,
+        Err(std::sync::TryLockError::WouldBlock) => return Err(batch),
+        Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
+    };
+    let SessionSlot::Hot(sess) = &mut *guard else { return Err(batch) };
+    shared.metrics.observe_stage(Stage::MailboxWait, Duration::ZERO);
+    let applied = catch_unwind(AssertUnwindSafe(|| apply_events(cell.id, sess, &batch, shared)));
+    drop(guard);
+    let Ok(applied) = applied else {
+        retire_panicked(cell, shared);
+        return Ok(false);
+    };
+    send_frame_local(&cell.tx, &applied.reply);
+    if let Some(stats) = &applied.stats {
+        send_frame_local(&cell.tx, stats);
+    }
+    lru_touch(shared, cell);
+    Ok(applied.checkpoint)
 }
 
 /// Which registry shard a session id lives in.
@@ -2170,18 +2261,7 @@ fn worker_loop(
                         handle_work(&cell, work, shared);
                     }));
                     if caught.is_err() {
-                        shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-                        retire_cell(&cell, shared);
-                        send_error(
-                            &cell.tx,
-                            &shared.metrics,
-                            cell.id,
-                            error_code::INTERNAL,
-                            format!(
-                                "worker panicked applying session {}; session dropped",
-                                cell.id
-                            ),
-                        );
+                        retire_panicked(&cell, shared);
                     }
                 }
                 None => {
@@ -2197,6 +2277,20 @@ fn worker_loop(
     }
 }
 
+/// The store record of a live engine's current state.
+fn record_of(id: u32, sess: &Session, closed: bool) -> StoreRecord {
+    StoreRecord {
+        record_version: RECORD_VERSION,
+        session: id,
+        rank: sess.rank,
+        events: sess.events_applied(),
+        closed,
+        history_complete: sess.history_complete(),
+        directives: sess.history(),
+        snapshot: sess.snapshot(),
+    }
+}
+
 /// Build and persist a [`StoreRecord`] for a live cell. `closing`
 /// marks the record closed (persisted just before the `Closed` ack so
 /// a crash in between is recoverable by re-closing). The disk write
@@ -2204,19 +2298,16 @@ fn worker_loop(
 /// uses — so no stale record can ever overwrite a newer one. A cold
 /// cell is already durable (eviction persisted it); nothing to do.
 fn persist_cell(cell: &SessionCell, shared: &Shared, closing: bool) {
-    let Some(store) = shared.store.as_ref() else { return };
     let mut guard = lock_ok(&cell.state);
-    let SessionSlot::Hot(sess) = &mut *guard else { return };
-    let record = StoreRecord {
-        record_version: RECORD_VERSION,
-        session: cell.id,
-        rank: sess.rank,
-        events: sess.events_applied(),
-        closed: closing,
-        history_complete: sess.history_complete(),
-        directives: sess.history(),
-        snapshot: sess.snapshot(),
-    };
+    if let SessionSlot::Hot(sess) = &mut *guard {
+        persist_locked(cell.id, sess, shared, closing);
+    }
+}
+
+/// [`persist_cell`] for a caller already holding the engine lock.
+fn persist_locked(id: u32, sess: &mut Session, shared: &Shared, closing: bool) {
+    let Some(store) = shared.store.as_ref() else { return };
+    let record = record_of(id, sess, closing);
     sess.mark_persisted();
     // Close records are the durable milestone (fsynced); periodic
     // checkpoints take the fast path — losing one to a crash resumes
@@ -2235,7 +2326,83 @@ fn persist_cell(cell: &SessionCell, shared: &Shared, closing: bool) {
     }
 }
 
+/// A work item panicked (on a worker or inline on the event loop):
+/// retire only its session and tell the client.
+fn retire_panicked(cell: &SessionCell, shared: &Shared) {
+    shared.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
+    retire_cell(cell, shared);
+    send_error(
+        &cell.tx,
+        &shared.metrics,
+        cell.id,
+        error_code::INTERNAL,
+        format!("panicked applying session {}; session dropped", cell.id),
+    );
+}
+
+/// What applying one [`Batch`] produced: the reply, an unsolicited
+/// `Stats` frame when the stats cadence fell due, and whether the
+/// periodic checkpoint fell due.
+struct Applied {
+    reply: ServerFrame,
+    stats: Option<ServerFrame>,
+    checkpoint: bool,
+}
+
+/// Apply one batch to a hot engine: the one copy of apply, its
+/// metrics, the stats cadence and the persist decision, shared by the
+/// event loop's inline path and the workers. Runs under the engine
+/// lock; the caller sends the replies after releasing it and decides
+/// where the checkpoint runs.
+fn apply_events(id: u32, sess: &mut Session, batch: &Batch, shared: &Shared) -> Applied {
+    let metrics = &shared.metrics;
+    let start = Instant::now();
+    let Batch::Events(events) = batch else {
+        let stats = sess.stats();
+        sess.mark_stats_emitted();
+        metrics.observe_stage(Stage::Engine, start.elapsed());
+        return Applied {
+            reply: ServerFrame::Stats { session: id, stats: Box::new(stats) },
+            stats: None,
+            checkpoint: false,
+        };
+    };
+    if let Some(bad) = shared.cfg.panic_on_call {
+        let hit = events.iter().any(|&(call, _)| call == bad);
+        assert!(!hit, "chaos hook: panic_on_call {bad} hit");
+    }
+    let depth_before = sess.pending_depth();
+    let (events_applied, directives) = sess.apply(events);
+    metrics.sleep_depth_changed(depth_before, sess.pending_depth());
+    let stats = (shared.cfg.stats_every > 0
+        && sess.events_since_stats() >= shared.cfg.stats_every)
+        .then(|| {
+            sess.mark_stats_emitted();
+            ServerFrame::Stats { session: id, stats: Box::new(sess.stats()) }
+        });
+    let checkpoint = shared.store.is_some()
+        && shared.cfg.persist_every > 0
+        && sess.events_since_persist() >= shared.cfg.persist_every;
+    metrics.observe_stage(Stage::Engine, start.elapsed());
+    // Counted after the engine stage, so a scrape that sees these
+    // events also sees their engine observation.
+    metrics.events_applied.fetch_add(events.len() as u64, Ordering::Relaxed);
+    metrics.directives_sent.fetch_add(directives.len() as u64, Ordering::Relaxed);
+    Applied {
+        reply: ServerFrame::Directives { session: id, events_applied, directives },
+        stats,
+        checkpoint,
+    }
+}
+
 fn handle_work(cell: &Arc<SessionCell>, work: Work, shared: &Shared) {
+    if matches!(work, Work::Checkpoint) {
+        // Handed over by an inline batch. A cold engine was persisted
+        // when it was evicted and a retired one is gone: nothing newer
+        // to write for either.
+        persist_cell(cell, shared, false);
+        return;
+    }
     let metrics = &shared.metrics;
     let tx = &cell.tx;
     let mut guard = lock_ok(&cell.state);
@@ -2265,50 +2432,16 @@ fn handle_work(cell: &Arc<SessionCell>, work: Work, shared: &Shared) {
         unreachable!("ensure_hot leaves the slot hot");
     };
     match work {
-        Work::Events(events) => {
-            if let Some(bad) = shared.cfg.panic_on_call {
-                assert!(
-                    !events.iter().any(|&(call, _)| call == bad),
-                    "chaos hook: panic_on_call {bad} hit"
-                );
-            }
-            let engine_start = Instant::now();
-            metrics.events_applied.fetch_add(events.len() as u64, Ordering::Relaxed);
-            let depth_before = sess.pending_depth();
-            let (events_applied, directives) = sess.apply(&events);
-            metrics.sleep_depth_changed(depth_before, sess.pending_depth());
-            metrics
-                .directives_sent
-                .fetch_add(directives.len() as u64, Ordering::Relaxed);
-            let stats = (shared.cfg.stats_every > 0
-                && sess.events_since_stats() >= shared.cfg.stats_every)
-                .then(|| {
-                    sess.mark_stats_emitted();
-                    sess.stats()
-                });
-            let persist = shared.store.is_some()
-                && shared.cfg.persist_every > 0
-                && sess.events_since_persist() >= shared.cfg.persist_every;
+        Work::Batch(batch) => {
+            let applied = apply_events(cell.id, sess, &batch, shared);
             drop(guard);
-            metrics.observe_stage(Stage::Engine, engine_start.elapsed());
-            send_frame(
-                tx,
-                &ServerFrame::Directives { session: cell.id, events_applied, directives },
-            );
-            if let Some(stats) = stats {
-                send_frame(tx, &ServerFrame::Stats { session: cell.id, stats: Box::new(stats) });
+            send_frame(tx, &applied.reply);
+            if let Some(stats) = &applied.stats {
+                send_frame(tx, stats);
             }
-            if persist {
+            if applied.checkpoint {
                 persist_cell(cell, shared, false);
             }
-        }
-        Work::Flush => {
-            let engine_start = Instant::now();
-            let stats = sess.stats();
-            sess.mark_stats_emitted();
-            drop(guard);
-            metrics.observe_stage(Stage::Engine, engine_start.elapsed());
-            send_frame(tx, &ServerFrame::Stats { session: cell.id, stats: Box::new(stats) });
         }
         Work::Snapshot => {
             let snapshot = sess.snapshot_bytes();
@@ -2322,27 +2455,7 @@ fn handle_work(cell: &Arc<SessionCell>, work: Work, shared: &Shared) {
             // record the client can restore and re-close — the
             // deterministic finish re-issues identical final
             // directives.
-            if let Some(store) = shared.store.as_ref() {
-                let record = StoreRecord {
-                    record_version: RECORD_VERSION,
-                    session: cell.id,
-                    rank: sess.rank,
-                    events: sess.events_applied(),
-                    closed: true,
-                    history_complete: sess.history_complete(),
-                    directives: sess.history(),
-                    snapshot: sess.snapshot(),
-                };
-                sess.mark_persisted();
-                match store.persist(&record) {
-                    Ok(()) => {
-                        metrics.snapshots_persisted.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) => {
-                        metrics.persist_failures.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
+            persist_locked(cell.id, sess, shared, true);
             let SessionSlot::Hot(sess) = std::mem::replace(&mut *guard, SessionSlot::Retired)
             else {
                 unreachable!("slot is hot: established above");
@@ -2387,6 +2500,7 @@ fn handle_work(cell: &Arc<SessionCell>, work: Work, shared: &Shared) {
             );
             return;
         }
+        Work::Checkpoint => unreachable!("checkpoints return before the engine lock"),
     }
     // Recency upkeep for the pager: the session was just touched, and
     // if rehydrating it pushed the hot set over the cap, evict the

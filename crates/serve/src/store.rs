@@ -5,8 +5,9 @@
 //! After a crash — `kill -9`, panic, power loss — a restarted server
 //! reopens the directory, recovers every readable record, and
 //! reconnecting clients resume via an empty-body `Restore` without
-//! re-learning their pattern dictionaries. This is also the cold tier
-//! the planned 100k-session LRU eviction will spill onto.
+//! re-learning their pattern dictionaries. It is also the cold tier
+//! of session paging: with `--max-hot-sessions`, the server's LRU pager
+//! evicts idle engines here and rehydrates them on their next batch.
 //!
 //! ## On-disk format
 //!
@@ -491,18 +492,22 @@ fn read_record_file(path: &Path) -> Result<StoreRecord, String> {
     }
     let text =
         std::str::from_utf8(payload).map_err(|e| format!("record not valid UTF-8: {e}"))?;
-    let record: StoreRecord =
+    let value: serde::Value =
         serde_json::from_str(text).map_err(|e| format!("record not valid JSON: {e}"))?;
-    if record.record_version != RECORD_VERSION {
-        return Err(format!(
-            "record version {} incompatible with expected {RECORD_VERSION}",
-            record.record_version
-        ));
+    // Gate on both layout versions before decoding the layout (as
+    // `RuntimeSnapshot::from_json_bytes` does), so a record from another
+    // build is skipped with a version reason, not with the first field
+    // its layout lacks.
+    let record_version = json_field(&value, "record_version").and_then(|v| u32::from_value(v).ok());
+    if let Some(found) = record_version.filter(|&v| v != RECORD_VERSION) {
+        return Err(format!("record version {found} incompatible with expected {RECORD_VERSION}"));
     }
-    record
-        .snapshot
-        .validate_version()
-        .map_err(|e| format!("embedded snapshot rejected: {e}"))?;
+    if let Some(snapshot) = json_field(&value, "snapshot") {
+        RuntimeSnapshot::check_json_version(snapshot)
+            .map_err(|e| format!("embedded snapshot rejected: {e}"))?;
+    }
+    let record =
+        StoreRecord::from_value(&value).map_err(|e| format!("record layout invalid: {e}"))?;
     if record.events != record.snapshot.event_idx as u64 {
         return Err(format!(
             "resume position {} disagrees with snapshot event index {}",
@@ -510,6 +515,11 @@ fn read_record_file(path: &Path) -> Result<StoreRecord, String> {
         ));
     }
     Ok(record)
+}
+
+/// A top-level entry of a JSON object, if `value` is one and has it.
+fn json_field<'a>(value: &'a serde::Value, key: &str) -> Option<&'a serde::Value> {
+    value.as_map()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
 #[cfg(test)]

@@ -74,6 +74,65 @@ fn recover_after(dir: &std::path::Path, session: u32, mutated: &[u8]) -> bool {
     loaded.is_some()
 }
 
+/// Write `payload` as a record file with a valid header (magic,
+/// length, CRC), so only the JSON inside can be wrong.
+fn write_record_payload(dir: &std::path::Path, session: u32, payload: &[u8]) {
+    let mut bytes = ibp_serve::store::STORE_MAGIC.to_vec();
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&ibp_serve::protocol::crc32(payload).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    std::fs::write(dir.join(record_file_name(session)), bytes).unwrap();
+}
+
+/// A record whose embedded snapshot has the version-2 layout (before
+/// sleep depths became a rung set: `cfg.policy`, no `cfg.rungs`) is
+/// skipped with a reason naming the snapshot version, not the first
+/// field the old layout lacks.
+#[test]
+fn older_snapshot_layout_is_skipped_with_a_version_reason() {
+    let dir = temp_dir("v2");
+    std::fs::create_dir_all(&dir).unwrap();
+    let json = serde_json::to_string(&sample_record(3, 40)).unwrap();
+    let current = format!("\"version\":{}", ibp_core::SNAPSHOT_VERSION);
+    assert_eq!(json.matches(&current).count(), 1, "{json}");
+    assert_eq!(json.matches("\"rungs\":1").count(), 1, "{json}");
+    let v2 = json
+        .replace(&current, "\"version\":2")
+        .replace("\"rungs\":1", "\"policy\":\"WidthReduction\"");
+    write_record_payload(&dir, 3, v2.as_bytes());
+
+    let (store, report) = SnapshotStore::open(&dir).expect("open skips the old record");
+    assert_eq!(report.loaded, 0, "{report:?}");
+    assert_eq!(report.skipped.len(), 1, "{report:?}");
+    let (name, reason) = &report.skipped[0];
+    assert_eq!(name, &record_file_name(3));
+    assert!(reason.contains("version 2"), "reason must name the version: {reason}");
+    assert!(!reason.contains("missing field"), "version gate must run first: {reason}");
+    assert!(store.load(3).unwrap().is_none());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A record from another record layout is skipped with the record
+/// version, whatever fields that layout has.
+#[test]
+fn other_record_version_is_skipped_with_a_version_reason() {
+    let dir = temp_dir("recv");
+    std::fs::create_dir_all(&dir).unwrap();
+    let json = serde_json::to_string(&sample_record(4, 24)).unwrap();
+    let current = format!("\"record_version\":{}", ibp_serve::store::RECORD_VERSION);
+    assert_eq!(json.matches(&current).count(), 1, "{json}");
+    let other = json
+        .replace(&current, "\"record_version\":9")
+        .replace("\"history_complete\":", "\"history_digest\":");
+    write_record_payload(&dir, 4, other.as_bytes());
+
+    let (_, report) = SnapshotStore::open(&dir).expect("open skips the record");
+    assert_eq!(report.loaded, 0, "{report:?}");
+    let (_, reason) = &report.skipped[0];
+    assert!(reason.contains("record version 9"), "{reason}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     /// Truncating a valid record at any byte never panics recovery, and
     /// only the untouched full-length file can survive.
