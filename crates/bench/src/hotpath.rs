@@ -357,8 +357,9 @@ fn annotate_probe_named(nprocs: u32, iters: usize, jobs: usize, reps: u32, name:
 
 /// Full protocol round trip through an in-process Unix-socket server,
 /// ns/event aggregated over concurrent sessions: frame encode, socket
-/// hop, panic-free decode, per-session mailbox, batch apply on the
-/// intercept hot path, and the directive stream back. One server is
+/// hop, panic-free decode, batch apply on the intercept hot path (on
+/// the event loop itself, as every session here stays hot and idle
+/// between its batches), and the directive stream back. One server is
 /// bound per probe; every repetition reconnects its sessions (session
 /// ids are reusable after `Close`), so connection setup is amortised
 /// over the stream, exactly as `ibpower load` does it. Since the

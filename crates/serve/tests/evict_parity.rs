@@ -392,8 +392,12 @@ impl Raw {
 /// A frame that arrives while the checkpoint an inline batch made due
 /// is still queued (or running on the worker, under the engine lock)
 /// is applied after that checkpoint: batch A fills the persist
-/// cadence, batch B is pipelined right behind it, and the record the
-/// checkpoint wrote must hold exactly the events up to A — never B's.
+/// cadence, batch B is pipelined right behind it in the same write, and
+/// the record the checkpoint wrote must hold exactly the events up to
+/// A — never B's. The first round's A always runs inline (nothing was
+/// ever queued for the session); a later A may find the worker still
+/// releasing the session and queue too, and the record must then read
+/// the same.
 #[test]
 fn frame_behind_a_checkpoint_is_applied_after_it() {
     const A: usize = 64;
@@ -436,10 +440,6 @@ fn frame_behind_a_checkpoint_is_applied_after_it() {
         // the record is already on disk: the state right after A.
         let record = store.load(0).expect("load").expect("checkpoint record");
         assert_eq!(record.events, (cursor - B) as u64, "round {rounds}: B overtook the checkpoint");
-        // Let the worker release the session, so the next A finds it
-        // idle and runs inline (if it does not, A and B both queue and
-        // the assertion above must hold all the same).
-        std::thread::sleep(std::time::Duration::from_millis(2));
     }
     assert!(rounds >= 8, "script too short for the test: {rounds} rounds");
 
@@ -461,7 +461,7 @@ fn frame_behind_a_checkpoint_is_applied_after_it() {
     assert_eq!(journal, script.golden, "parity across checkpoints");
     let (queued, inline) = mailbox_split(&server.metrics);
     let summary = server.stop();
-    assert!(inline > 0, "no A batch ran inline");
+    assert!(inline > 0, "the first A must run inline");
     assert!(queued >= rounds, "each round queues its checkpoint or its batches: {queued}");
     assert!(summary.snapshots_persisted > rounds, "{summary:?}");
     let _ = std::fs::remove_dir_all(&dir);
