@@ -84,3 +84,53 @@ fn routing_seed_changes_timing_but_not_traffic() {
     assert_eq!(a.fabric.messages, b.fabric.messages);
     assert_eq!(a.fabric.bytes, b.fabric.bytes);
 }
+
+/// The weak-scaling traces, pinned: all five applications at two rank
+/// counts, generated through the sweep engine's default trace source
+/// (the `VARIANT_WEAK` cells of the weak-scaling study). Each row holds
+/// an FNV-1a digest of every rank's events (compute gap and MPI
+/// operation) and final compute, so any change to a weak
+/// generator — or to which generator a weak cell dispatches to — shows
+/// up here, not only in the committed `results/`.
+///
+/// Regenerate only after an intentional model change:
+/// `IBP_UPDATE_GOLDEN=1 cargo test -p ibpower-integration-tests --test determinism`
+#[test]
+fn weak_trace_digest_matches_golden() {
+    use ibp_analysis::sweep::{default_trace_fn, CellKey, VARIANT_WEAK};
+    use ibpower_integration_tests::golden::assert_matches_golden;
+    use serde::Value;
+    use std::fmt::Write;
+
+    let trace_of = default_trace_fn();
+    let mut rows = Vec::new();
+    for app in AppKind::ALL {
+        for nprocs in [16u32, 64] {
+            let key = CellKey {
+                app,
+                nprocs,
+                seed: 0xD1C0,
+                variant: VARIANT_WEAK,
+            };
+            let t = trace_of(&key);
+            t.validate().unwrap();
+            let mut text = String::new();
+            for r in &t.ranks {
+                let _ = write!(text, "{} {};", r.rank, r.final_compute.as_ns());
+                for e in &r.events {
+                    let _ = write!(text, "{} {:?};", e.compute_before.as_ns(), e.op);
+                }
+            }
+            let digest = text.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            });
+            rows.push(Value::Map(vec![
+                ("app".into(), Value::Str(app.name().into())),
+                ("nprocs".into(), Value::U64(u64::from(nprocs))),
+                ("calls".into(), Value::U64(t.total_calls() as u64)),
+                ("digest".into(), Value::Str(format!("{digest:016x}"))),
+            ]));
+        }
+    }
+    assert_matches_golden("weak_trace_digest.json", &Value::Seq(rows));
+}
