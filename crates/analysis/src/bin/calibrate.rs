@@ -20,7 +20,7 @@ fn main() {
             |&(app, i)| CellKey::new(app, paper_ref::paper_procs(app)[i], 0xD1C0),
             |ctx, &(app, i), _| {
                 let cfg = RunConfig::new(paper_ref::table3_gt(app)[i], disp);
-                run_with_baseline(&ctx.trace, app, &cfg, &ctx.baseline())
+                run_with_baseline(&ctx.trace, app, &cfg, &ctx.baseline(), 1)
             },
         );
         println!("app        n    GTus  hit%  sav%  (paper)  slow%  (paper)  est%");

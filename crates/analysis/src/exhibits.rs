@@ -4,7 +4,7 @@
 //! text block; the [`crate::registry`] entries write the JSON and hand the
 //! text to `ibpower exhibits`.
 
-use crate::experiment::{run_runtime_only_jobs, run_with_baseline_jobs, RunConfig, RunResult};
+use crate::experiment::{run_runtime_only, run_with_baseline, RunConfig, RunResult};
 use crate::gt_select::{sweep, GtPoint};
 use crate::paper_ref;
 use crate::report::{f1, f2, Table};
@@ -209,7 +209,7 @@ pub fn table4(engine: &SweepEngine, seed: u64) -> Vec<Table4Row> {
         |ctx, key, _| {
             let best = ctx.choose_gt(SELECT_DISPLACEMENT);
             let cfg = RunConfig::new(best.gt_us, SELECT_DISPLACEMENT);
-            let r = run_runtime_only_jobs(&ctx.trace, key.app, &cfg, ctx.rank_jobs);
+            let r = run_runtime_only(&ctx.trace, key.app, &cfg, ctx.rank_jobs);
             Table4Row {
                 app: key.app.name().to_string(),
                 ppa_invoked_pct: r.stats.ppa_invocation_pct(),
@@ -297,7 +297,7 @@ pub fn figure(
         |ctx, key, _| {
             let best = ctx.choose_gt(SELECT_DISPLACEMENT);
             let cfg = RunConfig::new(best.gt_us, displacement);
-            let r = run_with_baseline_jobs(&ctx.trace, key.app, &cfg, &ctx.baseline(), ctx.rank_jobs);
+            let r = run_with_baseline(&ctx.trace, key.app, &cfg, &ctx.baseline(), ctx.rank_jobs);
             (best.gt_us, r)
         },
     );

@@ -16,7 +16,7 @@ use ibp_core::{annotate_trace_jobs, PowerConfig, RankStats, TraceAnnotations};
 use ibp_network::{replay, ReplayOptions, SimParams, SimResult};
 use ibp_simcore::SimDuration;
 use ibp_trace::{IdleDistribution, Trace};
-use ibp_workloads::AppKind;
+use ibp_workloads::{AppKind, Scaling};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of one experiment run.
@@ -77,42 +77,10 @@ pub struct RunResult {
     pub idle: IdleDistribution,
 }
 
-/// Generate the trace for `app` at `nprocs` (deterministic per seed).
+/// Generate the strong-scaling trace for `app` at `nprocs`
+/// (deterministic per seed).
 pub fn make_trace(app: AppKind, nprocs: u32, seed: u64) -> Trace {
-    app.workload().generate(nprocs, seed)
-}
-
-/// [`make_trace`] with an explicit scaling mode (the weak-scaling study
-/// and the sweep engine's [`crate::sweep::VARIANT_WEAK`] cells).
-pub fn make_trace_scaled(
-    app: AppKind,
-    nprocs: u32,
-    seed: u64,
-    scaling: ibp_workloads::Scaling,
-) -> Trace {
-    let w: Box<dyn ibp_workloads::Workload> = match app {
-        AppKind::Gromacs => Box::new(ibp_workloads::Gromacs {
-            scaling,
-            ..Default::default()
-        }),
-        AppKind::Alya => Box::new(ibp_workloads::Alya {
-            scaling,
-            ..Default::default()
-        }),
-        AppKind::Wrf => Box::new(ibp_workloads::Wrf {
-            scaling,
-            ..Default::default()
-        }),
-        AppKind::NasBt => Box::new(ibp_workloads::NasBt {
-            scaling,
-            ..Default::default()
-        }),
-        AppKind::NasMg => Box::new(ibp_workloads::NasMg {
-            scaling,
-            ..Default::default()
-        }),
-    };
-    w.generate(nprocs, seed)
+    app.workload(Scaling::Strong).generate(nprocs, seed)
 }
 
 /// Annotate + double replay, computing every reported metric.
@@ -120,85 +88,51 @@ pub fn run_on_trace(trace: &Trace, app: AppKind, cfg: &RunConfig) -> RunResult {
     let params = SimParams::paper();
     let opts = ReplayOptions::default();
     let baseline = replay(trace, None, &params, &opts).expect("replay");
-    run_with_baseline(trace, app, cfg, &baseline)
+    run_with_baseline(trace, app, cfg, &baseline, 1)
 }
 
 /// Annotate + managed replay against an already-computed fault-free
 /// baseline (the sweep engine memoizes the baseline per trace key, so
 /// it is replayed exactly once per sweep instead of once per cell).
+/// The annotation pass is spread over up to `rank_jobs` threads (sweep
+/// cells hand in their leftover worker budget); results are identical
+/// for any `rank_jobs`.
 pub fn run_with_baseline(
     trace: &Trace,
     app: AppKind,
     cfg: &RunConfig,
     baseline: &SimResult,
-) -> RunResult {
-    run_with_baseline_jobs(trace, app, cfg, baseline, 1)
-}
-
-/// [`run_with_baseline`] with the annotation pass spread over up to
-/// `rank_jobs` threads (sweep cells hand in their leftover worker
-/// budget). Results are identical for any `rank_jobs`.
-pub fn run_with_baseline_jobs(
-    trace: &Trace,
-    app: AppKind,
-    cfg: &RunConfig,
-    baseline: &SimResult,
     rank_jobs: usize,
 ) -> RunResult {
-    let pc = cfg.power_config();
-    let ann = annotate_trace_jobs(trace, &pc, rank_jobs);
+    let ann = annotate_trace_jobs(trace, &cfg.power_config(), rank_jobs);
     let params = SimParams::paper();
     let opts = ReplayOptions::default();
     let managed = replay(trace, Some(&ann), &params, &opts).expect("replay");
-    collect(trace, app, cfg, &ann, baseline, &managed)
-}
-
-/// Run the full experiment (generation included).
-pub fn run(app: AppKind, nprocs: u32, cfg: &RunConfig) -> RunResult {
-    let trace = make_trace(app, nprocs, cfg.seed);
-    run_on_trace(&trace, app, cfg)
+    collect(trace, app, cfg, &ann, Some((baseline, &managed)))
 }
 
 /// Runtime-only pass (annotation, no replay): the runtime's own
 /// counters at one configuration, as Table IV reads them.
 /// `est_saving_pct` and `hit_rate_pct` are filled; replay metrics are 0.
-pub fn run_runtime_only(trace: &Trace, app: AppKind, cfg: &RunConfig) -> RunResult {
-    run_runtime_only_jobs(trace, app, cfg, 1)
-}
-
-/// [`run_runtime_only`] with rank-parallel annotation; see
-/// [`run_with_baseline_jobs`].
-pub fn run_runtime_only_jobs(
+/// `rank_jobs` as in [`run_with_baseline`].
+pub fn run_runtime_only(
     trace: &Trace,
     app: AppKind,
     cfg: &RunConfig,
     rank_jobs: usize,
 ) -> RunResult {
-    let pc = cfg.power_config();
-    let ann = annotate_trace_jobs(trace, &pc, rank_jobs);
-    RunResult {
-        app: app.name().to_string(),
-        nprocs: trace.nprocs,
-        gt_us: cfg.gt_us,
-        displacement: cfg.displacement,
-        hit_rate_pct: ann.mean_hit_rate_pct(),
-        power_saving_pct: 0.0,
-        slowdown_pct: 0.0,
-        est_saving_pct: ann.mean_est_power_saving_pct(pc.low_power_fraction),
-        baseline_exec: SimDuration::ZERO,
-        managed_exec: SimDuration::ZERO,
-        stats: ann.aggregate_stats(),
-        idle: IdleDistribution::from_trace(trace),
-    }
+    let ann = annotate_trace_jobs(trace, &cfg.power_config(), rank_jobs);
+    collect(trace, app, cfg, &ann, None)
 }
 
+/// Score one annotated run; `replays` is the `(baseline, managed)`
+/// replay pair, or `None` for a runtime-only pass.
 fn collect(
     trace: &Trace,
     app: AppKind,
     cfg: &RunConfig,
     ann: &TraceAnnotations,
-    baseline: &SimResult,
-    managed: &SimResult,
+    replays: Option<(&SimResult, &SimResult)>,
 ) -> RunResult {
     RunResult {
         app: app.name().to_string(),
@@ -206,12 +140,12 @@ fn collect(
         gt_us: cfg.gt_us,
         displacement: cfg.displacement,
         hit_rate_pct: ann.mean_hit_rate_pct(),
-        power_saving_pct: managed.power_saving_pct(),
-        slowdown_pct: managed.slowdown_pct(baseline),
+        power_saving_pct: replays.map_or(0.0, |(_, managed)| managed.power_saving_pct()),
+        slowdown_pct: replays.map_or(0.0, |(baseline, managed)| managed.slowdown_pct(baseline)),
         est_saving_pct: ann
             .mean_est_power_saving_pct(cfg.power_config().low_power_fraction),
-        baseline_exec: baseline.exec_time,
-        managed_exec: managed.exec_time,
+        baseline_exec: replays.map_or(SimDuration::ZERO, |(baseline, _)| baseline.exec_time),
+        managed_exec: replays.map_or(SimDuration::ZERO, |(_, managed)| managed.exec_time),
         stats: ann.aggregate_stats(),
         idle: IdleDistribution::from_trace(trace),
     }
@@ -241,7 +175,7 @@ mod tests {
         let alya = ibp_workloads::Alya { iterations: 30, ..Default::default() };
         let trace = ibp_workloads::Workload::generate(&alya, 4, 2);
         let cfg = RunConfig::new(20.0, 0.01);
-        let fast = run_runtime_only(&trace, AppKind::Alya, &cfg);
+        let fast = run_runtime_only(&trace, AppKind::Alya, &cfg, 1);
         let full = run_on_trace(&trace, AppKind::Alya, &cfg);
         assert_eq!(fast.hit_rate_pct, full.hit_rate_pct);
         assert_eq!(fast.est_saving_pct, full.est_saving_pct);

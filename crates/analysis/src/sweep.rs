@@ -282,12 +282,7 @@ pub type TraceFn = Arc<dyn Fn(&CellKey) -> Trace + Send + Sync>;
 pub fn default_trace_fn() -> TraceFn {
     Arc::new(|key: &CellKey| match key.variant {
         VARIANT_STRONG => make_trace(key.app, key.nprocs, key.seed),
-        VARIANT_WEAK => crate::experiment::make_trace_scaled(
-            key.app,
-            key.nprocs,
-            key.seed,
-            Scaling::Weak,
-        ),
+        VARIANT_WEAK => key.app.workload(Scaling::Weak).generate(key.nprocs, key.seed),
         other => panic!("no default workload for trace variant {other}"),
     })
 }
@@ -556,7 +551,7 @@ mod tests {
             |_| key,
             |ctx, &gt, _| {
                 let cfg = RunConfig::new(gt, 0.01);
-                run_runtime_only(&ctx.trace, ctx.key.app, &cfg).hit_rate_pct
+                run_runtime_only(&ctx.trace, ctx.key.app, &cfg, 1).hit_rate_pct
             },
         );
         assert_eq!(results.len(), 3);

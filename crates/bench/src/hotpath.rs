@@ -126,7 +126,7 @@ pub const REPLAY_WIDE_PROBE: &str = "replay_wide_ns_per_event";
 /// it (older entries predate the ladder).
 pub const LADDER_PROBE: &str = "ladder_apply_windows_ns_per_event";
 
-/// Name of the GT-sweep probe: [`ibp_analysis::sweep`] over NAS-MG at
+/// Name of the GT-sweep probe: [`ibp_analysis::sweep()`] over NAS-MG at
 /// 16 ranks, ns per (event × grid point). Gated only when the baseline
 /// entry records it (older entries predate the probe).
 pub const GT_SWEEP_PROBE: &str = "gt_sweep_ns_per_event";

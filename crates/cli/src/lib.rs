@@ -22,7 +22,7 @@
 #![forbid(unsafe_code)]
 
 use ibp_simcore::SimDuration;
-use ibp_workloads::{AppKind, Scaling, Workload};
+use ibp_workloads::AppKind;
 
 /// Where the streaming service listens (or where the load generator
 /// connects): exactly one of `--tcp ADDR` or `--uds PATH`.
@@ -804,34 +804,6 @@ BENCH-REPORT: time the hot paths (PMPI interception, PPA scan, replay at
 DEFAULTS: --seed 0xD1C0, --gt 20 (µs), --disp 0.01
 ";
 
-/// Build the workload named `app` with the requested scaling mode.
-pub fn workload_of(app: &str, weak: bool) -> Option<Box<dyn Workload>> {
-    let kind = AppKind::from_name(app)?;
-    let mode = if weak { Scaling::Weak } else { Scaling::Strong };
-    Some(match kind {
-        AppKind::Gromacs => Box::new(ibp_workloads::Gromacs {
-            scaling: mode,
-            ..Default::default()
-        }),
-        AppKind::Alya => Box::new(ibp_workloads::Alya {
-            scaling: mode,
-            ..Default::default()
-        }),
-        AppKind::Wrf => Box::new(ibp_workloads::Wrf {
-            scaling: mode,
-            ..Default::default()
-        }),
-        AppKind::NasBt => Box::new(ibp_workloads::NasBt {
-            scaling: mode,
-            ..Default::default()
-        }),
-        AppKind::NasMg => Box::new(ibp_workloads::NasMg {
-            scaling: mode,
-            ..Default::default()
-        }),
-    })
-}
-
 /// The `PowerConfig` for CLI parameters.
 pub fn power_config(gt_us: f64, displacement: f64) -> ibp_core::PowerConfig {
     ibp_core::PowerConfig::paper(SimDuration::from_us_f64(gt_us), displacement)
@@ -1426,13 +1398,5 @@ mod tests {
         assert!(parse(&argv("generate")).is_err());
         assert!(parse(&argv("generate alya")).is_err());
         assert!(parse(&argv("inspect")).is_err());
-    }
-
-    #[test]
-    fn workload_construction() {
-        assert!(workload_of("alya", false).is_some());
-        assert!(workload_of("alya", true).is_some());
-        assert!(workload_of("nonesuch", false).is_none());
-        assert_eq!(workload_of("wrf", false).unwrap().name(), "wrf");
     }
 }

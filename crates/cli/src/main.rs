@@ -6,10 +6,21 @@ use ibp_core::annotate_trace;
 use ibp_network::{replay, LinkPower, ReplayOptions, SimParams};
 use ibp_simcore::{SimDuration, SimTime};
 use ibp_trace::{ActivityProfile, CallProfile, CommMatrix, IdleDistribution, Trace};
-use ibpower_cli::{
-    fault_config, parse, power_config, power_config_resilient, usage, workload_of, Command,
-};
+use ibp_workloads::{AppKind, Scaling};
+use ibpower_cli::{fault_config, parse, power_config, power_config_resilient, usage, Command};
 use std::process::ExitCode;
+
+/// Generate `app`'s trace at `nprocs` ranks (`parse` has already
+/// checked that the name is a known application).
+fn generate(app: &str, nprocs: u32, seed: u64, scaling: Scaling) -> Result<Trace, String> {
+    let w = AppKind::from_name(app)
+        .expect("validated by parse")
+        .workload(scaling);
+    if !w.valid_nprocs(nprocs) {
+        return Err(format!("{app} cannot run at {nprocs} ranks"));
+    }
+    Ok(w.generate(nprocs, seed))
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -178,11 +189,8 @@ fn run(cmd: Command) -> Result<(), String> {
             weak,
             output,
         } => {
-            let w = workload_of(&app, weak).expect("validated by parse");
-            if !w.valid_nprocs(nprocs) {
-                return Err(format!("{app} cannot run at {nprocs} ranks"));
-            }
-            let trace = w.generate(nprocs, seed);
+            let scaling = if weak { Scaling::Weak } else { Scaling::Strong };
+            let trace = generate(&app, nprocs, seed, scaling)?;
             println!(
                 "{}: {} ranks, {} MPI calls{}",
                 trace.name,
@@ -357,11 +365,7 @@ fn run(cmd: Command) -> Result<(), String> {
             resilient,
             budget,
         } => {
-            let w = workload_of(&app, false).expect("validated by parse");
-            if !w.valid_nprocs(nprocs) {
-                return Err(format!("{app} cannot run at {nprocs} ranks"));
-            }
-            let trace = w.generate(nprocs, seed);
+            let trace = generate(&app, nprocs, seed, Scaling::Strong)?;
             let cfg = power_config_resilient(gt_us, displacement, resilient, budget);
             let params = SimParams::paper();
             let opts = ReplayOptions {
@@ -691,11 +695,7 @@ fn run(cmd: Command) -> Result<(), String> {
             scale_curve,
             output,
         } => {
-            let w = workload_of(&app, false).expect("validated by parse");
-            if !w.valid_nprocs(nprocs) {
-                return Err(format!("{app} cannot run at {nprocs} ranks"));
-            }
-            let trace = w.generate(nprocs, seed);
+            let trace = generate(&app, nprocs, seed, Scaling::Strong)?;
             let cfg = power_config(gt_us, displacement);
             // --events-per-session truncates every stream to its first N
             // events (the mostly-idle mix for scaling runs). Parity

@@ -5,7 +5,7 @@
 
 use ibp_core::{annotate_rank, PowerConfig};
 use ibp_serve::{Client, Endpoint};
-use ibp_workloads::AppKind;
+use ibp_workloads::{AppKind, Scaling};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -50,12 +50,12 @@ fn spawn_server(sock: &PathBuf, store: &PathBuf, extra: &[&str]) -> Child {
 #[test]
 fn sigkill_mid_stream_resumes_to_parity_for_every_app() {
     for app in AppKind::ALL {
-        let nprocs = app.workload().paper_procs()[0];
+        let nprocs = app.workload(Scaling::Strong).paper_procs()[0];
         let dir = temp_dir(app.name());
         let sock = dir.join("serve.sock");
         let store = dir.join("store");
         let cfg = PowerConfig::default();
-        let trace = app.workload().generate(nprocs, 42);
+        let trace = app.workload(Scaling::Strong).generate(nprocs, 42);
 
         // Two sessions per app keep the five-app sweep fast while still
         // exercising concurrent resume.

@@ -126,7 +126,7 @@ pub fn reactive_annotate_rank(
 }
 
 /// Annotate one rank with a history-window predictor (the hardware
-/// DVS-style policy of Shang et al., [7] in the paper): the next idle
+/// DVS-style policy of Shang et al., \[7\] in the paper): the next idle
 /// interval is predicted as the mean of the last `window` observed
 /// inter-call gaps, with no notion of patterns. Algorithm 3's timer
 /// formula is then applied to that prediction.

@@ -273,11 +273,6 @@ impl PowerConfig {
         }
     }
 
-    /// Minimum legal grouping threshold, `2·T_react`.
-    pub fn min_gt(&self) -> SimDuration {
-        self.t_react * 2
-    }
-
     /// The lane-off timer for a predicted idle interval, per Algorithm 3:
     ///
     /// ```text

@@ -194,11 +194,6 @@ impl GramBuilder {
         }
     }
 
-    /// Number of calls accumulated in the open gram.
-    pub fn open_len(&self) -> usize {
-        self.current_calls.len()
-    }
-
     /// Snapshot the builder's mutable fields (the open gram).
     pub(crate) fn snapshot(&self) -> GramBuilderSnapshot {
         GramBuilderSnapshot {

@@ -5,10 +5,10 @@
 //! one `(call, idle-since-previous-call)` pair at a time — and transitions
 //! between two components:
 //!
-//! * **Pattern prediction** (mode [`Mode::Learning`]): gram formation
+//! * **Pattern prediction** (Learning mode): gram formation
 //!   (Algorithm 1) feeds the PPA (Algorithm 2). On a declaration the
 //!   runtime switches to…
-//! * **Power-mode control** (mode [`Mode::Predicting`], Algorithm 3): the
+//! * **Power-mode control** (Predicting mode, Algorithm 3): the
 //!   PPA is disabled (its overhead vanishes); arriving calls are checked
 //!   against the declared pattern; when an expected gram completes, a
 //!   lane-off directive with a programmed wake-up timer is issued for the

@@ -1,7 +1,7 @@
 //! Serializable snapshots of the streaming runtime.
 //!
-//! A [`RuntimeSnapshot`] captures **everything** a [`RankRuntime`]
-//! ([`crate::runtime::RankRuntime`]) has learned — interned gram shapes,
+//! A [`RuntimeSnapshot`] captures **everything** a
+//! [`RankRuntime`](crate::runtime::RankRuntime) has learned — interned gram shapes,
 //! the pattern list with occurrence windows and slot-gap means, the PPA
 //! scan position, the prediction mode, the resilience controller and the
 //! cumulative statistics — but *not* the per-event output vectors

@@ -7,7 +7,7 @@ use ibp_core::{
 };
 use ibp_simcore::SimDuration;
 use ibp_trace::MpiCall;
-use ibp_workloads::AppKind;
+use ibp_workloads::{AppKind, Scaling};
 use proptest::prelude::*;
 
 fn call_of(idx: u8) -> MpiCall {
@@ -150,7 +150,7 @@ proptest! {
         window_sel in 0usize..3,
     ) {
         let app = AppKind::ALL[app_idx];
-        let w = app.workload();
+        let w = app.workload(Scaling::Strong);
         let valid: Vec<u32> = (2..=16).filter(|&n| w.valid_nprocs(n)).collect();
         prop_assert!(!valid.is_empty());
         let nprocs = valid[nprocs_sel % valid.len()];
@@ -250,7 +250,7 @@ proptest! {
 #[test]
 fn bounded_occurrence_window_never_changes_declarations() {
     for app in AppKind::ALL {
-        let w = app.workload();
+        let w = app.workload(Scaling::Strong);
         let nprocs = (2..=16)
             .find(|&n| w.valid_nprocs(n))
             .expect("every paper app runs somewhere in 2..=16");

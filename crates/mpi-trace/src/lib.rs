@@ -29,4 +29,4 @@ pub use io::TraceError;
 pub use event::{MpiCall, MpiOp, Rank, ReqId};
 pub use profile::{ActivityProfile, CallProfile, CommMatrix};
 pub use stats::{IdleBucket, IdleDistribution};
-pub use trace::{nominal_call_times, RankTrace, Trace, TraceBuilder, TraceEvent};
+pub use trace::{RankTrace, Trace, TraceBuilder, TraceEvent};

@@ -8,7 +8,7 @@
 //! "inter-communication interval" the paper's prediction algorithm feeds on.
 
 use crate::event::{MpiCall, MpiOp, Rank};
-use ibp_simcore::{SimDuration, SimTime};
+use ibp_simcore::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// One trace record: the compute burst since the previous MPI call, then
@@ -238,22 +238,6 @@ impl TraceBuilder {
     }
 }
 
-/// Convert a [`RankTrace`] into absolute call-entry timestamps *assuming no
-/// communication delay* (each MPI call completes instantly). This is the
-/// approximation used when analysing a trace before replaying it — and is
-/// what the paper does when it mines traces for idle intervals.
-pub fn nominal_call_times(trace: &RankTrace) -> Vec<(SimTime, MpiCall)> {
-    let mut t = SimTime::ZERO;
-    trace
-        .events
-        .iter()
-        .map(|e| {
-            t += e.compute_before;
-            (t, e.op.call())
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,13 +311,5 @@ mod tests {
         b.op(1, MpiOp::Recv { from: 0, bytes: 100 });
         b.op(1, MpiOp::Send { to: 0, bytes: 100 });
         assert!(b.build().validate().is_ok());
-    }
-
-    #[test]
-    fn nominal_call_times_accumulate_compute() {
-        let t = two_rank_trace();
-        let times = nominal_call_times(&t.ranks[0]);
-        assert_eq!(times[0].0, SimTime::from_us(50));
-        assert_eq!(times[1].0, SimTime::from_us(60));
     }
 }

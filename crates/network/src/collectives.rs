@@ -10,10 +10,10 @@
 //! * `Allgather` — ring (n−1 rounds, each passing one block);
 //! * `Alltoall` — n−1 rounds of pairwise shifted exchange.
 //!
-//! Every rank executes the micro-op sequence returned for it; matching
-//! per (src, dst) pair is FIFO, and because all ranks derive their
-//! sequences from the same deterministic schedule, sends and receives
-//! pair up exactly.
+//! Every rank executes the micro-op sequence [`for_each_micro`] streams
+//! for it; matching per (src, dst) pair is FIFO, and because all ranks
+//! derive their sequences from the same deterministic schedule, sends
+//! and receives pair up exactly.
 
 use ibp_trace::{MpiOp, Rank};
 
@@ -133,18 +133,16 @@ pub fn for_each_micro(op: &MpiOp, me: Rank, n: u32, sink: &mut impl FnMut(MicroO
     }
 }
 
-/// Decompose a collective into the micro-ops executed by rank `me` of
-/// `n`, collected into a vector ([`for_each_micro`] with a `Vec` sink).
-#[must_use]
-pub fn decompose(op: &MpiOp, me: Rank, n: u32) -> Vec<MicroOp> {
-    let mut out = Vec::new();
-    for_each_micro(op, me, n, &mut |m| out.push(m));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The micro-ops rank `me` of `n` executes for `op`, in order.
+    fn decompose(op: &MpiOp, me: Rank, n: u32) -> Vec<MicroOp> {
+        let mut out = Vec::new();
+        for_each_micro(op, me, n, &mut |m| out.push(m));
+        out
+    }
 
     /// Simulate the matching of all ranks' micro-op streams: every send
     /// must pair with exactly one receive on the destination, FIFO per
@@ -242,28 +240,6 @@ mod tests {
     fn p2p_ops_decompose_to_nothing() {
         assert!(decompose(&MpiOp::Send { to: 1, bytes: 5 }, 0, 4).is_empty());
         assert!(decompose(&MpiOp::Wait { req: 0 }, 0, 4).is_empty());
-    }
-
-    #[test]
-    fn sink_and_vec_forms_agree() {
-        let ops = [
-            MpiOp::Barrier,
-            MpiOp::Allreduce { bytes: 8 },
-            MpiOp::Bcast { root: 2, bytes: 64 },
-            MpiOp::Reduce { root: 1, bytes: 64 },
-            MpiOp::Allgather { bytes: 32 },
-            MpiOp::Alltoall { bytes: 16 },
-            MpiOp::Send { to: 1, bytes: 5 },
-        ];
-        for op in &ops {
-            for n in [2, 3, 8, 13] {
-                for me in 0..n {
-                    let mut streamed = Vec::new();
-                    for_each_micro(op, me, n, &mut |m| streamed.push(m));
-                    assert_eq!(streamed, decompose(op, me, n), "{op:?} me={me} n={n}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -94,13 +94,6 @@ impl SimParams {
         Self::default()
     }
 
-    /// Parameters for a link generation (alias for
-    /// [`crate::genlink::IbGeneration::sim_params`]).
-    #[must_use]
-    pub fn for_generation(generation: crate::genlink::IbGeneration) -> Self {
-        generation.sim_params()
-    }
-
     /// Reactivation time of a sleep kind (mirrors
     /// [`ibp_core::PowerConfig::react_of`]).
     #[inline]
@@ -257,7 +250,7 @@ mod tests {
     #[test]
     fn generation_params_only_change_bandwidth_and_tag() {
         use crate::genlink::IbGeneration;
-        let p = SimParams::for_generation(IbGeneration::Hdr);
+        let p = IbGeneration::Hdr.sim_params();
         assert_eq!(p.bandwidth_bps, 200e9);
         assert_eq!(p.generation, IbGeneration::Hdr);
         let mut back_to_paper = p;

@@ -8,6 +8,11 @@
 //! decomposed into point-to-point phases; non-blocking requests and
 //! waits are honoured.
 //!
+//! The topology is the 2-level [`FatTree`] only: its shape comes from
+//! the [`SimParams`] fields `nodes_per_leaf`, `leaf_count` and
+//! `top_count`, and every message is routed through it by the
+//! [`Fabric`]. There is no general n-level XGFT model.
+//!
 //! When supplied with [`ibp_core::TraceAnnotations`] the replay also
 //! applies the power-saving mechanism's effects: per-call overheads,
 //! reactivation penalties, and the lane-off windows that drive per-link
@@ -29,9 +34,8 @@ pub mod replay;
 pub mod results;
 pub mod switch_power;
 pub mod topology;
-pub mod xgft;
 
-pub use collectives::{decompose, for_each_micro, MicroOp};
+pub use collectives::{for_each_micro, MicroOp};
 pub use config::{SimParams, DEEP_POWER_FRACTION, RATE_POWER_FRACTION};
 pub use fabric::{Fabric, FabricStats};
 pub use faults::{FaultConfig, FaultPlan, FaultStats, SendFault};
@@ -40,5 +44,4 @@ pub use power::{LinkPower, LinkPowerTracker};
 pub use replay::{replay, replay_with_scratch, ReplayError, ReplayOptions, ReplayScratch};
 pub use results::SimResult;
 pub use switch_power::{SwitchPowerModel, SwitchPowerReport};
-pub use topology::{ChannelId, FatTree, Route};
-pub use xgft::{Vertex, Xgft};
+pub use topology::{ChannelId, FatTree};

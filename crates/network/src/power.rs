@@ -152,100 +152,47 @@ impl LinkPowerTracker {
         self.floor
     }
 
-    /// Apply one sleep window: lanes shut down at `t0` with the HCA timer
-    /// programmed to `timer`; the rank next wanted the network at
-    /// `t_want` (demand wake-up if earlier than the timer).
-    ///
-    /// Returns the achieved low-power span.
-    pub fn apply_sleep(
-        &mut self,
-        params: &SimParams,
-        t0: SimTime,
-        timer: SimDuration,
-        t_want: SimTime,
-    ) -> SimDuration {
-        self.apply_sleep_kind(params, t0, timer, t_want, SleepKind::Wrps)
-    }
-
-    /// [`LinkPowerTracker::apply_sleep`] with an explicit sleep depth:
-    /// the window uses that depth's reactivation time and is accounted
-    /// in its `sleep_time` slot.
-    pub fn apply_sleep_kind(
-        &mut self,
-        params: &SimParams,
-        t0: SimTime,
-        timer: SimDuration,
-        t_want: SimTime,
-        kind: SleepKind,
-    ) -> SimDuration {
-        self.apply_window(params, t0, Some(timer), t_want, kind)
-    }
-
-    /// A sleep window whose wake timer *misfired*: the lanes stay in low
-    /// power past the programmed timer, until the demand at `t_want`
-    /// forces a reactive wake. The link draws less power (longer low
-    /// span) but the rank pays the full reactivation stall — the caller
-    /// charges that separately.
-    pub fn apply_sleep_misfire(
-        &mut self,
-        params: &SimParams,
-        t0: SimTime,
-        t_want: SimTime,
-        kind: SleepKind,
-    ) -> SimDuration {
-        self.apply_window(params, t0, None, t_want, kind)
-    }
-
-    /// Shared window accounting. `timer` of `None` models a misfired
-    /// wake timer: only demand (`t_want`) ends the low-power span.
-    fn apply_window(
-        &mut self,
-        params: &SimParams,
-        t0: SimTime,
-        timer: Option<SimDuration>,
-        t_want: SimTime,
-        kind: SleepKind,
-    ) -> SimDuration {
-        let react = params.react_of(kind);
-        let t0 = t0.max(self.floor);
-        let off_end = t0 + react;
-        // Demand wake cannot precede the end of the off transition (the
-        // lanes must finish shutting down before they can start waking).
-        let demand = t_want.max(off_end);
-        let wake = match timer {
-            Some(timer) => (t0 + timer).min(demand),
-            None => demand, // misfired timer: only demand wakes the lanes
-        };
-        let low_span = wake.saturating_since(off_end);
-        let full_again = wake + react;
-
-        if let Some(tl) = &mut self.timeline {
-            tl.record(t0, LinkPower::Transition);
-            if !low_span.is_zero() {
-                tl.record(off_end, LinkPower::from_pending_sleep(Some(kind)));
-            }
-            tl.record(wake, LinkPower::Transition);
-            tl.record(full_again, LinkPower::Full);
-        }
-        self.sleep_time[kind as usize] += low_span;
-        self.transition_time += full_again.since(wake) + off_end.since(t0);
-        self.floor = full_again;
-        self.sleeps += 1;
-        low_span
-    }
-
     /// Apply a batch of resolved windows in order — the slice-oriented
     /// entry point the replay engine uses: window *resolution* (which
     /// only needs timestamps) happens on the timing hot path, and the
     /// link's whole power timeline is advanced here in one pass after
-    /// the run completes. Accounting is identical to applying each
-    /// window singly via [`LinkPowerTracker::apply_sleep_kind`] /
-    /// [`LinkPowerTracker::apply_sleep_misfire`] because the only state
+    /// the run completes. Applying a batch in one call or split over
+    /// several calls gives identical accounting, because the only state
     /// a window reads besides its own fields is the floor left by its
     /// predecessor.
+    ///
+    /// Each window's lanes shut down at `t0` (clamped to the floor) and
+    /// wake when the HCA timer fires or, earlier, on demand at `t_want`;
+    /// a misfired timer (`None`) leaves only the demand wake. The depth's
+    /// reactivation time bounds the low-power span on both sides.
     pub fn apply_windows(&mut self, params: &SimParams, windows: &[SleepWindow]) {
         for w in windows {
-            self.apply_window(params, w.t0, w.timer, w.t_want, w.kind);
+            let react = params.react_of(w.kind);
+            let t0 = w.t0.max(self.floor);
+            let off_end = t0 + react;
+            // Demand wake cannot precede the end of the off transition
+            // (the lanes must finish shutting down before they can start
+            // waking).
+            let demand = w.t_want.max(off_end);
+            let wake = match w.timer {
+                Some(timer) => (t0 + timer).min(demand),
+                None => demand, // misfired timer: only demand wakes the lanes
+            };
+            let low_span = wake.saturating_since(off_end);
+            let full_again = wake + react;
+
+            if let Some(tl) = &mut self.timeline {
+                tl.record(t0, LinkPower::Transition);
+                if !low_span.is_zero() {
+                    tl.record(off_end, LinkPower::from_pending_sleep(Some(w.kind)));
+                }
+                tl.record(wake, LinkPower::Transition);
+                tl.record(full_again, LinkPower::Full);
+            }
+            self.sleep_time[w.kind as usize] += low_span;
+            self.transition_time += full_again.since(wake) + off_end.since(t0);
+            self.floor = full_again;
+            self.sleeps += 1;
         }
     }
 
@@ -275,12 +222,28 @@ mod tests {
         SimDuration::from_us(x)
     }
 
+    fn window(t0: u64, timer: Option<u64>, t_want: u64, kind: SleepKind) -> SleepWindow {
+        SleepWindow {
+            t0: us(t0),
+            timer: timer.map(dur),
+            t_want: us(t_want),
+            kind,
+        }
+    }
+
+    /// Apply one window and return the low-power span it achieved.
+    fn apply(t: &mut LinkPowerTracker, p: &SimParams, w: SleepWindow) -> SimDuration {
+        let before = t.sleep_time[w.kind as usize];
+        t.apply_windows(p, &[w]);
+        t.sleep_time[w.kind as usize] - before
+    }
+
     #[test]
     fn normal_sleep_window() {
         let p = SimParams::paper();
         let mut t = LinkPowerTracker::new(true);
         // Sleep at t=100 µs with a 90 µs timer; next demand at 200 µs.
-        let span = t.apply_sleep(&p, us(100), dur(90), us(200));
+        let span = apply(&mut t, &p, window(100, Some(90), 200, SleepKind::Wrps));
         // Low power from 110 to 190 µs.
         assert_eq!(span, dur(80));
         assert_eq!(t.sleep_time, [dur(80), SimDuration::ZERO, SimDuration::ZERO]);
@@ -296,7 +259,7 @@ mod tests {
         let p = SimParams::paper();
         let mut t = LinkPowerTracker::new(false);
         // Timer says 90 µs but the rank wants the network at t=150 µs.
-        let span = t.apply_sleep(&p, us(100), dur(90), us(150));
+        let span = apply(&mut t, &p, window(100, Some(90), 150, SleepKind::Wrps));
         // Low power 110..150 only.
         assert_eq!(span, dur(40));
     }
@@ -305,7 +268,7 @@ mod tests {
     fn demand_before_off_transition_gives_zero_span() {
         let p = SimParams::paper();
         let mut t = LinkPowerTracker::new(true);
-        let span = t.apply_sleep(&p, us(100), dur(90), us(105));
+        let span = apply(&mut t, &p, window(100, Some(90), 105, SleepKind::Wrps));
         assert_eq!(span, SimDuration::ZERO);
         // Still pays both transitions.
         assert_eq!(t.transition_time, dur(20));
@@ -315,10 +278,10 @@ mod tests {
     fn floor_prevents_overlapping_sleeps() {
         let p = SimParams::paper();
         let mut t = LinkPowerTracker::new(true);
-        t.apply_sleep(&p, us(100), dur(90), us(1000));
+        apply(&mut t, &p, window(100, Some(90), 1000, SleepKind::Wrps));
         // Second sleep nominally at t=150 (inside the first window) gets
         // pushed past the first's wake transition.
-        let span = t.apply_sleep(&p, us(150), dur(50), us(1000));
+        let span = apply(&mut t, &p, window(150, Some(50), 1000, SleepKind::Wrps));
         // Start shifted to the floor (200 µs): off transition ends at
         // 210 µs, timer fires at 250 µs → 40 µs of low power.
         assert_eq!(t.floor(), us(260));
@@ -329,7 +292,7 @@ mod tests {
     fn mean_power_blends_draws() {
         let p = SimParams::paper();
         let mut t = LinkPowerTracker::new(false);
-        t.apply_sleep(&p, us(0), dur(580), us(1000));
+        apply(&mut t, &p, window(0, Some(580), 1000, SleepKind::Wrps));
         // low = 570 µs of 1000 → draw = 1 − 0.57 × 0.57 = 0.675.
         let draw = t.mean_relative_power(&p, dur(1000));
         assert!((draw - (1.0 - 0.57 * 0.57)).abs() < 1e-9, "{draw}");
@@ -344,8 +307,8 @@ mod tests {
         let mut bad = LinkPowerTracker::new(false);
         // Timer 90 µs, next demand at 400 µs. A working timer wakes at
         // 190 µs; a misfired one sleeps until demand.
-        let span_ok = ok.apply_sleep(&p, us(100), dur(90), us(400));
-        let span_bad = bad.apply_sleep_misfire(&p, us(100), us(400), SleepKind::Wrps);
+        let span_ok = apply(&mut ok, &p, window(100, Some(90), 400, SleepKind::Wrps));
+        let span_bad = apply(&mut bad, &p, window(100, None, 400, SleepKind::Wrps));
         assert_eq!(span_ok, dur(80));
         assert_eq!(span_bad, dur(290)); // 110..400
         assert!(bad.floor() > us(400)); // wake transition after demand
@@ -355,41 +318,16 @@ mod tests {
     fn batched_windows_match_single_application() {
         let p = SimParams::paper();
         let windows = [
-            SleepWindow {
-                t0: us(100),
-                timer: Some(dur(90)),
-                t_want: us(400),
-                kind: SleepKind::Wrps,
-            },
-            SleepWindow {
-                t0: us(150), // inside the first window: floor-clamped
-                timer: Some(dur(50)),
-                t_want: us(1000),
-                kind: SleepKind::Wrps,
-            },
-            SleepWindow {
-                t0: us(1200),
-                timer: None, // misfired timer
-                t_want: us(1900),
-                kind: SleepKind::Deep,
-            },
-            SleepWindow {
-                t0: us(4000),
-                timer: Some(dur(900)),
-                t_want: us(6000),
-                kind: SleepKind::Rate,
-            },
+            window(100, Some(90), 400, SleepKind::Wrps),
+            // Inside the first window: floor-clamped.
+            window(150, Some(50), 1000, SleepKind::Wrps),
+            // Misfired timer.
+            window(1200, None, 1900, SleepKind::Deep),
+            window(4000, Some(900), 6000, SleepKind::Rate),
         ];
         let mut single = LinkPowerTracker::new(true);
         for w in &windows {
-            match w.timer {
-                Some(timer) => {
-                    single.apply_sleep_kind(&p, w.t0, timer, w.t_want, w.kind);
-                }
-                None => {
-                    single.apply_sleep_misfire(&p, w.t0, w.t_want, w.kind);
-                }
-            }
+            single.apply_windows(&p, std::slice::from_ref(w));
         }
         let mut batched = LinkPowerTracker::new(true);
         batched.apply_windows(&p, &windows);
@@ -425,7 +363,7 @@ mod tests {
         let mut t = LinkPowerTracker::new(true);
         // Rate sleep at t=1 ms with a 900 µs timer: the 100 µs retrain
         // bounds the state on both sides.
-        let span = t.apply_sleep_kind(&p, us(1000), dur(900), us(10_000), SleepKind::Rate);
+        let span = apply(&mut t, &p, window(1000, Some(900), 10_000, SleepKind::Rate));
         // Rate-reduced from 1100 to 1900 µs.
         assert_eq!(span, dur(800));
         assert_eq!(t.sleep_time, [SimDuration::ZERO, dur(800), SimDuration::ZERO]);

@@ -1,9 +1,9 @@
 //! Component-level switch power model.
 //!
 //! The paper cites Wang, Peh & Malik's router power characterisation
-//! ([19] in the paper) and two anchor facts: links take ~64% of an IB
-//! switch's power (IBM 12X switch, [4]) and a Mellanox SX6036 under WRPS
-//! on all ports draws 43% of nominal ([11]). This module turns those into
+//! (\[19\] in the paper) and two anchor facts: links take ~64% of an IB
+//! switch's power (IBM 12X switch, \[4\]) and a Mellanox SX6036 under WRPS
+//! on all ports draws 43% of nominal (\[11\]). This module turns those into
 //! an explicit component breakdown so whole-switch (not just per-port)
 //! power can be reported, and so the §VI deep-sleep extension has a
 //! physical basis (buffers + crossbar are what deep sleep turns off).
@@ -54,7 +54,7 @@ fn default_rate_fraction() -> f64 {
 
 impl Default for SwitchPowerModel {
     /// A 36-port QDR edge switch (SX6036-class): ~130 W nominal with the
-    /// 64% link share of the paper's [4].
+    /// 64% link share of the paper's \[4\].
     fn default() -> Self {
         SwitchPowerModel {
             ports: 36,

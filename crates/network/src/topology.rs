@@ -34,25 +34,15 @@ pub struct FatTree {
     nodes: u32,
 }
 
-/// A route: the ordered channels a message traverses, plus the number of
-/// switch hops.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Route {
-    /// Channels in traversal order.
-    pub channels: Vec<ChannelId>,
-    /// Switches traversed (1 within a leaf, 2 across leaves... counted as
-    /// store-and-forward hops for latency purposes).
-    pub hops: u32,
-}
-
-/// [`Route`] in fixed storage: a 2-level tree never needs more than four
-/// channels, so the hot path carries routes inline instead of allocating
-/// a `Vec` per message (see [`FatTree::route_inline`]).
+/// A route: the channels a message traverses, in fixed storage (a
+/// 2-level tree never needs more than four, so the hot path carries
+/// routes inline instead of allocating a `Vec` per message).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InlineRoute {
     channels: [ChannelId; 4],
     len: u8,
-    /// Switches traversed.
+    /// Switches traversed (1 within a leaf, 3 across leaves), counted
+    /// as store-and-forward hops for latency purposes.
     pub hops: u32,
 }
 
@@ -122,22 +112,8 @@ impl FatTree {
     }
 
     /// Route a message from `src` to `dst` rank. Cross-leaf traffic
-    /// ascends to a *random* top switch (random routing, Table II).
-    ///
-    /// # Panics
-    /// Panics if `src == dst` (loopback traffic never enters the fabric).
-    pub fn route(&self, src: Rank, dst: Rank, rng: &mut DetRng) -> Route {
-        let inline = self.route_inline(src, dst, rng);
-        Route {
-            channels: inline.channels().to_vec(),
-            hops: inline.hops,
-        }
-    }
-
-    /// [`FatTree::route`] without the `Vec`: the fabric calls this once
-    /// per message, so the channels come back in fixed inline storage.
-    /// Draws from `rng` exactly like [`FatTree::route`] (same route, same
-    /// stream position).
+    /// ascends to a *random* top switch (random routing, Table II),
+    /// drawn from `rng`.
     ///
     /// # Panics
     /// Panics if `src == dst` (loopback traffic never enters the fabric).
@@ -228,11 +204,9 @@ mod tests {
         let t = tree(36);
         let mut rng = DetRng::seed_from_u64(1);
         // Ranks 0 and 5 share leaf 0.
-        let r = t.route(0, 5, &mut rng);
-        assert_eq!(r.channels.len(), 2);
+        let r = t.route_inline(0, 5, &mut rng);
+        assert_eq!(r.channels(), [t.host_up(0), t.host_down(5)]);
         assert_eq!(r.hops, 1);
-        assert_eq!(r.channels[0], t.host_up(0));
-        assert_eq!(r.channels[1], t.host_down(5));
     }
 
     #[test]
@@ -240,11 +214,11 @@ mod tests {
         let t = tree(128);
         let mut rng = DetRng::seed_from_u64(2);
         // Ranks 0 (leaf 0) and 20 (leaf 1).
-        let r = t.route(0, 20, &mut rng);
-        assert_eq!(r.channels.len(), 4);
+        let r = t.route_inline(0, 20, &mut rng);
+        assert_eq!(r.channels().len(), 4);
         assert_eq!(r.hops, 3);
-        assert_eq!(r.channels[0], t.host_up(0));
-        assert_eq!(r.channels[3], t.host_down(20));
+        assert_eq!(r.channels()[0], t.host_up(0));
+        assert_eq!(r.channels()[3], t.host_down(20));
     }
 
     #[test]
@@ -253,26 +227,32 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(3);
         let mut tops = std::collections::HashSet::new();
         for _ in 0..200 {
-            let r = t.route(0, 20, &mut rng);
-            tops.insert(r.channels[1]);
+            let r = t.route_inline(0, 20, &mut rng);
+            tops.insert(r.channels()[1]);
         }
         assert!(tops.len() > 10, "only {} distinct up-channels used", tops.len());
     }
 
     #[test]
-    fn inline_route_matches_vec_route() {
-        // Same draw from the same stream position ⇒ identical channels
-        // and hops, same- and cross-leaf.
+    fn deferred_draw_matches_rng_route() {
+        // The fabric's deferred draw picks the same channels as a draw
+        // from the same stream position, and a same-leaf route never
+        // draws at all (the stream stays where it was).
         let t = tree(128);
         for (src, dst) in [(0u32, 5u32), (0, 20), (17, 3), (100, 101)] {
             let mut rng_a = DetRng::seed_from_u64(9);
             let mut rng_b = DetRng::seed_from_u64(9);
             for _ in 0..50 {
-                let vec_route = t.route(src, dst, &mut rng_a);
-                let inline = t.route_inline(src, dst, &mut rng_b);
-                assert_eq!(vec_route.channels, inline.channels());
-                assert_eq!(vec_route.hops, inline.hops);
+                let eager = t.route_inline(src, dst, &mut rng_a);
+                let mut drew = false;
+                let deferred = t.route_with(src, dst, |tops| {
+                    drew = true;
+                    rng_b.index(tops as usize) as u32
+                });
+                assert_eq!(eager, deferred);
+                assert_eq!(drew, eager.hops == 3);
             }
+            assert_eq!(rng_a.next_u64(), rng_b.next_u64());
         }
     }
 
@@ -281,6 +261,6 @@ mod tests {
     fn loopback_panics() {
         let t = tree(8);
         let mut rng = DetRng::seed_from_u64(4);
-        t.route(3, 3, &mut rng);
+        t.route_inline(3, 3, &mut rng);
     }
 }

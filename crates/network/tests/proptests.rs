@@ -1,10 +1,9 @@
 //! Property-based tests for the fabric, topology and power accounting.
 
-use ibp_network::{
-    replay, Fabric, FaultConfig, LinkPowerTracker, ReplayOptions, SimParams, Xgft,
-};
+use ibp_network::power::SleepWindow;
+use ibp_network::{replay, Fabric, FaultConfig, LinkPowerTracker, ReplayOptions, SimParams};
 use ibp_core::SleepKind;
-use ibp_simcore::{DetRng, SimDuration, SimTime};
+use ibp_simcore::{SimDuration, SimTime};
 use ibp_trace::{MpiOp, Trace, TraceBuilder};
 use proptest::prelude::*;
 
@@ -81,38 +80,6 @@ proptest! {
         prop_assert_eq!(run(), run());
     }
 
-    /// XGFT routes are valid node-to-node walks for arbitrary small
-    /// trees and endpoints.
-    #[test]
-    fn xgft_routes_valid(
-        m in proptest::collection::vec(2u32..5, 1..4),
-        w_seed in any::<u64>(),
-        pair_seed in any::<u64>(),
-    ) {
-        let mut rng = DetRng::seed_from_u64(w_seed);
-        let w: Vec<u32> = m.iter().enumerate()
-            .map(|(i, _)| if i == 0 { 1 } else { 1 + rng.index(3) as u32 })
-            .collect();
-        let t = Xgft::new(m.clone(), w);
-        let n = t.node_count();
-        prop_assume!(n >= 2);
-        let mut prng = DetRng::seed_from_u64(pair_seed);
-        let src = prng.index(n as usize) as u32;
-        let mut dst = prng.index(n as usize) as u32;
-        if dst == src {
-            dst = (dst + 1) % n;
-        }
-        let path = t.route(src, dst, &mut prng);
-        prop_assert_eq!(path.first().unwrap().index, src);
-        prop_assert_eq!(path.last().unwrap().index, dst);
-        prop_assert!(path.len() >= 3);
-        // Up then down: levels rise to a single peak then fall.
-        let levels: Vec<u32> = path.iter().map(|v| v.level).collect();
-        let peak = levels.iter().position(|&l| l == *levels.iter().max().unwrap()).unwrap();
-        prop_assert!(levels[..=peak].windows(2).all(|x| x[1] == x[0] + 1));
-        prop_assert!(levels[peak..].windows(2).all(|x| x[1] + 1 == x[0]));
-    }
-
     /// Replay with an arbitrary fault plan never panics — every outcome
     /// is an `Ok` result or a typed error — and injected faults can only
     /// lengthen execution, never shorten it.
@@ -180,7 +147,12 @@ proptest! {
             let t0 = t_cursor + SimDuration::from_us(gap_us);
             let timer = SimDuration::from_us(timer_us);
             let t_want = t0 + timer + SimDuration::from_us(want_extra_us);
-            tracker.apply_sleep(&p, t0, timer, t_want);
+            tracker.apply_windows(&p, &[SleepWindow {
+                t0,
+                timer: Some(timer),
+                t_want,
+                kind: SleepKind::Wrps,
+            }]);
             t_cursor = tracker.floor();
         }
         prop_assert_eq!(tracker.sleeps, sleeps.len() as u64);

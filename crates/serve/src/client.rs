@@ -557,23 +557,41 @@ pub fn run_load(
         .map(|(i, spec)| {
             let endpoint = endpoint.clone();
             let cfg = cfg.clone();
-            std::thread::spawn(move || drive_session(&endpoint, i as u32, spec, &cfg))
+            std::thread::spawn(move || {
+                drive_session(&endpoint, i as u32, spec, &cfg).map(|(out, lats)| ([out], lats))
+            })
         })
         .collect();
+    join_load(handles, "session", sessions, start, cfg.check)
+}
 
+/// A load thread: its sessions' outcomes and batch latencies (ns).
+type LoadThread<O> = std::thread::JoinHandle<Result<(O, Vec<u64>), ProtocolError>>;
+
+/// Join every load thread (one per session, or one per scale-mode
+/// driver), then fold their outcomes into a [`LoadReport`]. The first
+/// error in join order fails the run, after every thread has finished;
+/// a panicked thread counts as an error naming its `role`.
+fn join_load<O: IntoIterator<Item = SessionOutcome>>(
+    handles: Vec<LoadThread<O>>,
+    role: &str,
+    sessions: usize,
+    start: Instant,
+    parity_checked: bool,
+) -> Result<LoadReport, ProtocolError> {
     let mut outcomes = Vec::with_capacity(sessions);
     let mut latencies_ns: Vec<u64> = Vec::new();
     let mut first_err = None;
     for h in handles {
         match h.join() {
-            Ok(Ok((outcome, lats))) => {
-                outcomes.push(outcome);
+            Ok(Ok((outs, lats))) => {
+                outcomes.extend(outs);
                 latencies_ns.extend(lats);
             }
             Ok(Err(e)) => first_err = first_err.or(Some(e)),
             Err(_) => {
                 first_err = first_err.or_else(|| {
-                    Some(ProtocolError::Unexpected("session thread panicked".into()))
+                    Some(ProtocolError::Unexpected(format!("{role} thread panicked")))
                 })
             }
         }
@@ -581,7 +599,7 @@ pub fn run_load(
     if let Some(e) = first_err {
         return Err(e);
     }
-    Ok(aggregate(outcomes, latencies_ns, sessions, start.elapsed().as_secs_f64(), cfg.check))
+    Ok(aggregate(outcomes, latencies_ns, sessions, start.elapsed().as_secs_f64(), parity_checked))
 }
 
 /// Fold per-session outcomes and batch latencies into a [`LoadReport`]
@@ -658,28 +676,7 @@ fn run_load_scale(
             std::thread::spawn(move || drive_partition(&endpoint, part, &cfg, &tickets, start))
         })
         .collect();
-
-    let mut outcomes = Vec::with_capacity(sessions);
-    let mut latencies_ns: Vec<u64> = Vec::new();
-    let mut first_err = None;
-    for h in handles {
-        match h.join() {
-            Ok(Ok((outs, lats))) => {
-                outcomes.extend(outs);
-                latencies_ns.extend(lats);
-            }
-            Ok(Err(e)) => first_err = first_err.or(Some(e)),
-            Err(_) => {
-                first_err = first_err.or_else(|| {
-                    Some(ProtocolError::Unexpected("driver thread panicked".into()))
-                })
-            }
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    Ok(aggregate(outcomes, latencies_ns, sessions, start.elapsed().as_secs_f64(), cfg.check))
+    join_load(handles, "driver", sessions, start, cfg.check)
 }
 
 /// Sleep until this open's ticket comes due under the global

@@ -38,6 +38,7 @@
 use crate::metrics::ObsReport;
 use ibp_core::{LaneDirective, PowerConfig, RankStats, SleepKind};
 use ibp_simcore::SimDuration;
+use ibp_trace::MpiCall;
 use std::io::{Read, Write};
 
 /// Protocol version carried in the handshake. v2 added the per-frame
@@ -237,7 +238,9 @@ impl From<std::io::Error> for ProtocolError {
 }
 
 /// One intercepted MPI event on the wire: Paraver call id + idle gap
-/// (nanoseconds) since the previous call on the rank.
+/// (nanoseconds) since the previous call on the rank. [`decode_client`]
+/// rejects an `Events` frame carrying an id [`MpiCall::from_id`] does
+/// not map.
 pub type WireEvent = (u16, u64);
 
 /// Frames a client sends.
@@ -692,12 +695,16 @@ pub fn decode_client(payload: &[u8]) -> Result<ClientFrame, ProtocolError> {
             let events = body
                 .chunks_exact(EVENT_WIRE_BYTES)
                 .map(|c| {
-                    (
-                        u16::from_le_bytes(c[0..2].try_into().unwrap()),
-                        u64::from_le_bytes(c[2..10].try_into().unwrap()),
-                    )
+                    let call_id = u16::from_le_bytes(c[0..2].try_into().unwrap());
+                    if MpiCall::from_id(call_id).is_none() {
+                        return Err(ProtocolError::Malformed {
+                            kind: K_EVENTS,
+                            detail: format!("unknown MPI call id {call_id:#06x}"),
+                        });
+                    }
+                    Ok((call_id, u64::from_le_bytes(c[2..10].try_into().unwrap())))
                 })
-                .collect();
+                .collect::<Result<_, _>>()?;
             ClientFrame::Events { session, events }
         }
         K_FLUSH => ClientFrame::Flush { session },
@@ -1024,6 +1031,25 @@ mod tests {
         let mut lying = ClientFrame::Events { session: 1, events: vec![(41, 1)] }.encode();
         lying[5..9].copy_from_slice(&100u32.to_le_bytes());
         assert!(decode_client(&lying).is_err());
+    }
+
+    #[test]
+    fn unknown_call_ids_are_malformed() {
+        // 0 and 0xBEEF are unassigned; 33 sits between Finalize (32) and
+        // Sendrecv (41). One bad id anywhere rejects the whole batch.
+        for bad in [0u16, 33, 0xBEEF, u16::MAX] {
+            let frame = ClientFrame::Events {
+                session: 1,
+                events: vec![(41, 100), (bad, 200), (10, 300)],
+            };
+            match decode_client(&frame.encode()) {
+                Err(ProtocolError::Malformed { kind, detail }) => {
+                    assert_eq!(kind, K_EVENTS);
+                    assert!(detail.contains("call id"), "{detail}");
+                }
+                other => panic!("id {bad:#x} decoded as {other:?}"),
+            }
+        }
     }
 
     #[test]

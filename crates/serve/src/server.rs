@@ -134,7 +134,7 @@
 //! eventfd every loop watches) give signal handlers a bounded-latency
 //! drain path: one atomic store and one `write(2)`, both
 //! async-signal-safe, and every loop wakes immediately instead of
-//! finishing a poll quantum. Loops also tick every [`TICK_MS`] so a
+//! finishing a poll quantum. Loops also tick every `TICK_MS` (25 ms) so a
 //! bare `stop` store (no wake) still drains promptly.
 
 use crate::chaos::ChaosConfig;
@@ -1074,7 +1074,7 @@ impl Server {
     /// work quiesces, and (with a store) every live session is
     /// persisted before `run` returns. Pair with [`Server::wake_fd`]
     /// for bounded-latency drains; a bare store is still noticed within
-    /// one [`TICK_MS`] poll quantum.
+    /// one `TICK_MS` (25 ms) poll quantum.
     #[must_use]
     pub fn stop_flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.stop)

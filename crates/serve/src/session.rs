@@ -91,6 +91,11 @@ impl Session {
 
     /// Apply one batch of wire events through the allocation-free
     /// intercept hot path and return the directives it produced.
+    ///
+    /// Total: a call id [`MpiCall::from_id`] does not map is applied as
+    /// `MPI_Send` rather than panicking. Wire traffic never carries one
+    /// ([`crate::protocol::decode_client`] rejects the frame), so only an
+    /// in-process caller can pass it.
     pub fn apply(&mut self, events: &[WireEvent]) -> (u64, Vec<LaneDirective>) {
         self.runtime.reserve_events(events.len());
         for &(call_id, gap_ns) in events {

@@ -154,7 +154,7 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// `Arc`; all methods take `&self`.
 ///
 /// The index mutex serialises persists. The manifest rewrite is
-/// batched — every [`MANIFEST_BATCH`] persists, on
+/// batched — every `MANIFEST_BATCH` (64) persists, on
 /// [`SnapshotStore::flush_manifest`], and on drop — so steady-state
 /// eviction traffic pays one record write per persist, not an
 /// O(sessions) manifest dump too.

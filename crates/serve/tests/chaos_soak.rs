@@ -22,7 +22,8 @@ use ibp_serve::{
     run_load, ChaosConfig, Client, Endpoint, LoadConfig, ProtocolError, RetryPolicy, ServeConfig,
     Server, SessionSpec, SnapshotStore,
 };
-use ibp_workloads::AppKind;
+use ibp_trace::MpiCall;
+use ibp_workloads::{AppKind, Scaling};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -35,7 +36,7 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 
 fn specs_for(app: AppKind, nprocs: u32, sessions: usize) -> Vec<SessionSpec> {
     let cfg = PowerConfig::default();
-    let trace = app.workload().generate(nprocs, 42);
+    let trace = app.workload(Scaling::Strong).generate(nprocs, 42);
     (0..sessions)
         .map(|i| {
             let rank = &trace.ranks[i % nprocs as usize];
@@ -287,7 +288,13 @@ fn worker_panic_is_isolated_to_its_session() {
     let endpoint = Endpoint::Unix(dir.join("soak.sock"));
     let server = Server::bind(
         &endpoint,
-        ServeConfig { workers: 2, panic_on_call: Some(0xBEEF), ..Default::default() },
+        // A valid id (the decoder rejects unmapped ones) that no
+        // workload trace emits.
+        ServeConfig {
+            workers: 2,
+            panic_on_call: Some(MpiCall::Finalize.id()),
+            ..Default::default()
+        },
     )
     .expect("bind");
     let bound = server.endpoint().clone();
@@ -301,7 +308,9 @@ fn worker_panic_is_isolated_to_its_session() {
     assert_eq!(applied, 2);
     // The poisoned batch blows up its worker; the panic must come back
     // as an in-band INTERNAL error, not a dead connection.
-    let err = victim.send_events(0, &[(0xBEEF, 0)]).unwrap_err();
+    let err = victim
+        .send_events(0, &[(MpiCall::Finalize.id(), 0)])
+        .unwrap_err();
     match err {
         ProtocolError::Remote { code, .. } => {
             assert_eq!(code, ibp_serve::protocol::error_code::INTERNAL);

@@ -6,7 +6,7 @@ use ibp_core::{annotate_rank, PowerConfig};
 use ibp_serve::{
     run_load, Client, Endpoint, LoadConfig, ProtocolError, ServeConfig, Server, SessionSpec,
 };
-use ibp_workloads::AppKind;
+use ibp_workloads::{AppKind, Scaling};
 use std::sync::atomic::Ordering;
 
 fn temp_uds(tag: &str) -> Endpoint {
@@ -18,7 +18,7 @@ fn temp_uds(tag: &str) -> Endpoint {
 
 fn specs_for(app: AppKind, nprocs: u32, sessions: usize, check: bool) -> Vec<SessionSpec> {
     let cfg = PowerConfig::default();
-    let trace = app.workload().generate(nprocs, 42);
+    let trace = app.workload(Scaling::Strong).generate(nprocs, 42);
     (0..sessions)
         .map(|i| {
             let rank = &trace.ranks[i % nprocs as usize];
@@ -99,7 +99,7 @@ fn tcp_roundtrip_with_snapshot_split_is_transparent() {
 #[test]
 fn every_paper_app_streams_with_parity() {
     for app in AppKind::ALL {
-        let nprocs = app.workload().paper_procs()[0];
+        let nprocs = app.workload(Scaling::Strong).paper_procs()[0];
         let endpoint = temp_uds(app.name());
         let specs = specs_for(app, nprocs, 2, true);
         let (report, _) = serve_and_load(

@@ -16,7 +16,8 @@ use ibp_serve::{
     Client, ClientFrame, Endpoint, MetricsRegistry, ProtocolError, ServeConfig, ServeSummary,
     Server, ServerFrame, SnapshotStore, Stage,
 };
-use ibp_workloads::AppKind;
+use ibp_trace::MpiCall;
+use ibp_workloads::{AppKind, Scaling};
 use proptest::prelude::*;
 use std::io::Write;
 use std::path::PathBuf;
@@ -46,7 +47,7 @@ struct Script {
 
 fn scripts(sessions: usize) -> Vec<Script> {
     let cfg = PowerConfig::default();
-    let trace = AppKind::Alya.workload().generate(4, 42);
+    let trace = AppKind::Alya.workload(Scaling::Strong).generate(4, 42);
     (0..sessions)
         .map(|i| {
             let rank = &trace.ranks[i % 4];
@@ -472,7 +473,9 @@ fn frame_behind_a_checkpoint_is_applied_after_it() {
 /// panic); the other sessions on the same connection keep parity.
 #[test]
 fn inline_panic_retires_only_its_session() {
-    const POISON: u16 = 0xBEEF;
+    // A valid id (the decoder rejects unmapped ones) that no workload
+    // trace emits.
+    let poison = MpiCall::Finalize.id();
     let dir = temp_dir();
     std::fs::create_dir_all(&dir).expect("socket dir");
     let server = Running::start(
@@ -480,7 +483,7 @@ fn inline_panic_retires_only_its_session() {
         ServeConfig {
             workers: 1,
             io_threads: 1,
-            panic_on_call: Some(POISON),
+            panic_on_call: Some(poison),
             ..Default::default()
         },
         None,
@@ -496,7 +499,7 @@ fn inline_panic_retires_only_its_session() {
         let (_, fresh) = client.send_events(i as u32, &script.events[..half]).expect("events");
         journals[i].extend(fresh);
     }
-    match client.send_events(1, &[(POISON, 0)]).unwrap_err() {
+    match client.send_events(1, &[(poison, 0)]).unwrap_err() {
         ProtocolError::Remote { code, .. } => assert_eq!(code, error_code::INTERNAL),
         other => panic!("expected an in-band INTERNAL error, got {other:?}"),
     }

@@ -6,7 +6,21 @@ use ibp_serve::protocol::{decode_client, decode_server, read_frame, ClientFrame}
 use ibp_serve::{ObsReport, ServerFrame, SessionProbe};
 use ibp_core::{LaneDirective, RankStats, SleepKind};
 use ibp_simcore::SimDuration;
+use ibp_trace::MpiCall;
 use proptest::prelude::*;
+
+/// `len` wire events, each with a mapped call id and a gap below
+/// `max_gap`.
+fn valid_events(
+    len: std::ops::Range<usize>,
+    max_gap: u64,
+) -> impl Strategy<Value = Vec<(u16, u64)>> {
+    proptest::collection::vec((0..MpiCall::ALL.len(), 0u64..max_gap), len).prop_map(|raw| {
+        raw.into_iter()
+            .map(|(i, gap)| (MpiCall::ALL[i].id(), gap))
+            .collect()
+    })
+}
 
 proptest! {
     /// Arbitrary payload bytes never panic either decoder.
@@ -35,11 +49,11 @@ proptest! {
         let _ = decode_server(&payload);
     }
 
-    /// Events frames round-trip for any batch content.
+    /// Events frames round-trip for any batch of mapped call ids.
     #[test]
     fn events_roundtrip(
         session in 0u32..u32::MAX,
-        events in proptest::collection::vec((0u16..u16::MAX, 0u64..u64::MAX), 0..200)
+        events in valid_events(0..200, u64::MAX)
     ) {
         let frame = ClientFrame::Events { session, events };
         let back = decode_client(&frame.encode()).expect("valid frame decodes");
@@ -76,7 +90,7 @@ proptest! {
     #[test]
     fn truncation_never_decodes(
         cut_fraction in 0.0f64..1.0,
-        events in proptest::collection::vec((0u16..100, 0u64..1_000_000), 1..50)
+        events in valid_events(1..50, 1_000_000)
     ) {
         let frame = ClientFrame::Events { session: 1, events };
         let payload = frame.encode();

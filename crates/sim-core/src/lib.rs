@@ -5,12 +5,8 @@
 //! (ICPP 2014). It provides the primitives every layer above builds on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time;
-//! * [`EventQueue`] — a deterministic discrete-event priority queue
-//!   (FIFO among same-instant events);
 //! * [`DetRng`] — seeded, splittable randomness with the distributions the
 //!   workload models need;
-//! * [`OnlineStats`] / [`Histogram`] — aggregation helpers used by the
-//!   evaluation pipeline (Table I bucketing, figure averages);
 //! * [`StateTimeline`] — state-transition records with time integration,
 //!   the basis of all power/energy accounting.
 //!
@@ -20,14 +16,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod queue;
 pub mod rng;
-pub mod stats;
 pub mod time;
 pub mod timeline;
 
-pub use queue::{EventQueue, Scheduled};
 pub use rng::DetRng;
-pub use stats::{percentile, Histogram, OnlineStats};
 pub use time::{SimDuration, SimTime};
 pub use timeline::{StateInterval, StateTimeline};

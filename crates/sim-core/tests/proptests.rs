@@ -1,82 +1,9 @@
 //! Property-based tests for the simulation substrate.
 
-use ibp_simcore::{DetRng, EventQueue, Histogram, OnlineStats, SimDuration, SimTime, StateTimeline};
+use ibp_simcore::{DetRng, SimDuration, SimTime, StateTimeline};
 use proptest::prelude::*;
 
 proptest! {
-    /// Popping the queue always yields events in non-decreasing time order,
-    /// and same-time events come out in insertion order.
-    #[test]
-    fn event_queue_is_a_stable_priority_queue(times in proptest::collection::vec(0u64..1_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_ns(t), i);
-        }
-        let mut last: Option<(SimTime, usize)> = None;
-        while let Some(s) = q.pop() {
-            if let Some((lt, lseq)) = last {
-                prop_assert!(s.time >= lt);
-                if s.time == lt {
-                    prop_assert!(s.event > lseq, "FIFO violated among ties");
-                }
-            }
-            last = Some((s.time, s.event));
-        }
-    }
-
-    /// Welford accumulation matches the naive two-pass computation.
-    #[test]
-    fn online_stats_matches_naive(data in proptest::collection::vec(-1e6f64..1e6, 1..500)) {
-        let mut s = OnlineStats::new();
-        data.iter().for_each(|&x| s.push(x));
-        let n = data.len() as f64;
-        let mean = data.iter().sum::<f64>() / n;
-        let var = data.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-        prop_assert!((s.mean() - mean).abs() <= 1e-6 * (1.0 + mean.abs()));
-        prop_assert!((s.variance() - var).abs() <= 1e-5 * (1.0 + var.abs()));
-        prop_assert_eq!(s.count(), data.len() as u64);
-    }
-
-    /// Merging two accumulators equals accumulating the concatenation.
-    #[test]
-    fn online_stats_merge_is_concat(
-        a in proptest::collection::vec(-1e3f64..1e3, 0..100),
-        b in proptest::collection::vec(-1e3f64..1e3, 0..100),
-    ) {
-        let mut sa = OnlineStats::new();
-        a.iter().for_each(|&x| sa.push(x));
-        let mut sb = OnlineStats::new();
-        b.iter().for_each(|&x| sb.push(x));
-        sa.merge(&sb);
-
-        let mut sc = OnlineStats::new();
-        a.iter().chain(b.iter()).for_each(|&x| sc.push(x));
-
-        prop_assert_eq!(sa.count(), sc.count());
-        prop_assert!((sa.mean() - sc.mean()).abs() < 1e-9 * (1.0 + sc.mean().abs()));
-        prop_assert!((sa.variance() - sc.variance()).abs() < 1e-7 * (1.0 + sc.variance()));
-    }
-
-    /// Histogram bucket fractions sum to 1 and every value lands in the
-    /// bucket whose range contains it.
-    #[test]
-    fn histogram_partitions_input(values in proptest::collection::vec(0f64..1e4, 1..300)) {
-        let edges = vec![20.0, 200.0, 1000.0];
-        let mut h = Histogram::new(edges.clone());
-        values.iter().for_each(|&v| h.push(v));
-
-        prop_assert_eq!(h.total_count(), values.len() as u64);
-        let frac_sum: f64 = (0..h.buckets()).map(|i| h.count_fraction(i)).sum();
-        prop_assert!((frac_sum - 1.0).abs() < 1e-12);
-
-        for &v in &values {
-            let b = h.bucket_of(v);
-            let lo = if b == 0 { f64::NEG_INFINITY } else { edges[b - 1] };
-            let hi = if b == edges.len() { f64::INFINITY } else { edges[b] };
-            prop_assert!(v >= lo && v < hi, "{v} not in bucket {b} [{lo}, {hi})");
-        }
-    }
-
     /// A timeline built from arbitrary transition deltas tiles [0, end)
     /// exactly: interval durations sum to the horizon.
     #[test]

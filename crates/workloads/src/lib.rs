@@ -17,9 +17,9 @@
 //! on.
 //!
 //! ```
-//! use ibp_workloads::{AppKind, Workload};
+//! use ibp_workloads::{AppKind, Scaling, Workload};
 //!
-//! let alya = AppKind::Alya.workload();
+//! let alya = AppKind::Alya.workload(Scaling::Strong);
 //! let trace = alya.generate(8, 42);
 //! assert_eq!(trace.nprocs, 8);
 //! assert!(trace.validate().is_ok());

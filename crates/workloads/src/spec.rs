@@ -1,5 +1,6 @@
 //! The workload abstraction and registry.
 
+use crate::common::Scaling;
 use ibp_trace::Trace;
 
 /// A synthetic application workload: generates MPI traces with the
@@ -81,14 +82,31 @@ impl AppKind {
         AppKind::ALL.into_iter().find(|a| a.name() == s)
     }
 
-    /// Construct the default-parameter workload for this application.
-    pub fn workload(self) -> Box<dyn Workload> {
+    /// Construct this application's workload with default parameters
+    /// under `scaling` (every generator defaults to
+    /// [`Scaling::Strong`], the paper's setting).
+    pub fn workload(self, scaling: Scaling) -> Box<dyn Workload> {
         match self {
-            AppKind::Gromacs => Box::new(crate::gromacs::Gromacs::default()),
-            AppKind::Alya => Box::new(crate::alya::Alya::default()),
-            AppKind::Wrf => Box::new(crate::wrf::Wrf::default()),
-            AppKind::NasBt => Box::new(crate::nas_bt::NasBt::default()),
-            AppKind::NasMg => Box::new(crate::nas_mg::NasMg::default()),
+            AppKind::Gromacs => Box::new(crate::gromacs::Gromacs {
+                scaling,
+                ..Default::default()
+            }),
+            AppKind::Alya => Box::new(crate::alya::Alya {
+                scaling,
+                ..Default::default()
+            }),
+            AppKind::Wrf => Box::new(crate::wrf::Wrf {
+                scaling,
+                ..Default::default()
+            }),
+            AppKind::NasBt => Box::new(crate::nas_bt::NasBt {
+                scaling,
+                ..Default::default()
+            }),
+            AppKind::NasMg => Box::new(crate::nas_mg::NasMg {
+                scaling,
+                ..Default::default()
+            }),
         }
     }
 }
@@ -108,14 +126,16 @@ mod tests {
     #[test]
     fn workloads_report_consistent_names() {
         for app in AppKind::ALL {
-            assert_eq!(app.workload().name(), app.name());
+            for scaling in [Scaling::Strong, Scaling::Weak] {
+                assert_eq!(app.workload(scaling).name(), app.name());
+            }
         }
     }
 
     #[test]
     fn paper_procs_are_valid() {
         for app in AppKind::ALL {
-            let w = app.workload();
+            let w = app.workload(Scaling::Strong);
             for &n in w.paper_procs() {
                 assert!(w.valid_nprocs(n), "{} invalid at {n}", w.name());
             }
@@ -124,7 +144,7 @@ mod tests {
 
     #[test]
     fn bt_uses_square_counts() {
-        let bt = AppKind::NasBt.workload();
+        let bt = AppKind::NasBt.workload(Scaling::Strong);
         assert_eq!(bt.paper_procs(), &[9, 16, 36, 64, 100]);
         assert!(!bt.valid_nprocs(8));
         assert!(bt.valid_nprocs(36));

@@ -115,7 +115,7 @@ fn load_report_schema_carries_resilience_fields() {
     let endpoint = server.endpoint().clone();
     let handle = std::thread::spawn(move || server.run());
 
-    let w = ibp_workloads::AppKind::Alya.workload();
+    let w = ibp_workloads::AppKind::Alya.workload(ibp_workloads::Scaling::Strong);
     let trace = w.generate(w.paper_procs()[0], 7);
     let rank = &trace.ranks[0];
     let cfg = ibp_core::PowerConfig::paper(ibp_simcore::SimDuration::from_us(20), 0.01);

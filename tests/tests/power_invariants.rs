@@ -233,7 +233,7 @@ fn generation_rates_rise_monotonically() {
 /// ladder-era keys stripped, serde defaults filling them back in).
 #[test]
 fn ladder_disabled_runs_match_the_paper_baseline_on_all_apps() {
-    use ibp_workloads::AppKind;
+    use ibp_workloads::{AppKind, Scaling};
     use serde::{Deserialize, Serialize};
 
     let cfg_now = PowerConfig::paper(SimDuration::from_us(20), 0.01);
@@ -258,7 +258,7 @@ fn ladder_disabled_runs_match_the_paper_baseline_on_all_apps() {
     let params_pre = ibp_network::SimParams::from_value(&pv).expect("pre-ladder params parse");
 
     for app in AppKind::ALL {
-        let w = app.workload();
+        let w = app.workload(Scaling::Strong);
         // 4 ranks suits every app (square for BT, power of two for MG).
         let trace = w.generate(4, 11);
         let ann_now = ibp_core::annotate_trace(&trace, &cfg_now);

@@ -9,7 +9,7 @@
 
 use ibp_core::{annotate_rank, LaneDirective, PowerConfig, RankAnnotation, RankStats};
 use ibp_serve::Session;
-use ibp_workloads::AppKind;
+use ibp_workloads::{AppKind, Scaling};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -30,7 +30,7 @@ fn streams() -> &'static Vec<AppStream> {
         AppKind::ALL
             .iter()
             .map(|app| {
-                let w = app.workload();
+                let w = app.workload(Scaling::Strong);
                 let nprocs = w.paper_procs()[0];
                 let trace = w.generate(nprocs, 1302);
                 let rank = &trace.ranks[0];

@@ -57,7 +57,7 @@ fn run_grid(opts: SweepOptions, iterations: u32, seed: u64, fault_rate: f64) -> 
         |&k| k,
         |ctx, key, _| {
             let cfg = RunConfig::new(20.0, 0.01);
-            let result = run_with_baseline(&ctx.trace, key.app, &cfg, &ctx.baseline());
+            let result = run_with_baseline(&ctx.trace, key.app, &cfg, &ctx.baseline(), 1);
             let fault_seed = ctx.derived_seed(0xFA17);
             let (fault_events, faulted_exec) = if fault_rate > 0.0 {
                 let opts = ReplayOptions {
