@@ -17,8 +17,8 @@
 //!
 //! [`paper_ref`] holds the published values so every exhibit prints
 //! ours-vs-paper columns, and `EXPERIMENTS.md` is assembled from the same
-//! data. The one binary left in `src/bin/`, `calibrate`, is a tuning
-//! probe rather than an exhibit.
+//! data. The `calibrate` tuning probe, which prints the model next to the
+//! paper's numbers, lives with the examples (`examples/calibrate.rs`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -43,7 +43,7 @@ pub use generation::{
     generation_frontier, render_generation_frontier, GenerationFrontierRow, FRONTIER_GENERATIONS,
 };
 pub use gt_select::{choose_gt, select, sweep, GtPoint, GT_GRID_US};
-pub use output::{bin_main, OutputDir};
+pub use output::OutputDir;
 pub use registry::{Exhibit, EXHIBITS};
 pub use report::Table;
-pub use sweep::{sweep_args, CellCtx, CellKey, SweepEngine, SweepOptions, SweepStats};
+pub use sweep::{CellCtx, CellKey, SweepEngine, SweepOptions, SweepStats};

@@ -72,28 +72,6 @@ impl OutputDir {
     }
 }
 
-/// Entry point for the `src/bin/` probes: strips `--jobs N` /
-/// `--serial` from argv (exit 2 on a malformed flag), hands the
-/// remaining positional args to `f`, and exits 1 with the error —
-/// which names the failing path — if `f` fails.
-pub fn bin_main<F>(f: F)
-where
-    F: FnOnce(crate::sweep::SweepOptions, &[String]) -> io::Result<()>,
-{
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match crate::sweep::sweep_args(&mut args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = f(opts, &args) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,10 +23,10 @@
 //! * the cached artefacts are themselves deterministic pure functions
 //!   of the key, so a cache hit returns exactly what a recompute would.
 //!
-//! `--jobs 1` (or `parallel = false`, or `IBP_JOBS=1`) bypasses the
-//! pool entirely and runs the same closures in a plain loop on the
-//! calling thread; the golden-exhibit suite and the serial-vs-parallel
-//! property test pin the byte equality.
+//! `--jobs 1` (`--serial`, [`SweepOptions::serial`], or `IBP_JOBS=1`)
+//! bypasses the pool entirely and runs the same closures in a plain
+//! loop on the calling thread; the golden-exhibit suite and the
+//! serial-vs-parallel property test pin the byte equality.
 
 use crate::experiment::make_trace;
 use crate::gt_select::{choose_gt, GtPoint};
@@ -101,22 +101,11 @@ fn splitmix64(mut z: u64) -> u64 {
 }
 
 /// How a sweep executes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepOptions {
-    /// Worker count; 0 means available parallelism.
+    /// Worker count; 0 means available parallelism, 1 the serial
+    /// in-thread path.
     pub jobs: usize,
-    /// Escape hatch: `false` forces the serial in-thread path no matter
-    /// what `jobs` says.
-    pub parallel: bool,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            jobs: 0,
-            parallel: true,
-        }
-    }
 }
 
 impl SweepOptions {
@@ -126,33 +115,21 @@ impl SweepOptions {
             .ok()
             .and_then(|s| s.parse().ok())
             .unwrap_or(0);
-        SweepOptions {
-            jobs,
-            parallel: true,
-        }
+        SweepOptions { jobs }
     }
 
     /// A fixed-width pool (`jobs = n`, `n = 0` meaning auto).
     pub fn with_jobs(n: usize) -> Self {
-        SweepOptions {
-            jobs: n,
-            parallel: true,
-        }
+        SweepOptions { jobs: n }
     }
 
-    /// The serial escape hatch.
+    /// The serial escape hatch: `jobs = 1`.
     pub fn serial() -> Self {
-        SweepOptions {
-            jobs: 1,
-            parallel: false,
-        }
+        SweepOptions { jobs: 1 }
     }
 
     /// The worker count a sweep will actually use.
     pub fn effective_jobs(&self) -> usize {
-        if !self.parallel {
-            return 1;
-        }
         if self.jobs == 0 {
             std::thread::available_parallelism()
                 .map(NonZeroUsize::get)
@@ -161,29 +138,6 @@ impl SweepOptions {
             self.jobs
         }
     }
-}
-
-/// Strip `--jobs N` / `--serial` from `args` (in place), returning the
-/// sweep options they select on top of `IBP_JOBS`. Binaries call this
-/// before reading their positional arguments.
-pub fn sweep_args(args: &mut Vec<String>) -> Result<SweepOptions, String> {
-    let mut opts = SweepOptions::from_env();
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        let val = args
-            .get(i + 1)
-            .ok_or_else(|| "--jobs needs a value".to_string())?;
-        opts.jobs = val
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("bad --jobs: {val}"))?;
-        args.drain(i..=i + 1);
-    }
-    if let Some(i) = args.iter().position(|a| a == "--serial") {
-        opts.parallel = false;
-        args.remove(i);
-    }
-    Ok(opts)
 }
 
 /// Wall-clock and cache-effectiveness counters for one sweep (or one
@@ -197,7 +151,7 @@ pub struct SweepStats {
     pub cells: u64,
     /// Worker threads used.
     pub jobs: usize,
-    /// Whether the pool path was taken (false = serial escape hatch).
+    /// Whether more than one worker ran (false = the serial path).
     pub parallel: bool,
     /// Traces generated (unique keys touched).
     pub traces_generated: u64,
@@ -361,7 +315,7 @@ impl SweepEngine {
     }
 
     /// Execute one cell list: `work(ctx, item, index)` for every item,
-    /// on the pool (or serially under the escape hatch), with results
+    /// on the pool (or serially at one worker), with results
     /// collected **by index**. `key_of` maps an item to the cell key
     /// whose memoized trace the context carries.
     pub fn run_cells<I, T, K, F>(&self, items: &[I], key_of: K, work: F) -> Vec<T>
@@ -440,7 +394,7 @@ impl SweepEngine {
         SweepStats {
             cells: self.cells.load(Ordering::Relaxed),
             jobs: self.opts.effective_jobs(),
-            parallel: self.opts.parallel && self.opts.effective_jobs() > 1,
+            parallel: self.opts.effective_jobs() > 1,
             traces_generated: self.traces.computed.load(Ordering::Relaxed),
             trace_hits: self.traces.hits.load(Ordering::Relaxed),
             baselines_computed: self.baselines.computed.load(Ordering::Relaxed),
@@ -626,26 +580,6 @@ mod tests {
         assert_eq!(*rank_jobs, 8, "single cell receives the whole budget");
         let serial = ibp_core::annotate_trace(&e.trace(&key), &cfg);
         assert_eq!(*parallel, serial);
-    }
-
-    #[test]
-    fn sweep_args_parsing() {
-        let mut args = vec!["16".to_string(), "--jobs".into(), "3".into()];
-        let opts = sweep_args(&mut args).unwrap();
-        assert_eq!(opts.jobs, 3);
-        assert!(opts.parallel);
-        assert_eq!(args, vec!["16".to_string()]);
-
-        let mut args = vec!["--serial".to_string(), "8".into()];
-        let opts = sweep_args(&mut args).unwrap();
-        assert!(!opts.parallel);
-        assert_eq!(opts.effective_jobs(), 1);
-        assert_eq!(args, vec!["8".to_string()]);
-
-        let mut bad = vec!["--jobs".to_string(), "zero".into()];
-        assert!(sweep_args(&mut bad).is_err());
-        let mut missing = vec!["--jobs".to_string()];
-        assert!(sweep_args(&mut missing).is_err());
     }
 
     #[test]

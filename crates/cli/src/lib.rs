@@ -1,19 +1,11 @@
 //! # ibpower-cli — command-line front end
 //!
-//! A small, dependency-free argument layer over the `ibpower` workspace:
-//!
-//! ```text
-//! ibpower generate <app> <nprocs> [--seed N] [--weak] [-o trace.json]
-//! ibpower inspect  <trace.json>
-//! ibpower annotate <trace.json> [--gt US] [--disp F] [-o ann.json]
-//! ibpower replay   <trace.json> [--ann ann.json] [--timeline]
-//! ibpower experiment <app> <nprocs> [--gt US] [--disp F] [--seed N]
-//! ibpower prv      <trace.json> [-o out.prv]
-//! ibpower serve    (--uds PATH | --tcp ADDR) [--workers N] [--metrics-addr ADDR]
-//! ibpower load     <app> <nprocs> (--uds PATH | --tcp ADDR) [--sessions N]
-//! ibpower stat     (--uds PATH | --tcp ADDR) [--session N]
-//! ibpower top      (--uds PATH | --tcp ADDR) [--interval-ms N] [--once]
-//! ```
+//! A small, dependency-free argument layer over the `ibpower` workspace;
+//! [`usage`] is the full command reference. Each subcommand declares
+//! its positionals, valued flags and switches once; one reader checks an
+//! argument list against that declaration and rejects anything
+//! undeclared, and typed reads turn the values into the library's own
+//! config types ([`PowerConfig`], [`ServeConfig`], [`LoadConfig`], …).
 //!
 //! The parsing layer is exposed as a library so it can be unit-tested
 //! without spawning processes.
@@ -21,43 +13,28 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use ibp_analysis::{exhibits::SEED, Exhibit, SweepOptions, EXHIBITS};
+use ibp_core::{PowerConfig, ResilienceConfig};
+use ibp_network::FaultConfig;
+use ibp_serve::{ChaosConfig, Endpoint, LoadConfig, RetryPolicy, ServeConfig};
 use ibp_simcore::SimDuration;
-use ibp_workloads::AppKind;
-
-/// Where the streaming service listens (or where the load generator
-/// connects): exactly one of `--tcp ADDR` or `--uds PATH`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EndpointSpec {
-    /// TCP address, e.g. `127.0.0.1:9400`.
-    Tcp(String),
-    /// Unix-domain socket path.
-    Uds(String),
-}
-
-impl EndpointSpec {
-    /// Convert into the serving crate's endpoint type.
-    #[must_use]
-    pub fn to_endpoint(&self) -> ibp_serve::Endpoint {
-        match self {
-            EndpointSpec::Tcp(addr) => ibp_serve::Endpoint::Tcp(addr.clone()),
-            EndpointSpec::Uds(path) => ibp_serve::Endpoint::Unix(path.into()),
-        }
-    }
-}
+use ibp_workloads::{AppKind, Scaling};
+use std::fmt::Display;
+use std::str::FromStr;
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Generate a workload trace.
     Generate {
-        /// Application name.
-        app: String,
+        /// Application.
+        app: AppKind,
         /// Rank count.
         nprocs: u32,
         /// Generation seed.
         seed: u64,
-        /// Weak scaling instead of strong.
-        weak: bool,
+        /// Strong scaling, or weak with `--weak`.
+        scaling: Scaling,
         /// Output path (stdout summary only if absent).
         output: Option<String>,
     },
@@ -70,14 +47,8 @@ pub enum Command {
     Annotate {
         /// Trace path.
         trace: String,
-        /// Grouping threshold, µs.
-        gt_us: f64,
-        /// Displacement factor.
-        displacement: f64,
-        /// Enable the misprediction-backoff resilience controller.
-        resilient: bool,
-        /// Slowdown budget (%, implies `resilient`).
-        budget: Option<f64>,
+        /// Runtime configuration, resilience controller included.
+        power: PowerConfig,
         /// Output path for the annotations JSON.
         output: Option<String>,
     },
@@ -87,33 +58,23 @@ pub enum Command {
         trace: String,
         /// Annotations path.
         ann: Option<String>,
-        /// Link fault-injection rate multiplier (0 = fault-free).
-        fault_rate: f64,
-        /// Fault-injection RNG seed.
-        fault_seed: u64,
+        /// Link fault injection (`None` = fault-free).
+        faults: Option<FaultConfig>,
         /// Render a link-power timeline.
         timeline: bool,
     },
     /// Full pipeline in one shot: generate + annotate + double replay.
     Experiment {
-        /// Application name.
-        app: String,
+        /// Application.
+        app: AppKind,
         /// Rank count.
         nprocs: u32,
-        /// Grouping threshold, µs.
-        gt_us: f64,
-        /// Displacement factor.
-        displacement: f64,
         /// Generation seed.
         seed: u64,
-        /// Link fault-injection rate multiplier (0 = fault-free).
-        fault_rate: f64,
-        /// Fault-injection RNG seed.
-        fault_seed: u64,
-        /// Enable the misprediction-backoff resilience controller.
-        resilient: bool,
-        /// Slowdown budget (%, implies `resilient`).
-        budget: Option<f64>,
+        /// Runtime configuration, resilience controller included.
+        power: PowerConfig,
+        /// Link fault injection (`None` = fault-free).
+        faults: Option<FaultConfig>,
     },
     /// Export a trace in the simplified Paraver dialect.
     Prv {
@@ -126,10 +87,8 @@ pub enum Command {
     Exhibits {
         /// A name from the `ibp_analysis::EXHIBITS` registry, or `all`.
         name: String,
-        /// Worker threads (0 = available parallelism / `IBP_JOBS`).
-        jobs: usize,
-        /// Force the serial escape hatch.
-        serial: bool,
+        /// Worker count (`--jobs N`, `--serial` = 1, else `IBP_JOBS`).
+        sweep: SweepOptions,
         /// Generation seed.
         seed: u64,
         /// Results directory (default `results/`, or `IBP_RESULTS_DIR`).
@@ -154,74 +113,32 @@ pub enum Command {
     /// Run the streaming prediction server.
     Serve {
         /// Listening endpoint.
-        endpoint: EndpointSpec,
-        /// Worker threads applying event batches.
-        workers: usize,
-        /// Event-loop (reactor) threads owning the sockets.
-        io_threads: usize,
-        /// LRU cap on in-memory session engines; excess sessions are
-        /// evicted to the snapshot store and rehydrated on touch
-        /// (requires `--store`).
-        max_hot_sessions: Option<usize>,
-        /// Pending work items per session before its reader blocks.
-        queue: usize,
-        /// Emit unsolicited stats every N events per session (0 = off).
-        stats_every: u64,
-        /// Exit after this many sessions close cleanly.
-        session_limit: Option<u64>,
-        /// Durable snapshot store directory (crash recovery).
+        endpoint: Endpoint,
+        /// Server tuning.
+        config: ServeConfig,
+        /// Durable snapshot store directory (crash recovery; required
+        /// by `config.max_hot_sessions`).
         store: Option<String>,
-        /// Persist each store-backed session every N applied events
-        /// (0 = only on close/drain).
-        persist_every: u64,
-        /// Outbound frames queued per connection before shedding.
-        write_queue: usize,
-        /// Drop connections idle for this many ms (0 = never).
-        idle_timeout_ms: u64,
-        /// Socket write timeout, ms (0 = none).
-        write_timeout_ms: u64,
-        /// Prometheus text-exposition listener address
-        /// (e.g. `127.0.0.1:9401`; absent = no exporter).
-        metrics_addr: Option<String>,
     },
     /// Drive a workload's event streams against a running server.
     Load {
-        /// Application name.
-        app: String,
+        /// Application.
+        app: AppKind,
         /// Rank count.
         nprocs: u32,
-        /// Server endpoint to connect to.
-        endpoint: EndpointSpec,
-        /// Concurrent sessions (connections) to drive.
-        sessions: usize,
-        /// Events per frame.
-        batch: usize,
         /// Generation seed.
         seed: u64,
-        /// Snapshot/reconnect/restore at this stream fraction.
-        split: Option<f64>,
-        /// Verify streamed directives against the offline golden path.
-        check: bool,
-        /// Grouping threshold, µs.
-        gt_us: f64,
-        /// Displacement factor.
-        displacement: f64,
-        /// Transport chaos intensity in (0, 1] (fault injection on
-        /// every connection; `None` = healthy transport).
+        /// Server endpoint to connect to.
+        endpoint: Endpoint,
+        /// Concurrent sessions to drive.
+        sessions: usize,
+        /// Runtime configuration each session opens with.
+        power: PowerConfig,
+        /// Load-generator knobs.
+        config: LoadConfig,
+        /// The `--chaos` intensity as given, echoed in the summary
+        /// (`config.chaos` holds the fault mix derived from it).
         chaos: Option<f64>,
-        /// Chaos fault-stream seed.
-        chaos_seed: u64,
-        /// Consecutive failed connection attempts before a session
-        /// gives up.
-        retries: u32,
-        /// Per-request response deadline, ms (0 = wait forever).
-        deadline_ms: u64,
-        /// Scale mode: multiplex all sessions over this many driver
-        /// connections (0 = classic one-connection-per-session mode).
-        drivers: usize,
-        /// Scale mode: cap on session opens per second across all
-        /// drivers (0 = unlimited).
-        open_rate: u64,
         /// Truncate every session's stream to its first N events
         /// (0 = full stream) — the mostly-idle mix for high-session
         /// scaling runs.
@@ -235,14 +152,14 @@ pub enum Command {
     /// One-shot `ibstat`-style live state table from a running server.
     Stat {
         /// Server endpoint to query.
-        endpoint: EndpointSpec,
+        endpoint: Endpoint,
         /// Probe only this session id (absent = the whole fleet).
         session: Option<u32>,
     },
     /// Refreshing live view of a running server (`--once` for scripts).
     Top {
         /// Server endpoint to query.
-        endpoint: EndpointSpec,
+        endpoint: Endpoint,
         /// Refresh interval, milliseconds.
         interval_ms: u64,
         /// Render a single frame and exit (no screen clearing).
@@ -252,429 +169,418 @@ pub enum Command {
     Help,
 }
 
-/// Parse a command line (without the program name).
+/// Parse a command line (without the program name). Every error names
+/// the subcommand, and the flag or argument at fault.
 pub fn parse(args: &[String]) -> Result<Command, String> {
-    let mut it = args.iter();
-    let cmd = it.next().map(|s| s.as_str()).unwrap_or("help");
-    let rest: Vec<&String> = it.collect();
-
-    let flag_val = |name: &str| -> Option<&str> {
-        rest.iter()
-            .position(|a| a.as_str() == name)
-            .and_then(|i| rest.get(i + 1))
-            .map(|s| s.as_str())
+    let (cmd, rest) = match args.split_first() {
+        Some((cmd, rest)) => (cmd.as_str(), rest),
+        None => ("help", args),
     };
-    let has_flag = |name: &str| rest.iter().any(|a| a.as_str() == name);
-    let positional: Vec<&str> = {
-        let mut out = Vec::new();
-        let mut skip = false;
-        for (i, a) in rest.iter().enumerate() {
-            if skip {
-                skip = false;
+    let cmd = if matches!(cmd, "--help" | "-h") {
+        "help"
+    } else {
+        cmd
+    };
+    let spec = COMMANDS
+        .iter()
+        .find(|s| s.0 == cmd)
+        .ok_or_else(|| format!("unknown command '{cmd}' (try 'ibpower help')"))?;
+    Args::read(spec, rest)
+        .and_then(|a| a.command())
+        .map_err(|e| format!("{cmd}: {e}"))
+}
+
+/// One subcommand's declaration: its name, then its required
+/// positionals, its valued flags and its switches, each list
+/// space-separated.
+struct Spec(&'static str, &'static str, &'static str, &'static str);
+
+/// Every subcommand, each with its one flag list.
+const COMMANDS: &[Spec] = &[
+    Spec("generate", "<app> <nprocs>", "--seed -o", "--weak"),
+    Spec("inspect", "<trace.json>", "", ""),
+    Spec(
+        "annotate",
+        "<trace.json>",
+        "--gt --disp --budget -o",
+        "--resilient",
+    ),
+    Spec(
+        "replay",
+        "<trace.json>",
+        "--ann --fault-rate --fault-seed",
+        "--timeline",
+    ),
+    Spec(
+        "experiment",
+        "<app> <nprocs>",
+        "--gt --disp --seed --fault-rate --fault-seed --budget",
+        "--resilient",
+    ),
+    Spec("prv", "<trace.json>", "-o", ""),
+    Spec("exhibits", "<exhibit>", "--jobs --seed --out", "--serial"),
+    Spec("bench-report", "", "-o --iters --reps --label", "--check"),
+    Spec(
+        "serve",
+        "",
+        "--uds --tcp --workers --io-threads --queue --stats-every --session-limit --store \
+         --persist-every --max-hot-sessions --write-queue --idle-timeout-ms \
+         --write-timeout-ms --metrics-addr",
+        "",
+    ),
+    Spec(
+        "load",
+        "<app> <nprocs>",
+        "--uds --tcp --sessions --batch --seed --split --gt --disp --chaos --chaos-seed \
+         --retries --deadline-ms --drivers --open-rate --events-per-session --scale-curve -o",
+        "--check",
+    ),
+    Spec("stat", "", "--uds --tcp --session", ""),
+    Spec("top", "", "--uds --tcp --interval-ms", "--once"),
+    Spec("help", "", "", ""),
+];
+
+/// Whether the space-separated `list` names `flag`.
+fn declares(list: &str, flag: &str) -> bool {
+    list.split_whitespace().any(|f| f == flag)
+}
+
+/// An argument list checked against one subcommand's [`Spec`].
+struct Args<'a> {
+    spec: &'static Spec,
+    positional: Vec<&'a str>,
+    /// Each flag given, with its value (`None` for a switch).
+    flags: Vec<(&'a str, Option<&'a str>)>,
+}
+
+impl<'a> Args<'a> {
+    /// Split `args` into positionals and flags. A valued flag consumes
+    /// the next token whatever it looks like; an undeclared flag, a
+    /// missing value, a repeated flag or a surplus positional is an
+    /// error.
+    fn read(spec: &'static Spec, args: &'a [String]) -> Result<Self, String> {
+        let mut a = Args {
+            spec,
+            positional: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut tokens = args.iter().map(String::as_str);
+        while let Some(tok) = tokens.next() {
+            let value = if declares(spec.2, tok) {
+                Some(
+                    tokens
+                        .next()
+                        .ok_or_else(|| format!("{tok} needs a value"))?,
+                )
+            } else if declares(spec.3, tok) {
+                None
+            } else if tok.starts_with('-') {
+                return Err(format!("unknown flag '{tok}'"));
+            } else if a.positional.len() < spec.1.split_whitespace().count() {
+                a.positional.push(tok);
                 continue;
+            } else {
+                return Err(format!("unexpected argument '{tok}'"));
+            };
+            if a.flags.iter().any(|(f, _)| *f == tok) {
+                return Err(format!("{tok} given twice"));
             }
-            if a.starts_with('-') {
-                // Flags with values.
-                if [
-                    "--seed",
-                    "--gt",
-                    "--disp",
-                    "-o",
-                    "--ann",
-                    "--fault-rate",
-                    "--fault-seed",
-                    "--budget",
-                    "--jobs",
-                    "--out",
-                    "--iters",
-                    "--reps",
-                    "--label",
-                    "--uds",
-                    "--tcp",
-                    "--workers",
-                    "--queue",
-                    "--stats-every",
-                    "--session-limit",
-                    "--sessions",
-                    "--batch",
-                    "--split",
-                    "--store",
-                    "--persist-every",
-                    "--write-queue",
-                    "--idle-timeout-ms",
-                    "--write-timeout-ms",
-                    "--chaos",
-                    "--chaos-seed",
-                    "--retries",
-                    "--deadline-ms",
-                    "--metrics-addr",
-                    "--session",
-                    "--interval-ms",
-                    "--io-threads",
-                    "--max-hot-sessions",
-                    "--drivers",
-                    "--open-rate",
-                    "--events-per-session",
-                    "--scale-curve",
-                ]
-                .contains(&a.as_str())
-                {
-                    skip = true;
+            a.flags.push((tok, value));
+        }
+        Ok(a)
+    }
+
+    /// The [`Command`] the arguments describe.
+    fn command(&self) -> Result<Command, String> {
+        Ok(match self.spec.0 {
+            "generate" => Command::Generate {
+                app: self.app()?,
+                nprocs: self.nprocs()?,
+                seed: self.seed("--seed")?.unwrap_or(SEED),
+                scaling: if self.switch("--weak") {
+                    Scaling::Weak
+                } else {
+                    Scaling::Strong
+                },
+                output: self.string("-o"),
+            },
+            "inspect" => Command::Inspect {
+                trace: self.pos(0)?.into(),
+            },
+            "annotate" => Command::Annotate {
+                trace: self.pos(0)?.into(),
+                power: self.power()?,
+                output: self.string("-o"),
+            },
+            "replay" => Command::Replay {
+                trace: self.pos(0)?.into(),
+                ann: self.string("--ann"),
+                faults: self.faults()?,
+                timeline: self.switch("--timeline"),
+            },
+            "experiment" => Command::Experiment {
+                app: self.app()?,
+                nprocs: self.nprocs()?,
+                seed: self.seed("--seed")?.unwrap_or(SEED),
+                power: self.power()?,
+                faults: self.faults()?,
+            },
+            "prv" => Command::Prv {
+                trace: self.pos(0)?.into(),
+                output: self.string("-o"),
+            },
+            "exhibits" => {
+                let names = || format!("(all|{})", exhibit_names().join("|"));
+                let name = self.pos(0).map_err(|e| format!("{e} {}", names()))?;
+                if name != "all" && Exhibit::find(name).is_none() {
+                    return Err(format!("unknown exhibit '{name}' {}", names()));
                 }
-                let _ = i;
-                continue;
+                let jobs = self.at_least("--jobs", 1)?;
+                Command::Exhibits {
+                    name: name.into(),
+                    sweep: if self.switch("--serial") {
+                        SweepOptions::serial()
+                    } else {
+                        jobs.map_or_else(SweepOptions::from_env, SweepOptions::with_jobs)
+                    },
+                    seed: self.seed("--seed")?.unwrap_or(SEED),
+                    out: self.string("--out"),
+                }
             }
-            out.push(a.as_str());
-        }
-        out
-    };
+            "bench-report" => Command::BenchReport {
+                output: self
+                    .string("-o")
+                    .unwrap_or_else(|| "BENCH_hotpath.json".into()),
+                check: self.switch("--check"),
+                iters: self.at_least("--iters", 10)?.unwrap_or(2000),
+                reps: self.at_least("--reps", 1)?.unwrap_or(5),
+                label: self.string("--label"),
+            },
+            "serve" => {
+                let d = ServeConfig::default();
+                let config = ServeConfig {
+                    workers: self.at_least("--workers", 1)?.unwrap_or(d.workers),
+                    io_threads: self.at_least("--io-threads", 1)?.unwrap_or(d.io_threads),
+                    queue_depth: self.at_least("--queue", 1)?.unwrap_or(d.queue_depth),
+                    stats_every: self.num("--stats-every")?.unwrap_or(d.stats_every),
+                    session_limit: self.at_least("--session-limit", 1)?,
+                    write_queue: self.at_least("--write-queue", 1)?.unwrap_or(d.write_queue),
+                    idle_timeout_ms: self.num("--idle-timeout-ms")?.unwrap_or(d.idle_timeout_ms),
+                    write_timeout_ms: self
+                        .num("--write-timeout-ms")?
+                        .unwrap_or(d.write_timeout_ms),
+                    persist_every: self.num("--persist-every")?.unwrap_or(d.persist_every),
+                    max_hot_sessions: self.at_least("--max-hot-sessions", 1)?,
+                    metrics_addr: self.string("--metrics-addr"),
+                    ..d
+                };
+                let store = self.string("--store");
+                if config.max_hot_sessions.is_some() && store.is_none() {
+                    return Err(
+                        "--max-hot-sessions needs --store (evicted engines live there)".into(),
+                    );
+                }
+                Command::Serve {
+                    endpoint: self.endpoint()?,
+                    config,
+                    store,
+                }
+            }
+            "load" => {
+                let d = LoadConfig::default();
+                let chaos = self.get("--chaos", |f| *f > 0.0 && *f <= 1.0, " (need 0 < F <= 1)")?;
+                let chaos_seed = self.seed("--chaos-seed")?.unwrap_or(0xC4A0_5EED);
+                let config = LoadConfig {
+                    batch: self.at_least("--batch", 1)?.unwrap_or(d.batch),
+                    split: self.get("--split", |f| *f > 0.0 && *f < 1.0, " (need 0 < F < 1)")?,
+                    check: self.switch("--check"),
+                    chaos: chaos.map(|f| ChaosConfig::with_intensity(chaos_seed, f)),
+                    retry: RetryPolicy {
+                        max_attempts: self
+                            .at_least("--retries", 1)?
+                            .unwrap_or(d.retry.max_attempts),
+                        deadline_ms: self.num("--deadline-ms")?.unwrap_or(d.retry.deadline_ms),
+                        ..d.retry
+                    },
+                    // Scale mode: 0 means off / unlimited.
+                    drivers: self.num("--drivers")?.unwrap_or(d.drivers),
+                    open_rate: self.num("--open-rate")?.unwrap_or(d.open_rate),
+                };
+                // Parity goldens come from annotating the full rank, so
+                // a truncated stream cannot be checked against them.
+                let events_per_session = self.num("--events-per-session")?.unwrap_or(0);
+                if events_per_session > 0 && config.check {
+                    return Err(
+                        "--events-per-session truncates streams; offline goldens cover \
+                         full ranks only, so combining it with --check would compare \
+                         against the wrong reference"
+                            .into(),
+                    );
+                }
+                Command::Load {
+                    app: self.app()?,
+                    nprocs: self.nprocs()?,
+                    seed: self.seed("--seed")?.unwrap_or(SEED),
+                    endpoint: self.endpoint()?,
+                    sessions: self.at_least("--sessions", 1)?.unwrap_or(8),
+                    power: self.power()?,
+                    config,
+                    chaos,
+                    events_per_session,
+                    scale_curve: self.string("--scale-curve"),
+                    output: self.string("-o"),
+                }
+            }
+            "stat" => Command::Stat {
+                endpoint: self.endpoint()?,
+                session: self.num("--session")?,
+            },
+            "top" => Command::Top {
+                endpoint: self.endpoint()?,
+                interval_ms: self.at_least("--interval-ms", 1)?.unwrap_or(1_000),
+                once: self.switch("--once"),
+            },
+            "help" => Command::Help,
+            other => unreachable!("subcommand {other} is declared but never built"),
+        })
+    }
 
-    let parse_seed = || -> Result<u64, String> {
-        match flag_val("--seed") {
-            Some(s) => s.parse().map_err(|_| format!("bad --seed: {s}")),
-            None => Ok(0xD1C0),
+    /// Positional `i`.
+    fn pos(&self, i: usize) -> Result<&'a str, String> {
+        let name = || self.spec.1.split_whitespace().nth(i).unwrap_or("argument");
+        self.positional
+            .get(i)
+            .copied()
+            .ok_or_else(|| format!("missing {}", name()))
+    }
+
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        debug_assert!(declares(self.spec.2, flag), "{flag} undeclared");
+        self.flags
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .and_then(|(_, v)| *v)
+    }
+
+    fn string(&self, flag: &str) -> Option<String> {
+        self.value(flag).map(str::to_string)
+    }
+
+    fn switch(&self, flag: &str) -> bool {
+        debug_assert!(declares(self.spec.3, flag), "{flag} undeclared");
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// `flag`'s value parsed as `T` and accepted by `ok` (`need` states
+    /// the condition in the error); `None` when the flag is absent.
+    fn get<T: FromStr>(
+        &self,
+        flag: &str,
+        ok: impl Fn(&T) -> bool,
+        need: &str,
+    ) -> Result<Option<T>, String> {
+        let bad = |s| format!("bad {flag}{need}: {s}");
+        self.value(flag)
+            .map(|s| s.parse().ok().filter(&ok).ok_or_else(|| bad(s)))
+            .transpose()
+    }
+
+    fn num<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.get(flag, |_| true, "")
+    }
+
+    fn at_least<T: FromStr + PartialOrd + Display>(
+        &self,
+        flag: &str,
+        min: T,
+    ) -> Result<Option<T>, String> {
+        self.get(flag, |v| *v >= min, &format!(" (need >= {min})"))
+    }
+
+    /// A seed: decimal, or hex with a `0x` prefix (the form `help`
+    /// prints the defaults in).
+    fn seed(&self, flag: &str) -> Result<Option<u64>, String> {
+        let Some(s) = self.value(flag) else {
+            return Ok(None);
+        };
+        match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+            Some(hex) => u64::from_str_radix(hex, 16),
+            None => s.parse(),
         }
-    };
-    let parse_gt = || -> Result<f64, String> {
-        match flag_val("--gt") {
-            Some(s) => s.parse().map_err(|_| format!("bad --gt: {s}")),
-            None => Ok(20.0),
-        }
-    };
-    let parse_disp = || -> Result<f64, String> {
-        match flag_val("--disp") {
-            Some(s) => s.parse().map_err(|_| format!("bad --disp: {s}")),
-            None => Ok(0.01),
-        }
-    };
-    let parse_fault_rate = || -> Result<f64, String> {
-        match flag_val("--fault-rate") {
-            Some(s) => s
-                .parse::<f64>()
-                .ok()
-                .filter(|r| *r >= 0.0)
-                .ok_or(format!("bad --fault-rate: {s}")),
-            None => Ok(0.0),
-        }
-    };
-    let parse_fault_seed = || -> Result<u64, String> {
-        match flag_val("--fault-seed") {
-            Some(s) => s.parse().map_err(|_| format!("bad --fault-seed: {s}")),
-            None => Ok(0xFA17),
-        }
-    };
-    let parse_budget = || -> Result<Option<f64>, String> {
-        match flag_val("--budget") {
-            Some(s) => s
-                .parse::<f64>()
-                .ok()
-                .filter(|b| *b >= 0.0)
-                .map(Some)
-                .ok_or(format!("bad --budget: {s}")),
-            None => Ok(None),
-        }
-    };
-    let parse_endpoint = || -> Result<EndpointSpec, String> {
-        match (flag_val("--uds"), flag_val("--tcp")) {
-            (Some(p), None) => Ok(EndpointSpec::Uds(p.to_string())),
-            (None, Some(a)) => Ok(EndpointSpec::Tcp(a.to_string())),
+        .map(Some)
+        .map_err(|_| format!("bad {flag}: {s}"))
+    }
+
+    fn app(&self) -> Result<AppKind, String> {
+        let names = || format!("({})", AppKind::ALL.map(AppKind::name).join("|"));
+        let name = self.pos(0).map_err(|e| format!("{e} {}", names()))?;
+        AppKind::from_name(name).ok_or_else(|| format!("unknown app '{name}' {}", names()))
+    }
+
+    fn nprocs(&self) -> Result<u32, String> {
+        self.pos(1)?.parse().map_err(|_| "bad <nprocs>".to_string())
+    }
+
+    fn endpoint(&self) -> Result<Endpoint, String> {
+        match (self.value("--uds"), self.value("--tcp")) {
+            (Some(path), None) => Ok(Endpoint::Unix(path.into())),
+            (None, Some(addr)) => Ok(Endpoint::Tcp(addr.into())),
             (Some(_), Some(_)) => Err("give --uds or --tcp, not both".into()),
             (None, None) => Err("missing endpoint: --uds PATH or --tcp ADDR".into()),
         }
-    };
-    let parse_count = |name: &str, default: usize| -> Result<usize, String> {
-        match flag_val(name) {
-            Some(s) => s
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 1)
-                .ok_or(format!("bad {name}: {s}")),
-            None => Ok(default),
-        }
-    };
-    let app_and_n = || -> Result<(String, u32), String> {
-        let app = positional
-            .first()
-            .ok_or("missing <app> (gromacs|alya|wrf|nas-bt|nas-mg)")?
-            .to_string();
-        if AppKind::from_name(&app).is_none() {
-            return Err(format!("unknown app '{app}'"));
-        }
-        let n: u32 = positional
-            .get(1)
-            .ok_or("missing <nprocs>")?
-            .parse()
-            .map_err(|_| "bad <nprocs>".to_string())?;
-        Ok((app, n))
-    };
+    }
 
-    match cmd {
-        "generate" => {
-            let (app, nprocs) = app_and_n()?;
-            Ok(Command::Generate {
-                app,
-                nprocs,
-                seed: parse_seed()?,
-                weak: has_flag("--weak"),
-                output: flag_val("-o").map(str::to_string),
-            })
+    /// The paper's runtime at `--gt`/`--disp`, plus the resilience
+    /// controller where the subcommand declares `--resilient`:
+    /// `--budget PCT` overrides the standard slowdown budget and
+    /// implies `--resilient`.
+    fn power(&self) -> Result<PowerConfig, String> {
+        let gt = self.get("--gt", |us: &f64| us.is_finite() && *us >= 0.0, "")?;
+        let mut cfg = PowerConfig {
+            grouping_threshold: SimDuration::from_us_f64(gt.unwrap_or(20.0)),
+            displacement: self.num("--disp")?.unwrap_or(0.01),
+            ..PowerConfig::default()
+        };
+        if declares(self.spec.3, "--resilient") {
+            let budget = self.get(
+                "--budget",
+                |b: &f64| b.is_finite() && *b >= 0.0,
+                " (need >= 0)",
+            )?;
+            cfg.resilience = match (self.switch("--resilient"), budget) {
+                (_, Some(pct)) => ResilienceConfig::with_budget(pct),
+                (true, None) => ResilienceConfig::standard(),
+                (false, None) => ResilienceConfig::default(),
+            };
         }
-        "inspect" => Ok(Command::Inspect {
-            trace: positional
-                .first()
-                .ok_or("missing <trace.json>")?
-                .to_string(),
-        }),
-        "annotate" => Ok(Command::Annotate {
-            trace: positional
-                .first()
-                .ok_or("missing <trace.json>")?
-                .to_string(),
-            gt_us: parse_gt()?,
-            displacement: parse_disp()?,
-            resilient: has_flag("--resilient"),
-            budget: parse_budget()?,
-            output: flag_val("-o").map(str::to_string),
-        }),
-        "replay" => Ok(Command::Replay {
-            trace: positional
-                .first()
-                .ok_or("missing <trace.json>")?
-                .to_string(),
-            ann: flag_val("--ann").map(str::to_string),
-            fault_rate: parse_fault_rate()?,
-            fault_seed: parse_fault_seed()?,
-            timeline: has_flag("--timeline"),
-        }),
-        "experiment" => {
-            let (app, nprocs) = app_and_n()?;
-            Ok(Command::Experiment {
-                app,
-                nprocs,
-                gt_us: parse_gt()?,
-                displacement: parse_disp()?,
-                seed: parse_seed()?,
-                fault_rate: parse_fault_rate()?,
-                fault_seed: parse_fault_seed()?,
-                resilient: has_flag("--resilient"),
-                budget: parse_budget()?,
-            })
-        }
-        "exhibits" => {
-            let names = || exhibit_names().join("|");
-            let name = positional
-                .first()
-                .ok_or_else(|| format!("missing <exhibit> (all|{})", names()))?
-                .to_string();
-            if name != "all" && ibp_analysis::Exhibit::find(&name).is_none() {
-                return Err(format!("unknown exhibit '{name}' (all|{})", names()));
-            }
-            let jobs = match flag_val("--jobs") {
-                Some(s) => s
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("bad --jobs: {s}"))?,
-                None => 0,
-            };
-            Ok(Command::Exhibits {
-                name,
-                jobs,
-                serial: has_flag("--serial"),
-                seed: parse_seed()?,
-                out: flag_val("--out").map(str::to_string),
-            })
-        }
-        "bench-report" => {
-            let iters = match flag_val("--iters") {
-                Some(s) => s
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 10)
-                    .ok_or(format!("bad --iters (need >= 10): {s}"))?,
-                None => 2000,
-            };
-            let reps = match flag_val("--reps") {
-                Some(s) => s
-                    .parse::<u32>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("bad --reps: {s}"))?,
-                None => 5,
-            };
-            Ok(Command::BenchReport {
-                output: flag_val("-o").unwrap_or("BENCH_hotpath.json").to_string(),
-                check: has_flag("--check"),
-                iters,
-                reps,
-                label: flag_val("--label").map(str::to_string),
-            })
-        }
-        "prv" => Ok(Command::Prv {
-            trace: positional
-                .first()
-                .ok_or("missing <trace.json>")?
-                .to_string(),
-            output: flag_val("-o").map(str::to_string),
-        }),
-        "serve" => {
-            let stats_every = match flag_val("--stats-every") {
-                Some(s) => s
-                    .parse::<u64>()
-                    .map_err(|_| format!("bad --stats-every: {s}"))?,
-                None => 0,
-            };
-            let session_limit = match flag_val("--session-limit") {
-                Some(s) => Some(
-                    s.parse::<u64>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or(format!("bad --session-limit: {s}"))?,
-                ),
-                None => None,
-            };
-            let parse_ms = |name: &str, default: u64| -> Result<u64, String> {
-                match flag_val(name) {
-                    Some(s) => s.parse::<u64>().map_err(|_| format!("bad {name}: {s}")),
-                    None => Ok(default),
-                }
-            };
-            let max_hot_sessions = match flag_val("--max-hot-sessions") {
-                Some(s) => Some(
-                    s.parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or(format!("bad --max-hot-sessions: {s}"))?,
-                ),
-                None => None,
-            };
-            Ok(Command::Serve {
-                endpoint: parse_endpoint()?,
-                workers: parse_count("--workers", 4)?,
-                io_threads: parse_count("--io-threads", 2)?,
-                max_hot_sessions,
-                queue: parse_count("--queue", 64)?,
-                stats_every,
-                session_limit,
-                store: flag_val("--store").map(str::to_string),
-                persist_every: parse_ms("--persist-every", 256)?,
-                write_queue: parse_count("--write-queue", 256)?,
-                idle_timeout_ms: parse_ms("--idle-timeout-ms", 0)?,
-                write_timeout_ms: parse_ms("--write-timeout-ms", 30_000)?,
-                metrics_addr: flag_val("--metrics-addr").map(str::to_string),
-            })
-        }
-        "stat" => {
-            let session = match flag_val("--session") {
-                Some(s) => Some(s.parse::<u32>().map_err(|_| format!("bad --session: {s}"))?),
-                None => None,
-            };
-            Ok(Command::Stat { endpoint: parse_endpoint()?, session })
-        }
-        "top" => {
-            let interval_ms = match flag_val("--interval-ms") {
-                Some(s) => s
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("bad --interval-ms: {s}"))?,
-                None => 1_000,
-            };
-            Ok(Command::Top {
-                endpoint: parse_endpoint()?,
-                interval_ms,
-                once: has_flag("--once"),
-            })
-        }
-        "load" => {
-            let (app, nprocs) = app_and_n()?;
-            let split = match flag_val("--split") {
-                Some(s) => Some(
-                    s.parse::<f64>()
-                        .ok()
-                        .filter(|f| *f > 0.0 && *f < 1.0)
-                        .ok_or(format!("bad --split (need 0 < F < 1): {s}"))?,
-                ),
-                None => None,
-            };
-            let chaos = match flag_val("--chaos") {
-                Some(s) => Some(
-                    s.parse::<f64>()
-                        .ok()
-                        .filter(|f| *f > 0.0 && *f <= 1.0)
-                        .ok_or(format!("bad --chaos (need 0 < F <= 1): {s}"))?,
-                ),
-                None => None,
-            };
-            let chaos_seed = match flag_val("--chaos-seed") {
-                Some(s) => s.parse::<u64>().map_err(|_| format!("bad --chaos-seed: {s}"))?,
-                None => 0xC4A0_5EED,
-            };
-            let retries = match flag_val("--retries") {
-                Some(s) => s
-                    .parse::<u32>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or(format!("bad --retries (need >= 1): {s}"))?,
-                None => 8,
-            };
-            let deadline_ms = match flag_val("--deadline-ms") {
-                Some(s) => s.parse::<u64>().map_err(|_| format!("bad --deadline-ms: {s}"))?,
-                None => 10_000,
-            };
-            // Scale-mode knobs: 0 is meaningful (mode off / unlimited),
-            // so these accept any u64 rather than going through
-            // parse_count.
-            let drivers = match flag_val("--drivers") {
-                Some(s) => s.parse::<usize>().map_err(|_| format!("bad --drivers: {s}"))?,
-                None => 0,
-            };
-            let open_rate = match flag_val("--open-rate") {
-                Some(s) => s.parse::<u64>().map_err(|_| format!("bad --open-rate: {s}"))?,
-                None => 0,
-            };
-            let events_per_session = match flag_val("--events-per-session") {
-                Some(s) => s
-                    .parse::<usize>()
-                    .map_err(|_| format!("bad --events-per-session: {s}"))?,
-                None => 0,
-            };
-            Ok(Command::Load {
-                app,
-                nprocs,
-                endpoint: parse_endpoint()?,
-                sessions: parse_count("--sessions", 8)?,
-                batch: parse_count("--batch", 64)?,
-                seed: parse_seed()?,
-                split,
-                check: has_flag("--check"),
-                gt_us: parse_gt()?,
-                displacement: parse_disp()?,
-                chaos,
-                chaos_seed,
-                retries,
-                deadline_ms,
-                drivers,
-                open_rate,
-                events_per_session,
-                scale_curve: flag_val("--scale-curve").map(str::to_string),
-                output: flag_val("-o").map(str::to_string),
-            })
-        }
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(format!("unknown command '{other}' (try 'ibpower help')")),
+        cfg.validate()
+            .map_err(|e| format!("bad --gt/--disp: {e}"))?;
+        Ok(cfg)
+    }
+
+    /// `--fault-rate`/`--fault-seed`: `None` at rate zero (fault-free
+    /// replay).
+    fn faults(&self) -> Result<Option<FaultConfig>, String> {
+        let rate = self.get("--fault-rate", |r: &f64| *r >= 0.0, " (need >= 0)")?;
+        let seed = self.seed("--fault-seed")?.unwrap_or(0xFA17);
+        Ok(rate
+            .filter(|r| *r > 0.0)
+            .map(|r| FaultConfig::with_rate(seed, r)))
     }
 }
 
 /// Every exhibit name the `exhibits` subcommand accepts besides `all`,
 /// in registry order.
 fn exhibit_names() -> Vec<&'static str> {
-    ibp_analysis::EXHIBITS.iter().map(|e| e.name).collect()
+    EXHIBITS.iter().map(|e| e.name).collect()
 }
 
 /// The `help` text, with the registry's exhibit names filled in.
 pub fn usage() -> String {
-    USAGE.replace("{exhibits}", &format!("all, {}", exhibit_names().join(", ")))
+    USAGE.replace(
+        "{exhibits}",
+        &format!("all, {}", exhibit_names().join(", ")),
+    )
 }
 
 /// The `help` text template; [`usage`] fills in `{exhibits}`.
@@ -715,8 +621,8 @@ EXHIBITS: {exhibits}
   baselines memoized per key; results are byte-identical for any --jobs
   value). `all` runs every exhibit on one shared engine and also writes
   summary.txt with every rendered table. --jobs N sets the worker count
-  (default: IBP_JOBS, else all cores); --serial forces the in-thread
-  path; --out DIR overrides the results directory (default:
+  (default: IBP_JOBS, else all cores); --serial is --jobs 1 (the
+  in-thread path); --out DIR overrides the results directory (default:
   IBP_RESULTS_DIR or results/). Each exhibit writes <name>.json (figures
   also SVGs) and a <name>.stats.json with its cache counters.
   generation_frontier sweeps the five apps across IB generations
@@ -801,42 +707,46 @@ BENCH-REPORT: time the hot paths (PMPI interception, PPA scan, replay at
   than 50% when the baseline entry records it (the CI smoke gate); --label
   names the entry; --iters/--reps set probe scale.
 
-DEFAULTS: --seed 0xD1C0, --gt 20 (µs), --disp 0.01
+DEFAULTS: --seed 0xD1C0, --gt 20 (µs), --disp 0.01. Seeds (--seed,
+  --fault-seed, --chaos-seed) take decimal or 0x-prefixed hex. Flags are
+  strict: a flag the subcommand does not list above, a flag without its
+  value, a repeated flag or an extra argument is an error.
 ";
-
-/// The `PowerConfig` for CLI parameters.
-pub fn power_config(gt_us: f64, displacement: f64) -> ibp_core::PowerConfig {
-    ibp_core::PowerConfig::paper(SimDuration::from_us_f64(gt_us), displacement)
-}
-
-/// [`power_config`] plus the CLI's resilience knobs: `--budget PCT`
-/// overrides the standard slowdown budget and implies `--resilient`.
-pub fn power_config_resilient(
-    gt_us: f64,
-    displacement: f64,
-    resilient: bool,
-    budget: Option<f64>,
-) -> ibp_core::PowerConfig {
-    let cfg = power_config(gt_us, displacement);
-    match (resilient, budget) {
-        (_, Some(pct)) => cfg.with_resilience(ibp_core::ResilienceConfig::with_budget(pct)),
-        (true, None) => cfg.with_resilience(ibp_core::ResilienceConfig::standard()),
-        (false, None) => cfg,
-    }
-}
-
-/// The CLI's `FaultConfig` for `--fault-rate` / `--fault-seed`: `None`
-/// when the rate is zero (fault-free replay).
-pub fn fault_config(fault_rate: f64, fault_seed: u64) -> Option<ibp_network::FaultConfig> {
-    (fault_rate > 0.0).then(|| ibp_network::FaultConfig::with_rate(fault_seed, fault_rate))
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(str::to_string).collect()
+    }
+
+    /// The paper's runtime at `gt_us` and `disp`, as built by the
+    /// library rather than the parser.
+    fn paper(gt_us: u64, disp: f64) -> PowerConfig {
+        PowerConfig::paper(SimDuration::from_us(gt_us), disp)
+    }
+
+    fn uds(path: &str) -> Endpoint {
+        Endpoint::Unix(path.into())
+    }
+
+    /// `load` with every default but the app, rank count and endpoint.
+    fn load(app: AppKind, nprocs: u32, endpoint: Endpoint) -> Command {
+        Command::Load {
+            app,
+            nprocs,
+            seed: 0xD1C0,
+            endpoint,
+            sessions: 8,
+            power: paper(20, 0.01),
+            config: LoadConfig::default(),
+            chaos: None,
+            events_per_session: 0,
+            scale_curve: None,
+            output: None,
+        }
     }
 
     #[test]
@@ -845,10 +755,10 @@ mod tests {
         assert_eq!(
             c,
             Command::Generate {
-                app: "alya".into(),
+                app: AppKind::Alya,
                 nprocs: 8,
                 seed: 7,
-                weak: false,
+                scaling: Scaling::Strong,
                 output: Some("t.json".into()),
             }
         );
@@ -858,8 +768,8 @@ mod tests {
     fn parses_weak_flag() {
         let c = parse(&argv("generate nas-bt 16 --weak")).unwrap();
         match c {
-            Command::Generate { weak, seed, .. } => {
-                assert!(weak);
+            Command::Generate { scaling, seed, .. } => {
+                assert_eq!(scaling, Scaling::Weak);
                 assert_eq!(seed, 0xD1C0);
             }
             other => panic!("{other:?}"),
@@ -868,7 +778,9 @@ mod tests {
 
     #[test]
     fn rejects_unknown_app() {
-        assert!(parse(&argv("generate lammps 8")).unwrap_err().contains("unknown app"));
+        assert!(parse(&argv("generate lammps 8"))
+            .unwrap_err()
+            .contains("unknown app"));
     }
 
     #[test]
@@ -878,11 +790,8 @@ mod tests {
             c,
             Command::Annotate {
                 trace: "t.json".into(),
-                gt_us: 20.0,
-                displacement: 0.01,
-                resilient: false,
-                budget: None,
-                output: None,
+                power: paper(20, 0.01),
+                output: None
             }
         );
     }
@@ -895,8 +804,7 @@ mod tests {
             Command::Replay {
                 trace: "t.json".into(),
                 ann: Some("a.json".into()),
-                fault_rate: 0.0,
-                fault_seed: 0xFA17,
+                faults: None,
                 timeline: true,
             }
         );
@@ -908,15 +816,11 @@ mod tests {
         assert_eq!(
             c,
             Command::Experiment {
-                app: "wrf".into(),
+                app: AppKind::Wrf,
                 nprocs: 32,
-                gt_us: 36.0,
-                displacement: 0.05,
                 seed: 0xD1C0,
-                fault_rate: 0.0,
-                fault_seed: 0xFA17,
-                resilient: false,
-                budget: None,
+                power: paper(36, 0.05),
+                faults: None,
             }
         );
     }
@@ -925,13 +829,8 @@ mod tests {
     fn parses_fault_flags() {
         let c = parse(&argv("replay t.json --fault-rate 10 --fault-seed 42")).unwrap();
         match c {
-            Command::Replay {
-                fault_rate,
-                fault_seed,
-                ..
-            } => {
-                assert_eq!(fault_rate, 10.0);
-                assert_eq!(fault_seed, 42);
+            Command::Replay { faults, .. } => {
+                assert_eq!(faults, Some(FaultConfig::with_rate(42, 10.0)));
             }
             other => panic!("{other:?}"),
         }
@@ -944,28 +843,25 @@ mod tests {
     fn parses_resilience_flags() {
         let c = parse(&argv("annotate t.json --resilient --budget 1.5")).unwrap();
         match c {
-            Command::Annotate {
-                resilient, budget, ..
-            } => {
-                assert!(resilient);
-                assert_eq!(budget, Some(1.5));
+            Command::Annotate { power, .. } => {
+                assert_eq!(power.resilience, ResilienceConfig::with_budget(1.5));
             }
             other => panic!("{other:?}"),
         }
-        // Value flags must not leak into positionals: trace is still found.
+        // Value flags must not leak into positionals: app is still found.
         let c = parse(&argv("experiment alya 8 --fault-rate 5 --resilient")).unwrap();
         match c {
             Command::Experiment {
                 app,
                 nprocs,
-                fault_rate,
-                resilient,
+                faults,
+                power,
                 ..
             } => {
-                assert_eq!(app, "alya");
+                assert_eq!(app, AppKind::Alya);
                 assert_eq!(nprocs, 8);
-                assert_eq!(fault_rate, 5.0);
-                assert!(resilient);
+                assert_eq!(faults, Some(FaultConfig::with_rate(0xFA17, 5.0)));
+                assert_eq!(power.resilience, ResilienceConfig::standard());
             }
             other => panic!("{other:?}"),
         }
@@ -973,13 +869,22 @@ mod tests {
 
     #[test]
     fn resilient_config_wiring() {
-        assert!(!power_config_resilient(20.0, 0.01, false, None).resilience.enabled);
-        assert!(power_config_resilient(20.0, 0.01, true, None).resilience.enabled);
-        let c = power_config_resilient(20.0, 0.01, false, Some(3.0));
+        let power = |line: &str| match parse(&argv(line)).unwrap() {
+            Command::Annotate { power, .. } => power,
+            other => panic!("{other:?}"),
+        };
+        assert!(!power("annotate t.json").resilience.enabled);
+        assert!(power("annotate t.json --resilient").resilience.enabled);
+        let c = power("annotate t.json --budget 3");
         assert!(c.resilience.enabled, "--budget implies --resilient");
         assert_eq!(c.resilience.slowdown_budget_pct, 3.0);
-        assert!(fault_config(0.0, 7).is_none());
-        let f = fault_config(2.0, 7).expect("rate > 0 builds a config");
+        let faults = |line: &str| match parse(&argv(line)).unwrap() {
+            Command::Replay { faults, .. } => faults,
+            other => panic!("{other:?}"),
+        };
+        assert!(faults("replay t.json --fault-rate 0 --fault-seed 7").is_none());
+        let f = faults("replay t.json --fault-rate 2 --fault-seed 7")
+            .expect("rate > 0 builds a config");
         assert_eq!(f.seed, 7);
         assert!(f.validate().is_ok());
     }
@@ -991,28 +896,34 @@ mod tests {
             c,
             Command::Exhibits {
                 name: "table3".into(),
-                jobs: 4,
-                serial: false,
+                sweep: SweepOptions::with_jobs(4),
                 seed: 9,
                 out: Some("tmp/r".into()),
             }
         );
         match parse(&argv("exhibits generation_frontier --jobs 2")).unwrap() {
-            Command::Exhibits { name, jobs, .. } => {
+            Command::Exhibits { name, sweep, .. } => {
                 assert_eq!(name, "generation_frontier");
-                assert_eq!(jobs, 2);
+                assert_eq!(sweep.effective_jobs(), 2);
             }
             other => panic!("{other:?}"),
         }
-        let c = parse(&argv("exhibits all --serial")).unwrap();
-        match c {
-            Command::Exhibits {
-                name, jobs, serial, ..
-            } => {
-                assert_eq!(name, "all");
-                assert_eq!(jobs, 0);
-                assert!(serial);
+        // --serial is --jobs 1, whatever --jobs or IBP_JOBS say.
+        for line in [
+            "exhibits all --serial",
+            "exhibits all --jobs 1",
+            "exhibits all --jobs 8 --serial",
+        ] {
+            match parse(&argv(line)).unwrap() {
+                Command::Exhibits { name, sweep, .. } => {
+                    assert_eq!(name, "all");
+                    assert_eq!(sweep, SweepOptions::serial(), "{line}");
+                }
+                other => panic!("{other:?}"),
             }
+        }
+        match parse(&argv("exhibits all")).unwrap() {
+            Command::Exhibits { sweep, .. } => assert_eq!(sweep, SweepOptions::from_env()),
             other => panic!("{other:?}"),
         }
     }
@@ -1022,13 +933,20 @@ mod tests {
         assert!(parse(&argv("exhibits")).is_err());
         let err = parse(&argv("exhibits fig11")).unwrap_err();
         assert!(err.contains("unknown exhibit"), "{err}");
-        for e in ibp_analysis::EXHIBITS {
+        for e in EXHIBITS {
             assert!(err.contains(e.name), "error must list '{}': {err}", e.name);
             assert!(parse(&argv(&format!("exhibits {}", e.name))).is_ok());
         }
         assert!(parse(&argv("exhibits all --jobs 0"))
             .unwrap_err()
             .contains("bad --jobs"));
+        let err = parse(&argv("exhibits all --jobs")).unwrap_err();
+        assert!(
+            err.contains("exhibits") && err.contains("--jobs needs a value"),
+            "{err}"
+        );
+        let err = parse(&argv("exhibits all --serial --serial")).unwrap_err();
+        assert!(err.contains("--serial given twice"), "{err}");
     }
 
     #[test]
@@ -1044,8 +962,10 @@ mod tests {
                 label: None,
             }
         );
-        let c = parse(&argv("bench-report -o t.json --check --iters 500 --reps 3 --label pr"))
-            .unwrap();
+        let c = parse(&argv(
+            "bench-report -o t.json --check --iters 500 --reps 3 --label pr",
+        ))
+        .unwrap();
         assert_eq!(
             c,
             Command::BenchReport {
@@ -1070,19 +990,9 @@ mod tests {
         assert_eq!(
             c,
             Command::Serve {
-                endpoint: EndpointSpec::Uds("/tmp/ibp.sock".into()),
-                workers: 4,
-                io_threads: 2,
-                max_hot_sessions: None,
-                queue: 64,
-                stats_every: 0,
-                session_limit: None,
+                endpoint: uds("/tmp/ibp.sock"),
+                config: ServeConfig::default(),
                 store: None,
-                persist_every: 256,
-                write_queue: 256,
-                idle_timeout_ms: 0,
-                write_timeout_ms: 30_000,
-                metrics_addr: None,
             }
         );
         let c = parse(&argv(
@@ -1092,19 +1002,15 @@ mod tests {
         assert_eq!(
             c,
             Command::Serve {
-                endpoint: EndpointSpec::Tcp("127.0.0.1:9400".into()),
-                workers: 2,
-                io_threads: 2,
-                max_hot_sessions: None,
-                queue: 16,
-                stats_every: 500,
-                session_limit: Some(8),
+                endpoint: Endpoint::Tcp("127.0.0.1:9400".into()),
+                config: ServeConfig {
+                    workers: 2,
+                    queue_depth: 16,
+                    stats_every: 500,
+                    session_limit: Some(8),
+                    ..ServeConfig::default()
+                },
                 store: None,
-                persist_every: 256,
-                write_queue: 256,
-                idle_timeout_ms: 0,
-                write_timeout_ms: 30_000,
-                metrics_addr: None,
             }
         );
     }
@@ -1116,9 +1022,9 @@ mod tests {
         ))
         .unwrap();
         match c {
-            Command::Serve { io_threads, max_hot_sessions, store, .. } => {
-                assert_eq!(io_threads, 4);
-                assert_eq!(max_hot_sessions, Some(1_000));
+            Command::Serve { config, store, .. } => {
+                assert_eq!(config.io_threads, 4);
+                assert_eq!(config.max_hot_sessions, Some(1_000));
                 assert_eq!(store.as_deref(), Some("/var/ibp"));
             }
             other => panic!("{other:?}"),
@@ -1126,17 +1032,22 @@ mod tests {
         assert!(parse(&argv("serve --uds a.sock --io-threads 0"))
             .unwrap_err()
             .contains("bad --io-threads"));
-        assert!(parse(&argv("serve --uds a.sock --max-hot-sessions 0"))
+        assert!(
+            parse(&argv("serve --uds a.sock --store d --max-hot-sessions 0"))
+                .unwrap_err()
+                .contains("bad --max-hot-sessions")
+        );
+        assert!(parse(&argv("serve --uds a.sock --max-hot-sessions 8"))
             .unwrap_err()
-            .contains("bad --max-hot-sessions"));
+            .contains("--max-hot-sessions needs --store"));
     }
 
     #[test]
     fn parses_serve_metrics_addr() {
         let c = parse(&argv("serve --uds a.sock --metrics-addr 127.0.0.1:9401")).unwrap();
         match c {
-            Command::Serve { metrics_addr, .. } => {
-                assert_eq!(metrics_addr.as_deref(), Some("127.0.0.1:9401"));
+            Command::Serve { config, .. } => {
+                assert_eq!(config.metrics_addr.as_deref(), Some("127.0.0.1:9401"));
             }
             other => panic!("{other:?}"),
         }
@@ -1150,37 +1061,39 @@ mod tests {
         assert_eq!(
             c,
             Command::Stat {
-                endpoint: EndpointSpec::Tcp("127.0.0.1:9400".into()),
-                session: None,
+                endpoint: Endpoint::Tcp("127.0.0.1:9400".into()),
+                session: None
             }
         );
         let c = parse(&argv("stat --uds a.sock --session 3")).unwrap();
         assert_eq!(
             c,
             Command::Stat {
-                endpoint: EndpointSpec::Uds("a.sock".into()),
-                session: Some(3),
+                endpoint: uds("a.sock"),
+                session: Some(3)
             }
         );
         let c = parse(&argv("top --uds a.sock")).unwrap();
         assert_eq!(
             c,
             Command::Top {
-                endpoint: EndpointSpec::Uds("a.sock".into()),
+                endpoint: uds("a.sock"),
                 interval_ms: 1_000,
-                once: false,
+                once: false
             }
         );
         let c = parse(&argv("top --tcp [::1]:9400 --interval-ms 250 --once")).unwrap();
         assert_eq!(
             c,
             Command::Top {
-                endpoint: EndpointSpec::Tcp("[::1]:9400".into()),
+                endpoint: Endpoint::Tcp("[::1]:9400".into()),
                 interval_ms: 250,
                 once: true,
             }
         );
-        assert!(parse(&argv("stat")).unwrap_err().contains("missing endpoint"));
+        assert!(parse(&argv("stat"))
+            .unwrap_err()
+            .contains("missing endpoint"));
         assert!(parse(&argv("stat --uds a.sock --session x"))
             .unwrap_err()
             .contains("bad --session"));
@@ -1197,24 +1110,17 @@ mod tests {
         ))
         .unwrap();
         match c {
-            Command::Serve {
-                store,
-                persist_every,
-                write_queue,
-                idle_timeout_ms,
-                write_timeout_ms,
-                ..
-            } => {
+            Command::Serve { config, store, .. } => {
                 assert_eq!(store.as_deref(), Some("/var/ibp"));
-                assert_eq!(persist_every, 64);
-                assert_eq!(write_queue, 32);
-                assert_eq!(idle_timeout_ms, 5_000);
-                assert_eq!(write_timeout_ms, 1_000);
+                assert_eq!(config.persist_every, 64);
+                assert_eq!(config.write_queue, 32);
+                assert_eq!(config.idle_timeout_ms, 5_000);
+                assert_eq!(config.write_timeout_ms, 1_000);
             }
             other => panic!("{other:?}"),
         }
-        // --store takes a value: it must not swallow a later flag, and
-        // its argument must not leak into the positional list.
+        // --store takes a value: its argument must not leak into the
+        // positional list.
         assert!(parse(&argv("serve --store d --uds a.sock")).is_ok());
         assert!(parse(&argv("serve --uds a.sock --write-queue 0"))
             .unwrap_err()
@@ -1243,30 +1149,7 @@ mod tests {
     #[test]
     fn parses_load() {
         let c = parse(&argv("load alya 8 --uds /tmp/ibp.sock")).unwrap();
-        assert_eq!(
-            c,
-            Command::Load {
-                app: "alya".into(),
-                nprocs: 8,
-                endpoint: EndpointSpec::Uds("/tmp/ibp.sock".into()),
-                sessions: 8,
-                batch: 64,
-                seed: 0xD1C0,
-                split: None,
-                check: false,
-                gt_us: 20.0,
-                displacement: 0.01,
-                chaos: None,
-                chaos_seed: 0xC4A0_5EED,
-                retries: 8,
-                deadline_ms: 10_000,
-                drivers: 0,
-                open_rate: 0,
-                events_per_session: 0,
-                scale_curve: None,
-                output: None,
-            }
-        );
+        assert_eq!(c, load(AppKind::Alya, 8, uds("/tmp/ibp.sock")));
         let c = parse(&argv(
             "load wrf 32 --tcp [::1]:9400 --sessions 16 --batch 128 --seed 3 \
              --split 0.5 --check --gt 36 --disp 0.05 -o rep.json",
@@ -1275,22 +1158,19 @@ mod tests {
         assert_eq!(
             c,
             Command::Load {
-                app: "wrf".into(),
+                app: AppKind::Wrf,
                 nprocs: 32,
-                endpoint: EndpointSpec::Tcp("[::1]:9400".into()),
-                sessions: 16,
-                batch: 128,
                 seed: 3,
-                split: Some(0.5),
-                check: true,
-                gt_us: 36.0,
-                displacement: 0.05,
+                endpoint: Endpoint::Tcp("[::1]:9400".into()),
+                sessions: 16,
+                power: paper(36, 0.05),
+                config: LoadConfig {
+                    batch: 128,
+                    split: Some(0.5),
+                    check: true,
+                    ..LoadConfig::default()
+                },
                 chaos: None,
-                chaos_seed: 0xC4A0_5EED,
-                retries: 8,
-                deadline_ms: 10_000,
-                drivers: 0,
-                open_rate: 0,
                 events_per_session: 0,
                 scale_curve: None,
                 output: Some("rep.json".into()),
@@ -1306,10 +1186,16 @@ mod tests {
         ))
         .unwrap();
         match c {
-            Command::Load { sessions, drivers, open_rate, events_per_session, scale_curve, .. } => {
+            Command::Load {
+                sessions,
+                config,
+                events_per_session,
+                scale_curve,
+                ..
+            } => {
                 assert_eq!(sessions, 10_000);
-                assert_eq!(drivers, 16);
-                assert_eq!(open_rate, 2_000);
+                assert_eq!(config.drivers, 16);
+                assert_eq!(config.open_rate, 2_000);
                 assert_eq!(events_per_session, 96);
                 assert_eq!(scale_curve.as_deref(), Some("BENCH_serve.json"));
             }
@@ -1321,6 +1207,11 @@ mod tests {
         assert!(parse(&argv("load alya 8 --uds a.sock --open-rate x"))
             .unwrap_err()
             .contains("bad --open-rate"));
+        assert!(parse(&argv(
+            "load alya 8 --uds a.sock --events-per-session 96 --check"
+        ))
+        .unwrap_err()
+        .contains("--events-per-session truncates streams"));
     }
 
     #[test]
@@ -1330,11 +1221,11 @@ mod tests {
         ))
         .unwrap();
         match c {
-            Command::Load { chaos, chaos_seed, retries, deadline_ms, .. } => {
+            Command::Load { chaos, config, .. } => {
                 assert_eq!(chaos, Some(0.3));
-                assert_eq!(chaos_seed, 7);
-                assert_eq!(retries, 3);
-                assert_eq!(deadline_ms, 500);
+                assert_eq!(config.chaos, Some(ChaosConfig::with_intensity(7, 0.3)));
+                assert_eq!(config.retry.max_attempts, 3);
+                assert_eq!(config.retry.deadline_ms, 500);
             }
             other => panic!("{other:?}"),
         }
@@ -1355,7 +1246,9 @@ mod tests {
     fn load_rejects_bad_input() {
         // Endpoint flags must not swallow positionals: app/nprocs parse.
         assert!(parse(&argv("load --uds a.sock alya 8")).is_ok());
-        assert!(parse(&argv("load alya 8")).unwrap_err().contains("missing endpoint"));
+        assert!(parse(&argv("load alya 8"))
+            .unwrap_err()
+            .contains("missing endpoint"));
         assert!(parse(&argv("load lammps 8 --uds a.sock"))
             .unwrap_err()
             .contains("unknown app"));
@@ -1373,11 +1266,514 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_spec_converts() {
-        let e = EndpointSpec::Uds("/tmp/x.sock".into()).to_endpoint();
-        assert!(matches!(e, ibp_serve::Endpoint::Unix(_)));
-        let e = EndpointSpec::Tcp("127.0.0.1:1".into()).to_endpoint();
-        assert!(matches!(e, ibp_serve::Endpoint::Tcp(_)));
+    fn seeds_take_decimal_or_hex() {
+        let seed = |line: &str| match parse(&argv(line)).unwrap() {
+            Command::Generate { seed, .. } => seed,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(seed("generate alya 8 --seed 0xD1C0"), 53_696);
+        assert_eq!(seed("generate alya 8 --seed 53696"), 53_696);
+        assert_eq!(seed("generate alya 8 --seed 0Xd1c0"), 53_696);
+        let faults = |line: &str| match parse(&argv(line)).unwrap() {
+            Command::Replay { faults, .. } => faults,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(
+            faults("replay t.json --fault-rate 1 --fault-seed 0xFA17"),
+            faults("replay t.json --fault-rate 1 --fault-seed 64023"),
+        );
+        let chaos = |line: &str| match parse(&argv(line)).unwrap() {
+            Command::Load { config, .. } => config.chaos,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(
+            chaos("load alya 8 --uds a.sock --chaos 0.1 --chaos-seed 0xC4A05EED"),
+            Some(ChaosConfig::with_intensity(3_298_844_397, 0.1)),
+        );
+        assert_eq!(
+            chaos("load alya 8 --uds a.sock --chaos 0.1 --chaos-seed 3298844397"),
+            Some(ChaosConfig::with_intensity(0xC4A0_5EED, 0.1)),
+        );
+        for bad in ["0x", "0xZZ", "x12", "-1"] {
+            let err = parse(&argv(&format!("generate alya 8 --seed {bad}"))).unwrap_err();
+            assert!(err.contains("bad --seed"), "--seed {bad}: {err}");
+        }
+    }
+
+    /// Every class of malformed command line is refused before any
+    /// work, with an error naming the subcommand and the culprit.
+    #[test]
+    fn rejects_undeclared_and_malformed_arguments() {
+        for (line, culprit) in [
+            ("generate alya 8 --sed 5", "unknown flag '--sed'"),
+            ("experiment alya 8 --gt=30", "unknown flag '--gt=30'"),
+            ("generate alya 8 --seed", "--seed needs a value"),
+            ("exhibits table1 --jobs", "--jobs needs a value"),
+            ("generate alya 8 --seed 1 --seed 2", "--seed given twice"),
+            ("generate alya 8 extra", "unexpected argument 'extra'"),
+            ("inspect t.json --gt 5", "unknown flag '--gt'"),
+            ("annotate t.json --gt 5", "bad --gt/--disp"),
+            (
+                "experiment alya 8 --disp 0.7 --resilient",
+                "bad --gt/--disp",
+            ),
+            ("annotate t.json --budget inf", "bad --budget"),
+        ] {
+            let err = parse(&argv(line)).unwrap_err();
+            let cmd = line.split_whitespace().next().unwrap();
+            assert!(err.starts_with(&format!("{cmd}: ")), "{line}: {err}");
+            assert!(err.contains(culprit), "{line}: {err}");
+        }
+    }
+
+    /// The `--flags` each subcommand's USAGE lines show are exactly the
+    /// flags it declares: the help text and the parser cannot drift.
+    #[test]
+    fn usage_lists_exactly_the_declared_flags() {
+        let synopsis = USAGE
+            .split("USAGE:\n")
+            .nth(1)
+            .unwrap()
+            .split("\n\n")
+            .next()
+            .unwrap();
+        let mut listed: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+        let mut cmd = "";
+        for line in synopsis.lines() {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            if words[0] == "ibpower" {
+                cmd = words[1];
+                listed.entry(cmd).or_default();
+            }
+            for w in words {
+                let w = w.trim_matches(|c| matches!(c, '[' | ']' | '(' | ')'));
+                if w.starts_with('-') {
+                    listed.get_mut(cmd).unwrap().insert(w);
+                }
+            }
+        }
+        for Spec(name, _, valued, switches) in COMMANDS.iter().filter(|s| s.0 != "help") {
+            let declared = valued.split_whitespace().chain(switches.split_whitespace());
+            assert_eq!(listed.remove(name), Some(declared.collect()), "{name}");
+        }
+        assert!(
+            listed.is_empty(),
+            "USAGE shows undeclared subcommands: {listed:?}"
+        );
+    }
+
+    /// Every `ibpower` invocation in the CI workflow, the CLI's
+    /// integration tests and the README parses to the configuration the
+    /// pre-declaration parser built for it.
+    #[test]
+    fn documented_invocations_parse() {
+        let serve = |sock: &str, config: ServeConfig, store: Option<&str>| Command::Serve {
+            endpoint: uds(sock),
+            config,
+            store: store.map(str::to_string),
+        };
+        let exhibits = |name: &str, sweep: SweepOptions, out: Option<&str>| Command::Exhibits {
+            name: name.into(),
+            sweep,
+            seed: 0xD1C0,
+            out: out.map(str::to_string),
+        };
+        let bench = |label: &str| Command::BenchReport {
+            output: "BENCH_hotpath.json".into(),
+            check: true,
+            iters: 2000,
+            reps: 5,
+            label: Some(label.into()),
+        };
+        // `load` with its config, session count and scale curve edited.
+        type Edit = dyn Fn(&mut LoadConfig, &mut usize, &mut Option<String>);
+        let with = |mut cmd: Command, edit: &Edit| {
+            if let Command::Load {
+                config,
+                sessions,
+                scale_curve,
+                ..
+            } = &mut cmd
+            {
+                edit(config, sessions, scale_curve);
+            }
+            cmd
+        };
+        let chaotic = |mut cmd: Command, intensity: f64| {
+            if let Command::Load { config, chaos, .. } = &mut cmd {
+                *chaos = Some(intensity);
+                config.chaos = Some(ChaosConfig::with_intensity(0xC4A0_5EED, intensity));
+            }
+            cmd
+        };
+        let d = ServeConfig::default;
+        let paged = |hot: usize| ServeConfig {
+            io_threads: 4,
+            max_hot_sessions: Some(hot),
+            persist_every: 0,
+            ..d()
+        };
+        let metrics = ServeConfig {
+            metrics_addr: Some("127.0.0.1:9187".into()),
+            ..d()
+        };
+        let cases: Vec<(&str, Command)> = vec![
+            // .github/workflows/ci.yml
+            ("bench-report --check --label ci-smoke", bench("ci-smoke")),
+            (
+                "bench-report --check --label ci-genladder",
+                bench("ci-genladder"),
+            ),
+            (
+                "serve --uds /tmp/ibp-ci.sock --session-limit 8",
+                serve(
+                    "/tmp/ibp-ci.sock",
+                    ServeConfig {
+                        session_limit: Some(8),
+                        ..d()
+                    },
+                    None,
+                ),
+            ),
+            (
+                "load alya 8 --uds /tmp/ibp-ci.sock --sessions 8 --batch 64 --split 0.5 --check",
+                with(
+                    load(AppKind::Alya, 8, uds("/tmp/ibp-ci.sock")),
+                    &|c, _, _| {
+                        c.split = Some(0.5);
+                        c.check = true;
+                    },
+                ),
+            ),
+            (
+                "exhibits all --jobs 2",
+                exhibits("all", SweepOptions::with_jobs(2), None),
+            ),
+            (
+                "exhibits all --serial",
+                exhibits("all", SweepOptions::serial(), None),
+            ),
+            (
+                "serve --uds /tmp/ibp-chaos.sock --store /tmp/ibp-chaos-store --persist-every 64",
+                serve(
+                    "/tmp/ibp-chaos.sock",
+                    ServeConfig {
+                        persist_every: 64,
+                        ..d()
+                    },
+                    Some("/tmp/ibp-chaos-store"),
+                ),
+            ),
+            (
+                "load alya 8 --uds /tmp/ibp-chaos.sock --sessions 8 --batch 32 --chaos 0.05 \
+                 --retries 16 --deadline-ms 20000 --check",
+                with(
+                    chaotic(load(AppKind::Alya, 8, uds("/tmp/ibp-chaos.sock")), 0.05),
+                    &|c, _, _| {
+                        c.batch = 32;
+                        c.retry.max_attempts = 16;
+                        c.retry.deadline_ms = 20_000;
+                        c.check = true;
+                    },
+                ),
+            ),
+            (
+                "serve --uds /tmp/ibp-scale.sock --store /tmp/ibp-scale-store --io-threads 4 \
+                 --max-hot-sessions 200 --persist-every 0 --session-limit 2000",
+                serve(
+                    "/tmp/ibp-scale.sock",
+                    ServeConfig {
+                        session_limit: Some(2000),
+                        ..paged(200)
+                    },
+                    Some("/tmp/ibp-scale-store"),
+                ),
+            ),
+            (
+                "load alya 4 --uds /tmp/ibp-scale.sock --sessions 2000 --batch 64 --drivers 4 \
+                 --open-rate 4000 --check",
+                with(
+                    load(AppKind::Alya, 4, uds("/tmp/ibp-scale.sock")),
+                    &|c, sessions, _| {
+                        *sessions = 2000;
+                        c.drivers = 4;
+                        c.open_rate = 4000;
+                        c.check = true;
+                    },
+                ),
+            ),
+            (
+                "serve --uds /tmp/ibp-metrics.sock --metrics-addr 127.0.0.1:9187",
+                serve("/tmp/ibp-metrics.sock", metrics.clone(), None),
+            ),
+            (
+                "load wrf 16 --uds /tmp/ibp-metrics.sock --sessions 8 --batch 16 --check",
+                with(
+                    load(AppKind::Wrf, 16, uds("/tmp/ibp-metrics.sock")),
+                    &|c, _, _| {
+                        c.batch = 16;
+                        c.check = true;
+                    },
+                ),
+            ),
+            (
+                "stat --uds /tmp/ibp-metrics.sock",
+                Command::Stat {
+                    endpoint: uds("/tmp/ibp-metrics.sock"),
+                    session: None,
+                },
+            ),
+            (
+                "top --uds /tmp/ibp-metrics.sock --once",
+                Command::Top {
+                    endpoint: uds("/tmp/ibp-metrics.sock"),
+                    interval_ms: 1_000,
+                    once: true,
+                },
+            ),
+            (
+                "exhibits generation_frontier --jobs 2 --out results-genfrontier",
+                exhibits(
+                    "generation_frontier",
+                    SweepOptions::with_jobs(2),
+                    Some("results-genfrontier"),
+                ),
+            ),
+            // crates/cli/tests/
+            (
+                "exhibits table4 --out blocked",
+                exhibits("table4", SweepOptions::from_env(), Some("blocked")),
+            ),
+            (
+                "exhibits table4",
+                exhibits("table4", SweepOptions::from_env(), None),
+            ),
+            (
+                "serve --uds s.sock --store store --persist-every 24 --workers 2",
+                serve(
+                    "s.sock",
+                    ServeConfig {
+                        persist_every: 24,
+                        workers: 2,
+                        ..d()
+                    },
+                    Some("store"),
+                ),
+            ),
+            (
+                "serve --uds s.sock --store store --persist-every 24",
+                serve(
+                    "s.sock",
+                    ServeConfig {
+                        persist_every: 24,
+                        ..d()
+                    },
+                    Some("store"),
+                ),
+            ),
+            (
+                "serve --uds s.sock --store store --persist-every 64",
+                serve(
+                    "s.sock",
+                    ServeConfig {
+                        persist_every: 64,
+                        ..d()
+                    },
+                    Some("store"),
+                ),
+            ),
+            (
+                "load alya 4 --uds s.sock --sessions 4 --batch 23 --check --chaos 0.04 \
+                 --retries 16 --deadline-ms 20000",
+                with(
+                    chaotic(load(AppKind::Alya, 4, uds("s.sock")), 0.04),
+                    &|c, sessions, _| {
+                        *sessions = 4;
+                        c.batch = 23;
+                        c.check = true;
+                        c.retry.max_attempts = 16;
+                        c.retry.deadline_ms = 20_000;
+                    },
+                ),
+            ),
+            // README.md
+            (
+                "bench-report",
+                Command::BenchReport {
+                    output: "BENCH_hotpath.json".into(),
+                    check: false,
+                    iters: 2000,
+                    reps: 5,
+                    label: None,
+                },
+            ),
+            ("help", Command::Help),
+            (
+                "generate alya 8 -o alya8.json",
+                Command::Generate {
+                    app: AppKind::Alya,
+                    nprocs: 8,
+                    seed: 0xD1C0,
+                    scaling: Scaling::Strong,
+                    output: Some("alya8.json".into()),
+                },
+            ),
+            (
+                "inspect alya8.json",
+                Command::Inspect {
+                    trace: "alya8.json".into(),
+                },
+            ),
+            (
+                "annotate alya8.json --gt 20 --disp 0.01 -o ann.json",
+                Command::Annotate {
+                    trace: "alya8.json".into(),
+                    power: paper(20, 0.01),
+                    output: Some("ann.json".into()),
+                },
+            ),
+            (
+                "replay alya8.json --ann ann.json --timeline",
+                Command::Replay {
+                    trace: "alya8.json".into(),
+                    ann: Some("ann.json".into()),
+                    faults: None,
+                    timeline: true,
+                },
+            ),
+            (
+                "experiment nas-bt 16 --gt 20 --disp 0.01",
+                Command::Experiment {
+                    app: AppKind::NasBt,
+                    nprocs: 16,
+                    seed: 0xD1C0,
+                    power: paper(20, 0.01),
+                    faults: None,
+                },
+            ),
+            (
+                "prv alya8.json -o alya8.prv",
+                Command::Prv {
+                    trace: "alya8.json".into(),
+                    output: Some("alya8.prv".into()),
+                },
+            ),
+            (
+                "replay alya8.json --ann ann.json --fault-rate 10 --fault-seed 42",
+                Command::Replay {
+                    trace: "alya8.json".into(),
+                    ann: Some("ann.json".into()),
+                    faults: Some(FaultConfig::with_rate(42, 10.0)),
+                    timeline: false,
+                },
+            ),
+            (
+                "annotate alya8.json --resilient -o ann.json",
+                Command::Annotate {
+                    trace: "alya8.json".into(),
+                    power: paper(20, 0.01).with_resilience(ResilienceConfig::standard()),
+                    output: Some("ann.json".into()),
+                },
+            ),
+            (
+                "experiment alya 16 --fault-rate 10 --resilient --budget 2.0",
+                Command::Experiment {
+                    app: AppKind::Alya,
+                    nprocs: 16,
+                    seed: 0xD1C0,
+                    power: paper(20, 0.01).with_resilience(ResilienceConfig::with_budget(2.0)),
+                    faults: Some(FaultConfig::with_rate(0xFA17, 10.0)),
+                },
+            ),
+            (
+                "serve --uds /tmp/ibp.sock --session-limit 8",
+                serve(
+                    "/tmp/ibp.sock",
+                    ServeConfig {
+                        session_limit: Some(8),
+                        ..d()
+                    },
+                    None,
+                ),
+            ),
+            (
+                "load alya 8 --uds /tmp/ibp.sock --sessions 8 --split 0.5 --check",
+                with(load(AppKind::Alya, 8, uds("/tmp/ibp.sock")), &|c, _, _| {
+                    c.split = Some(0.5);
+                    c.check = true;
+                }),
+            ),
+            (
+                "serve --uds /tmp/ibp.sock --store /tmp/ibp-store",
+                serve("/tmp/ibp.sock", d(), Some("/tmp/ibp-store")),
+            ),
+            (
+                "load alya 8 --uds /tmp/ibp.sock --chaos 0.05 --retries 16 --check",
+                with(
+                    chaotic(load(AppKind::Alya, 8, uds("/tmp/ibp.sock")), 0.05),
+                    &|c, _, _| {
+                        c.retry.max_attempts = 16;
+                        c.check = true;
+                    },
+                ),
+            ),
+            (
+                "serve --uds /tmp/ibp.sock --metrics-addr 127.0.0.1:9187",
+                serve("/tmp/ibp.sock", metrics, None),
+            ),
+            (
+                "stat --uds /tmp/ibp.sock",
+                Command::Stat {
+                    endpoint: uds("/tmp/ibp.sock"),
+                    session: None,
+                },
+            ),
+            (
+                "top --uds /tmp/ibp.sock --once",
+                Command::Top {
+                    endpoint: uds("/tmp/ibp.sock"),
+                    interval_ms: 1_000,
+                    once: true,
+                },
+            ),
+            (
+                "exhibits generation_frontier --jobs 2 --out results",
+                exhibits(
+                    "generation_frontier",
+                    SweepOptions::with_jobs(2),
+                    Some("results"),
+                ),
+            ),
+            (
+                "serve --uds /tmp/ibp.sock --io-threads 4 --store /tmp/ibp-store \
+                 --max-hot-sessions 1000 --persist-every 0",
+                serve("/tmp/ibp.sock", paged(1000), Some("/tmp/ibp-store")),
+            ),
+            (
+                "load alya 4 --uds /tmp/ibp.sock --sessions 10000 --batch 64 --drivers 2 \
+                 --check --scale-curve BENCH_serve.json",
+                with(
+                    load(AppKind::Alya, 4, uds("/tmp/ibp.sock")),
+                    &|c, sessions, curve| {
+                        *sessions = 10_000;
+                        c.drivers = 2;
+                        c.check = true;
+                        *curve = Some("BENCH_serve.json".into());
+                    },
+                ),
+            ),
+        ];
+        for name in EXHIBITS.iter().map(|e| e.name).chain(["all"]) {
+            let line = format!("exhibits {name}");
+            assert_eq!(
+                parse(&argv(&line)).unwrap(),
+                exhibits(name, SweepOptions::from_env(), None),
+                "{line}"
+            );
+        }
+        for (line, want) in cases {
+            assert_eq!(parse(&argv(line)).unwrap(), want, "{line}");
+        }
     }
 
     #[test]

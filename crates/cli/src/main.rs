@@ -7,17 +7,14 @@ use ibp_network::{replay, LinkPower, ReplayOptions, SimParams};
 use ibp_simcore::{SimDuration, SimTime};
 use ibp_trace::{ActivityProfile, CallProfile, CommMatrix, IdleDistribution, Trace};
 use ibp_workloads::{AppKind, Scaling};
-use ibpower_cli::{fault_config, parse, power_config, power_config_resilient, usage, Command};
+use ibpower_cli::{parse, usage, Command};
 use std::process::ExitCode;
 
-/// Generate `app`'s trace at `nprocs` ranks (`parse` has already
-/// checked that the name is a known application).
-fn generate(app: &str, nprocs: u32, seed: u64, scaling: Scaling) -> Result<Trace, String> {
-    let w = AppKind::from_name(app)
-        .expect("validated by parse")
-        .workload(scaling);
+/// Generate `app`'s trace at `nprocs` ranks.
+fn generate(app: AppKind, nprocs: u32, seed: u64, scaling: Scaling) -> Result<Trace, String> {
+    let w = app.workload(scaling);
     if !w.valid_nprocs(nprocs) {
-        return Err(format!("{app} cannot run at {nprocs} ranks"));
+        return Err(format!("{} cannot run at {nprocs} ranks", app.name()));
     }
     Ok(w.generate(nprocs, seed))
 }
@@ -98,7 +95,10 @@ fn render_report(ep: &ibp_serve::Endpoint, report: &ibp_serve::ObsReport) -> Str
         );
     }
     if let Some(f) = s.chaos_intensity {
-        let _ = writeln!(out, "chaos    : {f:.3} faults/io-call injected on every connection");
+        let _ = writeln!(
+            out,
+            "chaos    : {f:.3} faults/io-call injected on every connection"
+        );
     }
     if report.sessions.is_empty() {
         let _ = writeln!(out, "\n(no live sessions)");
@@ -186,17 +186,20 @@ fn run(cmd: Command) -> Result<(), String> {
             app,
             nprocs,
             seed,
-            weak,
+            scaling,
             output,
         } => {
-            let scaling = if weak { Scaling::Weak } else { Scaling::Strong };
-            let trace = generate(&app, nprocs, seed, scaling)?;
+            let trace = generate(app, nprocs, seed, scaling)?;
             println!(
                 "{}: {} ranks, {} MPI calls{}",
                 trace.name,
                 trace.nprocs,
                 trace.total_calls(),
-                if weak { " (weak scaling)" } else { "" }
+                if scaling == Scaling::Weak {
+                    " (weak scaling)"
+                } else {
+                    ""
+                }
             );
             if let Some(path) = output {
                 ibp_trace::io::save(&trace, &path).map_err(|e| format!("writing {path}: {e}"))?;
@@ -206,7 +209,12 @@ fn run(cmd: Command) -> Result<(), String> {
         }
         Command::Inspect { trace } => {
             let t = load_trace(&trace)?;
-            println!("trace   : {} ({} ranks, {} calls)", t.name, t.nprocs, t.total_calls());
+            println!(
+                "trace   : {} ({} ranks, {} calls)",
+                t.name,
+                t.nprocs,
+                t.total_calls()
+            );
 
             let idle = IdleDistribution::from_trace(&t);
             println!(
@@ -249,14 +257,10 @@ fn run(cmd: Command) -> Result<(), String> {
         }
         Command::Annotate {
             trace,
-            gt_us,
-            displacement,
-            resilient,
-            budget,
+            power: cfg,
             output,
         } => {
             let t = load_trace(&trace)?;
-            let cfg = power_config_resilient(gt_us, displacement, resilient, budget);
             let ann = annotate_trace(&t, &cfg);
             let agg = ann.aggregate_stats();
             println!("hit rate            : {:.1}%", agg.hit_rate_pct());
@@ -288,15 +292,13 @@ fn run(cmd: Command) -> Result<(), String> {
         Command::Replay {
             trace,
             ann,
-            fault_rate,
-            fault_seed,
+            faults,
             timeline,
         } => {
             let t = load_trace(&trace)?;
             let annotations = match &ann {
                 Some(path) => {
-                    let json =
-                        std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+                    let json = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
                     let ranks: Vec<ibp_core::RankAnnotation> =
                         serde_json::from_str(&json).map_err(|e| format!("{path}: {e}"))?;
                     Some(ibp_core::TraceAnnotations { ranks })
@@ -305,13 +307,16 @@ fn run(cmd: Command) -> Result<(), String> {
             };
             let opts = ReplayOptions {
                 record_timelines: timeline,
-                faults: fault_config(fault_rate, fault_seed),
+                faults,
                 ..ReplayOptions::default()
             };
             let result = replay(&t, annotations.as_ref(), &SimParams::paper(), &opts)
                 .map_err(|e| format!("replay: {e}"))?;
             println!("execution time : {}", result.exec_time);
-            println!("messages       : {} ({} bytes)", result.fabric.messages, result.fabric.bytes);
+            println!(
+                "messages       : {} ({} bytes)",
+                result.fabric.messages, result.fabric.bytes
+            );
             println!("contended      : {}", result.fabric.contended);
             if annotations.is_some() {
                 println!("power saving   : {:.1}%", result.power_saving_pct());
@@ -357,19 +362,14 @@ fn run(cmd: Command) -> Result<(), String> {
         Command::Experiment {
             app,
             nprocs,
-            gt_us,
-            displacement,
             seed,
-            fault_rate,
-            fault_seed,
-            resilient,
-            budget,
+            power: cfg,
+            faults,
         } => {
-            let trace = generate(&app, nprocs, seed, Scaling::Strong)?;
-            let cfg = power_config_resilient(gt_us, displacement, resilient, budget);
+            let trace = generate(app, nprocs, seed, Scaling::Strong)?;
             let params = SimParams::paper();
             let opts = ReplayOptions {
-                faults: fault_config(fault_rate, fault_seed),
+                faults,
                 ..ReplayOptions::default()
             };
             let ann = annotate_trace(&trace, &cfg);
@@ -378,15 +378,17 @@ fn run(cmd: Command) -> Result<(), String> {
             let managed = replay(&trace, Some(&ann), &params, &opts)
                 .map_err(|e| format!("managed replay: {e}"))?;
             println!(
-                "{app} @{nprocs}: GT {gt_us} us, displacement {:.0}%",
-                displacement * 100.0
+                "{} @{nprocs}: GT {} us, displacement {:.0}%",
+                app.name(),
+                cfg.grouping_threshold.as_us_f64(),
+                cfg.displacement * 100.0
             );
             println!("hit rate      : {:.1}%", ann.mean_hit_rate_pct());
             println!("baseline exec : {}", baseline.exec_time);
             println!("managed exec  : {}", managed.exec_time);
             println!("slowdown      : {:.3}%", managed.slowdown_pct(&baseline));
             println!("power saving  : {:.1}%", managed.power_saving_pct());
-            if fault_rate > 0.0 {
+            if opts.faults.is_some() {
                 println!(
                     "faults        : {} events, {} charged (managed run)",
                     managed.faults.total_events(),
@@ -404,22 +406,13 @@ fn run(cmd: Command) -> Result<(), String> {
         }
         Command::Exhibits {
             name,
-            jobs,
-            serial,
+            sweep,
             seed,
             out,
         } => {
             use ibp_analysis::{
-                Exhibit, ExhibitGrid, OutputDir, SweepEngine, SweepOptions, SweepStats, EXHIBITS,
+                Exhibit, ExhibitGrid, OutputDir, SweepEngine, SweepStats, EXHIBITS,
             };
-            let mut opts = if jobs == 0 {
-                SweepOptions::from_env()
-            } else {
-                SweepOptions::with_jobs(jobs)
-            };
-            if serial {
-                opts.parallel = false;
-            }
             let out = match out {
                 Some(dir) => OutputDir::new(dir),
                 None => OutputDir::default_dir(),
@@ -436,7 +429,7 @@ fn run(cmd: Command) -> Result<(), String> {
             // generated and its baseline replayed once for the whole
             // batch. Each exhibit's stats sidecar records only the work
             // it added on top of the shared caches.
-            let engine = SweepEngine::new(opts);
+            let engine = SweepEngine::new(sweep);
             let grid = ExhibitGrid::paper();
             let mut mark = SweepStats::default();
             let mut summary = Vec::new();
@@ -446,7 +439,8 @@ fn run(cmd: Command) -> Result<(), String> {
                 }
                 let text = (exhibit.run)(&engine, &grid, seed, &out).map_err(io)?;
                 let now = engine.stats();
-                out.write_stats(exhibit.name, &now.since(&mark)).map_err(io)?;
+                out.write_stats(exhibit.name, &now.since(&mark))
+                    .map_err(io)?;
                 mark = now;
                 if all {
                     summary.push(text);
@@ -456,7 +450,8 @@ fn run(cmd: Command) -> Result<(), String> {
             }
             let stats = engine.stats();
             if all {
-                out.write_text("summary.txt", &summary.join("\n")).map_err(io)?;
+                out.write_text("summary.txt", &summary.join("\n"))
+                    .map_err(io)?;
                 out.write_stats("all", &stats).map_err(io)?;
                 println!(
                     "all exhibits written to {} (summary.txt holds every table)",
@@ -496,7 +491,10 @@ fn run(cmd: Command) -> Result<(), String> {
             };
             println!("bench-report: {} ({iters} iters, {reps} reps)", entry.label);
             for p in &entry.probes {
-                println!("  {:<28} {:>10.1} ns/elem  ({} elems)", p.name, p.ns_per_elem, p.elems);
+                println!(
+                    "  {:<28} {:>10.1} ns/elem  ({} elems)",
+                    p.name, p.ns_per_elem, p.elems
+                );
             }
             if check {
                 let prev = traj
@@ -568,48 +566,23 @@ fn run(cmd: Command) -> Result<(), String> {
             Ok(())
         }
         Command::Serve {
-            endpoint,
-            workers,
-            io_threads,
-            max_hot_sessions,
-            queue,
-            stats_every,
-            session_limit,
+            endpoint: ep,
+            config,
             store,
-            persist_every,
-            write_queue,
-            idle_timeout_ms,
-            write_timeout_ms,
-            metrics_addr,
         } => {
-            if max_hot_sessions.is_some() && store.is_none() {
-                return Err("--max-hot-sessions needs --store (evicted engines live there)".into());
-            }
-            let ep = endpoint.to_endpoint();
-            let cfg = ibp_serve::ServeConfig {
-                workers,
-                io_threads,
-                max_hot_sessions,
-                queue_depth: queue,
-                stats_every,
-                session_limit,
-                write_queue,
-                idle_timeout_ms,
-                write_timeout_ms,
-                persist_every,
-                chaos: None,
-                panic_on_call: None,
-                metrics_addr,
-            };
-            let mut server =
-                ibp_serve::Server::bind(&ep, cfg).map_err(|e| format!("binding {ep}: {e}"))?;
+            let mut server = ibp_serve::Server::bind(&ep, config.clone())
+                .map_err(|e| format!("binding {ep}: {e}"))?;
             if let Some(dir) = store {
                 let (store, recovery) = ibp_serve::SnapshotStore::open(std::path::Path::new(&dir))
                     .map_err(|e| format!("opening store {dir}: {e}"))?;
                 eprintln!(
                     "store      : {dir} ({} sessions recovered{}{})",
                     recovery.loaded,
-                    if recovery.manifest_ok { "" } else { ", manifest healed" },
+                    if recovery.manifest_ok {
+                        ""
+                    } else {
+                        ", manifest healed"
+                    },
                     if recovery.skipped.is_empty() {
                         String::new()
                     } else {
@@ -622,9 +595,12 @@ fn run(cmd: Command) -> Result<(), String> {
                 server = server.with_store(std::sync::Arc::new(store));
             }
             eprintln!(
-                "serving on {} ({workers} workers, {io_threads} io threads{})",
+                "serving on {} ({} workers, {} io threads{})",
                 server.endpoint(),
-                max_hot_sessions
+                config.workers,
+                config.io_threads,
+                config
+                    .max_hot_sessions
                     .map(|n| format!(", hot cap {n}"))
                     .unwrap_or_default()
             );
@@ -644,10 +620,16 @@ fn run(cmd: Command) -> Result<(), String> {
             println!("events     : {} applied", summary.events_applied);
             println!("directives : {} streamed", summary.directives_sent);
             if summary.sessions_rehydrated > 0 {
-                println!("rehydrated : {} sessions from the store", summary.sessions_rehydrated);
+                println!(
+                    "rehydrated : {} sessions from the store",
+                    summary.sessions_rehydrated
+                );
             }
             if summary.evictions > 0 {
-                println!("evicted    : {} hot engines paged to the store", summary.evictions);
+                println!(
+                    "evicted    : {} hot engines paged to the store",
+                    summary.evictions
+                );
             }
             if summary.snapshots_persisted > 0 || summary.persist_failures > 0 {
                 println!(
@@ -661,7 +643,10 @@ fn run(cmd: Command) -> Result<(), String> {
                 );
             }
             if summary.responses_shed > 0 {
-                println!("shed       : {} responses to overloaded connections", summary.responses_shed);
+                println!(
+                    "shed       : {} responses to overloaded connections",
+                    summary.responses_shed
+                );
             }
             if summary.worker_panics > 0 || summary.worker_respawns > 0 {
                 println!(
@@ -677,44 +662,21 @@ fn run(cmd: Command) -> Result<(), String> {
         Command::Load {
             app,
             nprocs,
-            endpoint,
-            sessions,
-            batch,
             seed,
-            split,
-            check,
-            gt_us,
-            displacement,
+            endpoint: ep,
+            sessions,
+            power: cfg,
+            config,
             chaos,
-            chaos_seed,
-            retries,
-            deadline_ms,
-            drivers,
-            open_rate,
             events_per_session,
             scale_curve,
             output,
         } => {
-            let trace = generate(&app, nprocs, seed, Scaling::Strong)?;
-            let cfg = power_config(gt_us, displacement);
-            // --events-per-session truncates every stream to its first N
-            // events (the mostly-idle mix for scaling runs). Parity
-            // goldens cannot come from annotate_rank then — it annotates
-            // the full rank — so truncated scale runs skip --check's
-            // golden comparison rather than compare against the wrong
-            // reference.
-            if events_per_session > 0 && check {
-                return Err(
-                    "--events-per-session truncates streams; offline goldens cover full \
-                     ranks only, so combining it with --check would compare against the \
-                     wrong reference"
-                        .into(),
-                );
-            }
+            let trace = generate(app, nprocs, seed, Scaling::Strong)?;
             let specs: Vec<ibp_serve::SessionSpec> = (0..sessions)
                 .map(|i| {
                     let rank = &trace.ranks[i % nprocs as usize];
-                    let golden = check.then(|| ibp_core::annotate_rank(rank, &cfg));
+                    let golden = config.check.then(|| ibp_core::annotate_rank(rank, &cfg));
                     let mut events: Vec<(u16, u64)> = rank
                         .call_stream()
                         .map(|(call, gap)| (call.id(), gap.as_ns()))
@@ -732,28 +694,24 @@ fn run(cmd: Command) -> Result<(), String> {
                     }
                 })
                 .collect();
-            let ep = endpoint.to_endpoint();
-            let load_cfg = ibp_serve::LoadConfig {
-                batch,
-                split,
-                check,
-                chaos: chaos.map(|f| ibp_serve::ChaosConfig::with_intensity(chaos_seed, f)),
-                retry: ibp_serve::RetryPolicy {
-                    max_attempts: retries,
-                    deadline_ms,
-                    ..Default::default()
-                },
-                drivers,
-                open_rate,
-            };
-            let report = ibp_serve::run_load(&ep, specs, &load_cfg)
+            let report = ibp_serve::run_load(&ep, specs, &config)
                 .map_err(|e| format!("load against {ep}: {e}"))?;
+            let drivers = config.drivers;
             println!(
-                "{app} @{nprocs}: {} sessions, batch {batch}{}{}{}",
+                "{} @{nprocs}: {} sessions, batch {}{}{}{}",
+                app.name(),
                 report.sessions,
-                split.map(|f| format!(", split {f}")).unwrap_or_default(),
+                config.batch,
+                config
+                    .split
+                    .map(|f| format!(", split {f}"))
+                    .unwrap_or_default(),
                 chaos.map(|f| format!(", chaos {f}")).unwrap_or_default(),
-                if drivers > 0 { format!(", {drivers} drivers") } else { String::new() }
+                if drivers > 0 {
+                    format!(", {drivers} drivers")
+                } else {
+                    String::new()
+                }
             );
             println!(
                 "events     : {} in {:.2} s  ({:.0} events/s)",
@@ -779,7 +737,11 @@ fn run(cmd: Command) -> Result<(), String> {
             if report.parity_checked {
                 println!(
                     "parity     : {}",
-                    if report.parity_ok { "ok (matches offline annotate)" } else { "MISMATCH" }
+                    if report.parity_ok {
+                        "ok (matches offline annotate)"
+                    } else {
+                        "MISMATCH"
+                    }
                 );
             }
             if let Some(path) = scale_curve {
@@ -800,8 +762,11 @@ fn run(cmd: Command) -> Result<(), String> {
                 let point = Value::Map(vec![
                     ("sessions".into(), Value::U64(report.sessions as u64)),
                     ("drivers".into(), Value::U64(drivers as u64)),
-                    ("open_rate".into(), Value::U64(open_rate)),
-                    ("events_per_session".into(), Value::U64(events_per_session as u64)),
+                    ("open_rate".into(), Value::U64(config.open_rate)),
+                    (
+                        "events_per_session".into(),
+                        Value::U64(events_per_session as u64),
+                    ),
                     ("events_total".into(), Value::U64(report.events_total)),
                     ("events_per_sec".into(), Value::F64(report.events_per_sec)),
                     ("latency_p50_us".into(), Value::F64(report.latency_p50_us)),
@@ -825,8 +790,7 @@ fn run(cmd: Command) -> Result<(), String> {
             }
             if let Some(path) = output {
                 let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-                std::fs::write(&path, json + "\n")
-                    .map_err(|e| format!("writing {path}: {e}"))?;
+                std::fs::write(&path, json + "\n").map_err(|e| format!("writing {path}: {e}"))?;
                 println!("report written to {path}");
             }
             if report.parity_checked && !report.parity_ok {
@@ -837,8 +801,10 @@ fn run(cmd: Command) -> Result<(), String> {
             }
             Ok(())
         }
-        Command::Stat { endpoint, session } => {
-            let ep = endpoint.to_endpoint();
+        Command::Stat {
+            endpoint: ep,
+            session,
+        } => {
             let mut client =
                 ibp_serve::Client::connect(&ep).map_err(|e| format!("connecting {ep}: {e}"))?;
             let report = match session {
@@ -850,11 +816,10 @@ fn run(cmd: Command) -> Result<(), String> {
             Ok(())
         }
         Command::Top {
-            endpoint,
+            endpoint: ep,
             interval_ms,
             once,
         } => {
-            let ep = endpoint.to_endpoint();
             let mut client =
                 ibp_serve::Client::connect(&ep).map_err(|e| format!("connecting {ep}: {e}"))?;
             loop {

@@ -39,9 +39,7 @@ fn spawn_server(sock: &PathBuf, store: &PathBuf, extra: &[&str]) -> Child {
                 probe.abandon();
                 return child;
             }
-            Err(_) if Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(20))
-            }
+            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
             Err(e) => panic!("server never came up on {sock:?}: {e}"),
         }
     }
@@ -101,8 +99,9 @@ fn sigkill_mid_stream_resumes_to_parity_for_every_app() {
         let mut server = spawn_server(&sock, &store, &["--persist-every", "24"]);
         for (sid, (_, events, final_ns, golden)) in specs.iter().enumerate() {
             let mut c = Client::connect(&endpoint).expect("reconnect");
-            let (resume_at, history) =
-                c.restore_from_store(sid as u32).expect("rehydrate from store");
+            let (resume_at, history) = c
+                .restore_from_store(sid as u32)
+                .expect("rehydrate from store");
             assert!(
                 resume_at <= cut_at[sid],
                 "{}: cannot resume past the crash point ({resume_at} > {})",
@@ -152,8 +151,17 @@ fn cli_load_with_chaos_passes_parity_across_a_restart() {
             .args(["load", "alya", "4", "--uds"])
             .arg(&sock)
             .args([
-                "--sessions", "4", "--batch", "23", "--check", "--chaos", "0.04",
-                "--retries", "16", "--deadline-ms", "20000",
+                "--sessions",
+                "4",
+                "--batch",
+                "23",
+                "--check",
+                "--chaos",
+                "0.04",
+                "--retries",
+                "16",
+                "--deadline-ms",
+                "20000",
             ])
             .output()
             .expect("run ibpower load");
@@ -163,7 +171,10 @@ fn cli_load_with_chaos_passes_parity_across_a_restart() {
             "load failed:\n{stdout}\n{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        assert!(stdout.contains("parity     : ok"), "no parity line:\n{stdout}");
+        assert!(
+            stdout.contains("parity     : ok"),
+            "no parity line:\n{stdout}"
+        );
         stdout
     };
 

@@ -35,7 +35,7 @@ use std::time::Duration;
 
 /// Fault-injection knobs. All probabilities are per I/O call, in
 /// `[0, 1]`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
     /// PRNG seed; same seed + same call sequence = same faults.
     pub seed: u64,

@@ -337,7 +337,7 @@ impl Drop for Client {
 }
 
 /// Reconnect/backoff/deadline policy for the resilient session driver.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Consecutive failed attempts (connection or request) before the
     /// driver abandons the session (reported as `gave_up` in its
@@ -432,7 +432,7 @@ pub struct SessionSpec {
 }
 
 /// Load-generator knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadConfig {
     /// Events per `Events` frame.
     pub batch: usize,

@@ -303,7 +303,7 @@ impl Write for Stream {
 }
 
 /// Server tuning knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Worker threads applying event batches (the bounded pool).
     pub workers: usize,
@@ -720,23 +720,24 @@ impl Drop for SessionCell {
 
 /// Recency order over hot sessions: `order` maps a monotonically
 /// increasing touch sequence to the session, `pos` finds a session's
-/// current sequence for O(log n) re-touch. Stale entries (evicted,
-/// retired, or dropped cells) are skipped at pop time.
+/// current sequence for O(log n) re-touch. Both hold exactly one entry
+/// per tracked session. Stale entries (evicted, retired, or dropped
+/// cells) are skipped at pop time.
 #[derive(Default)]
 struct LruState {
     seq: u64,
-    order: BTreeMap<u64, Weak<SessionCell>>,
+    order: BTreeMap<u64, (u32, Weak<SessionCell>)>,
     pos: HashMap<u32, u64>,
 }
 
 impl LruState {
-    fn touch(&mut self, cell: &Arc<SessionCell>) {
-        if let Some(old) = self.pos.remove(&cell.id) {
+    fn touch(&mut self, id: u32, cell: Weak<SessionCell>) {
+        if let Some(old) = self.pos.remove(&id) {
             self.order.remove(&old);
         }
         self.seq += 1;
-        self.order.insert(self.seq, Arc::downgrade(cell));
-        self.pos.insert(cell.id, self.seq);
+        self.order.insert(self.seq, (id, cell));
+        self.pos.insert(id, self.seq);
     }
 
     fn remove(&mut self, id: u32) {
@@ -745,10 +746,11 @@ impl LruState {
         }
     }
 
-    fn pop_oldest(&mut self) -> Option<Weak<SessionCell>> {
-        let (seq, weak) = self.order.pop_first()?;
-        self.pos.retain(|_, s| *s != seq);
-        Some(weak)
+    /// The least recently touched session, untracked.
+    fn pop_oldest(&mut self) -> Option<(u32, Weak<SessionCell>)> {
+        let (_, (id, cell)) = self.order.pop_first()?;
+        self.pos.remove(&id);
+        Some((id, cell))
     }
 }
 
@@ -761,7 +763,7 @@ fn paging_enabled(shared: &Shared) -> bool {
 /// Record a hot session as most-recently used.
 fn lru_touch(shared: &Shared, cell: &Arc<SessionCell>) {
     if paging_enabled(shared) {
-        lock_ok(&shared.lru).touch(cell);
+        lock_ok(&shared.lru).touch(cell.id, Arc::downgrade(cell));
     }
 }
 
@@ -781,7 +783,7 @@ fn maybe_evict(shared: &Shared) {
     let mut budget = 4096usize;
     while metrics.hot_sessions.load(Ordering::Relaxed) as usize > cap && budget > 0 {
         budget -= 1;
-        let Some(weak) = lock_ok(&shared.lru).pop_oldest() else { break };
+        let Some((_, weak)) = lock_ok(&shared.lru).pop_oldest() else { break };
         let Some(cell) = weak.upgrade() else { continue };
         let mut guard = match cell.state.try_lock() {
             Ok(g) => g,
@@ -2511,5 +2513,29 @@ fn handle_work(cell: &Arc<SessionCell>, work: Work, shared: &Shared) {
         if rehydrated {
             maybe_evict(shared);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lru_pops_least_recently_touched_and_stays_in_step() {
+        let mut lru = LruState::default();
+        for id in [1, 2, 3, 4] {
+            lru.touch(id, Weak::new());
+        }
+        lru.touch(2, Weak::new());
+        lru.touch(1, Weak::new());
+        lru.remove(4);
+        // Recency, oldest first: 3, 2, 1.
+        let mut popped = Vec::new();
+        while let Some((id, _)) = lru.pop_oldest() {
+            popped.push(id);
+            assert_eq!(lru.pos.len(), lru.order.len());
+        }
+        assert_eq!(popped, [3, 2, 1]);
+        assert!(lru.pos.is_empty());
     }
 }
