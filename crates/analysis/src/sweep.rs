@@ -109,13 +109,16 @@ pub struct SweepOptions {
 }
 
 impl SweepOptions {
-    /// Options honouring the `IBP_JOBS` environment variable.
-    pub fn from_env() -> Self {
-        let jobs = std::env::var("IBP_JOBS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0);
-        SweepOptions { jobs }
+    /// Options honouring the `IBP_JOBS` environment variable: unset
+    /// means auto width; a value that is not a worker count (`0` =
+    /// auto) is an error naming the variable and the value.
+    pub fn from_env() -> Result<Self, String> {
+        let Some(value) = std::env::var_os("IBP_JOBS") else {
+            return Ok(SweepOptions::default());
+        };
+        let jobs = value.to_str().and_then(|s| s.parse().ok());
+        jobs.map(|jobs| SweepOptions { jobs })
+            .ok_or_else(|| format!("bad IBP_JOBS value {value:?} (need a worker count; 0 = auto)"))
     }
 
     /// A fixed-width pool (`jobs = n`, `n = 0` meaning auto).

@@ -338,10 +338,10 @@ impl<'a> Args<'a> {
                 let jobs = self.at_least("--jobs", 1)?;
                 Command::Exhibits {
                     name: name.into(),
-                    sweep: if self.switch("--serial") {
-                        SweepOptions::serial()
-                    } else {
-                        jobs.map_or_else(SweepOptions::from_env, SweepOptions::with_jobs)
+                    sweep: match (self.switch("--serial"), jobs) {
+                        (true, _) => SweepOptions::serial(),
+                        (false, Some(n)) => SweepOptions::with_jobs(n),
+                        (false, None) => SweepOptions::from_env()?,
                     },
                     seed: self.seed("--seed")?.unwrap_or(SEED),
                     out: self.string("--out"),
@@ -402,7 +402,7 @@ impl<'a> Args<'a> {
                         deadline_ms: self.num("--deadline-ms")?.unwrap_or(d.retry.deadline_ms),
                         ..d.retry
                     },
-                    // Scale mode: 0 means off / unlimited.
+                    // 0 means one driver per session / unlimited.
                     drivers: self.num("--drivers")?.unwrap_or(d.drivers),
                     open_rate: self.num("--open-rate")?.unwrap_or(d.open_rate),
                 };
@@ -683,9 +683,10 @@ SCALE: the serve IO layer is a readiness-driven epoll reactor — connection
   the snapshot store and transparently rehydrated on their next event, so
   resident memory tracks the hot set, not the session count. On the load
   side, --drivers N multiplexes all --sessions over N connections
-  (incompatible with --split/--chaos), --open-rate N paces session opens
-  per second, --events-per-session N truncates each stream for a
-  mostly-idle mix, and --scale-curve PATH appends a
+  (default 0 = one per session; --split and --chaos work at any driver
+  count), --open-rate N paces session opens per second,
+  --events-per-session N truncates each stream for a mostly-idle mix,
+  and --scale-curve PATH appends a
   {sessions, events_per_sec, latency_p99_us} point to the `scaling`
   section of that benchmark JSON (e.g. BENCH_serve.json).
 
@@ -923,7 +924,7 @@ mod tests {
             }
         }
         match parse(&argv("exhibits all")).unwrap() {
-            Command::Exhibits { sweep, .. } => assert_eq!(sweep, SweepOptions::from_env()),
+            Command::Exhibits { sweep, .. } => assert_eq!(sweep, SweepOptions::from_env().unwrap()),
             other => panic!("{other:?}"),
         }
     }
@@ -1542,11 +1543,11 @@ mod tests {
             // crates/cli/tests/
             (
                 "exhibits table4 --out blocked",
-                exhibits("table4", SweepOptions::from_env(), Some("blocked")),
+                exhibits("table4", SweepOptions::from_env().unwrap(), Some("blocked")),
             ),
             (
                 "exhibits table4",
-                exhibits("table4", SweepOptions::from_env(), None),
+                exhibits("table4", SweepOptions::from_env().unwrap(), None),
             ),
             (
                 "serve --uds s.sock --store store --persist-every 24 --workers 2",
@@ -1767,7 +1768,7 @@ mod tests {
             let line = format!("exhibits {name}");
             assert_eq!(
                 parse(&argv(&line)).unwrap(),
-                exhibits(name, SweepOptions::from_env(), None),
+                exhibits(name, SweepOptions::from_env().unwrap(), None),
                 "{line}"
             );
         }

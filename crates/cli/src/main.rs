@@ -10,6 +10,32 @@ use ibp_workloads::{AppKind, Scaling};
 use ibpower_cli::{parse, usage, Command};
 use std::process::ExitCode;
 
+// `print!`/`println!` are shadowed for the whole binary so every line of
+// output goes through `write_stdout` and a closed pipe never panics.
+macro_rules! print {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+macro_rules! println {
+    () => { write_stdout(format_args!("\n")) };
+    ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// Write to stdout. A reader that went away (`ibpower prv t.json | head
+/// -1`) ends the program quietly, with the status a shell reports for a
+/// process killed by SIGPIPE (128 + 13); any other write error is a
+/// typed `error:` and exit 1. Std's `print!` would panic on either.
+fn write_stdout(args: std::fmt::Arguments) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// Generate `app`'s trace at `nprocs` ranks.
 fn generate(app: AppKind, nprocs: u32, seed: u64, scaling: Scaling) -> Result<Trace, String> {
     let w = app.workload(scaling);
@@ -726,7 +752,7 @@ fn run(cmd: Command) -> Result<(), String> {
                 report.latency_p50_us, report.latency_p99_us, report.latency_max_us
             );
             if report.reconnects > 0 {
-                println!("reconnects : {} cycles survived", report.reconnects);
+                println!("reconnects : {} session re-attaches", report.reconnects);
             }
             if report.gave_up > 0 {
                 println!(

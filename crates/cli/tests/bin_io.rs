@@ -1,7 +1,8 @@
-//! End-to-end IO-failure behaviour of `ibpower exhibits`: a broken
-//! results directory must produce a **nonzero exit** and an error that
-//! names the failing path — never a zero exit with silently missing
-//! output.
+//! End-to-end IO-failure behaviour of the `ibpower` binary: a broken
+//! results directory or a malformed `IBP_JOBS` must produce a **nonzero
+//! exit** and an error that names the culprit — never a zero exit with
+//! silently missing output — and a closed stdout must end the program
+//! quietly, never with a panic.
 
 use std::process::Command;
 
@@ -55,4 +56,66 @@ fn malformed_jobs_flag_is_rejected() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("bad --jobs"), "stderr: {stderr}");
+}
+
+#[test]
+fn malformed_jobs_env_is_rejected_before_any_work() {
+    let dir = std::env::temp_dir().join(format!("ibp-jobs-env-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = Command::new(env!("CARGO_BIN_EXE_ibpower"))
+        .args(["exhibits", "params"])
+        .env("IBP_JOBS", "zero")
+        .env("IBP_RESULTS_DIR", &dir)
+        .output()
+        .expect("spawn ibpower");
+    let written = dir.exists();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!out.status.success(), "IBP_JOBS=zero must exit nonzero");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("IBP_JOBS") && stderr.contains("zero"),
+        "stderr: {stderr}"
+    );
+    assert!(
+        !written,
+        "nothing may be written before the variable is rejected"
+    );
+}
+
+/// A reader that closes the pipe early (`ibpower prv t.json | head -1`)
+/// must end the program quietly, not with a panic (exit 101).
+#[test]
+fn closed_stdout_is_a_quiet_exit() {
+    use std::io::BufRead;
+    let trace = std::env::temp_dir().join(format!("ibp-prv-pipe-{}.json", std::process::id()));
+    let generated = Command::new(env!("CARGO_BIN_EXE_ibpower"))
+        .args(["generate", "alya", "8", "-o"])
+        .arg(&trace)
+        .output()
+        .expect("spawn ibpower generate");
+    assert!(generated.status.success(), "{generated:?}");
+    // The .prv of this trace is a few hundred KiB, well past a pipe
+    // buffer, so the writer must hit the closed pipe.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ibpower"))
+        .arg("prv")
+        .arg(&trace)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn ibpower prv");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    // The reader is dropped here: the pipe is closed after one line.
+    let out = child.wait_with_output().expect("wait for ibpower prv");
+    std::fs::remove_file(&trace).ok();
+    assert!(first.starts_with("#Paraver"), "first line: {first}");
+    assert_ne!(out.status.code(), Some(101), "panicked: {out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert!(
+        stderr.is_empty(),
+        "a closed stdout is not an error: {stderr}"
+    );
 }

@@ -8,30 +8,30 @@
 //! callers that *want* the server to see an abrupt disconnect (crash
 //! simulation, reconnect-and-restore cycles).
 //!
-//! [`run_load`] drives many sessions concurrently — one connection and
-//! one thread per session, like a real PMPI shim fleet — measuring
-//! aggregate throughput and per-batch directive latency, optionally
-//! exercising the snapshot/restore reconnect path and checking
-//! end-to-end parity against offline golden annotations. With
-//! [`LoadConfig::drivers`] set, the fleet is instead multiplexed over
-//! a handful of driver connections (scale mode) with a paced open
-//! ramp, which is how the 10k+-session scaling runs are driven.
+//! [`run_load`] drives many sessions concurrently over
+//! [`LoadConfig::drivers`] driver connections (by default one per
+//! session, like a real PMPI shim fleet), measuring aggregate throughput
+//! and per-batch directive latency, optionally exercising the
+//! snapshot/restore reconnect path and checking end-to-end parity
+//! against offline golden annotations. Every driver runs the same code:
+//! a paced open ramp, then a sliding window of active sessions, which is
+//! also how the 10k+-session scaling runs are driven.
 //!
 //! ## Resilience
 //!
-//! Every session thread runs a reconnect loop governed by a
-//! [`RetryPolicy`]: capped exponential backoff with seeded jitter
-//! between connection attempts, a per-request read deadline so a stalled
-//! server cannot hang the client forever, and a hard attempt budget
-//! after which the session abandons its stream and reports
-//! `gave_up` in its [`SessionOutcome`] (aggregated as
-//! [`LoadReport::gave_up`]) instead of sinking the whole fleet. After a
-//! reconnect the client first tries a store rehydration (empty-body
-//! `Restore`): the server answers with the resume position and replays
-//! the session's full directive history, so the client rebuilds its
-//! parity journal from event 0 and resumes streaming where the server
-//! left off. If the server has no usable record
-//! ([`error_code::NO_SNAPSHOT`]) the client falls back to a fresh
+//! Every driver runs a reconnect loop governed by a [`RetryPolicy`]:
+//! capped exponential backoff with seeded jitter between connection
+//! attempts, a per-request read deadline so a stalled server cannot
+//! hang the client forever, and a hard attempt budget after which the
+//! driver abandons its sessions' streams and reports them `gave_up` in
+//! their [`SessionOutcome`]s (aggregated as [`LoadReport::gave_up`])
+//! instead of sinking the whole fleet. After a reconnect each session
+//! re-attaches just before its next frame, first by a store
+//! rehydration (empty-body `Restore`): the server answers with the
+//! resume position and replays the session's full directive history,
+//! so the client rebuilds its parity journal from event 0 and resumes
+//! streaming where the server left off. If the server has no usable
+//! record ([`error_code::NO_SNAPSHOT`]) the client falls back to a fresh
 //! `Open` and replays its own event stream from the start — the engine
 //! is deterministic, so either path converges on the same directives.
 
@@ -336,20 +336,20 @@ impl Drop for Client {
     }
 }
 
-/// Reconnect/backoff/deadline policy for the resilient session driver.
+/// Reconnect/backoff/deadline policy for the load driver.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Consecutive failed attempts (connection or request) before the
-    /// driver abandons the session (reported as `gave_up` in its
-    /// [`SessionOutcome`]). `1` means no retries at all.
+    /// driver abandons its unfinished sessions (each reported as
+    /// `gave_up` in its [`SessionOutcome`]). `1` means no retries at all.
     pub max_attempts: u32,
     /// First backoff delay, milliseconds; doubles per consecutive
     /// failure.
     pub base_backoff_ms: u64,
     /// Backoff ceiling, milliseconds.
     pub max_backoff_ms: u64,
-    /// Seed for the jitter PRNG (deterministic per session: the driver
-    /// mixes the session id in).
+    /// Seed for the jitter PRNG (deterministic per driver: the driver
+    /// mixes its first session id in).
     pub jitter_seed: u64,
     /// Per-request read deadline, milliseconds (0 = none).
     pub deadline_ms: u64,
@@ -449,16 +449,17 @@ pub struct LoadConfig {
     pub chaos: Option<ChaosConfig>,
     /// Reconnect/backoff/deadline policy.
     pub retry: RetryPolicy,
-    /// Scale mode: multiplex all sessions over this many driver
-    /// connections (round-robin partition by session id) instead of
-    /// one connection + one thread per session. `0` keeps the classic
-    /// per-session mode. A thread per session stops working around a
-    /// few thousand sessions; drivers make 10k+ sessions drivable from
-    /// one process. Incompatible with `split` and `chaos`.
+    /// Driver connections the sessions are multiplexed over
+    /// (round-robin partition by session id); `0` = one driver per
+    /// session. Each driver opens its partition up front and streams a
+    /// sliding window of it, with the same reconnect, split and chaos
+    /// handling at any driver count. A thread per session stops working
+    /// around a few thousand sessions; a few drivers make 10k+ sessions
+    /// drivable from one process.
     pub drivers: usize,
-    /// Scale mode: cap on session `Open`s per second across all
-    /// drivers (`0` = unlimited). Bounds the open ramp so a fleet
-    /// arriving at once does not hit a cold server as a single burst.
+    /// Cap on session `Open`s per second across all drivers (`0` =
+    /// unlimited). Bounds the open ramp so a fleet arriving at once does
+    /// not hit a cold server as a single burst.
     pub open_rate: u64,
 }
 
@@ -487,7 +488,9 @@ pub struct SessionOutcome {
     pub events: u64,
     /// Directives received.
     pub directives: u64,
-    /// Reconnect cycles this session survived.
+    /// Times this session re-attached after its driver's connection
+    /// was dropped (a transport fault, or another session's split on
+    /// the same connection).
     pub reconnects: u64,
     /// The session exhausted its [`RetryPolicy`] attempt budget and
     /// abandoned the stream early; `events`/`directives` count what
@@ -533,10 +536,12 @@ pub struct LoadReport {
     pub per_session: Vec<SessionOutcome>,
 }
 
-/// Drive every spec as its own connection+thread against `endpoint`.
+/// Drive every spec against `endpoint`: the fleet is split round-robin
+/// by session id over [`LoadConfig::drivers`] driver threads (`0` = one
+/// per session), which all run the same code over their partitions.
 ///
 /// Returns after all sessions finish; a terminal protocol error fails
-/// the run, but a session that exhausts its retry budget is *reported*
+/// the run, but a driver that exhausts its retry budget is *reported*
 /// (per-session `gave_up`, aggregate [`LoadReport::gave_up`]) rather
 /// than failing the whole fleet — under heavy chaos some sessions
 /// legitimately lose the race, and the caller decides whether that is
@@ -546,39 +551,29 @@ pub fn run_load(
     specs: Vec<SessionSpec>,
     cfg: &LoadConfig,
 ) -> Result<LoadReport, ProtocolError> {
-    if cfg.drivers > 0 {
-        return run_load_scale(endpoint, specs, cfg);
-    }
     let sessions = specs.len();
+    let drivers = match cfg.drivers {
+        0 => sessions,
+        n => n.min(sessions),
+    }
+    .max(1);
     let start = Instant::now();
-    let handles: Vec<_> = specs
+    let open_tickets = Arc::new(AtomicU64::new(0));
+    let mut parts: Vec<Vec<(u32, SessionSpec)>> = (0..drivers).map(|_| Vec::new()).collect();
+    for (i, spec) in specs.into_iter().enumerate() {
+        parts[i % drivers].push((i as u32, spec));
+    }
+    let handles: Vec<_> = parts
         .into_iter()
-        .enumerate()
-        .map(|(i, spec)| {
+        .map(|part| {
             let endpoint = endpoint.clone();
             let cfg = cfg.clone();
-            std::thread::spawn(move || {
-                drive_session(&endpoint, i as u32, spec, &cfg).map(|(out, lats)| ([out], lats))
-            })
+            let tickets = Arc::clone(&open_tickets);
+            std::thread::spawn(move || drive(&endpoint, part, &cfg, &tickets, start))
         })
         .collect();
-    join_load(handles, "session", sessions, start, cfg.check)
-}
-
-/// A load thread: its sessions' outcomes and batch latencies (ns).
-type LoadThread<O> = std::thread::JoinHandle<Result<(O, Vec<u64>), ProtocolError>>;
-
-/// Join every load thread (one per session, or one per scale-mode
-/// driver), then fold their outcomes into a [`LoadReport`]. The first
-/// error in join order fails the run, after every thread has finished;
-/// a panicked thread counts as an error naming its `role`.
-fn join_load<O: IntoIterator<Item = SessionOutcome>>(
-    handles: Vec<LoadThread<O>>,
-    role: &str,
-    sessions: usize,
-    start: Instant,
-    parity_checked: bool,
-) -> Result<LoadReport, ProtocolError> {
+    // The first error in join order fails the run, after every driver
+    // has finished; a panicked driver counts as an error.
     let mut outcomes = Vec::with_capacity(sessions);
     let mut latencies_ns: Vec<u64> = Vec::new();
     let mut first_err = None;
@@ -590,20 +585,18 @@ fn join_load<O: IntoIterator<Item = SessionOutcome>>(
             }
             Ok(Err(e)) => first_err = first_err.or(Some(e)),
             Err(_) => {
-                first_err = first_err.or_else(|| {
-                    Some(ProtocolError::Unexpected(format!("{role} thread panicked")))
-                })
+                first_err = first_err
+                    .or_else(|| Some(ProtocolError::Unexpected("driver thread panicked".into())))
             }
         }
     }
     if let Some(e) = first_err {
         return Err(e);
     }
-    Ok(aggregate(outcomes, latencies_ns, sessions, start.elapsed().as_secs_f64(), parity_checked))
+    Ok(aggregate(outcomes, latencies_ns, sessions, start.elapsed().as_secs_f64(), cfg.check))
 }
 
-/// Fold per-session outcomes and batch latencies into a [`LoadReport`]
-/// (shared by the classic and scale drivers).
+/// Fold per-session outcomes and batch latencies into a [`LoadReport`].
 fn aggregate(
     mut outcomes: Vec<SessionOutcome>,
     mut latencies_ns: Vec<u64>,
@@ -643,42 +636,6 @@ fn aggregate(
     }
 }
 
-/// Scale mode: partition the fleet round-robin over `cfg.drivers`
-/// connections, each multiplexing its share of sessions (synchronous
-/// request/response, traffic localized to a bounded active window per
-/// driver — see [`drive_partition`]). The `Open` ramp is paced
-/// globally by [`LoadConfig::open_rate`].
-fn run_load_scale(
-    endpoint: &Endpoint,
-    specs: Vec<SessionSpec>,
-    cfg: &LoadConfig,
-) -> Result<LoadReport, ProtocolError> {
-    if cfg.split.is_some() || cfg.chaos.is_some() {
-        return Err(ProtocolError::Io(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "scale mode (drivers > 0) is incompatible with --split and chaos injection",
-        )));
-    }
-    let sessions = specs.len();
-    let drivers = cfg.drivers.min(sessions.max(1));
-    let start = Instant::now();
-    let open_tickets = Arc::new(AtomicU64::new(0));
-    let mut parts: Vec<Vec<(u32, SessionSpec)>> = (0..drivers).map(|_| Vec::new()).collect();
-    for (i, spec) in specs.into_iter().enumerate() {
-        parts[i % drivers].push((i as u32, spec));
-    }
-    let handles: Vec<_> = parts
-        .into_iter()
-        .map(|part| {
-            let endpoint = endpoint.clone();
-            let cfg = cfg.clone();
-            let tickets = Arc::clone(&open_tickets);
-            std::thread::spawn(move || drive_partition(&endpoint, part, &cfg, &tickets, start))
-        })
-        .collect();
-    join_load(handles, "driver", sessions, start, cfg.check)
-}
-
 /// Sleep until this open's ticket comes due under the global
 /// opens-per-second cap.
 fn pace_open(tickets: &AtomicU64, rate: u64, start: Instant) {
@@ -693,318 +650,259 @@ fn pace_open(tickets: &AtomicU64, rate: u64, start: Instant) {
     }
 }
 
-/// Sessions a scale-mode driver actively streams at once. Every
-/// session in the partition is *open* for the whole run — the point of
-/// scale mode is a fleet of concurrent sessions — but traffic cycles
-/// through a bounded window of them: a session gets batches until its
-/// stream drains and it closes, then the window refills from the idle
-/// backlog. That is the mostly-idle traffic mix real fleets show
-/// (COUNTDOWN's observation that most MPI time is wait time), and it
-/// is the access pattern a `--max-hot-sessions` LRU is designed for —
-/// the hot set is the active windows, not the whole fleet. Round-robin
-/// over *all* sessions would instead be the LRU's pathological case
-/// (every touch a miss at any cap below the session count).
+/// Sessions a driver actively streams at once. Every session in the
+/// partition is *open* for the whole run — a fleet of concurrent
+/// sessions — but traffic cycles through a bounded window of them: a
+/// session gets batches until its stream drains and it closes, then the
+/// window refills from the idle backlog. That is the mostly-idle
+/// traffic mix real fleets show (COUNTDOWN's observation that most MPI
+/// time is wait time), and it is the access pattern a
+/// `--max-hot-sessions` LRU is designed for — the hot set is the active
+/// windows, not the whole fleet. Round-robin over *all* sessions would
+/// instead be the LRU's pathological case (every touch a miss at any
+/// cap below the session count).
 const ACTIVE_WINDOW: usize = 32;
 
-/// One scale-mode driver: open every session in the partition (paced),
-/// then stream a sliding [`ACTIVE_WINDOW`] of sessions to completion,
-/// closing each as it drains. Parity journals are kept only under
-/// `check` — at 10k+ sessions the journals, not the sockets, would
-/// otherwise dominate client memory — and each is dropped at its
-/// session's close.
-#[allow(clippy::type_complexity)]
-fn drive_partition(
+/// One session's client-side state inside a [`drive`] partition.
+struct SessionState {
+    id: u32,
+    spec: SessionSpec,
+    /// Next event to send.
+    cursor: usize,
+    /// Where the split exercise still has to happen (`None` once done,
+    /// or with no split configured).
+    split_at: Option<usize>,
+    /// Every directive the session has produced, from event 0, in
+    /// order — kept only under `check`: at 10k+ sessions the journals,
+    /// not the sockets, would otherwise dominate client memory.
+    journal: Vec<LaneDirective>,
+    directives: u64,
+    reconnects: u64,
+    /// The split's snapshot, kept until the restore from it succeeds.
+    snapshot: Option<Vec<u8>>,
+    /// Live on the driver's current connection.
+    attached: bool,
+}
+
+impl SessionState {
+    /// Count a response's directives, journaling them under `check`.
+    fn record(&mut self, fresh: Vec<LaneDirective>, check: bool) {
+        self.directives += fresh.len() as u64;
+        if check {
+            self.journal.extend(fresh);
+        }
+    }
+
+    /// Make a detached session live on `c` again: from the split's
+    /// client-carried snapshot if there is one, else by store
+    /// rehydration (the server replays the full directive history, which
+    /// becomes the journal) — or, when the server has no usable record
+    /// ([`error_code::NO_SNAPSHOT`]), by a fresh `Open` and a replay from
+    /// event 0. The engine is deterministic, so every path converges on
+    /// the same directives.
+    fn reattach(&mut self, c: &mut Client, check: bool) -> Result<(), ProtocolError> {
+        let total = self.spec.events.len();
+        if let Some(snapshot) = &self.snapshot {
+            self.cursor = (c.restore(self.id, snapshot)? as usize).min(total);
+            self.snapshot = None;
+        } else {
+            self.reconnects += 1;
+            let (applied, history) = match c.restore_from_store(self.id) {
+                Err(ProtocolError::Remote { code, .. }) if code == error_code::NO_SNAPSHOT => {
+                    c.open(self.id, self.spec.rank, &self.spec.config)?;
+                    (0, Vec::new())
+                }
+                resumed => resumed?,
+            };
+            self.cursor = (applied as usize).min(total);
+            self.directives = 0;
+            self.journal.clear();
+            self.record(history, check);
+        }
+        self.attached = true;
+        Ok(())
+    }
+
+    fn outcome(&self, gave_up: bool, parity_ok: Option<bool>) -> SessionOutcome {
+        SessionOutcome {
+            session: self.id,
+            rank: self.spec.rank,
+            events: self.cursor as u64,
+            directives: self.directives,
+            reconnects: self.reconnects,
+            gave_up,
+            parity_ok,
+        }
+    }
+}
+
+/// The load driver: one connection carrying one partition of sessions.
+///
+/// Healthy path: open every session up front (paced by the global open
+/// ramp), then stream a sliding [`ACTIVE_WINDOW`] of sessions to
+/// completion, closing each as it drains. A one-session partition is
+/// the classic stream of one PMPI shim.
+///
+/// On a reconnectable error the connection is abandoned (never dropped:
+/// a drop would `Close` every open session), the driver backs off under
+/// the [`RetryPolicy`] and reconnects, and every unfinished session is
+/// marked detached. A detached session re-attaches lazily, just before
+/// its next frame, so a fault costs at most the active window's
+/// restores, not the whole partition's. A session reaching its split
+/// point is snapshotted, the connection abandoned, and the session
+/// restored from the snapshot bytes on the next connection. The retry
+/// budget counts consecutive failed steps; when it runs out, every
+/// unfinished session of the partition reports `gave_up`.
+///
+/// The chaos reseed and the backoff jitter are keyed by the partition's
+/// first session id.
+fn drive(
     endpoint: &Endpoint,
     part: Vec<(u32, SessionSpec)>,
     cfg: &LoadConfig,
     tickets: &AtomicU64,
     start: Instant,
 ) -> Result<(Vec<SessionOutcome>, Vec<u64>), ProtocolError> {
+    let Some(&(first, _)) = part.first() else {
+        return Ok((Vec::new(), Vec::new()));
+    };
     let batch = cfg.batch.max(1);
-    let opts = ConnectOptions { chaos: None, read_timeout_ms: cfg.retry.deadline_ms };
-    let mut client = Client::connect_with(endpoint, &opts)?;
-    for (id, spec) in &part {
-        pace_open(tickets, cfg.open_rate, start);
-        client.open(*id, spec.rank, &spec.config)?;
-    }
-
-    let mut cursors = vec![0usize; part.len()];
-    let mut directive_counts = vec![0u64; part.len()];
-    let mut journals: Vec<Vec<LaneDirective>> = vec![Vec::new(); part.len()];
-    let mut latencies_ns = Vec::new();
-    let mut outcomes = Vec::with_capacity(part.len());
-
-    let mut active: Vec<usize> = (0..part.len().min(ACTIVE_WINDOW)).collect();
-    let mut next_idle = active.len();
-    while !active.is_empty() {
-        let mut i = 0;
-        while i < active.len() {
-            let k = active[i];
-            let (id, spec) = &part[k];
-            let total = spec.events.len();
-            if cursors[k] < total {
-                let end = (cursors[k] + batch).min(total);
-                let t0 = Instant::now();
-                let (applied, fresh) = client.send_events(*id, &spec.events[cursors[k]..end])?;
-                latencies_ns.push(t0.elapsed().as_nanos() as u64);
-                directive_counts[k] += fresh.len() as u64;
-                if cfg.check {
-                    journals[k].extend(fresh);
-                }
-                cursors[k] = (applied as usize).min(total).max(end);
-            }
-            if cursors[k] >= total {
-                let (tail, _total_directives, stats) =
-                    client.close(*id, spec.final_compute_ns)?;
-                directive_counts[k] += tail.len() as u64;
-                let parity_ok = if cfg.check {
-                    let mut journal = std::mem::take(&mut journals[k]);
-                    journal.extend(tail);
-                    spec.golden_directives.as_ref().map(|golden| {
-                        let mut ok = &journal == golden;
-                        if let Some(gs) = &spec.golden_stats {
-                            ok &= gs == &stats;
-                        }
-                        ok
-                    })
-                } else {
-                    None
-                };
-                outcomes.push(SessionOutcome {
-                    session: *id,
-                    rank: spec.rank,
-                    events: cursors[k] as u64,
-                    directives: directive_counts[k],
-                    reconnects: 0,
-                    gave_up: false,
-                    parity_ok,
-                });
-                // Retire this window slot and pull the next idle
-                // session in; `swap_remove` moved an unvisited entry
-                // to `i`, so don't advance.
-                active.swap_remove(i);
-                if next_idle < part.len() {
-                    active.push(next_idle);
-                    next_idle += 1;
-                }
-            } else {
-                i += 1;
-            }
-        }
-    }
-    Ok((outcomes, latencies_ns))
-}
-
-type SessionRun = (SessionOutcome, Vec<u64>);
-
-/// The resilient per-session driver: a reconnect loop around
-/// stream → (optional split exercise) → close, with a parity journal
-/// that is rebuilt from the server's replayed history after every
-/// restore.
-fn drive_session(
-    endpoint: &Endpoint,
-    session: u32,
-    spec: SessionSpec,
-    cfg: &LoadConfig,
-) -> Result<SessionRun, ProtocolError> {
-    let batch = cfg.batch.max(1);
-    let total = spec.events.len();
-    let split_at = cfg.split.map(|f| {
-        let f = f.clamp(0.0, 1.0);
-        ((total as f64 * f) as usize).min(total)
-    });
-    let mut rng =
-        StdRng::seed_from_u64(cfg.retry.jitter_seed ^ ((session as u64) << 32) ^ 0xC8A5);
+    let mut rng = StdRng::seed_from_u64(cfg.retry.jitter_seed ^ ((first as u64) << 32) ^ 0xC8A5);
     let opts_for = |conn_seq: u64| ConnectOptions {
         chaos: cfg.chaos.as_ref().map(|c| {
             c.reseeded(
-                c.seed
-                    ^ ((session as u64) << 40)
-                    ^ conn_seq.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                c.seed ^ ((first as u64) << 40) ^ conn_seq.wrapping_mul(0x9E37_79B9_7F4A_7C15),
             )
         }),
         read_timeout_ms: cfg.retry.deadline_ms,
     };
+    let mut sess: Vec<SessionState> = part
+        .into_iter()
+        .map(|(id, spec)| {
+            let total = spec.events.len();
+            let split_at = cfg.split.map(|f| ((total as f64 * f.clamp(0.0, 1.0)) as usize).min(total));
+            SessionState {
+                id,
+                spec,
+                cursor: 0,
+                split_at,
+                journal: Vec::new(),
+                directives: 0,
+                reconnects: 0,
+                snapshot: None,
+                attached: false,
+            }
+        })
+        .collect();
+    let n = sess.len();
+    let mut latencies_ns = Vec::new();
+    let mut outcomes = Vec::with_capacity(n);
 
-    let mut latencies_ns = Vec::with_capacity(total / batch + 2);
-    // The parity journal: every directive the session has produced,
-    // from event 0, in order.
-    let mut journal: Vec<LaneDirective> = Vec::new();
-    let mut next_event: usize = 0;
-    let mut did_split = split_at.is_none();
-    let mut conn_seq: u64 = 0;
-    let mut reconnects: u64 = 0;
-    let mut failures: u32 = 0;
-    let mut gave_up = false;
     let mut client: Option<Client> = None;
-    let mut closed: Option<(u64, RankStats)> = None;
+    let mut conn_seq: u64 = 0;
+    let mut failures: u32 = 0;
+    // Sessions opened so far by the up-front ramp.
+    let mut ramp = 0;
+    let mut active: Vec<usize> = (0..n.min(ACTIVE_WINDOW)).collect();
+    let mut next_idle = active.len();
+    let mut slot = 0;
 
-    // One reconnect cycle per iteration; a healthy run finishes in one.
-    'run: while closed.is_none() {
-        // (Re-)establish a connection and a live server-side session.
-        let mut c = match client.take() {
-            Some(c) => c,
-            None => {
-                let attempt = (|| -> Result<Client, ProtocolError> {
-                    let mut c = Client::connect_with(endpoint, &opts_for(conn_seq))?;
-                    if conn_seq == 0 {
-                        c.open(session, spec.rank, &spec.config)?;
-                        journal.clear();
-                        next_event = 0;
-                    } else {
-                        match c.restore_from_store(session) {
-                            Ok((applied, history)) => {
-                                journal = history;
-                                next_event = (applied as usize).min(total);
-                            }
-                            Err(ProtocolError::Remote { code, .. })
-                                if code == error_code::NO_SNAPSHOT =>
-                            {
-                                // No durable record server-side: replay
-                                // the whole stream into a fresh session
-                                // — the engine is deterministic, so the
-                                // journal converges on the same
-                                // directives.
-                                c.open(session, spec.rank, &spec.config)?;
-                                journal.clear();
-                                next_event = 0;
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    Ok(c)
-                })();
-                conn_seq += 1;
-                match attempt {
-                    Ok(c) => {
-                        failures = 0;
-                        c
-                    }
-                    Err(e) => {
-                        if !reconnectable(&e) {
-                            return Err(e);
-                        }
-                        failures += 1;
-                        if failures >= cfg.retry.max_attempts.max(1) {
-                            gave_up = true;
-                            break 'run;
-                        }
-                        reconnects += 1;
-                        std::thread::sleep(cfg.retry.backoff(failures, &mut rng));
-                        continue;
-                    }
+    while !active.is_empty() {
+        // One step: an `Open` of the ramp, or one visit to a window
+        // slot. `Ok(true)` asks for the split's connection drop.
+        let step = (|| -> Result<bool, ProtocolError> {
+            let c = match &mut client {
+                Some(c) => c,
+                None => {
+                    let opts = opts_for(conn_seq);
+                    conn_seq += 1;
+                    client.insert(Client::connect_with(endpoint, &opts)?)
                 }
+            };
+            if ramp < n {
+                pace_open(tickets, cfg.open_rate, start);
+                let s = &mut sess[ramp];
+                c.open(s.id, s.spec.rank, &s.spec.config)?;
+                s.attached = true;
+                ramp += 1;
+                return Ok(false);
             }
-        };
-
-        // Stream toward the current target (the split point first, if
-        // the split exercise is still pending, else the full stream),
-        // then close. Any transport trouble falls back to the
-        // reconnect path above.
-        let target = if did_split { total } else { split_at.unwrap_or(total) };
-        let step = (|| -> Result<Option<Vec<u8>>, ProtocolError> {
-            while next_event < target {
-                let end = (next_event + batch).min(target);
+            if slot >= active.len() {
+                slot = 0;
+            }
+            let k = active[slot];
+            let s = &mut sess[k];
+            if !s.attached {
+                s.reattach(c, cfg.check)?;
+            }
+            let total = s.spec.events.len();
+            let target = s.split_at.unwrap_or(total);
+            if s.cursor < target {
+                let end = (s.cursor + batch).min(target);
                 let t0 = Instant::now();
-                let (applied, fresh) =
-                    c.send_events(session, &spec.events[next_event..end])?;
+                let (applied, fresh) = c.send_events(s.id, &s.spec.events[s.cursor..end])?;
                 latencies_ns.push(t0.elapsed().as_nanos() as u64);
-                journal.extend(fresh);
-                next_event = (applied as usize).min(total).max(end);
+                s.record(fresh, cfg.check);
+                s.cursor = (applied as usize).min(total).max(end);
             }
-            if !did_split {
-                // Snapshot for the split exercise; the caller drops the
-                // connection and restores from these bytes.
-                return Ok(Some(c.snapshot(session)?));
+            if s.split_at.is_some_and(|at| s.cursor >= at) {
+                // The split exercise: the caller drops the connection
+                // without closing (a simulated crash) and the session
+                // restores from these bytes on the next one.
+                s.snapshot = Some(c.snapshot(s.id)?);
+                s.split_at = None;
+                return Ok(true);
             }
-            let (last, total_directives, stats) = c.close(session, spec.final_compute_ns)?;
-            journal.extend(last);
-            closed = Some((total_directives, stats));
-            Ok(None)
+            if s.cursor >= total {
+                let (tail, _total_directives, stats) = c.close(s.id, s.spec.final_compute_ns)?;
+                s.record(tail, cfg.check);
+                let journal = std::mem::take(&mut s.journal);
+                let golden = s.spec.golden_directives.as_ref().filter(|_| cfg.check);
+                let parity_ok = golden.map(|g| {
+                    &journal == g && s.spec.golden_stats.as_ref().is_none_or(|gs| *gs == stats)
+                });
+                outcomes.push(s.outcome(false, parity_ok));
+                // Retire this window slot and pull the next idle
+                // session in; `swap_remove` moved an unvisited entry
+                // to `slot`, so don't advance.
+                active.swap_remove(slot);
+                if next_idle < n {
+                    active.push(next_idle);
+                    next_idle += 1;
+                }
+            } else {
+                slot += 1;
+            }
+            Ok(false)
         })();
         match step {
-            Ok(None) => {
-                client = Some(c); // done (or past the split) — keep it
+            Ok(false) => {
+                failures = 0;
+                continue;
             }
-            Ok(Some(snap)) => {
-                // The split exercise: drop the connection *without*
-                // closing (a simulated crash), reconnect, restore from
-                // the client-carried snapshot, finish the stream.
-                did_split = true;
-                c.abandon();
-                let fresh = (|| -> Result<Client, ProtocolError> {
-                    let mut fresh = Client::connect_with(endpoint, &opts_for(conn_seq))?;
-                    let applied = fresh.restore(session, &snap)?;
-                    next_event = (applied as usize).min(total);
-                    Ok(fresh)
-                })();
-                conn_seq += 1;
-                match fresh {
-                    Ok(fresh) => {
-                        failures = 0;
-                        client = Some(fresh);
-                    }
-                    Err(e) => {
-                        if !reconnectable(&e) {
-                            return Err(e);
-                        }
-                        failures += 1;
-                        if failures >= cfg.retry.max_attempts.max(1) {
-                            gave_up = true;
-                            break 'run;
-                        }
-                        reconnects += 1;
-                        std::thread::sleep(cfg.retry.backoff(failures, &mut rng));
-                        // `client` stays empty: the next iteration
-                        // re-establishes via the store/fresh-open path.
-                    }
-                }
+            Ok(true) => failures = 0,
+            Err(e) if reconnectable(&e) => failures += 1,
+            Err(e) => return Err(e),
+        }
+        // A split or a transport fault: drop the connection without
+        // closing; every unfinished session re-attaches lazily on the
+        // next one.
+        if let Some(c) = client.take() {
+            c.abandon();
+        }
+        for s in &mut sess {
+            s.attached = false;
+        }
+        if failures > 0 {
+            if failures >= cfg.retry.max_attempts.max(1) {
+                // An abandoned stream cannot match its golden annotation.
+                let parity_ok = cfg.check.then_some(false);
+                let unfinished = active.iter().copied().chain(next_idle..n);
+                outcomes.extend(unfinished.map(|k| sess[k].outcome(true, parity_ok)));
+                break;
             }
-            Err(e) => {
-                if !reconnectable(&e) {
-                    return Err(e);
-                }
-                c.abandon();
-                failures += 1;
-                if failures >= cfg.retry.max_attempts.max(1) {
-                    gave_up = true;
-                    break 'run;
-                }
-                reconnects += 1;
-                std::thread::sleep(cfg.retry.backoff(failures, &mut rng));
-            }
+            std::thread::sleep(cfg.retry.backoff(failures, &mut rng));
         }
     }
-
-    let parity_ok = if gave_up {
-        // An abandoned stream cannot match its golden annotation.
-        if cfg.check { Some(false) } else { None }
-    } else if cfg.check {
-        let (_, stats) = closed.as_ref().expect("loop exits only once closed");
-        match (&spec.golden_directives, &spec.golden_stats) {
-            (Some(golden), golden_stats) => {
-                let mut ok = &journal == golden;
-                if let Some(gs) = golden_stats {
-                    ok &= gs == stats;
-                }
-                Some(ok)
-            }
-            (None, _) => None,
-        }
-    } else {
-        None
-    };
-
-    Ok((
-        SessionOutcome {
-            session,
-            rank: spec.rank,
-            events: next_event as u64,
-            directives: journal.len() as u64,
-            reconnects,
-            gave_up,
-            parity_ok,
-        },
-        latencies_ns,
-    ))
+    Ok((outcomes, latencies_ns))
 }

@@ -183,6 +183,33 @@ fn chaos_without_store_still_converges() {
     assert_invariants(&out);
 }
 
+#[test]
+fn multiplexed_chaos_with_splits_preserves_parity() {
+    // The same faults and splits on multiplexed drivers: two
+    // connections carry three sessions each, so a fault or a split
+    // detaches a whole partition and every session re-attaches from
+    // the store (or the carried snapshot) on the next connection.
+    let out = soak(
+        "multiplexed",
+        ServeConfig { workers: 2, persist_every: 32, ..Default::default() },
+        &LoadConfig {
+            batch: 17,
+            split: Some(0.4),
+            check: true,
+            chaos: Some(ChaosConfig::with_intensity(0xD21E, 0.03)),
+            retry: soak_retry(),
+            drivers: 2,
+            ..Default::default()
+        },
+        true,
+    );
+    assert_invariants(&out);
+    // Each split detaches its partition's other sessions, so lazy
+    // store re-attaches must have happened.
+    assert!(out.report.reconnects > 0, "{:?}", out.report);
+    assert!(out.summary.sessions_rehydrated > 0, "{:?}", out.summary);
+}
+
 /// The counter fields of a `ServeSummary` as a flat vector, for
 /// scrape-to-scrape monotonicity checks.
 fn counter_vec(s: &ibp_serve::ServeSummary) -> [u64; 12] {

@@ -4,7 +4,8 @@
 
 use ibp_core::{annotate_rank, PowerConfig};
 use ibp_serve::{
-    run_load, Client, Endpoint, LoadConfig, ProtocolError, ServeConfig, Server, SessionSpec,
+    run_load, Client, Endpoint, LoadConfig, ProtocolError, RetryPolicy, ServeConfig, Server,
+    SessionSpec,
 };
 use ibp_workloads::{AppKind, Scaling};
 use std::sync::atomic::Ordering;
@@ -211,24 +212,32 @@ fn scale_mode_multiplexes_sessions_with_parity() {
 }
 
 #[test]
-fn scale_mode_rejects_split_and_chaos() {
-    let endpoint = temp_uds("scale-invalid");
-    let server = Server::bind(&endpoint, ServeConfig::default()).expect("bind");
-    let bound = server.endpoint().clone();
-    let stop = server.stop_flag();
-    let handle = std::thread::spawn(move || server.run());
-    let err = run_load(
-        &bound,
-        specs_for(AppKind::Alya, 4, 2, false),
-        &LoadConfig { drivers: 2, split: Some(0.5), ..Default::default() },
+fn spent_retry_budget_gives_up_the_whole_partition() {
+    // Nothing listens on this socket: every connect fails, so each
+    // driver spends its budget and reports every session of its
+    // partition as given up — a reported outcome, not a run error.
+    let endpoint = temp_uds("nobody-home");
+    let report = run_load(
+        &endpoint,
+        specs_for(AppKind::Alya, 4, 5, true),
+        &LoadConfig {
+            check: true,
+            drivers: 2,
+            retry: RetryPolicy {
+                max_attempts: 3,
+                base_backoff_ms: 1,
+                max_backoff_ms: 2,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
     )
-    .unwrap_err();
-    assert!(
-        matches!(&err, ProtocolError::Io(e) if e.kind() == std::io::ErrorKind::InvalidInput),
-        "got {err:?}"
-    );
-    stop.store(true, Ordering::Relaxed);
-    handle.join().expect("server thread");
+    .expect("a spent budget is reported");
+    assert_eq!(report.gave_up, 5, "{report:?}");
+    assert!(report.parity_checked && !report.parity_ok, "{report:?}");
+    for o in &report.per_session {
+        assert!(o.gave_up && o.events == 0 && o.parity_ok == Some(false), "{o:?}");
+    }
 }
 
 #[test]

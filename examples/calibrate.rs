@@ -23,7 +23,14 @@ fn main() -> ExitCode {
         }
     };
     let disp = 0.01;
-    let engine = SweepEngine::new(SweepOptions::from_env());
+    let sweep = match SweepOptions::from_env() {
+        Ok(sweep) => sweep,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let engine = SweepEngine::new(sweep);
     let cells: Vec<(AppKind, usize)> = AppKind::ALL
         .into_iter()
         .filter(|app| only.is_none_or(|o| *app == o))

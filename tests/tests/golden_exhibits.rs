@@ -23,7 +23,7 @@ use std::sync::OnceLock;
 
 fn engine() -> &'static SweepEngine {
     static ENGINE: OnceLock<SweepEngine> = OnceLock::new();
-    ENGINE.get_or_init(|| SweepEngine::new(SweepOptions::from_env()))
+    ENGINE.get_or_init(|| SweepEngine::new(SweepOptions::from_env().expect("IBP_JOBS")))
 }
 
 /// Run the registered exhibit `name` on `grid`, check the JSON it
