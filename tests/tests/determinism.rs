@@ -134,3 +134,115 @@ fn weak_trace_digest_matches_golden() {
     }
     assert_matches_golden("weak_trace_digest.json", &Value::Seq(rows));
 }
+
+/// The strong-scaling traces, pinned like the weak ones above: every
+/// paper-grid cell (the Figs. 7–9 / Table III grid) of at most 64 ranks,
+/// generated through the sweep engine's default trace source at the
+/// exhibit seed, one FNV-1a digest row per cell. Cells above 64 ranks
+/// are left out so the debug-build test stays fast.
+///
+/// Regenerate only after an intentional model change:
+/// `IBP_UPDATE_GOLDEN=1 cargo test -p ibpower-integration-tests --test determinism`
+#[test]
+fn strong_trace_digest_matches_golden() {
+    use ibp_analysis::exhibits::{ExhibitGrid, SEED};
+    use ibp_analysis::sweep::default_trace_fn;
+    use ibpower_integration_tests::golden::assert_matches_golden;
+    use serde::Value;
+
+    let trace_of = default_trace_fn();
+    let rows: Vec<Value> = ExhibitGrid::capped(64)
+        .cells(SEED)
+        .iter()
+        .map(|key| {
+            let t = trace_of(key);
+            t.validate().unwrap();
+            Value::Map(vec![
+                ("app".into(), Value::Str(key.app.name().into())),
+                ("nprocs".into(), Value::U64(u64::from(key.nprocs))),
+                ("calls".into(), Value::U64(t.total_calls() as u64)),
+                ("digest".into(), Value::Str(format!("{:016x}", trace_digest(&t)))),
+            ])
+        })
+        .collect();
+    assert_matches_golden("strong_trace_digest.json", &Value::Seq(rows));
+}
+
+/// FNV-1a over every rank's `rank final_compute;` header and its
+/// `compute_ns op;` records, the text `weak_trace_digest_matches_golden`
+/// hashes.
+fn trace_digest(t: &ibp_trace::Trace) -> u64 {
+    use std::fmt::Write;
+    let mut text = String::new();
+    for r in &t.ranks {
+        let _ = write!(text, "{} {};", r.rank, r.final_compute.as_ns());
+        for e in r.events.iter() {
+            let _ = write!(text, "{} {:?};", e.compute_before.as_ns(), e.op);
+        }
+    }
+    text.bytes().fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// A small hand-built trace over every `MpiOp` variant, with request
+/// ids that are neither dense nor monotone and a `Waitall` whose set is
+/// not in posting order — the inputs a trace file may carry that no
+/// generator produces.
+fn hand_built_trace() -> ibp_trace::Trace {
+    use ibp_trace::{MpiOp, TraceBuilder};
+    let us = SimDuration::from_us;
+    let mut b = TraceBuilder::new("hand-built", 3);
+    b.compute(0, us(15));
+    b.op(0, MpiOp::Isend { to: 1, bytes: 4096, req: 7 });
+    b.op(0, MpiOp::Irecv { from: 2, bytes: 512, req: 3 });
+    b.compute(0, SimDuration::from_ns(250));
+    b.op(0, MpiOp::Isend { to: 2, bytes: 64, req: 12 });
+    b.compute(0, us(40));
+    b.op(0, MpiOp::Waitall { reqs: vec![12, 3] });
+    b.op(0, MpiOp::Wait { req: 7 });
+    b.op(0, MpiOp::Send { to: 1, bytes: 100 });
+    b.compute(1, us(3));
+    b.op(1, MpiOp::Irecv { from: 0, bytes: 4096, req: 900 });
+    b.op(1, MpiOp::Recv { from: 0, bytes: 100 });
+    b.compute(1, us(70));
+    b.op(1, MpiOp::Wait { req: 900 });
+    b.op(2, MpiOp::Irecv { from: 0, bytes: 64, req: 1 });
+    b.op(2, MpiOp::Isend { to: 0, bytes: 512, req: 0 });
+    b.compute(2, us(9));
+    b.op(2, MpiOp::Waitall { reqs: vec![0, 1] });
+    for r in 0..3 {
+        b.compute(r, us(5 + u64::from(r)));
+        b.op(r, MpiOp::Sendrecv { to: (r + 1) % 3, send_bytes: 256, from: (r + 2) % 3, recv_bytes: 256 });
+        b.op(r, MpiOp::Barrier);
+        b.compute(r, us(11));
+        b.op(r, MpiOp::Bcast { root: 2, bytes: 32 });
+        b.op(r, MpiOp::Reduce { root: 1, bytes: 16 });
+        b.op(r, MpiOp::Allreduce { bytes: 8 });
+        b.compute(r, SimDuration::from_ns(1));
+        b.op(r, MpiOp::Allgather { bytes: 24 });
+        b.op(r, MpiOp::Alltoall { bytes: 48 });
+        b.compute(r, us(2 * u64::from(r)));
+    }
+    b.build()
+}
+
+/// The trace file formats, pinned byte for byte: compact JSON (as
+/// `io::save` writes it) and the Paraver dialect of the hand-built
+/// trace, which must also read back as the same trace.
+#[test]
+fn trace_file_formats_match_golden_bytes() {
+    use ibpower_integration_tests::golden::assert_matches_golden_text;
+    let t = hand_built_trace();
+    t.validate().unwrap();
+    let json = ibp_trace::io::to_json(&t);
+    let dir = std::env::temp_dir().join(format!("ibp-format-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("hand-built.json");
+    ibp_trace::io::save(&t, &path).unwrap();
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), json, "save and to_json disagree");
+    assert_eq!(ibp_trace::io::load(&path).unwrap(), t);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_matches_golden_text("hand_built_trace.json", &json);
+    assert_matches_golden_text("hand_built_trace.prv", &ibp_trace::paraver::to_prv(&t));
+}
