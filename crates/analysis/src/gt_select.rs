@@ -104,8 +104,8 @@ fn class_changes(rank: &RankTrace, bounds: &[SimDuration]) -> u64 {
     assert!(bounds.len() <= 64, "a sweep grid holds at most 64 points");
     debug_assert!(bounds.windows(2).all(|w| w[0] <= w[1]), "unsorted grid");
     let mut changes = 0u64;
-    for e in &rank.events {
-        let j = bounds.partition_point(|&b| b <= e.compute_before);
+    for &gap in rank.events.compute() {
+        let j = bounds.partition_point(|&b| b <= gap);
         if j > 0 && j < bounds.len() {
             changes |= 1 << j;
         }

@@ -40,8 +40,7 @@ pub fn oracle_annotate_rank(trace: &RankTrace, cfg: &PowerConfig) -> RankAnnotat
         ..RankStats::default()
     };
 
-    for (i, ev) in trace.events.iter().enumerate() {
-        let gap = ev.compute_before;
+    for (i, &gap) in trace.events.compute().iter().enumerate() {
         stats.nominal_duration += gap;
         // Exploitable iff the lanes can go down and come back inside the
         // gap with some low-power time left: gap > 2·T_react.
@@ -88,8 +87,7 @@ pub fn reactive_annotate_rank(
         ..RankStats::default()
     };
 
-    for (i, ev) in trace.events.iter().enumerate() {
-        let gap = ev.compute_before;
+    for (i, &gap) in trace.events.compute().iter().enumerate() {
         stats.nominal_duration += gap;
         // The hardware monitors idleness: once the link has been quiet
         // for τ, the lanes go down. Profitable only if some low-power
@@ -152,8 +150,7 @@ pub fn history_annotate_rank(
     };
 
     let mut history: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
-    for (i, ev) in trace.events.iter().enumerate() {
-        let gap = ev.compute_before;
+    for (i, &gap) in trace.events.compute().iter().enumerate() {
         stats.nominal_duration += gap;
 
         // Evaluate the directive issued after the previous event (if any)

@@ -10,7 +10,7 @@
 //! Ranks are remapped by job offset; since jobs never communicate with
 //! each other, the combined trace is consistent iff each input was.
 
-use crate::event::MpiOp;
+use crate::event::{MpiCall, MpiOp};
 use crate::trace::Trace;
 
 /// Remap every rank reference in an operation by `offset`.
@@ -130,13 +130,13 @@ pub fn can_combine(trace: &Trace) -> bool {
 
 fn first_global_collective(trace: &Trace) -> Option<&'static str> {
     for r in &trace.ranks {
-        for e in &r.events {
-            match e.op {
-                MpiOp::Barrier => return Some("MPI_Barrier"),
-                MpiOp::Allreduce { .. } => return Some("MPI_Allreduce"),
-                MpiOp::Allgather { .. } => return Some("MPI_Allgather"),
-                MpiOp::Alltoall { .. } => return Some("MPI_Alltoall"),
-                MpiOp::Bcast { .. } | MpiOp::Reduce { .. } => {
+        for call in r.events.calls() {
+            match call {
+                MpiCall::Barrier => return Some("MPI_Barrier"),
+                MpiCall::Allreduce => return Some("MPI_Allreduce"),
+                MpiCall::Allgather => return Some("MPI_Allgather"),
+                MpiCall::Alltoall => return Some("MPI_Alltoall"),
+                MpiCall::Bcast | MpiCall::Reduce => {
                     // Rooted collectives decompose over the ranks the
                     // tree names — also whole-communicator. Reject.
                     return Some("rooted collective");
@@ -196,7 +196,7 @@ mod tests {
         );
         t.validate().unwrap();
         // Job b's ring is shifted: rank 4 talks to 5 and 9.
-        match &t.ranks[4].events[0].op {
+        match &t.ranks[4].events.iter().next().unwrap().op {
             MpiOp::Sendrecv { to, from, .. } => {
                 assert_eq!(*to, 5);
                 assert_eq!(*from, 9);
@@ -238,7 +238,7 @@ mod tests {
         let (t, places) = combine(&[&other, &nb]).unwrap();
         t.validate().unwrap();
         assert_eq!(places[1].first_rank, 3);
-        match &t.ranks[3].events[0].op {
+        match &t.ranks[3].events.iter().next().unwrap().op {
             MpiOp::Irecv { from, .. } => assert_eq!(*from, 4),
             other => panic!("unexpected {other:?}"),
         }

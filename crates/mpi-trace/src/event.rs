@@ -163,7 +163,7 @@ impl fmt::Display for MpiCall {
 }
 
 /// A fully parameterised MPI operation as recorded in a trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum MpiOp {
     /// Blocking send of `bytes` to rank `to`.
     Send {

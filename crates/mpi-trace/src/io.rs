@@ -194,9 +194,11 @@ mod tests {
     fn load_rejects_invalid_trace() {
         // Hand-craft a structurally valid JSON with an out-of-range peer.
         let mut t = sample();
-        if let MpiOp::Sendrecv { to, .. } = &mut t.ranks[0].events[0].op {
+        let mut events: Vec<_> = t.ranks[0].events.iter().collect();
+        if let MpiOp::Sendrecv { to, .. } = &mut events[0].op {
             *to = 99;
         }
+        t.ranks[0].events = events.into_iter().collect();
         let json = serde_json::to_string(&t).unwrap();
         match from_json(&json) {
             Err(TraceIoError::Invalid(msg)) => assert!(msg.contains("out of range")),

@@ -7,7 +7,8 @@
 //!   parameterised MPI operations (41 = `MPI_Sendrecv`,
 //!   10 = `MPI_Allreduce`, matching the ids printed in the paper's Fig. 2);
 //! * [`Trace`] / [`RankTrace`] / [`TraceBuilder`] — Dimemas-semantics
-//!   traces: per rank, a sequence of *(compute burst, MPI op)* records;
+//!   traces: per rank, a sequence of *(compute burst, MPI op)* records,
+//!   stored by column in [`EventColumns`];
 //! * [`IdleDistribution`] — the idle-interval bucketing behind Table I;
 //! * [`io`] — JSON (de)serialisation with validation;
 //! * [`viz`] — Fig. 6-style ASCII timeline rendering.
@@ -15,6 +16,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod columns;
 pub mod combine;
 pub mod event;
 pub mod io;
@@ -24,6 +26,7 @@ pub mod stats;
 pub mod trace;
 pub mod viz;
 
+pub use columns::EventColumns;
 pub use combine::{can_combine, combine, JobPlacement};
 pub use io::TraceError;
 pub use event::{MpiCall, MpiOp, Rank, ReqId};

@@ -29,13 +29,12 @@ pub fn to_prv(trace: &Trace) -> String {
     let mut horizon = 0u64;
     for rank in &trace.ranks {
         let mut t = 0u64;
-        for e in &rank.events {
+        for (call, gap) in rank.call_stream() {
             let start = t;
-            t += e.compute_before.as_ns();
-            if e.compute_before.as_ns() > 0 {
+            t += gap.as_ns();
+            if gap.as_ns() > 0 {
                 records.push((start, format!("1:{}:{}:{}:COMPUTE", rank.rank, start, t)));
             }
-            let call = e.op.call();
             records.push((
                 t,
                 format!("2:{}:{}:{}:{}", rank.rank, t, call.id(), call.name()),

@@ -176,8 +176,8 @@ impl ActivityProfile {
             .map(|rank| {
                 let mut v: Vec<u32> = Vec::new();
                 let mut t = 0u64;
-                for ev in &rank.events {
-                    t += ev.compute_before.as_ns();
+                for gap in rank.events.compute() {
+                    t += gap.as_ns();
                     let idx = (t / bin.as_ns()) as usize;
                     if idx >= v.len() {
                         v.resize(idx + 1, 0);

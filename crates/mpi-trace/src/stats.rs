@@ -65,7 +65,7 @@ impl IdleDistribution {
             trace
                 .ranks
                 .iter()
-                .flat_map(|r| r.events.iter().map(|e| e.compute_before)),
+                .flat_map(|r| r.events.compute().iter().copied()),
             short_us,
             long_us,
         )

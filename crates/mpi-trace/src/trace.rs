@@ -6,7 +6,12 @@
 //! reproduced verbatim, while the MPI operation is re-simulated on the
 //! modelled network. The burst before a call is also exactly the
 //! "inter-communication interval" the paper's prediction algorithm feeds on.
+//!
+//! A rank's records live in an [`EventColumns`]: [`TraceEvent`] is the
+//! value type records are pushed and iterated as, not how they are
+//! stored.
 
+use crate::columns::EventColumns;
 use crate::event::{MpiCall, MpiOp, Rank};
 use ibp_simcore::SimDuration;
 use serde::{Deserialize, Serialize};
@@ -27,7 +32,7 @@ pub struct RankTrace {
     /// The rank this trace belongs to.
     pub rank: Rank,
     /// The (compute, MPI op) sequence.
-    pub events: Vec<TraceEvent>,
+    pub events: EventColumns,
     /// Compute performed after the last MPI call (finalisation work).
     pub final_compute: SimDuration,
 }
@@ -37,7 +42,7 @@ impl RankTrace {
     pub fn new(rank: Rank) -> Self {
         RankTrace {
             rank,
-            events: Vec::new(),
+            events: EventColumns::new(),
             final_compute: SimDuration::ZERO,
         }
     }
@@ -49,17 +54,15 @@ impl RankTrace {
 
     /// Total compute time recorded (all bursts + final compute).
     pub fn total_compute(&self) -> SimDuration {
-        self.events
-            .iter()
-            .map(|e| e.compute_before)
-            .sum::<SimDuration>()
-            + self.final_compute
+        self.events.compute().iter().copied().sum::<SimDuration>() + self.final_compute
     }
 
     /// Iterate over `(call id, compute-before)` pairs — the exact stream
     /// the PPA consumes.
     pub fn call_stream(&self) -> impl Iterator<Item = (MpiCall, SimDuration)> + '_ {
-        self.events.iter().map(|e| (e.op.call(), e.compute_before))
+        self.events
+            .calls()
+            .zip(self.events.compute().iter().copied())
     }
 }
 
@@ -87,6 +90,14 @@ impl Trace {
     /// Total number of MPI calls across all ranks.
     pub fn total_calls(&self) -> usize {
         self.ranks.iter().map(|r| r.call_count()).sum()
+    }
+
+    /// Heap bytes held by the trace: every rank's
+    /// [`EventColumns::heap_bytes`], the rank vector and the name.
+    pub fn heap_bytes(&self) -> usize {
+        self.name.capacity()
+            + self.ranks.capacity() * std::mem::size_of::<RankTrace>()
+            + self.ranks.iter().map(|r| r.events.heap_bytes()).sum::<usize>()
     }
 
     /// Validate internal consistency:
@@ -229,10 +240,12 @@ impl TraceBuilder {
     }
 
     /// Finish the trace, attributing any pending compute to
-    /// `final_compute`.
+    /// `final_compute` and releasing the columns' spare capacity.
     pub fn build(mut self) -> Trace {
         for (rank, pending) in self.pending_compute.iter().enumerate() {
-            self.trace.ranks[rank].final_compute = *pending;
+            let r = &mut self.trace.ranks[rank];
+            r.final_compute = *pending;
+            r.events.shrink_to_fit();
         }
         self.trace
     }
@@ -259,8 +272,8 @@ mod tests {
     fn builder_assembles_records() {
         let t = two_rank_trace();
         assert_eq!(t.total_calls(), 4);
-        assert_eq!(t.ranks[0].events[0].compute_before, SimDuration::from_us(50));
-        assert_eq!(t.ranks[1].events[1].compute_before, SimDuration::ZERO);
+        assert_eq!(t.ranks[0].events.compute()[0], SimDuration::from_us(50));
+        assert_eq!(t.ranks[1].events.compute()[1], SimDuration::ZERO);
         assert_eq!(t.ranks[1].final_compute, SimDuration::from_us(5));
         assert!(t.validate().is_ok());
     }

@@ -204,7 +204,7 @@ enum StepKind {
     /// Blocking receive: `arg` = pair id.
     Recv,
     /// Non-blocking send post: `arg` = destination, `bytes` = payload
-    /// (the request id is read from the trace event).
+    /// (the request id rides on the event's `OpDone`, the next step).
     IsendPost,
     /// Non-blocking receive post (consumed at event expansion, never
     /// scheduled): `arg` = pair id, `bytes` = request id.
@@ -215,6 +215,7 @@ enum StepKind {
     /// `bytes` = payload of every message it sends.
     Coll,
     /// Event boundary: advance the event counter, resolve directives.
+    /// `arg` = the request id when the event is an `Isend`, else 0.
     OpDone,
 }
 
@@ -359,11 +360,6 @@ pub struct ReplayScratch {
     step_bytes: Vec<u64>,
     /// Per-rank segment starts in the step stream (`nprocs + 1`).
     rank_step_base: Vec<usize>,
-    /// Flat per-event compute bursts — the only per-event trace field the
-    /// hot loop still reads; rank `r` owns
-    /// `ev_compute[rank_ev_base[r] .. rank_ev_base[r + 1]]`.
-    ev_compute: Vec<SimDuration>,
-    rank_ev_base: Vec<usize>,
     /// Resolved sleep windows per rank, buffered during the timing run
     /// and applied in one batched power pass afterwards.
     windows: Vec<Vec<SleepWindow>>,
@@ -403,8 +399,6 @@ impl ReplayScratch {
         self.step_arg.clear();
         self.step_bytes.clear();
         self.rank_step_base.clear();
-        self.ev_compute.clear();
-        self.rank_ev_base.clear();
         self.windows.truncate(nprocs as usize);
         self.windows.resize_with(nprocs as usize, Vec::new);
         for w in &mut self.windows {
@@ -425,10 +419,9 @@ impl ReplayScratch {
             let row = r * nprocs as usize + 1;
             let r = r as Rank;
             self.rank_step_base.push(self.step_kind.len());
-            self.rank_ev_base.push(self.ev_compute.len());
-            for ev in &rank_trace.events {
-                self.ev_compute.push(ev.compute_before);
-                match &ev.op {
+            rank_trace.events.for_each_op(|op| {
+                let mut isend_req = 0;
+                match op {
                     MpiOp::Send { to, bytes } => {
                         self.base[row + *to as usize] += 1;
                         self.step(StepKind::Send, *to, *bytes);
@@ -444,9 +437,10 @@ impl ReplayScratch {
                         self.step(StepKind::Send, *to, *send_bytes);
                         self.step(StepKind::Recv, *from * nprocs + r, 0);
                     }
-                    MpiOp::Isend { to, bytes, .. } => {
+                    MpiOp::Isend { to, bytes, req } => {
                         self.base[row + *to as usize] += 1;
                         self.step(StepKind::IsendPost, *to, *bytes);
+                        isend_req = *req;
                     }
                     MpiOp::Irecv { from, req, .. } => {
                         self.step(StepKind::IrecvPost, *from * nprocs + r, u64::from(*req));
@@ -480,11 +474,10 @@ impl ReplayScratch {
                         self.step(StepKind::Coll, idx, bytes);
                     }
                 }
-                self.step(StepKind::OpDone, 0, 0);
-            }
+                self.step(StepKind::OpDone, isend_req, 0);
+            });
         }
         self.rank_step_base.push(self.step_kind.len());
-        self.rank_ev_base.push(self.ev_compute.len());
         for p in 0..pairs {
             self.base[p + 1] += self.base[p];
         }
@@ -771,7 +764,8 @@ impl<'a> Replay<'a> {
                     }
                     let t = self.ranks[ri].t;
                     let done = self.send(r, arg, t, self.scratch.step_bytes[cur])?;
-                    let req = self.isend_req(ri);
+                    debug_assert_eq!(self.scratch.step_kind[cur + 1], StepKind::OpDone);
+                    let req = self.scratch.step_arg[cur + 1];
                     let state = &mut self.ranks[ri];
                     state.reqs.insert(req, Req::Send { done });
                     state.t += POST_OVERHEAD;
@@ -856,9 +850,8 @@ impl<'a> Replay<'a> {
     fn expand_next_event(&mut self, r: Rank) -> bool {
         let ri = r as usize;
         let ev = self.ranks[ri].ev;
-        let ev_base = self.scratch.rank_ev_base[ri];
-        let n_events = self.scratch.rank_ev_base[ri + 1] - ev_base;
-        if ev >= n_events {
+        let compute = self.trace.ranks[ri].events.compute();
+        if ev >= compute.len() {
             // Trailing compute, final sleep resolution, done.
             let misfire = match self.ranks[ri].pending_sleep {
                 Some((_, _, kind)) => self
@@ -899,7 +892,7 @@ impl<'a> Replay<'a> {
             Some(a) => (a.ranks[ri].overhead[ev], a.ranks[ri].penalty[ev]),
             None => (SimDuration::ZERO, SimDuration::ZERO),
         };
-        let compute = self.scratch.ev_compute[ev_base + ev];
+        let compute = compute[ev];
 
         // Compute burst (+ mechanism overhead), then the rank wants the
         // network: resolve any pending sleep against that demand, then
@@ -997,15 +990,6 @@ impl<'a> Replay<'a> {
                     ra.directives[di].kind,
                 ));
             }
-        }
-    }
-
-    /// Request id of rank `ri`'s current event, an `Isend` (its step
-    /// carries only the peer and payload).
-    fn isend_req(&self, ri: usize) -> u32 {
-        match self.trace.ranks[ri].events[self.ranks[ri].ev].op {
-            MpiOp::Isend { req, .. } => req,
-            _ => unreachable!("an IsendPost step lowers an Isend event"),
         }
     }
 

@@ -43,3 +43,26 @@ pub use nas_bt::NasBt;
 pub use nas_mg::NasMg;
 pub use spec::{AppKind, Workload};
 pub use wrf::Wrf;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The trace layout's memory contract: a generated trace costs at
+    /// most 16 heap bytes per event, columns and per-rank op tables
+    /// included (12 B of columns plus the tables the request-id encoding
+    /// keeps small), for every application at 64 ranks.
+    #[test]
+    fn generated_traces_cost_at_most_16_bytes_per_event() {
+        for app in AppKind::ALL {
+            let trace = app.workload(Scaling::Strong).generate(64, 7);
+            let events = trace.total_calls();
+            let per_event = trace.heap_bytes() as f64 / events as f64;
+            assert!(
+                per_event <= 16.0,
+                "{}: {per_event:.2} B/event over {events} events",
+                app.name()
+            );
+        }
+    }
+}

@@ -85,8 +85,8 @@ proptest! {
         let base = random_spmd_trace(nprocs, &schedule, seed);
         let mut inflated = base.clone();
         // Inflate every gap on rank 0.
-        for ev in &mut inflated.ranks[0].events {
-            ev.compute_before += SimDuration::from_us(extra_us);
+        for gap in inflated.ranks[0].events.compute_mut() {
+            *gap += SimDuration::from_us(extra_us);
         }
         let params = SimParams::paper();
         let opts = ReplayOptions::default();
