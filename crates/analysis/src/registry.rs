@@ -271,6 +271,7 @@ mod tests {
         assert_eq!(delta.cells, 7);
         assert_eq!(delta.traces_generated, 7);
         assert_eq!(delta.baselines_computed, 7);
+        assert!(delta.trace_bytes > 0, "{delta:?}");
         std::fs::remove_dir_all(dir).ok();
     }
 }

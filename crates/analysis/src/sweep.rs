@@ -145,9 +145,10 @@ impl SweepOptions {
 
 /// Wall-clock and cache-effectiveness counters for one sweep (or one
 /// exhibit's slice of a shared engine), emitted alongside each results
-/// JSON as `<name>.stats.json`. Everything except `wall_ms` is
-/// deterministic for a fixed grid; `jobs`/`wall_ms` describe the run,
-/// which is why stats files are excluded from byte-equality diffs.
+/// JSON as `<name>.stats.json`. Everything except `wall_ms` and
+/// `peak_rss_mb` is deterministic for a fixed grid; `jobs`, `wall_ms`
+/// and `peak_rss_mb` describe the run, which is why stats files are
+/// excluded from byte-equality diffs.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SweepStats {
     /// Cells executed.
@@ -170,6 +171,14 @@ pub struct SweepStats {
     pub gt_hits: u64,
     /// Wall-clock milliseconds covered by these counters.
     pub wall_ms: u64,
+    /// Heap bytes of the traces generated ([`Trace::heap_bytes`]).
+    #[serde(default)]
+    pub trace_bytes: u64,
+    /// Peak resident set size of the process so far, MiB (`VmHWM`;
+    /// 0 where `/proc` does not report it). A high-water mark, not a
+    /// counter: [`SweepStats::since`] keeps the later value.
+    #[serde(default)]
+    pub peak_rss_mb: f64,
 }
 
 impl SweepStats {
@@ -188,8 +197,22 @@ impl SweepStats {
             gt_selections: self.gt_selections - earlier.gt_selections,
             gt_hits: self.gt_hits - earlier.gt_hits,
             wall_ms: self.wall_ms - earlier.wall_ms,
+            trace_bytes: self.trace_bytes - earlier.trace_bytes,
+            peak_rss_mb: self.peak_rss_mb,
         }
     }
+}
+
+/// Peak resident set size of this process, MiB (`VmHWM` of
+/// `/proc/self/status`), or 0 where that is unavailable.
+fn peak_rss_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+            line.split_whitespace().nth(1)?.parse::<f64>().ok()
+        })
+        .map_or(0.0, |kib| kib / 1024.0)
 }
 
 /// A keyed once-cache: the first caller computes, concurrent callers for
@@ -256,6 +279,8 @@ pub struct SweepEngine {
     baselines: KeyedCache<CellKey, SimResult>,
     gt_choices: KeyedCache<(CellKey, u64), GtPoint>,
     cells: AtomicU64,
+    /// Heap bytes of every trace generated so far.
+    trace_bytes: AtomicU64,
     started: Instant,
 }
 
@@ -280,6 +305,7 @@ impl SweepEngine {
             baselines: KeyedCache::new(),
             gt_choices: KeyedCache::new(),
             cells: AtomicU64::new(0),
+            trace_bytes: AtomicU64::new(0),
             started: Instant::now(),
         }
     }
@@ -291,7 +317,12 @@ impl SweepEngine {
 
     /// The memoized trace for `key` (generated on first use).
     pub fn trace(&self, key: &CellKey) -> Arc<Trace> {
-        self.traces.get_or_compute(key, || (self.trace_fn)(key))
+        self.traces.get_or_compute(key, || {
+            let trace = (self.trace_fn)(key);
+            self.trace_bytes
+                .fetch_add(trace.heap_bytes() as u64, Ordering::Relaxed);
+            trace
+        })
     }
 
     /// The memoized fault-free baseline replay for `key`.
@@ -377,9 +408,10 @@ impl SweepEngine {
 
     /// Add another engine's counters to this one's, so that a study
     /// run on a private engine (see [`SweepEngine::with_trace_fn`])
-    /// reports its work through the shared one. `jobs`, `parallel` and
-    /// `wall_ms` stay this engine's own: the private run's wall time
-    /// already elapsed inside this engine's.
+    /// reports its work through the shared one. `jobs`, `parallel`,
+    /// `wall_ms` and `peak_rss_mb` stay this engine's own: the private
+    /// run's wall time already elapsed inside this engine's, and its
+    /// memory peak inside this process's.
     pub fn absorb(&self, other: &SweepStats) {
         let add = |counter: &AtomicU64, n: u64| counter.fetch_add(n, Ordering::Relaxed);
         add(&self.cells, other.cells);
@@ -389,6 +421,7 @@ impl SweepEngine {
         add(&self.baselines.hits, other.baseline_hits);
         add(&self.gt_choices.computed, other.gt_selections);
         add(&self.gt_choices.hits, other.gt_hits);
+        add(&self.trace_bytes, other.trace_bytes);
     }
 
     /// Cumulative counters since engine construction. Use
@@ -405,6 +438,8 @@ impl SweepEngine {
             gt_selections: self.gt_choices.computed.load(Ordering::Relaxed),
             gt_hits: self.gt_choices.hits.load(Ordering::Relaxed),
             wall_ms: self.started.elapsed().as_millis() as u64,
+            trace_bytes: self.trace_bytes.load(Ordering::Relaxed),
+            peak_rss_mb: peak_rss_mb(),
         }
     }
 }
@@ -595,5 +630,26 @@ mod tests {
         let d = e.stats().since(&snap);
         assert_eq!(d.traces_generated, 1);
         assert_eq!(d.trace_hits, 1);
+    }
+
+    #[test]
+    fn trace_bytes_count_each_generated_trace_once() {
+        let keys = [CellKey::new(AppKind::Alya, 4, 1), CellKey::new(AppKind::Alya, 8, 2)];
+        let e = engine(1);
+        let mut held = 0;
+        for key in &keys {
+            held += e.trace(key).heap_bytes() as u64;
+            e.trace(key);
+        }
+        let s = e.stats();
+        assert_eq!(s.trace_bytes, held);
+        // Deterministic: the same traces cost the same bytes on any pool.
+        let par = engine(2);
+        par.run_cells(&keys, |&k| k, |_, _, _| ());
+        assert_eq!(par.stats().trace_bytes, held);
+        // The process peak is read live, where /proc reports it.
+        if cfg!(target_os = "linux") {
+            assert!(s.peak_rss_mb > 0.0, "{s:?}");
+        }
     }
 }
