@@ -706,7 +706,6 @@ impl SessionState {
             self.cursor = (c.restore(self.id, snapshot)? as usize).min(total);
             self.snapshot = None;
         } else {
-            self.reconnects += 1;
             let (applied, history) = match c.restore_from_store(self.id) {
                 Err(ProtocolError::Remote { code, .. }) if code == error_code::NO_SNAPSHOT => {
                     c.open(self.id, self.spec.rank, &self.spec.config)?;
@@ -714,6 +713,7 @@ impl SessionState {
                 }
                 resumed => resumed?,
             };
+            self.reconnects += 1;
             self.cursor = (applied as usize).min(total);
             self.directives = 0;
             self.journal.clear();
@@ -748,7 +748,12 @@ impl SessionState {
 /// the [`RetryPolicy`] and reconnects, and every unfinished session is
 /// marked detached. A detached session re-attaches lazily, just before
 /// its next frame, so a fault costs at most the active window's
-/// restores, not the whole partition's. A session reaching its split
+/// restores, not the whole partition's. A re-attach the server refuses
+/// with [`error_code::DUPLICATE_SESSION`] (it has not yet retired the
+/// session from the dead connection) leaves the connection healthy:
+/// after the backoff only that session retries, on the same
+/// connection, and the partition's other sessions stay attached. A
+/// session reaching its split
 /// point is snapshotted, the connection abandoned, and the session
 /// restored from the snapshot bytes on the next connection. The retry
 /// budget counts consecutive failed steps; when it runs out, every
@@ -808,6 +813,8 @@ fn drive(
     let mut slot = 0;
 
     while !active.is_empty() {
+        // Set when the step failed on a refused re-attach.
+        let mut refused = false;
         // One step: an `Open` of the ramp, or one visit to a window
         // slot. `Ok(true)` asks for the split's connection drop.
         let step = (|| -> Result<bool, ProtocolError> {
@@ -833,7 +840,13 @@ fn drive(
             let k = active[slot];
             let s = &mut sess[k];
             if !s.attached {
-                s.reattach(c, cfg.check)?;
+                if let Err(e) = s.reattach(c, cfg.check) {
+                    refused = matches!(
+                        e,
+                        ProtocolError::Remote { code: error_code::DUPLICATE_SESSION, .. }
+                    );
+                    return Err(e);
+                }
             }
             let total = s.spec.events.len();
             let target = s.split_at.unwrap_or(total);
@@ -884,17 +897,21 @@ fn drive(
             Err(e) if reconnectable(&e) => failures += 1,
             Err(e) => return Err(e),
         }
+        let give_up = failures >= cfg.retry.max_attempts.max(1);
         // A split or a transport fault: drop the connection without
         // closing; every unfinished session re-attaches lazily on the
-        // next one.
-        if let Some(c) = client.take() {
-            c.abandon();
-        }
-        for s in &mut sess {
-            s.attached = false;
+        // next one. A refused re-attach keeps the connection: only the
+        // refused session retries, after the backoff below.
+        if !refused || give_up {
+            if let Some(c) = client.take() {
+                c.abandon();
+            }
+            for s in &mut sess {
+                s.attached = false;
+            }
         }
         if failures > 0 {
-            if failures >= cfg.retry.max_attempts.max(1) {
+            if give_up {
                 // An abandoned stream cannot match its golden annotation.
                 let parity_ok = cfg.check.then_some(false);
                 let unfinished = active.iter().copied().chain(next_idle..n);
