@@ -79,7 +79,10 @@ impl EventColumns {
 
     /// Append one record.
     pub fn push(&mut self, event: TraceEvent) {
-        let TraceEvent { compute_before, mut op } = event;
+        let TraceEvent {
+            compute_before,
+            mut op,
+        } = event;
         let post = is_post(&op);
         relativize(&mut op, self.posts);
         let idx = match self.ops.last() {
@@ -118,12 +121,6 @@ impl EventColumns {
         &self.compute
     }
 
-    /// Mutable compute bursts (the ops stay as they are).
-    #[inline]
-    pub fn compute_mut(&mut self) -> &mut [SimDuration] {
-        &mut self.compute
-    }
-
     /// Every record's call type, in order — the stream the PPA hashes,
     /// read from the table without decoding request ids.
     pub fn calls(&self) -> impl ExactSizeIterator<Item = MpiCall> + '_ {
@@ -132,28 +129,28 @@ impl EventColumns {
 
     /// Visit every record's op in order, with absolute request ids,
     /// without allocating per record: ops without request ids are lent
-    /// straight from the table, the others are decoded into one reused
-    /// buffer.
+    /// straight from the table, the others are decoded into a copy (a
+    /// `Waitall`'s id list into one reused buffer).
     pub fn for_each_op(&self, mut f: impl FnMut(&MpiOp)) {
         let mut posts = 0u32;
-        let mut buf = MpiOp::Barrier;
+        let mut ids = Vec::new();
         for &i in &self.ops {
             let op = &self.table[i as usize];
             match op {
                 MpiOp::Isend { .. } | MpiOp::Irecv { .. } | MpiOp::Wait { .. } => {
-                    buf = op.clone();
-                    absolutize(&mut buf, posts);
-                    f(&buf);
+                    let mut abs = op.clone();
+                    absolutize(&mut abs, posts);
+                    f(&abs);
                 }
-                MpiOp::Waitall { reqs: rel } => {
-                    if !matches!(buf, MpiOp::Waitall { .. }) {
-                        buf = MpiOp::Waitall { reqs: Vec::new() };
-                    }
-                    if let MpiOp::Waitall { reqs } = &mut buf {
-                        reqs.clear();
-                        reqs.extend(rel.iter().map(|&r| posts.wrapping_sub(r)));
-                    }
-                    f(&buf);
+                MpiOp::Waitall { reqs } => {
+                    ids.clear();
+                    ids.extend(reqs.iter().map(|&r| posts.wrapping_sub(r)));
+                    let abs = MpiOp::Waitall { reqs: ids };
+                    f(&abs);
+                    let MpiOp::Waitall { reqs } = abs else {
+                        unreachable!()
+                    };
+                    ids = reqs;
                 }
                 _ => f(op),
             }
@@ -180,17 +177,13 @@ impl EventColumns {
             })
             .collect();
         self.compute.extend_from_slice(&other.compute);
-        self.ops.extend(other.ops.iter().map(|&i| remap[i as usize]));
+        self.ops
+            .extend(other.ops.iter().map(|&i| remap[i as usize]));
         self.posts = self.posts.wrapping_add(other.posts);
     }
 
-    /// Number of distinct ops the records intern to.
-    pub fn distinct_ops(&self) -> usize {
-        self.table.len()
-    }
-
     /// Release spare capacity (a finished trace grows no further).
-    pub fn shrink_to_fit(&mut self) {
+    pub(crate) fn shrink_to_fit(&mut self) {
         self.compute.shrink_to_fit();
         self.ops.shrink_to_fit();
         self.table.shrink_to_fit();
@@ -314,22 +307,14 @@ impl<'a> IntoIterator for &'a EventColumns {
     }
 }
 
-impl Extend<TraceEvent> for EventColumns {
-    fn extend<I: IntoIterator<Item = TraceEvent>>(&mut self, iter: I) {
-        let iter = iter.into_iter();
-        let (lower, _) = iter.size_hint();
-        self.compute.reserve(lower);
-        self.ops.reserve(lower);
-        for event in iter {
-            self.push(event);
-        }
-    }
-}
-
+/// Collects records without spare capacity.
 impl FromIterator<TraceEvent> for EventColumns {
     fn from_iter<I: IntoIterator<Item = TraceEvent>>(iter: I) -> Self {
         let mut cols = EventColumns::new();
-        cols.extend(iter);
+        for event in iter {
+            cols.push(event);
+        }
+        cols.shrink_to_fit();
         cols
     }
 }
@@ -370,14 +355,7 @@ impl Deserialize for EventColumns {
         let seq = v
             .as_seq()
             .ok_or_else(|| DeError::custom(format!("expected array, got {}", v.kind())))?;
-        let mut cols = EventColumns::new();
-        cols.compute.reserve_exact(seq.len());
-        cols.ops.reserve_exact(seq.len());
-        for item in seq {
-            cols.push(TraceEvent::from_value(item)?);
-        }
-        cols.shrink_to_fit();
-        Ok(cols)
+        seq.iter().map(TraceEvent::from_value).collect()
     }
 }
 
@@ -444,9 +422,28 @@ mod tests {
         let mut out = Vec::new();
         for i in 0..iters {
             let base = 2 * i;
-            out.push(ev(100, MpiOp::Irecv { from: 1, bytes: 64, req: base }));
-            out.push(ev(0, MpiOp::Isend { to: 1, bytes: 64, req: base + 1 }));
-            out.push(ev(5, MpiOp::Waitall { reqs: vec![base, base + 1] }));
+            out.push(ev(
+                100,
+                MpiOp::Irecv {
+                    from: 1,
+                    bytes: 64,
+                    req: base,
+                },
+            ));
+            out.push(ev(
+                0,
+                MpiOp::Isend {
+                    to: 1,
+                    bytes: 64,
+                    req: base + 1,
+                },
+            ));
+            out.push(ev(
+                5,
+                MpiOp::Waitall {
+                    reqs: vec![base, base + 1],
+                },
+            ));
             out.push(ev(900, MpiOp::Allreduce { bytes: 8 }));
         }
         out
@@ -457,41 +454,13 @@ mod tests {
         let model = halo(500);
         let cols: EventColumns = model.iter().cloned().collect();
         assert_eq!(cols.len(), 2000);
-        assert_eq!(cols.distinct_ops(), 4);
+        assert_eq!(cols.table.len(), 4);
         assert_eq!(cols.iter().collect::<Vec<_>>(), model);
-    }
-
-    #[test]
-    fn arbitrary_ids_round_trip_exactly() {
-        let model = vec![
-            ev(1, MpiOp::Isend { to: 0, bytes: 1, req: u32::MAX }),
-            ev(2, MpiOp::Irecv { from: 0, bytes: 1, req: 0 }),
-            ev(3, MpiOp::Waitall { reqs: vec![0, u32::MAX] }),
-            ev(4, MpiOp::Isend { to: 0, bytes: 1, req: 7 }),
-            ev(5, MpiOp::Wait { req: 7 }),
-        ];
-        let cols: EventColumns = model.iter().cloned().collect();
-        assert_eq!(cols.iter().collect::<Vec<_>>(), model);
-        let mut lent = Vec::new();
-        cols.for_each_op(|op| lent.push(op.clone()));
-        assert_eq!(lent, model.iter().map(|e| e.op.clone()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn extend_keeps_absolute_ids() {
-        let a: EventColumns = halo(3).into_iter().collect();
-        let mut long = a.clone();
-        long.extend_from_slice(&a);
-        let mut model = halo(3);
-        model.extend(halo(3));
-        assert_eq!(long.iter().collect::<Vec<_>>(), model);
-        assert_eq!(long, model.into_iter().collect::<EventColumns>());
     }
 
     #[test]
     fn shrunk_columns_cost_twelve_bytes_a_record_plus_the_table() {
-        let mut cols: EventColumns = halo(10_000).into_iter().collect();
-        cols.shrink_to_fit();
+        let cols: EventColumns = halo(10_000).into_iter().collect();
         let per_record = cols.heap_bytes() as f64 / cols.len() as f64;
         assert!((12.0..12.1).contains(&per_record), "{per_record} B/record");
     }

@@ -46,10 +46,20 @@ fn event(raw: &RawEvent) -> TraceEvent {
     let op = match variant {
         0 => MpiOp::Send { to: peer, bytes },
         1 => MpiOp::Recv { from: peer, bytes },
-        2 => MpiOp::Isend { to: peer, bytes, req },
-        3 => MpiOp::Irecv { from: peer, bytes, req },
+        2 => MpiOp::Isend {
+            to: peer,
+            bytes,
+            req,
+        },
+        3 => MpiOp::Irecv {
+            from: peer,
+            bytes,
+            req,
+        },
         4 => MpiOp::Wait { req },
-        5 => MpiOp::Waitall { reqs: reqs.iter().map(|&r| id(mode, r)).collect() },
+        5 => MpiOp::Waitall {
+            reqs: reqs.iter().map(|&r| id(mode, r)).collect(),
+        },
         6 => MpiOp::Sendrecv {
             to: peer,
             send_bytes: bytes,
@@ -63,7 +73,10 @@ fn event(raw: &RawEvent) -> TraceEvent {
         11 => MpiOp::Allgather { bytes },
         _ => MpiOp::Alltoall { bytes },
     };
-    TraceEvent { compute_before: SimDuration::from_ns(compute_ns), op }
+    TraceEvent {
+        compute_before: SimDuration::from_ns(compute_ns),
+        op,
+    }
 }
 
 /// Build both representations by pushing the same records.
@@ -137,13 +150,23 @@ proptest! {
         let (model_a, cols_a) = both(&a);
         let (model_b, cols_b) = both(&b);
         prop_assert_eq!(cols_a == cols_b, model_a == model_b);
-        // A prefix of `a`, built by pushing, against `a`'s prefix
-        // rebuilt through extend (a differently ordered table).
+        // Same length, every burst zero: only the ops can differ.
+        let n = a.len().min(b.len());
+        let ops_only = |raw: &[RawEvent]| -> Vec<RawEvent> {
+            raw[..n].iter().map(|r| (r.0, r.1, r.2, r.3, r.4, r.5.clone(), 0)).collect()
+        };
+        let (model_a0, cols_a0) = both(&ops_only(&a));
+        let (model_b0, cols_b0) = both(&ops_only(&b));
+        prop_assert_eq!(cols_a0 == cols_b0, model_a0 == model_b0);
+        prop_assert!(cols_a0 == both(&ops_only(&a)).1);
+        // A prefix of `a` built by pushing, against the same prefix
+        // joined from two halves (whose table interns the second half's
+        // entries after the whole first half's).
         let cut = cut.min(a.len());
         let (_, prefix) = both(&a[..cut]);
-        let mut rebuilt = EventColumns::new();
-        rebuilt.extend_from_slice(&prefix);
-        prop_assert!(rebuilt == prefix);
+        let (_, mut joined) = both(&a[..cut / 2]);
+        joined.extend_from_slice(&both(&a[cut / 2..cut]).1);
+        prop_assert!(joined == prefix);
         prop_assert_eq!(prefix == cols_a, cut == a.len());
     }
 }

@@ -85,9 +85,14 @@ proptest! {
         let base = random_spmd_trace(nprocs, &schedule, seed);
         let mut inflated = base.clone();
         // Inflate every gap on rank 0.
-        for gap in inflated.ranks[0].events.compute_mut() {
-            *gap += SimDuration::from_us(extra_us);
-        }
+        inflated.ranks[0].events = base.ranks[0]
+            .events
+            .iter()
+            .map(|mut ev| {
+                ev.compute_before += SimDuration::from_us(extra_us);
+                ev
+            })
+            .collect();
         let params = SimParams::paper();
         let opts = ReplayOptions::default();
         let a = replay(&base, None, &params, &opts).expect("replay");
