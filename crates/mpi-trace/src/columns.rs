@@ -361,7 +361,9 @@ impl Deserialize for EventColumns {
 
 /// A multiply-rotate hasher for interning ops: an op is a few small
 /// integers, and a trace's own ops need no defence against collision
-/// flooding.
+/// flooding. (The workspace's `fxhash` is the same idea; a local copy
+/// keeps this crate's dependency list, and every lock file that builds
+/// it, unchanged.)
 #[derive(Default)]
 struct OpHasher(u64);
 
@@ -385,10 +387,6 @@ impl Hasher for OpHasher {
         }
     }
 
-    fn write_u8(&mut self, i: u8) {
-        self.add(u64::from(i));
-    }
-
     fn write_u32(&mut self, i: u32) {
         self.add(u64::from(i));
     }
@@ -398,10 +396,6 @@ impl Hasher for OpHasher {
     }
 
     fn write_usize(&mut self, i: usize) {
-        self.add(i as u64);
-    }
-
-    fn write_isize(&mut self, i: isize) {
         self.add(i as u64);
     }
 }
