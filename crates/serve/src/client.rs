@@ -813,8 +813,6 @@ fn drive(
     let mut slot = 0;
 
     while !active.is_empty() {
-        // Set when the step failed on a refused re-attach.
-        let mut refused = false;
         // One step: an `Open` of the ramp, or one visit to a window
         // slot. `Ok(true)` asks for the split's connection drop.
         let step = (|| -> Result<bool, ProtocolError> {
@@ -840,13 +838,7 @@ fn drive(
             let k = active[slot];
             let s = &mut sess[k];
             if !s.attached {
-                if let Err(e) = s.reattach(c, cfg.check) {
-                    refused = matches!(
-                        e,
-                        ProtocolError::Remote { code: error_code::DUPLICATE_SESSION, .. }
-                    );
-                    return Err(e);
-                }
+                s.reattach(c, cfg.check)?;
             }
             let total = s.spec.events.len();
             let target = s.split_at.unwrap_or(total);
@@ -888,6 +880,16 @@ fn drive(
             }
             Ok(false)
         })();
+        // Only a request that attaches a session (the ramp's `Open`, a
+        // re-attach's restore) is refused as a duplicate: the server has
+        // not yet torn down the session's previous connection.
+        let refused = matches!(
+            &step,
+            Err(ProtocolError::Remote {
+                code: error_code::DUPLICATE_SESSION,
+                ..
+            })
+        );
         match step {
             Ok(false) => {
                 failures = 0;
@@ -900,7 +902,7 @@ fn drive(
         let give_up = failures >= cfg.retry.max_attempts.max(1);
         // A split or a transport fault: drop the connection without
         // closing; every unfinished session re-attaches lazily on the
-        // next one. A refused re-attach keeps the connection: only the
+        // next one. A refused open keeps the connection: only the
         // refused session retries, after the backoff below.
         if !refused || give_up {
             if let Some(c) = client.take() {
