@@ -566,3 +566,250 @@ fn replay_digest_matches_golden() {
     }
     assert_matches_golden("replay_digest.json", &Value::Seq(rows));
 }
+
+/// Hands out one rank's request ids in a scrambled, wrapping order: the
+/// ids start a few below `u32::MAX` and step by `stride` (odd, so the
+/// ids stay distinct for 2^32 posts). A stride of 1 numbers posts in
+/// order and wraps through zero after a few posts; other strides scatter
+/// them.
+struct IdSource {
+    next: u32,
+    stride: u32,
+}
+
+impl IdSource {
+    fn take(&mut self) -> u32 {
+        let id = self.next;
+        self.next = self.next.wrapping_add(self.stride);
+        id
+    }
+}
+
+/// A valid trace whose request ids are *not* the builder's `0, 1, 2, …`:
+/// each rank draws its own start near `u32::MAX` and its own stride from
+/// [`IdSource`]. The rounds also complete requests in every order the
+/// replay must honour:
+///
+/// - `Waitall` lists in reverse posting order;
+/// - a `Wait` separated from its `Irecv` by collectives;
+/// - `Isend`s completed by a single `Wait` and inside a `Waitall`;
+/// - a request left open across a collective and a blocking exchange;
+///
+/// and every collective kind. Like [`corpus_trace`], rounds repeat with
+/// a short period so the runtime predicts idle time and issues
+/// directives.
+fn request_id_trace(nprocs: u32, rounds: usize, seed: u64) -> Trace {
+    const KINDS: usize = 12;
+    let mut rng = DetRng::seed_from_u64(seed);
+    let period = 4 + rng.index(4);
+    let slots: Vec<CorpusRound> = (0..period)
+        .map(|_| CorpusRound {
+            kind: rng.index(KINDS) as u8,
+            bytes: 1 + rng.index(1 << 16) as u64,
+            sel: rng.index(nprocs as usize) as u32,
+        })
+        .collect();
+    let mut b = TraceBuilder::new("request-id-corpus", nprocs);
+    for r in 0..nprocs {
+        let mut rank_rng = DetRng::seed_from_u64(seed ^ (u64::from(r) << 32) ^ 0x1D5);
+        let mut ids = IdSource {
+            next: u32::MAX - rank_rng.index(6) as u32,
+            stride: match r % 3 {
+                0 => 1,
+                1 => 0x9E37_79B1,
+                _ => (rank_rng.index(1 << 20) as u32) << 1 | 1,
+            },
+        };
+        let gaps_us: Vec<f64> = (0..period)
+            .map(|_| match rank_rng.index(3) {
+                0 => rank_rng.uniform_range(1.0, 30.0),
+                1 => rank_rng.uniform_range(50.0, 900.0),
+                _ => rank_rng.uniform_range(1_000.0, 8_000.0),
+            })
+            .collect();
+        let right = (r + 1) % nprocs;
+        let left = (r + nprocs - 1) % nprocs;
+        for i in 0..rounds {
+            let CorpusRound { kind, bytes, sel } = slots[i % period];
+            let jitter = rank_rng.uniform_range(0.97, 1.03);
+            b.compute(r, SimDuration::from_us_f64(gaps_us[i % period] * jitter));
+            let mut irecv = |b: &mut TraceBuilder, from: u32| {
+                let req = ids.take();
+                b.op(r, MpiOp::Irecv { from, bytes, req });
+                req
+            };
+            match kind {
+                0 => b.op(r, MpiOp::Alltoall { bytes }),
+                1 => b.op(r, MpiOp::Allgather { bytes }),
+                2 => b.op(r, MpiOp::Bcast { root: sel, bytes }),
+                3 => b.op(r, MpiOp::Reduce { root: sel, bytes }),
+                4 => b.op(r, MpiOp::Barrier),
+                5 => b.op(r, MpiOp::Allreduce { bytes }),
+                6 => {
+                    // One exchange, completed in reverse posting order.
+                    let a = irecv(&mut b, left);
+                    let s = ids.take();
+                    b.op(r, MpiOp::Isend { to: right, bytes, req: s });
+                    b.op(r, MpiOp::Waitall { reqs: vec![s, a] });
+                }
+                7 => {
+                    // Both directions, four requests, reversed.
+                    let a = irecv(&mut b, left);
+                    let c = irecv(&mut b, right);
+                    let d = ids.take();
+                    b.op(r, MpiOp::Isend { to: right, bytes, req: d });
+                    let e = ids.take();
+                    b.op(r, MpiOp::Isend { to: left, bytes, req: e });
+                    b.op(r, MpiOp::Waitall { reqs: vec![e, d, c, a] });
+                }
+                8 => {
+                    // The receive stays open across two collectives.
+                    let a = irecv(&mut b, left);
+                    b.op(r, MpiOp::Send { to: right, bytes });
+                    b.op(r, MpiOp::Allreduce { bytes: 8 });
+                    b.op(r, MpiOp::Bcast { root: sel, bytes: 64 });
+                    b.op(r, MpiOp::Wait { req: a });
+                }
+                9 => {
+                    // An `Isend` completed by a single `Wait`.
+                    let s = ids.take();
+                    b.op(r, MpiOp::Isend { to: right, bytes, req: s });
+                    b.op(r, MpiOp::Recv { from: left, bytes });
+                    b.op(r, MpiOp::Wait { req: s });
+                }
+                10 => {
+                    // Receive first, send later: the send is still open
+                    // through a collective and a blocking exchange.
+                    let a = irecv(&mut b, right);
+                    let s = ids.take();
+                    b.op(r, MpiOp::Isend { to: left, bytes, req: s });
+                    b.op(r, MpiOp::Wait { req: a });
+                    b.op(r, MpiOp::Allgather { bytes: 32 });
+                    b.op(
+                        r,
+                        MpiOp::Sendrecv {
+                            to: right,
+                            send_bytes: bytes,
+                            from: left,
+                            recv_bytes: bytes,
+                        },
+                    );
+                    b.op(r, MpiOp::Wait { req: s });
+                }
+                _ => {
+                    // Two receives on one pair, waited newest first.
+                    let a = irecv(&mut b, left);
+                    let c = irecv(&mut b, left);
+                    b.op(r, MpiOp::Send { to: right, bytes });
+                    b.op(r, MpiOp::Send { to: right, bytes: bytes / 2 + 1 });
+                    b.op(r, MpiOp::Wait { req: c });
+                    b.op(r, MpiOp::Alltoall { bytes: 16 });
+                    b.op(r, MpiOp::Wait { req: a });
+                }
+            }
+        }
+    }
+    b.build()
+}
+
+/// The replay's exact output on traces with arbitrary request ids: the
+/// [`request_id_trace`] corpus (scrambled and wrapping ids, out-of-order
+/// completion), replayed as a baseline, under the paper rung set with
+/// faults on and under the full sleep ladder with faults on. The
+/// builder's traces number requests `0, 1, 2, …` in posting order, so
+/// `replay_digest_matches_golden` alone would not notice an engine
+/// that assumed it.
+///
+/// Regenerate only after an intentional model change:
+/// `IBP_UPDATE_GOLDEN=1 cargo test -p ibpower-integration-tests --test replay_semantics`
+#[test]
+fn replay_ids_digest_matches_golden() {
+    use ibpower_integration_tests::golden::assert_matches_golden;
+    use serde::Value;
+
+    let params = SimParams::paper();
+    let gt = SimDuration::from_us(20);
+    let paper = PowerConfig::paper(gt, 0.01);
+    let ladder = PowerConfig::paper(gt, 0.01).with_ladder();
+    let cases: [(u32, usize); 8] = [
+        (2, 48),
+        (3, 40),
+        (4, 40),
+        (7, 36),
+        (12, 36),
+        (16, 30),
+        (33, 24),
+        (64, 20),
+    ];
+    let mut rows = Vec::new();
+    let mut scratch = ReplayScratch::new();
+    let mut seen = std::collections::BTreeSet::new();
+    let mut wrapped = false;
+    for (i, &(nprocs, rounds)) in cases.iter().enumerate() {
+        let seed = 0x1D5_0000 + i as u64;
+        let trace = request_id_trace(nprocs, rounds, seed);
+        trace.validate().unwrap();
+        for rank in &trace.ranks {
+            for ev in &rank.events {
+                let name = format!("{:?}", ev.op);
+                seen.insert(
+                    name.split([' ', '{'])
+                        .next()
+                        .unwrap_or_default()
+                        .to_string(),
+                );
+                wrapped |= matches!(
+                    ev.op,
+                    MpiOp::Isend { req: 0..=7, .. } | MpiOp::Irecv { req: 0..=7, .. }
+                );
+            }
+        }
+        let faulty = ReplayOptions {
+            faults: Some(FaultConfig::with_rate(seed, 20.0)),
+            record_timelines: nprocs <= 16,
+            ..ReplayOptions::default()
+        };
+        let runs = [
+            ("baseline", None, ReplayOptions::default()),
+            ("paper+faults", Some(&paper), faulty.clone()),
+            ("ladder+faults", Some(&ladder), faulty),
+        ];
+        for (label, cfg, opts) in runs {
+            let ann = cfg.map(|c| annotate_trace_jobs(&trace, c, 1));
+            let r = replay_with_scratch(&trace, ann.as_ref(), &params, &opts, &mut scratch)
+                .expect("request-id corpus replay");
+            rows.push(Value::Map(vec![
+                ("nprocs".into(), Value::U64(u64::from(nprocs))),
+                ("run".into(), Value::Str(label.into())),
+                ("exec_ns".into(), Value::U64(r.exec_time.as_ns())),
+                ("messages".into(), Value::U64(r.fabric.messages)),
+                ("fault_events".into(), Value::U64(r.faults.total_events())),
+                (
+                    "sleep_windows".into(),
+                    Value::U64(r.link_sleeps.iter().sum()),
+                ),
+                ("digest".into(), Value::Str(digest_result(&r))),
+            ]));
+        }
+    }
+    let every_op = [
+        "Alltoall",
+        "Allgather",
+        "Bcast",
+        "Reduce",
+        "Barrier",
+        "Allreduce",
+        "Sendrecv",
+        "Send",
+        "Recv",
+        "Isend",
+        "Irecv",
+        "Wait",
+        "Waitall",
+    ];
+    for op in every_op {
+        assert!(seen.contains(op), "corpus never issues {op}: {seen:?}");
+    }
+    assert!(wrapped, "no request id wrapped past u32::MAX");
+    assert_matches_golden("replay_ids_digest.json", &Value::Seq(rows));
+}
