@@ -167,7 +167,10 @@ mod tests {
                 }
             }
         }
-        assert_eq!(sends, recvs, "sends and recvs must pair up for {op:?} n={n}");
+        assert_eq!(
+            sends, recvs,
+            "sends and recvs must pair up for {op:?} n={n}"
+        );
     }
 
     #[test]
@@ -205,9 +208,7 @@ mod tests {
     #[test]
     fn bcast_root_only_sends() {
         let ops = decompose(&MpiOp::Bcast { root: 3, bytes: 10 }, 3, 8);
-        assert!(ops
-            .iter()
-            .all(|m| matches!(m, MicroOp::SendTo { .. })));
+        assert!(ops.iter().all(|m| matches!(m, MicroOp::SendTo { .. })));
         assert!(!ops.is_empty());
     }
 

@@ -218,9 +218,15 @@ mod tests {
     fn compute_end_with_speedup() {
         let mut p = SimParams::paper();
         let t = SimTime::from_us(10);
-        assert_eq!(p.compute_end(t, SimDuration::from_us(4)), SimTime::from_us(14));
+        assert_eq!(
+            p.compute_end(t, SimDuration::from_us(4)),
+            SimTime::from_us(14)
+        );
         p.cpu_speedup = 2.0;
-        assert_eq!(p.compute_end(t, SimDuration::from_us(4)), SimTime::from_us(12));
+        assert_eq!(
+            p.compute_end(t, SimDuration::from_us(4)),
+            SimTime::from_us(12)
+        );
     }
 
     #[test]

@@ -169,7 +169,7 @@ mod tests {
         let expect = t0
             + SimDuration::from_us(1)          // MPI latency
             + SimDuration::from_ns(200)        // 2 hops
-            + SimDuration::from_ns(410);       // 2 KB serialization
+            + SimDuration::from_ns(410); // 2 KB serialization
         assert_eq!(arrival, expect);
     }
 
@@ -179,10 +179,8 @@ mod tests {
         let t0 = SimTime::from_us(100);
         // Ranks 0 (leaf 0) and 20 (leaf 1): 4 channels.
         let arrival = f.transfer(t0, 0, 20, 2048);
-        let expect = t0
-            + SimDuration::from_us(1)
-            + SimDuration::from_ns(400)
-            + SimDuration::from_ns(410);
+        let expect =
+            t0 + SimDuration::from_us(1) + SimDuration::from_ns(400) + SimDuration::from_ns(410);
         assert_eq!(arrival, expect);
     }
 

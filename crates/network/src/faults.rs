@@ -339,7 +339,11 @@ mod tests {
         zeroed_cfg.deep_misfire_mult = 0.0;
         let mut zeroed = FaultPlan::new(&zeroed_cfg, 1);
         for i in 0..100u64 {
-            let kind = if i % 3 == 0 { SleepKind::Deep } else { SleepKind::Wrps };
+            let kind = if i % 3 == 0 {
+                SleepKind::Deep
+            } else {
+                SleepKind::Wrps
+            };
             let a = base.wake_misfires_at(0, kind);
             let b = zeroed.wake_misfires_at(0, kind);
             if kind == SleepKind::Deep {
@@ -358,7 +362,10 @@ mod tests {
         for i in 0..200u64 {
             let link = (i % 2) as usize;
             let kind = SleepKind::ALL[(i % 3) as usize];
-            assert_eq!(by_kind.wake_misfires_at(link, kind), plain.wake_misfires(link));
+            assert_eq!(
+                by_kind.wake_misfires_at(link, kind),
+                plain.wake_misfires(link)
+            );
         }
     }
 
@@ -371,7 +378,10 @@ mod tests {
             for i in 0..200u64 {
                 let link = (i % 8) as usize;
                 let t = SimTime::from_us(i * 13);
-                log.push((plan.wake_misfires(link), plan.send_fault(link, t).flap_delay));
+                log.push((
+                    plan.wake_misfires(link),
+                    plan.send_fault(link, t).flap_delay,
+                ));
             }
             log
         };

@@ -97,7 +97,9 @@ impl IbGeneration {
     /// Parse a standard name, case-insensitively.
     #[must_use]
     pub fn from_name(name: &str) -> Option<IbGeneration> {
-        Self::ALL.into_iter().find(|g| g.name().eq_ignore_ascii_case(name))
+        Self::ALL
+            .into_iter()
+            .find(|g| g.name().eq_ignore_ascii_case(name))
     }
 
     /// Map a 4X link rate to its standard name — the
@@ -178,8 +180,10 @@ mod tests {
 
     #[test]
     fn generation_rates_follow_the_standard_table() {
-        let per_lane: Vec<f64> =
-            IbGeneration::ALL.iter().map(|g| g.per_lane_gbps()).collect();
+        let per_lane: Vec<f64> = IbGeneration::ALL
+            .iter()
+            .map(|g| g.per_lane_gbps())
+            .collect();
         assert_eq!(per_lane, [10.0, 14.0, 25.0, 50.0, 100.0, 200.0]);
         assert_eq!(IbGeneration::Qdr.link_gbps(), 40.0);
         assert_eq!(IbGeneration::Fdr.link_gbps(), 56.0);

@@ -246,7 +246,10 @@ mod tests {
         let span = apply(&mut t, &p, window(100, Some(90), 200, SleepKind::Wrps));
         // Low power from 110 to 190 µs.
         assert_eq!(span, dur(80));
-        assert_eq!(t.sleep_time, [dur(80), SimDuration::ZERO, SimDuration::ZERO]);
+        assert_eq!(
+            t.sleep_time,
+            [dur(80), SimDuration::ZERO, SimDuration::ZERO]
+        );
         assert_eq!(t.transition_time, dur(20));
         assert_eq!(t.floor(), us(200));
         let tl = t.timeline.as_ref().unwrap();
@@ -366,7 +369,10 @@ mod tests {
         let span = apply(&mut t, &p, window(1000, Some(900), 10_000, SleepKind::Rate));
         // Rate-reduced from 1100 to 1900 µs.
         assert_eq!(span, dur(800));
-        assert_eq!(t.sleep_time, [SimDuration::ZERO, dur(800), SimDuration::ZERO]);
+        assert_eq!(
+            t.sleep_time,
+            [SimDuration::ZERO, dur(800), SimDuration::ZERO]
+        );
         assert_eq!(t.transition_time, dur(200));
         assert_eq!(t.floor(), us(2000));
         let tl = t.timeline.as_ref().unwrap();

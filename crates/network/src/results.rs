@@ -63,7 +63,8 @@ impl SimResult {
         SleepKind::ALL
             .iter()
             .map(|&kind| {
-                100.0 * (1.0 - self.sleep_power_fraction[kind as usize])
+                100.0
+                    * (1.0 - self.sleep_power_fraction[kind as usize])
                     * self.mean_sleep_fraction(kind)
             })
             .sum()
@@ -94,13 +95,16 @@ mod tests {
     fn result(exec_us: u64, low_us: &[u64]) -> SimResult {
         SimResult {
             exec_time: SimDuration::from_us(exec_us),
-            rank_finish: low_us
-                .iter()
-                .map(|_| SimTime::from_us(exec_us))
-                .collect(),
+            rank_finish: low_us.iter().map(|_| SimTime::from_us(exec_us)).collect(),
             link_sleep: low_us
                 .iter()
-                .map(|&l| [SimDuration::from_us(l), SimDuration::ZERO, SimDuration::ZERO])
+                .map(|&l| {
+                    [
+                        SimDuration::from_us(l),
+                        SimDuration::ZERO,
+                        SimDuration::ZERO,
+                    ]
+                })
                 .collect(),
             link_transition: vec![SimDuration::ZERO; low_us.len()],
             link_sleeps: vec![0; low_us.len()],

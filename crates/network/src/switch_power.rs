@@ -287,7 +287,14 @@ mod tests {
             exec_time: SimDuration::from_secs(10),
             rank_finish: vec![SimTime::from_secs(10); n],
             // Half the run low.
-            link_sleep: vec![[SimDuration::from_secs(5), SimDuration::ZERO, SimDuration::ZERO]; n],
+            link_sleep: vec![
+                [
+                    SimDuration::from_secs(5),
+                    SimDuration::ZERO,
+                    SimDuration::ZERO
+                ];
+                n
+            ],
             link_transition: vec![SimDuration::ZERO; n],
             link_sleeps: vec![1; n],
             timelines: None,
@@ -341,6 +348,9 @@ mod tests {
         let expect = 130.0 * (0.64 * 0.25 + 0.36);
         assert!((rate - expect).abs() < 1e-9, "{rate} vs {expect}");
         // Depth-unaware entry point is the rate_frac = 0 special case.
-        assert_eq!(m.mean_power_w(36, 0.3, 0.2), m.mean_power_ladder_w(36, 0.3, 0.0, 0.2));
+        assert_eq!(
+            m.mean_power_w(36, 0.3, 0.2),
+            m.mean_power_ladder_w(36, 0.3, 0.0, 0.2)
+        );
     }
 }

@@ -230,7 +230,11 @@ mod tests {
             let r = t.route_inline(0, 20, &mut rng);
             tops.insert(r.channels()[1]);
         }
-        assert!(tops.len() > 10, "only {} distinct up-channels used", tops.len());
+        assert!(
+            tops.len() > 10,
+            "only {} distinct up-channels used",
+            tops.len()
+        );
     }
 
     #[test]

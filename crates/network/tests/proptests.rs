@@ -1,8 +1,8 @@
 //! Property-based tests for the fabric, topology and power accounting.
 
+use ibp_core::SleepKind;
 use ibp_network::power::SleepWindow;
 use ibp_network::{replay, Fabric, FaultConfig, LinkPowerTracker, ReplayOptions, SimParams};
-use ibp_core::SleepKind;
 use ibp_simcore::{SimDuration, SimTime};
 use ibp_trace::{MpiOp, Trace, TraceBuilder};
 use proptest::prelude::*;
