@@ -38,7 +38,8 @@ use std::mem::size_of;
 /// [`extend_from_slice`](Self::extend_from_slice), `Clone`, `==` and the
 /// serialized form (a JSON array of records) all match. Hot readers use
 /// the allocation-free accessors instead: [`compute`](Self::compute),
-/// [`calls`](Self::calls) and [`for_each_op`](Self::for_each_op).
+/// [`calls`](Self::calls), and [`op_ids`](Self::op_ids) with
+/// [`table`](Self::table).
 #[derive(Clone, Default)]
 pub struct EventColumns {
     /// Compute burst before each record's call.
@@ -56,6 +57,9 @@ pub struct EventColumns {
     successor: Vec<u32>,
     /// Posts (`Isend`/`Irecv`) among the records, wrapping.
     posts: u32,
+    /// Reused buffer for [`push_waitall`](Self::push_waitall)'s relative
+    /// id list.
+    waitall_ids: Vec<u32>,
 }
 
 impl EventColumns {
@@ -83,12 +87,31 @@ impl EventColumns {
             compute_before,
             mut op,
         } = event;
-        let post = is_post(&op);
         relativize(&mut op, self.posts);
+        self.push_relative(compute_before, &op);
+    }
+
+    /// Append a `Waitall` record completing `reqs` (absolute ids). The
+    /// relative id list is built in a reused buffer and copied only if
+    /// the table does not hold it yet, so a repeating exchange pattern
+    /// appends its `Waitall`s without allocating.
+    pub fn push_waitall(&mut self, compute_before: SimDuration, reqs: &[u32]) {
+        let mut ids = std::mem::take(&mut self.waitall_ids);
+        ids.clear();
+        ids.extend(reqs.iter().map(|&r| self.posts.wrapping_sub(r)));
+        let op = MpiOp::Waitall { reqs: ids };
+        self.push_relative(compute_before, &op);
+        if let MpiOp::Waitall { reqs } = op {
+            self.waitall_ids = reqs;
+        }
+    }
+
+    /// Append a record whose op is already relative to the post counter.
+    fn push_relative(&mut self, compute_before: SimDuration, op: &MpiOp) {
         let idx = match self.ops.last() {
             Some(&prev) => {
                 let guess = self.successor[prev as usize];
-                if guess != NO_OP && self.table[guess as usize] == op {
+                if guess != NO_OP && self.table[guess as usize] == *op {
                     guess
                 } else {
                     let idx = self.intern(op);
@@ -100,7 +123,7 @@ impl EventColumns {
         };
         self.compute.push(compute_before);
         self.ops.push(idx);
-        if post {
+        if is_post(op) {
             self.posts = self.posts.wrapping_add(1);
         }
     }
@@ -127,37 +150,20 @@ impl EventColumns {
         self.ops.iter().map(|&i| self.table[i as usize].call())
     }
 
-    /// Visit every record's op in order, with absolute request ids,
-    /// without allocating per record: ops without request ids are lent
-    /// straight from the table, the others are decoded into a copy (a
-    /// `Waitall`'s id list into one reused buffer).
-    pub fn for_each_op(&self, mut f: impl FnMut(&MpiOp)) {
-        let mut posts = 0u32;
-        let mut ids = Vec::new();
-        for &i in &self.ops {
-            let op = &self.table[i as usize];
-            match op {
-                MpiOp::Isend { .. } | MpiOp::Irecv { .. } | MpiOp::Wait { .. } => {
-                    let mut abs = op.clone();
-                    absolutize(&mut abs, posts);
-                    f(&abs);
-                }
-                MpiOp::Waitall { reqs } => {
-                    ids.clear();
-                    ids.extend(reqs.iter().map(|&r| posts.wrapping_sub(r)));
-                    let abs = MpiOp::Waitall { reqs: ids };
-                    f(&abs);
-                    let MpiOp::Waitall { reqs } = abs else {
-                        unreachable!()
-                    };
-                    ids = reqs;
-                }
-                _ => f(op),
-            }
-            if is_post(op) {
-                posts = posts.wrapping_add(1);
-            }
-        }
+    /// Every record's op, as an index into [`table`](Self::table).
+    #[inline]
+    pub fn op_ids(&self) -> &[u32] {
+        &self.ops
+    }
+
+    /// The distinct ops the records index. Their request ids are
+    /// *relative* to the rank's post counter (see the module docs): with
+    /// `posts` the number of `Isend`/`Irecv` records before a record, a
+    /// post's absolute id is `req + posts` and a wait's is `posts - req`,
+    /// both wrapping. [`iter`](Self::iter) yields the decoded records.
+    #[inline]
+    pub fn table(&self) -> &[MpiOp] {
+        &self.table
     }
 
     /// Append every record of `other`, as concatenating the two record
@@ -173,7 +179,7 @@ impl EventColumns {
             .map(|op| {
                 let mut op = op.clone();
                 rebase(&mut op, shift);
-                self.intern(op)
+                self.intern(&op)
             })
             .collect();
         self.compute.extend_from_slice(&other.compute);
@@ -189,6 +195,7 @@ impl EventColumns {
         self.table.shrink_to_fit();
         self.index.shrink_to_fit();
         self.successor.shrink_to_fit();
+        self.waitall_ids = Vec::new();
     }
 
     /// Heap bytes held: both columns and the op table with its index, by
@@ -216,15 +223,18 @@ impl EventColumns {
             + buckets * (size_of::<(MpiOp, u32)>() + 1)
             // Table and index each hold a copy of every `Waitall` list.
             + 2 * waitall_ids
+            + self.waitall_ids.capacity() * size_of::<u32>()
     }
 
-    fn intern(&mut self, op: MpiOp) -> u32 {
-        if let Some(&idx) = self.index.get(&op) {
+    /// The table index of relative op `op`, copying it into the table
+    /// and index if it is new.
+    fn intern(&mut self, op: &MpiOp) -> u32 {
+        if let Some(&idx) = self.index.get(op) {
             return idx;
         }
         let idx = u32::try_from(self.table.len()).expect("more than 2^32 distinct ops in one rank");
         self.table.push(op.clone());
-        self.index.insert(op, idx);
+        self.index.insert(op.clone(), idx);
         self.successor.push(NO_OP);
         idx
     }

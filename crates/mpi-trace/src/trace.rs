@@ -223,6 +223,18 @@ impl TraceBuilder {
             .push(TraceEvent { compute_before, op });
     }
 
+    /// Record a `Waitall` completing `reqs` on `rank`, consuming the
+    /// pending compute like [`op`](Self::op). Unlike pushing an
+    /// `MpiOp::Waitall`, it needs no owned id list: the rank's columns
+    /// copy one only for a list they have not seen.
+    pub fn waitall(&mut self, rank: Rank, reqs: &[u32]) {
+        let compute_before =
+            std::mem::replace(&mut self.pending_compute[rank as usize], SimDuration::ZERO);
+        self.trace.ranks[rank as usize]
+            .events
+            .push_waitall(compute_before, reqs);
+    }
+
     /// Post an `Isend` with a freshly allocated request id; returns the id.
     pub fn isend(&mut self, rank: Rank, to: Rank, bytes: u64) -> u32 {
         let req = self.next_req[rank as usize];
@@ -320,9 +332,14 @@ mod tests {
         let mut b = TraceBuilder::new("ok", 2);
         let r1 = b.isend(0, 1, 100);
         let r2 = b.irecv(0, 1, 100);
-        b.op(0, MpiOp::Waitall { reqs: vec![r1, r2] });
+        b.waitall(0, &[r1, r2]);
         b.op(1, MpiOp::Recv { from: 0, bytes: 100 });
         b.op(1, MpiOp::Send { to: 0, bytes: 100 });
-        assert!(b.build().validate().is_ok());
+        let t = b.build();
+        assert!(t.validate().is_ok());
+        assert_eq!(
+            t.ranks[0].events.iter().last().map(|e| e.op),
+            Some(MpiOp::Waitall { reqs: vec![r1, r2] })
+        );
     }
 }

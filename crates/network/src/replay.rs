@@ -27,19 +27,27 @@
 //! ## Memory and data layout
 //!
 //! All growable engine state lives in a [`ReplayScratch`] arena that is
-//! reused across replays. A single build pass over the trace lays every
-//! rank's events out as a flat structure-of-arrays **step stream**
-//! (parallel kind/arg/bytes vectors walked by a per-rank cursor) and
-//! counts the sends of every (src, dst) pair; prefix sums turn the
-//! counts into offsets into one flat arrival array, and parked waiters
-//! are per-pair slots (only the destination rank ever receives on a
-//! pair, so at most one rank can wait on it). A collective event is one
+//! reused across replays, sized by what a replay needs — distinct ops,
+//! rank pairs and messages in flight — not by the trace's length. A
+//! rank's trace stores each distinct op once, in its interned op table
+//! ([`ibp_trace::EventColumns::table`]), and the build pass lowers each
+//! table entry once into a flat structure-of-arrays **step stream**
+//! (parallel kind/arg/bytes vectors walked by a per-rank cursor); every
+//! event points the cursor at its entry's steps. Table entries carry
+//! request ids relative to the rank's post counter, so each rank counts
+//! its posts and decodes ids where it uses them. A collective is one
 //! step naming a memoized schedule keyed by (collective, root, nprocs);
 //! the rank walks its segment of that schedule with a sub-cursor, so a
 //! sweep decomposes each distinct collective once instead of once per
-//! cell, and the stream stays one step per event. Receives reserve their
-//! arrival index when they run. [`replay`] keeps a thread-local scratch;
-//! sweeps that replay thousands of cells can pass their own via
+//! cell.
+//!
+//! Each (src, dst) pair keeps a FIFO of only the arrivals that have been
+//! delivered and not yet consumed, the way an eager MPI buffers
+//! unexpected messages per connection. Receives reserve their message
+//! number when they run, and parked waiters are per-pair slots (only the
+//! destination rank ever receives on a pair, so at most one rank can
+//! wait on it). [`replay`] keeps a thread-local scratch; sweeps that
+//! replay thousands of cells can pass their own via
 //! [`replay_with_scratch`].
 //!
 //! Per-link *power* accounting is decoupled from the timing loop: sleep
@@ -61,8 +69,9 @@ use ibp_simcore::{SimDuration, SimTime};
 use ibp_trace::{MpiOp, Rank, Trace};
 use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
+use std::mem::size_of;
 
 /// Replay options.
 #[derive(Debug, Clone)]
@@ -204,18 +213,20 @@ enum StepKind {
     /// Blocking receive: `arg` = pair id.
     Recv,
     /// Non-blocking send post: `arg` = destination, `bytes` = payload
-    /// (the request id rides on the event's `OpDone`, the next step).
+    /// (the relative request id rides on the entry's `OpDone`, the next
+    /// step).
     IsendPost,
     /// Non-blocking receive post (consumed at event expansion, never
-    /// scheduled): `arg` = pair id, `bytes` = request id.
+    /// scheduled): `arg` = pair id, `bytes` = relative request id.
     IrecvPost,
-    /// Wait on a posted request: `arg` = request id.
+    /// Wait on a posted request: `arg` = relative request id (the
+    /// absolute id is the rank's post count minus it).
     WaitReq,
     /// A whole collective: `arg` = index of its memoized schedule,
     /// `bytes` = payload of every message it sends.
     Coll,
     /// Event boundary: advance the event counter, resolve directives.
-    /// `arg` = the request id when the event is an `Isend`, else 0.
+    /// `arg` = the relative request id when the op is an `Isend`, else 0.
     OpDone,
 }
 
@@ -228,8 +239,11 @@ enum Req {
 struct RankState {
     t: SimTime,
     ev: usize,
-    /// Cursor into the scratch step stream (this rank's segment).
+    /// Cursor into the scratch step stream.
     cur: usize,
+    /// Posts (`Isend`/`Irecv`) made so far, wrapping: the base that
+    /// turns the op table's relative request ids into absolute ones.
+    posts: u32,
     /// Sub-cursor into the current `Coll` step's schedule: the next
     /// micro-op of this rank's segment, and the segment's end.
     sub: u32,
@@ -237,6 +251,7 @@ struct RankState {
     /// Whether the cursor sits inside an expanded event (between the
     /// event's expansion bookkeeping and its `OpDone`).
     in_event: bool,
+    /// Open requests, keyed by absolute id.
     reqs: FxHashMap<u32, Req>,
     next_directive: usize,
     pending_sleep: Option<(SimTime, SimDuration, SleepKind)>,
@@ -255,6 +270,52 @@ enum Advance {
 
 /// "No rank is parked on this pair" sentinel for [`ReplayScratch`].
 const NO_WAITER: Rank = Rank::MAX;
+
+/// A delivered message: its arrival time, and whether its receive has
+/// consumed it.
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    at: SimTime,
+    taken: bool,
+}
+
+/// One (src, dst) pair's receive state. Messages are numbered in send
+/// order; `fifo` holds numbers `head ..` — everything delivered since
+/// the oldest message not yet consumed.
+#[derive(Debug)]
+struct Pair {
+    /// Delivered arrivals from number `head` on, oldest first. A
+    /// `Waitall` may consume them out of order; the front is dropped
+    /// once consumed.
+    fifo: VecDeque<Arrival>,
+    /// Number of `fifo`'s front: every earlier message is consumed.
+    head: u32,
+    /// The next message number a receive reserves.
+    recv_next: u32,
+    /// Rank parked on this pair ([`NO_WAITER`] when none).
+    waiter: Rank,
+    /// Which message number the parked rank waits for.
+    waiter_k: u32,
+}
+
+impl Default for Pair {
+    fn default() -> Self {
+        Pair {
+            fifo: VecDeque::new(),
+            head: 0,
+            recv_next: 0,
+            waiter: NO_WAITER,
+            waiter_k: 0,
+        }
+    }
+}
+
+impl Pair {
+    /// Messages sent on the pair so far.
+    fn sent(&self) -> u32 {
+        self.head + self.fifo.len() as u32
+    }
+}
 
 /// Memoization key of a collective schedule: (collective id, root,
 /// nprocs). The payload is not part of it — a schedule's structure does
@@ -320,36 +381,29 @@ const SCHED_CACHE_CAP: usize = 4096;
 
 /// Reusable buffers for the replay engine.
 ///
-/// A replay's growable state — the SoA step stream, the arrival arena,
-/// receive cursors, parked waiters, buffered sleep windows, the memoized
-/// collective-schedule cache and the scheduler heap — lives here so that
-/// back-to-back replays (parameter sweeps run thousands) recycle the
-/// allocations instead of rebuilding `nprocs²` vectors every call.
-/// [`replay`] keeps one per thread automatically; hand a scratch to
-/// [`replay_with_scratch`] to control reuse explicitly.
+/// A replay's growable state — the SoA step stream, the per-pair
+/// arrival FIFOs, receive cursors and parked waiters, buffered sleep
+/// windows, the memoized collective-schedule cache and the scheduler
+/// heap — lives here so that back-to-back replays (parameter sweeps run
+/// thousands) recycle the allocations instead of rebuilding `nprocs²`
+/// vectors every call. [`replay`] keeps one per thread automatically;
+/// hand a scratch to [`replay_with_scratch`] to control reuse
+/// explicitly.
 ///
-/// The step stream is flat: one build pass lowers every rank's events
-/// into parallel `step_kind` / `step_arg` / `step_bytes` arrays (a
-/// collective becomes one `Coll` step naming its memoized schedule),
-/// with rank `r`'s segment at `rank_step_base[r] .. rank_step_base[r +
-/// 1]`. The same pass tallies every pair's sends; an exclusive prefix
-/// sum turns the tallies into `base` offsets, and pair `p`'s arrivals
-/// occupy `times[base[p] .. base[p] + len[p]]`. Steady-state replay
-/// therefore never reallocates or rehashes.
+/// Its size follows the replay's needs, not the trace's length. The
+/// step stream holds each rank's op *table* lowered once — entry `j` of
+/// rank `r` starts at `entry_step[rank_entry_base[r] + j]` and ends with
+/// its `OpDone` — so it is as long as the distinct ops, however many
+/// events repeat them. A pair's FIFO holds only the messages delivered
+/// and not yet consumed. Only the sleep-window buffers grow with the
+/// run (one record per window of a managed replay). Steady-state
+/// replay therefore never reallocates or rehashes; see
+/// [`heap_bytes`](Self::heap_bytes).
 #[derive(Debug, Default)]
 pub struct ReplayScratch {
-    /// Exclusive prefix sums of per-pair send counts (`pairs + 1` long).
-    base: Vec<usize>,
-    /// Sends delivered so far per pair.
-    len: Vec<u32>,
-    /// Flat arrival times; pair `p` owns `times[base[p]..base[p]+len[p]]`.
-    times: Vec<SimTime>,
-    /// Per pair: the next arrival index a receive reserves.
-    recv_next: Vec<u32>,
-    /// Rank parked on each pair ([`NO_WAITER`] when none).
-    parked_rank: Vec<Rank>,
-    /// Which send index the parked rank waits for.
-    parked_k: Vec<u32>,
+    /// Per (src, dst) pair, `src * nprocs + dst`: arrivals in flight,
+    /// receive cursor and parked waiter.
+    pairs: Vec<Pair>,
     /// Runnable ranks as packed (clock, rank) keys — min first.
     heap: BinaryHeap<Reverse<u64>>,
     /// Step stream: kind tags (see [`StepKind`] for slot meanings).
@@ -358,8 +412,10 @@ pub struct ReplayScratch {
     step_arg: Vec<u32>,
     /// Step stream: payload bytes (request id for `IrecvPost`).
     step_bytes: Vec<u64>,
-    /// Per-rank segment starts in the step stream (`nprocs + 1`).
-    rank_step_base: Vec<usize>,
+    /// First step of every rank's op-table entries, rank-major.
+    entry_step: Vec<usize>,
+    /// Per rank, where its entries start in `entry_step`.
+    rank_entry_base: Vec<usize>,
     /// Resolved sleep windows per rank, buffered during the timing run
     /// and applied in one batched power pass afterwards.
     windows: Vec<Vec<SleepWindow>>,
@@ -377,28 +433,66 @@ impl ReplayScratch {
         Self::default()
     }
 
-    /// Size every arena for `trace`, build the step stream, and reset
-    /// per-run state.
-    ///
-    /// One pass over the trace emits every step and counts each pair's
-    /// sends (prefix-summed into `base`). Receives get their arrival
-    /// indices at run time, from `recv_next`.
+    /// Heap bytes held, by capacity: the step stream, the pair table with
+    /// every pair's FIFO, the scheduler heap, the buffered sleep windows
+    /// and the schedule cache (its index's buckets estimated the way the
+    /// standard hash map sizes them).
+    pub fn heap_bytes(&self) -> usize {
+        let fifos: usize = self
+            .pairs
+            .iter()
+            .map(|p| p.fifo.capacity() * size_of::<Arrival>())
+            .sum();
+        let windows: usize = self
+            .windows
+            .iter()
+            .map(|w| w.capacity() * size_of::<SleepWindow>())
+            .sum();
+        let scheds: usize = self
+            .scheds
+            .iter()
+            .map(|c| (c.rank_base.capacity() + c.ops.capacity()) * size_of::<u32>())
+            .sum();
+        let cap = self.sched_index.capacity();
+        let buckets = match cap {
+            0 => 0,
+            1..=7 => cap + 1,
+            _ => cap / 7 * 8,
+        };
+        self.pairs.capacity() * size_of::<Pair>()
+            + fifos
+            + self.heap.capacity() * size_of::<Reverse<u64>>()
+            + self.step_kind.capacity() * size_of::<StepKind>()
+            + self.step_arg.capacity() * size_of::<u32>()
+            + self.step_bytes.capacity() * size_of::<u64>()
+            + (self.entry_step.capacity() + self.rank_entry_base.capacity()) * size_of::<usize>()
+            + self.windows.capacity() * size_of::<Vec<SleepWindow>>()
+            + windows
+            + self.scheds.capacity() * size_of::<CollSched>()
+            + scheds
+            + buckets * (size_of::<(SchedKey, u32)>() + 1)
+    }
+
+    /// Reset per-run state and lower every rank's op table into the step
+    /// stream. Costs O(table entries + pairs), independent of how many
+    /// events the trace holds.
     fn prepare(&mut self, trace: &Trace) {
         let nprocs = trace.nprocs;
         let pairs = (nprocs as usize) * (nprocs as usize);
-        self.len.clear();
-        self.len.resize(pairs, 0);
-        self.recv_next.clear();
-        self.recv_next.resize(pairs, 0);
-        self.parked_rank.clear();
-        self.parked_rank.resize(pairs, NO_WAITER);
-        self.parked_k.clear();
-        self.parked_k.resize(pairs, 0);
+        self.pairs.truncate(pairs);
+        for pair in &mut self.pairs {
+            pair.fifo.clear();
+            pair.head = 0;
+            pair.recv_next = 0;
+            pair.waiter = NO_WAITER;
+        }
+        self.pairs.resize_with(pairs, Pair::default);
         self.heap.clear();
         self.step_kind.clear();
         self.step_arg.clear();
         self.step_bytes.clear();
-        self.rank_step_base.clear();
+        self.entry_step.clear();
+        self.rank_entry_base.clear();
         self.windows.truncate(nprocs as usize);
         self.windows.resize_with(nprocs as usize, Vec::new);
         for w in &mut self.windows {
@@ -409,81 +503,60 @@ impl ReplayScratch {
             self.sched_index.clear();
         }
 
-        // Per-pair send counts accumulate shifted by one so the in-place
-        // prefix sum below yields exclusive base offsets; rank `r`'s sends
-        // to `to` count at `base[row + to]`.
-        self.base.clear();
-        self.base.resize(pairs + 1, 0);
-
         for (r, rank_trace) in trace.ranks.iter().enumerate() {
-            let row = r * nprocs as usize + 1;
-            let r = r as Rank;
-            self.rank_step_base.push(self.step_kind.len());
-            rank_trace.events.for_each_op(|op| {
-                let mut isend_req = 0;
-                match op {
-                    MpiOp::Send { to, bytes } => {
-                        self.base[row + *to as usize] += 1;
-                        self.step(StepKind::Send, *to, *bytes);
-                    }
-                    MpiOp::Recv { from, .. } => self.step(StepKind::Recv, *from * nprocs + r, 0),
-                    MpiOp::Sendrecv {
-                        to,
-                        send_bytes,
-                        from,
-                        ..
-                    } => {
-                        self.base[row + *to as usize] += 1;
-                        self.step(StepKind::Send, *to, *send_bytes);
-                        self.step(StepKind::Recv, *from * nprocs + r, 0);
-                    }
-                    MpiOp::Isend { to, bytes, req } => {
-                        self.base[row + *to as usize] += 1;
-                        self.step(StepKind::IsendPost, *to, *bytes);
-                        isend_req = *req;
-                    }
-                    MpiOp::Irecv { from, req, .. } => {
-                        self.step(StepKind::IrecvPost, *from * nprocs + r, u64::from(*req));
-                    }
-                    MpiOp::Wait { req } => self.step(StepKind::WaitReq, *req, 0),
-                    MpiOp::Waitall { reqs } => {
-                        for &req in reqs {
-                            self.step(StepKind::WaitReq, req, 0);
-                        }
-                    }
-                    op => {
-                        let (key, bytes) =
-                            sched_key(op, nprocs).expect("point-to-point ops are handled above");
-                        let idx = match self.sched_index.get(&key) {
-                            Some(&idx) => idx,
-                            None => {
-                                let idx = self.scheds.len() as u32;
-                                self.scheds.push(build_sched(op, nprocs));
-                                self.sched_index.insert(key, idx);
-                                idx
-                            }
-                        };
-                        let sched = &self.scheds[idx as usize];
-                        let lo = sched.rank_base[r as usize] as usize;
-                        let hi = sched.rank_base[r as usize + 1] as usize;
-                        for &micro in &sched.ops[lo..hi] {
-                            if micro & SEND_BIT != 0 {
-                                self.base[row + (micro & !SEND_BIT) as usize] += 1;
-                            }
-                        }
-                        self.step(StepKind::Coll, idx, bytes);
-                    }
+            self.rank_entry_base.push(self.entry_step.len());
+            for op in rank_trace.events.table() {
+                self.entry_step.push(self.step_kind.len());
+                self.lower(op, r as Rank, nprocs);
+            }
+        }
+    }
+
+    /// Append the steps of rank `r`'s table entry `op`, ending with its
+    /// `OpDone`. Request ids stay relative, as the table stores them.
+    fn lower(&mut self, op: &MpiOp, r: Rank, nprocs: u32) {
+        let mut isend_req = 0;
+        match *op {
+            MpiOp::Send { to, bytes } => self.step(StepKind::Send, to, bytes),
+            MpiOp::Recv { from, .. } => self.step(StepKind::Recv, from * nprocs + r, 0),
+            MpiOp::Sendrecv {
+                to,
+                send_bytes,
+                from,
+                ..
+            } => {
+                self.step(StepKind::Send, to, send_bytes);
+                self.step(StepKind::Recv, from * nprocs + r, 0);
+            }
+            MpiOp::Isend { to, bytes, req } => {
+                self.step(StepKind::IsendPost, to, bytes);
+                isend_req = req;
+            }
+            MpiOp::Irecv { from, req, .. } => {
+                self.step(StepKind::IrecvPost, from * nprocs + r, u64::from(req));
+            }
+            MpiOp::Wait { req } => self.step(StepKind::WaitReq, req, 0),
+            MpiOp::Waitall { ref reqs } => {
+                for &req in reqs {
+                    self.step(StepKind::WaitReq, req, 0);
                 }
-                self.step(StepKind::OpDone, isend_req, 0);
-            });
+            }
+            _ => {
+                let (key, bytes) =
+                    sched_key(op, nprocs).expect("point-to-point ops are handled above");
+                let idx = match self.sched_index.get(&key) {
+                    Some(&idx) => idx,
+                    None => {
+                        let idx = self.scheds.len() as u32;
+                        self.scheds.push(build_sched(op, nprocs));
+                        self.sched_index.insert(key, idx);
+                        idx
+                    }
+                };
+                self.step(StepKind::Coll, idx, bytes);
+            }
         }
-        self.rank_step_base.push(self.step_kind.len());
-        for p in 0..pairs {
-            self.base[p + 1] += self.base[p];
-        }
-        let total = self.base[pairs];
-        self.times.clear();
-        self.times.resize(total, SimTime::ZERO);
+        self.step(StepKind::OpDone, isend_req, 0);
     }
 
     /// Append one step to the stream.
@@ -502,8 +575,8 @@ struct Replay<'a> {
     params: SimParams,
     fabric: Fabric,
     ranks: Vec<RankState>,
-    /// Arenas (arrivals, cursors, parked slots, heap), prepared for this
-    /// trace and recycled across replays.
+    /// Arenas (step stream, pairs, heap), prepared for this trace and
+    /// recycled across replays.
     scratch: &'a mut ReplayScratch,
     /// Low bits of a scheduler key that hold the rank id: just enough
     /// for `nprocs` (8 on the paper's 252-node fabric).
@@ -584,10 +657,11 @@ pub fn replay_with_scratch(
 
     scratch.prepare(trace);
     let ranks = (0..n)
-        .map(|r| RankState {
+        .map(|_| RankState {
             t: SimTime::ZERO,
             ev: 0,
-            cur: scratch.rank_step_base[r as usize],
+            cur: 0,
+            posts: 0,
             sub: 0,
             sub_end: 0,
             in_event: false,
@@ -765,9 +839,12 @@ impl<'a> Replay<'a> {
                     let t = self.ranks[ri].t;
                     let done = self.send(r, arg, t, self.scratch.step_bytes[cur])?;
                     debug_assert_eq!(self.scratch.step_kind[cur + 1], StepKind::OpDone);
-                    let req = self.scratch.step_arg[cur + 1];
+                    let rel = self.scratch.step_arg[cur + 1];
                     let state = &mut self.ranks[ri];
-                    state.reqs.insert(req, Req::Send { done });
+                    state
+                        .reqs
+                        .insert(rel.wrapping_add(state.posts), Req::Send { done });
+                    state.posts = state.posts.wrapping_add(1);
                     state.t += POST_OVERHEAD;
                     state.cur = cur + 1;
                 }
@@ -784,13 +861,14 @@ impl<'a> Replay<'a> {
                     self.ranks[ri].cur = cur + 1;
                 }
                 StepKind::WaitReq => {
+                    let req = self.ranks[ri].posts.wrapping_sub(arg);
                     let handle = *self.ranks[ri]
                         .reqs
-                        .get(&arg)
+                        .get(&req)
                         .expect("wait on unknown request (trace validated?)");
                     let at = match handle {
                         Req::Send { done } => done,
-                        Req::Recv { pair, k } => match self.arrival(pair, k) {
+                        Req::Recv { pair, k } => match self.take_arrival(pair, k) {
                             Some(at) => at,
                             None => {
                                 self.park(r, pair, k);
@@ -799,7 +877,7 @@ impl<'a> Replay<'a> {
                         },
                     };
                     let state = &mut self.ranks[ri];
-                    state.reqs.remove(&arg);
+                    state.reqs.remove(&req);
                     state.t = state.t.max(at);
                     state.cur = cur + 1;
                 }
@@ -844,13 +922,14 @@ impl<'a> Replay<'a> {
     }
 
     /// Enter the next trace event of rank `r`: apply compute, overhead,
-    /// penalty and sleep resolution, and point the cursor at the event's
-    /// pre-built steps. Returns `false` when the rank's trace is
-    /// exhausted (the rank is then finished).
+    /// penalty and sleep resolution, and point the cursor at the steps
+    /// of the event's op-table entry. Returns `false` when the rank's
+    /// trace is exhausted (the rank is then finished).
     fn expand_next_event(&mut self, r: Rank) -> bool {
         let ri = r as usize;
         let ev = self.ranks[ri].ev;
-        let compute = self.trace.ranks[ri].events.compute();
+        let events = &self.trace.ranks[ri].events;
+        let compute = events.compute();
         if ev >= compute.len() {
             // Trailing compute, final sleep resolution, done.
             let misfire = match self.ranks[ri].pending_sleep {
@@ -938,27 +1017,32 @@ impl<'a> Replay<'a> {
             }
         }
 
-        // The event's steps were laid out by `prepare`. A non-blocking
-        // receive is pure library bookkeeping: it reserves its arrival
-        // index and posts here, at expansion, leaving its `OpDone` as the
+        // The entry's steps were laid out by `prepare`. A non-blocking
+        // receive is pure library bookkeeping: it reserves its message
+        // number and posts here, at expansion, leaving its `OpDone` as the
         // only scheduled step. A collective starts its sub-cursor at this
         // rank's schedule segment.
-        self.ranks[ri].in_event = true;
-        let cur = self.ranks[ri].cur;
+        let entry = events.op_ids()[ev] as usize;
+        let cur = self.scratch.entry_step[self.scratch.rank_entry_base[ri] + entry];
+        let state = &mut self.ranks[ri];
+        state.in_event = true;
+        state.cur = cur;
         match self.scratch.step_kind[cur] {
             StepKind::IrecvPost => {
                 let pair = self.scratch.step_arg[cur];
-                let req = self.scratch.step_bytes[cur] as u32;
-                let k = self.scratch.recv_next[pair as usize];
-                self.scratch.recv_next[pair as usize] = k + 1;
-                let state = &mut self.ranks[ri];
-                state.reqs.insert(req, Req::Recv { pair, k });
+                let rel = self.scratch.step_bytes[cur] as u32;
+                let slot = &mut self.scratch.pairs[pair as usize];
+                let k = slot.recv_next;
+                slot.recv_next = k + 1;
+                state
+                    .reqs
+                    .insert(rel.wrapping_add(state.posts), Req::Recv { pair, k });
+                state.posts = state.posts.wrapping_add(1);
                 state.t += POST_OVERHEAD;
                 state.cur = cur + 1;
             }
             StepKind::Coll => {
                 let sched = &self.scratch.scheds[self.scratch.step_arg[cur] as usize];
-                let state = &mut self.ranks[ri];
                 state.sub = sched.rank_base[ri];
                 state.sub_end = sched.rank_base[ri + 1];
             }
@@ -993,23 +1077,36 @@ impl<'a> Replay<'a> {
         }
     }
 
-    fn arrival(&self, pair: u32, k: u32) -> Option<SimTime> {
-        let p = pair as usize;
-        (k < self.scratch.len[p]).then(|| self.scratch.times[self.scratch.base[p] + k as usize])
+    /// Consume message `k` of `pair` and return its arrival time, or
+    /// `None` if it has not been sent yet. The FIFO's front is dropped
+    /// while it is consumed: `k` is the front unless a later reservation
+    /// (a `Waitall` completing out of order) got there first.
+    #[inline]
+    fn take_arrival(&mut self, pair: u32, k: u32) -> Option<SimTime> {
+        let p = &mut self.scratch.pairs[pair as usize];
+        debug_assert!(k >= p.head, "message {k} of pair {pair} consumed twice");
+        let slot = p.fifo.get_mut((k - p.head) as usize)?;
+        slot.taken = true;
+        let at = slot.at;
+        while p.fifo.front().is_some_and(|a| a.taken) {
+            p.fifo.pop_front();
+            p.head += 1;
+        }
+        Some(at)
     }
 
     /// Complete a receive of rank `r` on `pair`: take the pair's next
-    /// arrival index and wait for that message. Returns `false` after
-    /// parking `r` if the message has not been sent yet; the index stays
+    /// message number and wait for that message. Returns `false` after
+    /// parking `r` if the message has not been sent yet; the number stays
     /// unreserved, so the retry after the wake-up takes the same one.
     /// Only a pair's destination rank receives on it, in program order,
-    /// so the indices follow the senders' FIFO order.
+    /// so the numbers follow the senders' FIFO order.
     #[inline]
     fn recv(&mut self, r: Rank, pair: u32) -> bool {
-        let k = self.scratch.recv_next[pair as usize];
-        match self.arrival(pair, k) {
+        let k = self.scratch.pairs[pair as usize].recv_next;
+        match self.take_arrival(pair, k) {
             Some(at) => {
-                self.scratch.recv_next[pair as usize] = k + 1;
+                self.scratch.pairs[pair as usize].recv_next = k + 1;
                 let state = &mut self.ranks[r as usize];
                 state.t = state.t.max(at);
                 true
@@ -1021,14 +1118,14 @@ impl<'a> Replay<'a> {
         }
     }
 
-    /// Park rank `r` until arrival `k` of `pair` is delivered. Only the
+    /// Park rank `r` until message `k` of `pair` is delivered. Only the
     /// pair's destination rank ever receives on it, so the slot is
     /// necessarily free.
     fn park(&mut self, r: Rank, pair: u32, k: u32) {
-        let p = pair as usize;
-        debug_assert_eq!(self.scratch.parked_rank[p], NO_WAITER);
-        self.scratch.parked_rank[p] = r;
-        self.scratch.parked_k[p] = k;
+        let p = &mut self.scratch.pairs[pair as usize];
+        debug_assert_eq!(p.waiter, NO_WAITER);
+        p.waiter = r;
+        p.waiter_k = k;
         self.parked += 1;
     }
 
@@ -1070,14 +1167,13 @@ impl<'a> Replay<'a> {
         bytes: u64,
     ) -> Result<SimTime, ReplayError> {
         let (t, extra) = self.draw_send_fault(src as usize, t, bytes);
-        let arrival = self.fabric.transfer(t, src, dst, bytes) + extra;
-        let p = (src * self.trace.nprocs + dst) as usize;
-        let k = self.scratch.len[p];
-        self.scratch.times[self.scratch.base[p] + k as usize] = arrival;
-        self.scratch.len[p] = k + 1;
-        if self.scratch.parked_rank[p] != NO_WAITER && self.scratch.parked_k[p] == k {
-            let w = self.scratch.parked_rank[p];
-            self.scratch.parked_rank[p] = NO_WAITER;
+        let at = self.fabric.transfer(t, src, dst, bytes) + extra;
+        let p = &mut self.scratch.pairs[(src * self.trace.nprocs + dst) as usize];
+        let k = p.sent();
+        p.fifo.push_back(Arrival { at, taken: false });
+        if p.waiter != NO_WAITER && p.waiter_k == k {
+            let w = p.waiter;
+            p.waiter = NO_WAITER;
             self.parked -= 1;
             let key = self.key(self.ranks[w as usize].t, w)?;
             self.scratch.heap.push(Reverse(key));
@@ -1263,40 +1359,163 @@ mod tests {
         b.op(r, MpiOp::Barrier);
     }
 
+    /// Every pair's arrival FIFO is empty after a replay, with every
+    /// message sent, reserved and consumed, and no rank left parked.
+    fn assert_drained(scratch: &ReplayScratch) {
+        for (p, pair) in scratch.pairs.iter().enumerate() {
+            assert!(pair.fifo.is_empty(), "pair {p}: {} left", pair.fifo.len());
+            assert_eq!(pair.head, pair.sent(), "pair {p}");
+            assert_eq!(pair.recv_next, pair.sent(), "pair {p} recvs");
+            assert_eq!(pair.waiter, NO_WAITER, "pair {p} waiter left");
+        }
+    }
+
     #[test]
-    fn arrival_arena_is_sized_exactly() {
-        // After a run, every pair's delivered count must equal its
-        // precounted capacity (base[p+1] - base[p]): collectives included.
-        let mut b = TraceBuilder::new("exact", 5);
-        for r in 0..5u32 {
-            b.op(r, MpiOp::Allreduce { bytes: 8 });
-            b.op(r, MpiOp::Allgather { bytes: 128 });
-            b.op(r, MpiOp::Bcast { root: 3, bytes: 32 });
-            b.op(
+    fn arrival_storage_drains() {
+        // Collectives and blocking exchanges; then non-blocking requests
+        // completed out of posting order (a reversed `Waitall`, the newer
+        // of two receives on one pair waited first) and a receive held
+        // open across collectives; then messages sent long before their
+        // receive. One scratch replays all three.
+        let n = 5;
+        let mut blocking = TraceBuilder::new("blocking", n);
+        let mut reordered = TraceBuilder::new("reordered", n);
+        let mut early = TraceBuilder::new("early", n);
+        for r in 0..n {
+            let (right, left) = ((r + 1) % n, (r + n - 1) % n);
+            blocking.op(r, MpiOp::Allreduce { bytes: 8 });
+            blocking.op(r, MpiOp::Allgather { bytes: 128 });
+            blocking.op(r, MpiOp::Bcast { root: 3, bytes: 32 });
+            blocking.op(
                 r,
                 MpiOp::Sendrecv {
-                    to: (r + 1) % 5,
+                    to: right,
                     send_bytes: 512,
-                    from: (r + 4) % 5,
+                    from: left,
                     recv_bytes: 512,
                 },
             );
+            for _ in 0..3 {
+                let a = reordered.irecv(r, left, 64);
+                let c = reordered.irecv(r, left, 4096);
+                let s = reordered.isend(r, right, 64);
+                reordered.op(
+                    r,
+                    MpiOp::Send {
+                        to: right,
+                        bytes: 4096,
+                    },
+                );
+                reordered.op(r, MpiOp::Wait { req: c });
+                reordered.op(r, MpiOp::Alltoall { bytes: 16 });
+                reordered.waitall(r, &[s, a]);
+                let d = reordered.irecv(r, right, 256);
+                reordered.op(
+                    r,
+                    MpiOp::Send {
+                        to: left,
+                        bytes: 256,
+                    },
+                );
+                reordered.op(r, MpiOp::Barrier);
+                reordered.op(r, MpiOp::Reduce { root: 1, bytes: 8 });
+                reordered.op(r, MpiOp::Wait { req: d });
+            }
+            for _ in 0..4 {
+                early.op(
+                    r,
+                    MpiOp::Send {
+                        to: right,
+                        bytes: 128,
+                    },
+                );
+            }
+            early.compute(r, us(50 * u64::from(r)));
+            for _ in 0..4 {
+                early.op(
+                    r,
+                    MpiOp::Recv {
+                        from: left,
+                        bytes: 128,
+                    },
+                );
+            }
         }
-        let t = b.build();
         let mut scratch = ReplayScratch::new();
-        replay_with_scratch(
-            &t,
-            None,
-            &SimParams::paper(),
-            &ReplayOptions::default(),
-            &mut scratch,
-        )
-        .expect("replay");
-        for p in 0..25 {
-            let cap = scratch.base[p + 1] - scratch.base[p];
-            assert_eq!(scratch.len[p] as usize, cap, "pair {p}");
-            assert_eq!(scratch.recv_next[p] as usize, cap, "pair {p} recvs");
-            assert_eq!(scratch.parked_rank[p], NO_WAITER, "pair {p} waiter left");
+        for b in [blocking, reordered, early] {
+            let t = b.build();
+            t.validate().expect("valid trace");
+            let r = replay_with_scratch(
+                &t,
+                None,
+                &SimParams::paper(),
+                &ReplayOptions::default(),
+                &mut scratch,
+            )
+            .expect("replay");
+            assert_drained(&scratch);
+            let sent: u64 = scratch.pairs.iter().map(|p| u64::from(p.sent())).sum();
+            assert_eq!(sent, r.fabric.messages, "{}", t.name);
+        }
+    }
+
+    /// The five generators at 64 ranks, each run for `halves` halves of
+    /// its default iterations.
+    fn generators(halves: u32) -> Vec<(&'static str, Trace)> {
+        use ibp_workloads::{Alya, Gromacs, NasBt, NasMg, Workload, Wrf};
+        let apps: [Box<dyn Workload>; 5] = [
+            Box::new(Gromacs {
+                iterations: halves * Gromacs::default().iterations / 2,
+                ..Gromacs::default()
+            }),
+            Box::new(Alya {
+                iterations: halves * Alya::default().iterations / 2,
+                ..Alya::default()
+            }),
+            Box::new(Wrf {
+                iterations: halves * Wrf::default().iterations / 2,
+                ..Wrf::default()
+            }),
+            Box::new(NasBt {
+                iterations: halves * NasBt::default().iterations / 2,
+                ..NasBt::default()
+            }),
+            Box::new(NasMg {
+                iterations: halves * NasMg::default().iterations / 2,
+                ..NasMg::default()
+            }),
+        ];
+        apps.iter()
+            .map(|app| (app.name(), app.generate(64, 7)))
+            .collect()
+    }
+
+    #[test]
+    fn scratch_size_follows_ops_and_pairs_not_events() {
+        // A baseline replay of each generator at 64 ranks leaves the
+        // scratch under 2 MiB. Doubling the iterations (half the default
+        // run, then the default) doubles the events and messages, yet
+        // lowers to the same step stream, and the scratch grows by less
+        // than 5%: only the per-pair FIFOs can grow, by how far ranks
+        // drift apart over a longer run.
+        const CAP: usize = 2 << 20;
+        let opts = ReplayOptions::default();
+        for ((app, once), (_, twice)) in generators(1).iter().zip(&generators(2)) {
+            let mut sizes = [(0, 0); 2];
+            for (size, t) in sizes.iter_mut().zip([once, twice]) {
+                let mut scratch = ReplayScratch::new();
+                replay_with_scratch(t, None, &SimParams::paper(), &opts, &mut scratch)
+                    .expect("replay");
+                assert_drained(&scratch);
+                *size = (scratch.heap_bytes(), scratch.step_kind.len());
+            }
+            let [(once_bytes, once_steps), (twice_bytes, twice_steps)] = sizes;
+            assert!(twice_bytes < CAP, "{app}: {twice_bytes} B");
+            assert_eq!(once_steps, twice_steps, "{app}: steps");
+            assert!(
+                twice_bytes < once_bytes + once_bytes / 20,
+                "{app}: {once_bytes} B -> {twice_bytes} B"
+            );
         }
     }
 
@@ -1306,21 +1525,30 @@ mod tests {
         // does not depend on bytes, so one prepare builds one allgather
         // schedule and one allreduce schedule (shared with the barrier).
         let n = 8;
-        let mut b = TraceBuilder::new("sizes", n);
-        for r in 0..n {
-            for bytes in 1..=500 {
-                b.op(r, MpiOp::Allgather { bytes });
-                b.op(r, MpiOp::Allreduce { bytes });
-                b.op(r, MpiOp::Barrier);
+        let sizes = |repeats: usize| {
+            let mut b = TraceBuilder::new("sizes", n);
+            for r in 0..n {
+                for _ in 0..repeats {
+                    for bytes in 1..=500 {
+                        b.op(r, MpiOp::Allgather { bytes });
+                        b.op(r, MpiOp::Allreduce { bytes });
+                        b.op(r, MpiOp::Barrier);
+                    }
+                }
             }
-        }
-        let t = b.build();
+            b.build()
+        };
+        let t = sizes(1);
         let mut scratch = ReplayScratch::new();
         scratch.prepare(&t);
         assert_eq!(scratch.scheds.len(), 2);
         assert_eq!(scratch.sched_index.len(), 2);
-        // One step per collective event plus its boundary.
-        assert_eq!(scratch.step_kind.len(), 2 * 3 * 500 * n as usize);
+        // Steps are lowered from the op tables, not the events: the same
+        // ops repeated 10× lower to the same stream.
+        let steps = scratch.step_kind.len();
+        scratch.prepare(&sizes(10));
+        assert_eq!(scratch.step_kind.len(), steps);
+        assert_eq!(scratch.scheds.len(), 2);
         let r = replay_with_scratch(
             &t,
             None,

@@ -84,7 +84,7 @@ impl NasBt {
             b.compute(r, intra_gram_gap(rng));
             let r2 = b.isend(r, to, msg_bytes);
             b.compute(r, intra_gram_gap(rng));
-            b.op(r, MpiOp::Waitall { reqs: vec![r1, r2] });
+            b.waitall(r, &[r1, r2]);
             b.compute(r, intra_gram_gap(rng));
         }
     }

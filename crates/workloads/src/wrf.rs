@@ -82,17 +82,19 @@ impl Wrf {
     }
 
     /// Emit one burst of `exchanges` non-blocking halo exchanges followed
-    /// by a `Waitall`, with tiny intra-gram gaps.
+    /// by a `Waitall`, with tiny intra-gram gaps. `reqs` is scratch for
+    /// the burst's request ids, reused across bursts.
     fn burst(
         &self,
         b: &mut TraceBuilder,
         r: u32,
-        nprocs: u32,
+        reqs: &mut Vec<u32>,
         exchanges: u32,
         msg_bytes: u64,
         rng: &mut DetRng,
     ) {
-        let mut reqs = Vec::with_capacity(2 * exchanges as usize);
+        let nprocs = b.nprocs();
+        reqs.clear();
         for j in 0..exchanges {
             if j > 0 {
                 b.compute(r, Self::post_gap(rng));
@@ -105,7 +107,7 @@ impl Wrf {
             reqs.push(b.isend(r, to, msg_bytes));
         }
         b.compute(r, Self::post_gap(rng));
-        b.op(r, MpiOp::Waitall { reqs });
+        b.waitall(r, reqs);
     }
 }
 
@@ -151,6 +153,7 @@ impl Workload for Wrf {
         let total_halo = halo_bytes(self.halo_volume_at8, 8, gn);
 
         let mut b = TraceBuilder::new("wrf", nprocs);
+        let mut reqs = Vec::new();
         for r in 0..nprocs {
             let mut rng = root.split(1 + u64::from(r));
             let f = factors[r as usize];
@@ -158,10 +161,10 @@ impl Workload for Wrf {
                 let msg_bytes = (total_halo / u64::from(2 * exchanges)).max(64);
                 // Dynamics, then the first burst group.
                 b.compute(r, self.dynamics_gap.draw(gn, f, &mut rng));
-                self.burst(&mut b, r, nprocs, exchanges, msg_bytes, &mut rng);
+                self.burst(&mut b, r, &mut reqs, exchanges, msg_bytes, &mut rng);
                 // Physics (the big gap), then the second burst group.
                 b.compute(r, self.physics_gap.draw(gn, f, &mut rng));
-                self.burst(&mut b, r, nprocs, exchanges, msg_bytes, &mut rng);
+                self.burst(&mut b, r, &mut reqs, exchanges, msg_bytes, &mut rng);
                 // Lateral-boundary aggregation: an O(n) collective that
                 // becomes the communication floor under strong scaling.
                 b.compute(r, Self::post_gap(&mut rng));
