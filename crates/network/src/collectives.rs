@@ -91,9 +91,9 @@ fn bcast_tree(me: Rank, root: Rank, n: u32, bytes: u64, sink: &mut impl FnMut(Mi
 /// Stream the micro-ops rank `me` of `n` executes for a collective into
 /// `sink`, in execution order, without allocating.
 ///
-/// This is the engine-facing form: the replay hot path feeds the ops
-/// straight into its step queue (and its arrival-arena precount walks the
-/// same schedule), so no temporary vector is built per event.
+/// This is the engine-facing form: the replay engine walks it once per
+/// (collective, root, nprocs) to build the schedule it memoizes, so no
+/// temporary vector is built per event.
 ///
 /// Point-to-point and request-based operations are not handled here (the
 /// replay engine executes them directly); calling this with one emits
