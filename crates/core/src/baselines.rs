@@ -190,6 +190,7 @@ pub fn history_annotate_rank(
             }
         }
     }
+    stats.nominal_duration += trace.final_compute;
 
     RankAnnotation {
         rank: trace.rank,

@@ -276,3 +276,101 @@ fn bounded_occurrence_window_never_changes_declarations() {
         );
     }
 }
+
+/// One rank of a random small trace: `motif` (call selector, gap in µs)
+/// repeated `reps` times, every gap perturbed by a cheap hash of its
+/// position scaled by `jitter_pct`, so the PPA meets both a learnable
+/// period and timing noise. Gaps span short bursts to deep-sleep idles.
+fn motif_trace(motif: &[(u8, u64)], reps: usize, jitter_pct: u64, tail_us: u64) -> ibp_trace::Trace {
+    use ibp_trace::{MpiOp, TraceBuilder};
+    let mut b = TraceBuilder::new("motif", 1);
+    for rep in 0..reps {
+        for (k, &(c, gap_us)) in motif.iter().enumerate() {
+            let h = ((rep * motif.len() + k) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            let jitter = gap_us * jitter_pct / 100 * (h % 101) / 100;
+            b.compute(0, SimDuration::from_us(gap_us + jitter));
+            b.op(
+                0,
+                match c % 5 {
+                    0 => MpiOp::Barrier,
+                    1 => MpiOp::Allreduce { bytes: 8 },
+                    2 => MpiOp::Bcast { root: 0, bytes: 64 },
+                    3 => MpiOp::Reduce { root: 0, bytes: 16 },
+                    _ => MpiOp::Allgather { bytes: 32 },
+                },
+            );
+        }
+    }
+    b.compute(0, SimDuration::from_us(tail_us));
+    b.build()
+}
+
+proptest! {
+    /// Directive accounting is consistent for every sleep policy — the
+    /// PPA runtime (WRPS, full ladder, resilience controller), the
+    /// oracle, the reactive idle-timeout and the history window: the
+    /// nominal duration is the rank's compute, the penalty totals and
+    /// timing-misprediction counts agree with the per-event penalties,
+    /// every directive is counted, and no stall exceeds the reactivation
+    /// time of the depth its directive slept at.
+    #[test]
+    fn policy_accounting_is_consistent(
+        motif in proptest::collection::vec(
+            (0u8..5, 0usize..3, 0u64..1_000)
+                .prop_map(|(c, class, x)| (c, [1 + x % 14, 20 + x % 580, 1_000 + 11 * x][class])),
+            1..6,
+        ),
+        reps in 1usize..40,
+        jitter_pct in 0u64..60,
+        tail_us in 0u64..500,
+        timeout_us in 0u64..300,
+        window in 1usize..10,
+    ) {
+        use ibp_core::{
+            annotate_rank, history_annotate_rank, oracle_annotate_rank, reactive_annotate_rank,
+        };
+        let trace = motif_trace(&motif, reps, jitter_pct, tail_us);
+        let rank = &trace.ranks[0];
+        let paper = PowerConfig::paper(SimDuration::from_us(20), 0.05);
+        let policies = [
+            ("ppa", paper.clone(), annotate_rank(rank, &paper)),
+            ("ppa-ladder", paper.clone().with_ladder(), annotate_rank(rank, &paper.clone().with_ladder())),
+            (
+                "ppa+resilience",
+                paper.clone(),
+                annotate_rank(rank, &paper.clone().with_resilience(ResilienceConfig::standard())),
+            ),
+            ("oracle", paper.clone(), oracle_annotate_rank(rank, &paper)),
+            (
+                "reactive",
+                paper.clone(),
+                reactive_annotate_rank(rank, &paper, SimDuration::from_us(timeout_us)),
+            ),
+            ("history", paper.clone(), history_annotate_rank(rank, &paper, window)),
+        ];
+        let nominal = rank.total_compute();
+        for (name, cfg, ann) in &policies {
+            let s = &ann.stats;
+            prop_assert_eq!(s.nominal_duration, nominal, "{}: nominal duration", name);
+            prop_assert_eq!(
+                s.total_penalty,
+                ann.penalty.iter().copied().sum::<SimDuration>(),
+                "{}: total penalty", name
+            );
+            prop_assert_eq!(
+                s.timing_mispredictions,
+                ann.penalty.iter().filter(|p| !p.is_zero()).count() as u64,
+                "{}: timing mispredictions", name
+            );
+            prop_assert_eq!(s.lane_off_count, ann.directives.len() as u64, "{}: lane-offs", name);
+            for (i, p) in ann.penalty.iter().enumerate().filter(|(_, p)| !p.is_zero()) {
+                // A stall settles the directive armed after the previous
+                // event, at that directive's depth.
+                let d = ann.directives.iter().find(|d| d.after_event + 1 == i);
+                prop_assert!(d.is_some(), "{}: stall at event {} without a directive", name, i);
+                let react = cfg.react_of(d.unwrap().kind);
+                prop_assert!(*p <= react, "{}: stall {} above T_react {}", name, p, react);
+            }
+        }
+    }
+}
