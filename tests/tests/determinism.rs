@@ -168,6 +168,78 @@ fn strong_trace_digest_matches_golden() {
     assert_matches_golden("strong_trace_digest.json", &Value::Seq(rows));
 }
 
+/// Every sleep policy's annotations, pinned: the PPA runtime (paper
+/// WRPS, with the resilience controller, on the full depth ladder), the
+/// oracle, the reactive idle-timeout at 0 and 50 µs and the history
+/// window of 8, on all five applications at 16 ranks and the exhibit
+/// seed. Each row holds an FNV-1a digest of the JSON of every rank's
+/// `RankAnnotation` (directives, per-event overheads and penalties,
+/// stats), so a change to any policy's decisions or accounting shows up
+/// here, not only in the ablation's rounded savings.
+///
+/// Regenerate only after an intentional model change:
+/// `IBP_UPDATE_GOLDEN=1 cargo test -p ibpower-integration-tests --test determinism`
+#[test]
+fn policy_digest_matches_golden() {
+    use ibp_analysis::exhibits::SEED;
+    use ibp_analysis::sweep::{default_trace_fn, CellKey};
+    use ibp_core::{
+        annotate_rank, history_annotate_rank, oracle_annotate_rank, reactive_annotate_rank,
+        ResilienceConfig,
+    };
+    use ibp_trace::RankTrace;
+    use ibpower_integration_tests::golden::assert_matches_golden;
+    use serde::Value;
+
+    let cfg = PowerConfig::paper(SimDuration::from_us(20), 0.01);
+    let resilient = cfg.clone().with_resilience(ResilienceConfig::standard());
+    let ladder = cfg.clone().with_ladder();
+    let policies = [
+        "ppa",
+        "ppa+resilience",
+        "ppa-ladder",
+        "oracle",
+        "reactive-0us",
+        "reactive-50us",
+        "history-8",
+    ];
+    let annotate = |policy: &str, r: &RankTrace| match policy {
+        "ppa" => annotate_rank(r, &cfg),
+        "ppa+resilience" => annotate_rank(r, &resilient),
+        "ppa-ladder" => annotate_rank(r, &ladder),
+        "oracle" => oracle_annotate_rank(r, &cfg),
+        "reactive-0us" => reactive_annotate_rank(r, &cfg, SimDuration::ZERO),
+        "reactive-50us" => reactive_annotate_rank(r, &cfg, SimDuration::from_us(50)),
+        "history-8" => history_annotate_rank(r, &cfg, 8),
+        other => unreachable!("unknown policy {other}"),
+    };
+    let trace_of = default_trace_fn();
+    let mut rows = Vec::new();
+    for app in AppKind::ALL {
+        let t = trace_of(&CellKey::new(app, 16, SEED));
+        for name in policies {
+            let mut directives = 0;
+            let digest = t.ranks.iter().fold(0xCBF2_9CE4_8422_2325u64, |h, r| {
+                let ann = annotate(name, r);
+                directives += ann.directives.len() as u64;
+                serde_json::to_string(&ann)
+                    .expect("annotation serializes")
+                    .bytes()
+                    .fold(h, |h, b| {
+                        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+                    })
+            });
+            rows.push(Value::Map(vec![
+                ("policy".into(), Value::Str(name.into())),
+                ("app".into(), Value::Str(app.name().into())),
+                ("directives".into(), Value::U64(directives)),
+                ("digest".into(), Value::Str(format!("{digest:016x}"))),
+            ]));
+        }
+    }
+    assert_matches_golden("policy_digest.json", &Value::Seq(rows));
+}
+
 /// FNV-1a over every rank's `rank final_compute;` header and its
 /// `compute_ns op;` records, the text `weak_trace_digest_matches_golden`
 /// hashes.
