@@ -68,7 +68,9 @@ impl SleepRungs {
 
     /// Enabled depths, shallowest first.
     pub fn iter(self) -> impl DoubleEndedIterator<Item = SleepKind> {
-        SleepKind::ALL.into_iter().filter(move |&k| self.contains(k))
+        SleepKind::ALL
+            .into_iter()
+            .filter(move |&k| self.contains(k))
     }
 }
 
@@ -468,7 +470,10 @@ impl PowerConfig {
                 return Err(format!("guard_decay {} outside [0, 1]", r.guard_decay));
             }
             if !r.guard_step.is_finite() || r.guard_step < 0.0 {
-                return Err(format!("guard_step {} must be finite and >= 0", r.guard_step));
+                return Err(format!(
+                    "guard_step {} must be finite and >= 0",
+                    r.guard_step
+                ));
             }
             if !r.slowdown_budget_pct.is_finite() || r.slowdown_budget_pct < 0.0 {
                 return Err(format!(
@@ -645,7 +650,10 @@ mod tests {
             assert!(err.contains("rung set"), "{bits:#b}: {err}");
         }
         for rungs in [SleepRungs::WRPS, SleepRungs::DEEP, SleepRungs::ALL] {
-            let c = PowerConfig { rungs, ..PowerConfig::default() };
+            let c = PowerConfig {
+                rungs,
+                ..PowerConfig::default()
+            };
             assert_eq!(c.validate(), Ok(()), "{rungs:?}");
         }
     }
@@ -680,7 +688,10 @@ mod tests {
             panic!("config serializes as an object");
         };
         entries.retain(|(k, _)| {
-            !matches!(k.as_str(), "rate_threshold" | "rate_t_react" | "rate_power_fraction")
+            !matches!(
+                k.as_str(),
+                "rate_threshold" | "rate_t_react" | "rate_power_fraction"
+            )
         });
         let back = PowerConfig::from_value(&v).unwrap();
         assert_eq!(back, PowerConfig::default());

@@ -366,10 +366,7 @@ impl Ppa {
                             // previously detected pattern re-armed.
                             let pattern: Box<[GramId]> = cur.into();
                             let predict_from = self.pos + size;
-                            self.pl
-                                .entry_mut(up.id)
-                                .expect("pattern present")
-                                .detected = true;
+                            self.pl.entry_mut(up.id).expect("pattern present").detected = true;
                             self.register_detected(up.id, size);
                             if !self.frozen {
                                 self.max_pattern_size = size;
@@ -649,15 +646,17 @@ mod tests {
         let _ = feed_until_declaration(&grams, &mut ppa);
         let w = ppa.work();
         assert!(w.invocations > 0);
-        assert!(w.elements >= w.invocations, "each invocation examines >= 1 element");
+        assert!(
+            w.elements >= w.invocations,
+            "each invocation examines >= 1 element"
+        );
     }
 
     #[test]
     fn seed_slot_gaps_averages_occurrences() {
         use ibp_simcore::SimDuration;
         // Gaps: gram i has gap 100 + i µs.
-        let gap_of =
-            |i: usize| (i < 12).then(|| SimDuration::from_us(100 + i as u64));
+        let gap_of = |i: usize| (i < 12).then(|| SimDuration::from_us(100 + i as u64));
         let slots = seed_slot_gaps([3, 6, 9], 3, gap_of);
         // Slot 0: gaps of grams 3, 6, 9 → mean 106 µs.
         assert_eq!(slots[0].mean(), SimDuration::from_us(106));

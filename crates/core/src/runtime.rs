@@ -148,8 +148,7 @@ impl ResilienceState {
         if !cfg.enabled {
             return false;
         }
-        if push_window(&mut self.recent_pattern, cfg.storm_window, call_idx)
-            >= cfg.storm_threshold
+        if push_window(&mut self.recent_pattern, cfg.storm_window, call_idx) >= cfg.storm_threshold
         {
             self.recent_pattern.clear();
             self.arm_holdoff(cfg);
@@ -317,9 +316,12 @@ impl RankRuntime {
     pub fn pattern_phase(&self) -> Option<(usize, usize, usize)> {
         match &self.mode {
             Mode::Learning => None,
-            Mode::Predicting { shapes, slot, progress, .. } => {
-                Some((*slot, *progress, shapes.len()))
-            }
+            Mode::Predicting {
+                shapes,
+                slot,
+                progress,
+                ..
+            } => Some((*slot, *progress, shapes.len())),
         }
     }
 
@@ -337,8 +339,17 @@ impl RankRuntime {
     pub fn predicted_horizon(&self) -> Option<SimDuration> {
         match &self.mode {
             Mode::Learning => None,
-            Mode::Predicting { pattern, shapes, slot, progress } => {
-                let next = if *progress == 0 { *slot } else { (*slot + 1) % shapes.len() };
+            Mode::Predicting {
+                pattern,
+                shapes,
+                slot,
+                progress,
+            } => {
+                let next = if *progress == 0 {
+                    *slot
+                } else {
+                    (*slot + 1) % shapes.len()
+                };
                 Some(
                     self.ppa
                         .pattern_list()
@@ -658,7 +669,10 @@ impl RankRuntime {
                 }
                 Mode::Predicting {
                     pattern: *pattern,
-                    shapes: shapes.iter().map(|s| s.clone().into_boxed_slice()).collect(),
+                    shapes: shapes
+                        .iter()
+                        .map(|s| s.clone().into_boxed_slice())
+                        .collect(),
                     slot: *slot,
                     progress: *progress,
                 }
@@ -913,7 +927,10 @@ mod tests {
         };
         let short = run(6);
         let long = run(60);
-        assert!(long > short, "hit rate should amortise learning: {short} vs {long}");
+        assert!(
+            long > short,
+            "hit rate should amortise learning: {short} vs {long}"
+        );
         assert!(long > 85.0, "steady-state Alya hit rate ~93%: got {long}");
     }
 
@@ -979,11 +996,35 @@ mod tests {
         for it in 0..10 {
             let lead = if it == 0 { us(0) } else { us(300) };
             b.compute(0, lead);
-            b.op(0, MpiOp::Sendrecv { to: 0, send_bytes: 1, from: 0, recv_bytes: 1 });
+            b.op(
+                0,
+                MpiOp::Sendrecv {
+                    to: 0,
+                    send_bytes: 1,
+                    from: 0,
+                    recv_bytes: 1,
+                },
+            );
             b.compute(0, us(2));
-            b.op(0, MpiOp::Sendrecv { to: 0, send_bytes: 1, from: 0, recv_bytes: 1 });
+            b.op(
+                0,
+                MpiOp::Sendrecv {
+                    to: 0,
+                    send_bytes: 1,
+                    from: 0,
+                    recv_bytes: 1,
+                },
+            );
             b.compute(0, us(3));
-            b.op(0, MpiOp::Sendrecv { to: 0, send_bytes: 1, from: 0, recv_bytes: 1 });
+            b.op(
+                0,
+                MpiOp::Sendrecv {
+                    to: 0,
+                    send_bytes: 1,
+                    from: 0,
+                    recv_bytes: 1,
+                },
+            );
             b.compute(0, us(300));
             b.op(0, MpiOp::Allreduce { bytes: 8 });
             b.compute(0, us(300));
@@ -1040,11 +1081,7 @@ mod tests {
         feed_storm(&mut rt, 30);
         let holding = rt.holdoff_active();
         let ann = rt.finish(SimDuration::ZERO);
-        assert!(
-            ann.stats.storms >= 1,
-            "storm not detected: {:?}",
-            ann.stats
-        );
+        assert!(ann.stats.storms >= 1, "storm not detected: {:?}", ann.stats);
         assert!(ann.stats.holdoff_calls > 0 || holding);
         // The unguarded runtime keeps mispredicting; the hold-off must
         // cut the misprediction count.
@@ -1213,7 +1250,10 @@ mod tests {
         bad.ppa.detected.push((9_999, 7));
         assert!(matches!(
             RankRuntime::from_snapshot(&bad),
-            Err(SnapshotError::DanglingId { what: "pattern", .. })
+            Err(SnapshotError::DanglingId {
+                what: "pattern",
+                ..
+            })
         ));
 
         let mut bad = good.clone();
@@ -1249,7 +1289,10 @@ mod tests {
         let bytes = serde_json::to_string(&v2).unwrap().into_bytes();
         assert_eq!(
             RuntimeSnapshot::from_json_bytes(&bytes),
-            Err(SnapshotError::VersionMismatch { found: 2, expected: 3 })
+            Err(SnapshotError::VersionMismatch {
+                found: 2,
+                expected: 3
+            })
         );
 
         // The untouched snapshot still restores.

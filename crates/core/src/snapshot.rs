@@ -74,10 +74,16 @@ impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SnapshotError::VersionMismatch { found, expected } => {
-                write!(f, "snapshot version {found} incompatible with expected {expected}")
+                write!(
+                    f,
+                    "snapshot version {found} incompatible with expected {expected}"
+                )
             }
             SnapshotError::DanglingId { what, id, len } => {
-                write!(f, "snapshot references {what} id {id} outside table of {len}")
+                write!(
+                    f,
+                    "snapshot references {what} id {id} outside table of {len}"
+                )
             }
             SnapshotError::Inconsistent(msg) => write!(f, "inconsistent snapshot: {msg}"),
         }
@@ -320,9 +326,16 @@ mod tests {
 
     #[test]
     fn snapshot_error_displays() {
-        let e = SnapshotError::VersionMismatch { found: 9, expected: 1 };
+        let e = SnapshotError::VersionMismatch {
+            found: 9,
+            expected: 1,
+        };
         assert!(e.to_string().contains("version 9"));
-        let e = SnapshotError::DanglingId { what: "pattern", id: 7, len: 3 };
+        let e = SnapshotError::DanglingId {
+            what: "pattern",
+            id: 7,
+            len: 3,
+        };
         assert!(e.to_string().contains("pattern id 7"));
         let e = SnapshotError::Inconsistent("x".into());
         assert!(e.to_string().contains("inconsistent"));

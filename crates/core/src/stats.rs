@@ -169,7 +169,11 @@ mod tests {
             ppa_invoked_calls: 40,
             ppa_overhead: SimDuration::from_us(600),
             intercept_overhead: SimDuration::from_us(1000),
-            sleep_time: [SimDuration::from_ms(570), SimDuration::ZERO, SimDuration::ZERO],
+            sleep_time: [
+                SimDuration::from_ms(570),
+                SimDuration::ZERO,
+                SimDuration::ZERO,
+            ],
             nominal_duration: SimDuration::from_secs(1),
             ..RankStats::default()
         }
@@ -211,7 +215,11 @@ mod tests {
     #[test]
     fn low_power_fraction_clamped() {
         let s = RankStats {
-            sleep_time: [SimDuration::from_secs(2), SimDuration::ZERO, SimDuration::ZERO],
+            sleep_time: [
+                SimDuration::from_secs(2),
+                SimDuration::ZERO,
+                SimDuration::ZERO,
+            ],
             nominal_duration: SimDuration::from_secs(1),
             ..RankStats::default()
         };

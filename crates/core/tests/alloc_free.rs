@@ -121,7 +121,8 @@ fn steady_state_intercept_path_is_allocation_free() {
         "measured stream must stay in prediction mode"
     );
     assert_eq!(
-        allocs, 0,
+        allocs,
+        0,
         "steady-state intercept path allocated {allocs} times over {} calls",
         MEASURED_ITERS * 5
     );
@@ -147,6 +148,13 @@ fn gram_interner_hit_path_is_allocation_free() {
         }
         ids
     });
-    assert_eq!(allocs, 0, "re-interning known shapes allocated {allocs} times");
-    assert_eq!(&hits[..], &first[..], "hit path must return the original ids");
+    assert_eq!(
+        allocs, 0,
+        "re-interning known shapes allocated {allocs} times"
+    );
+    assert_eq!(
+        &hits[..],
+        &first[..],
+        "hit path must return the original ids"
+    );
 }

@@ -2,7 +2,7 @@
 //! rank-parallel annotation path.
 
 use ibp_core::{
-    annotate_trace, annotate_trace_jobs, GramBuilder, GramInterner, Ppa, PowerConfig,
+    annotate_trace, annotate_trace_jobs, GramBuilder, GramInterner, PowerConfig, Ppa,
     ResilienceConfig,
 };
 use ibp_simcore::SimDuration;
@@ -257,7 +257,10 @@ fn bounded_occurrence_window_never_changes_declarations() {
         let trace = w.generate(nprocs, 42);
 
         let bounded = PowerConfig::paper(SimDuration::from_us(20), 0.01);
-        assert_eq!(bounded.occurrence_window, ibp_core::DEFAULT_OCCURRENCE_WINDOW);
+        assert_eq!(
+            bounded.occurrence_window,
+            ibp_core::DEFAULT_OCCURRENCE_WINDOW
+        );
         let mut unbounded = bounded.clone();
         unbounded.occurrence_window = usize::MAX;
 
@@ -281,7 +284,12 @@ fn bounded_occurrence_window_never_changes_declarations() {
 /// repeated `reps` times, every gap perturbed by a cheap hash of its
 /// position scaled by `jitter_pct`, so the PPA meets both a learnable
 /// period and timing noise. Gaps span short bursts to deep-sleep idles.
-fn motif_trace(motif: &[(u8, u64)], reps: usize, jitter_pct: u64, tail_us: u64) -> ibp_trace::Trace {
+fn motif_trace(
+    motif: &[(u8, u64)],
+    reps: usize,
+    jitter_pct: u64,
+    tail_us: u64,
+) -> ibp_trace::Trace {
     use ibp_trace::{MpiOp, TraceBuilder};
     let mut b = TraceBuilder::new("motif", 1);
     for rep in 0..reps {
