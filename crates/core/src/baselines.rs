@@ -18,56 +18,97 @@
 //!   longer than τ, predictable or not) but pays the reactivation
 //!   latency on the critical path every single time — exactly the
 //!   trade-off the paper's introduction describes.
+//! * [`history_annotate_rank`] — a sliding-mean predictor with no
+//!   notion of patterns, between the two.
 //!
-//! Both produce ordinary [`RankAnnotation`]s, so the replay engine and
-//! the analysis pipeline treat them exactly like the predictive runtime.
+//! Each policy is one decision rule run by a shared driver (`drive`): after
+//! every event that has a successor, the rule may arm a WRPS lane-off
+//! `(delay, timer, predicted_idle)`, and the next event settles it against
+//! the gap that actually followed through the same rule the PPA runtime
+//! uses (`runtime::settle`), so stalls and low-power spans are computed in
+//! one place. The rule sees both the gap before and the gap after the
+//! event; the oracle and the reactive policy read the gap after (they are
+//! clairvoyant by definition), the history policy does not.
+//!
+//! All produce ordinary [`RankAnnotation`]s, so the replay engine and the
+//! analysis pipeline treat them exactly like the predictive runtime.
 
 use crate::config::{PowerConfig, SleepKind};
-use crate::runtime::{LaneDirective, RankAnnotation};
+use crate::runtime::{settle, LaneDirective, RankAnnotation};
 use crate::stats::RankStats;
 use ibp_simcore::SimDuration;
 use ibp_trace::RankTrace;
+use std::collections::VecDeque;
 
-/// Annotate one rank with the oracle policy (see module docs).
-pub fn oracle_annotate_rank(trace: &RankTrace, cfg: &PowerConfig) -> RankAnnotation {
-    let n = trace.call_count();
+/// Run a baseline decision rule over one rank. After event `i`,
+/// `decide(gap_before, gap_after)` — the idle gaps before and after it —
+/// returns the `(delay, timer, predicted_idle)` of a WRPS lane-off to arm,
+/// or `None`; event `i + 1` settles it. No software overhead is charged.
+fn drive(
+    trace: &RankTrace,
+    cfg: &PowerConfig,
+    mut decide: impl FnMut(SimDuration, SimDuration) -> Option<(SimDuration, SimDuration, SimDuration)>,
+) -> RankAnnotation {
+    let gaps = trace.events.compute();
+    let n = gaps.len();
+    let react = cfg.react_of(SleepKind::Wrps);
     let mut directives = Vec::new();
-    // The oracle "predicts" everything correctly.
+    let mut penalty = vec![SimDuration::ZERO; n];
     let mut stats = RankStats {
         total_calls: n as u64,
-        predicted_calls: n as u64,
-        correct_calls: n as u64,
+        nominal_duration: trace.total_compute(),
         ..RankStats::default()
     };
+    let mut pending: Option<LaneDirective> = None;
 
-    for (i, &gap) in trace.events.compute().iter().enumerate() {
-        stats.nominal_duration += gap;
-        // Exploitable iff the lanes can go down and come back inside the
-        // gap with some low-power time left: gap > 2·T_react.
-        if i > 0 && gap > cfg.t_react * 2 {
-            // Wake exactly on time: off at gap start, timer such that
-            // reactivation completes exactly when the gap ends.
-            let timer = gap - cfg.t_react;
-            directives.push(LaneDirective {
-                after_event: i - 1,
-                delay: SimDuration::ZERO,
+    for (i, &gap) in gaps.iter().enumerate() {
+        if let Some(d) = pending.take() {
+            let (stall, span) = settle(d.delay, d.timer, react, gap);
+            if !stall.is_zero() {
+                stats.timing_mispredictions += 1;
+                stats.total_penalty += stall;
+                penalty[i] = stall;
+            }
+            stats.sleep_time[SleepKind::Wrps as usize] += span;
+        }
+        let Some(&gap_after) = gaps.get(i + 1) else {
+            break;
+        };
+        if let Some((delay, timer, predicted_idle)) = decide(gap, gap_after) {
+            let d = LaneDirective {
+                after_event: i,
+                delay,
                 timer,
-                predicted_idle: gap,
+                predicted_idle,
                 kind: SleepKind::Wrps,
-            });
+            };
+            directives.push(d);
             stats.lane_off_count += 1;
-            stats.sleep_time[SleepKind::Wrps as usize] += timer - cfg.t_react;
+            pending = Some(d);
         }
     }
-    stats.nominal_duration += trace.final_compute;
 
     RankAnnotation {
         rank: trace.rank,
         directives,
         overhead: vec![SimDuration::ZERO; n],
-        penalty: vec![SimDuration::ZERO; n],
+        penalty,
         stats,
     }
+}
+
+/// Annotate one rank with the oracle policy (see module docs).
+pub fn oracle_annotate_rank(trace: &RankTrace, cfg: &PowerConfig) -> RankAnnotation {
+    // Exploitable iff the lanes can go down and come back inside the gap
+    // with some low-power time left: gap > 2·T_react. Off at gap start,
+    // timer such that reactivation completes exactly when the gap ends.
+    let mut ann = drive(trace, cfg, |_, gap| {
+        (gap > cfg.t_react * 2).then(|| (SimDuration::ZERO, gap - cfg.t_react, gap))
+    });
+    // The oracle "predicts" everything correctly.
+    ann.stats.predicted_calls = ann.stats.total_calls;
+    ann.stats.correct_calls = ann.stats.total_calls;
+    ann
 }
 
 /// Annotate one rank with the reactive idle-timeout policy (see module
@@ -78,49 +119,15 @@ pub fn reactive_annotate_rank(
     cfg: &PowerConfig,
     timeout: SimDuration,
 ) -> RankAnnotation {
-    let n = trace.call_count();
-    let mut directives = Vec::new();
-    let overhead = vec![SimDuration::ZERO; n];
-    let mut penalty = vec![SimDuration::ZERO; n];
-    let mut stats = RankStats {
-        total_calls: n as u64,
-        ..RankStats::default()
-    };
-
-    for (i, &gap) in trace.events.compute().iter().enumerate() {
-        stats.nominal_duration += gap;
-        // The hardware monitors idleness: once the link has been quiet
-        // for τ, the lanes go down. Profitable only if some low-power
-        // time remains after the off transition and before the demand
-        // wake: gap > τ + 2·T_react (the wake transition then delays the
-        // arriving call by a full T_react).
-        if i > 0 && gap > timeout + cfg.t_react * 2 {
-            directives.push(LaneDirective {
-                after_event: i - 1,
-                delay: timeout,
-                // The demand wake clamps the window; a timer longer than
-                // the gap means "sleep until traffic arrives".
-                timer: gap,
-                predicted_idle: gap,
-                kind: SleepKind::Wrps,
-            });
-            stats.lane_off_count += 1;
-            stats.sleep_time[SleepKind::Wrps as usize] += gap - timeout - cfg.t_react;
-            // Full reactivation stall on the communication that wakes it.
-            penalty[i] = cfg.t_react;
-            stats.total_penalty += cfg.t_react;
-            stats.timing_mispredictions += 1;
-        }
-    }
-    stats.nominal_duration += trace.final_compute;
-
-    RankAnnotation {
-        rank: trace.rank,
-        directives,
-        overhead,
-        penalty,
-        stats,
-    }
+    // The hardware monitors idleness: once the link has been quiet for τ,
+    // the lanes go down. Profitable only if some low-power time remains
+    // after the off transition and before the demand wake: gap > τ +
+    // 2·T_react. The demand wake clamps the window (a timer as long as
+    // the gap means "sleep until traffic arrives"), so the arriving call
+    // stalls for a full T_react.
+    drive(trace, cfg, |_, gap| {
+        (gap > timeout + cfg.t_react * 2).then_some((timeout, gap, gap))
+    })
 }
 
 /// Annotate one rank with a history-window predictor (the hardware
@@ -140,65 +147,18 @@ pub fn history_annotate_rank(
     window: usize,
 ) -> RankAnnotation {
     assert!(window > 0, "history window must be non-empty");
-    let n = trace.call_count();
-    let mut directives: Vec<LaneDirective> = Vec::new();
-    let overhead = vec![SimDuration::ZERO; n];
-    let mut penalty = vec![SimDuration::ZERO; n];
-    let mut stats = RankStats {
-        total_calls: n as u64,
-        ..RankStats::default()
-    };
-
-    let mut history: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
-    for (i, &gap) in trace.events.compute().iter().enumerate() {
-        stats.nominal_duration += gap;
-
-        // Evaluate the directive issued after the previous event (if any)
-        // against the actual gap.
-        if let Some(d) = directives.last() {
-            if d.after_event + 1 == i {
-                let ready = d.timer + cfg.t_react;
-                let stall = ready.saturating_sub(gap).min(cfg.t_react);
-                if !stall.is_zero() {
-                    stats.timing_mispredictions += 1;
-                    stats.total_penalty += stall;
-                    penalty[i] = stall;
-                }
-                let span = d.timer.min(gap).saturating_sub(cfg.t_react);
-                stats.sleep_time[SleepKind::Wrps as usize] += span;
-            }
-        }
-
-        // Predict the NEXT gap from the sliding mean and decide whether
-        // to sleep after this call completes.
+    let mut history: VecDeque<u64> = VecDeque::with_capacity(window + 1);
+    drive(trace, cfg, |gap, _| {
+        // Predict the next gap from the sliding mean of the observed ones.
         history.push_back(gap.as_ns());
         if history.len() > window {
             history.pop_front();
         }
         let mean_ns = history.iter().sum::<u64>() / history.len() as u64;
         let predicted = SimDuration::from_ns(mean_ns);
-        if i + 1 < n {
-            if let Some(timer) = cfg.lane_off_timer(predicted) {
-                directives.push(LaneDirective {
-                    after_event: i,
-                    delay: SimDuration::ZERO,
-                    timer,
-                    predicted_idle: predicted,
-                    kind: SleepKind::Wrps,
-                });
-                stats.lane_off_count += 1;
-            }
-        }
-    }
-    stats.nominal_duration += trace.final_compute;
-
-    RankAnnotation {
-        rank: trace.rank,
-        directives,
-        overhead,
-        penalty,
-        stats,
-    }
+        cfg.lane_off_timer(predicted)
+            .map(|timer| (SimDuration::ZERO, timer, predicted))
+    })
 }
 
 #[cfg(test)]

@@ -200,16 +200,34 @@ impl ResilienceState {
     }
 }
 
-/// Is the mechanism's added time over the configured share of the
-/// nominal duration? (Free function so call sites can borrow `stats`
-/// and the runtime's other fields disjointly.)
-fn budget_exceeded(cfg: &ResilienceConfig, stats: &RankStats) -> bool {
-    if !cfg.enabled || cfg.slowdown_budget_pct <= 0.0 {
-        return false;
-    }
-    let nominal = stats.nominal_duration.as_secs_f64();
-    nominal > 0.0
-        && stats.mechanism_added_time().as_secs_f64() > nominal * cfg.slowdown_budget_pct / 100.0
+/// Settle a lane-off directive against the idle gap that actually
+/// followed its event: the lanes go down `delay` after the event, the
+/// timer runs for `timer` from there, and the wake takes `react`.
+/// Returns `(stall, span)`: the reactivation stall charged to the call
+/// that ends the gap (lanes still waking when it arrives, at most
+/// `react`), and the low-power span achieved (from the end of the off
+/// transition until the timer fired or the call forced a wake-up).
+/// Every policy's stall and sleep accounting goes through here.
+pub(crate) fn settle(
+    delay: SimDuration,
+    timer: SimDuration,
+    react: SimDuration,
+    gap: SimDuration,
+) -> (SimDuration, SimDuration) {
+    let ready = delay + timer + react;
+    let stall = ready.saturating_sub(gap).min(react);
+    let span = timer.min(gap.saturating_sub(delay)).saturating_sub(react);
+    (stall, span)
+}
+
+/// Mean idle gap observed before `slot` of `pattern` (zero when the
+/// pattern or slot has no running mean yet).
+fn slot_mean(ppa: &Ppa, pattern: PatternId, slot: usize) -> SimDuration {
+    ppa.pattern_list()
+        .entry(pattern)
+        .and_then(|e| e.slot_gaps.get(slot))
+        .map(|m| m.mean())
+        .unwrap_or(SimDuration::ZERO)
 }
 
 /// Per-rank interception runtime (see module docs).
@@ -350,14 +368,7 @@ impl RankRuntime {
                 } else {
                     (*slot + 1) % shapes.len()
                 };
-                Some(
-                    self.ppa
-                        .pattern_list()
-                        .entry(*pattern)
-                        .and_then(|e| e.slot_gaps.get(next))
-                        .map(|m| m.mean())
-                        .unwrap_or(SimDuration::ZERO),
-                )
+                Some(slot_mean(&self.ppa, *pattern, next))
             }
         }
     }
@@ -435,9 +446,7 @@ impl RankRuntime {
                     // This event terminates the predicted idle gap.
                     if let Some(p) = self.pending.take() {
                         let react = self.cfg.react_of(p.kind);
-                        // Lanes ready at gap start + timer + react time.
-                        let ready = p.timer + react;
-                        let stall = ready.saturating_sub(gap).min(react);
+                        let (stall, span) = settle(SimDuration::ZERO, p.timer, react, gap);
                         if !stall.is_zero() {
                             self.stats.timing_mispredictions += 1;
                             self.stats.total_penalty += stall;
@@ -452,10 +461,6 @@ impl RankRuntime {
                         } else {
                             self.resilience.note_clean_wake(&self.cfg.resilience);
                         }
-                        // Low-power span actually achieved: from the off
-                        // transition's end until the timer fired — or
-                        // until the early call forced a wake-up.
-                        let span = p.timer.min(gap).saturating_sub(react);
                         self.stats.sleep_time[p.kind as usize] += span;
                     }
                     if gap < gt {
@@ -488,45 +493,16 @@ impl RankRuntime {
                             // Expected gram complete: program the lane-off
                             // for the gap before the next slot.
                             let next = (*slot + 1) % shapes.len();
-                            let predicted_idle = self
-                                .ppa
-                                .pattern_list()
-                                .entry(*pattern)
-                                .and_then(|e| e.slot_gaps.get(next))
-                                .map(|m| m.mean())
-                                .unwrap_or(SimDuration::ZERO);
-                            let plan = if budget_exceeded(&self.cfg.resilience, &self.stats) {
-                                self.stats.suppressed_directives += 1;
-                                None
-                            } else {
-                                let disp = self.cfg.displacement + self.resilience.guard;
-                                self.cfg.plan_sleep_with(disp, predicted_idle)
-                            };
-                            if let Some((kind, timer)) = plan {
-                                self.directives.push(LaneDirective {
-                                    after_event: self.event_idx,
-                                    delay: SimDuration::ZERO,
-                                    timer,
-                                    predicted_idle,
-                                    kind,
-                                });
-                                self.stats.lane_off_count += 1;
-                                self.pending = Some(PendingSleep { timer, kind });
-                            }
+                            let predicted_idle = slot_mean(&self.ppa, *pattern, next);
                             *slot = next;
                             *progress = 0;
+                            self.arm_sleep(predicted_idle);
                         }
                     }
                 }
 
                 if mispredicted {
-                    self.stats.pattern_mispredictions += 1;
-                    if self
-                        .resilience
-                        .note_pattern_misprediction(&self.cfg.resilience, self.stats.total_calls)
-                    {
-                        self.stats.storms += 1;
-                    }
+                    self.pattern_misprediction();
                     self.fall_back_to_learning(call, gap);
                 } else if timing_storm {
                     // A storm of late wake-ups: abandon the (correctly
@@ -760,13 +736,7 @@ impl RankRuntime {
         // is an immediate pattern misprediction: stay in learning — the
         // builder already holds the diverging call as its open gram.
         if shapes[0][0] != first_call.id() {
-            self.stats.pattern_mispredictions += 1;
-            if self
-                .resilience
-                .note_pattern_misprediction(&self.cfg.resilience, self.stats.total_calls)
-            {
-                self.stats.storms += 1;
-            }
+            self.pattern_misprediction();
             return;
         }
         self.stats.predicted_calls += 1;
@@ -780,31 +750,7 @@ impl RankRuntime {
             // Slot 0's gram is already complete; issue its directive and
             // move to slot 1 (or wrap).
             let next = 1 % shapes.len();
-            let predicted_idle = self
-                .ppa
-                .pattern_list()
-                .entry(pattern_id)
-                .and_then(|e| e.slot_gaps.get(next))
-                .map(|m| m.mean())
-                .unwrap_or(SimDuration::ZERO);
-            let plan = if budget_exceeded(&self.cfg.resilience, &self.stats) {
-                self.stats.suppressed_directives += 1;
-                None
-            } else {
-                let disp = self.cfg.displacement + self.resilience.guard;
-                self.cfg.plan_sleep_with(disp, predicted_idle)
-            };
-            if let Some((kind, timer)) = plan {
-                self.directives.push(LaneDirective {
-                    after_event: self.event_idx,
-                    delay: SimDuration::ZERO,
-                    timer,
-                    predicted_idle,
-                    kind,
-                });
-                self.stats.lane_off_count += 1;
-                self.pending = Some(PendingSleep { timer, kind });
-            }
+            self.arm_sleep(slot_mean(&self.ppa, pattern_id, next));
             self.mode = Mode::Predicting {
                 pattern: pattern_id,
                 shapes,
@@ -818,6 +764,46 @@ impl RankRuntime {
                 slot: 0,
                 progress: 1,
             };
+        }
+    }
+
+    /// Plan the sleep for `predicted_idle` after the current event and
+    /// arm it as the pending directive — unless the resilience
+    /// controller's slowdown budget is spent (the mechanism's added time
+    /// is over its share of the nominal duration), which suppresses it.
+    fn arm_sleep(&mut self, predicted_idle: SimDuration) {
+        let r = &self.cfg.resilience;
+        if r.enabled && r.slowdown_budget_pct > 0.0 {
+            let nominal = self.stats.nominal_duration.as_secs_f64();
+            let added = self.stats.mechanism_added_time().as_secs_f64();
+            if nominal > 0.0 && added > nominal * r.slowdown_budget_pct / 100.0 {
+                self.stats.suppressed_directives += 1;
+                return;
+            }
+        }
+        let disp = self.cfg.displacement + self.resilience.guard;
+        if let Some((kind, timer)) = self.cfg.plan_sleep_with(disp, predicted_idle) {
+            self.directives.push(LaneDirective {
+                after_event: self.event_idx,
+                delay: SimDuration::ZERO,
+                timer,
+                predicted_idle,
+                kind,
+            });
+            self.stats.lane_off_count += 1;
+            self.pending = Some(PendingSleep { timer, kind });
+        }
+    }
+
+    /// Charge a pattern misprediction, and a storm if it tips the
+    /// resilience controller's window over.
+    fn pattern_misprediction(&mut self) {
+        self.stats.pattern_mispredictions += 1;
+        if self
+            .resilience
+            .note_pattern_misprediction(&self.cfg.resilience, self.stats.total_calls)
+        {
+            self.stats.storms += 1;
         }
     }
 
