@@ -22,7 +22,6 @@
 //! fault class or a rank never perturbs the draws of another link.
 
 use crate::config::SimParams;
-use ibp_core::SleepKind;
 use ibp_simcore::{DetRng, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -35,15 +34,6 @@ pub struct FaultConfig {
     /// the lanes stay down until the next network demand.
     #[serde(default)]
     pub wake_misfire_prob: f64,
-    /// Multiplier on `wake_misfire_prob` for rate-reduced windows (the
-    /// retrain path exercises more logic than a lane wake; deeper
-    /// states may misfire more often). The effective probability is
-    /// capped at 1.
-    #[serde(default = "default_misfire_mult")]
-    pub rate_misfire_mult: f64,
-    /// Multiplier on `wake_misfire_prob` for deep-sleep windows.
-    #[serde(default = "default_misfire_mult")]
-    pub deep_misfire_mult: f64,
     /// Probability, per send, of a transient link flap.
     #[serde(default)]
     pub flap_prob: f64,
@@ -62,18 +52,12 @@ pub struct FaultConfig {
     pub degraded_window: SimDuration,
 }
 
-fn default_misfire_mult() -> f64 {
-    1.0
-}
-
 impl FaultConfig {
     /// A quiet plan: seeded but with every fault class at rate zero.
     pub fn quiet(seed: u64) -> Self {
         FaultConfig {
             seed,
             wake_misfire_prob: 0.0,
-            rate_misfire_mult: 1.0,
-            deep_misfire_mult: 1.0,
             flap_prob: 0.0,
             flap_outage_min: SimDuration::from_us(50),
             flap_outage_max: SimDuration::from_us(500),
@@ -100,17 +84,6 @@ impl FaultConfig {
         self.wake_misfire_prob == 0.0 && self.flap_prob == 0.0 && self.degrade_prob == 0.0
     }
 
-    /// Effective misfire probability of a sleep depth (capped at 1).
-    #[must_use]
-    pub fn misfire_prob_of(&self, kind: SleepKind) -> f64 {
-        let mult = match kind {
-            SleepKind::Wrps => 1.0,
-            SleepKind::Rate => self.rate_misfire_mult,
-            SleepKind::Deep => self.deep_misfire_mult,
-        };
-        (self.wake_misfire_prob * mult).min(1.0)
-    }
-
     /// Check that probabilities are in `[0, 1]` and ranges are ordered.
     pub fn validate(&self) -> Result<(), String> {
         let probs = [
@@ -121,15 +94,6 @@ impl FaultConfig {
         for (name, p) in probs {
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("{name} must be in [0, 1], got {p}"));
-            }
-        }
-        let mults = [
-            ("rate_misfire_mult", self.rate_misfire_mult),
-            ("deep_misfire_mult", self.deep_misfire_mult),
-        ];
-        for (name, m) in mults {
-            if !m.is_finite() || m < 0.0 {
-                return Err(format!("{name} must be finite and non-negative, got {m}"));
             }
         }
         if self.flap_outage_min > self.flap_outage_max {
@@ -187,24 +151,12 @@ impl FaultPlan {
         }
     }
 
-    /// Does the wake timer of `link`'s current WRPS sleep window
-    /// misfire? (Depth-unaware alias of [`FaultPlan::wake_misfires_at`].)
-    pub fn wake_misfires(&mut self, link: usize) -> bool {
-        self.wake_misfires_at(link, SleepKind::Wrps)
-    }
-
-    /// Does the wake timer of `link`'s current sleep window, at depth
-    /// `kind`, misfire? One RNG draw per window regardless of depth, so
-    /// the default multipliers (1.0) reproduce the depth-unaware draws
-    /// bit for bit.
-    pub fn wake_misfires_at(&mut self, link: usize, kind: SleepKind) -> bool {
-        if self.cfg.wake_misfire_prob <= 0.0 {
-            return false;
-        }
-        // Gate on the *base* probability so the stream advances once per
-        // window whatever the depth multipliers are: changing a
-        // multiplier never perturbs the draws of later windows.
-        self.links[link].rng.chance(self.cfg.misfire_prob_of(kind))
+    /// Does the wake timer of `link`'s current sleep window misfire?
+    /// One RNG draw per window, whatever its depth, and none at all when
+    /// misfires are off.
+    pub fn wake_misfires_at(&mut self, link: usize) -> bool {
+        let p = self.cfg.wake_misfire_prob;
+        p > 0.0 && self.links[link].rng.chance(p)
     }
 
     /// Draw the fault outcome for a send leaving `link` at `now`.
@@ -281,7 +233,7 @@ mod tests {
         assert!(cfg.is_quiet());
         let mut plan = FaultPlan::new(&cfg, 4);
         for link in 0..4 {
-            assert!(!plan.wake_misfires(link));
+            assert!(!plan.wake_misfires_at(link));
             let f = plan.send_fault(link, SimTime::from_us(10));
             assert!(f.flap_delay.is_zero() && !f.degraded);
         }
@@ -314,57 +266,19 @@ mod tests {
     }
 
     #[test]
-    fn depth_multipliers_scale_misfire_probability() {
-        let mut cfg = FaultConfig::quiet(0);
-        cfg.wake_misfire_prob = 0.4;
-        cfg.rate_misfire_mult = 1.5;
-        cfg.deep_misfire_mult = 4.0;
-        assert!((cfg.misfire_prob_of(SleepKind::Wrps) - 0.4).abs() < 1e-12);
-        assert!((cfg.misfire_prob_of(SleepKind::Rate) - 0.6).abs() < 1e-12);
-        // Capped at 1.
-        assert_eq!(cfg.misfire_prob_of(SleepKind::Deep), 1.0);
-        assert!(cfg.validate().is_ok());
-        cfg.deep_misfire_mult = -1.0;
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn depth_multiplier_draws_stay_stream_aligned() {
-        // A mult-0 depth still consumes one draw per window, so the
-        // *other* windows of the run see identical randomness.
-        let mut cfg = FaultConfig::quiet(21);
-        cfg.wake_misfire_prob = 0.5;
-        let mut base = FaultPlan::new(&cfg, 1);
-        let mut zeroed_cfg = cfg.clone();
-        zeroed_cfg.deep_misfire_mult = 0.0;
-        let mut zeroed = FaultPlan::new(&zeroed_cfg, 1);
-        for i in 0..100u64 {
-            let kind = if i % 3 == 0 {
-                SleepKind::Deep
-            } else {
-                SleepKind::Wrps
-            };
-            let a = base.wake_misfires_at(0, kind);
-            let b = zeroed.wake_misfires_at(0, kind);
-            if kind == SleepKind::Deep {
-                assert!(!b);
-            } else {
-                assert_eq!(a, b, "window {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn default_multipliers_match_depth_unaware_draws() {
+    fn misfire_draws_are_one_per_window() {
+        // Each link draws from its own split stream, one uniform per
+        // sleep window, so a run's misfires follow the seed alone.
         let cfg = FaultConfig::with_rate(0xFEED, 40.0);
-        let mut by_kind = FaultPlan::new(&cfg, 2);
-        let mut plain = FaultPlan::new(&cfg, 2);
+        let mut plan = FaultPlan::new(&cfg, 2);
+        let root = DetRng::seed_from_u64(cfg.seed);
+        let mut streams: Vec<DetRng> = (0..2u64).map(|r| root.split(0xFA01_0000 ^ r)).collect();
         for i in 0..200u64 {
             let link = (i % 2) as usize;
-            let kind = SleepKind::ALL[(i % 3) as usize];
             assert_eq!(
-                by_kind.wake_misfires_at(link, kind),
-                plain.wake_misfires(link)
+                plan.wake_misfires_at(link),
+                streams[link].chance(cfg.wake_misfire_prob),
+                "window {i}"
             );
         }
     }
@@ -379,7 +293,7 @@ mod tests {
                 let link = (i % 8) as usize;
                 let t = SimTime::from_us(i * 13);
                 log.push((
-                    plan.wake_misfires(link),
+                    plan.wake_misfires_at(link),
                     plan.send_fault(link, t).flap_delay,
                 ));
             }

@@ -932,13 +932,11 @@ impl<'a> Replay<'a> {
         let compute = events.compute();
         if ev >= compute.len() {
             // Trailing compute, final sleep resolution, done.
-            let misfire = match self.ranks[ri].pending_sleep {
-                Some((_, _, kind)) => self
+            let misfire = self.ranks[ri].pending_sleep.is_some()
+                && self
                     .faults
                     .as_mut()
-                    .is_some_and(|plan| plan.wake_misfires_at(ri, kind)),
-                None => false,
-            };
+                    .is_some_and(|plan| plan.wake_misfires_at(ri));
             let state = &mut self.ranks[ri];
             if !state.done {
                 let t = self
@@ -978,13 +976,11 @@ impl<'a> Replay<'a> {
         // serve the reactivation stall. Window *accounting* is buffered
         // ([`ReplayScratch::windows`]) and applied after the run.
         {
-            let misfire = match self.ranks[ri].pending_sleep {
-                Some((_, _, kind)) => self
+            let misfire = self.ranks[ri].pending_sleep.is_some()
+                && self
                     .faults
                     .as_mut()
-                    .is_some_and(|plan| plan.wake_misfires_at(ri, kind)),
-                None => false,
-            };
+                    .is_some_and(|plan| plan.wake_misfires_at(ri));
             let state = &mut self.ranks[ri];
             state.t = self.params.compute_end(state.t, compute + overhead);
             match state.pending_sleep.take() {
