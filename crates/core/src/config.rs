@@ -289,12 +289,6 @@ impl PowerConfig {
         self.depth_timer_with(self.displacement, predicted_idle, SleepKind::Wrps)
     }
 
-    /// Relative power saved while a link sits in low-power mode
-    /// (`1 − low_power_fraction`, ≈ 0.57 for WRPS).
-    pub fn low_power_saving(&self) -> f64 {
-        1.0 - self.low_power_fraction
-    }
-
     /// The paper's §VI extension: same mechanism, but predicted idles of
     /// at least `threshold` also power down switch buffers/crossbar
     /// (deep state: 1 ms reactivation, 10% draw).
@@ -582,12 +576,6 @@ mod tests {
     #[should_panic(expected = "displacement")]
     fn rejects_bad_displacement() {
         let _ = PowerConfig::paper(SimDuration::from_us(20), 1.5);
-    }
-
-    #[test]
-    fn low_power_saving_is_complement() {
-        let c = PowerConfig::default();
-        assert!((c.low_power_saving() - 0.57).abs() < 1e-12);
     }
 
     #[test]

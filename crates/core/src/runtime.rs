@@ -297,12 +297,6 @@ impl RankRuntime {
         matches!(self.mode, Mode::Predicting { .. })
     }
 
-    /// Whether the resilience controller currently holds prediction off
-    /// after a misprediction storm.
-    pub fn holdoff_active(&self) -> bool {
-        self.resilience.holdoff_remaining > 0
-    }
-
     /// Current guard band (extra displacement) of the resilience
     /// controller; zero when disabled or fully decayed.
     pub fn guard_band(&self) -> f64 {
@@ -517,15 +511,6 @@ impl RankRuntime {
         self.overhead.push(event_overhead);
         self.penalty.push(event_penalty);
         self.event_idx += 1;
-    }
-
-    /// Intercept a batch of events through the allocation-free hot path,
-    /// reserving output capacity once up front.
-    pub fn intercept_batch(&mut self, events: &[(MpiCall, SimDuration)]) {
-        self.reserve_events(events.len());
-        for &(call, gap) in events {
-            self.intercept(call, gap);
-        }
     }
 
     /// Capture the complete learned state (see [`RuntimeSnapshot`]).
@@ -1065,7 +1050,7 @@ mod tests {
     fn storm_triggers_exponential_holdoff() {
         let mut rt = RankRuntime::new(0, resilient_cfg());
         feed_storm(&mut rt, 30);
-        let holding = rt.holdoff_active();
+        let holding = rt.holdoff_remaining() > 0;
         let ann = rt.finish(SimDuration::ZERO);
         assert!(ann.stats.storms >= 1, "storm not detected: {:?}", ann.stats);
         assert!(ann.stats.holdoff_calls > 0 || holding);
@@ -1176,17 +1161,23 @@ mod tests {
     /// run exactly.
     fn assert_split_parity(c: PowerConfig, events: &[(MpiCall, SimDuration)], split: usize) {
         let mut whole = RankRuntime::new(0, c.clone());
-        whole.intercept_batch(events);
+        for &(call, gap) in events {
+            whole.intercept(call, gap);
+        }
         let whole_ann = whole.finish(us(5));
 
         let mut first = RankRuntime::new(0, c);
-        first.intercept_batch(&events[..split]);
+        for &(call, gap) in &events[..split] {
+            first.intercept(call, gap);
+        }
         let pre: Vec<LaneDirective> = first.directives().to_vec();
         let snap = first.snapshot();
         // Round-trip through the JSON wire form, as ibp-serve does.
         let snap = RuntimeSnapshot::from_json_bytes(&snap.to_json_bytes()).expect("wire form");
         let mut second = RankRuntime::from_snapshot(&snap).expect("restore");
-        second.intercept_batch(&events[split..]);
+        for &(call, gap) in &events[split..] {
+            second.intercept(call, gap);
+        }
         let ann = second.finish(us(5));
 
         let mut directives = pre;
@@ -1341,18 +1332,6 @@ mod tests {
                 "guard {bad_guard} restored"
             );
         }
-    }
-
-    #[test]
-    fn intercept_batch_matches_loop() {
-        let events = alya_events(10, 300);
-        let mut a = RankRuntime::new(0, cfg());
-        a.intercept_batch(&events);
-        let mut b = RankRuntime::new(0, cfg());
-        for &(call, gap) in &events {
-            b.intercept(call, gap);
-        }
-        assert_eq!(a.finish(us(0)), b.finish(us(0)));
     }
 
     #[test]
