@@ -703,10 +703,11 @@ OBSERVABILITY: `serve --metrics-addr ADDR` exposes every server counter
 BENCH-REPORT: time the hot paths (PMPI interception, PPA scan, replay at
   8/16/128 ranks, rank-parallel annotation, GT sweep, serve round trip)
   and append an entry to the trajectory JSON (default BENCH_hotpath.json).
-  --check exits non-zero if intercept-path ns/call regressed more than 25%
-  against the file's last entry, or a serve, replay or sweep probe more
-  than 50% when the baseline entry records it (the CI smoke gate); --label
-  names the entry; --iters/--reps set probe scale.
+  --check instead gates against the file's last entry and writes nothing:
+  it exits non-zero if intercept-path ns/call regressed more than 25%, or
+  a serve, replay or sweep probe more than 50% when the baseline entry
+  records it (the CI smoke gate); --label names the entry; --iters/--reps
+  set probe scale.
 
 DEFAULTS: --seed 0xD1C0, --gt 20 (µs), --disp 0.01. Seeds (--seed,
   --fault-seed, --chaos-seed) take decimal or 0x-prefixed hex. Flags are

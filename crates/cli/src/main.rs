@@ -587,6 +587,10 @@ fn run(cmd: Command) -> Result<(), String> {
                 gate_50(REPLAY_WIDE_PROBE)?;
                 gate_50(LADDER_PROBE)?;
                 gate_50(GT_SWEEP_PROBE)?;
+                // A gate run records nothing: the committed last entry
+                // stays the baseline of the next check.
+                println!("check passed; {output} left unchanged");
+                return Ok(());
             }
             traj.entries.push(entry);
             let json = serde_json::to_string_pretty(&traj).map_err(|e| e.to_string())?;

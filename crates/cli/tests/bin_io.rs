@@ -119,3 +119,52 @@ fn closed_stdout_is_a_quiet_exit() {
         "a closed stdout is not an error: {stderr}"
     );
 }
+
+/// `bench-report --check` is a gate, not a recorder: a passing check
+/// must leave the trajectory byte for byte as it found it, so running
+/// the gate cannot ratchet the next gate's baseline.
+#[test]
+fn bench_report_check_leaves_the_trajectory_untouched() {
+    // One entry whose every gated probe has a baseline no run can
+    // regress against.
+    let probes: Vec<String> = [
+        "intercept_ns_per_call",
+        "serve_roundtrip_ns_per_event",
+        "serve_scale_ns_per_event",
+        "replay_ns_per_event",
+        "replay_big_ns_per_event",
+        "replay_wide_ns_per_event",
+        "ladder_apply_windows_ns_per_event",
+        "gt_sweep_ns_per_event",
+    ]
+    .iter()
+    .map(|name| format!(r#"{{"name": "{name}", "ns_per_elem": 1e12, "elems": 1, "reps": 1}}"#))
+    .collect();
+    let traj = format!(
+        "{{\"entries\": [{{\"label\": \"generous\", \"probes\": [{}]}}]}}\n",
+        probes.join(", ")
+    );
+    let path = std::env::temp_dir().join(format!("ibp-bench-check-{}.json", std::process::id()));
+    std::fs::write(&path, &traj).expect("write trajectory");
+    let out = Command::new(env!("CARGO_BIN_EXE_ibpower"))
+        .args([
+            "bench-report",
+            "--check",
+            "--iters",
+            "10",
+            "--reps",
+            "1",
+            "-o",
+        ])
+        .arg(&path)
+        .output()
+        .expect("spawn ibpower bench-report");
+    let after = std::fs::read_to_string(&path).expect("read trajectory back");
+    std::fs::remove_file(&path).ok();
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(after, traj, "--check rewrote the trajectory");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("left unchanged"),
+        "{out:?}"
+    );
+}
