@@ -147,7 +147,7 @@ pub fn history_annotate_rank(
     window: usize,
 ) -> RankAnnotation {
     assert!(window > 0, "history window must be non-empty");
-    let mut history: VecDeque<u64> = VecDeque::with_capacity(window + 1);
+    let mut history: VecDeque<u64> = VecDeque::new();
     drive(trace, cfg, |gap, _| {
         // Predict the next gap from the sliding mean of the observed ones.
         history.push_back(gap.as_ns());
