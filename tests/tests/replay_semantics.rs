@@ -813,3 +813,139 @@ fn replay_ids_digest_matches_golden() {
     assert!(wrapped, "no request id wrapped past u32::MAX");
     assert_matches_golden("replay_ids_digest.json", &Value::Seq(rows));
 }
+
+/// A valid trace built around the edges of a ring allgather, one
+/// scenario per round, cycling:
+///
+/// 0. one late entrant: rank `late` computes 250 µs longer first;
+/// 1. one early leaver: rank `early` computes least, leaves the
+///    allgather first and sends to a ring member, which receives after
+///    its own allgather;
+/// 2. back-to-back 1-byte, 512-byte and 1-byte allgathers, where the
+///    remaining-send bound is loosest;
+/// 3. an `Isend` to the right neighbour left unreceived across the
+///    allgather, received after it;
+/// 4. an allreduce between allgathers of a different size.
+///
+/// Compute gaps repeat per scenario with a few percent of jitter, so
+/// the runtime issues directives.
+fn ring_window_trace(nprocs: u32, rounds: usize, seed: u64) -> Trace {
+    let n = nprocs;
+    let mut b = TraceBuilder::new("ring-window", n);
+    let mut rng = DetRng::seed_from_u64(seed);
+    let late = rng.index(n as usize) as u32;
+    let early = rng.index(n as usize) as u32;
+    for r in 0..n {
+        let mut rank_rng = DetRng::seed_from_u64(seed ^ (u64::from(r) << 32) ^ 0x21A6);
+        let gaps_us: Vec<f64> = (0..5)
+            .map(|_| rank_rng.uniform_range(40.0, 1_500.0))
+            .collect();
+        let (right, left) = ((r + 1) % n, (r + n - 1) % n);
+        for i in 0..rounds {
+            let scenario = i % 5;
+            let mut gap = gaps_us[scenario] * rank_rng.uniform_range(0.97, 1.03);
+            if scenario == 0 && r == late {
+                gap += 250.0;
+            }
+            if scenario == 1 && r == early {
+                gap = 1.0;
+            }
+            b.compute(r, SimDuration::from_us_f64(gap));
+            match scenario {
+                0 => b.op(r, MpiOp::Allgather { bytes: 4096 }),
+                1 => {
+                    b.op(r, MpiOp::Allgather { bytes: 2048 });
+                    let member = (early + 1 + (n > 2) as u32) % n;
+                    if r == early {
+                        b.op(r, MpiOp::Send { to: member, bytes: 8192 });
+                    }
+                    if r == member {
+                        b.op(r, MpiOp::Recv { from: early, bytes: 8192 });
+                    }
+                }
+                2 => {
+                    b.op(r, MpiOp::Allgather { bytes: 1 });
+                    b.op(r, MpiOp::Allgather { bytes: 512 });
+                    b.op(r, MpiOp::Allgather { bytes: 1 });
+                }
+                3 => {
+                    let s = b.isend(r, right, 1024);
+                    b.op(r, MpiOp::Allgather { bytes: 256 });
+                    b.op(r, MpiOp::Recv { from: left, bytes: 1024 });
+                    b.op(r, MpiOp::Wait { req: s });
+                }
+                _ => {
+                    b.op(r, MpiOp::Allgather { bytes: 64 });
+                    b.op(r, MpiOp::Allreduce { bytes: 8 });
+                    b.op(r, MpiOp::Allgather { bytes: 16384 });
+                }
+            }
+        }
+    }
+    b.build()
+}
+
+/// The replay's exact output around ring allgathers on the paper tree,
+/// at ring sizes within one leaf (2, 3, 17), leaving a rank alone on a
+/// leaf (19, 37) and spanning eight leaves (128): [`ring_window_trace`]
+/// replayed as a baseline, with flap and degrade faults, managed under
+/// the paper rung set, and managed with every fault class on.
+///
+/// Regenerate only after an intentional model change:
+/// `IBP_UPDATE_GOLDEN=1 cargo test -p ibpower-integration-tests --test replay_semantics`
+#[test]
+fn ring_window_digest_matches_golden() {
+    use ibpower_integration_tests::golden::assert_matches_golden;
+    use serde::Value;
+
+    let params = SimParams::paper();
+    let paper = PowerConfig::paper(SimDuration::from_us(20), 0.01);
+    let mut rows = Vec::new();
+    let mut scratch = ReplayScratch::new();
+    for (i, &(nprocs, rounds)) in [(2, 40), (3, 40), (17, 30), (19, 30), (37, 30), (128, 30)]
+        .iter()
+        .enumerate()
+    {
+        let seed = 0x21A6_0000 + i as u64;
+        let trace = ring_window_trace(nprocs, rounds, seed);
+        trace.validate().unwrap();
+        let link_faults = FaultConfig {
+            flap_prob: 0.02,
+            degrade_prob: 0.01,
+            ..FaultConfig::quiet(seed)
+        };
+        let ann = annotate_trace_jobs(&trace, &paper, 1);
+        let runs = [
+            ("baseline", None, None),
+            ("flap+degrade", None, Some(link_faults)),
+            ("managed", Some(&ann), None),
+            (
+                "managed+faults",
+                Some(&ann),
+                Some(FaultConfig::with_rate(seed, 20.0)),
+            ),
+        ];
+        for (label, ann, faults) in runs {
+            let opts = ReplayOptions {
+                faults,
+                ..ReplayOptions::default()
+            };
+            let r = replay_with_scratch(&trace, ann, &params, &opts, &mut scratch)
+                .expect("ring-window replay");
+            rows.push(Value::Map(vec![
+                ("nprocs".into(), Value::U64(u64::from(nprocs))),
+                ("run".into(), Value::Str(label.into())),
+                ("exec_ns".into(), Value::U64(r.exec_time.as_ns())),
+                ("messages".into(), Value::U64(r.fabric.messages)),
+                ("contended".into(), Value::U64(r.fabric.contended)),
+                ("fault_events".into(), Value::U64(r.faults.total_events())),
+                (
+                    "sleep_windows".into(),
+                    Value::U64(r.link_sleeps.iter().sum()),
+                ),
+                ("digest".into(), Value::Str(digest_result(&r))),
+            ]));
+        }
+    }
+    assert_matches_golden("ring_window_digest.json", &Value::Seq(rows));
+}
