@@ -389,9 +389,10 @@ impl Reference<'_> {
 /// A valid random trace of `rounds` SPMD rounds on `n` ranks: every
 /// collective kind, blocking and non-blocking point-to-point on ring
 /// pairs, allgathers entered with per-rank skew and one late rank, an
-/// early leaver that sends to a ring member, and an `Isend` to the right
-/// neighbour left unreceived across an allgather. Rounds repeat with a
-/// short period so the runtime issues directives.
+/// early leaver that sends to a ring member, an `Isend` to the right
+/// neighbour left unreceived across an allgather, and crowded rounds of
+/// large collectives entered together. Rounds repeat with a short
+/// period so the runtime issues directives.
 fn random_trace(n: u32, seed: u64, rounds: usize) -> Trace {
     let mut rng = DetRng::seed_from_u64(seed);
     let period = 2 + rng.index(4);
@@ -399,7 +400,7 @@ fn random_trace(n: u32, seed: u64, rounds: usize) -> Trace {
         .map(|_| {
             let width = 4 + rng.index(14);
             let bytes = 1 + rng.index(1 << width) as u64;
-            (rng.index(12), bytes, rng.index(n as usize) as u32)
+            (rng.index(14), bytes, rng.index(n as usize) as u32)
         })
         .collect();
     let mut b = TraceBuilder::new("reference", n);
@@ -412,7 +413,11 @@ fn random_trace(n: u32, seed: u64, rounds: usize) -> Trace {
         for i in 0..rounds {
             let (kind, bytes, sel) = slots[i % period];
             let skew = if r == sel { 300.0 } else { 0.0 };
-            let gap = gaps[i % period] * rank_rng.uniform_range(0.97, 1.03) + skew;
+            let gap = match kind {
+                // Crowded rounds start right after the last collective.
+                12 | 13 => rank_rng.uniform_range(0.0, 2.0),
+                _ => gaps[i % period] * rank_rng.uniform_range(0.97, 1.03) + skew,
+            };
             b.compute(r, SimDuration::from_us_f64(gap));
             let shift = 1 + sel % (n - 1);
             match kind {
@@ -472,6 +477,30 @@ fn random_trace(n: u32, seed: u64, rounds: usize) -> Trace {
                     b.op(r, MpiOp::Recv { from: left, bytes });
                     b.op(r, MpiOp::Wait { req: s });
                 }
+                12 => {
+                    // Crowded trees and pairwise exchange: channels
+                    // shared by several senders at once.
+                    b.op(r, MpiOp::Alltoall { bytes: 1 << 15 });
+                    b.op(r, MpiOp::Allreduce { bytes: 1 << 14 });
+                    b.op(
+                        r,
+                        MpiOp::Bcast {
+                            root: sel,
+                            bytes: 1 << 14,
+                        },
+                    );
+                }
+                13 => {
+                    b.op(r, MpiOp::Allgather { bytes: 1 << 14 });
+                    b.op(r, MpiOp::Alltoall { bytes: 1 << 13 });
+                    b.op(
+                        r,
+                        MpiOp::Reduce {
+                            root: sel,
+                            bytes: 1 << 15,
+                        },
+                    );
+                }
                 _ => {
                     let a = b.irecv(r, left, bytes);
                     b.op(r, MpiOp::Send { to: right, bytes });
@@ -524,7 +553,7 @@ proptest! {
     /// leaves), with and without faults and annotations.
     #[test]
     fn engine_matches_reference_on_random_traces(
-        n in 2u32..14,
+        n in 2u32..24,
         nodes_per_leaf in 1u32..5,
         spare_leaves in 0u32..2,
         top_count in 1u32..4,
