@@ -24,6 +24,14 @@
 //! send gate swaps itself into the heap top's slot and the displaced
 //! rank runs next — one sift-down instead of a push and a pop.
 //!
+//! When the last rank enters a collective whose every send runs on
+//! channels private to its sender (a ring allgather on any fat-tree
+//! shape), the engine opens a *ring window*: it runs the collective's
+//! sends and receives round by round without the gate, up to a lower
+//! bound on the first rank's exit, then rebuilds the heap and hands
+//! back. Sends on private channels commute, so the results are the
+//! gated engine's, byte for byte.
+//!
 //! ## Memory and data layout
 //!
 //! All growable engine state lives in a [`ReplayScratch`] arena that is
@@ -356,12 +364,31 @@ struct CollSched {
     rank_base: Vec<u32>,
     /// Packed micro-ops, rank-major, in execution order.
     ops: Vec<u32>,
+    /// Sends among `ops[..i]` at `i` (`ops.len() + 1` entries), so a
+    /// rank's sends left in its segment are two loads.
+    sends_before: Vec<u32>,
+}
+
+impl CollSched {
+    /// A placeholder that holds no memory.
+    const EMPTY: CollSched = CollSched {
+        rank_base: Vec::new(),
+        ops: Vec::new(),
+        sends_before: Vec::new(),
+    };
+
+    /// Sends in `ops[from..to]`.
+    #[inline]
+    fn sends(&self, from: u32, to: u32) -> u64 {
+        u64::from(self.sends_before[to as usize] - self.sends_before[from as usize])
+    }
 }
 
 fn build_sched(op: &MpiOp, nprocs: u32) -> CollSched {
     let mut sched = CollSched {
         rank_base: Vec::with_capacity(nprocs as usize + 1),
         ops: Vec::new(),
+        sends_before: vec![0],
     };
     sched.rank_base.push(0);
     for me in 0..nprocs {
@@ -371,7 +398,72 @@ fn build_sched(op: &MpiOp, nprocs: u32) -> CollSched {
         });
         sched.rank_base.push(sched.ops.len() as u32);
     }
+    let mut sends = 0;
+    for &micro in &sched.ops {
+        sends += micro >> 31;
+        sched.sends_before.push(sends);
+    }
     sched
+}
+
+/// Whether every send of `sched` runs on channels no other sender of it
+/// uses, when its `nprocs` ranks sit `nodes_per_leaf` to a leaf (rank
+/// `r` on node `r`, as [`crate::topology::FatTree`] places them): every
+/// destination receives from one source only (its host downlink and its
+/// pair), and every leaf has at most one cross-leaf sender (its leaf→top
+/// channels) and at most one cross-leaf receiver (its top→leaf
+/// channels). `claims` is reusable scratch.
+fn channel_private(
+    sched: &CollSched,
+    nprocs: u32,
+    nodes_per_leaf: u32,
+    claims: &mut Vec<u32>,
+) -> bool {
+    const FREE: u32 = u32::MAX;
+    let n = nprocs as usize;
+    let leaves = nprocs.div_ceil(nodes_per_leaf) as usize;
+    claims.clear();
+    claims.resize(n + 2 * leaves, FREE);
+    // Claim `slot` for `owner`: it must be free or `owner`'s already.
+    let mut claim = |slot: usize, owner: u32| {
+        let held = &mut claims[slot];
+        let ok = *held == FREE || *held == owner;
+        *held = owner;
+        ok
+    };
+    for src in 0..nprocs {
+        let segment = sched.rank_base[src as usize]..sched.rank_base[src as usize + 1];
+        for &micro in &sched.ops[segment.start as usize..segment.end as usize] {
+            if micro & SEND_BIT == 0 {
+                continue;
+            }
+            let dst = micro & !SEND_BIT;
+            let (from_leaf, to_leaf) = (src / nodes_per_leaf, dst / nodes_per_leaf);
+            let private = claim(dst as usize, src)
+                && (from_leaf == to_leaf
+                    || claim(n + from_leaf as usize, src)
+                        && claim(n + leaves + to_leaf as usize, dst));
+            if !private {
+                return false;
+            }
+        }
+    }
+    true
+}
+
+/// One rank's state inside a ring window, copied out of its
+/// `RankState` while the window runs.
+#[derive(Debug, Clone, Copy)]
+struct WindowRank {
+    t: SimTime,
+    /// The rank's next micro-op and its segment's end.
+    sub: u32,
+    end: u32,
+    /// Payload of every message of the rank's collective.
+    bytes: u64,
+    /// The least a send adds to the rank's clock, ns: the MPI latency
+    /// plus the payload's serialization.
+    cost: u64,
 }
 
 /// Entry bound on the schedule cache — far above what any sweep produces
@@ -424,6 +516,18 @@ pub struct ReplayScratch {
     /// `Coll` steps index into `scheds` through `sched_index`.
     scheds: Vec<CollSched>,
     sched_index: FxHashMap<SchedKey, u32>,
+    /// Per schedule, how many ranks are inside one of its segments now.
+    coll_inside: Vec<u32>,
+    /// Per schedule, whether it is channel-private on this replay's
+    /// fat-tree shape; worked out on first need, reset by `prepare`
+    /// (the answer depends on `nodes_per_leaf`, not on the cache key).
+    sched_private: Vec<Option<bool>>,
+    /// Slot owners for [`channel_private`].
+    claims: Vec<u32>,
+    /// Every rank's place in the current ring window.
+    window: Vec<WindowRank>,
+    /// Messages sent inside ring windows during the last replay.
+    window_messages: u64,
 }
 
 impl ReplayScratch {
@@ -431,6 +535,13 @@ impl ReplayScratch {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Messages the last replay sent inside ring windows (DESIGN.md
+    /// §16), out of its `fabric.messages`.
+    #[must_use]
+    pub fn window_messages(&self) -> u64 {
+        self.window_messages
     }
 
     /// Heap bytes held, by capacity: the step stream, the pair table with
@@ -451,7 +562,10 @@ impl ReplayScratch {
         let scheds: usize = self
             .scheds
             .iter()
-            .map(|c| (c.rank_base.capacity() + c.ops.capacity()) * size_of::<u32>())
+            .map(|c| {
+                (c.rank_base.capacity() + c.ops.capacity() + c.sends_before.capacity())
+                    * size_of::<u32>()
+            })
             .sum();
         let cap = self.sched_index.capacity();
         let buckets = match cap {
@@ -471,6 +585,9 @@ impl ReplayScratch {
             + self.scheds.capacity() * size_of::<CollSched>()
             + scheds
             + buckets * (size_of::<(SchedKey, u32)>() + 1)
+            + (self.coll_inside.capacity() + self.claims.capacity()) * size_of::<u32>()
+            + self.sched_private.capacity() * size_of::<Option<bool>>()
+            + self.window.capacity() * size_of::<WindowRank>()
     }
 
     /// Reset per-run state and lower every rank's op table into the step
@@ -510,6 +627,11 @@ impl ReplayScratch {
                 self.lower(op, r as Rank, nprocs);
             }
         }
+        self.coll_inside.clear();
+        self.coll_inside.resize(self.scheds.len(), 0);
+        self.sched_private.clear();
+        self.sched_private.resize(self.scheds.len(), None);
+        self.window_messages = 0;
     }
 
     /// Append the steps of rank `r`'s table entry `op`, ending with its
@@ -589,6 +711,23 @@ struct Replay<'a> {
     faults: Option<FaultPlan>,
     /// Aggregate fault accounting.
     fault_stats: FaultStats,
+    /// The longest flap outage a send can draw (zero without flaps).
+    flap_max: SimDuration,
+    /// The latest arrival of the run so far: no channel is busy past it.
+    last_arrival: SimTime,
+    /// The last key the send gate admitted (checked in debug builds).
+    gate_key: u64,
+}
+
+/// What entering the next event of a rank led to.
+enum Entered {
+    /// The rank's trace is exhausted; it is finished.
+    Finished,
+    /// The rank is inside an event.
+    Event,
+    /// The rank entered a segment of collective schedule `s`, and every
+    /// rank is now inside one of that schedule's segments.
+    AllInside(usize),
 }
 
 /// Replay `trace` through the modelled network. Supplying `ann` turns on
@@ -654,6 +793,10 @@ pub fn replay_with_scratch(
         }
         None => None,
     };
+    let flap_max = match &opts.faults {
+        Some(cfg) if cfg.flap_prob > 0.0 => cfg.flap_outage_max,
+        _ => SimDuration::ZERO,
+    };
 
     scratch.prepare(trace);
     let ranks = (0..n)
@@ -685,6 +828,9 @@ pub fn replay_with_scratch(
         parked: 0,
         faults,
         fault_stats: FaultStats::default(),
+        flap_max,
+        last_arrival: SimTime::ZERO,
+        gate_key: 0,
     };
 
     // Every rank starts runnable at clock zero: its key is its id.
@@ -785,16 +931,34 @@ impl<'a> Replay<'a> {
     #[inline]
     fn yield_to_earlier(&mut self, r: Rank) -> Result<Option<Rank>, ReplayError> {
         let Some(&Reverse(top)) = self.scratch.heap.peek() else {
+            self.check_gate_order(r);
             return Ok(None);
         };
         let key = self.key(self.ranks[r as usize].t, r)?;
         if top > key {
+            self.check_gate_order(r);
             return Ok(None);
         }
         if let Some(mut slot) = self.scratch.heap.peek_mut() {
             *slot = Reverse(key);
         }
         Ok(Some(self.rank_of(top)))
+    }
+
+    /// Debug builds: the gate admits sends in non-decreasing key order
+    /// (ring windows send below the gate, never past a later gate key).
+    #[inline]
+    fn check_gate_order(&mut self, r: Rank) {
+        if cfg!(debug_assertions) {
+            if let Ok(key) = self.key(self.ranks[r as usize].t, r) {
+                debug_assert!(
+                    key >= self.gate_key,
+                    "rank {r} sends at key {key} after key {}",
+                    self.gate_key
+                );
+                self.gate_key = key;
+            }
+        }
     }
 
     /// Advance rank `r` as far as it can go in one scheduling quantum:
@@ -816,8 +980,13 @@ impl<'a> Replay<'a> {
         let ri = r as usize;
         loop {
             if !self.ranks[ri].in_event {
-                if !self.expand_next_event(r) {
-                    return Ok(Advance::Blocked); // rank finished
+                match self.expand_next_event(r) {
+                    Entered::Finished => return Ok(Advance::Blocked),
+                    Entered::AllInside(s) if self.ring_window(s)? => {
+                        // Every rank is back on the heap or parked.
+                        return Ok(Advance::Blocked);
+                    }
+                    _ => {}
                 }
                 continue;
             }
@@ -918,14 +1087,180 @@ impl<'a> Replay<'a> {
             }
             i += 1;
         }
+        self.scratch.coll_inside[sched] -= 1;
         Ok(None)
+    }
+
+    /// A ring window over schedule `s`, which every rank has just
+    /// entered (DESIGN.md §16). While all ranks are inside a
+    /// channel-private schedule, no fabric write but its own sends can
+    /// happen until a rank leaves its segment, and each of those sends
+    /// touches channels only its sender uses, so sends of different
+    /// ranks commute. The window therefore sweeps the ranks' micro-ops
+    /// round by round without the gate, sending only below `L`: the
+    /// least clock at which any rank can finish its segment (its clock
+    /// plus one latency and serialization per send it has left). A rank
+    /// never runs its last micro-op here, and the window opens only if
+    /// no clock it can reach outgrows the scheduler key. Afterwards the
+    /// heap and the parked waiters are rebuilt from the ranks' state.
+    ///
+    /// Returns `false`, having changed nothing, when `s` is not
+    /// channel-private or the key could overflow.
+    fn ring_window(&mut self, s: usize) -> Result<bool, ReplayError> {
+        let n = self.trace.nprocs;
+        let scratch = &mut *self.scratch;
+        let private = *scratch.sched_private[s].get_or_insert_with(|| {
+            channel_private(
+                &scratch.scheds[s],
+                n,
+                self.params.nodes_per_leaf,
+                &mut scratch.claims,
+            )
+        });
+        if !private || scratch.scheds[s].ops.is_empty() {
+            return Ok(false);
+        }
+        self.check_window(s);
+
+        // Each send can raise the latest clock or arrival by at most
+        // `step`: a flap, the latency, four hops and a degraded (4x)
+        // serialization.
+        let scratch = &mut *self.scratch;
+        let sched = &scratch.scheds[s];
+        let lat = self.params.mpi_latency.as_ns();
+        let (mut latest, mut sends_left, mut serial_max) = (self.last_arrival.as_ns(), 0u64, 0);
+        scratch.window.clear();
+        for st in &self.ranks {
+            let bytes = scratch.step_bytes[st.cur];
+            let serial = self.params.serialize(bytes).as_ns();
+            scratch.window.push(WindowRank {
+                t: st.t,
+                sub: st.sub,
+                end: st.sub_end,
+                bytes,
+                cost: lat + serial,
+            });
+            serial_max = serial_max.max(serial);
+            sends_left += sched.sends(st.sub, st.sub_end);
+            latest = latest.max(st.t.as_ns());
+        }
+        let step =
+            self.flap_max.as_ns() + lat + 4 * self.params.hop_latency.as_ns() + 4 * serial_max;
+        if latest.saturating_add(sends_left.saturating_mul(step)) > self.max_clock {
+            return Ok(false);
+        }
+
+        // Take every rank off the heap and out of its parked slot.
+        scratch.heap.clear();
+        for (r, st) in self.ranks.iter().enumerate() {
+            let micro = sched.ops[st.sub as usize];
+            if micro & SEND_BIT == 0 {
+                let pair = &mut scratch.pairs[(micro * n) as usize + r];
+                if pair.waiter as usize == r {
+                    pair.waiter = NO_WAITER;
+                }
+            }
+        }
+        self.parked = 0;
+
+        // Sweep with the schedule and the window ranks out of the
+        // scratch, and put them back whatever the outcome.
+        let sched = std::mem::replace(&mut self.scratch.scheds[s], CollSched::EMPTY);
+        let mut window = std::mem::take(&mut self.scratch.window);
+        let swept = self.sweep(&sched, &mut window);
+        self.scratch.scheds[s] = sched;
+        for (st, w) in self.ranks.iter_mut().zip(&window) {
+            st.t = w.t;
+            st.sub = w.sub;
+        }
+        self.scratch.window = window;
+        swept?;
+
+        let mut heap = std::mem::take(&mut self.scratch.heap).into_vec();
+        for r in 0..n {
+            let st = &self.ranks[r as usize];
+            let micro = self.scratch.scheds[s].ops[st.sub as usize];
+            if micro & SEND_BIT == 0 {
+                let pair = micro * n + r;
+                let k = self.scratch.pairs[pair as usize].recv_next;
+                if k >= self.scratch.pairs[pair as usize].sent() {
+                    self.park(r, pair, k);
+                    continue;
+                }
+            }
+            heap.push(Reverse(self.key(st.t, r)?));
+        }
+        self.scratch.heap = BinaryHeap::from(heap);
+        Ok(true)
+    }
+
+    /// The ring window's rounds over `sched`: each rank in turn runs
+    /// micro-ops while it can — a send below the bound `L`, a receive
+    /// whose message has arrived — short of its segment's last one. `L`
+    /// only grows as ranks advance, so it is recomputed when a round
+    /// under the old value stalls, and the window ends when that does
+    /// not raise it.
+    fn sweep(&mut self, sched: &CollSched, window: &mut [WindowRank]) -> Result<(), ReplayError> {
+        let n = self.trace.nprocs;
+        let bound_of = |window: &[WindowRank]| {
+            window
+                .iter()
+                .map(|w| w.t.as_ns() + sched.sends(w.sub, w.end) * w.cost)
+                .min()
+                .unwrap_or(0)
+        };
+        let mut bound = bound_of(window);
+        loop {
+            debug_assert!(bound <= bound_of(window), "window bound fell");
+            let mut progress = false;
+            for (r, w) in (0..n).zip(window.iter_mut()) {
+                while w.sub + 1 < w.end {
+                    let micro = sched.ops[w.sub as usize];
+                    let peer = micro & !SEND_BIT;
+                    if micro & SEND_BIT != 0 {
+                        if w.t.as_ns() >= bound {
+                            break;
+                        }
+                        w.t = self.send(r, peer, w.t, w.bytes)?;
+                        self.scratch.window_messages += 1;
+                    } else {
+                        let Some(at) = self.take_next(peer * n + r) else {
+                            break;
+                        };
+                        w.t = w.t.max(at);
+                    }
+                    w.sub += 1;
+                    progress = true;
+                }
+            }
+            if !progress {
+                let raised = bound_of(window);
+                if raised == bound {
+                    return Ok(());
+                }
+                bound = raised;
+            }
+        }
+    }
+
+    /// Debug builds: a ring window opens only while every rank sits in a
+    /// segment of the one channel-private schedule `s`, none parked on
+    /// anything else.
+    fn check_window(&self, s: usize) {
+        if cfg!(debug_assertions) {
+            debug_assert_eq!(self.scratch.sched_private[s], Some(true));
+            for (r, st) in self.ranks.iter().enumerate() {
+                debug_assert!(st.in_event && st.sub < st.sub_end, "rank {r} left");
+                debug_assert_eq!(self.scratch.step_kind[st.cur], StepKind::Coll);
+                debug_assert_eq!(self.scratch.step_arg[st.cur] as usize, s, "rank {r}");
+            }
+        }
     }
 
     /// Enter the next trace event of rank `r`: apply compute, overhead,
     /// penalty and sleep resolution, and point the cursor at the steps
-    /// of the event's op-table entry. Returns `false` when the rank's
-    /// trace is exhausted (the rank is then finished).
-    fn expand_next_event(&mut self, r: Rank) -> bool {
+    /// of the event's op-table entry.
+    fn expand_next_event(&mut self, r: Rank) -> Entered {
         let ri = r as usize;
         let ev = self.ranks[ri].ev;
         let events = &self.trace.ranks[ri].events;
@@ -962,7 +1297,7 @@ impl<'a> Replay<'a> {
                 }
                 state.done = true;
             }
-            return false;
+            return Entered::Finished;
         }
 
         let (overhead, penalty) = match self.ann {
@@ -1038,13 +1373,19 @@ impl<'a> Replay<'a> {
                 state.cur = cur + 1;
             }
             StepKind::Coll => {
-                let sched = &self.scratch.scheds[self.scratch.step_arg[cur] as usize];
+                let s = self.scratch.step_arg[cur] as usize;
+                let sched = &self.scratch.scheds[s];
                 state.sub = sched.rank_base[ri];
                 state.sub_end = sched.rank_base[ri + 1];
+                let inside = &mut self.scratch.coll_inside[s];
+                *inside += 1;
+                if *inside == self.trace.nprocs {
+                    return Entered::AllInside(s);
+                }
             }
             _ => {}
         }
-        true
+        Entered::Event
     }
 
     /// The `OpDone` step: close the event and pick up the directive (if
@@ -1099,19 +1440,28 @@ impl<'a> Replay<'a> {
     /// so the numbers follow the senders' FIFO order.
     #[inline]
     fn recv(&mut self, r: Rank, pair: u32) -> bool {
-        let k = self.scratch.pairs[pair as usize].recv_next;
-        match self.take_arrival(pair, k) {
+        match self.take_next(pair) {
             Some(at) => {
-                self.scratch.pairs[pair as usize].recv_next = k + 1;
                 let state = &mut self.ranks[r as usize];
                 state.t = state.t.max(at);
                 true
             }
             None => {
+                let k = self.scratch.pairs[pair as usize].recv_next;
                 self.park(r, pair, k);
                 false
             }
         }
+    }
+
+    /// Consume `pair`'s next message by number and return its arrival,
+    /// or `None`, changing nothing, if it has not been sent yet.
+    #[inline]
+    fn take_next(&mut self, pair: u32) -> Option<SimTime> {
+        let k = self.scratch.pairs[pair as usize].recv_next;
+        let at = self.take_arrival(pair, k)?;
+        self.scratch.pairs[pair as usize].recv_next = k + 1;
+        Some(at)
     }
 
     /// Park rank `r` until message `k` of `pair` is delivered. Only the
@@ -1164,6 +1514,7 @@ impl<'a> Replay<'a> {
     ) -> Result<SimTime, ReplayError> {
         let (t, extra) = self.draw_send_fault(src as usize, t, bytes);
         let at = self.fabric.transfer(t, src, dst, bytes) + extra;
+        self.last_arrival = self.last_arrival.max(at);
         let p = &mut self.scratch.pairs[(src * self.trace.nprocs + dst) as usize];
         let k = p.sent();
         p.fifo.push_back(Arrival { at, taken: false });

@@ -75,7 +75,8 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 /// `rounds` rounds of an iterative solver on `n` ranks: a non-blocking
 /// halo exchange completed in reverse posting order, a receive held open
-/// across collectives, a blocking exchange and an alltoall, with
+/// across collectives, a blocking exchange, an alltoall and a ring
+/// allgather (replayed in a ring window), with
 /// steady compute gaps the runtime learns to sleep through. A trace of
 /// R rounds is a prefix of one of 2R rounds.
 fn solver(n: u32, rounds: usize) -> Trace {
@@ -112,6 +113,8 @@ fn solver(n: u32, rounds: usize) -> Trace {
             );
             b.compute(r, us(200));
             b.op(r, MpiOp::Alltoall { bytes: 512 });
+            b.compute(r, us(5));
+            b.op(r, MpiOp::Allgather { bytes: 2048 });
         }
     }
     b.build()
@@ -149,6 +152,7 @@ fn managed_replay_allocations_do_not_grow_with_rounds() {
                 replay_with_scratch(trace, Some(ann), &params, &opts, &mut scratch)
             });
             let result = result.expect("replay");
+            assert!(scratch.window_messages() > 0, "no ring window");
             assert!(
                 result.link_sleeps.iter().sum::<u64>() > 0,
                 "no sleep windows"

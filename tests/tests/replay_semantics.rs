@@ -949,3 +949,34 @@ fn ring_window_digest_matches_golden() {
     }
     assert_matches_golden("ring_window_digest.json", &Value::Seq(rows));
 }
+
+/// Ring windows carry the grid's allgathers: on the 128-rank GROMACS
+/// and 100-rank NAS-BT grid traces at the exhibits' seed, the window
+/// sends at least 70% of the baseline replay's messages, and it engages
+/// at 8 ranks too. Together with the goldens this keeps the window from
+/// being switched off unnoticed.
+#[test]
+fn ring_windows_send_most_grid_messages() {
+    use ibp_analysis::{exhibits::SEED, experiment::make_trace};
+    use ibp_workloads::AppKind;
+
+    let mut scratch = ReplayScratch::new();
+    let mut share = |app: AppKind, nprocs: u32| {
+        let trace = make_trace(app, nprocs, SEED);
+        let r = replay_with_scratch(
+            &trace,
+            None,
+            &SimParams::paper(),
+            &ReplayOptions::default(),
+            &mut scratch,
+        )
+        .expect("grid replay");
+        scratch.window_messages() as f64 / r.fabric.messages as f64
+    };
+    for (app, nprocs) in [(AppKind::Gromacs, 128), (AppKind::NasBt, 100)] {
+        let share = share(app, nprocs);
+        assert!(share >= 0.70, "{app:?}@{nprocs}: window sent {share:.3}");
+    }
+    let share = share(AppKind::Gromacs, 8);
+    assert!(share > 0.0, "no window at 8 ranks");
+}
