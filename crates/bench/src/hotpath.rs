@@ -3,8 +3,10 @@
 //! Each probe repeats its workload a caller-chosen number of times and
 //! reports the **minimum** per-element time across repetitions — the
 //! standard trick for wall-clock microbenchmarks, since scheduling noise
-//! only ever adds time. `ibpower bench-report` runs them and appends
-//! the results to the committed `BENCH_hotpath.json` trajectory.
+//! only ever adds time — plus the median and interquartile range, so
+//! entries can be compared against their spread. `ibpower bench-report`
+//! runs them and appends the results to the committed
+//! `BENCH_hotpath.json` trajectory.
 
 use ibp_core::{annotate_trace_jobs, Ppa, PowerConfig, RankRuntime, SleepKind};
 use ibp_network::{replay_with_scratch, ReplayOptions, ReplayScratch, SimParams};
@@ -27,6 +29,30 @@ fn alya_stream(iters: usize) -> Vec<(ibp_trace::MpiCall, SimDuration)> {
         v.push((Allreduce, SimDuration::from_us(250)));
     }
     v
+}
+
+/// `iters` rounds of compute, a 16 KB ring allgather and a ring
+/// `Sendrecv` on `nprocs` ranks, with a few percent of per-rank jitter
+/// in the compute so ranks enter each allgather at different times.
+fn ring_trace(nprocs: u32, iters: usize) -> Trace {
+    let mut b = ibp_trace::TraceBuilder::new("bench-ring", nprocs);
+    for it in 0..iters {
+        for r in 0..nprocs {
+            let jitter = u64::from((r * 7 + it as u32 * 13) % 11);
+            b.compute(r, SimDuration::from_us(200 + jitter));
+            b.op(r, ibp_trace::MpiOp::Allgather { bytes: 16 << 10 });
+            b.op(
+                r,
+                ibp_trace::MpiOp::Sendrecv {
+                    to: (r + 1) % nprocs,
+                    send_bytes: 2048,
+                    from: (r + nprocs - 1) % nprocs,
+                    recv_bytes: 2048,
+                },
+            );
+        }
+    }
+    b.build()
 }
 
 /// A small multi-rank trace for the replay and annotation probes.
@@ -52,18 +78,49 @@ fn replay_trace(nprocs: u32, iters: usize) -> Trace {
     b.build()
 }
 
-/// One measured hot path: nanoseconds per element, minimum over
-/// repetitions.
+/// One measured hot path: nanoseconds per element over repetitions.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Probe {
     /// Probe name (stable across report entries).
     pub name: String,
-    /// Best observed nanoseconds per element.
+    /// Best observed nanoseconds per element (what `--check` gates).
     pub ns_per_elem: f64,
+    /// Median nanoseconds per element over the repetitions (0 in
+    /// entries recorded before the median was kept).
+    #[serde(default)]
+    pub median_ns_per_elem: f64,
+    /// Interquartile range of nanoseconds per element over the
+    /// repetitions (0 in entries recorded before it was kept).
+    #[serde(default)]
+    pub iqr_ns_per_elem: f64,
     /// Elements processed per repetition (calls, grams or events).
     pub elems: u64,
     /// Repetitions measured.
     pub reps: u32,
+}
+
+impl Probe {
+    /// A probe named `name` from its per-repetition timings.
+    fn new(name: impl Into<String>, spread: Spread, reps: u32) -> Probe {
+        Probe {
+            name: name.into(),
+            ns_per_elem: spread.min,
+            median_ns_per_elem: spread.median,
+            iqr_ns_per_elem: spread.iqr,
+            elems: spread.elems,
+            reps,
+        }
+    }
+}
+
+/// Nanoseconds per element over a probe's repetitions.
+#[derive(Debug, Clone, Copy)]
+struct Spread {
+    min: f64,
+    median: f64,
+    iqr: f64,
+    /// Elements of the last repetition.
+    elems: u64,
 }
 
 /// One `bench-report` run: every probe at one point in time.
@@ -119,6 +176,12 @@ pub const REPLAY_BIG_PROBE: &str = "replay_big_ns_per_event";
 /// baseline entry records it (older entries predate the probe).
 pub const REPLAY_WIDE_PROBE: &str = "replay_wide_ns_per_event";
 
+/// Name of the ring-window replay probe: 128 ranks running 16 KB ring
+/// allgathers between compute and a `Sendrecv`, so most messages are
+/// sent inside ring windows. Gated only when the baseline entry records
+/// it (older entries predate the probe).
+pub const REPLAY_RING_PROBE: &str = "replay_ring_ns_per_event";
+
 /// Name of the depth-ladder replay probe: annotated replay under the
 /// full three-rung sleep ladder, so the tracker's batched
 /// `apply_windows` path carries WRPS, rate-reduction, and deep-sleep
@@ -131,8 +194,9 @@ pub const LADDER_PROBE: &str = "ladder_apply_windows_ns_per_event";
 /// entry records it (older entries predate the probe).
 pub const GT_SWEEP_PROBE: &str = "gt_sweep_ns_per_event";
 
-fn min_ns_per_elem<F: FnMut() -> u64>(reps: u32, mut run: F) -> (f64, u64) {
-    let mut best = f64::INFINITY;
+/// Time `reps` runs of `run`, which returns the elements it processed.
+fn ns_per_elem<F: FnMut() -> u64>(reps: u32, mut run: F) -> Spread {
+    let mut samples = Vec::with_capacity(reps as usize);
     let mut elems = 0;
     for _ in 0..reps {
         let t0 = Instant::now();
@@ -140,10 +204,23 @@ fn min_ns_per_elem<F: FnMut() -> u64>(reps: u32, mut run: F) -> (f64, u64) {
         let ns = t0.elapsed().as_nanos() as f64;
         elems = n;
         if n > 0 {
-            best = best.min(ns / n as f64);
+            samples.push(ns / n as f64);
         }
     }
-    (best, elems)
+    samples.sort_by(f64::total_cmp);
+    // Nearest-rank quantile of the sorted samples.
+    let quantile = |q: f64| {
+        samples
+            .get(((samples.len() - 1) as f64 * q).round() as usize)
+            .copied()
+            .unwrap_or(f64::INFINITY)
+    };
+    Spread {
+        min: quantile(0.0),
+        median: quantile(0.5),
+        iqr: quantile(0.75) - quantile(0.25),
+        elems,
+    }
 }
 
 /// Interception cost over a full train-then-predict ALYA stream,
@@ -152,7 +229,7 @@ fn min_ns_per_elem<F: FnMut() -> u64>(reps: u32, mut run: F) -> (f64, u64) {
 pub fn probe_intercept(iters: usize, reps: u32) -> Probe {
     let stream = alya_stream(iters);
     let cfg = PowerConfig::paper(SimDuration::from_us(20), 0.01);
-    let (ns, elems) = min_ns_per_elem(reps, || {
+    let spread = ns_per_elem(reps, || {
         let mut rt = RankRuntime::new(0, cfg.clone());
         rt.reserve_events(stream.len());
         for &(call, gap) in &stream {
@@ -162,18 +239,13 @@ pub fn probe_intercept(iters: usize, reps: u32) -> Probe {
         assert!(ann.stats.correct_calls > 0, "bench stream never predicted");
         stream.len() as u64
     });
-    Probe {
-        name: INTERCEPT_PROBE.into(),
-        ns_per_elem: ns,
-        elems,
-        reps,
-    }
+    Probe::new(INTERCEPT_PROBE, spread, reps)
 }
 
 /// PPA scan cost on a periodic gram stream, ns/gram.
 pub fn probe_ppa_scan(grams: usize, reps: u32) -> Probe {
     let stream: Vec<u32> = (0..grams).map(|i| u32::from(i % 3 != 0)).collect();
-    let (ns, elems) = min_ns_per_elem(reps, || {
+    let spread = ns_per_elem(reps, || {
         let mut ppa = Ppa::new(3, 64);
         for n in 1..=stream.len() {
             ppa.advance(&stream[..n]);
@@ -181,18 +253,13 @@ pub fn probe_ppa_scan(grams: usize, reps: u32) -> Probe {
         assert!(ppa.work().invocations > 0);
         stream.len() as u64
     });
-    Probe {
-        name: "ppa_scan_ns_per_gram".into(),
-        ns_per_elem: ns,
-        elems,
-        reps,
-    }
+    Probe::new("ppa_scan_ns_per_gram", spread, reps)
 }
 
 /// End-to-end annotated replay, ns/event, with the scratch arena
 /// recycled across repetitions (the sweep engine's steady state).
 pub fn probe_replay(nprocs: u32, iters: usize, reps: u32) -> Probe {
-    replay_probe_named(nprocs, iters, reps, REPLAY_PROBE)
+    replay_probe_named(&replay_trace(nprocs, iters), reps, REPLAY_PROBE)
 }
 
 /// [`probe_replay`] on a large multi-rank trace (16 ranks, ≥32k events
@@ -201,7 +268,7 @@ pub fn probe_replay(nprocs: u32, iters: usize, reps: u32) -> Probe {
 /// scratch preparation); this one shows the steady-state cost of the
 /// event loop itself.
 pub fn probe_replay_big(nprocs: u32, iters: usize, reps: u32) -> Probe {
-    replay_probe_named(nprocs, iters, reps, REPLAY_BIG_PROBE)
+    replay_probe_named(&replay_trace(nprocs, iters), reps, REPLAY_BIG_PROBE)
 }
 
 /// [`probe_replay`] on a wide fabric (128 ranks, ≥32k events at the
@@ -209,29 +276,31 @@ pub fn probe_replay_big(nprocs: u32, iters: usize, reps: u32) -> Probe {
 /// the paper's largest cells, where a replay costs several times more
 /// per event than at 16 ranks.
 pub fn probe_replay_wide(nprocs: u32, iters: usize, reps: u32) -> Probe {
-    replay_probe_named(nprocs, iters, reps, REPLAY_WIDE_PROBE)
+    replay_probe_named(&replay_trace(nprocs, iters), reps, REPLAY_WIDE_PROBE)
 }
 
-fn replay_probe_named(nprocs: u32, iters: usize, reps: u32, name: &str) -> Probe {
-    let trace = replay_trace(nprocs, iters);
+/// [`probe_replay`] on 16 KB ring allgathers between compute and a
+/// `Sendrecv` (128 ranks at the default `--iters`), reported as
+/// [`REPLAY_RING_PROBE`]: the path the paper grid's allgathers take,
+/// where most messages are sent inside ring windows.
+pub fn probe_replay_ring(nprocs: u32, iters: usize, reps: u32) -> Probe {
+    replay_probe_named(&ring_trace(nprocs, iters), reps, REPLAY_RING_PROBE)
+}
+
+fn replay_probe_named(trace: &Trace, reps: u32, name: &str) -> Probe {
     let cfg = PowerConfig::paper(SimDuration::from_us(20), 0.01);
-    let ann = annotate_trace_jobs(&trace, &cfg, 1);
+    let ann = annotate_trace_jobs(trace, &cfg, 1);
     let params = SimParams::paper();
     let opts = ReplayOptions::default();
     let events: u64 = trace.ranks.iter().map(|r| r.events.len() as u64).sum();
     let mut scratch = ReplayScratch::new();
-    let (ns, elems) = min_ns_per_elem(reps, || {
-        let r = replay_with_scratch(&trace, Some(&ann), &params, &opts, &mut scratch)
+    let spread = ns_per_elem(reps, || {
+        let r = replay_with_scratch(trace, Some(&ann), &params, &opts, &mut scratch)
             .expect("bench replay");
         assert!(!r.exec_time.is_zero());
         events
     });
-    Probe {
-        name: name.into(),
-        ns_per_elem: ns,
-        elems,
-        reps,
-    }
+    Probe::new(name, spread, reps)
 }
 
 /// Annotated replay under the full depth ladder, ns/event, reported as
@@ -268,7 +337,7 @@ pub fn probe_ladder_apply_windows(nprocs: u32, iters: usize, reps: u32) -> Probe
     let opts = ReplayOptions::default();
     let events: u64 = trace.ranks.iter().map(|r| r.events.len() as u64).sum();
     let mut scratch = ReplayScratch::new();
-    let (ns, elems) = min_ns_per_elem(reps, || {
+    let spread = ns_per_elem(reps, || {
         let r = replay_with_scratch(&trace, Some(&ann), &params, &opts, &mut scratch)
             .expect("bench ladder replay");
         assert!(
@@ -278,12 +347,7 @@ pub fn probe_ladder_apply_windows(nprocs: u32, iters: usize, reps: u32) -> Probe
         );
         events
     });
-    Probe {
-        name: LADDER_PROBE.into(),
-        ns_per_elem: ns,
-        elems,
-        reps,
-    }
+    Probe::new(LADDER_PROBE, spread, reps)
 }
 
 /// The Table III / Fig. 10 GT sweep at 1% displacement on NAS-MG at 16
@@ -296,17 +360,12 @@ pub fn probe_gt_sweep(reps: u32) -> Probe {
     use ibp_analysis::{exhibits::SEED, make_trace, sweep, GT_GRID_US};
     let trace = make_trace(ibp_workloads::AppKind::NasMg, 16, SEED);
     let events: u64 = trace.ranks.iter().map(|r| r.events.len() as u64).sum();
-    let (ns, elems) = min_ns_per_elem(reps, || {
+    let spread = ns_per_elem(reps, || {
         let points = sweep(&trace, 0.01);
         assert_eq!(points.len(), GT_GRID_US.len());
         events * GT_GRID_US.len() as u64
     });
-    Probe {
-        name: GT_SWEEP_PROBE.into(),
-        ns_per_elem: ns,
-        elems,
-        reps,
-    }
+    Probe::new(GT_SWEEP_PROBE, spread, reps)
 }
 
 /// Whole-trace annotation with rank parallelism, ns/event at `jobs`
@@ -342,17 +401,12 @@ fn annotate_probe_named(nprocs: u32, iters: usize, jobs: usize, reps: u32, name:
     let trace = replay_trace(nprocs, iters);
     let cfg = PowerConfig::paper(SimDuration::from_us(20), 0.01);
     let events: u64 = trace.ranks.iter().map(|r| r.events.len() as u64).sum();
-    let (ns, elems) = min_ns_per_elem(reps, || {
+    let spread = ns_per_elem(reps, || {
         let ann = annotate_trace_jobs(&trace, &cfg, jobs);
         assert_eq!(ann.ranks.len(), nprocs as usize);
         events
     });
-    Probe {
-        name,
-        ns_per_elem: ns,
-        elems,
-        reps,
-    }
+    Probe::new(name, spread, reps)
 }
 
 /// Full protocol round trip through an in-process Unix-socket server,
@@ -396,7 +450,7 @@ pub fn probe_serve_roundtrip(iters: usize, sessions: usize, reps: u32) -> Probe 
     let handle = std::thread::spawn(move || server.run());
 
     let load = LoadConfig { batch: 64, split: None, check: false, ..Default::default() };
-    let (ns, elems) = min_ns_per_elem(reps, || {
+    let spread = ns_per_elem(reps, || {
         let report = run_load(&bound, specs.clone(), &load).expect("bench load");
         assert_eq!(report.events_total, total_events);
         total_events
@@ -404,12 +458,7 @@ pub fn probe_serve_roundtrip(iters: usize, sessions: usize, reps: u32) -> Probe 
 
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     handle.join().expect("bench server thread");
-    Probe {
-        name: SERVE_PROBE.into(),
-        ns_per_elem: ns,
-        elems,
-        reps,
-    }
+    Probe::new(SERVE_PROBE, spread, reps)
 }
 
 /// [`probe_serve_roundtrip`]'s scale-mode sibling: `sessions` sessions
@@ -465,7 +514,7 @@ pub fn probe_serve_scale(iters: usize, sessions: usize, reps: u32) -> Probe {
         drivers: 8.min(sessions.max(1)),
         ..Default::default()
     };
-    let (ns, elems) = min_ns_per_elem(reps, || {
+    let spread = ns_per_elem(reps, || {
         let report = run_load(&bound, specs.clone(), &load).expect("bench scale load");
         assert_eq!(report.events_total, total_events);
         total_events
@@ -475,12 +524,7 @@ pub fn probe_serve_scale(iters: usize, sessions: usize, reps: u32) -> Probe {
     let summary = handle.join().expect("bench scale server thread");
     assert!(summary.evictions > 0, "scale probe never paged: {summary:?}");
     let _ = std::fs::remove_dir_all(&dir);
-    Probe {
-        name: SCALE_PROBE.into(),
-        ns_per_elem: ns,
-        elems,
-        reps,
-    }
+    Probe::new(SCALE_PROBE, spread, reps)
 }
 
 /// Run every probe at a size scaled by `iters` (the `--iters` flag;
@@ -494,6 +538,9 @@ pub fn run_all(iters: usize, reps: u32) -> Vec<Probe> {
     let replay_big_iters = iters.max(2048) / 2;
     // 128 ranks x 2 events/iter: 128 iterations, the same 32k-event floor.
     let replay_wide_iters = iters.max(2048) / 16;
+    // 128 ranks x 2 events/iter with 16 256 messages per allgather: 32
+    // iterations, 520k messages.
+    let replay_ring_iters = iters.max(2048) / 64;
     // 8 ranks x 2 events/iter: 2048 iterations is exactly the serial
     // cutover, so the big probes always take the parallel path.
     let big_iters = iters.max(ibp_core::SERIAL_CUTOVER_EVENTS / 16);
@@ -503,6 +550,7 @@ pub fn run_all(iters: usize, reps: u32) -> Vec<Probe> {
         probe_replay(8, replay_iters, reps),
         probe_replay_big(16, replay_big_iters, reps),
         probe_replay_wide(128, replay_wide_iters, reps),
+        probe_replay_ring(128, replay_ring_iters, reps),
         // Enough periods that the predictor trains and the ladder's
         // deeper rungs engage even at the CLI's minimum --iters.
         probe_ladder_apply_windows(8, replay_iters.max(30), reps),
@@ -533,6 +581,27 @@ mod tests {
     }
 
     #[test]
+    fn entries_without_a_spread_still_load() {
+        let old = r#"{"entries": [{"label": "old", "probes": [
+            {"name": "intercept_ns_per_call", "ns_per_elem": 25.4, "elems": 10000, "reps": 5}
+        ]}]}"#;
+        let t: Trajectory = serde_json::from_str(old).unwrap();
+        let p = t.entries[0].probe(INTERCEPT_PROBE).unwrap();
+        assert_eq!((p.ns_per_elem, p.median_ns_per_elem, p.iqr_ns_per_elem), (25.4, 0.0, 0.0));
+    }
+
+    #[test]
+    fn spread_is_taken_over_the_repetitions() {
+        let mut times = [40u64, 10, 30, 20, 50].into_iter();
+        let spread = ns_per_elem(5, || {
+            std::thread::sleep(std::time::Duration::from_millis(times.next().unwrap()));
+            1_000
+        });
+        assert!(spread.min <= spread.median && spread.iqr > 0.0, "{spread:?}");
+        assert_eq!(spread.elems, 1_000);
+    }
+
+    #[test]
     fn trajectory_roundtrips_through_json() {
         let t = Trajectory {
             entries: vec![ReportEntry {
@@ -540,6 +609,8 @@ mod tests {
                 probes: vec![Probe {
                     name: INTERCEPT_PROBE.into(),
                     ns_per_elem: 42.5,
+                    median_ns_per_elem: 44.0,
+                    iqr_ns_per_elem: 1.5,
                     elems: 1000,
                     reps: 3,
                 }],

@@ -506,7 +506,8 @@ fn run(cmd: Command) -> Result<(), String> {
         } => {
             use ibp_bench::hotpath::{
                 ReportEntry, Trajectory, GT_SWEEP_PROBE, INTERCEPT_PROBE, LADDER_PROBE,
-                REPLAY_BIG_PROBE, REPLAY_PROBE, REPLAY_WIDE_PROBE, SCALE_PROBE, SERVE_PROBE,
+                REPLAY_BIG_PROBE, REPLAY_PROBE, REPLAY_RING_PROBE, REPLAY_WIDE_PROBE, SCALE_PROBE,
+                SERVE_PROBE,
             };
             let mut traj: Trajectory = match std::fs::read_to_string(&output) {
                 Ok(json) => serde_json::from_str(&json).map_err(|e| format!("{output}: {e}"))?,
@@ -521,8 +522,8 @@ fn run(cmd: Command) -> Result<(), String> {
             println!("bench-report: {} ({iters} iters, {reps} reps)", entry.label);
             for p in &entry.probes {
                 println!(
-                    "  {:<28} {:>10.1} ns/elem  ({} elems)",
-                    p.name, p.ns_per_elem, p.elems
+                    "  {:<34} {:>10.1} ns/elem  (median {:.1}, IQR {:.1}; {} elems)",
+                    p.name, p.ns_per_elem, p.median_ns_per_elem, p.iqr_ns_per_elem, p.elems
                 );
             }
             if check {
@@ -585,6 +586,7 @@ fn run(cmd: Command) -> Result<(), String> {
                 gate_50(REPLAY_PROBE)?;
                 gate_50(REPLAY_BIG_PROBE)?;
                 gate_50(REPLAY_WIDE_PROBE)?;
+                gate_50(REPLAY_RING_PROBE)?;
                 gate_50(LADDER_PROBE)?;
                 gate_50(GT_SWEEP_PROBE)?;
                 // A gate run records nothing: the committed last entry
