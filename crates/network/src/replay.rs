@@ -364,9 +364,6 @@ struct CollSched {
     rank_base: Vec<u32>,
     /// Packed micro-ops, rank-major, in execution order.
     ops: Vec<u32>,
-    /// Sends among `ops[..i]` at `i` (`ops.len() + 1` entries), so a
-    /// rank's sends left in its segment are two loads.
-    sends_before: Vec<u32>,
 }
 
 impl CollSched {
@@ -374,21 +371,13 @@ impl CollSched {
     const EMPTY: CollSched = CollSched {
         rank_base: Vec::new(),
         ops: Vec::new(),
-        sends_before: Vec::new(),
     };
-
-    /// Sends in `ops[from..to]`.
-    #[inline]
-    fn sends(&self, from: u32, to: u32) -> u64 {
-        u64::from(self.sends_before[to as usize] - self.sends_before[from as usize])
-    }
 }
 
 fn build_sched(op: &MpiOp, nprocs: u32) -> CollSched {
     let mut sched = CollSched {
         rank_base: Vec::with_capacity(nprocs as usize + 1),
         ops: Vec::new(),
-        sends_before: vec![0],
     };
     sched.rank_base.push(0);
     for me in 0..nprocs {
@@ -397,11 +386,6 @@ fn build_sched(op: &MpiOp, nprocs: u32) -> CollSched {
             MicroOp::RecvFrom { from, .. } => sched.ops.push(from),
         });
         sched.rank_base.push(sched.ops.len() as u32);
-    }
-    let mut sends = 0;
-    for &micro in &sched.ops {
-        sends += micro >> 31;
-        sched.sends_before.push(sends);
     }
     sched
 }
@@ -459,6 +443,8 @@ struct WindowRank {
     /// The rank's next micro-op and its segment's end.
     sub: u32,
     end: u32,
+    /// Sends left in the rank's segment.
+    sends_left: u64,
     /// Payload of every message of the rank's collective.
     bytes: u64,
     /// The least a send adds to the rank's clock, ns: the MPI latency
@@ -562,10 +548,7 @@ impl ReplayScratch {
         let scheds: usize = self
             .scheds
             .iter()
-            .map(|c| {
-                (c.rank_base.capacity() + c.ops.capacity() + c.sends_before.capacity())
-                    * size_of::<u32>()
-            })
+            .map(|c| (c.rank_base.capacity() + c.ops.capacity()) * size_of::<u32>())
             .sum();
         let cap = self.sched_index.capacity();
         let buckets = match cap {
@@ -1133,15 +1116,21 @@ impl<'a> Replay<'a> {
         for st in &self.ranks {
             let bytes = scratch.step_bytes[st.cur];
             let serial = self.params.serialize(bytes).as_ns();
+            let segment = &sched.ops[st.sub as usize..st.sub_end as usize];
+            let sends = segment
+                .iter()
+                .filter(|&&micro| micro & SEND_BIT != 0)
+                .count() as u64;
             scratch.window.push(WindowRank {
                 t: st.t,
                 sub: st.sub,
                 end: st.sub_end,
+                sends_left: sends,
                 bytes,
                 cost: lat + serial,
             });
             serial_max = serial_max.max(serial);
-            sends_left += sched.sends(st.sub, st.sub_end);
+            sends_left += sends;
             latest = latest.max(st.t.as_ns());
         }
         let step =
@@ -1205,7 +1194,7 @@ impl<'a> Replay<'a> {
         let bound_of = |window: &[WindowRank]| {
             window
                 .iter()
-                .map(|w| w.t.as_ns() + sched.sends(w.sub, w.end) * w.cost)
+                .map(|w| w.t.as_ns() + w.sends_left * w.cost)
                 .min()
                 .unwrap_or(0)
         };
@@ -1222,6 +1211,7 @@ impl<'a> Replay<'a> {
                             break;
                         }
                         w.t = self.send(r, peer, w.t, w.bytes)?;
+                        w.sends_left -= 1;
                         self.scratch.window_messages += 1;
                     } else {
                         let Some(at) = self.take_next(peer * n + r) else {
