@@ -1186,11 +1186,13 @@ impl<'a> Replay<'a> {
     }
 
     /// The ring window's rounds over `sched`: each rank in turn runs
-    /// micro-ops while it can — a send below the bound `L`, a receive
-    /// whose message has arrived — short of its segment's last one. `L`
-    /// only grows as ranks advance, so it is recomputed when a round
-    /// under the old value stalls, and the window ends when that does
-    /// not raise it.
+    /// micro-ops while it can — receives whose messages have arrived and
+    /// at most one send, below the bound `L` — short of its segment's
+    /// last one. One send per rank and round keeps a ring pair's backlog
+    /// at two messages, where letting each rank run on would leave
+    /// `k + 1` on the pair out of rank `k`. `L` only grows as ranks
+    /// advance, so it is recomputed when a round under the old value
+    /// stalls, and the window ends when that does not raise it.
     fn sweep(&mut self, sched: &CollSched, window: &mut [WindowRank]) -> Result<(), ReplayError> {
         let n = self.trace.nprocs;
         let bound_of = |window: &[WindowRank]| {
@@ -1205,13 +1207,15 @@ impl<'a> Replay<'a> {
             debug_assert!(bound <= bound_of(window), "window bound fell");
             let mut progress = false;
             for (r, w) in (0..n).zip(window.iter_mut()) {
+                let mut sent = false;
                 while w.sub + 1 < w.end {
                     let micro = sched.ops[w.sub as usize];
                     let peer = micro & !SEND_BIT;
                     if micro & SEND_BIT != 0 {
-                        if w.t.as_ns() >= bound {
+                        if sent || w.t.as_ns() >= bound {
                             break;
                         }
+                        sent = true;
                         w.t = self.send(r, peer, w.t, w.bytes)?;
                         w.sends_left -= 1;
                         self.scratch.window_messages += 1;
@@ -1856,6 +1860,39 @@ mod tests {
                 "{app}: {once_bytes} B -> {twice_bytes} B"
             );
         }
+    }
+
+    #[test]
+    fn ring_windows_keep_pair_backlogs_small() {
+        // 64 ranks of back-to-back allgathers, almost all sent inside
+        // ring windows: one send per rank and round leaves at most two
+        // messages on a ring pair, so no FIFO grows past its first
+        // buffer.
+        let n = 64;
+        let mut b = TraceBuilder::new("rings", n);
+        for r in 0..n {
+            for i in 0..4 {
+                b.compute(r, us(10 + u64::from((r + i) % 5)));
+                b.op(r, MpiOp::Allgather { bytes: 4096 });
+            }
+        }
+        let mut scratch = ReplayScratch::new();
+        let r = replay_with_scratch(
+            &b.build(),
+            None,
+            &SimParams::paper(),
+            &ReplayOptions::default(),
+            &mut scratch,
+        )
+        .expect("replay");
+        assert!(
+            scratch.window_messages() * 10 > r.fabric.messages * 9,
+            "window sent {} of {}",
+            scratch.window_messages(),
+            r.fabric.messages
+        );
+        let most = scratch.pairs.iter().map(|p| p.fifo.capacity()).max();
+        assert_eq!(most, Some(4), "largest pair FIFO");
     }
 
     #[test]
