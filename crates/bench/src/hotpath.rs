@@ -99,30 +99,6 @@ pub struct Probe {
     pub reps: u32,
 }
 
-impl Probe {
-    /// A probe named `name` from its per-repetition timings.
-    fn new(name: impl Into<String>, spread: Spread, reps: u32) -> Probe {
-        Probe {
-            name: name.into(),
-            ns_per_elem: spread.min,
-            median_ns_per_elem: spread.median,
-            iqr_ns_per_elem: spread.iqr,
-            elems: spread.elems,
-            reps,
-        }
-    }
-}
-
-/// Nanoseconds per element over a probe's repetitions.
-#[derive(Debug, Clone, Copy)]
-struct Spread {
-    min: f64,
-    median: f64,
-    iqr: f64,
-    /// Elements of the last repetition.
-    elems: u64,
-}
-
 /// One `bench-report` run: every probe at one point in time.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ReportEntry {
@@ -194,8 +170,9 @@ pub const LADDER_PROBE: &str = "ladder_apply_windows_ns_per_event";
 /// entry records it (older entries predate the probe).
 pub const GT_SWEEP_PROBE: &str = "gt_sweep_ns_per_event";
 
-/// Time `reps` runs of `run`, which returns the elements it processed.
-fn ns_per_elem<F: FnMut() -> u64>(reps: u32, mut run: F) -> Spread {
+/// Probe `name`: time `reps` runs of `run`, which returns the elements
+/// it processed.
+fn measure<F: FnMut() -> u64>(name: impl Into<String>, reps: u32, mut run: F) -> Probe {
     let mut samples = Vec::with_capacity(reps as usize);
     let mut elems = 0;
     for _ in 0..reps {
@@ -211,15 +188,17 @@ fn ns_per_elem<F: FnMut() -> u64>(reps: u32, mut run: F) -> Spread {
     // Nearest-rank quantile of the sorted samples.
     let quantile = |q: f64| {
         samples
-            .get(((samples.len() - 1) as f64 * q).round() as usize)
+            .get((samples.len().saturating_sub(1) as f64 * q).round() as usize)
             .copied()
             .unwrap_or(f64::INFINITY)
     };
-    Spread {
-        min: quantile(0.0),
-        median: quantile(0.5),
-        iqr: quantile(0.75) - quantile(0.25),
+    Probe {
+        name: name.into(),
+        ns_per_elem: quantile(0.0),
+        median_ns_per_elem: quantile(0.5),
+        iqr_ns_per_elem: quantile(0.75) - quantile(0.25),
         elems,
+        reps,
     }
 }
 
@@ -229,7 +208,7 @@ fn ns_per_elem<F: FnMut() -> u64>(reps: u32, mut run: F) -> Spread {
 pub fn probe_intercept(iters: usize, reps: u32) -> Probe {
     let stream = alya_stream(iters);
     let cfg = PowerConfig::paper(SimDuration::from_us(20), 0.01);
-    let spread = ns_per_elem(reps, || {
+    measure(INTERCEPT_PROBE, reps, || {
         let mut rt = RankRuntime::new(0, cfg.clone());
         rt.reserve_events(stream.len());
         for &(call, gap) in &stream {
@@ -238,22 +217,20 @@ pub fn probe_intercept(iters: usize, reps: u32) -> Probe {
         let ann = rt.finish(SimDuration::ZERO);
         assert!(ann.stats.correct_calls > 0, "bench stream never predicted");
         stream.len() as u64
-    });
-    Probe::new(INTERCEPT_PROBE, spread, reps)
+    })
 }
 
 /// PPA scan cost on a periodic gram stream, ns/gram.
 pub fn probe_ppa_scan(grams: usize, reps: u32) -> Probe {
     let stream: Vec<u32> = (0..grams).map(|i| u32::from(i % 3 != 0)).collect();
-    let spread = ns_per_elem(reps, || {
+    measure("ppa_scan_ns_per_gram", reps, || {
         let mut ppa = Ppa::new(3, 64);
         for n in 1..=stream.len() {
             ppa.advance(&stream[..n]);
         }
         assert!(ppa.work().invocations > 0);
         stream.len() as u64
-    });
-    Probe::new("ppa_scan_ns_per_gram", spread, reps)
+    })
 }
 
 /// End-to-end annotated replay, ns/event, with the scratch arena
@@ -294,13 +271,12 @@ fn replay_probe_named(trace: &Trace, reps: u32, name: &str) -> Probe {
     let opts = ReplayOptions::default();
     let events: u64 = trace.ranks.iter().map(|r| r.events.len() as u64).sum();
     let mut scratch = ReplayScratch::new();
-    let spread = ns_per_elem(reps, || {
+    measure(name, reps, || {
         let r = replay_with_scratch(trace, Some(&ann), &params, &opts, &mut scratch)
             .expect("bench replay");
         assert!(!r.exec_time.is_zero());
         events
-    });
-    Probe::new(name, spread, reps)
+    })
 }
 
 /// Annotated replay under the full depth ladder, ns/event, reported as
@@ -337,7 +313,7 @@ pub fn probe_ladder_apply_windows(nprocs: u32, iters: usize, reps: u32) -> Probe
     let opts = ReplayOptions::default();
     let events: u64 = trace.ranks.iter().map(|r| r.events.len() as u64).sum();
     let mut scratch = ReplayScratch::new();
-    let spread = ns_per_elem(reps, || {
+    measure(LADDER_PROBE, reps, || {
         let r = replay_with_scratch(&trace, Some(&ann), &params, &opts, &mut scratch)
             .expect("bench ladder replay");
         assert!(
@@ -346,8 +322,7 @@ pub fn probe_ladder_apply_windows(nprocs: u32, iters: usize, reps: u32) -> Probe
             "ladder probe never reached its deeper rungs"
         );
         events
-    });
-    Probe::new(LADDER_PROBE, spread, reps)
+    })
 }
 
 /// The Table III / Fig. 10 GT sweep at 1% displacement on NAS-MG at 16
@@ -360,12 +335,11 @@ pub fn probe_gt_sweep(reps: u32) -> Probe {
     use ibp_analysis::{exhibits::SEED, make_trace, sweep, GT_GRID_US};
     let trace = make_trace(ibp_workloads::AppKind::NasMg, 16, SEED);
     let events: u64 = trace.ranks.iter().map(|r| r.events.len() as u64).sum();
-    let spread = ns_per_elem(reps, || {
+    measure(GT_SWEEP_PROBE, reps, || {
         let points = sweep(&trace, 0.01);
         assert_eq!(points.len(), GT_GRID_US.len());
         events * GT_GRID_US.len() as u64
-    });
-    Probe::new(GT_SWEEP_PROBE, spread, reps)
+    })
 }
 
 /// Whole-trace annotation with rank parallelism, ns/event at `jobs`
@@ -401,12 +375,11 @@ fn annotate_probe_named(nprocs: u32, iters: usize, jobs: usize, reps: u32, name:
     let trace = replay_trace(nprocs, iters);
     let cfg = PowerConfig::paper(SimDuration::from_us(20), 0.01);
     let events: u64 = trace.ranks.iter().map(|r| r.events.len() as u64).sum();
-    let spread = ns_per_elem(reps, || {
+    measure(name, reps, || {
         let ann = annotate_trace_jobs(&trace, &cfg, jobs);
         assert_eq!(ann.ranks.len(), nprocs as usize);
         events
-    });
-    Probe::new(name, spread, reps)
+    })
 }
 
 /// Full protocol round trip through an in-process Unix-socket server,
@@ -450,7 +423,7 @@ pub fn probe_serve_roundtrip(iters: usize, sessions: usize, reps: u32) -> Probe 
     let handle = std::thread::spawn(move || server.run());
 
     let load = LoadConfig { batch: 64, split: None, check: false, ..Default::default() };
-    let spread = ns_per_elem(reps, || {
+    let probe = measure(SERVE_PROBE, reps, || {
         let report = run_load(&bound, specs.clone(), &load).expect("bench load");
         assert_eq!(report.events_total, total_events);
         total_events
@@ -458,7 +431,7 @@ pub fn probe_serve_roundtrip(iters: usize, sessions: usize, reps: u32) -> Probe 
 
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     handle.join().expect("bench server thread");
-    Probe::new(SERVE_PROBE, spread, reps)
+    probe
 }
 
 /// [`probe_serve_roundtrip`]'s scale-mode sibling: `sessions` sessions
@@ -514,7 +487,7 @@ pub fn probe_serve_scale(iters: usize, sessions: usize, reps: u32) -> Probe {
         drivers: 8.min(sessions.max(1)),
         ..Default::default()
     };
-    let spread = ns_per_elem(reps, || {
+    let probe = measure(SCALE_PROBE, reps, || {
         let report = run_load(&bound, specs.clone(), &load).expect("bench scale load");
         assert_eq!(report.events_total, total_events);
         total_events
@@ -524,7 +497,7 @@ pub fn probe_serve_scale(iters: usize, sessions: usize, reps: u32) -> Probe {
     let summary = handle.join().expect("bench scale server thread");
     assert!(summary.evictions > 0, "scale probe never paged: {summary:?}");
     let _ = std::fs::remove_dir_all(&dir);
-    Probe::new(SCALE_PROBE, spread, reps)
+    probe
 }
 
 /// Run every probe at a size scaled by `iters` (the `--iters` flag;
@@ -593,12 +566,13 @@ mod tests {
     #[test]
     fn spread_is_taken_over_the_repetitions() {
         let mut times = [40u64, 10, 30, 20, 50].into_iter();
-        let spread = ns_per_elem(5, || {
+        let probe = measure("sleeps", 5, || {
             std::thread::sleep(std::time::Duration::from_millis(times.next().unwrap()));
             1_000
         });
-        assert!(spread.min <= spread.median && spread.iqr > 0.0, "{spread:?}");
-        assert_eq!(spread.elems, 1_000);
+        assert!(probe.ns_per_elem <= probe.median_ns_per_elem, "{probe:?}");
+        assert!(probe.iqr_ns_per_elem > 0.0, "{probe:?}");
+        assert_eq!((probe.elems, probe.reps), (1_000, 5));
     }
 
     #[test]
