@@ -20,15 +20,11 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// An absolute instant on the simulation clock, in nanoseconds since the
 /// start of the simulated run.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct SimTime(pub u64);
 
 /// A span of simulated time, in nanoseconds.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
 pub struct SimDuration(pub u64);
 
 impl SimTime {
@@ -416,6 +412,9 @@ mod tests {
         let b = SimDuration::from_us(2);
         assert_eq!(a.min(b), a);
         assert_eq!(a.max(b), b);
-        assert_eq!(SimTime::from_us(1).max(SimTime::from_us(2)), SimTime::from_us(2));
+        assert_eq!(
+            SimTime::from_us(1).max(SimTime::from_us(2)),
+            SimTime::from_us(2)
+        );
     }
 }

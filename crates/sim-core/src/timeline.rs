@@ -53,10 +53,7 @@ impl<S: Copy + PartialEq> StateTimeline<S> {
     /// Panics if `t` precedes the last recorded transition.
     pub fn record(&mut self, t: SimTime, state: S) {
         let (last_t, last_s) = *self.transitions.last().expect("timeline never empty");
-        assert!(
-            t >= last_t,
-            "StateTimeline::record: time went backwards"
-        );
+        assert!(t >= last_t, "StateTimeline::record: time went backwards");
         if state == last_s {
             return;
         }
@@ -94,11 +91,18 @@ impl<S: Copy + PartialEq> StateTimeline<S> {
     /// # Panics
     /// Panics if `end` precedes the last transition.
     pub fn intervals(&self, end: SimTime) -> impl Iterator<Item = StateInterval<S>> + '_ {
-        assert!(end >= self.last_transition(), "timeline end before last transition");
+        assert!(
+            end >= self.last_transition(),
+            "timeline end before last transition"
+        );
         let n = self.transitions.len();
         (0..n).filter_map(move |i| {
             let (start, state) = self.transitions[i];
-            let stop = if i + 1 < n { self.transitions[i + 1].0 } else { end };
+            let stop = if i + 1 < n {
+                self.transitions[i + 1].0
+            } else {
+                end
+            };
             (stop > start).then_some(StateInterval {
                 start,
                 end: stop,
