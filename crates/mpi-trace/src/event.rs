@@ -315,10 +315,7 @@ mod tests {
         );
         assert_eq!(MpiOp::Allreduce { bytes: 8 }.call(), MpiCall::Allreduce);
         assert_eq!(MpiOp::Barrier.call(), MpiCall::Barrier);
-        assert_eq!(
-            MpiOp::Waitall { reqs: vec![1, 2] }.call(),
-            MpiCall::Waitall
-        );
+        assert_eq!(MpiOp::Waitall { reqs: vec![1, 2] }.call(), MpiCall::Waitall);
     }
 
     #[test]

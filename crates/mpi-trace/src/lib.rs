@@ -28,8 +28,8 @@ pub mod viz;
 
 pub use columns::EventColumns;
 pub use combine::{can_combine, combine, JobPlacement};
-pub use io::TraceError;
 pub use event::{MpiCall, MpiOp, Rank, ReqId};
+pub use io::TraceError;
 pub use profile::{ActivityProfile, CallProfile, CommMatrix};
 pub use stats::{IdleBucket, IdleDistribution};
 pub use trace::{RankTrace, Trace, TraceBuilder, TraceEvent};

@@ -64,19 +64,25 @@ mod tests {
     fn sample() -> Trace {
         let mut b = TraceBuilder::new("prv", 2);
         b.compute(0, SimDuration::from_us(10));
-        b.op(0, MpiOp::Sendrecv {
-            to: 1,
-            send_bytes: 64,
-            from: 1,
-            recv_bytes: 64,
-        });
+        b.op(
+            0,
+            MpiOp::Sendrecv {
+                to: 1,
+                send_bytes: 64,
+                from: 1,
+                recv_bytes: 64,
+            },
+        );
         b.compute(1, SimDuration::from_us(5));
-        b.op(1, MpiOp::Sendrecv {
-            to: 0,
-            send_bytes: 64,
-            from: 0,
-            recv_bytes: 64,
-        });
+        b.op(
+            1,
+            MpiOp::Sendrecv {
+                to: 0,
+                send_bytes: 64,
+                from: 0,
+                recv_bytes: 64,
+            },
+        );
         b.op(1, MpiOp::Allreduce { bytes: 8 });
         b.op(0, MpiOp::Allreduce { bytes: 8 });
         b.build()

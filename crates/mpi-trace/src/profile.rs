@@ -65,11 +65,7 @@ impl CallProfile {
     /// The call type guarding the most idle time (the natural lane-off
     /// anchor), if any.
     pub fn dominant_idle_guard(&self) -> Option<MpiCall> {
-        let id = self
-            .by_call
-            .iter()
-            .max_by_key(|(_, s)| s.preceding_idle)?
-            .0;
+        let id = self.by_call.iter().max_by_key(|(_, s)| s.preceding_idle)?.0;
         // Map ids back to the enum (ids are the single source of truth).
         [
             MpiCall::Send,

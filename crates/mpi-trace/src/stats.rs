@@ -160,11 +160,8 @@ mod tests {
 
     #[test]
     fn percentages_sum_to_100() {
-        let d = IdleDistribution::from_intervals(
-            (1..100).map(|i| iv(i * 7 % 400 + 1)),
-            20.0,
-            200.0,
-        );
+        let d =
+            IdleDistribution::from_intervals((1..100).map(|i| iv(i * 7 % 400 + 1)), 20.0, 200.0);
         let n = d.short.interval_pct + d.medium.interval_pct + d.long.interval_pct;
         let t = d.short.time_pct + d.medium.time_pct + d.long.time_pct;
         assert!((n - 100.0).abs() < 1e-9);

@@ -97,7 +97,11 @@ impl Trace {
     pub fn heap_bytes(&self) -> usize {
         self.name.capacity()
             + self.ranks.capacity() * std::mem::size_of::<RankTrace>()
-            + self.ranks.iter().map(|r| r.events.heap_bytes()).sum::<usize>()
+            + self
+                .ranks
+                .iter()
+                .map(|r| r.events.heap_bytes())
+                .sum::<usize>()
     }
 
     /// Validate internal consistency:
@@ -135,14 +139,10 @@ impl Trace {
                     MpiOp::Sendrecv { to, from, .. } if !in_range(*to) || !in_range(*from) => {
                         return err(format!("peer {to}/{from} out of range"));
                     }
-                    MpiOp::Bcast { root, .. } | MpiOp::Reduce { root, .. }
-                        if !in_range(*root) =>
-                    {
+                    MpiOp::Bcast { root, .. } | MpiOp::Reduce { root, .. } if !in_range(*root) => {
                         return err(format!("root {root} out of range"));
                     }
-                    MpiOp::Isend { req, .. } | MpiOp::Irecv { req, .. }
-                        if !posted.insert(*req) =>
-                    {
+                    MpiOp::Isend { req, .. } | MpiOp::Irecv { req, .. } if !posted.insert(*req) => {
                         return err(format!("request {req} posted twice"));
                     }
                     MpiOp::Wait { req } if !posted.remove(req) => {
@@ -274,7 +274,13 @@ mod tests {
         b.compute(0, SimDuration::from_us(10));
         b.op(0, MpiOp::Allreduce { bytes: 8 });
         b.compute(1, SimDuration::from_us(30));
-        b.op(1, MpiOp::Recv { from: 0, bytes: 2048 });
+        b.op(
+            1,
+            MpiOp::Recv {
+                from: 0,
+                bytes: 2048,
+            },
+        );
         b.op(1, MpiOp::Allreduce { bytes: 8 });
         b.compute(1, SimDuration::from_us(5));
         b.build()
@@ -324,7 +330,11 @@ mod tests {
     fn validate_rejects_unclaimed_request() {
         let mut b = TraceBuilder::new("bad", 2);
         b.isend(0, 1, 100);
-        assert!(b.build().validate().unwrap_err().contains("never completed"));
+        assert!(b
+            .build()
+            .validate()
+            .unwrap_err()
+            .contains("never completed"));
     }
 
     #[test]
@@ -333,7 +343,13 @@ mod tests {
         let r1 = b.isend(0, 1, 100);
         let r2 = b.irecv(0, 1, 100);
         b.waitall(0, &[r1, r2]);
-        b.op(1, MpiOp::Recv { from: 0, bytes: 100 });
+        b.op(
+            1,
+            MpiOp::Recv {
+                from: 0,
+                bytes: 100,
+            },
+        );
         b.op(1, MpiOp::Send { to: 0, bytes: 100 });
         let t = b.build();
         assert!(t.validate().is_ok());

@@ -51,8 +51,8 @@ pub fn render_timelines<S: Copy + PartialEq>(
             let mut best: Option<(u64, S)> = None;
             let mut j = idx;
             while j < intervals.len() && intervals[j].start.as_ns() < c_end {
-                let ov = intervals[j].end.as_ns().min(c_end)
-                    - intervals[j].start.as_ns().max(c_start);
+                let ov =
+                    intervals[j].end.as_ns().min(c_end) - intervals[j].start.as_ns().max(c_start);
                 let state = intervals[j].state;
                 match &mut best {
                     Some((t, s)) if *s == state => *t += ov,
@@ -78,7 +78,13 @@ pub fn render_timelines<S: Copy + PartialEq>(
         out.push(if at_mark { '+' } else { '-' });
     }
     out.push('|');
-    let _ = write!(out, "\n{:<label_w$} |0{:>w$.0}us|", "", total_us, w = width - 1);
+    let _ = write!(
+        out,
+        "\n{:<label_w$} |0{:>w$.0}us|",
+        "",
+        total_us,
+        w = width - 1
+    );
     out.push('\n');
     out
 }

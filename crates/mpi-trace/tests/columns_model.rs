@@ -108,7 +108,9 @@ fn decode_table(cols: &EventColumns) -> Vec<MpiOp> {
                     posts = posts.wrapping_add(1);
                 }
                 MpiOp::Wait { req } => *req = posts.wrapping_sub(*req),
-                MpiOp::Waitall { reqs } => reqs.iter_mut().for_each(|r| *r = posts.wrapping_sub(*r)),
+                MpiOp::Waitall { reqs } => {
+                    reqs.iter_mut().for_each(|r| *r = posts.wrapping_sub(*r))
+                }
                 _ => {}
             }
             op
