@@ -104,9 +104,8 @@ impl Workload for Alya {
         // Per-rank problem size: the real process count under strong
         // scaling, the reference count under weak scaling.
         let gn = self.scaling.effective_n(nprocs, 8);
-        let halo_count = ((self.halo_count_at8
-            * (f64::from(gn) / 8.0).powf(self.halo_count_beta))
-        .round() as u32)
+        let halo_count = ((self.halo_count_at8 * (f64::from(gn) / 8.0).powf(self.halo_count_beta))
+            .round() as u32)
             .max(1);
         let total_halo = halo_bytes(self.halo_volume_at8, 8, gn);
         let msg_bytes = (total_halo / u64::from(halo_count)).max(64);
@@ -127,10 +126,7 @@ impl Workload for Alya {
                     // ranks, so sends and receives match during replay.
                     let hop = (j / 2 + 1) % nprocs.max(1);
                     let hop = hop.max(1);
-                    let (fwd, bwd) = (
-                        (r + hop) % nprocs,
-                        (r + nprocs - hop) % nprocs,
-                    );
+                    let (fwd, bwd) = ((r + hop) % nprocs, (r + nprocs - hop) % nprocs);
                     let (to, from) = if j % 2 == 0 { (fwd, bwd) } else { (bwd, fwd) };
                     b.op(
                         r,
@@ -149,11 +145,22 @@ impl Workload for Alya {
                 }
                 // Boundary aggregation (O(n) ring allgather).
                 b.compute(r, intra_gram_gap(&mut rng));
-                b.op(r, MpiOp::Allgather { bytes: self.gather_bytes });
+                b.op(
+                    r,
+                    MpiOp::Allgather {
+                        bytes: self.gather_bytes,
+                    },
+                );
                 // Occasional convergence-check gram breaks the pattern.
                 if self.extra_gram_period > 0 && (it + 1) % self.extra_gram_period == 0 {
                     b.compute(r, self.solver_gap.draw(gn, f, &mut rng));
-                    b.op(r, MpiOp::Bcast { root: 0, bytes: 256 });
+                    b.op(
+                        r,
+                        MpiOp::Bcast {
+                            root: 0,
+                            bytes: 256,
+                        },
+                    );
                 }
             }
             // Finalisation compute.

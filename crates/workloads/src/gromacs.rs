@@ -12,7 +12,7 @@
 //! while leaving most of the *time* (the force gap) exploitable — power
 //! savings 33→15% across 8→128 ranks (Fig. 9a).
 
-use crate::common::{Scaling, halo_bytes, intra_gram_gap, rank_imbalance, GapModel};
+use crate::common::{halo_bytes, intra_gram_gap, rank_imbalance, GapModel, Scaling};
 use crate::spec::Workload;
 use ibp_simcore::DetRng;
 use ibp_trace::{MpiOp, Trace, TraceBuilder};
@@ -116,9 +116,8 @@ impl Workload for Gromacs {
         }
 
         let gn = self.scaling.effective_n(nprocs, 8);
-        let halo_count = ((self.halo_count_at8
-            * (f64::from(gn) / 8.0).powf(self.halo_count_beta))
-        .round() as u32)
+        let halo_count = ((self.halo_count_at8 * (f64::from(gn) / 8.0).powf(self.halo_count_beta))
+            .round() as u32)
             .max(1);
         let total_halo = halo_bytes(self.halo_volume_at8, 8, gn);
         let msg_bytes = (total_halo / u64::from(halo_count)).max(64);
@@ -131,7 +130,11 @@ impl Workload for Gromacs {
                 // Force computation.
                 b.compute(r, self.force_gap.draw(gn, f, &mut rng));
                 // Halo exchange gram.
-                let exchanges = if ns_steps[it] { halo_count * 2 } else { halo_count };
+                let exchanges = if ns_steps[it] {
+                    halo_count * 2
+                } else {
+                    halo_count
+                };
                 for j in 0..exchanges {
                     if j > 0 {
                         b.compute(r, intra_gram_gap(&mut rng));
@@ -156,7 +159,12 @@ impl Workload for Gromacs {
                 }
                 // Decomposition bookkeeping (O(n) ring allgather).
                 b.compute(r, intra_gram_gap(&mut rng));
-                b.op(r, MpiOp::Allgather { bytes: self.gather_bytes });
+                b.op(
+                    r,
+                    MpiOp::Allgather {
+                        bytes: self.gather_bytes,
+                    },
+                );
                 // Energy reduction; the preceding gap is bimodal around GT.
                 let gap = if merged[it] {
                     intra_gram_gap(&mut rng)
@@ -216,12 +224,7 @@ mod tests {
         // call sequences (ignoring gaps) must be identical across ranks.
         let g = small();
         let t = g.generate(8, 6);
-        let seq = |r: usize| {
-            t.ranks[r]
-                .call_stream()
-                .map(|(c, _)| c)
-                .collect::<Vec<_>>()
-        };
+        let seq = |r: usize| t.ranks[r].call_stream().map(|(c, _)| c).collect::<Vec<_>>();
         let s0 = seq(0);
         for r in 1..8 {
             assert_eq!(seq(r), s0, "rank {r} diverged");

@@ -10,7 +10,9 @@
 //! ranks, Fig. 9a), collapsing at 100 ranks where the sweep gaps shrink
 //! under the grouping threshold and communication dominates.
 
-use crate::common::{Scaling, grid_neighbors, halo_bytes, intra_gram_gap, rank_imbalance, square_side, GapModel};
+use crate::common::{
+    grid_neighbors, halo_bytes, intra_gram_gap, rank_imbalance, square_side, GapModel, Scaling,
+};
 use crate::spec::Workload;
 use ibp_simcore::DetRng;
 use ibp_trace::{MpiOp, Trace, TraceBuilder};
@@ -130,7 +132,12 @@ impl Workload for NasBt {
                 b.compute(r, self.sweep_gap.draw(gn, f, &mut rng));
                 b.op(r, MpiOp::Allreduce { bytes: 40 });
                 b.compute(r, intra_gram_gap(&mut rng));
-                b.op(r, MpiOp::Allgather { bytes: self.gather_bytes });
+                b.op(
+                    r,
+                    MpiOp::Allgather {
+                        bytes: self.gather_bytes,
+                    },
+                );
             }
             b.compute(r, self.rhs_gap.draw(gn, f, &mut rng));
         }

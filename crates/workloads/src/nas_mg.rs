@@ -12,7 +12,7 @@
 //! leaving the mid gaps unexploited. Hit rate lands mid-pack (70–79%)
 //! and savings go 28%→4% across 8→128 ranks (Fig. 9a).
 
-use crate::common::{Scaling, halo_bytes, intra_gram_gap, rank_imbalance, GapModel};
+use crate::common::{halo_bytes, intra_gram_gap, rank_imbalance, GapModel, Scaling};
 use crate::spec::Workload;
 use ibp_simcore::{DetRng, SimDuration};
 use ibp_trace::{MpiOp, Trace, TraceBuilder};
@@ -155,20 +155,22 @@ impl Workload for NasMg {
                 }
                 // Coarsest solve: gather the coarse grid, reduce.
                 b.compute(r, intra_gram_gap(&mut rng));
-                b.op(r, MpiOp::Allgather { bytes: self.gather_bytes });
+                b.op(
+                    r,
+                    MpiOp::Allgather {
+                        bytes: self.gather_bytes,
+                    },
+                );
                 b.compute(r, intra_gram_gap(&mut rng));
                 b.op(r, MpiOp::Allreduce { bytes: 16 });
                 // Upward leg: prolongate back up with growing gaps.
                 for lev in (0..self.levels).rev() {
-                    let gap_us = self.smooth_gap.mean_us(gn)
-                        / self.level_ratio.powi(lev as i32 + 1);
+                    let gap_us =
+                        self.smooth_gap.mean_us(gn) / self.level_ratio.powi(lev as i32 + 1);
                     let bytes = (finest_bytes >> (2 * (lev + 1))).max(64);
                     for _ in 0..self.grams_per_level {
                         let jitter = rng.lognormal_jitter(self.level_sigma);
-                        b.compute(
-                            r,
-                            SimDuration::from_us_f64((gap_us * f * jitter).max(0.5)),
-                        );
+                        b.compute(r, SimDuration::from_us_f64((gap_us * f * jitter).max(0.5)));
                         Self::level_halo(&mut b, r, nprocs, bytes, 1, &mut rng);
                     }
                 }

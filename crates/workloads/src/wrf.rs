@@ -12,10 +12,10 @@
 //! the paper's lowest hit rate (25–33%) with still-substantial power
 //! savings at small scale (38%→4% across 8→128 ranks).
 
-use crate::common::{Scaling, halo_bytes, rank_imbalance, GapModel};
-use ibp_simcore::SimDuration;
+use crate::common::{halo_bytes, rank_imbalance, GapModel, Scaling};
 use crate::spec::Workload;
 use ibp_simcore::DetRng;
+use ibp_simcore::SimDuration;
 use ibp_trace::{MpiOp, Trace, TraceBuilder};
 
 /// WRF generator parameters.
@@ -157,7 +157,11 @@ impl Workload for Wrf {
         for r in 0..nprocs {
             let mut rng = root.split(1 + u64::from(r));
             let f = factors[r as usize];
-            for (it, &exchanges) in burst_sizes.iter().enumerate().take(self.iterations as usize) {
+            for (it, &exchanges) in burst_sizes
+                .iter()
+                .enumerate()
+                .take(self.iterations as usize)
+            {
                 let msg_bytes = (total_halo / u64::from(2 * exchanges)).max(64);
                 // Dynamics, then the first burst group.
                 b.compute(r, self.dynamics_gap.draw(gn, f, &mut rng));
@@ -168,11 +172,14 @@ impl Workload for Wrf {
                 // Lateral-boundary aggregation: an O(n) collective that
                 // becomes the communication floor under strong scaling.
                 b.compute(r, Self::post_gap(&mut rng));
-                b.op(r, MpiOp::Allgather { bytes: self.gather_bytes });
+                b.op(
+                    r,
+                    MpiOp::Allgather {
+                        bytes: self.gather_bytes,
+                    },
+                );
                 // Radiation substep every few iterations: extra gram.
-                if self.radiation_period > 0
-                    && (it + 1) % self.radiation_period as usize == 0
-                {
+                if self.radiation_period > 0 && (it + 1) % self.radiation_period as usize == 0 {
                     b.compute(r, self.dynamics_gap.draw(gn, f, &mut rng));
                     b.op(r, MpiOp::Allreduce { bytes: 64 });
                 }
@@ -242,12 +249,7 @@ mod tests {
     #[test]
     fn spmd_consistent_across_ranks() {
         let t = small().generate(8, 7);
-        let seq = |r: usize| {
-            t.ranks[r]
-                .call_stream()
-                .map(|(c, _)| c)
-                .collect::<Vec<_>>()
-        };
+        let seq = |r: usize| t.ranks[r].call_stream().map(|(c, _)| c).collect::<Vec<_>>();
         let s0 = seq(0);
         for r in 1..8 {
             assert_eq!(seq(r), s0, "rank {r} diverged");
