@@ -142,8 +142,7 @@ fn collect(
         hit_rate_pct: ann.mean_hit_rate_pct(),
         power_saving_pct: replays.map_or(0.0, |(_, managed)| managed.power_saving_pct()),
         slowdown_pct: replays.map_or(0.0, |(baseline, managed)| managed.slowdown_pct(baseline)),
-        est_saving_pct: ann
-            .mean_est_power_saving_pct(cfg.power_config().low_power_fraction),
+        est_saving_pct: ann.mean_est_power_saving_pct(cfg.power_config().low_power_fraction),
         baseline_exec: replays.map_or(SimDuration::ZERO, |(baseline, _)| baseline.exec_time),
         managed_exec: replays.map_or(SimDuration::ZERO, |(_, managed)| managed.exec_time),
         stats: ann.aggregate_stats(),
@@ -159,7 +158,10 @@ mod tests {
     fn alya_small_end_to_end() {
         // Shrunk ALYA run: the full pipeline holds together and produces
         // sane numbers.
-        let alya = ibp_workloads::Alya { iterations: 40, ..Default::default() };
+        let alya = ibp_workloads::Alya {
+            iterations: 40,
+            ..Default::default()
+        };
         let trace = ibp_workloads::Workload::generate(&alya, 8, 1);
         let cfg = RunConfig::new(20.0, 0.10);
         let r = run_on_trace(&trace, AppKind::Alya, &cfg);
@@ -172,7 +174,10 @@ mod tests {
 
     #[test]
     fn runtime_only_matches_full_run_hit_rate() {
-        let alya = ibp_workloads::Alya { iterations: 30, ..Default::default() };
+        let alya = ibp_workloads::Alya {
+            iterations: 30,
+            ..Default::default()
+        };
         let trace = ibp_workloads::Workload::generate(&alya, 4, 2);
         let cfg = RunConfig::new(20.0, 0.01);
         let fast = run_runtime_only(&trace, AppKind::Alya, &cfg, 1);

@@ -18,8 +18,8 @@ use crate::experiment::RunConfig;
 use crate::report::{f1, f2, Table};
 use crate::sweep::{CellKey, SweepEngine, SweepOptions, SweepStats, TraceFn, VARIANT_WEAK};
 use ibp_core::{
-    annotate_trace, history_annotate_rank, map_ranks, oracle_annotate_rank,
-    reactive_annotate_rank, PowerConfig, RankAnnotation, TraceAnnotations,
+    annotate_trace, history_annotate_rank, map_ranks, oracle_annotate_rank, reactive_annotate_rank,
+    PowerConfig, RankAnnotation, TraceAnnotations,
 };
 use ibp_network::{replay, ReplayOptions, SimParams, SimResult};
 use ibp_simcore::SimDuration;
@@ -376,8 +376,8 @@ pub fn robustness_study(
             let cfg = RunConfig::new(20.0, 0.01).power_config();
             let ann = ctx.annotate(&cfg);
             let agg = ann.aggregate_stats();
-            let managed = replay(&ctx.trace, Some(&ann), &params, &ReplayOptions::default())
-                .expect("replay");
+            let managed =
+                replay(&ctx.trace, Some(&ann), &params, &ReplayOptions::default()).expect("replay");
             RobustnessPoint {
                 jitter_multiplier: JITTER_MULTIPLIERS[key.variant as usize],
                 hit_rate_pct: agg.hit_rate_pct(),
@@ -523,7 +523,10 @@ mod tests {
     #[test]
     fn oracle_bounds_ppa_from_above() {
         // Use a small ALYA for speed.
-        let alya = ibp_workloads::Alya { iterations: 40, ..Default::default() };
+        let alya = ibp_workloads::Alya {
+            iterations: 40,
+            ..Default::default()
+        };
         let trace = alya.generate(8, 1);
         let params = SimParams::paper();
         let cfg = PowerConfig::paper(SimDuration::from_us(20), 0.01);
@@ -532,12 +535,18 @@ mod tests {
         let oracle = annotate_ranks(&trace, 1, |r| oracle_annotate_rank(r, &cfg));
         let (ora_s, ora_d) = run_policy(&trace, &baseline, &oracle, &params);
         assert!(ora_s >= ppa_s, "oracle {ora_s} < ppa {ppa_s}");
-        assert!(ora_d <= ppa_d + 0.05, "oracle slowdown {ora_d} vs ppa {ppa_d}");
+        assert!(
+            ora_d <= ppa_d + 0.05,
+            "oracle slowdown {ora_d} vs ppa {ppa_d}"
+        );
     }
 
     #[test]
     fn reactive_trades_stalls_for_savings() {
-        let alya = ibp_workloads::Alya { iterations: 40, ..Default::default() };
+        let alya = ibp_workloads::Alya {
+            iterations: 40,
+            ..Default::default()
+        };
         let trace = alya.generate(8, 2);
         let params = SimParams::paper();
         let cfg = PowerConfig::paper(SimDuration::from_us(20), 0.01);
@@ -557,14 +566,27 @@ mod tests {
     fn deep_sleep_increases_savings_on_long_gap_apps() {
         // WRF at 8 ranks has ~18 ms physics gaps: deep sleep (threshold
         // 5 ms) should beat WRPS-only on savings.
-        let wrf = ibp_workloads::Wrf { iterations: 30, ..Default::default() };
+        let wrf = ibp_workloads::Wrf {
+            iterations: 30,
+            ..Default::default()
+        };
         let trace = ibp_workloads::Workload::generate(&wrf, 8, 3);
         let params = SimParams::paper();
         let base_cfg = PowerConfig::paper(SimDuration::from_us(20), 0.01);
         let deep_cfg = base_cfg.clone().with_deep_sleep(SimDuration::from_ms(5));
         let baseline = replay(&trace, None, &params, &ReplayOptions::default()).expect("replay");
-        let (ws, _) = run_policy(&trace, &baseline, &annotate_trace(&trace, &base_cfg), &params);
-        let (ds, _) = run_policy(&trace, &baseline, &annotate_trace(&trace, &deep_cfg), &params);
+        let (ws, _) = run_policy(
+            &trace,
+            &baseline,
+            &annotate_trace(&trace, &base_cfg),
+            &params,
+        );
+        let (ds, _) = run_policy(
+            &trace,
+            &baseline,
+            &annotate_trace(&trace, &deep_cfg),
+            &params,
+        );
         assert!(
             ds > ws + 5.0,
             "deep sleep should add savings on WRF: {ds} vs {ws}"

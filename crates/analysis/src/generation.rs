@@ -76,7 +76,10 @@ fn policies(gt: SimDuration) -> Vec<(&'static str, PowerConfig)> {
             "deep",
             PowerConfig::paper(gt, SELECT_DISPLACEMENT).with_deep_sleep(DEEP_THRESHOLD),
         ),
-        ("ladder", PowerConfig::paper(gt, SELECT_DISPLACEMENT).with_ladder()),
+        (
+            "ladder",
+            PowerConfig::paper(gt, SELECT_DISPLACEMENT).with_ladder(),
+        ),
     ]
 }
 
@@ -160,8 +163,16 @@ pub fn generation_frontier(
 /// Render the frontier table.
 pub fn render_generation_frontier(rows: &[GenerationFrontierRow]) -> String {
     let mut t = Table::new(&[
-        "gen", "gb/s", "app", "policy", "saving %", "slowdown %", "switch %", "wrps t%",
-        "rate t%", "deep t%",
+        "gen",
+        "gb/s",
+        "app",
+        "policy",
+        "saving %",
+        "slowdown %",
+        "switch %",
+        "wrps t%",
+        "rate t%",
+        "deep t%",
     ]);
     for r in rows {
         t.row(vec![
@@ -189,16 +200,31 @@ mod tests {
     /// Shrunk traces so the frontier test stays debug-profile cheap.
     fn tiny_trace_fn() -> TraceFn {
         Arc::new(|key: &CellKey| match key.app {
-            AppKind::Gromacs => ibp_workloads::Gromacs { iterations: 40, ..Default::default() }
-                .generate(key.nprocs, key.seed),
-            AppKind::Alya => ibp_workloads::Alya { iterations: 30, ..Default::default() }
-                .generate(key.nprocs, key.seed),
-            AppKind::Wrf => ibp_workloads::Wrf { iterations: 20, ..Default::default() }
-                .generate(key.nprocs, key.seed),
-            AppKind::NasBt => ibp_workloads::NasBt { iterations: 30, ..Default::default() }
-                .generate(key.nprocs, key.seed),
-            AppKind::NasMg => ibp_workloads::NasMg { iterations: 25, ..Default::default() }
-                .generate(key.nprocs, key.seed),
+            AppKind::Gromacs => ibp_workloads::Gromacs {
+                iterations: 40,
+                ..Default::default()
+            }
+            .generate(key.nprocs, key.seed),
+            AppKind::Alya => ibp_workloads::Alya {
+                iterations: 30,
+                ..Default::default()
+            }
+            .generate(key.nprocs, key.seed),
+            AppKind::Wrf => ibp_workloads::Wrf {
+                iterations: 20,
+                ..Default::default()
+            }
+            .generate(key.nprocs, key.seed),
+            AppKind::NasBt => ibp_workloads::NasBt {
+                iterations: 30,
+                ..Default::default()
+            }
+            .generate(key.nprocs, key.seed),
+            AppKind::NasMg => ibp_workloads::NasMg {
+                iterations: 25,
+                ..Default::default()
+            }
+            .generate(key.nprocs, key.seed),
         })
     }
 
@@ -206,7 +232,10 @@ mod tests {
     fn frontier_covers_the_full_grid_in_order() {
         let engine = SweepEngine::with_trace_fn(SweepOptions::default(), tiny_trace_fn());
         let rows = generation_frontier(&engine, 7).expect("valid standard hardware");
-        assert_eq!(rows.len(), FRONTIER_GENERATIONS.len() * AppKind::ALL.len() * 3);
+        assert_eq!(
+            rows.len(),
+            FRONTIER_GENERATIONS.len() * AppKind::ALL.len() * 3
+        );
         // Generation-major, app-minor, policy order pinned.
         assert_eq!(rows[0].generation, "QDR");
         assert_eq!(rows[0].policy, "wrps");

@@ -35,10 +35,10 @@ pub mod report;
 pub mod svg;
 pub mod sweep;
 
+pub use exhibits::{fig10, figure, table1, table3, table4, ExhibitGrid};
 pub use experiment::{
     make_trace, run_on_trace, run_runtime_only, run_with_baseline, RunConfig, RunResult,
 };
-pub use exhibits::{fig10, figure, table1, table3, table4, ExhibitGrid};
 pub use generation::{
     generation_frontier, render_generation_frontier, GenerationFrontierRow, FRONTIER_GENERATIONS,
 };

@@ -69,7 +69,10 @@ pub const EXHIBITS: &[Exhibit] = &[
         run: |engine, grid, seed, out| {
             let rows = exhibits::table3(engine, grid, seed);
             out.write_json("table3.json", &rows)?;
-            Ok(format!("== Table III ==\n{}", exhibits::render_table3(&rows)))
+            Ok(format!(
+                "== Table III ==\n{}",
+                exhibits::render_table3(&rows)
+            ))
         },
     },
     Exhibit {
@@ -77,7 +80,10 @@ pub const EXHIBITS: &[Exhibit] = &[
         run: |engine, _, seed, out| {
             let rows = exhibits::table4(engine, seed);
             out.write_json("table4.json", &rows)?;
-            Ok(format!("== Table IV ==\n{}", exhibits::render_table4(&rows)))
+            Ok(format!(
+                "== Table IV ==\n{}",
+                exhibits::render_table4(&rows)
+            ))
         },
     },
     Exhibit {
@@ -215,7 +221,10 @@ fn figure(
     let fig = exhibits::figure(engine, grid, displacement, seed);
     out.write_json(&format!("{name}.json"), &fig)?;
     out.write_text(&format!("{name}.svg"), &svg::figure_svg(&fig, Mode::Light))?;
-    out.write_text(&format!("{name}-dark.svg"), &svg::figure_svg(&fig, Mode::Dark))?;
+    out.write_text(
+        &format!("{name}-dark.svg"),
+        &svg::figure_svg(&fig, Mode::Dark),
+    )?;
     Ok(format!("== {name} ==\n{}", exhibits::render_figure(&fig)))
 }
 
@@ -242,7 +251,10 @@ mod tests {
             assert!(EXHIBITS[..i].iter().all(|p| p.name != e.name), "{}", e.name);
             assert_eq!(Exhibit::find(e.name).map(|f| f.name), Some(e.name));
         }
-        assert!(Exhibit::find("all").is_none(), "`all` is the CLI's batch, not an entry");
+        assert!(
+            Exhibit::find("all").is_none(),
+            "`all` is the CLI's batch, not an entry"
+        );
         assert!(Exhibit::find("fig11").is_none());
     }
 

@@ -254,7 +254,11 @@ pub fn fig10_svg(data: &crate::exhibits::Fig10Data, mode: Mode) -> String {
         s,
         r#"<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" viewBox="0 0 {w} {h}" font-family="system-ui, sans-serif">"#
     );
-    let _ = write!(s, r#"<rect width="{w}" height="{h}" fill="{}"/>"#, th.surface);
+    let _ = write!(
+        s,
+        r#"<rect width="{w}" height="{h}" fill="{}"/>"#,
+        th.surface
+    );
     let _ = write!(
         s,
         r#"<text x="{ml}" y="24" font-size="15" font-weight="600" fill="{}">Correctly predicted MPI calls vs grouping threshold (GROMACS)</text>"#,
@@ -321,9 +325,7 @@ pub fn fig10_svg(data: &crate::exhibits::Fig10Data, mode: Mode) -> String {
             let _ = write!(
                 s,
                 r#"<circle cx="{ex:.1}" cy="{ey:.1}" r="6" fill="{color}" stroke="{}" stroke-width="2"><title>{n} ranks @GT {:.0} us: {:.1}%</title></circle>"#,
-                th.surface,
-                last.gt_us,
-                last.hit_rate_pct
+                th.surface, last.gt_us, last.hit_rate_pct
             );
             let _ = write!(
                 s,

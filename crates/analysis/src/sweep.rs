@@ -80,9 +80,10 @@ impl CellKey {
     pub fn digest(&self) -> u64 {
         let mut h = 0x9E37_79B9_7F4A_7C15u64;
         for field in [
-            self.app.name().bytes().fold(0u64, |a, b| {
-                a.wrapping_mul(131).wrapping_add(b as u64)
-            }),
+            self.app
+                .name()
+                .bytes()
+                .fold(0u64, |a, b| a.wrapping_mul(131).wrapping_add(b as u64)),
             self.nprocs as u64,
             self.seed,
             self.variant as u64,
@@ -262,7 +263,10 @@ pub type TraceFn = Arc<dyn Fn(&CellKey) -> Trace + Send + Sync>;
 pub fn default_trace_fn() -> TraceFn {
     Arc::new(|key: &CellKey| match key.variant {
         VARIANT_STRONG => make_trace(key.app, key.nprocs, key.seed),
-        VARIANT_WEAK => key.app.workload(Scaling::Weak).generate(key.nprocs, key.seed),
+        VARIANT_WEAK => key
+            .app
+            .workload(Scaling::Weak)
+            .generate(key.nprocs, key.seed),
         other => panic!("no default workload for trace variant {other}"),
     })
 }
@@ -329,13 +333,8 @@ impl SweepEngine {
     pub fn baseline(&self, key: &CellKey) -> Arc<SimResult> {
         let trace = self.trace(key);
         self.baselines.get_or_compute(key, || {
-            replay(
-                &trace,
-                None,
-                &SimParams::paper(),
-                &ReplayOptions::default(),
-            )
-            .expect("baseline replay of a generated trace")
+            replay(&trace, None, &SimParams::paper(), &ReplayOptions::default())
+                .expect("baseline replay of a generated trace")
         })
     }
 
@@ -611,9 +610,11 @@ mod tests {
         let e = engine(8);
         let key = CellKey::new(AppKind::Alya, 6, 5);
         let cfg = ibp_core::PowerConfig::default();
-        let out = e.run_cells(&[0u8], |_| key, |ctx, _, _| {
-            (ctx.rank_jobs, ctx.annotate(&cfg))
-        });
+        let out = e.run_cells(
+            &[0u8],
+            |_| key,
+            |ctx, _, _| (ctx.rank_jobs, ctx.annotate(&cfg)),
+        );
         let (rank_jobs, parallel) = &out[0];
         assert_eq!(*rank_jobs, 8, "single cell receives the whole budget");
         let serial = ibp_core::annotate_trace(&e.trace(&key), &cfg);
@@ -634,7 +635,10 @@ mod tests {
 
     #[test]
     fn trace_bytes_count_each_generated_trace_once() {
-        let keys = [CellKey::new(AppKind::Alya, 4, 1), CellKey::new(AppKind::Alya, 8, 2)];
+        let keys = [
+            CellKey::new(AppKind::Alya, 4, 1),
+            CellKey::new(AppKind::Alya, 8, 2),
+        ];
         let e = engine(1);
         let mut held = 0;
         for key in &keys {
