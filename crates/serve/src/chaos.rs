@@ -87,7 +87,10 @@ impl ChaosConfig {
     /// per-connection fault streams from one base config).
     #[must_use]
     pub fn reseeded(&self, seed: u64) -> ChaosConfig {
-        ChaosConfig { seed, ..self.clone() }
+        ChaosConfig {
+            seed,
+            ..self.clone()
+        }
     }
 
     /// Wrap `stream` in a fault-injecting [`ChaosStream`].
@@ -217,14 +220,20 @@ impl Read for ChaosStream {
         let (plan, aux) = self.plan(self.state.cfg.short_read);
         self.pre_call(&plan)?;
         let cap = if plan.truncate && buf.len() > 1 {
-            self.state.counters.short_reads.fetch_add(1, Ordering::Relaxed);
+            self.state
+                .counters
+                .short_reads
+                .fetch_add(1, Ordering::Relaxed);
             1 + (aux as usize % (buf.len() - 1))
         } else {
             buf.len()
         };
         let n = self.inner.read(&mut buf[..cap])?;
         if plan.corrupt && n > 0 {
-            self.state.counters.corruptions.fetch_add(1, Ordering::Relaxed);
+            self.state
+                .counters
+                .corruptions
+                .fetch_add(1, Ordering::Relaxed);
             let bit = (aux >> 32) as usize % (n * 8);
             buf[bit / 8] ^= 1 << (bit % 8);
         }
@@ -240,13 +249,19 @@ impl Write for ChaosStream {
             return self.inner.write(buf);
         }
         let len = if plan.truncate && buf.len() > 1 {
-            self.state.counters.partial_writes.fetch_add(1, Ordering::Relaxed);
+            self.state
+                .counters
+                .partial_writes
+                .fetch_add(1, Ordering::Relaxed);
             1 + (aux as usize % (buf.len() - 1))
         } else {
             buf.len()
         };
         if plan.corrupt {
-            self.state.counters.corruptions.fetch_add(1, Ordering::Relaxed);
+            self.state
+                .counters
+                .corruptions
+                .fetch_add(1, Ordering::Relaxed);
             let mut copy = buf[..len].to_vec();
             let bit = (aux >> 32) as usize % (len * 8);
             copy[bit / 8] ^= 1 << (bit % 8);
@@ -301,9 +316,7 @@ mod tests {
         let run = || -> Vec<bool> {
             let (a, _b) = pipe_pair();
             let mut s = cfg.wrap(a);
-            (0..64)
-                .map(|_| s.write(&[0u8; 32]).is_err())
-                .collect()
+            (0..64).map(|_| s.write(&[0u8; 32]).is_err()).collect()
         };
         assert_eq!(run(), run(), "fault pattern must be seed-deterministic");
     }
@@ -325,7 +338,10 @@ mod tests {
         let mut clone = s.try_clone().unwrap();
         assert!(s.write(b"x").is_err());
         let mut buf = [0u8; 4];
-        assert!(clone.read(&mut buf).is_err(), "clone must share the dead flag");
+        assert!(
+            clone.read(&mut buf).is_err(),
+            "clone must share the dead flag"
+        );
         if let Stream::Chaos(cs) = &s {
             assert_eq!(cs.counters().resets.load(Ordering::Relaxed), 1);
         } else {

@@ -140,11 +140,7 @@ impl Client {
                 ServerFrame::QueryReply { .. } => continue,
                 other => match want(other) {
                     Some(v) => return Ok(v),
-                    None => {
-                        return Err(ProtocolError::Unexpected(format!(
-                            "waiting for {what}"
-                        )))
-                    }
+                    None => return Err(ProtocolError::Unexpected(format!("waiting for {what}"))),
                 },
             }
         }
@@ -173,7 +169,10 @@ impl Client {
     /// Open a session from snapshot bytes; waits for the
     /// acknowledgement and returns the server's resume position.
     pub fn restore(&mut self, session: u32, snapshot: &[u8]) -> Result<u64, ProtocolError> {
-        self.send(&ClientFrame::Restore { session, snapshot: snapshot.to_vec() })?;
+        self.send(&ClientFrame::Restore {
+            session,
+            snapshot: snapshot.to_vec(),
+        })?;
         let applied = self.expect("OpenAck", |f| match f {
             ServerFrame::OpenAck { events_applied, .. } => Some(events_applied),
             _ => None,
@@ -193,7 +192,10 @@ impl Client {
         &mut self,
         session: u32,
     ) -> Result<(u64, Vec<LaneDirective>), ProtocolError> {
-        self.send(&ClientFrame::Restore { session, snapshot: Vec::new() })?;
+        self.send(&ClientFrame::Restore {
+            session,
+            snapshot: Vec::new(),
+        })?;
         let applied = self.expect("OpenAck", |f| match f {
             ServerFrame::OpenAck { events_applied, .. } => Some(events_applied),
             _ => None,
@@ -213,11 +215,16 @@ impl Client {
         session: u32,
         events: &[WireEvent],
     ) -> Result<(u64, Vec<LaneDirective>), ProtocolError> {
-        self.send(&ClientFrame::Events { session, events: events.to_vec() })?;
+        self.send(&ClientFrame::Events {
+            session,
+            events: events.to_vec(),
+        })?;
         self.expect("Directives", |f| match f {
-            ServerFrame::Directives { events_applied, directives, .. } => {
-                Some((events_applied, directives))
-            }
+            ServerFrame::Directives {
+                events_applied,
+                directives,
+                ..
+            } => Some((events_applied, directives)),
             _ => None,
         })
     }
@@ -264,7 +271,9 @@ impl Client {
     /// [`CONNECTION_SESSION`] id, which `Query` (alone among client
     /// frames) accepts.
     pub fn query_server(&mut self) -> Result<ObsReport, ProtocolError> {
-        self.send(&ClientFrame::Query { session: CONNECTION_SESSION })?;
+        self.send(&ClientFrame::Query {
+            session: CONNECTION_SESSION,
+        })?;
         self.expect_report()
     }
 
@@ -292,7 +301,10 @@ impl Client {
         session: u32,
         final_compute_ns: u64,
     ) -> Result<(Vec<LaneDirective>, u64, RankStats), ProtocolError> {
-        self.send(&ClientFrame::Close { session, final_compute_ns })?;
+        self.send(&ClientFrame::Close {
+            session,
+            final_compute_ns,
+        })?;
         let mut last = Vec::new();
         loop {
             match self.recv()? {
@@ -302,7 +314,11 @@ impl Client {
                 ServerFrame::Stats { .. } => continue,
                 ServerFrame::QueryReply { .. } => continue,
                 ServerFrame::Directives { directives, .. } => last.extend(directives),
-                ServerFrame::Closed { directives_total, stats, .. } => {
+                ServerFrame::Closed {
+                    directives_total,
+                    stats,
+                    ..
+                } => {
                     self.open_sessions.retain(|&s| s != session);
                     return Ok((last, directives_total, *stats));
                 }
@@ -326,7 +342,10 @@ impl Drop for Client {
     fn drop(&mut self) {
         if self.close_on_drop {
             for session in std::mem::take(&mut self.open_sessions) {
-                let frame = ClientFrame::Close { session, final_compute_ns: 0 };
+                let frame = ClientFrame::Close {
+                    session,
+                    final_compute_ns: 0,
+                };
                 if write_frame(&mut self.writer, &frame.encode()).is_err() {
                     break;
                 }
@@ -593,7 +612,13 @@ pub fn run_load(
     if let Some(e) = first_err {
         return Err(e);
     }
-    Ok(aggregate(outcomes, latencies_ns, sessions, start.elapsed().as_secs_f64(), cfg.check))
+    Ok(aggregate(
+        outcomes,
+        latencies_ns,
+        sessions,
+        start.elapsed().as_secs_f64(),
+        cfg.check,
+    ))
 }
 
 /// Fold per-session outcomes and batch latencies into a [`LoadReport`].
@@ -626,7 +651,11 @@ fn aggregate(
         reconnects,
         gave_up,
         elapsed_s,
-        events_per_sec: if elapsed_s > 0.0 { events_total as f64 / elapsed_s } else { 0.0 },
+        events_per_sec: if elapsed_s > 0.0 {
+            events_total as f64 / elapsed_s
+        } else {
+            0.0
+        },
         latency_p50_us: pct(0.50),
         latency_p99_us: pct(0.99),
         latency_max_us: pct(1.0),
@@ -785,7 +814,9 @@ fn drive(
         .into_iter()
         .map(|(id, spec)| {
             let total = spec.events.len();
-            let split_at = cfg.split.map(|f| ((total as f64 * f.clamp(0.0, 1.0)) as usize).min(total));
+            let split_at = cfg
+                .split
+                .map(|f| ((total as f64 * f.clamp(0.0, 1.0)) as usize).min(total));
             SessionState {
                 id,
                 spec,

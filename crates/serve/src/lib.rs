@@ -53,7 +53,9 @@ pub mod session;
 pub mod store;
 
 pub use chaos::{ChaosConfig, ChaosCounters, ChaosStream};
-pub use client::{run_load, Client, LoadConfig, LoadReport, RetryPolicy, SessionOutcome, SessionSpec};
+pub use client::{
+    run_load, Client, LoadConfig, LoadReport, RetryPolicy, SessionOutcome, SessionSpec,
+};
 pub use metrics::{
     spawn_exporter, Histogram, MetricsRegistry, ObsReport, ServerProbe, SessionProbe, Stage,
     StoreProbe,

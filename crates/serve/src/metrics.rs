@@ -59,8 +59,13 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in exposition order.
-    pub const ALL: [Stage; 5] =
-        [Stage::Decode, Stage::MailboxWait, Stage::Engine, Stage::Encode, Stage::Write];
+    pub const ALL: [Stage; 5] = [
+        Stage::Decode,
+        Stage::MailboxWait,
+        Stage::Engine,
+        Stage::Encode,
+        Stage::Write,
+    ];
 
     /// The `stage` label value in the Prometheus exposition.
     #[must_use]
@@ -230,11 +235,31 @@ const COUNTERS: [MetricDesc; 14] = [
 ];
 
 const GAUGES: [MetricDesc; 5] = [
-    MetricDesc { kind: "gauge", name: "ibp_sessions_live", help: "Live sessions currently tracked by the server." },
-    MetricDesc { kind: "gauge", name: "ibp_ready_queue_depth", help: "Sessions waiting in the worker ready queue." },
-    MetricDesc { kind: "gauge", name: "ibp_writer_queue_depth", help: "Encoded response frames queued across all connection writers." },
-    MetricDesc { kind: "gauge", name: "ibp_hot_sessions", help: "Sessions whose engine is resident in memory." },
-    MetricDesc { kind: "gauge", name: "ibp_cold_sessions", help: "Sessions evicted to the snapshot store, rehydrated on touch." },
+    MetricDesc {
+        kind: "gauge",
+        name: "ibp_sessions_live",
+        help: "Live sessions currently tracked by the server.",
+    },
+    MetricDesc {
+        kind: "gauge",
+        name: "ibp_ready_queue_depth",
+        help: "Sessions waiting in the worker ready queue.",
+    },
+    MetricDesc {
+        kind: "gauge",
+        name: "ibp_writer_queue_depth",
+        help: "Encoded response frames queued across all connection writers.",
+    },
+    MetricDesc {
+        kind: "gauge",
+        name: "ibp_hot_sessions",
+        help: "Sessions whose engine is resident in memory.",
+    },
+    MetricDesc {
+        kind: "gauge",
+        name: "ibp_cold_sessions",
+        help: "Sessions evicted to the snapshot store, rehydrated on touch.",
+    },
 ];
 
 /// The per-depth sleep gauge, rendered with a `depth` label (one
@@ -631,9 +656,7 @@ mod tests {
         for desc in COUNTERS.iter().chain(GAUGES.iter()) {
             let value_lines: Vec<&str> = text
                 .lines()
-                .filter(|l| {
-                    l.split_whitespace().next() == Some(desc.name) && !l.starts_with('#')
-                })
+                .filter(|l| l.split_whitespace().next() == Some(desc.name) && !l.starts_with('#'))
                 .collect();
             assert_eq!(value_lines.len(), 1, "{} emitted once", desc.name);
         }
@@ -652,8 +675,10 @@ mod tests {
             let line = format!("ibp_session_shard_sessions{{shard=\"{shard}\"}} {expected}");
             assert!(text.contains(&line), "missing {line} in:\n{text}");
         }
-        let help_lines =
-            text.lines().filter(|l| l.starts_with("# HELP ibp_session_shard_sessions")).count();
+        let help_lines = text
+            .lines()
+            .filter(|l| l.starts_with("# HELP ibp_session_shard_sessions"))
+            .count();
         assert_eq!(help_lines, 1, "shard gauge HELP emitted once");
     }
 
@@ -665,11 +690,22 @@ mod tests {
         m.sleep_depth_changed(Some(SleepKind::Rate), Some(SleepKind::Deep));
         m.sleep_depth_changed(Some(SleepKind::Wrps), Some(SleepKind::Wrps)); // no-op
         let text = m.render_prometheus();
-        assert!(text.contains("ibp_sessions_asleep{depth=\"wrps\"} 0"), "{text}");
-        assert!(text.contains("ibp_sessions_asleep{depth=\"rate\"} 1"), "{text}");
-        assert!(text.contains("ibp_sessions_asleep{depth=\"deep\"} 1"), "{text}");
-        let help_lines =
-            text.lines().filter(|l| l.starts_with("# HELP ibp_sessions_asleep")).count();
+        assert!(
+            text.contains("ibp_sessions_asleep{depth=\"wrps\"} 0"),
+            "{text}"
+        );
+        assert!(
+            text.contains("ibp_sessions_asleep{depth=\"rate\"} 1"),
+            "{text}"
+        );
+        assert!(
+            text.contains("ibp_sessions_asleep{depth=\"deep\"} 1"),
+            "{text}"
+        );
+        let help_lines = text
+            .lines()
+            .filter(|l| l.starts_with("# HELP ibp_sessions_asleep"))
+            .count();
         assert_eq!(help_lines, 1, "depth gauge HELP emitted once");
     }
 
@@ -704,15 +740,23 @@ mod tests {
         assert!(text.contains(&format!("{} 1\n", engine("2"))), "{text}");
         assert!(text.contains(&format!("{} 2\n", engine("4"))), "{text}");
         assert!(text.contains(&format!("{} 2\n", engine("+Inf"))), "{text}");
-        assert!(text.contains("ibp_stage_duration_us_sum{stage=\"engine\"} 4.500\n"), "{text}");
-        assert!(text.contains("ibp_stage_duration_us_count{stage=\"engine\"} 2\n"), "{text}");
+        assert!(
+            text.contains("ibp_stage_duration_us_sum{stage=\"engine\"} 4.500\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("ibp_stage_duration_us_count{stage=\"engine\"} 2\n"),
+            "{text}"
+        );
         assert!(text.contains("ibp_stage_duration_us_bucket{stage=\"mailbox\",le=\"0\"} 1\n"));
         for stage in Stage::ALL {
             let count = format!("ibp_stage_duration_us_count{{stage=\"{}\"}}", stage.label());
             assert_eq!(text.matches(&count).count(), 1, "{count}");
         }
-        let help_lines =
-            text.lines().filter(|l| l.starts_with("# HELP ibp_stage_duration_us")).count();
+        let help_lines = text
+            .lines()
+            .filter(|l| l.starts_with("# HELP ibp_stage_duration_us"))
+            .count();
         assert_eq!(help_lines, 1, "histogram HELP emitted once");
     }
 
@@ -744,11 +788,11 @@ mod tests {
         let metrics = Arc::new(MetricsRegistry::default());
         metrics.events_applied.store(1234, Ordering::Relaxed);
         let stop = Arc::new(AtomicBool::new(false));
-        let (addr, handle) =
-            spawn_exporter("127.0.0.1:0", Arc::clone(&metrics), Arc::clone(&stop))
-                .expect("bind exporter");
+        let (addr, handle) = spawn_exporter("127.0.0.1:0", Arc::clone(&metrics), Arc::clone(&stop))
+            .expect("bind exporter");
         let mut conn = std::net::TcpStream::connect(addr).expect("connect");
-        conn.write_all(b"GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n").unwrap();
+        conn.write_all(b"GET /metrics HTTP/1.0\r\nHost: x\r\n\r\n")
+            .unwrap();
         let mut response = String::new();
         conn.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.0 200 OK\r\n"), "{response}");
@@ -760,7 +804,10 @@ mod tests {
         conn.write_all(b"GET / HTTP/1.0\r\n\r\n").unwrap();
         let mut response = String::new();
         conn.read_to_string(&mut response).unwrap();
-        assert!(response.contains("ibp_scrapes_served_total 1"), "{response}");
+        assert!(
+            response.contains("ibp_scrapes_served_total 1"),
+            "{response}"
+        );
         stop.store(true, Ordering::Relaxed);
         handle.join().unwrap();
     }
@@ -769,7 +816,10 @@ mod tests {
     fn obs_report_roundtrips_through_json() {
         let report = ObsReport {
             server: ServerProbe {
-                summary: ServeSummary { sessions_opened: 2, ..Default::default() },
+                summary: ServeSummary {
+                    sessions_opened: 2,
+                    ..Default::default()
+                },
                 sessions_live: 2,
                 workers: 4,
                 queue_depth_limit: 64,
@@ -778,7 +828,11 @@ mod tests {
                 hot_sessions: 2,
                 cold_sessions: 1,
                 max_hot_sessions: Some(2),
-                store: Some(StoreProbe { sessions: 2, closed: 1, complete_histories: 2 }),
+                store: Some(StoreProbe {
+                    sessions: 2,
+                    closed: 1,
+                    complete_histories: 2,
+                }),
                 chaos_intensity: Some(0.05),
             },
             sessions: vec![SessionProbe {

@@ -99,7 +99,11 @@ const CRC32_TABLE: [u32; 256] = {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
             k += 1;
         }
         table[i] = c;
@@ -446,7 +450,11 @@ impl ClientFrame {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
         match self {
-            ClientFrame::Open { session, rank, config } => {
+            ClientFrame::Open {
+                session,
+                rank,
+                config,
+            } => {
                 out.push(K_OPEN);
                 put_u32(&mut out, *session);
                 put_u32(&mut out, *rank);
@@ -479,7 +487,10 @@ impl ClientFrame {
                 put_u32(&mut out, *session);
                 out.extend_from_slice(snapshot);
             }
-            ClientFrame::Close { session, final_compute_ns } => {
+            ClientFrame::Close {
+                session,
+                final_compute_ns,
+            } => {
                 out.push(K_CLOSE);
                 put_u32(&mut out, *session);
                 put_u64(&mut out, *final_compute_ns);
@@ -514,12 +525,19 @@ impl ServerFrame {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
         match self {
-            ServerFrame::OpenAck { session, events_applied } => {
+            ServerFrame::OpenAck {
+                session,
+                events_applied,
+            } => {
                 out.push(K_OPEN_ACK);
                 put_u32(&mut out, *session);
                 put_u64(&mut out, *events_applied);
             }
-            ServerFrame::Directives { session, events_applied, directives } => {
+            ServerFrame::Directives {
+                session,
+                events_applied,
+                directives,
+            } => {
                 out.reserve(17 + directives.len() * 33);
                 out.push(K_DIRECTIVES);
                 put_u32(&mut out, *session);
@@ -547,7 +565,11 @@ impl ServerFrame {
                 put_u32(&mut out, *session);
                 out.extend_from_slice(snapshot);
             }
-            ServerFrame::Closed { session, directives_total, stats } => {
+            ServerFrame::Closed {
+                session,
+                directives_total,
+                stats,
+            } => {
                 out.push(K_CLOSED);
                 put_u32(&mut out, *session);
                 put_u64(&mut out, *directives_total);
@@ -566,7 +588,11 @@ impl ServerFrame {
                         .as_bytes(),
                 );
             }
-            ServerFrame::Error { session, code, message } => {
+            ServerFrame::Error {
+                session,
+                code,
+                message,
+            } => {
                 out.push(K_ERROR);
                 put_u32(&mut out, *session);
                 put_u16(&mut out, *code);
@@ -630,10 +656,7 @@ impl<'a> Rd<'a> {
         } else {
             Err(ProtocolError::Malformed {
                 kind: self.kind,
-                detail: format!(
-                    "{} trailing bytes after body",
-                    self.buf.len() - self.pos
-                ),
+                detail: format!("{} trailing bytes after body", self.buf.len() - self.pos),
             })
         }
     }
@@ -659,7 +682,11 @@ fn reader(payload: &[u8]) -> Result<(Rd<'_>, u32), ProtocolError> {
             detail: "empty payload".into(),
         });
     }
-    let mut rd = Rd { buf: payload, pos: 1, kind: payload[0] };
+    let mut rd = Rd {
+        buf: payload,
+        pos: 1,
+        kind: payload[0],
+    };
     let session = rd.u32().map_err(|_| ProtocolError::Malformed {
         kind: payload[0],
         detail: "payload too short for session id".into(),
@@ -687,7 +714,11 @@ pub fn decode_client(payload: &[u8]) -> Result<ClientFrame, ProtocolError> {
                 kind: K_OPEN,
                 detail,
             })?;
-            ClientFrame::Open { session, rank, config: Box::new(config) }
+            ClientFrame::Open {
+                session,
+                rank,
+                config: Box::new(config),
+            }
         }
         K_EVENTS => {
             let count = rd.u32()? as usize;
@@ -715,7 +746,10 @@ pub fn decode_client(payload: &[u8]) -> Result<ClientFrame, ProtocolError> {
         }
         K_CLOSE => {
             let final_compute_ns = rd.u64()?;
-            ClientFrame::Close { session, final_compute_ns }
+            ClientFrame::Close {
+                session,
+                final_compute_ns,
+            }
         }
         K_QUERY => ClientFrame::Query { session },
         other => return Err(ProtocolError::UnknownKind(other)),
@@ -732,7 +766,10 @@ pub fn decode_server(payload: &[u8]) -> Result<ServerFrame, ProtocolError> {
             // v1 peers sent no body; tolerate that as position 0 so a
             // decoder fed archived captures still works.
             let events_applied = if rd.buf.len() > rd.pos { rd.u64()? } else { 0 };
-            ServerFrame::OpenAck { session, events_applied }
+            ServerFrame::OpenAck {
+                session,
+                events_applied,
+            }
         }
         K_DIRECTIVES => {
             let events_applied = rd.u64()?;
@@ -750,17 +787,24 @@ pub fn decode_server(payload: &[u8]) -> Result<ServerFrame, ProtocolError> {
                     after_event: after_event as usize,
                     delay: SimDuration::from_ns(u64::from_le_bytes(c[8..16].try_into().unwrap())),
                     timer: SimDuration::from_ns(u64::from_le_bytes(c[16..24].try_into().unwrap())),
-                    predicted_idle: SimDuration::from_ns(
-                        u64::from_le_bytes(c[24..32].try_into().unwrap()),
-                    ),
+                    predicted_idle: SimDuration::from_ns(u64::from_le_bytes(
+                        c[24..32].try_into().unwrap(),
+                    )),
                     kind,
                 });
             }
-            ServerFrame::Directives { session, events_applied, directives }
+            ServerFrame::Directives {
+                session,
+                events_applied,
+                directives,
+            }
         }
         K_STATS => {
             let stats: RankStats = rd.json("rank stats")?;
-            ServerFrame::Stats { session, stats: Box::new(stats) }
+            ServerFrame::Stats {
+                session,
+                stats: Box::new(stats),
+            }
         }
         K_SNAPSHOT_DATA => {
             let snapshot = rd.rest().to_vec();
@@ -769,16 +813,27 @@ pub fn decode_server(payload: &[u8]) -> Result<ServerFrame, ProtocolError> {
         K_CLOSED => {
             let directives_total = rd.u64()?;
             let stats: RankStats = rd.json("rank stats")?;
-            ServerFrame::Closed { session, directives_total, stats: Box::new(stats) }
+            ServerFrame::Closed {
+                session,
+                directives_total,
+                stats: Box::new(stats),
+            }
         }
         K_QUERY_REPLY => {
             let report: ObsReport = rd.json("observability report")?;
-            ServerFrame::QueryReply { session, report: Box::new(report) }
+            ServerFrame::QueryReply {
+                session,
+                report: Box::new(report),
+            }
         }
         K_ERROR => {
             let code = rd.u16()?;
             let message = String::from_utf8_lossy(rd.rest()).into_owned();
-            ServerFrame::Error { session, code, message }
+            ServerFrame::Error {
+                session,
+                code,
+                message,
+            }
         }
         other => return Err(ProtocolError::UnknownKind(other)),
     };
@@ -806,7 +861,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), ProtocolEr
         max: MAX_FRAME_LEN,
     })?;
     if len > MAX_FRAME_LEN {
-        return Err(ProtocolError::FrameTooLarge { len, max: MAX_FRAME_LEN });
+        return Err(ProtocolError::FrameTooLarge {
+            len,
+            max: MAX_FRAME_LEN,
+        });
     }
     w.write_all(&len.to_le_bytes())?;
     w.write_all(&crc32(payload).to_le_bytes())?;
@@ -820,7 +878,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), ProtocolEr
 pub fn read_frame_header(header: [u8; FRAME_HEADER_LEN]) -> Result<(usize, u32), ProtocolError> {
     let len = u32::from_le_bytes(header[..4].try_into().expect("4-byte slice"));
     if len > MAX_FRAME_LEN {
-        return Err(ProtocolError::FrameTooLarge { len, max: MAX_FRAME_LEN });
+        return Err(ProtocolError::FrameTooLarge {
+            len,
+            max: MAX_FRAME_LEN,
+        });
     }
     let crc = u32::from_le_bytes(header[4..].try_into().expect("4-byte slice"));
     Ok((len as usize, crc))
@@ -832,7 +893,10 @@ pub fn verify_frame_crc(announced: u32, payload: &[u8]) -> Result<(), ProtocolEr
     if computed == announced {
         Ok(())
     } else {
-        Err(ProtocolError::ChecksumMismatch { announced, computed })
+        Err(ProtocolError::ChecksumMismatch {
+            announced,
+            computed,
+        })
     }
 }
 
@@ -882,7 +946,10 @@ pub fn read_hello<R: Read>(r: &mut R) -> Result<(), ProtocolError> {
     r.read_exact(&mut ver)?;
     let peer = u16::from_le_bytes(ver);
     if peer != PROTOCOL_VERSION {
-        return Err(ProtocolError::VersionMismatch { peer, ours: PROTOCOL_VERSION });
+        return Err(ProtocolError::VersionMismatch {
+            peer,
+            ours: PROTOCOL_VERSION,
+        });
     }
     Ok(())
 }
@@ -915,14 +982,20 @@ mod tests {
             session: 1,
             events: vec![(41, 0), (41, 2_000), (10, 300_000)],
         });
-        roundtrip_client(ClientFrame::Events { session: 2, events: vec![] });
+        roundtrip_client(ClientFrame::Events {
+            session: 2,
+            events: vec![],
+        });
         roundtrip_client(ClientFrame::Flush { session: 9 });
         roundtrip_client(ClientFrame::Snapshot { session: 0 });
         roundtrip_client(ClientFrame::Restore {
             session: 4,
             snapshot: b"{\"version\":1}".to_vec(),
         });
-        roundtrip_client(ClientFrame::Close { session: 5, final_compute_ns: 12345 });
+        roundtrip_client(ClientFrame::Close {
+            session: 5,
+            final_compute_ns: 12345,
+        });
         roundtrip_client(ClientFrame::Query { session: 6 });
     }
 
@@ -930,7 +1003,9 @@ mod tests {
     fn fleet_query_may_use_the_reserved_session_id() {
         // Query is the one client frame for which CONNECTION_SESSION is
         // meaningful: it addresses the whole server, not a session.
-        roundtrip_client(ClientFrame::Query { session: CONNECTION_SESSION });
+        roundtrip_client(ClientFrame::Query {
+            session: CONNECTION_SESSION,
+        });
     }
 
     #[test]
@@ -942,8 +1017,13 @@ mod tests {
         let mut report = crate::metrics::ObsReport::default();
         report.server.sessions_live = 3;
         report.server.workers = 2;
-        report.sessions.push(crate::metrics::SessionProbe::busy(1, 0, 4));
-        roundtrip_server(ServerFrame::QueryReply { session: 1, report: Box::new(report) });
+        report
+            .sessions
+            .push(crate::metrics::SessionProbe::busy(1, 0, 4));
+        roundtrip_server(ServerFrame::QueryReply {
+            session: 1,
+            report: Box::new(report),
+        });
     }
 
     #[test]
@@ -962,8 +1042,14 @@ mod tests {
 
     #[test]
     fn server_frames_roundtrip() {
-        roundtrip_server(ServerFrame::OpenAck { session: 7, events_applied: 0 });
-        roundtrip_server(ServerFrame::OpenAck { session: 3, events_applied: 12_345 });
+        roundtrip_server(ServerFrame::OpenAck {
+            session: 7,
+            events_applied: 0,
+        });
+        roundtrip_server(ServerFrame::OpenAck {
+            session: 3,
+            events_applied: 12_345,
+        });
         roundtrip_server(ServerFrame::Directives {
             session: 1,
             events_applied: 555,
@@ -1028,7 +1114,11 @@ mod tests {
             assert!(r.is_err(), "cut at {cut} decoded");
         }
         // Events frame announcing more events than the body carries.
-        let mut lying = ClientFrame::Events { session: 1, events: vec![(41, 1)] }.encode();
+        let mut lying = ClientFrame::Events {
+            session: 1,
+            events: vec![(41, 1)],
+        }
+        .encode();
         lying[5..9].copy_from_slice(&100u32.to_le_bytes());
         assert!(decode_client(&lying).is_err());
     }
@@ -1152,7 +1242,11 @@ mod tests {
     fn framing_roundtrips_over_a_buffer() {
         let mut buf = Vec::new();
         let p1 = ClientFrame::Flush { session: 1 }.encode();
-        let p2 = ClientFrame::Close { session: 2, final_compute_ns: 7 }.encode();
+        let p2 = ClientFrame::Close {
+            session: 2,
+            final_compute_ns: 7,
+        }
+        .encode();
         write_frame(&mut buf, &p1).unwrap();
         write_frame(&mut buf, &p2).unwrap();
         let mut r = &buf[..];
@@ -1189,7 +1283,10 @@ mod tests {
             bad[i] ^= 0x10;
             let mut r = &bad[..];
             assert!(
-                matches!(read_frame(&mut r), Err(ProtocolError::ChecksumMismatch { .. })),
+                matches!(
+                    read_frame(&mut r),
+                    Err(ProtocolError::ChecksumMismatch { .. })
+                ),
                 "corruption at byte {i} slipped past the crc"
             );
         }
@@ -1208,13 +1305,19 @@ mod tests {
         payload.extend_from_slice(&9u32.to_le_bytes());
         assert_eq!(
             decode_server(&payload).unwrap(),
-            ServerFrame::OpenAck { session: 9, events_applied: 0 }
+            ServerFrame::OpenAck {
+                session: 9,
+                events_applied: 0
+            }
         );
     }
 
     #[test]
     fn empty_restore_is_the_store_rehydration_sentinel() {
-        let f = ClientFrame::Restore { session: 4, snapshot: vec![] };
+        let f = ClientFrame::Restore {
+            session: 4,
+            snapshot: vec![],
+        };
         assert_eq!(decode_client(&f.encode()).unwrap(), f);
     }
 
@@ -1247,7 +1350,10 @@ mod tests {
         assert!(e.to_string().contains("12"));
         let e = ProtocolError::FrameTooLarge { len: 999, max: 10 };
         assert!(e.to_string().contains("999"));
-        let e = ProtocolError::Remote { code: 3, message: "bad".into() };
+        let e = ProtocolError::Remote {
+            code: 3,
+            message: "bad".into(),
+        };
         assert!(e.to_string().contains("bad"));
     }
 }

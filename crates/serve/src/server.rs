@@ -492,7 +492,12 @@ struct ConnTx {
 }
 
 impl ConnTx {
-    fn new(cap: usize, metrics: Arc<MetricsRegistry>, home: Arc<LoopHandle>, token: u64) -> Arc<ConnTx> {
+    fn new(
+        cap: usize,
+        metrics: Arc<MetricsRegistry>,
+        home: Arc<LoopHandle>,
+        token: u64,
+    ) -> Arc<ConnTx> {
         Arc::new(ConnTx {
             q: Mutex::new(OutboundState {
                 frames: VecDeque::new(),
@@ -525,7 +530,9 @@ impl ConnTx {
                 q.frames.pop_front();
                 shed += 1;
             }
-            self.metrics.responses_shed.fetch_add(shed, Ordering::Relaxed);
+            self.metrics
+                .responses_shed
+                .fetch_add(shed, Ordering::Relaxed);
             if !q.overload_pending {
                 q.overload_pending = true;
                 let err = ServerFrame::Error {
@@ -547,9 +554,13 @@ impl ConnTx {
         drop(q);
         // Net change to the fleet-wide writer-queue occupancy gauge.
         if queued >= shed {
-            self.metrics.writer_queue_depth.fetch_add(queued - shed, Ordering::Relaxed);
+            self.metrics
+                .writer_queue_depth
+                .fetch_add(queued - shed, Ordering::Relaxed);
         } else {
-            self.metrics.writer_queue_depth.fetch_sub(shed - queued, Ordering::Relaxed);
+            self.metrics
+                .writer_queue_depth
+                .fetch_sub(shed - queued, Ordering::Relaxed);
         }
         if kick {
             self.home.request_service(self.token);
@@ -679,7 +690,8 @@ impl SessionCell {
             w.home.request_service(w.token);
         }
         let (queued, work) = item?;
-        self.metrics.observe_stage(Stage::MailboxWait, queued.elapsed());
+        self.metrics
+            .observe_stage(Stage::MailboxWait, queued.elapsed());
         Some(work)
     }
 
@@ -774,8 +786,12 @@ fn lru_touch(shared: &Shared, cell: &Arc<SessionCell>) {
 /// engine lock — the same order `ensure_hot` uses, so a rehydrate can
 /// never interleave with a half-finished eviction of the same session.
 fn maybe_evict(shared: &Shared) {
-    let Some(cap) = shared.cfg.max_hot_sessions else { return };
-    let Some(store) = shared.store.as_ref() else { return };
+    let Some(cap) = shared.cfg.max_hot_sessions else {
+        return;
+    };
+    let Some(store) = shared.store.as_ref() else {
+        return;
+    };
     let metrics = &shared.metrics;
     // Bounded sweep: every iteration either evicts, discards a stale
     // entry, or re-touches a busy victim; the budget stops a pathological
@@ -783,7 +799,9 @@ fn maybe_evict(shared: &Shared) {
     let mut budget = 4096usize;
     while metrics.hot_sessions.load(Ordering::Relaxed) as usize > cap && budget > 0 {
         budget -= 1;
-        let Some((_, weak)) = lock_ok(&shared.lru).pop_oldest() else { break };
+        let Some((_, weak)) = lock_ok(&shared.lru).pop_oldest() else {
+            break;
+        };
         let Some(cell) = weak.upgrade() else { continue };
         let mut guard = match cell.state.try_lock() {
             Ok(g) => g,
@@ -846,7 +864,10 @@ fn ensure_hot(
         return Ok(false);
     }
     let Some(store) = shared.store.as_ref() else {
-        return Err(format!("session {} was evicted but the store is gone", cell.id));
+        return Err(format!(
+            "session {} was evicted but the store is gone",
+            cell.id
+        ));
     };
     let record = match store.load(cell.id) {
         Ok(Some(r)) => r,
@@ -857,14 +878,22 @@ fn ensure_hot(
     };
     match Session::restore_from_record(&record) {
         Ok(sess) => {
-            shared.metrics.sleep_depth_changed(None, sess.pending_depth());
+            shared
+                .metrics
+                .sleep_depth_changed(None, sess.pending_depth());
             **guard = SessionSlot::Hot(Box::new(sess));
             shared.metrics.cold_sessions.fetch_sub(1, Ordering::Relaxed);
             shared.metrics.hot_sessions.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.sessions_rehydrated.fetch_add(1, Ordering::Relaxed);
+            shared
+                .metrics
+                .sessions_rehydrated
+                .fetch_add(1, Ordering::Relaxed);
             Ok(true)
         }
-        Err(e) => Err(format!("evicted session {} failed to rehydrate: {e}", cell.id)),
+        Err(e) => Err(format!(
+            "evicted session {} failed to rehydrate: {e}",
+            cell.id
+        )),
     }
 }
 
@@ -878,7 +907,9 @@ fn retire_cell(cell: &SessionCell, shared: &Shared) -> Option<Box<Session>> {
     let out = match prev {
         SessionSlot::Hot(sess) => {
             shared.metrics.hot_sessions.fetch_sub(1, Ordering::Relaxed);
-            shared.metrics.sleep_depth_changed(sess.pending_depth(), None);
+            shared
+                .metrics
+                .sleep_depth_changed(sess.pending_depth(), None);
             Some(sess)
         }
         SessionSlot::Cold => {
@@ -1002,7 +1033,10 @@ impl Server {
                     std::fs::remove_file(path)?;
                 }
                 let l = UnixListener::bind(path)?;
-                (Listener::Unix(l, path.clone()), Endpoint::Unix(path.clone()))
+                (
+                    Listener::Unix(l, path.clone()),
+                    Endpoint::Unix(path.clone()),
+                )
             }
         };
         match &listener {
@@ -1101,7 +1135,9 @@ impl Server {
             stop: Arc::clone(&self.stop),
             drain: AtomicBool::new(false),
             store: self.store.clone(),
-            shards: (0..SESSION_TABLE_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SESSION_TABLE_SHARDS)
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
             lru: Mutex::new(LruState::default()),
             shutdown: Arc::clone(&self.shutdown),
             conn_seq: AtomicU64::new(0),
@@ -1160,7 +1196,10 @@ impl Server {
             // ratchet down to zero.
             for w in workers.iter_mut() {
                 if w.is_finished() {
-                    shared.metrics.worker_respawns.fetch_add(1, Ordering::Relaxed);
+                    shared
+                        .metrics
+                        .worker_respawns
+                        .fetch_add(1, Ordering::Relaxed);
                     let fresh = spawn_worker(&shared);
                     let dead = std::mem::replace(w, fresh);
                     let _ = dead.join();
@@ -1299,15 +1338,27 @@ impl Reactor {
             // Epoll itself failed (fd exhaustion after bind): nothing
             // to serve with. The supervisor notices via the lifecycle
             // channel; counted so the condition is observable.
-            self.shared.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .metrics
+                .protocol_errors
+                .fetch_add(1, Ordering::Relaxed);
             return;
         };
-        if poller.add(self.handle.waker.raw_fd(), TOKEN_WAKER, Interest::READ).is_err()
+        if poller
+            .add(self.handle.waker.raw_fd(), TOKEN_WAKER, Interest::READ)
+            .is_err()
             || poller
-                .add(self.shared.shutdown.raw_fd(), TOKEN_SHUTDOWN, Interest::READ)
+                .add(
+                    self.shared.shutdown.raw_fd(),
+                    TOKEN_SHUTDOWN,
+                    Interest::READ,
+                )
                 .is_err()
         {
-            self.shared.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .metrics
+                .protocol_errors
+                .fetch_add(1, Ordering::Relaxed);
             return;
         }
         if let Some(l) = &self.listener {
@@ -1370,7 +1421,9 @@ impl Reactor {
     /// Accept until the listener would block, dispatching connections
     /// round-robin across the loops (only loop 0 runs this).
     fn accept_burst(&mut self, poller: &Poller) {
-        let Some(listener) = self.listener.clone() else { return };
+        let Some(listener) = self.listener.clone() else {
+            return;
+        };
         loop {
             match listener.accept() {
                 Ok(stream) => {
@@ -1386,7 +1439,10 @@ impl Reactor {
                 Err(_) => {
                     // Accept errors (EMFILE and friends) must not hot
                     // loop on level-triggered listener readability.
-                    self.shared.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    self.shared
+                        .metrics
+                        .protocol_errors
+                        .fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(Duration::from_millis(2));
                     break;
                 }
@@ -1408,7 +1464,10 @@ impl Reactor {
         let token = self.next_token;
         self.next_token += 1;
         if poller.add(fd, token, Interest::READ).is_err() {
-            self.shared.metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .metrics
+                .protocol_errors
+                .fetch_add(1, Ordering::Relaxed);
             let _ = stream.shutdown();
             return;
         }
@@ -1443,7 +1502,9 @@ impl Reactor {
     /// Pull bytes off the socket (bounded per wake) and run the parser
     /// over whatever accumulated.
     fn read_conn(&mut self, poller: &Poller, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else { return };
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
         if conn.closing || conn.paused.is_some() {
             return;
         }
@@ -1484,7 +1545,9 @@ impl Reactor {
         let metrics = &shared.metrics;
         let mut pos = 0usize;
         loop {
-            let Some(conn) = self.conns.get_mut(&token) else { return };
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return;
+            };
             if conn.closing || conn.paused.is_some() {
                 break;
             }
@@ -1579,9 +1642,15 @@ impl Reactor {
     /// parsing whatever is already buffered (level-triggered epoll will
     /// not re-report bytes we have already read).
     fn retry_paused(&mut self, poller: &Poller, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else { return };
-        let Some((session, work)) = conn.paused.take() else { return };
-        let Some(cell) = conn.sessions.get(&session).cloned() else { return };
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        let Some((session, work)) = conn.paused.take() else {
+            return;
+        };
+        let Some(cell) = conn.sessions.get(&session).cloned() else {
+            return;
+        };
         conn.inline_budget = DRAIN_QUANTUM;
         if self.enqueue(token, cell, session, work) {
             self.parse_conn(poller, token);
@@ -1594,16 +1663,24 @@ impl Reactor {
     /// `Close` retires the id on this connection (no further frames
     /// may address it; a later Open may reuse it for a new session).
     fn enqueue(&mut self, token: u64, cell: Arc<SessionCell>, session: u32, work: Work) -> bool {
-        let Some(conn) = self.conns.get_mut(&token) else { return false };
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return false;
+        };
         let is_close = matches!(work, Work::Close(_));
         let handle = Arc::clone(&self.handle);
-        match cell.try_push(work, || Waiter { home: handle, token }) {
+        match cell.try_push(work, || Waiter {
+            home: handle,
+            token,
+        }) {
             PushOutcome::Queued(needs_schedule) => {
                 if is_close {
                     conn.sessions.remove(&session);
                 }
                 if needs_schedule {
-                    self.shared.metrics.ready_queue_depth.fetch_add(1, Ordering::Relaxed);
+                    self.shared
+                        .metrics
+                        .ready_queue_depth
+                        .fetch_add(1, Ordering::Relaxed);
                     let _ = self.ready.send(cell);
                 }
                 true
@@ -1618,7 +1695,9 @@ impl Reactor {
     /// Flush the outbound side, settle poller interest, and tear down
     /// if the connection is finished.
     fn service(&mut self, poller: &Poller, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else { return };
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
         // Move queued frames into the write buffer only once the
         // previous buffer fully drained: queue-resident frames stay
         // sheddable, so a dead-slow reader costs bounded memory.
@@ -1632,7 +1711,9 @@ impl Reactor {
                         break;
                     }
                     Ok(n) => {
-                        self.shared.metrics.observe_stage(Stage::Write, write_start.elapsed());
+                        self.shared
+                            .metrics
+                            .observe_stage(Stage::Write, write_start.elapsed());
                         conn.outpos += n;
                         conn.write_blocked_since = None;
                         continue;
@@ -1672,7 +1753,9 @@ impl Reactor {
             self.close_conn(poller, token);
             return;
         }
-        let Some(conn) = self.conns.get_mut(&token) else { return };
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
         let out_pending = conn.outpos < conn.outbuf.len() || !conn.tx.is_empty();
         if conn.closing && !out_pending {
             self.close_conn(poller, token);
@@ -1735,7 +1818,9 @@ impl Reactor {
     /// protocol resends the tail), kill the outbound queue, close the
     /// socket, and prune the registry shards.
     fn close_conn(&mut self, poller: &Poller, token: u64) {
-        let Some(conn) = self.conns.remove(&token) else { return };
+        let Some(conn) = self.conns.remove(&token) else {
+            return;
+        };
         if self.shared.store.is_some() {
             for cell in conn.sessions.values() {
                 persist_cell(cell, &self.shared, false);
@@ -1797,7 +1882,14 @@ fn send_error(tx: &ConnTx, metrics: &MetricsRegistry, session: u32, code: u16, m
     metrics.protocol_errors.fetch_add(1, Ordering::Relaxed);
     // Errors are rare and sent from both loops and workers: always
     // wake (a redundant self-wake costs one eventfd write).
-    send_frame(tx, &ServerFrame::Error { session, code, message });
+    send_frame(
+        tx,
+        &ServerFrame::Error {
+            session,
+            code,
+            message,
+        },
+    );
 }
 // -------------------------------------------------------------- routing
 
@@ -1809,8 +1901,14 @@ fn route(frame: ClientFrame, token: u64, r: &mut Reactor) {
     let shared = Arc::clone(&r.shared);
     let metrics = &shared.metrics;
     match frame {
-        ClientFrame::Open { session, rank, config } => {
-            let Some(conn) = r.conns.get_mut(&token) else { return };
+        ClientFrame::Open {
+            session,
+            rank,
+            config,
+        } => {
+            let Some(conn) = r.conns.get_mut(&token) else {
+                return;
+            };
             if conn.sessions.contains_key(&session) {
                 send_error(
                     &conn.tx,
@@ -1835,12 +1933,20 @@ fn route(frame: ClientFrame, token: u64, r: &mut Reactor) {
             register(&shared, session, &cell);
             conn.sessions.insert(session, Arc::clone(&cell));
             metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
-            send_frame_local(&conn.tx, &ServerFrame::OpenAck { session, events_applied: 0 });
+            send_frame_local(
+                &conn.tx,
+                &ServerFrame::OpenAck {
+                    session,
+                    events_applied: 0,
+                },
+            );
             lru_touch(&shared, &cell);
             maybe_evict(&shared);
         }
         ClientFrame::Restore { session, snapshot } => {
-            let Some(conn) = r.conns.get_mut(&token) else { return };
+            let Some(conn) = r.conns.get_mut(&token) else {
+                return;
+            };
             if conn.sessions.contains_key(&session) {
                 send_error(
                     &conn.tx,
@@ -1872,7 +1978,13 @@ fn route(frame: ClientFrame, token: u64, r: &mut Reactor) {
                     register(&shared, session, &cell);
                     conn.sessions.insert(session, Arc::clone(&cell));
                     metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
-                    send_frame_local(&conn.tx, &ServerFrame::OpenAck { session, events_applied });
+                    send_frame_local(
+                        &conn.tx,
+                        &ServerFrame::OpenAck {
+                            session,
+                            events_applied,
+                        },
+                    );
                     lru_touch(&shared, &cell);
                     maybe_evict(&shared);
                 }
@@ -1894,7 +2006,10 @@ fn route(frame: ClientFrame, token: u64, r: &mut Reactor) {
         ClientFrame::Snapshot { session } => {
             try_enqueue(r, token, session, Work::Snapshot);
         }
-        ClientFrame::Close { session, final_compute_ns } => {
+        ClientFrame::Close {
+            session,
+            final_compute_ns,
+        } => {
             try_enqueue(r, token, session, Work::Close(final_compute_ns));
         }
         ClientFrame::Query { session } => {
@@ -1904,10 +2019,15 @@ fn route(frame: ClientFrame, token: u64, r: &mut Reactor) {
             // delay session work.
             let report = build_report(&shared, session);
             metrics.queries_answered.fetch_add(1, Ordering::Relaxed);
-            let Some(conn) = r.conns.get_mut(&token) else { return };
+            let Some(conn) = r.conns.get_mut(&token) else {
+                return;
+            };
             send_frame_local(
                 &conn.tx,
-                &ServerFrame::QueryReply { session, report: Box::new(report) },
+                &ServerFrame::QueryReply {
+                    session,
+                    report: Box::new(report),
+                },
             );
         }
     }
@@ -1918,7 +2038,9 @@ fn route(frame: ClientFrame, token: u64, r: &mut Reactor) {
 /// checkpoint the inline batch made due) go through the mailbox.
 fn try_enqueue(r: &mut Reactor, token: u64, session: u32, work: Work) {
     let shared = Arc::clone(&r.shared);
-    let Some(conn) = r.conns.get_mut(&token) else { return };
+    let Some(conn) = r.conns.get_mut(&token) else {
+        return;
+    };
     let Some(cell) = conn.sessions.get(&session).cloned() else {
         send_error(
             &conn.tx,
@@ -1967,9 +2089,15 @@ fn apply_inline(cell: &Arc<SessionCell>, batch: Batch, shared: &Shared) -> Resul
         Err(std::sync::TryLockError::WouldBlock) => return Err(batch),
         Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
     };
-    let SessionSlot::Hot(sess) = &mut *guard else { return Err(batch) };
-    shared.metrics.observe_stage(Stage::MailboxWait, Duration::ZERO);
-    let applied = catch_unwind(AssertUnwindSafe(|| apply_events(cell.id, sess, &batch, shared)));
+    let SessionSlot::Hot(sess) = &mut *guard else {
+        return Err(batch);
+    };
+    shared
+        .metrics
+        .observe_stage(Stage::MailboxWait, Duration::ZERO);
+    let applied = catch_unwind(AssertUnwindSafe(|| {
+        apply_events(cell.id, sess, &batch, shared)
+    }));
     drop(guard);
     let Ok(applied) = applied else {
         retire_panicked(cell, shared);
@@ -2086,7 +2214,9 @@ fn prune_registry(shared: &Shared) {
 fn restore_from_store(session: u32, token: u64, r: &mut Reactor) {
     let shared = Arc::clone(&r.shared);
     let metrics = &shared.metrics;
-    let Some(conn) = r.conns.get_mut(&token) else { return };
+    let Some(conn) = r.conns.get_mut(&token) else {
+        return;
+    };
     let Some(store) = shared.store.as_ref() else {
         send_error(
             &conn.tx,
@@ -2142,7 +2272,10 @@ fn restore_from_store(session: u32, token: u64, r: &mut Reactor) {
             metrics.sessions_rehydrated.fetch_add(1, Ordering::Relaxed);
             send_frame_local(
                 &conn.tx,
-                &ServerFrame::OpenAck { session, events_applied: record.events },
+                &ServerFrame::OpenAck {
+                    session,
+                    events_applied: record.events,
+                },
             );
             // Replay the stored history so the client can rebuild its
             // parity accounting from event 0 before resuming.
@@ -2167,16 +2300,13 @@ fn restore_from_store(session: u32, token: u64, r: &mut Reactor) {
     }
 }
 
-fn new_cell(
-    id: u32,
-    session: Session,
-    shared: &Arc<Shared>,
-    tx: &Arc<ConnTx>,
-) -> Arc<SessionCell> {
+fn new_cell(id: u32, session: Session, shared: &Arc<Shared>, tx: &Arc<ConnTx>) -> Arc<SessionCell> {
     shared.metrics.hot_sessions.fetch_add(1, Ordering::Relaxed);
     // A fresh open contributes nothing; a restore whose snapshot
     // carries an armed sleep re-registers its depth.
-    shared.metrics.sleep_depth_changed(None, session.pending_depth());
+    shared
+        .metrics
+        .sleep_depth_changed(None, session.pending_depth());
     Arc::new(SessionCell {
         id,
         rank: session.rank,
@@ -2242,7 +2372,10 @@ fn worker_loop(
         };
         let cell = match cell {
             Ok(cell) => {
-                shared.metrics.ready_queue_depth.fetch_sub(1, Ordering::Relaxed);
+                shared
+                    .metrics
+                    .ready_queue_depth
+                    .fetch_sub(1, Ordering::Relaxed);
                 cell
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -2273,7 +2406,10 @@ fn worker_loop(
             }
         }
         if !emptied && cell.needs_requeue() {
-            shared.metrics.ready_queue_depth.fetch_add(1, Ordering::Relaxed);
+            shared
+                .metrics
+                .ready_queue_depth
+                .fetch_add(1, Ordering::Relaxed);
             let _ = requeue.send(Arc::clone(&cell));
         }
     }
@@ -2308,7 +2444,9 @@ fn persist_cell(cell: &SessionCell, shared: &Shared, closing: bool) {
 
 /// [`persist_cell`] for a caller already holding the engine lock.
 fn persist_locked(id: u32, sess: &mut Session, shared: &Shared, closing: bool) {
-    let Some(store) = shared.store.as_ref() else { return };
+    let Some(store) = shared.store.as_ref() else {
+        return;
+    };
     let record = record_of(id, sess, closing);
     sess.mark_persisted();
     // Close records are the durable milestone (fsynced); periodic
@@ -2316,14 +2454,23 @@ fn persist_locked(id: u32, sess: &mut Session, shared: &Shared, closing: bool) {
     // the session from an older checkpoint, which the resume protocol
     // already handles, and a worker pool that fsyncs every
     // `--persist-every` events cannot sustain fleet-scale throughput.
-    let persisted =
-        if closing { store.persist(&record) } else { store.persist_fast(&record) };
+    let persisted = if closing {
+        store.persist(&record)
+    } else {
+        store.persist_fast(&record)
+    };
     match persisted {
         Ok(()) => {
-            shared.metrics.snapshots_persisted.fetch_add(1, Ordering::Relaxed);
+            shared
+                .metrics
+                .snapshots_persisted
+                .fetch_add(1, Ordering::Relaxed);
         }
         Err(_) => {
-            shared.metrics.persist_failures.fetch_add(1, Ordering::Relaxed);
+            shared
+                .metrics
+                .persist_failures
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -2364,7 +2511,10 @@ fn apply_events(id: u32, sess: &mut Session, batch: &Batch, shared: &Shared) -> 
         sess.mark_stats_emitted();
         metrics.observe_stage(Stage::Engine, start.elapsed());
         return Applied {
-            reply: ServerFrame::Stats { session: id, stats: Box::new(stats) },
+            reply: ServerFrame::Stats {
+                session: id,
+                stats: Box::new(stats),
+            },
             stats: None,
             checkpoint: false,
         };
@@ -2376,11 +2526,13 @@ fn apply_events(id: u32, sess: &mut Session, batch: &Batch, shared: &Shared) -> 
     let depth_before = sess.pending_depth();
     let (events_applied, directives) = sess.apply(events);
     metrics.sleep_depth_changed(depth_before, sess.pending_depth());
-    let stats = (shared.cfg.stats_every > 0
-        && sess.events_since_stats() >= shared.cfg.stats_every)
+    let stats = (shared.cfg.stats_every > 0 && sess.events_since_stats() >= shared.cfg.stats_every)
         .then(|| {
             sess.mark_stats_emitted();
-            ServerFrame::Stats { session: id, stats: Box::new(sess.stats()) }
+            ServerFrame::Stats {
+                session: id,
+                stats: Box::new(sess.stats()),
+            }
         });
     let checkpoint = shared.store.is_some()
         && shared.cfg.persist_every > 0
@@ -2388,10 +2540,18 @@ fn apply_events(id: u32, sess: &mut Session, batch: &Batch, shared: &Shared) -> 
     metrics.observe_stage(Stage::Engine, start.elapsed());
     // Counted after the engine stage, so a scrape that sees these
     // events also sees their engine observation.
-    metrics.events_applied.fetch_add(events.len() as u64, Ordering::Relaxed);
-    metrics.directives_sent.fetch_add(directives.len() as u64, Ordering::Relaxed);
+    metrics
+        .events_applied
+        .fetch_add(events.len() as u64, Ordering::Relaxed);
+    metrics
+        .directives_sent
+        .fetch_add(directives.len() as u64, Ordering::Relaxed);
     Applied {
-        reply: ServerFrame::Directives { session: id, events_applied, directives },
+        reply: ServerFrame::Directives {
+            session: id,
+            events_applied,
+            directives,
+        },
         stats,
         checkpoint,
     }
@@ -2448,7 +2608,13 @@ fn handle_work(cell: &Arc<SessionCell>, work: Work, shared: &Shared) {
         Work::Snapshot => {
             let snapshot = sess.snapshot_bytes();
             drop(guard);
-            send_frame(tx, &ServerFrame::SnapshotData { session: cell.id, snapshot });
+            send_frame(
+                tx,
+                &ServerFrame::SnapshotData {
+                    session: cell.id,
+                    snapshot,
+                },
+            );
         }
         Work::Close(final_compute_ns) => {
             // Persist the pre-close state first, still under the

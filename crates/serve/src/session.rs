@@ -252,7 +252,11 @@ mod tests {
     use ibp_workloads::{Alya, Workload};
 
     fn sample_stream() -> (Vec<WireEvent>, u64, ibp_trace::Trace) {
-        let trace = Alya { iterations: 40, ..Default::default() }.generate(4, 1);
+        let trace = Alya {
+            iterations: 40,
+            ..Default::default()
+        }
+        .generate(4, 1);
         let events: Vec<WireEvent> = trace.ranks[0]
             .call_stream()
             .map(|(call, gap)| (call.id(), gap.as_ns()))
@@ -343,7 +347,11 @@ mod tests {
         assert_eq!(probe.directives_sent, directives);
         assert_eq!(probe.mailbox_depth, 3);
         assert_eq!(probe.lane_width, probe.power_state.lane_width());
-        assert_eq!(probe.generation, IbGeneration::Qdr, "serve models the paper link");
+        assert_eq!(
+            probe.generation,
+            IbGeneration::Qdr,
+            "serve models the paper link"
+        );
         assert_eq!(
             probe.power_state,
             LinkPower::from_pending_sleep(probe.sleep_depth),

@@ -182,7 +182,10 @@ impl SnapshotStore {
     /// removed.
     pub fn open(dir: &Path) -> io::Result<(SnapshotStore, RecoveryReport)> {
         fs::create_dir_all(dir)?;
-        let mut report = RecoveryReport { manifest_ok: true, ..RecoveryReport::default() };
+        let mut report = RecoveryReport {
+            manifest_ok: true,
+            ..RecoveryReport::default()
+        };
         let mut index = HashMap::new();
 
         for entry in fs::read_dir(dir)? {
@@ -194,7 +197,9 @@ impl SnapshotStore {
                 let _ = fs::remove_file(entry.path());
                 continue;
             }
-            let Some(session) = record_file_session(&name) else { continue };
+            let Some(session) = record_file_session(&name) else {
+                continue;
+            };
             match read_record_file(&entry.path()) {
                 Ok(record) if record.session != session => {
                     report.skipped.push((
@@ -316,7 +321,10 @@ impl SnapshotStore {
         if payload.len() > MAX_RECORD_LEN as usize {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("record of {} bytes exceeds the {MAX_RECORD_LEN}-byte cap", payload.len()),
+                format!(
+                    "record of {} bytes exceeds the {MAX_RECORD_LEN}-byte cap",
+                    payload.len()
+                ),
             ));
         }
         let mut bytes = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
@@ -387,7 +395,10 @@ impl SnapshotStore {
             })
             .collect();
         sessions.sort_by_key(|e| e.session);
-        let manifest = Manifest { version: RECORD_VERSION, sessions };
+        let manifest = Manifest {
+            version: RECORD_VERSION,
+            sessions,
+        };
         let bytes = serde_json::to_string(&manifest)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
             .into_bytes();
@@ -459,7 +470,10 @@ pub fn record_file_name(session: u32) -> String {
 }
 
 fn record_file_session(name: &str) -> Option<u32> {
-    name.strip_prefix("sess-")?.strip_suffix(".snap")?.parse().ok()
+    name.strip_prefix("sess-")?
+        .strip_suffix(".snap")?
+        .parse()
+        .ok()
 }
 
 /// Read and fully validate one record file. Every failure is a
@@ -474,7 +488,9 @@ fn read_record_file(path: &Path) -> Result<StoreRecord, String> {
     }
     let len = u32::from_le_bytes(bytes[4..8].try_into().expect("4-byte slice"));
     if len > MAX_RECORD_LEN {
-        return Err(format!("payload length {len} exceeds the {MAX_RECORD_LEN}-byte cap"));
+        return Err(format!(
+            "payload length {len} exceeds the {MAX_RECORD_LEN}-byte cap"
+        ));
     }
     let announced = u32::from_le_bytes(bytes[8..12].try_into().expect("4-byte slice"));
     let payload = &bytes[RECORD_HEADER_LEN..];
@@ -490,8 +506,7 @@ fn read_record_file(path: &Path) -> Result<StoreRecord, String> {
             "crc mismatch: header says {announced:#010x}, payload hashes to {computed:#010x}"
         ));
     }
-    let text =
-        std::str::from_utf8(payload).map_err(|e| format!("record not valid UTF-8: {e}"))?;
+    let text = std::str::from_utf8(payload).map_err(|e| format!("record not valid UTF-8: {e}"))?;
     let value: serde::Value =
         serde_json::from_str(text).map_err(|e| format!("record not valid JSON: {e}"))?;
     // Gate on both layout versions before decoding the layout (as
@@ -500,7 +515,9 @@ fn read_record_file(path: &Path) -> Result<StoreRecord, String> {
     // its layout lacks.
     let record_version = json_field(&value, "record_version").and_then(|v| u32::from_value(v).ok());
     if let Some(found) = record_version.filter(|&v| v != RECORD_VERSION) {
-        return Err(format!("record version {found} incompatible with expected {RECORD_VERSION}"));
+        return Err(format!(
+            "record version {found} incompatible with expected {RECORD_VERSION}"
+        ));
     }
     if let Some(snapshot) = json_field(&value, "snapshot") {
         RuntimeSnapshot::check_json_version(snapshot)
@@ -519,7 +536,11 @@ fn read_record_file(path: &Path) -> Result<StoreRecord, String> {
 
 /// A top-level entry of a JSON object, if `value` is one and has it.
 fn json_field<'a>(value: &'a serde::Value, key: &str) -> Option<&'a serde::Value> {
-    value.as_map()?.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    value
+        .as_map()?
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v)
 }
 
 #[cfg(test)]
@@ -542,7 +563,11 @@ mod tests {
     fn sample_record(session: u32, events: usize) -> StoreRecord {
         let mut rt = RankRuntime::new(session, PowerConfig::default());
         for i in 0..events {
-            let call = if i % 5 < 3 { MpiCall::Sendrecv } else { MpiCall::Allreduce };
+            let call = if i % 5 < 3 {
+                MpiCall::Sendrecv
+            } else {
+                MpiCall::Allreduce
+            };
             rt.intercept(call, SimDuration::from_us(if i % 5 == 0 { 300 } else { 2 }));
         }
         StoreRecord {
@@ -649,7 +674,10 @@ mod tests {
         // the empty store open() wrote.
         let manifest: Manifest =
             serde_json::from_str(&fs::read_to_string(dir.join(MANIFEST_NAME)).unwrap()).unwrap();
-        assert!(manifest.sessions.is_empty(), "manifest rewrite must be deferred");
+        assert!(
+            manifest.sessions.is_empty(),
+            "manifest rewrite must be deferred"
+        );
 
         store.flush_manifest().unwrap();
         let manifest: Manifest =

@@ -92,23 +92,42 @@ fn soak(tag: &str, serve_cfg: ServeConfig, load_cfg: &LoadConfig, with_store: bo
 }
 
 fn assert_invariants(out: &SoakOutcome) {
-    assert!(out.report.parity_checked, "golden annotations were supplied");
-    assert!(out.report.parity_ok, "parity failed: {:?}", out.report.per_session);
-    assert_eq!(out.report.gave_up, 0, "session(s) gave up: {:?}", out.report.per_session);
+    assert!(
+        out.report.parity_checked,
+        "golden annotations were supplied"
+    );
+    assert!(
+        out.report.parity_ok,
+        "parity failed: {:?}",
+        out.report.per_session
+    );
+    assert_eq!(
+        out.report.gave_up, 0,
+        "session(s) gave up: {:?}",
+        out.report.per_session
+    );
     assert_eq!(out.summary.worker_panics, 0, "{:?}", out.summary);
     assert_eq!(out.summary.worker_respawns, 0, "{:?}", out.summary);
     // Reconnect cycles are bounded: each cycle burns at least one
     // attempt from a budget that resets only on progress, so a runaway
     // reconnect loop would blow well past this.
     let cap = 16 * out.report.per_session.len() as u64 * 8;
-    assert!(out.report.reconnects <= cap, "runaway reconnects: {:?}", out.report);
+    assert!(
+        out.report.reconnects <= cap,
+        "runaway reconnects: {:?}",
+        out.report
+    );
 }
 
 #[test]
 fn client_side_chaos_preserves_parity() {
     let out = soak(
         "client",
-        ServeConfig { workers: 3, persist_every: 64, ..Default::default() },
+        ServeConfig {
+            workers: 3,
+            persist_every: 64,
+            ..Default::default()
+        },
         &LoadConfig {
             batch: 23,
             check: true,
@@ -131,7 +150,12 @@ fn server_side_chaos_preserves_parity() {
             chaos: Some(ChaosConfig::with_intensity(0x5EED, 0.05)),
             ..Default::default()
         },
-        &LoadConfig { batch: 23, check: true, retry: soak_retry(), ..Default::default() },
+        &LoadConfig {
+            batch: 23,
+            check: true,
+            retry: soak_retry(),
+            ..Default::default()
+        },
         true,
     );
     assert_invariants(&out);
@@ -170,7 +194,10 @@ fn chaos_without_store_still_converges() {
     // deterministic — it just costs more retransmission.
     let out = soak(
         "nostore",
-        ServeConfig { workers: 2, ..Default::default() },
+        ServeConfig {
+            workers: 2,
+            ..Default::default()
+        },
         &LoadConfig {
             batch: 31,
             check: true,
@@ -191,7 +218,11 @@ fn multiplexed_chaos_with_splits_preserves_parity() {
     // the store (or the carried snapshot) on the next connection.
     let out = soak(
         "multiplexed",
-        ServeConfig { workers: 2, persist_every: 32, ..Default::default() },
+        ServeConfig {
+            workers: 2,
+            persist_every: 32,
+            ..Default::default()
+        },
         &LoadConfig {
             batch: 17,
             split: Some(0.4),
@@ -239,9 +270,15 @@ fn metrics_coherent_under_chaos() {
     // `ServeSummary` the server returns when it stops.
     let dir = temp_dir("coherent");
     let endpoint = Endpoint::Unix(dir.join("soak.sock"));
-    let mut server =
-        Server::bind(&endpoint, ServeConfig { workers: 3, persist_every: 64, ..Default::default() })
-            .expect("bind");
+    let mut server = Server::bind(
+        &endpoint,
+        ServeConfig {
+            workers: 3,
+            persist_every: 64,
+            ..Default::default()
+        },
+    )
+    .expect("bind");
     let (store, _) = SnapshotStore::open(&dir.join("store")).expect("store");
     server = server.with_store(Arc::new(store));
     let bound = server.endpoint().clone();
@@ -284,7 +321,11 @@ fn metrics_coherent_under_chaos() {
         },
     )
     .expect("soak load");
-    assert!(report.parity_ok, "parity under scraping: {:?}", report.per_session);
+    assert!(
+        report.parity_ok,
+        "parity under scraping: {:?}",
+        report.per_session
+    );
     assert_eq!(report.gave_up, 0, "{:?}", report.per_session);
 
     scrape_stop.store(true, Ordering::Relaxed);
@@ -299,13 +340,34 @@ fn metrics_coherent_under_chaos() {
     stop.store(true, Ordering::Relaxed);
     let summary = handle.join().expect("server thread");
     let probed = &final_probe.server.summary;
-    assert_eq!(probed.responses_shed, summary.responses_shed, "{probed:?} vs {summary:?}");
-    assert_eq!(probed.worker_respawns, summary.worker_respawns, "{probed:?} vs {summary:?}");
-    assert_eq!(probed.worker_panics, summary.worker_panics, "{probed:?} vs {summary:?}");
-    assert_eq!(probed.sessions_opened, summary.sessions_opened, "{probed:?} vs {summary:?}");
-    assert_eq!(probed.sessions_closed, summary.sessions_closed, "{probed:?} vs {summary:?}");
-    assert_eq!(probed.events_applied, summary.events_applied, "{probed:?} vs {summary:?}");
-    assert_eq!(probed.directives_sent, summary.directives_sent, "{probed:?} vs {summary:?}");
+    assert_eq!(
+        probed.responses_shed, summary.responses_shed,
+        "{probed:?} vs {summary:?}"
+    );
+    assert_eq!(
+        probed.worker_respawns, summary.worker_respawns,
+        "{probed:?} vs {summary:?}"
+    );
+    assert_eq!(
+        probed.worker_panics, summary.worker_panics,
+        "{probed:?} vs {summary:?}"
+    );
+    assert_eq!(
+        probed.sessions_opened, summary.sessions_opened,
+        "{probed:?} vs {summary:?}"
+    );
+    assert_eq!(
+        probed.sessions_closed, summary.sessions_closed,
+        "{probed:?} vs {summary:?}"
+    );
+    assert_eq!(
+        probed.events_applied, summary.events_applied,
+        "{probed:?} vs {summary:?}"
+    );
+    assert_eq!(
+        probed.directives_sent, summary.directives_sent,
+        "{probed:?} vs {summary:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -331,7 +393,9 @@ fn worker_panic_is_isolated_to_its_session() {
     let cfg = PowerConfig::default();
     let mut victim = Client::connect(&bound).expect("connect");
     victim.open(0, 0, &cfg).expect("open");
-    let (applied, _) = victim.send_events(0, &[(41, 0), (41, 2_000)]).expect("events");
+    let (applied, _) = victim
+        .send_events(0, &[(41, 0), (41, 2_000)])
+        .expect("events");
     assert_eq!(applied, 2);
     // The poisoned batch blows up its worker; the panic must come back
     // as an in-band INTERNAL error, not a dead connection.
@@ -348,7 +412,9 @@ fn worker_panic_is_isolated_to_its_session() {
     // A healthy session on the same server keeps working end to end.
     let mut healthy = Client::connect(&bound).expect("connect");
     healthy.open(1, 0, &cfg).expect("open");
-    let (applied, _) = healthy.send_events(1, &[(41, 0), (41, 2_000), (41, 2_000)]).expect("events");
+    let (applied, _) = healthy
+        .send_events(1, &[(41, 0), (41, 2_000), (41, 2_000)])
+        .expect("events");
     assert_eq!(applied, 3);
     let (_tail, _total, _stats) = healthy.close(1, 0).expect("close");
 
@@ -406,9 +472,16 @@ fn graceful_stop_persists_unclosed_sessions() {
     let handle = std::thread::spawn(move || server.run());
     let mut client = Client::connect(&bound).expect("reconnect");
     let (resume_at, history) = client.restore_from_store(9).expect("rehydrate");
-    assert!(resume_at as usize <= half, "cannot resume past what was sent");
+    assert!(
+        resume_at as usize <= half,
+        "cannot resume past what was sent"
+    );
     assert!(resume_at > 0, "drain persisted nothing");
-    assert_eq!(history.as_slice(), &sent[..history.len()], "history must prefix the live run");
+    assert_eq!(
+        history.as_slice(),
+        &sent[..history.len()],
+        "history must prefix the live run"
+    );
 
     // Resume streaming to the end and check full-session parity.
     let mut journal = history;
@@ -418,8 +491,16 @@ fn graceful_stop_persists_unclosed_sessions() {
     }
     let (tail, _total, stats) = client.close(9, spec.final_compute_ns).expect("close");
     journal.extend(tail);
-    assert_eq!(Some(&journal), spec.golden_directives.as_ref(), "resumed parity");
-    assert_eq!(Some(&stats), spec.golden_stats.as_ref(), "resumed stats parity");
+    assert_eq!(
+        Some(&journal),
+        spec.golden_directives.as_ref(),
+        "resumed parity"
+    );
+    assert_eq!(
+        Some(&stats),
+        spec.golden_stats.as_ref(),
+        "resumed stats parity"
+    );
 
     drop(client);
     stop.store(true, Ordering::Relaxed);

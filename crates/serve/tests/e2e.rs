@@ -62,18 +62,31 @@ fn uds_roundtrip_matches_offline_annotation() {
     let events_expected: u64 = specs.iter().map(|s| s.events.len() as u64).sum();
     let (report, summary) = serve_and_load(
         &endpoint,
-        ServeConfig { workers: 2, ..Default::default() },
+        ServeConfig {
+            workers: 2,
+            ..Default::default()
+        },
         specs,
-        &LoadConfig { batch: 33, ..Default::default() },
+        &LoadConfig {
+            batch: 33,
+            ..Default::default()
+        },
     );
     // parity check must actually run
     let (report2, _) = serve_and_load(
         &endpoint,
         ServeConfig::default(),
         specs_for(AppKind::Alya, 4, 4, true),
-        &LoadConfig { batch: 33, check: true, ..Default::default() },
+        &LoadConfig {
+            batch: 33,
+            check: true,
+            ..Default::default()
+        },
     );
-    assert!(report2.parity_checked && report2.parity_ok, "parity failed: {report2:?}");
+    assert!(
+        report2.parity_checked && report2.parity_ok,
+        "parity failed: {report2:?}"
+    );
     assert_eq!(report.events_total, events_expected);
     assert_eq!(summary.events_applied, events_expected);
     assert_eq!(summary.sessions_opened, 4);
@@ -87,9 +100,17 @@ fn tcp_roundtrip_with_snapshot_split_is_transparent() {
     let specs = specs_for(AppKind::NasBt, 9, 6, true);
     let (report, summary) = serve_and_load(
         &endpoint,
-        ServeConfig { workers: 3, ..Default::default() },
+        ServeConfig {
+            workers: 3,
+            ..Default::default()
+        },
         specs,
-        &LoadConfig { batch: 17, split: Some(0.5), check: true, ..Default::default() },
+        &LoadConfig {
+            batch: 17,
+            split: Some(0.5),
+            check: true,
+            ..Default::default()
+        },
     );
     assert!(report.parity_ok, "split-parity failed: {report:?}");
     // A split session opens twice (fresh + restored) but closes once.
@@ -105,11 +126,22 @@ fn every_paper_app_streams_with_parity() {
         let specs = specs_for(app, nprocs, 2, true);
         let (report, _) = serve_and_load(
             &endpoint,
-            ServeConfig { workers: 2, ..Default::default() },
+            ServeConfig {
+                workers: 2,
+                ..Default::default()
+            },
             specs,
-            &LoadConfig { batch: 64, check: true, ..Default::default() },
+            &LoadConfig {
+                batch: 64,
+                check: true,
+                ..Default::default()
+            },
         );
-        assert!(report.parity_ok, "{}: parity failed: {report:?}", app.name());
+        assert!(
+            report.parity_ok,
+            "{}: parity failed: {report:?}",
+            app.name()
+        );
     }
 }
 
@@ -121,8 +153,14 @@ fn mid_stream_queries_do_not_perturb_the_stream() {
     // server answers Query inline on the connection reader — it never
     // enters the session mailbox — so probes are invisible to the FIFO.
     let endpoint = temp_uds("query-parity");
-    let server = Server::bind(&endpoint, ServeConfig { workers: 2, ..Default::default() })
-        .expect("bind");
+    let server = Server::bind(
+        &endpoint,
+        ServeConfig {
+            workers: 2,
+            ..Default::default()
+        },
+    )
+    .expect("bind");
     let bound = server.endpoint().clone();
     let stop = server.stop_flag();
     let handle = std::thread::spawn(move || server.run());
@@ -153,7 +191,11 @@ fn mid_stream_queries_do_not_perturb_the_stream() {
     journal.extend(tail);
     assert!(probes > 4, "the interleave exercised real probes");
     assert_eq!(&journal, golden, "queries perturbed the directive stream");
-    assert_eq!(Some(&stats), spec.golden_stats.as_ref(), "queries perturbed final stats");
+    assert_eq!(
+        Some(&stats),
+        spec.golden_stats.as_ref(),
+        "queries perturbed final stats"
+    );
 
     stop.store(true, Ordering::Relaxed);
     let summary = handle.join().expect("server thread");
@@ -199,14 +241,23 @@ fn scale_mode_multiplexes_sessions_with_parity() {
         },
     )
     .expect("scale load");
-    assert!(report.parity_checked && report.parity_ok, "scale parity failed: {report:?}");
+    assert!(
+        report.parity_checked && report.parity_ok,
+        "scale parity failed: {report:?}"
+    );
     assert_eq!(report.per_session.len(), 24);
 
     stop.store(true, Ordering::Relaxed);
     let summary = handle.join().expect("server thread");
     assert_eq!(summary.sessions_closed, 24, "{summary:?}");
-    assert!(summary.evictions > 0, "hot cap 6 < 24 sessions must evict: {summary:?}");
-    assert!(summary.sessions_rehydrated > 0, "evicted sessions were touched: {summary:?}");
+    assert!(
+        summary.evictions > 0,
+        "hot cap 6 < 24 sessions must evict: {summary:?}"
+    );
+    assert!(
+        summary.sessions_rehydrated > 0,
+        "evicted sessions were touched: {summary:?}"
+    );
     assert_eq!(summary.worker_panics, 0, "{summary:?}");
     let _ = std::fs::remove_dir_all(&store_dir);
 }
@@ -236,7 +287,10 @@ fn spent_retry_budget_gives_up_the_whole_partition() {
     assert_eq!(report.gave_up, 5, "{report:?}");
     assert!(report.parity_checked && !report.parity_ok, "{report:?}");
     for o in &report.per_session {
-        assert!(o.gave_up && o.events == 0 && o.parity_ok == Some(false), "{o:?}");
+        assert!(
+            o.gave_up && o.events == 0 && o.parity_ok == Some(false),
+            "{o:?}"
+        );
     }
 }
 
@@ -245,7 +299,10 @@ fn session_limit_stops_the_server() {
     let endpoint = temp_uds("limit");
     let server = Server::bind(
         &endpoint,
-        ServeConfig { session_limit: Some(2), ..Default::default() },
+        ServeConfig {
+            session_limit: Some(2),
+            ..Default::default()
+        },
     )
     .expect("bind");
     let bound = server.endpoint().clone();

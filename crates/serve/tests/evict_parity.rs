@@ -69,10 +69,7 @@ fn scripts(sessions: usize) -> Vec<Script> {
 /// Reconnect and rehydrate with bounded retries: the server processes
 /// the old connection's hangup asynchronously, so the first attempts
 /// may race it and see a still-live (DUPLICATE) session.
-fn reconnect(
-    bound: &Endpoint,
-    session: u32,
-) -> (Client, u64, Vec<ibp_core::LaneDirective>) {
+fn reconnect(bound: &Endpoint, session: u32) -> (Client, u64, Vec<ibp_core::LaneDirective>) {
     for _ in 0..400 {
         let mut client = Client::connect(bound).expect("reconnect");
         match client.restore_from_store(session) {
@@ -222,7 +219,12 @@ impl Running {
         let stop = server.stop_flag();
         let metrics = server.metrics();
         let handle = std::thread::spawn(move || server.run());
-        Running { bound, stop, metrics, handle }
+        Running {
+            bound,
+            stop,
+            metrics,
+            handle,
+        }
     }
 
     fn stop(self) -> ServeSummary {
@@ -385,7 +387,9 @@ impl Raw {
     }
 
     fn recv(&mut self) -> ServerFrame {
-        let payload = read_frame(&mut self.stream).expect("read").expect("frame, not EOF");
+        let payload = read_frame(&mut self.stream)
+            .expect("read")
+            .expect("frame, not EOF");
         decode_server(&payload).expect("decode")
     }
 }
@@ -408,13 +412,25 @@ fn frame_behind_a_checkpoint_is_applied_after_it() {
     let store = Arc::new(store);
     let server = Running::start(
         &Endpoint::Unix(dir.join("ckpt.sock")),
-        ServeConfig { workers: 1, io_threads: 1, persist_every: A as u64, ..Default::default() },
+        ServeConfig {
+            workers: 1,
+            io_threads: 1,
+            persist_every: A as u64,
+            ..Default::default()
+        },
         Some(Arc::clone(&store)),
     );
     let script = &scripts(1)[0];
     let mut raw = Raw::connect(&server.bound);
-    raw.send_all(&[ClientFrame::Open { session: 0, rank: script.rank, config: Box::default() }]);
-    assert!(matches!(raw.recv(), ServerFrame::OpenAck { session: 0, .. }));
+    raw.send_all(&[ClientFrame::Open {
+        session: 0,
+        rank: script.rank,
+        config: Box::default(),
+    }]);
+    assert!(matches!(
+        raw.recv(),
+        ServerFrame::OpenAck { session: 0, .. }
+    ));
 
     let mut journal = Vec::new();
     let mut cursor = 0usize;
@@ -423,12 +439,22 @@ fn frame_behind_a_checkpoint_is_applied_after_it() {
         let a = script.events[cursor..cursor + A].to_vec();
         let b = script.events[cursor + A..cursor + A + B].to_vec();
         raw.send_all(&[
-            ClientFrame::Events { session: 0, events: a },
-            ClientFrame::Events { session: 0, events: b },
+            ClientFrame::Events {
+                session: 0,
+                events: a,
+            },
+            ClientFrame::Events {
+                session: 0,
+                events: b,
+            },
         ]);
         for expect in [cursor + A, cursor + A + B] {
             match raw.recv() {
-                ServerFrame::Directives { events_applied, directives, .. } => {
+                ServerFrame::Directives {
+                    events_applied,
+                    directives,
+                    ..
+                } => {
                     assert_eq!(events_applied, expect as u64, "replies in order");
                     journal.extend(directives);
                 }
@@ -440,15 +466,28 @@ fn frame_behind_a_checkpoint_is_applied_after_it() {
         // B's reply comes after the checkpoint queued ahead of it, so
         // the record is already on disk: the state right after A.
         let record = store.load(0).expect("load").expect("checkpoint record");
-        assert_eq!(record.events, (cursor - B) as u64, "round {rounds}: B overtook the checkpoint");
+        assert_eq!(
+            record.events,
+            (cursor - B) as u64,
+            "round {rounds}: B overtook the checkpoint"
+        );
     }
-    assert!(rounds >= 8, "script too short for the test: {rounds} rounds");
+    assert!(
+        rounds >= 8,
+        "script too short for the test: {rounds} rounds"
+    );
 
-    raw.send_all(&[ClientFrame::Events { session: 0, events: script.events[cursor..].to_vec() }]);
+    raw.send_all(&[ClientFrame::Events {
+        session: 0,
+        events: script.events[cursor..].to_vec(),
+    }]);
     if let ServerFrame::Directives { directives, .. } = raw.recv() {
         journal.extend(directives);
     }
-    raw.send_all(&[ClientFrame::Close { session: 0, final_compute_ns: script.final_compute_ns }]);
+    raw.send_all(&[ClientFrame::Close {
+        session: 0,
+        final_compute_ns: script.final_compute_ns,
+    }]);
     loop {
         match raw.recv() {
             ServerFrame::Directives { directives, .. } => journal.extend(directives),
@@ -463,7 +502,10 @@ fn frame_behind_a_checkpoint_is_applied_after_it() {
     let (queued, inline) = mailbox_split(&server.metrics);
     let summary = server.stop();
     assert!(inline > 0, "the first A must run inline");
-    assert!(queued >= rounds, "each round queues its checkpoint or its batches: {queued}");
+    assert!(
+        queued >= rounds,
+        "each round queues its checkpoint or its batches: {queued}"
+    );
     assert!(summary.snapshots_persisted > rounds, "{summary:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -491,12 +533,16 @@ fn inline_panic_retires_only_its_session() {
     let scripts = scripts(3);
     let mut client = Client::connect(&server.bound).expect("connect");
     for (i, script) in scripts.iter().enumerate() {
-        client.open(i as u32, script.rank, &PowerConfig::default()).expect("open");
+        client
+            .open(i as u32, script.rank, &PowerConfig::default())
+            .expect("open");
     }
     let mut journals: Vec<Vec<ibp_core::LaneDirective>> = vec![Vec::new(); 3];
     let half = scripts[0].events.len() / 2;
     for (i, script) in scripts.iter().enumerate() {
-        let (_, fresh) = client.send_events(i as u32, &script.events[..half]).expect("events");
+        let (_, fresh) = client
+            .send_events(i as u32, &script.events[..half])
+            .expect("events");
         journals[i].extend(fresh);
     }
     match client.send_events(1, &[(poison, 0)]).unwrap_err() {
@@ -504,17 +550,27 @@ fn inline_panic_retires_only_its_session() {
         other => panic!("expected an in-band INTERNAL error, got {other:?}"),
     }
     let (queued, inline) = mailbox_split(&server.metrics);
-    assert_eq!(queued, 0, "nothing was queued, so the poisoned batch ran inline");
+    assert_eq!(
+        queued, 0,
+        "nothing was queued, so the poisoned batch ran inline"
+    );
     assert_eq!(inline, 4);
-    match client.send_events(1, &scripts[1].events[half..]).unwrap_err() {
+    match client
+        .send_events(1, &scripts[1].events[half..])
+        .unwrap_err()
+    {
         ProtocolError::Remote { code, .. } => assert_eq!(code, error_code::UNKNOWN_SESSION),
         other => panic!("a retired session must refuse work, got {other:?}"),
     }
     for i in [0usize, 2] {
         let script = &scripts[i];
-        let (_, fresh) = client.send_events(i as u32, &script.events[half..]).expect("events");
+        let (_, fresh) = client
+            .send_events(i as u32, &script.events[half..])
+            .expect("events");
         journals[i].extend(fresh);
-        let (tail, _, stats) = client.close(i as u32, script.final_compute_ns).expect("close");
+        let (tail, _, stats) = client
+            .close(i as u32, script.final_compute_ns)
+            .expect("close");
         journals[i].extend(tail);
         assert_eq!(journals[i], script.golden, "session {i} parity");
         assert_eq!(stats, script.golden_stats, "session {i} stats");

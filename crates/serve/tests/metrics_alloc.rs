@@ -113,7 +113,10 @@ fn metric_updates_are_allocation_free() {
             m.writer_queue_depth.store(i % 3, Ordering::Relaxed);
         }
     });
-    assert_eq!(allocs, 0, "metric updates allocated {allocs} times over {ROUNDS} rounds");
+    assert_eq!(
+        allocs, 0,
+        "metric updates allocated {allocs} times over {ROUNDS} rounds"
+    );
     assert_eq!(m.events_applied.load(Ordering::Relaxed), 64 * ROUNDS);
 }
 
@@ -125,13 +128,20 @@ fn stage_observations_are_allocation_free() {
         for i in 0..ROUNDS {
             for stage in Stage::ALL {
                 // Sweep every bucket, the zero and overflow ones too.
-                let ns = if i % 20 == 19 { u64::MAX / 2 } else { (1u64 << (i % 20)) * 7 };
+                let ns = if i % 20 == 19 {
+                    u64::MAX / 2
+                } else {
+                    (1u64 << (i % 20)) * 7
+                };
                 m.observe_stage(stage, std::time::Duration::from_nanos(ns));
             }
             m.observe_stage(Stage::MailboxWait, std::time::Duration::ZERO);
         }
     });
-    assert_eq!(allocs, 0, "stage observations allocated {allocs} times over {ROUNDS} rounds");
+    assert_eq!(
+        allocs, 0,
+        "stage observations allocated {allocs} times over {ROUNDS} rounds"
+    );
     assert_eq!(m.stages[Stage::Engine as usize].count(), ROUNDS);
     assert_eq!(m.stages[Stage::MailboxWait as usize].count(), 2 * ROUNDS);
 }
@@ -173,7 +183,10 @@ fn probing_a_live_engine_is_allocation_free() {
         let _ = sess.apply(&period);
     }
     let baseline = sess.probe(7, 2);
-    assert!(baseline.predicting, "training stream must reach prediction mode");
+    assert!(
+        baseline.predicting,
+        "training stream must reach prediction mode"
+    );
 
     let (allocs, last) = count_allocs(|| {
         let mut last = None;

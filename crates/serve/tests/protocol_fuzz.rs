@@ -2,9 +2,9 @@
 //! byte soup must always return `Ok` or a typed error, never panic —
 //! and structured frames survive an encode/decode round trip bit-for-bit.
 
+use ibp_core::{LaneDirective, RankStats, SleepKind};
 use ibp_serve::protocol::{decode_client, decode_server, read_frame, ClientFrame};
 use ibp_serve::{ObsReport, ServerFrame, SessionProbe};
-use ibp_core::{LaneDirective, RankStats, SleepKind};
 use ibp_simcore::SimDuration;
 use ibp_trace::MpiCall;
 use proptest::prelude::*;
@@ -145,8 +145,15 @@ proptest! {
 #[test]
 fn stats_and_closed_roundtrip_default_stats() {
     let stats = RankStats::default();
-    let f = ServerFrame::Stats { session: 3, stats: Box::new(stats.clone()) };
+    let f = ServerFrame::Stats {
+        session: 3,
+        stats: Box::new(stats.clone()),
+    };
     assert_eq!(decode_server(&f.encode()).unwrap(), f);
-    let f = ServerFrame::Closed { session: 3, directives_total: 0, stats: Box::new(stats) };
+    let f = ServerFrame::Closed {
+        session: 3,
+        directives_total: 0,
+        stats: Box::new(stats),
+    };
     assert_eq!(decode_server(&f.encode()).unwrap(), f);
 }

@@ -30,7 +30,11 @@ fn temp_dir(tag: &str) -> PathBuf {
 fn trained_runtime(rank: u32, events: usize) -> RankRuntime {
     let mut rt = RankRuntime::new(rank, PowerConfig::default());
     for i in 0..events {
-        let call = if i % 5 < 3 { MpiCall::Sendrecv } else { MpiCall::Allreduce };
+        let call = if i % 5 < 3 {
+            MpiCall::Sendrecv
+        } else {
+            MpiCall::Allreduce
+        };
         let gap = SimDuration::from_us(if i % 5 == 0 { 300 } else { 2 });
         rt.intercept(call, gap);
     }
@@ -60,12 +64,18 @@ fn recover_after(dir: &std::path::Path, session: u32, mutated: &[u8]) -> bool {
     let loaded = store.load(session).expect("load never fails on corruption");
     match &loaded {
         Some(r) => {
-            assert_eq!(r.session, session, "a surviving record must be internally consistent");
+            assert_eq!(
+                r.session, session,
+                "a surviving record must be internally consistent"
+            );
             assert_eq!(report.loaded, 1, "{report:?}");
         }
         None => {
             assert!(
-                report.skipped.iter().any(|(name, _)| name == &record_file_name(session))
+                report
+                    .skipped
+                    .iter()
+                    .any(|(name, _)| name == &record_file_name(session))
                     || report.loaded == 0,
                 "dropped record must be accounted for: {report:?}"
             );
@@ -106,8 +116,14 @@ fn older_snapshot_layout_is_skipped_with_a_version_reason() {
     assert_eq!(report.skipped.len(), 1, "{report:?}");
     let (name, reason) = &report.skipped[0];
     assert_eq!(name, &record_file_name(3));
-    assert!(reason.contains("version 2"), "reason must name the version: {reason}");
-    assert!(!reason.contains("missing field"), "version gate must run first: {reason}");
+    assert!(
+        reason.contains("version 2"),
+        "reason must name the version: {reason}"
+    );
+    assert!(
+        !reason.contains("missing field"),
+        "version gate must run first: {reason}"
+    );
     assert!(store.load(3).unwrap().is_none());
     let _ = std::fs::remove_dir_all(&dir);
 }
