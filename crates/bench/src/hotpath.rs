@@ -8,7 +8,7 @@
 //! runs them and appends the results to the committed
 //! `BENCH_hotpath.json` trajectory.
 
-use ibp_core::{annotate_trace_jobs, Ppa, PowerConfig, RankRuntime, SleepKind};
+use ibp_core::{annotate_trace_jobs, PowerConfig, Ppa, RankRuntime, SleepKind};
 use ibp_network::{replay_with_scratch, ReplayOptions, ReplayScratch, SimParams};
 use ibp_simcore::SimDuration;
 use ibp_trace::MpiCall::{Allreduce, Sendrecv};
@@ -348,7 +348,13 @@ pub fn probe_gt_sweep(reps: u32) -> Probe {
 /// the cutover's no-pool path; [`probe_annotate_big`] measures the real
 /// parallel path above it.
 pub fn probe_annotate(nprocs: u32, iters: usize, jobs: usize, reps: u32) -> Probe {
-    annotate_probe_named(nprocs, iters, jobs, reps, format!("annotate_jobs{jobs}_ns_per_event"))
+    annotate_probe_named(
+        nprocs,
+        iters,
+        jobs,
+        reps,
+        format!("annotate_jobs{jobs}_ns_per_event"),
+    )
 }
 
 /// [`probe_annotate`] on a trace sized above the serial cutover, so
@@ -357,8 +363,7 @@ pub fn probe_annotate(nprocs: u32, iters: usize, jobs: usize, reps: u32) -> Prob
 pub fn probe_annotate_big(nprocs: u32, iters: usize, jobs: usize, reps: u32) -> Probe {
     let trace = replay_trace(nprocs, iters);
     debug_assert!(
-        jobs <= 1
-            || ibp_core::effective_jobs(&trace.ranks, jobs) == jobs.min(trace.ranks.len()),
+        jobs <= 1 || ibp_core::effective_jobs(&trace.ranks, jobs) == jobs.min(trace.ranks.len()),
         "big annotate probe fell below the serial cutover"
     );
     drop(trace);
@@ -422,7 +427,12 @@ pub fn probe_serve_roundtrip(iters: usize, sessions: usize, reps: u32) -> Probe 
     let stop = server.stop_flag();
     let handle = std::thread::spawn(move || server.run());
 
-    let load = LoadConfig { batch: 64, split: None, check: false, ..Default::default() };
+    let load = LoadConfig {
+        batch: 64,
+        split: None,
+        check: false,
+        ..Default::default()
+    };
     let probe = measure(SERVE_PROBE, reps, || {
         let report = run_load(&bound, specs.clone(), &load).expect("bench load");
         assert_eq!(report.events_total, total_events);
@@ -495,7 +505,10 @@ pub fn probe_serve_scale(iters: usize, sessions: usize, reps: u32) -> Probe {
 
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     let summary = handle.join().expect("bench scale server thread");
-    assert!(summary.evictions > 0, "scale probe never paged: {summary:?}");
+    assert!(
+        summary.evictions > 0,
+        "scale probe never paged: {summary:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
     probe
 }
@@ -560,7 +573,10 @@ mod tests {
         ]}]}"#;
         let t: Trajectory = serde_json::from_str(old).unwrap();
         let p = t.entries[0].probe(INTERCEPT_PROBE).unwrap();
-        assert_eq!((p.ns_per_elem, p.median_ns_per_elem, p.iqr_ns_per_elem), (25.4, 0.0, 0.0));
+        assert_eq!(
+            (p.ns_per_elem, p.median_ns_per_elem, p.iqr_ns_per_elem),
+            (25.4, 0.0, 0.0)
+        );
     }
 
     #[test]
