@@ -76,6 +76,9 @@ fn main() {
     println!("pattern mispredicts : {}", agg.pattern_mispredictions);
     println!("baseline exec       : {}", baseline.exec_time);
     println!("managed exec        : {}", managed.exec_time);
-    println!("slowdown            : {:.3}%", managed.slowdown_pct(&baseline));
+    println!(
+        "slowdown            : {:.3}%",
+        managed.slowdown_pct(&baseline)
+    );
     println!("IB switch saving    : {:.1}%", managed.power_saving_pct());
 }

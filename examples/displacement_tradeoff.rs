@@ -17,7 +17,10 @@ fn main() {
         .unwrap_or(AppKind::Alya);
     let nprocs: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(16);
 
-    println!("Displacement trade-off for {} at {nprocs} ranks", app.display());
+    println!(
+        "Displacement trade-off for {} at {nprocs} ranks",
+        app.display()
+    );
     println!("(larger displacement: lanes wake earlier → fewer stalls, less saving)\n");
     println!("disp%   saving%   slowdown%   timing-mispredicts   hit%");
 

@@ -64,8 +64,7 @@ fn stencil(nprocs: u32, iters: u32, seed: u64) -> ibp_trace::Trace {
 fn main() {
     let job_a = ring_pipeline(10, 300, 1);
     let job_b = stencil(8, 200, 2);
-    let (fabric_trace, placements) =
-        combine(&[&job_a, &job_b]).expect("p2p jobs always combine");
+    let (fabric_trace, placements) = combine(&[&job_a, &job_b]).expect("p2p jobs always combine");
     println!(
         "combined fabric trace: {} ranks, {} MPI calls ({} + {})",
         fabric_trace.nprocs,
@@ -81,11 +80,16 @@ fn main() {
     let baseline = replay(&fabric_trace, None, &params, &opts).expect("replay");
     let managed = replay(&fabric_trace, Some(&ann), &params, &opts).expect("replay");
 
-    println!("\nfabric execution: baseline {}, managed {} ({:+.3}%)",
+    println!(
+        "\nfabric execution: baseline {}, managed {} ({:+.3}%)",
         baseline.exec_time,
         managed.exec_time,
-        managed.slowdown_pct(&baseline));
-    println!("fabric-wide IB switch saving: {:.1}%\n", managed.power_saving_pct());
+        managed.slowdown_pct(&baseline)
+    );
+    println!(
+        "fabric-wide IB switch saving: {:.1}%\n",
+        managed.power_saving_pct()
+    );
 
     for (name, place) in [("pipeline", placements[0]), ("stencil", placements[1])] {
         let lo = place.first_rank as usize;
