@@ -44,9 +44,8 @@ pub mod golden {
         if std::env::var_os("IBP_UPDATE_GOLDEN").is_some() {
             std::fs::create_dir_all(golden_dir()).expect("create golden dir");
             let json = serde_json::to_string_pretty(&actual).expect("serialize golden");
-            std::fs::write(&path, json + "\n").unwrap_or_else(|e| {
-                panic!("writing golden snapshot {}: {e}", path.display())
-            });
+            std::fs::write(&path, json + "\n")
+                .unwrap_or_else(|e| panic!("writing golden snapshot {}: {e}", path.display()));
             eprintln!("updated golden snapshot {}", path.display());
             return;
         }
@@ -79,9 +78,8 @@ pub mod golden {
         let path = golden_dir().join(name);
         if std::env::var_os("IBP_UPDATE_GOLDEN").is_some() {
             std::fs::create_dir_all(golden_dir()).expect("create golden dir");
-            std::fs::write(&path, actual).unwrap_or_else(|e| {
-                panic!("writing golden snapshot {}: {e}", path.display())
-            });
+            std::fs::write(&path, actual)
+                .unwrap_or_else(|e| panic!("writing golden snapshot {}: {e}", path.display()));
             eprintln!("updated golden snapshot {}", path.display());
             return;
         }
@@ -213,10 +211,7 @@ mod tests {
         assert!(!floats_agree(100.0, 100.2));
         assert!(floats_agree(0.0, 1e-10));
         assert!(mismatches("{\"pct\": 41.5}", "{\"pct\": 41.52}").is_empty());
-        assert_eq!(
-            mismatches("{\"pct\": 41.5}", "{\"pct\": 42.5}").len(),
-            1
-        );
+        assert_eq!(mismatches("{\"pct\": 41.5}", "{\"pct\": 42.5}").len(), 1);
     }
 
     #[test]

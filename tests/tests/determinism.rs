@@ -70,7 +70,8 @@ fn routing_seed_changes_timing_but_not_traffic() {
             record_timelines: false,
             ..ReplayOptions::default()
         },
-    ).expect("replay");
+    )
+    .expect("replay");
     let b = replay(
         &t,
         None,
@@ -80,7 +81,8 @@ fn routing_seed_changes_timing_but_not_traffic() {
             record_timelines: false,
             ..ReplayOptions::default()
         },
-    ).expect("replay");
+    )
+    .expect("replay");
     assert_eq!(a.fabric.messages, b.fabric.messages);
     assert_eq!(a.fabric.bytes, b.fabric.bytes);
 }
@@ -161,7 +163,10 @@ fn strong_trace_digest_matches_golden() {
                 ("app".into(), Value::Str(key.app.name().into())),
                 ("nprocs".into(), Value::U64(u64::from(key.nprocs))),
                 ("calls".into(), Value::U64(t.total_calls() as u64)),
-                ("digest".into(), Value::Str(format!("{:016x}", trace_digest(&t)))),
+                (
+                    "digest".into(),
+                    Value::Str(format!("{:016x}", trace_digest(&t))),
+                ),
             ])
         })
         .collect();
@@ -266,26 +271,82 @@ fn hand_built_trace() -> ibp_trace::Trace {
     let us = SimDuration::from_us;
     let mut b = TraceBuilder::new("hand-built", 3);
     b.compute(0, us(15));
-    b.op(0, MpiOp::Isend { to: 1, bytes: 4096, req: 7 });
-    b.op(0, MpiOp::Irecv { from: 2, bytes: 512, req: 3 });
+    b.op(
+        0,
+        MpiOp::Isend {
+            to: 1,
+            bytes: 4096,
+            req: 7,
+        },
+    );
+    b.op(
+        0,
+        MpiOp::Irecv {
+            from: 2,
+            bytes: 512,
+            req: 3,
+        },
+    );
     b.compute(0, SimDuration::from_ns(250));
-    b.op(0, MpiOp::Isend { to: 2, bytes: 64, req: 12 });
+    b.op(
+        0,
+        MpiOp::Isend {
+            to: 2,
+            bytes: 64,
+            req: 12,
+        },
+    );
     b.compute(0, us(40));
     b.op(0, MpiOp::Waitall { reqs: vec![12, 3] });
     b.op(0, MpiOp::Wait { req: 7 });
     b.op(0, MpiOp::Send { to: 1, bytes: 100 });
     b.compute(1, us(3));
-    b.op(1, MpiOp::Irecv { from: 0, bytes: 4096, req: 900 });
-    b.op(1, MpiOp::Recv { from: 0, bytes: 100 });
+    b.op(
+        1,
+        MpiOp::Irecv {
+            from: 0,
+            bytes: 4096,
+            req: 900,
+        },
+    );
+    b.op(
+        1,
+        MpiOp::Recv {
+            from: 0,
+            bytes: 100,
+        },
+    );
     b.compute(1, us(70));
     b.op(1, MpiOp::Wait { req: 900 });
-    b.op(2, MpiOp::Irecv { from: 0, bytes: 64, req: 1 });
-    b.op(2, MpiOp::Isend { to: 0, bytes: 512, req: 0 });
+    b.op(
+        2,
+        MpiOp::Irecv {
+            from: 0,
+            bytes: 64,
+            req: 1,
+        },
+    );
+    b.op(
+        2,
+        MpiOp::Isend {
+            to: 0,
+            bytes: 512,
+            req: 0,
+        },
+    );
     b.compute(2, us(9));
     b.op(2, MpiOp::Waitall { reqs: vec![0, 1] });
     for r in 0..3 {
         b.compute(r, us(5 + u64::from(r)));
-        b.op(r, MpiOp::Sendrecv { to: (r + 1) % 3, send_bytes: 256, from: (r + 2) % 3, recv_bytes: 256 });
+        b.op(
+            r,
+            MpiOp::Sendrecv {
+                to: (r + 1) % 3,
+                send_bytes: 256,
+                from: (r + 2) % 3,
+                recv_bytes: 256,
+            },
+        );
         b.op(r, MpiOp::Barrier);
         b.compute(r, us(11));
         b.op(r, MpiOp::Bcast { root: 2, bytes: 32 });
@@ -312,7 +373,11 @@ fn trace_file_formats_match_golden_bytes() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("hand-built.json");
     ibp_trace::io::save(&t, &path).unwrap();
-    assert_eq!(std::fs::read_to_string(&path).unwrap(), json, "save and to_json disagree");
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        json,
+        "save and to_json disagree"
+    );
     assert_eq!(ibp_trace::io::load(&path).unwrap(), t);
     let _ = std::fs::remove_dir_all(&dir);
     assert_matches_golden_text("hand_built_trace.json", &json);

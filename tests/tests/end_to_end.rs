@@ -65,7 +65,12 @@ fn every_app_saves_power_with_bounded_slowdown() {
             app.name(),
             r.slowdown_pct
         );
-        assert!(r.hit_rate_pct > 30.0, "{}: hit {}", app.name(), r.hit_rate_pct);
+        assert!(
+            r.hit_rate_pct > 30.0,
+            "{}: hit {}",
+            app.name(),
+            r.hit_rate_pct
+        );
     }
 }
 
@@ -122,7 +127,8 @@ fn per_rank_low_power_is_within_run_bounds() {
         Some(&ann),
         &SimParams::paper(),
         &ReplayOptions::default(),
-    ).expect("replay");
+    )
+    .expect("replay");
     for (r, sleep) in result.link_sleep.iter().enumerate() {
         assert!(
             sleep[SleepKind::Wrps as usize] <= result.exec_time,

@@ -96,7 +96,10 @@ fn summary_json_schema_is_stable() {
         "sessions_rehydrated",
         "evictions",
     ] {
-        assert!(json.contains(&format!("\"{field}\"")), "missing {field} in {json}");
+        assert!(
+            json.contains(&format!("\"{field}\"")),
+            "missing {field} in {json}"
+        );
     }
     // And the summary round-trips, so Stats-frame consumers can parse it.
     let back: ServeSummary = serde_json::from_str(&json).expect("deserializes");
@@ -109,7 +112,10 @@ fn load_report_schema_carries_resilience_fields() {
     // test cannot drift from the production constructor.
     let server = ibp_serve::Server::bind(
         &ibp_serve::Endpoint::Tcp("127.0.0.1:0".into()),
-        ibp_serve::ServeConfig { session_limit: Some(1), ..Default::default() },
+        ibp_serve::ServeConfig {
+            session_limit: Some(1),
+            ..Default::default()
+        },
     )
     .expect("bind");
     let endpoint = server.endpoint().clone();
@@ -122,7 +128,10 @@ fn load_report_schema_carries_resilience_fields() {
     let spec = ibp_serve::SessionSpec {
         rank: rank.rank,
         config: cfg,
-        events: rank.call_stream().map(|(c, gap)| (c.id(), gap.as_ns())).collect(),
+        events: rank
+            .call_stream()
+            .map(|(c, gap)| (c.id(), gap.as_ns()))
+            .collect(),
         final_compute_ns: rank.final_compute.as_ns(),
         golden_directives: None,
         golden_stats: None,
@@ -134,9 +143,21 @@ fn load_report_schema_carries_resilience_fields() {
     assert_eq!(report.gave_up, 0, "healthy transport never gives up");
     assert_eq!(report.reconnects, 0);
     let json = serde_json::to_string(&report).expect("serializes");
-    for field in ["reconnects", "gave_up", "events_total", "per_session", "parity_ok"] {
-        assert!(json.contains(&format!("\"{field}\"")), "missing {field} in {json}");
+    for field in [
+        "reconnects",
+        "gave_up",
+        "events_total",
+        "per_session",
+        "parity_ok",
+    ] {
+        assert!(
+            json.contains(&format!("\"{field}\"")),
+            "missing {field} in {json}"
+        );
     }
     // Per-session outcomes carry the per-link resilience verdicts too.
-    assert!(json.contains("\"gave_up\":false"), "per-session gave_up flag: {json}");
+    assert!(
+        json.contains("\"gave_up\":false"),
+        "per-session gave_up flag: {json}"
+    );
 }

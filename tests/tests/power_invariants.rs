@@ -202,7 +202,8 @@ fn deeper_rungs_trade_latency_for_power_in_every_generation() {
             assert!(
                 p.draw_of(deep) < p.draw_of(shallow),
                 "{gen:?}: {deep:?} floor {} not below {shallow:?} floor {}",
-                p.draw_of(deep), p.draw_of(shallow)
+                p.draw_of(deep),
+                p.draw_of(shallow)
             );
             assert!(
                 p.react_of(deep) >= p.react_of(shallow),
@@ -220,7 +221,8 @@ fn generation_rates_rise_monotonically() {
         assert!(
             pair[1].per_lane_gbps() > pair[0].per_lane_gbps(),
             "{:?} per-lane rate not above {:?}",
-            pair[1], pair[0]
+            pair[1],
+            pair[0]
         );
         assert!(pair[1].link_gbps() > pair[0].link_gbps());
     }
@@ -244,7 +246,10 @@ fn ladder_disabled_runs_match_the_paper_baseline_on_all_apps() {
         panic!("config serializes as an object");
     };
     entries.retain(|(k, _)| {
-        !matches!(k.as_str(), "rate_threshold" | "rate_t_react" | "rate_power_fraction")
+        !matches!(
+            k.as_str(),
+            "rate_threshold" | "rate_t_react" | "rate_power_fraction"
+        )
     });
     let cfg_pre = PowerConfig::from_value(&v).expect("pre-ladder config parses");
     assert_eq!(cfg_pre, cfg_now);
@@ -277,7 +282,10 @@ fn ladder_disabled_runs_match_the_paper_baseline_on_all_apps() {
         let opts = ibp_network::ReplayOptions::default();
         let now = ibp_network::replay(&trace, Some(&ann_now), &params_now, &opts).unwrap();
         let pre = ibp_network::replay(&trace, Some(&ann_pre), &params_pre, &opts).unwrap();
-        assert_eq!(now.exec_time, pre.exec_time, "{app:?}: replay timing diverges");
+        assert_eq!(
+            now.exec_time, pre.exec_time,
+            "{app:?}: replay timing diverges"
+        );
         assert_eq!(
             now.power_saving_pct().to_bits(),
             pre.power_saving_pct().to_bits(),

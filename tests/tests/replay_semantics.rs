@@ -123,8 +123,14 @@ fn random_sized_trace(nprocs: u32, schedule: &[(u8, u32)], seed: u64) -> Trace {
             let op = match s % 6 {
                 0 => MpiOp::Allreduce { bytes },
                 1 => MpiOp::Barrier,
-                2 => MpiOp::Bcast { root: s as u32 % nprocs, bytes },
-                3 => MpiOp::Reduce { root: (s as u32 + 1) % nprocs, bytes },
+                2 => MpiOp::Bcast {
+                    root: s as u32 % nprocs,
+                    bytes,
+                },
+                3 => MpiOp::Reduce {
+                    root: (s as u32 + 1) % nprocs,
+                    bytes,
+                },
                 4 => MpiOp::Sendrecv {
                     to: (r + 1) % nprocs,
                     send_bytes: bytes,
@@ -198,14 +204,21 @@ fn bcast_reaches_all_ranks_after_root_compute() {
     let mut b = TraceBuilder::new("bcast", n);
     b.compute(0, SimDuration::from_ms(10));
     for r in 0..n {
-        b.op(r, MpiOp::Bcast { root: 0, bytes: 1 << 16 });
+        b.op(
+            r,
+            MpiOp::Bcast {
+                root: 0,
+                bytes: 1 << 16,
+            },
+        );
     }
     let result = replay(
         &b.build(),
         None,
         &SimParams::paper(),
         &ReplayOptions::default(),
-    ).expect("replay");
+    )
+    .expect("replay");
     for (r, f) in result.rank_finish.iter().enumerate() {
         assert!(
             f.as_us_f64() >= 10_000.0,
@@ -220,14 +233,21 @@ fn reduce_waits_for_slowest_contributor() {
     let mut b = TraceBuilder::new("reduce", n);
     b.compute(5, SimDuration::from_ms(7)); // rank 5 is late
     for r in 0..n {
-        b.op(r, MpiOp::Reduce { root: 0, bytes: 4096 });
+        b.op(
+            r,
+            MpiOp::Reduce {
+                root: 0,
+                bytes: 4096,
+            },
+        );
     }
     let result = replay(
         &b.build(),
         None,
         &SimParams::paper(),
         &ReplayOptions::default(),
-    ).expect("replay");
+    )
+    .expect("replay");
     assert!(
         result.rank_finish[0].as_us_f64() >= 7_000.0,
         "root finished before the late contributor: {}",
@@ -250,7 +270,8 @@ fn alltoall_transports_n_squared_messages() {
         None,
         &SimParams::paper(),
         &ReplayOptions::default(),
-    ).expect("replay");
+    )
+    .expect("replay");
     assert_eq!(result.fabric.messages, u64::from(n) * u64::from(n - 1));
 }
 
@@ -263,13 +284,20 @@ fn wait_enforces_request_completion_time() {
     b.compute(0, SimDuration::from_us(10));
     b.op(0, MpiOp::Wait { req });
     b.compute(1, SimDuration::from_ms(5)); // sender is busy 5 ms
-    b.op(1, MpiOp::Send { to: 0, bytes: 1 << 20 });
+    b.op(
+        1,
+        MpiOp::Send {
+            to: 0,
+            bytes: 1 << 20,
+        },
+    );
     let result = replay(
         &b.build(),
         None,
         &SimParams::paper(),
         &ReplayOptions::default(),
-    ).expect("replay");
+    )
+    .expect("replay");
     assert!(
         result.rank_finish[0].as_us_f64() > 5_000.0,
         "wait returned before the message existed: {}",
@@ -283,9 +311,21 @@ fn message_ordering_is_fifo_per_pair() {
     // recv matches the first (large) send even though the second (small)
     // one would "arrive" earlier if reordered.
     let mut b = TraceBuilder::new("fifo", 2);
-    b.op(0, MpiOp::Send { to: 1, bytes: 4 << 20 });
+    b.op(
+        0,
+        MpiOp::Send {
+            to: 1,
+            bytes: 4 << 20,
+        },
+    );
     b.op(0, MpiOp::Send { to: 1, bytes: 64 });
-    b.op(1, MpiOp::Recv { from: 0, bytes: 4 << 20 });
+    b.op(
+        1,
+        MpiOp::Recv {
+            from: 0,
+            bytes: 4 << 20,
+        },
+    );
     // The first recv's completion must dominate the big serialization.
     b.op(1, MpiOp::Recv { from: 0, bytes: 64 });
     let result = replay(
@@ -293,7 +333,8 @@ fn message_ordering_is_fifo_per_pair() {
         None,
         &SimParams::paper(),
         &ReplayOptions::default(),
-    ).expect("replay");
+    )
+    .expect("replay");
     let serial_big = SimParams::paper().serialize(4 << 20);
     assert!(
         result.rank_finish[1].as_ns() >= serial_big.as_ns(),
@@ -649,7 +690,14 @@ fn request_id_trace(nprocs: u32, rounds: usize, seed: u64) -> Trace {
                     // One exchange, completed in reverse posting order.
                     let a = irecv(&mut b, left);
                     let s = ids.take();
-                    b.op(r, MpiOp::Isend { to: right, bytes, req: s });
+                    b.op(
+                        r,
+                        MpiOp::Isend {
+                            to: right,
+                            bytes,
+                            req: s,
+                        },
+                    );
                     b.op(r, MpiOp::Waitall { reqs: vec![s, a] });
                 }
                 7 => {
@@ -657,23 +705,55 @@ fn request_id_trace(nprocs: u32, rounds: usize, seed: u64) -> Trace {
                     let a = irecv(&mut b, left);
                     let c = irecv(&mut b, right);
                     let d = ids.take();
-                    b.op(r, MpiOp::Isend { to: right, bytes, req: d });
+                    b.op(
+                        r,
+                        MpiOp::Isend {
+                            to: right,
+                            bytes,
+                            req: d,
+                        },
+                    );
                     let e = ids.take();
-                    b.op(r, MpiOp::Isend { to: left, bytes, req: e });
-                    b.op(r, MpiOp::Waitall { reqs: vec![e, d, c, a] });
+                    b.op(
+                        r,
+                        MpiOp::Isend {
+                            to: left,
+                            bytes,
+                            req: e,
+                        },
+                    );
+                    b.op(
+                        r,
+                        MpiOp::Waitall {
+                            reqs: vec![e, d, c, a],
+                        },
+                    );
                 }
                 8 => {
                     // The receive stays open across two collectives.
                     let a = irecv(&mut b, left);
                     b.op(r, MpiOp::Send { to: right, bytes });
                     b.op(r, MpiOp::Allreduce { bytes: 8 });
-                    b.op(r, MpiOp::Bcast { root: sel, bytes: 64 });
+                    b.op(
+                        r,
+                        MpiOp::Bcast {
+                            root: sel,
+                            bytes: 64,
+                        },
+                    );
                     b.op(r, MpiOp::Wait { req: a });
                 }
                 9 => {
                     // An `Isend` completed by a single `Wait`.
                     let s = ids.take();
-                    b.op(r, MpiOp::Isend { to: right, bytes, req: s });
+                    b.op(
+                        r,
+                        MpiOp::Isend {
+                            to: right,
+                            bytes,
+                            req: s,
+                        },
+                    );
                     b.op(r, MpiOp::Recv { from: left, bytes });
                     b.op(r, MpiOp::Wait { req: s });
                 }
@@ -682,7 +762,14 @@ fn request_id_trace(nprocs: u32, rounds: usize, seed: u64) -> Trace {
                     // through a collective and a blocking exchange.
                     let a = irecv(&mut b, right);
                     let s = ids.take();
-                    b.op(r, MpiOp::Isend { to: left, bytes, req: s });
+                    b.op(
+                        r,
+                        MpiOp::Isend {
+                            to: left,
+                            bytes,
+                            req: s,
+                        },
+                    );
                     b.op(r, MpiOp::Wait { req: a });
                     b.op(r, MpiOp::Allgather { bytes: 32 });
                     b.op(
@@ -701,7 +788,13 @@ fn request_id_trace(nprocs: u32, rounds: usize, seed: u64) -> Trace {
                     let a = irecv(&mut b, left);
                     let c = irecv(&mut b, left);
                     b.op(r, MpiOp::Send { to: right, bytes });
-                    b.op(r, MpiOp::Send { to: right, bytes: bytes / 2 + 1 });
+                    b.op(
+                        r,
+                        MpiOp::Send {
+                            to: right,
+                            bytes: bytes / 2 + 1,
+                        },
+                    );
                     b.op(r, MpiOp::Wait { req: c });
                     b.op(r, MpiOp::Alltoall { bytes: 16 });
                     b.op(r, MpiOp::Wait { req: a });
@@ -857,10 +950,22 @@ fn ring_window_trace(nprocs: u32, rounds: usize, seed: u64) -> Trace {
                     b.op(r, MpiOp::Allgather { bytes: 2048 });
                     let member = (early + 1 + (n > 2) as u32) % n;
                     if r == early {
-                        b.op(r, MpiOp::Send { to: member, bytes: 8192 });
+                        b.op(
+                            r,
+                            MpiOp::Send {
+                                to: member,
+                                bytes: 8192,
+                            },
+                        );
                     }
                     if r == member {
-                        b.op(r, MpiOp::Recv { from: early, bytes: 8192 });
+                        b.op(
+                            r,
+                            MpiOp::Recv {
+                                from: early,
+                                bytes: 8192,
+                            },
+                        );
                     }
                 }
                 2 => {
@@ -871,7 +976,13 @@ fn ring_window_trace(nprocs: u32, rounds: usize, seed: u64) -> Trace {
                 3 => {
                     let s = b.isend(r, right, 1024);
                     b.op(r, MpiOp::Allgather { bytes: 256 });
-                    b.op(r, MpiOp::Recv { from: left, bytes: 1024 });
+                    b.op(
+                        r,
+                        MpiOp::Recv {
+                            from: left,
+                            bytes: 1024,
+                        },
+                    );
                     b.op(r, MpiOp::Wait { req: s });
                 }
                 _ => {

@@ -64,9 +64,12 @@ fn run_grid(opts: SweepOptions, iterations: u32, seed: u64, fault_rate: f64) -> 
                     faults: Some(FaultConfig::with_rate(fault_seed, fault_rate)),
                     ..ReplayOptions::default()
                 };
-                let faulted = replay(&ctx.trace, None, &SimParams::paper(), &opts)
-                    .expect("faulted replay");
-                (faulted.faults.total_events(), format!("{}", faulted.exec_time))
+                let faulted =
+                    replay(&ctx.trace, None, &SimParams::paper(), &opts).expect("faulted replay");
+                (
+                    faulted.faults.total_events(),
+                    format!("{}", faulted.exec_time),
+                )
             } else {
                 (0, String::new())
             };
