@@ -77,11 +77,6 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Render "ours (paper)" comparison cells.
-pub fn vs(ours: f64, paper: f64) -> String {
-    format!("{ours:.1} ({paper:.1})")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,6 +105,5 @@ mod tests {
     fn formatters() {
         assert_eq!(f1(std::f64::consts::PI), "3.1");
         assert_eq!(f2(std::f64::consts::PI), "3.14");
-        assert_eq!(vs(1.23, 4.56), "1.2 (4.6)");
     }
 }

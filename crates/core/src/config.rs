@@ -347,14 +347,9 @@ impl PowerConfig {
 
     /// Plan a sleep for a predicted idle interval: pick the depth (among
     /// the enabled [`SleepRungs`]) and compute the Algorithm 3 timer for
-    /// it. Deeper rungs fall back to shallower ones when the idle is
+    /// it, under an explicit (possibly guard-band widened) displacement
+    /// factor. Deeper rungs fall back to shallower ones when the idle is
     /// below their threshold or their timer would be unprofitable.
-    pub fn plan_sleep(&self, predicted_idle: SimDuration) -> Option<(SleepKind, SimDuration)> {
-        self.plan_sleep_with(self.displacement, predicted_idle)
-    }
-
-    /// [`PowerConfig::plan_sleep`] with an explicit (possibly guard-band
-    /// widened) displacement factor.
     pub fn plan_sleep_with(
         &self,
         displacement: f64,
@@ -582,24 +577,34 @@ mod tests {
     fn ladder_picks_deepest_profitable_state() {
         let c = PowerConfig::paper(SimDuration::from_us(20), 0.01).with_ladder();
         // 10 ms ≥ deep_threshold (5 ms): deep wins.
-        let (kind, _) = c.plan_sleep(SimDuration::from_ms(10)).unwrap();
+        let (kind, _) = c
+            .plan_sleep_with(c.displacement, SimDuration::from_ms(10))
+            .unwrap();
         assert_eq!(kind, SleepKind::Deep);
         // 1 ms: below the deep threshold, above the rate threshold.
-        let (kind, timer) = c.plan_sleep(SimDuration::from_ms(1)).unwrap();
+        let (kind, timer) = c
+            .plan_sleep_with(c.displacement, SimDuration::from_ms(1))
+            .unwrap();
         assert_eq!(kind, SleepKind::Rate);
         assert!(timer > c.rate_t_react);
         // 100 µs: too short for a rate retrain, WRPS still profitable.
-        let (kind, _) = c.plan_sleep(SimDuration::from_us(100)).unwrap();
+        let (kind, _) = c
+            .plan_sleep_with(c.displacement, SimDuration::from_us(100))
+            .unwrap();
         assert_eq!(kind, SleepKind::Wrps);
         // 20 µs: nothing profitable.
-        assert!(c.plan_sleep(SimDuration::from_us(20)).is_none());
+        assert!(c
+            .plan_sleep_with(c.displacement, SimDuration::from_us(20))
+            .is_none());
     }
 
     #[test]
     fn ladder_timer_follows_algorithm3_per_depth() {
         let c = PowerConfig::paper(SimDuration::from_us(20), 0.10).with_ladder();
         // idle = 1 ms: safety = 100 µs + 100 µs retrain → timer 800 µs.
-        let (kind, timer) = c.plan_sleep(SimDuration::from_ms(1)).unwrap();
+        let (kind, timer) = c
+            .plan_sleep_with(c.displacement, SimDuration::from_ms(1))
+            .unwrap();
         assert_eq!(kind, SleepKind::Rate);
         assert_eq!(timer, SimDuration::from_us(800));
     }
@@ -608,7 +613,7 @@ mod tests {
     fn default_policy_never_emits_rate_or_deep() {
         let c = PowerConfig::default();
         for us in [30, 100, 600, 6_000, 60_000] {
-            if let Some((kind, _)) = c.plan_sleep(SimDuration::from_us(us)) {
+            if let Some((kind, _)) = c.plan_sleep_with(c.displacement, SimDuration::from_us(us)) {
                 assert_eq!(kind, SleepKind::Wrps, "paper config must stay WRPS-only");
             }
         }

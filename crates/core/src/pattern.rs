@@ -237,12 +237,6 @@ impl PatternEntry {
             mpi_calls: 0,
         }
     }
-
-    /// All-time number of recorded occurrences (the paper's `frequency`).
-    #[must_use]
-    pub fn frequency(&self) -> usize {
-        self.occurrences.total() as usize
-    }
 }
 
 /// Interner mapping gram-id sequences to dense [`PatternId`]s. Each key
@@ -558,7 +552,7 @@ mod tests {
         let mut pl = PatternList::new();
         assert!(pl.update(&[1, 2], 0).is_new, "first occurrence is new");
         assert!(!pl.update(&[1, 2], 3).is_new, "second occurrence is not");
-        assert_eq!(pl.get(&[1, 2]).unwrap().frequency(), 2);
+        assert_eq!(pl.get(&[1, 2]).unwrap().occurrences.total(), 2);
         assert_eq!(pl.get(&[1, 2]).unwrap().occurrences.to_vec(), vec![0, 3]);
     }
 
@@ -567,7 +561,7 @@ mod tests {
         let mut pl = PatternList::new();
         let _ = pl.update(&[1, 2], 5);
         let _ = pl.update(&[1, 2], 5);
-        assert_eq!(pl.get(&[1, 2]).unwrap().frequency(), 1);
+        assert_eq!(pl.get(&[1, 2]).unwrap().occurrences.total(), 1);
     }
 
     #[test]
@@ -643,7 +637,11 @@ mod tests {
         }
         let e = pl.get(&[1, 2]).unwrap();
         assert_eq!(e.occurrences.to_vec(), vec![10, 15]);
-        assert_eq!(e.frequency(), 4, "frequency keeps the all-time count");
+        assert_eq!(
+            e.occurrences.total(),
+            4,
+            "frequency keeps the all-time count"
+        );
     }
 
     #[test]

@@ -182,7 +182,7 @@ proptest! {
         prop_assert!(a == b, "{} @{nprocs} seed {seed} jobs {jobs}: outputs differ", app.name());
     }
 
-    /// plan_sleep falls back gracefully: it returns Deep only above the
+    /// plan_sleep_with falls back gracefully: it returns Deep only above the
     /// threshold and with a profitable window, otherwise WRPS or nothing.
     #[test]
     fn plan_sleep_depth_selection(idle_us in 0u64..100_000_000) {
@@ -190,7 +190,7 @@ proptest! {
         let cfg = PowerConfig::paper(SimDuration::from_us(20), 0.01)
             .with_deep_sleep(SimDuration::from_ms(5));
         let idle = SimDuration::from_us(idle_us);
-        match cfg.plan_sleep(idle) {
+        match cfg.plan_sleep_with(cfg.displacement, idle) {
             Some((SleepKind::Deep, timer)) => {
                 prop_assert!(idle >= cfg.deep_threshold);
                 prop_assert!(timer > cfg.deep_t_react);
@@ -216,7 +216,7 @@ proptest! {
         use ibp_core::SleepKind;
         let cfg = PowerConfig::paper(SimDuration::from_us(20), disp).with_ladder();
         let idle = SimDuration::from_us(idle_us);
-        match cfg.plan_sleep(idle) {
+        match cfg.plan_sleep_with(cfg.displacement, idle) {
             Some((kind, timer)) => {
                 prop_assert!(idle >= cfg.threshold_of(kind));
                 prop_assert!(timer > cfg.react_of(kind));

@@ -74,10 +74,9 @@ pub struct JobPlacement {
 /// replay engine decomposes every collective into point-to-point
 /// messages among the ranks the operation names. Barrier/Allreduce/
 /// Allgather/Alltoall operate on "all ranks of the communicator"; after
-/// combination that would be the whole fabric, which is wrong. They are
-/// therefore rewritten… they cannot be — so `combine` *rejects* traces
-/// containing whole-communicator collectives unless the job is placed
-/// alone. Use [`can_combine`] to check.
+/// combination that would be the whole fabric, which is wrong, so
+/// `combine` *rejects* traces containing whole-communicator collectives
+/// unless the job is placed alone.
 pub fn combine(jobs: &[&Trace]) -> Result<(Trace, Vec<JobPlacement>), String> {
     for (j, t) in jobs.iter().enumerate() {
         if jobs.len() > 1 {
@@ -120,12 +119,6 @@ pub fn combine(jobs: &[&Trace]) -> Result<(Trace, Vec<JobPlacement>), String> {
     }
     combined.validate()?;
     Ok((combined, placements))
-}
-
-/// Whether `trace` can participate in a multi-job combination (no
-/// whole-communicator collectives).
-pub fn can_combine(trace: &Trace) -> bool {
-    first_global_collective(trace).is_none()
 }
 
 fn first_global_collective(trace: &Trace) -> Option<&'static str> {
@@ -212,7 +205,6 @@ mod tests {
         b.op(1, MpiOp::Allreduce { bytes: 8 });
         let coll = b.build();
         let p2p = p2p_job("p", 2, 64);
-        assert!(!can_combine(&coll));
         let err = combine(&[&coll, &p2p]).unwrap_err();
         assert!(err.contains("MPI_Allreduce"), "{err}");
     }

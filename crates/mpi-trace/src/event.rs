@@ -110,28 +110,6 @@ impl MpiCall {
         })
     }
 
-    /// True for calls that move data or synchronise across the network
-    /// (everything except `Init`/`Finalize`, which bracket the run).
-    pub fn is_communication(self) -> bool {
-        !matches!(self, MpiCall::Init | MpiCall::Finalize)
-    }
-
-    /// True for collective operations (involve every rank of the
-    /// communicator).
-    pub fn is_collective(self) -> bool {
-        matches!(
-            self,
-            MpiCall::Bcast
-                | MpiCall::Barrier
-                | MpiCall::Reduce
-                | MpiCall::Allreduce
-                | MpiCall::Alltoall
-                | MpiCall::Allgather
-                | MpiCall::Gather
-                | MpiCall::Scatter
-        )
-    }
-
     /// The canonical MPI function name.
     pub fn name(self) -> &'static str {
         match self {
@@ -316,16 +294,6 @@ mod tests {
         assert_eq!(MpiOp::Allreduce { bytes: 8 }.call(), MpiCall::Allreduce);
         assert_eq!(MpiOp::Barrier.call(), MpiCall::Barrier);
         assert_eq!(MpiOp::Waitall { reqs: vec![1, 2] }.call(), MpiCall::Waitall);
-    }
-
-    #[test]
-    fn collective_classification() {
-        assert!(MpiCall::Allreduce.is_collective());
-        assert!(MpiCall::Barrier.is_collective());
-        assert!(!MpiCall::Sendrecv.is_collective());
-        assert!(!MpiCall::Wait.is_collective());
-        assert!(!MpiCall::Init.is_communication());
-        assert!(MpiCall::Send.is_communication());
     }
 
     #[test]

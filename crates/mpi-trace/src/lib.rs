@@ -27,7 +27,7 @@ pub mod trace;
 pub mod viz;
 
 pub use columns::EventColumns;
-pub use combine::{can_combine, combine, JobPlacement};
+pub use combine::{combine, JobPlacement};
 pub use event::{MpiCall, MpiOp, Rank, ReqId};
 pub use io::TraceError;
 pub use profile::{ActivityProfile, CallProfile, CommMatrix};

@@ -9,7 +9,8 @@ use serde::{Deserialize, Serialize};
 pub struct SimParams {
     /// Link bandwidth in bits per second (IB 4X QDR: 40 Gb/s).
     pub bandwidth_bps: f64,
-    /// Segment (MTU) size in bytes.
+    /// Segment (MTU) size in bytes. Only [`SimParams::describe`] reads
+    /// it: the fabric moves each message whole.
     pub segment_bytes: u64,
     /// Software MPI latency charged per message.
     pub mpi_latency: SimDuration,
@@ -133,13 +134,6 @@ impl SimParams {
         SimDuration::from_secs_f64(bytes as f64 * 8.0 / self.bandwidth_bps)
     }
 
-    /// Number of segments a message of `bytes` is split into.
-    #[inline]
-    #[must_use]
-    pub fn segments(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.segment_bytes).max(1)
-    }
-
     /// A human-readable rendering of the configuration (the `params`
     /// binary prints this as the Table II reproduction).
     pub fn describe(&self) -> String {
@@ -203,15 +197,6 @@ mod tests {
         // 1 MB ≈ 209.7 µs.
         let t = p.serialize(1 << 20);
         assert!((t.as_us_f64() - 209.7).abs() < 0.1);
-    }
-
-    #[test]
-    fn segment_count() {
-        let p = SimParams::paper();
-        assert_eq!(p.segments(1), 1);
-        assert_eq!(p.segments(2048), 1);
-        assert_eq!(p.segments(2049), 2);
-        assert_eq!(p.segments(0), 1);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! the route stays occupied until the tail has passed. This captures the
 //! two effects the paper's results depend on — end-to-end transfer delay
 //! and serialization of competing traffic on shared channels — without
-//! simulating individual 2 KB segments (the segment size still sets the
-//! cut-through granularity via the per-hop latency charge).
+//! simulating individual 2 KB segments: each message crosses the fabric
+//! whole, and no replay code reads [`SimParams::segment_bytes`] (only
+//! [`SimParams::describe`] prints it, as Table II lists it).
 
 use crate::config::SimParams;
 use crate::topology::FatTree;

@@ -30,18 +30,6 @@ pub enum LinkPower {
 }
 
 impl LinkPower {
-    /// Relative power draw of the state under a parameter set.
-    #[inline]
-    #[must_use]
-    pub fn relative_draw_in(self, params: &SimParams) -> f64 {
-        match self {
-            LinkPower::Full | LinkPower::Transition => 1.0,
-            LinkPower::Low => params.low_power_fraction,
-            LinkPower::Rate => params.rate_power_fraction,
-            LinkPower::Deep => params.deep_power_fraction,
-        }
-    }
-
     /// The state a link is in while a runtime's sleep directive is
     /// outstanding: no pending sleep means all lanes up; a WRPS sleep
     /// is the 1X low-power mode; a rate sleep keeps all lanes up at the
@@ -195,19 +183,6 @@ impl LinkPowerTracker {
             self.sleeps += 1;
         }
     }
-
-    /// Time-averaged relative power draw over a run of length `total`.
-    #[must_use]
-    pub fn mean_relative_power(&self, params: &SimParams, total: SimDuration) -> f64 {
-        if total.is_zero() {
-            return 1.0;
-        }
-        let t = total.as_secs_f64();
-        SleepKind::ALL.iter().fold(1.0, |draw, &kind| {
-            let share = (self.sleep_time[kind as usize].as_secs_f64() / t).min(1.0);
-            draw - share * (1.0 - params.draw_of(kind))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -292,18 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_power_blends_draws() {
-        let p = SimParams::paper();
-        let mut t = LinkPowerTracker::new(false);
-        apply(&mut t, &p, window(0, Some(580), 1000, SleepKind::Wrps));
-        // low = 570 µs of 1000 → draw = 1 − 0.57 × 0.57 = 0.675.
-        let draw = t.mean_relative_power(&p, dur(1000));
-        assert!((draw - (1.0 - 0.57 * 0.57)).abs() < 1e-9, "{draw}");
-        // Zero total → full draw.
-        assert_eq!(t.mean_relative_power(&p, SimDuration::ZERO), 1.0);
-    }
-
-    #[test]
     fn misfire_extends_low_span_past_timer() {
         let p = SimParams::paper();
         let mut ok = LinkPowerTracker::new(false);
@@ -351,16 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn relative_draw_values() {
-        let p = SimParams::paper();
-        assert_eq!(LinkPower::Full.relative_draw_in(&p), 1.0);
-        assert_eq!(LinkPower::Transition.relative_draw_in(&p), 1.0);
-        assert_eq!(LinkPower::Low.relative_draw_in(&p), 0.43);
-        assert_eq!(LinkPower::Rate.relative_draw_in(&p), 0.25);
-        assert_eq!(LinkPower::Deep.relative_draw_in(&p), 0.10);
-    }
-
-    #[test]
     fn rate_window_uses_rate_react_and_floor() {
         let p = SimParams::paper();
         let mut t = LinkPowerTracker::new(true);
@@ -377,16 +330,6 @@ mod tests {
         assert_eq!(t.floor(), us(2000));
         let tl = t.timeline.as_ref().unwrap();
         assert_eq!(tl.time_in(us(10_000), |s| s == LinkPower::Rate), dur(800));
-    }
-
-    #[test]
-    fn mean_power_blends_all_three_depths() {
-        let p = SimParams::paper();
-        let mut t = LinkPowerTracker::new(false);
-        t.sleep_time = [dur(100), dur(200), dur(300)];
-        let draw = t.mean_relative_power(&p, dur(1000));
-        let want = 1.0 - 0.1 * (1.0 - 0.43) - 0.2 * (1.0 - 0.25) - 0.3 * (1.0 - 0.10);
-        assert!((draw - want).abs() < 1e-12, "{draw} vs {want}");
     }
 
     #[test]

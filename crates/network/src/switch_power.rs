@@ -12,12 +12,16 @@
 //!
 //! | component | share | scaled off by |
 //! |---|---|---|
-//! | link PHYs (per port)     | 64% | WRPS (per-port, to 43% of the PHY) |
+//! | link PHYs (per port)     | 64% | WRPS and rate reduction (per-port, to the depth's draw) |
 //! | input buffers (per port) | 18% | deep sleep |
 //! | crossbar                 | 12% | deep sleep |
 //! | arbitration/control      |  6% | never (keeps the switch reachable) |
 //!
-//! Per-port figures divide the per-port shares by the port count.
+//! Per-port figures divide the per-port shares by the port count. The
+//! per-depth link draws are not part of the model: a report reads them
+//! from the replay result it scores ([`SimResult::sleep_power_fraction`],
+//! the draws the replay accounted with), so they live only in
+//! [`crate::SimParams`].
 
 use crate::results::SimResult;
 use ibp_core::SleepKind;
@@ -39,17 +43,6 @@ pub struct SwitchPowerModel {
     pub crossbar_share: f64,
     /// Fraction going to arbitration/control (never powered down).
     pub control_share: f64,
-    /// Per-port link draw in WRPS 1X mode, relative to the port's full
-    /// link draw.
-    pub wrps_fraction: f64,
-    /// Per-port link draw in rate-reduced mode (ladder middle rung),
-    /// relative to the port's full link draw.
-    #[serde(default = "default_rate_fraction")]
-    pub rate_fraction: f64,
-}
-
-fn default_rate_fraction() -> f64 {
-    crate::config::RATE_POWER_FRACTION
 }
 
 impl Default for SwitchPowerModel {
@@ -63,8 +56,6 @@ impl Default for SwitchPowerModel {
             buffer_share: 0.18,
             crossbar_share: 0.12,
             control_share: 0.06,
-            wrps_fraction: 0.43,
-            rate_fraction: default_rate_fraction(),
         }
     }
 }
@@ -118,57 +109,31 @@ impl SwitchPowerModel {
                 self.nominal_w
             ));
         }
-        if !(0.0..=1.0).contains(&self.wrps_fraction) {
-            return Err(format!(
-                "wrps_fraction must be in [0, 1], got {}",
-                self.wrps_fraction
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.rate_fraction) {
-            return Err(format!(
-                "rate_fraction must be in [0, 1], got {}",
-                self.rate_fraction
-            ));
-        }
         Ok(())
-    }
-
-    /// Full-power draw of one port's link PHY, W.
-    pub fn link_w_per_port(&self) -> f64 {
-        self.nominal_w * self.link_share / f64::from(self.ports)
     }
 
     /// Mean whole-switch power given per-port time shares.
     ///
     /// * `managed` — number of ports under management (the rest are
     ///   assumed always-on, e.g. uplinks);
-    /// * `low_frac` / `deep_frac` — mean fraction of the run each managed
-    ///   port spent in WRPS / deep sleep.
+    /// * `sleep_frac` — mean fraction of the run each managed port spent
+    ///   in each sleep depth, indexed by [`SleepKind`];
+    /// * `draws` — each depth's relative link draw, indexed by
+    ///   [`SleepKind`] (a run's [`SimResult::sleep_power_fraction`]).
     ///
-    /// Deep sleep removes the sleeping ports' share of buffers, and —
-    /// when *all* managed ports are deep-sleeping — the crossbar
-    /// proportionally; control power never goes away.
-    pub fn mean_power_w(&self, managed: u32, low_frac: f64, deep_frac: f64) -> f64 {
-        self.mean_power_ladder_w(managed, low_frac, 0.0, deep_frac)
-    }
-
-    /// [`SwitchPowerModel::mean_power_w`] with all three ladder depths:
-    /// `rate_frac` is the mean fraction each managed port spent
-    /// rate-reduced. Rate reduction scales only the PHYs (every lane
-    /// stays up, slower); buffers and crossbar behave as in WRPS.
+    /// WRPS and rate reduction scale only the PHYs (every lane of a
+    /// rate-reduced port stays up, slower). Deep sleep also removes the
+    /// sleeping ports' share of buffers, and the crossbar in proportion
+    /// to the ports asleep; control power never goes away.
     ///
     /// # Panics
     /// Panics if the model itself is invalid (callers building models
     /// from external input must [`SwitchPowerModel::validate`] first) or
     /// if `managed` exceeds the port count.
-    pub fn mean_power_ladder_w(
-        &self,
-        managed: u32,
-        low_frac: f64,
-        rate_frac: f64,
-        deep_frac: f64,
-    ) -> f64 {
+    pub fn mean_power_ladder_w(&self, managed: u32, sleep_frac: [f64; 3], draws: [f64; 3]) -> f64 {
         self.validate().expect("switch power model invalid");
+        let [low_frac, rate_frac, deep_frac] = sleep_frac;
+        let [wrps_draw, rate_draw, _] = draws;
         assert!(managed <= self.ports, "more managed ports than ports");
         let managed_f = f64::from(managed);
         let ports_f = f64::from(self.ports);
@@ -177,16 +142,16 @@ impl SwitchPowerModel {
         let crossbar_w = self.nominal_w * self.crossbar_share;
         let control_w = self.nominal_w * self.control_share;
 
-        // Link PHYs: managed ports reduce to wrps_fraction during WRPS,
-        // to rate_fraction while rate-reduced, and to ~0 during deep
+        // Link PHYs: managed ports reduce to the WRPS draw during WRPS,
+        // to the rate draw while rate-reduced, and to ~0 during deep
         // sleep (one lane's PLL stays up; fold it into control);
         // unmanaged ports stay at full draw.
         let per_port_link = link_w / ports_f;
         let managed_link = managed_f
             * per_port_link
             * (1.0 - low_frac - rate_frac - deep_frac
-                + low_frac * self.wrps_fraction
-                + rate_frac * self.rate_fraction);
+                + low_frac * wrps_draw
+                + rate_frac * rate_draw);
         let unmanaged_link = (ports_f - managed_f) * per_port_link;
 
         // Buffers: per-port, off during deep sleep only.
@@ -202,16 +167,15 @@ impl SwitchPowerModel {
     }
 
     /// Build a whole-switch report from a replay result, treating the
-    /// result's ranks as this switch's managed host ports.
+    /// result's ranks as this switch's managed host ports and pricing
+    /// each sleep depth at the draw the replay accounted with.
     ///
     /// # Panics
     /// Panics if the result has more ranks than the switch has ports.
     pub fn report(&self, result: &SimResult, duration: SimDuration) -> SwitchPowerReport {
         let managed = result.nprocs() as u32;
-        let low = result.mean_sleep_fraction(SleepKind::Wrps);
-        let rate = result.mean_sleep_fraction(SleepKind::Rate);
-        let deep = result.mean_sleep_fraction(SleepKind::Deep);
-        let managed_w = self.mean_power_ladder_w(managed, low, rate, deep);
+        let sleep_frac = SleepKind::ALL.map(|kind| result.mean_sleep_fraction(kind));
+        let managed_w = self.mean_power_ladder_w(managed, sleep_frac, result.sleep_power_fraction);
         let secs = duration.as_secs_f64();
         SwitchPowerReport {
             managed_w,
@@ -227,21 +191,26 @@ impl SwitchPowerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SimParams;
+
+    /// Mean switch power at the paper's per-depth draws.
+    fn watts(m: &SwitchPowerModel, managed: u32, low: f64, rate: f64, deep: f64) -> f64 {
+        let draws = SleepKind::ALL.map(|kind| SimParams::paper().draw_of(kind));
+        m.mean_power_ladder_w(managed, [low, rate, deep], draws)
+    }
 
     #[test]
     fn default_shares_are_consistent() {
-        let m = SwitchPowerModel::default();
-        m.validate().unwrap();
-        assert!((m.link_w_per_port() - 130.0 * 0.64 / 36.0).abs() < 1e-9);
+        SwitchPowerModel::default().validate().unwrap();
     }
 
     #[test]
     fn always_on_draws_nominal() {
         let m = SwitchPowerModel::default();
-        let w = m.mean_power_w(36, 0.0, 0.0);
+        let w = watts(&m, 36, 0.0, 0.0, 0.0);
         assert!((w - 130.0).abs() < 1e-9);
         // No managed ports → also nominal.
-        assert!((m.mean_power_w(0, 0.9, 0.0) - 130.0).abs() < 1e-9);
+        assert!((watts(&m, 0, 0.9, 0.0, 0.0) - 130.0).abs() < 1e-9);
     }
 
     #[test]
@@ -251,7 +220,7 @@ mod tests {
         // the *port-level* low-power consumption; at the switch level the
         // non-link components keep drawing.)
         let m = SwitchPowerModel::default();
-        let w = m.mean_power_w(36, 1.0, 0.0);
+        let w = watts(&m, 36, 1.0, 0.0, 0.0);
         let expect = 130.0 * (0.64 * 0.43 + 0.36);
         assert!((w - expect).abs() < 1e-9, "{w} vs {expect}");
     }
@@ -261,20 +230,20 @@ mod tests {
         let m = SwitchPowerModel::default();
         // All ports deep all the time: only control remains (+ nothing of
         // links/buffers/crossbar).
-        let w = m.mean_power_w(36, 0.0, 1.0);
+        let w = watts(&m, 36, 0.0, 0.0, 1.0);
         let expect = 130.0 * 0.06;
         assert!((w - expect).abs() < 1e-9, "{w} vs {expect}");
         // Deep beats WRPS for the same time share.
-        assert!(m.mean_power_w(36, 0.0, 0.5) < m.mean_power_w(36, 0.5, 0.0));
+        assert!(watts(&m, 36, 0.0, 0.0, 0.5) < watts(&m, 36, 0.5, 0.0, 0.0));
     }
 
     #[test]
     fn partial_management_interpolates() {
         let m = SwitchPowerModel::default();
         // 18 of 36 ports managed, half the time in WRPS.
-        let w = m.mean_power_w(18, 0.5, 0.0);
+        let w = watts(&m, 18, 0.5, 0.0, 0.0);
         assert!(w < 130.0);
-        assert!(w > m.mean_power_w(36, 0.5, 0.0));
+        assert!(w > watts(&m, 36, 0.5, 0.0, 0.0));
     }
 
     #[test]
@@ -330,27 +299,17 @@ mod tests {
             ..SwitchPowerModel::default()
         };
         assert!(m.validate().unwrap_err().contains("nominal_w"));
-        let m = SwitchPowerModel {
-            rate_fraction: 1.5,
-            ..SwitchPowerModel::default()
-        };
-        assert!(m.validate().unwrap_err().contains("rate_fraction"));
     }
 
     #[test]
     fn rate_rung_sits_between_wrps_and_deep() {
         let m = SwitchPowerModel::default();
-        let wrps = m.mean_power_ladder_w(36, 1.0, 0.0, 0.0);
-        let rate = m.mean_power_ladder_w(36, 0.0, 1.0, 0.0);
-        let deep = m.mean_power_ladder_w(36, 0.0, 0.0, 1.0);
+        let wrps = watts(&m, 36, 1.0, 0.0, 0.0);
+        let rate = watts(&m, 36, 0.0, 1.0, 0.0);
+        let deep = watts(&m, 36, 0.0, 0.0, 1.0);
         assert!(deep < rate && rate < wrps, "{deep} < {rate} < {wrps}");
         // All ports rate-reduced: PHYs at 25%, everything else nominal.
         let expect = 130.0 * (0.64 * 0.25 + 0.36);
         assert!((rate - expect).abs() < 1e-9, "{rate} vs {expect}");
-        // Depth-unaware entry point is the rate_frac = 0 special case.
-        assert_eq!(
-            m.mean_power_w(36, 0.3, 0.2),
-            m.mean_power_ladder_w(36, 0.3, 0.0, 0.2)
-        );
     }
 }

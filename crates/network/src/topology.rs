@@ -19,7 +19,6 @@
 //! top switch uniformly at random per message.
 
 use crate::config::SimParams;
-use ibp_simcore::DetRng;
 use ibp_trace::Rank;
 
 /// A unidirectional channel index.
@@ -112,18 +111,10 @@ impl FatTree {
     }
 
     /// Route a message from `src` to `dst` rank. Cross-leaf traffic
-    /// ascends to a *random* top switch (random routing, Table II),
-    /// drawn from `rng`.
-    ///
-    /// # Panics
-    /// Panics if `src == dst` (loopback traffic never enters the fabric).
-    pub fn route_inline(&self, src: Rank, dst: Rank, rng: &mut DetRng) -> InlineRoute {
-        self.route_with(src, dst, |tops| rng.index(tops as usize) as u32)
-    }
-
-    /// [`FatTree::route_inline`] with the top-switch draw deferred:
-    /// `draw_top(top_count)` runs only for a cross-leaf route, so a
-    /// caller can skip building a random stream for same-leaf traffic.
+    /// ascends to a *random* top switch (random routing, Table II)
+    /// picked by `draw_top(top_count)`, which runs only for a cross-leaf
+    /// route, so a caller can skip building a random stream for
+    /// same-leaf traffic.
     ///
     /// # Panics
     /// Panics if `src == dst` (loopback traffic never enters the fabric).
@@ -162,9 +153,15 @@ impl FatTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ibp_simcore::DetRng;
 
     fn tree(n: u32) -> FatTree {
         FatTree::new(&SimParams::paper(), n)
+    }
+
+    /// Route with the top switch drawn from `rng`.
+    fn route(t: &FatTree, src: Rank, dst: Rank, rng: &mut DetRng) -> InlineRoute {
+        t.route_with(src, dst, |tops| rng.index(tops as usize) as u32)
     }
 
     #[test]
@@ -204,7 +201,7 @@ mod tests {
         let t = tree(36);
         let mut rng = DetRng::seed_from_u64(1);
         // Ranks 0 and 5 share leaf 0.
-        let r = t.route_inline(0, 5, &mut rng);
+        let r = route(&t, 0, 5, &mut rng);
         assert_eq!(r.channels(), [t.host_up(0), t.host_down(5)]);
         assert_eq!(r.hops, 1);
     }
@@ -214,7 +211,7 @@ mod tests {
         let t = tree(128);
         let mut rng = DetRng::seed_from_u64(2);
         // Ranks 0 (leaf 0) and 20 (leaf 1).
-        let r = t.route_inline(0, 20, &mut rng);
+        let r = route(&t, 0, 20, &mut rng);
         assert_eq!(r.channels().len(), 4);
         assert_eq!(r.hops, 3);
         assert_eq!(r.channels()[0], t.host_up(0));
@@ -227,7 +224,7 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(3);
         let mut tops = std::collections::HashSet::new();
         for _ in 0..200 {
-            let r = t.route_inline(0, 20, &mut rng);
+            let r = route(&t, 0, 20, &mut rng);
             tops.insert(r.channels()[1]);
         }
         assert!(
@@ -239,22 +236,28 @@ mod tests {
 
     #[test]
     fn deferred_draw_matches_rng_route() {
-        // The fabric's deferred draw picks the same channels as a draw
-        // from the same stream position, and a same-leaf route never
-        // draws at all (the stream stays where it was).
+        // A cross-leaf route takes its top switch from the caller's
+        // stream position, and a same-leaf route never draws at all
+        // (the stream stays where it was).
         let t = tree(128);
         for (src, dst) in [(0u32, 5u32), (0, 20), (17, 3), (100, 101)] {
             let mut rng_a = DetRng::seed_from_u64(9);
             let mut rng_b = DetRng::seed_from_u64(9);
+            let (sl, dl) = (t.leaf_of(src), t.leaf_of(dst));
             for _ in 0..50 {
-                let eager = t.route_inline(src, dst, &mut rng_a);
-                let mut drew = false;
-                let deferred = t.route_with(src, dst, |tops| {
-                    drew = true;
-                    rng_b.index(tops as usize) as u32
-                });
-                assert_eq!(eager, deferred);
-                assert_eq!(drew, eager.hops == 3);
+                let r = route(&t, src, dst, &mut rng_a);
+                if sl == dl {
+                    assert_eq!(r.channels(), [t.host_up(src), t.host_down(dst)]);
+                } else {
+                    let top = rng_b.index(18) as u32;
+                    let want = [
+                        t.host_up(src),
+                        t.up_channel(sl, top),
+                        t.down_channel(top, dl),
+                        t.host_down(dst),
+                    ];
+                    assert_eq!(r.channels(), want);
+                }
             }
             assert_eq!(rng_a.next_u64(), rng_b.next_u64());
         }
@@ -265,6 +268,6 @@ mod tests {
     fn loopback_panics() {
         let t = tree(8);
         let mut rng = DetRng::seed_from_u64(4);
-        t.route_inline(3, 3, &mut rng);
+        route(&t, 3, 3, &mut rng);
     }
 }

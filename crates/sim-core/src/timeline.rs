@@ -1,10 +1,8 @@
-//! State timelines with time integration.
+//! State timelines.
 //!
 //! A [`StateTimeline`] records when a component (a link, a lane group, a
 //! switch port) changes state, and can afterwards answer "how long was it
-//! in state S?" and "what is the time-weighted average of f(state)?".
-//! Link power accounting is exactly that second question with
-//! `f = power draw of the state`.
+//! in state S?" — the per-link power timelines rendered as Fig. 6.
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -80,11 +78,6 @@ impl<S: Copy + PartialEq> StateTimeline<S> {
         self.transitions.last().expect("timeline never empty").0
     }
 
-    /// Number of recorded transitions (including the initial state).
-    pub fn transition_count(&self) -> usize {
-        self.transitions.len()
-    }
-
     /// Iterate over maximal constant-state intervals, closing the final
     /// interval at `end`.
     ///
@@ -118,26 +111,6 @@ impl<S: Copy + PartialEq> StateTimeline<S> {
             .map(|iv| iv.duration())
             .sum()
     }
-
-    /// Time-weighted integral of `value(state)` over `[0, end)`, in
-    /// value-seconds. With `value` = power in watts this is energy in
-    /// joules.
-    pub fn integrate(&self, end: SimTime, mut value: impl FnMut(S) -> f64) -> f64 {
-        self.intervals(end)
-            .map(|iv| value(iv.state) * iv.duration().as_secs_f64())
-            .sum()
-    }
-
-    /// Time-weighted mean of `value(state)` over `[0, end)`.
-    ///
-    /// Returns 0 for a zero-length timeline.
-    pub fn time_average(&self, end: SimTime, value: impl FnMut(S) -> f64) -> f64 {
-        let total = end.as_secs_f64();
-        if total == 0.0 {
-            return 0.0;
-        }
-        self.integrate(end, value) / total
-    }
 }
 
 #[cfg(test)]
@@ -159,14 +132,10 @@ mod tests {
 
         let low = tl.time_in(end, |s| s == Mode::Low);
         assert_eq!(low, SimDuration::from_us(20));
-
-        // Power: Full = 1.0, Low = 0.43 (the WRPS ratio).
-        let avg = tl.time_average(end, |s| match s {
-            Mode::Full => 1.0,
-            Mode::Low => 0.43,
-        });
-        let expect = (10.0 * 1.0 + 20.0 * 0.43 + 10.0 * 1.0) / 40.0;
-        assert!((avg - expect).abs() < 1e-12, "{avg} vs {expect}");
+        assert_eq!(
+            tl.time_in(end, |s| s == Mode::Full),
+            SimDuration::from_us(20)
+        );
     }
 
     #[test]
@@ -174,7 +143,7 @@ mod tests {
         let mut tl = StateTimeline::new(Mode::Full);
         tl.record(SimTime::from_us(5), Mode::Full);
         tl.record(SimTime::from_us(9), Mode::Full);
-        assert_eq!(tl.transition_count(), 1);
+        assert_eq!(tl.intervals(SimTime::from_us(20)).count(), 1);
     }
 
     #[test]
@@ -182,7 +151,7 @@ mod tests {
         let mut tl = StateTimeline::new(Mode::Full);
         tl.record(SimTime::from_us(10), Mode::Low);
         tl.record(SimTime::from_us(10), Mode::Full); // collapses back
-        assert_eq!(tl.transition_count(), 1);
+        assert_eq!(tl.intervals(SimTime::from_us(10)).count(), 1);
         assert_eq!(tl.current(), Mode::Full);
 
         tl.record(SimTime::from_us(20), Mode::Low);
@@ -215,11 +184,5 @@ mod tests {
         let mut tl = StateTimeline::new(0u8);
         tl.record(SimTime::from_us(10), 1);
         tl.record(SimTime::from_us(5), 2);
-    }
-
-    #[test]
-    fn zero_length_timeline_average_is_zero() {
-        let tl = StateTimeline::new(1u8);
-        assert_eq!(tl.time_average(SimTime::ZERO, |_| 100.0), 0.0);
     }
 }

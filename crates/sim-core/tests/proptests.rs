@@ -25,10 +25,6 @@ proptest! {
         // time_in over all states also covers everything.
         let all = tl.time_in(end, |_| true);
         prop_assert_eq!(all, end.since(SimTime::ZERO));
-
-        // integrate with constant 1.0 gives the horizon in seconds.
-        let x = tl.integrate(end, |_| 1.0);
-        prop_assert!((x - end.as_secs_f64()).abs() < 1e-12);
     }
 
     /// Split RNG streams are reproducible: same root seed + label always

@@ -89,11 +89,6 @@ pub fn rank_imbalance(nprocs: u32, spread: f64, rng: &mut DetRng) -> Vec<f64> {
         .collect()
 }
 
-/// Ring neighbours of `rank` in a ring of `n`.
-pub fn ring_neighbors(rank: Rank, n: u32) -> (Rank, Rank) {
-    ((rank + 1) % n, (rank + n - 1) % n)
-}
-
 /// Integer square root if `n` is a perfect square.
 pub fn square_side(n: u32) -> Option<u32> {
     let s = (f64::from(n)).sqrt().round() as u32;
@@ -173,12 +168,6 @@ mod tests {
         assert!(f.iter().all(|&x| x >= 0.5));
         let mean: f64 = f.iter().sum::<f64>() / 64.0;
         assert!((mean - 1.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn ring_wraps() {
-        assert_eq!(ring_neighbors(0, 8), (1, 7));
-        assert_eq!(ring_neighbors(7, 8), (0, 6));
     }
 
     #[test]
