@@ -116,6 +116,14 @@ impl Default for ReplayOptions {
 pub enum ReplayError {
     /// The trace has no ranks.
     EmptyTrace,
+    /// The trace has more ranks than the fat tree has nodes (each rank
+    /// gets a node of its own).
+    TooManyRanks {
+        /// Ranks in the trace.
+        nprocs: u32,
+        /// Node slots in the fat tree.
+        capacity: u32,
+    },
     /// The annotation set covers a different number of ranks than the
     /// trace.
     AnnotationRankMismatch {
@@ -164,6 +172,11 @@ impl fmt::Display for ReplayError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ReplayError::EmptyTrace => write!(f, "trace has no ranks"),
+            ReplayError::TooManyRanks { nprocs, capacity } => write!(
+                f,
+                "trace has {nprocs} ranks but the fat tree has only \
+                 {capacity} nodes"
+            ),
             ReplayError::AnnotationRankMismatch { trace, annotated } => write!(
                 f,
                 "annotation/trace rank mismatch: trace has {trace} ranks, \
@@ -750,6 +763,12 @@ pub fn replay_with_scratch(
     let n = trace.nprocs;
     if n < 1 {
         return Err(ReplayError::EmptyTrace);
+    }
+    if n > params.node_capacity() {
+        return Err(ReplayError::TooManyRanks {
+            nprocs: n,
+            capacity: params.node_capacity(),
+        });
     }
     if let Some(a) = ann {
         if a.ranks.len() != n as usize {
@@ -2050,6 +2069,23 @@ mod tests {
         let err = replay(&t, None, &SimParams::paper(), &ReplayOptions::default())
             .expect_err("empty trace");
         assert_eq!(err, ReplayError::EmptyTrace);
+    }
+
+    #[test]
+    fn more_ranks_than_nodes_is_a_typed_error() {
+        let mut b = TraceBuilder::new("wide", 253);
+        b.compute(0, us(10));
+        let t = b.build();
+        let err = replay(&t, None, &SimParams::paper(), &ReplayOptions::default())
+            .expect_err("253 ranks on 252 nodes");
+        assert_eq!(
+            err,
+            ReplayError::TooManyRanks {
+                nprocs: 253,
+                capacity: 252
+            }
+        );
+        assert!(err.to_string().contains("253 ranks"), "{err}");
     }
 
     #[test]
