@@ -4,6 +4,8 @@
 //! silently missing output — and a closed stdout must end the program
 //! quietly, never with a panic.
 
+use ibp_simcore::SimDuration;
+use ibp_trace::{MpiOp, Trace, TraceBuilder};
 use std::process::Command;
 
 /// `ibpower exhibits table4` with extra `args` and environment `env`.
@@ -167,4 +169,81 @@ fn bench_report_check_leaves_the_trajectory_untouched() {
         String::from_utf8_lossy(&out.stdout).contains("left unchanged"),
         "{out:?}"
     );
+}
+
+/// Run `ibpower` with `args` and require one typed `error:` line
+/// containing `needle` and exit 1 — never a panic (exit 101).
+fn assert_typed_error(args: &[&str], needle: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_ibpower"))
+        .args(args)
+        .output()
+        .expect("spawn ibpower");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 1, "{args:?}: {stderr}");
+    assert!(lines[0].starts_with("error:"), "{args:?}: {stderr}");
+    assert!(lines[0].contains(needle), "{args:?}: {stderr}");
+}
+
+/// A two-rank trace of compute bursts and `Allreduce`s; `burst(rank, i)`
+/// is the compute before call `i` and `burst(rank, 3)` the final compute.
+fn allreduce_trace(burst: impl Fn(u32, usize) -> u64) -> Trace {
+    let mut b = TraceBuilder::new("hostile", 2);
+    for r in 0..2 {
+        for i in 0..3 {
+            b.compute(r, SimDuration::from_ns(burst(r, i)));
+            b.op(r, MpiOp::Allreduce { bytes: 8 });
+        }
+        b.compute(r, SimDuration::from_ns(burst(r, 3)));
+    }
+    b.build()
+}
+
+/// A trace wider than the 252-node fat tree, or one whose compute the
+/// replay clock cannot hold, is refused with a typed error.
+#[test]
+fn oversized_traces_are_typed_errors() {
+    let dir = std::env::temp_dir().join(format!("ibp-oversized-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |name: &str| {
+        dir.join(name)
+            .to_str()
+            .expect("utf-8 temp path")
+            .to_string()
+    };
+
+    assert_typed_error(&["experiment", "alya", "300"], "300 ranks");
+    let mut b = TraceBuilder::new("wide", 253);
+    for r in 0..253 {
+        b.compute(r, SimDuration::from_us(10));
+        b.op(r, MpiOp::Barrier);
+    }
+    let wide = path("wide.json");
+    ibp_trace::io::save(&b.build(), &wide).expect("save wide trace");
+    assert_typed_error(&["replay", &wide], "253 ranks");
+
+    let long = i64::MAX as u64;
+    let hostile = [
+        (
+            "burst.json",
+            allreduce_trace(|r, i| if r == 1 && i == 0 { u64::MAX } else { 100_000 }),
+        ),
+        (
+            "bursts.json",
+            allreduce_trace(|r, i| if r == 1 && i < 3 { long } else { 100_000 }),
+        ),
+        (
+            "final.json",
+            allreduce_trace(|r, i| if r == 1 && i == 3 { u64::MAX } else { 100_000 }),
+        ),
+    ];
+    for (name, trace) in hostile {
+        let file = path(name);
+        ibp_trace::io::save(&trace, &file).expect("save hostile trace");
+        for cmd in ["inspect", "annotate", "replay"] {
+            assert_typed_error(&[cmd, &file], "rank 1");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -151,7 +151,7 @@ pub fn load(path: impl AsRef<Path>) -> Result<Trace, TraceError> {
 mod tests {
     use super::*;
     use crate::event::MpiOp;
-    use crate::trace::TraceBuilder;
+    use crate::trace::{RankTrace, TraceBuilder};
     use ibp_simcore::SimDuration;
 
     fn sample() -> Trace {
@@ -207,6 +207,34 @@ mod tests {
             Err(TraceIoError::Invalid(msg)) => assert!(msg.contains("out of range")),
             other => panic!("expected Invalid, got {other:?}"),
         }
+
+        // Compute that overflows, or outgrows the replay clock: one burst
+        // of u64::MAX ns, three of i64::MAX ns, a final compute of
+        // u64::MAX ns — each on rank 1 only.
+        let huge = SimDuration::from_ns(u64::MAX);
+        let long = SimDuration::from_ns(i64::MAX as u64);
+        let mut burst = sample();
+        set_compute(&mut burst.ranks[1], &[huge]);
+        let mut bursts = sample();
+        set_compute(&mut bursts.ranks[1], &[long; 3]);
+        let mut last = sample();
+        last.ranks[1].final_compute = huge;
+        for t in [burst, bursts, last] {
+            let json = serde_json::to_string(&t).unwrap();
+            match from_json(&json) {
+                Err(TraceIoError::Invalid(msg)) => assert!(msg.contains("rank 1"), "{msg}"),
+                other => panic!("expected Invalid, got {other:?}"),
+            }
+        }
+    }
+
+    /// Overwrite the compute bursts before `r`'s first calls.
+    fn set_compute(r: &mut RankTrace, bursts: &[SimDuration]) {
+        let mut events: Vec<_> = r.events.iter().collect();
+        for (e, &c) in events.iter_mut().zip(bursts) {
+            e.compute_before = c;
+        }
+        r.events = events.into_iter().collect();
     }
 
     #[test]

@@ -16,6 +16,15 @@ use crate::event::{MpiCall, MpiOp, Rank};
 use ibp_simcore::SimDuration;
 use serde::{Deserialize, Serialize};
 
+/// Compute time, in ns, that all ranks of a trace may hold together:
+/// the replay's scheduler key packs a rank's clock above the rank-id
+/// bits, so at 252 ranks it holds `u64::MAX >> 8` ns (about 2.3
+/// simulated years). [`Trace::validate`] caps each rank at this range
+/// divided by the rank count — about 79 simulated hours per rank at 252
+/// ranks — so every rank's compute fits the replay clock and any sum
+/// over the whole trace (idle totals, call profiles) fits as well.
+const TRACE_COMPUTE_NS: u64 = u64::MAX >> 8;
+
 /// One trace record: the compute burst since the previous MPI call, then
 /// the MPI operation itself.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -110,7 +119,9 @@ impl Trace {
     /// * point-to-point peers are in range,
     /// * every `Wait`/`Waitall` request was previously posted by an
     ///   `Isend`/`Irecv` on the same rank and is claimed exactly once,
-    /// * collective roots are in range.
+    /// * collective roots are in range,
+    /// * each rank's compute (its bursts plus `final_compute`) stays
+    ///   within its share of [`TRACE_COMPUTE_NS`].
     ///
     /// Returns a description of the first violation found.
     pub fn validate(&self) -> Result<(), String> {
@@ -124,6 +135,19 @@ impl Trace {
         for (i, r) in self.ranks.iter().enumerate() {
             if r.rank as usize != i {
                 return Err(format!("rank {} stored at position {}", r.rank, i));
+            }
+            let cap = TRACE_COMPUTE_NS / u64::from(self.nprocs);
+            let compute = r
+                .events
+                .compute()
+                .iter()
+                .try_fold(r.final_compute.as_ns(), |sum, c| sum.checked_add(c.as_ns()));
+            if compute.is_none_or(|ns| ns > cap) {
+                return Err(format!(
+                    "rank {i}: compute time exceeds the {cap} ns a rank may hold \
+                     in a {}-rank trace",
+                    self.nprocs
+                ));
             }
             let in_range = |p: Rank| (p as usize) < self.ranks.len();
             let mut posted: std::collections::HashSet<u32> = std::collections::HashSet::new();
