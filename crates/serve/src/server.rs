@@ -1909,62 +1909,15 @@ fn route(frame: ClientFrame, token: u64, r: &mut Reactor) {
             let Some(conn) = r.conns.get_mut(&token) else {
                 return;
             };
-            if conn.sessions.contains_key(&session) {
-                send_error(
-                    &conn.tx,
-                    metrics,
-                    session,
-                    error_code::DUPLICATE_SESSION,
-                    format!("session {session} is already open"),
-                );
-                return;
+            if !refuse_duplicate(&shared, conn, session) {
+                open_hot(&shared, conn, session, Session::open(rank, *config), None);
             }
-            if live_elsewhere(&shared, session) {
-                send_error(
-                    &conn.tx,
-                    metrics,
-                    session,
-                    error_code::DUPLICATE_SESSION,
-                    format!("session {session} is still live on another connection"),
-                );
-                return;
-            }
-            let cell = new_cell(session, Session::open(rank, *config), &shared, &conn.tx);
-            register(&shared, session, &cell);
-            conn.sessions.insert(session, Arc::clone(&cell));
-            metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
-            send_frame_local(
-                &conn.tx,
-                &ServerFrame::OpenAck {
-                    session,
-                    events_applied: 0,
-                },
-            );
-            lru_touch(&shared, &cell);
-            maybe_evict(&shared);
         }
         ClientFrame::Restore { session, snapshot } => {
             let Some(conn) = r.conns.get_mut(&token) else {
                 return;
             };
-            if conn.sessions.contains_key(&session) {
-                send_error(
-                    &conn.tx,
-                    metrics,
-                    session,
-                    error_code::DUPLICATE_SESSION,
-                    format!("session {session} is already open"),
-                );
-                return;
-            }
-            if live_elsewhere(&shared, session) {
-                send_error(
-                    &conn.tx,
-                    metrics,
-                    session,
-                    error_code::DUPLICATE_SESSION,
-                    format!("session {session} is still live on another connection"),
-                );
+            if refuse_duplicate(&shared, conn, session) {
                 return;
             }
             if snapshot.is_empty() {
@@ -1972,22 +1925,7 @@ fn route(frame: ClientFrame, token: u64, r: &mut Reactor) {
                 return;
             }
             match Session::restore(&snapshot) {
-                Ok(restored) => {
-                    let events_applied = restored.events_applied();
-                    let cell = new_cell(session, restored, &shared, &conn.tx);
-                    register(&shared, session, &cell);
-                    conn.sessions.insert(session, Arc::clone(&cell));
-                    metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
-                    send_frame_local(
-                        &conn.tx,
-                        &ServerFrame::OpenAck {
-                            session,
-                            events_applied,
-                        },
-                    );
-                    lru_touch(&shared, &cell);
-                    maybe_evict(&shared);
-                }
+                Ok(restored) => open_hot(&shared, conn, session, restored, None),
                 Err(e) => send_error(
                     &conn.tx,
                     metrics,
@@ -2265,30 +2203,17 @@ fn restore_from_store(session: u32, token: u64, r: &mut Reactor) {
     };
     match Session::restore_from_record(&record) {
         Ok(restored) => {
-            let cell = new_cell(session, restored, &shared, &conn.tx);
-            register(&shared, session, &cell);
-            conn.sessions.insert(session, Arc::clone(&cell));
-            metrics.sessions_opened.fetch_add(1, Ordering::Relaxed);
             metrics.sessions_rehydrated.fetch_add(1, Ordering::Relaxed);
-            send_frame_local(
-                &conn.tx,
-                &ServerFrame::OpenAck {
-                    session,
-                    events_applied: record.events,
-                },
-            );
             // Replay the stored history so the client can rebuild its
-            // parity accounting from event 0 before resuming.
-            send_frame_local(
-                &conn.tx,
-                &ServerFrame::Directives {
-                    session,
-                    events_applied: record.events,
-                    directives: record.directives,
-                },
-            );
-            lru_touch(&shared, &cell);
-            maybe_evict(&shared);
+            // parity accounting from event 0 before resuming. The store
+            // loads only a record whose `events` matches its snapshot's
+            // event index, so this frame and `OpenAck` agree.
+            let history = ServerFrame::Directives {
+                session,
+                events_applied: record.events,
+                directives: record.directives,
+            };
+            open_hot(&shared, conn, session, restored, Some(history));
         }
         Err(e) => send_error(
             &conn.tx,
@@ -2298,6 +2223,60 @@ fn restore_from_store(session: u32, token: u64, r: &mut Reactor) {
             format!("stored snapshot for session {session} failed to restore: {e}"),
         ),
     }
+}
+
+/// Refuse an `Open` or `Restore` of a session id that is already open
+/// on this connection or still live on another (see
+/// [`live_elsewhere`]): send `DUPLICATE_SESSION` and return true.
+fn refuse_duplicate(shared: &Shared, conn: &Conn, session: u32) -> bool {
+    let message = if conn.sessions.contains_key(&session) {
+        format!("session {session} is already open")
+    } else if live_elsewhere(shared, session) {
+        format!("session {session} is still live on another connection")
+    } else {
+        return false;
+    };
+    send_error(
+        &conn.tx,
+        &shared.metrics,
+        session,
+        error_code::DUPLICATE_SESSION,
+        message,
+    );
+    true
+}
+
+/// Make `session` a hot session of `conn` under `id`: register its
+/// cell, count the open, answer `OpenAck` at the session's resume
+/// position (then `history`, a store restore's directive replay), and
+/// let the pager make room.
+fn open_hot(
+    shared: &Arc<Shared>,
+    conn: &mut Conn,
+    id: u32,
+    session: Session,
+    history: Option<ServerFrame>,
+) {
+    let events_applied = session.events_applied();
+    let cell = new_cell(id, session, shared, &conn.tx);
+    register(shared, id, &cell);
+    conn.sessions.insert(id, Arc::clone(&cell));
+    shared
+        .metrics
+        .sessions_opened
+        .fetch_add(1, Ordering::Relaxed);
+    send_frame_local(
+        &conn.tx,
+        &ServerFrame::OpenAck {
+            session: id,
+            events_applied,
+        },
+    );
+    if let Some(frame) = history {
+        send_frame_local(&conn.tx, &frame);
+    }
+    lru_touch(shared, &cell);
+    maybe_evict(shared);
 }
 
 fn new_cell(id: u32, session: Session, shared: &Arc<Shared>, tx: &Arc<ConnTx>) -> Arc<SessionCell> {
