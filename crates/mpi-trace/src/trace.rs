@@ -120,8 +120,9 @@ impl Trace {
     /// * every `Wait`/`Waitall` request was previously posted by an
     ///   `Isend`/`Irecv` on the same rank and is claimed exactly once,
     /// * collective roots are in range,
-    /// * each rank's compute (its bursts plus `final_compute`) stays
-    ///   within its share of [`TRACE_COMPUTE_NS`].
+    /// * each rank's compute (its bursts plus `final_compute`) stays at
+    ///   or below `(u64::MAX >> 8) / nprocs` ns, its share of the replay
+    ///   clock's range at 252 ranks.
     ///
     /// Returns a description of the first violation found.
     pub fn validate(&self) -> Result<(), String> {
