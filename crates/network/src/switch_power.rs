@@ -119,7 +119,9 @@ impl SwitchPowerModel {
     /// * `sleep_frac` — mean fraction of the run each managed port spent
     ///   in each sleep depth, indexed by [`SleepKind`];
     /// * `draws` — each depth's relative link draw, indexed by
-    ///   [`SleepKind`] (a run's [`SimResult::sleep_power_fraction`]).
+    ///   [`SleepKind`] (a run's [`SimResult::sleep_power_fraction`]);
+    ///   the deep entry goes unused, as a deep-sleeping PHY's residual
+    ///   draw is folded into control.
     ///
     /// WRPS and rate reduction scale only the PHYs (every lane of a
     /// rate-reduced port stays up, slower). Deep sleep also removes the
