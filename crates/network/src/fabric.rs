@@ -38,11 +38,6 @@ pub struct Fabric {
     /// The routing stream's split base ([`DetRng::split_from`]): each
     /// cross-leaf message derives its own stream from it.
     route_base: u64,
-    /// Per (src,dst) message sequence numbers for identity-stable
-    /// routing, stored dense (`src * nprocs + dst`): replays touch most
-    /// pairs anyway and the direct index beats a hash probe per message.
-    pair_seq: Vec<u64>,
-    nprocs: u32,
     stats: FabricStats,
     /// One-entry serialization-time memo `(bytes, serial)`: traces use a
     /// handful of message sizes in long runs of the same size, and
@@ -61,8 +56,6 @@ impl Fabric {
             topo,
             free,
             route_base: DetRng::seed_from_u64(seed).split(0xFAB).next_u64(),
-            pair_seq: vec![0; (nprocs as usize) * (nprocs as usize)],
-            nprocs,
             stats: FabricStats::default(),
             serial_memo: Cell::new((0, SimDuration::ZERO)),
         }
@@ -88,21 +81,26 @@ impl Fabric {
     /// the message streams through (switch buffers are assumed ample, as
     /// in Dimemas, so downstream congestion does not back-pressure
     /// upstream channels). The route's top switch is chosen by hashing
-    /// the message identity (src, dst, per-pair sequence number), so the
-    /// same message takes the same path in every replay of the same
-    /// trace — baseline and power-managed runs see identical routing.
-    pub fn transfer(&mut self, send_time: SimTime, src: Rank, dst: Rank, bytes: u64) -> SimTime {
+    /// the message identity (src, dst, `seq`), so the same message takes
+    /// the same path in every replay of the same trace — baseline and
+    /// power-managed runs see identical routing. `seq` is the message's
+    /// 1-based number among the messages `src` has sent to `dst`; the
+    /// caller counts them (the replay's per-pair receive state already
+    /// does).
+    pub fn transfer(
+        &mut self,
+        send_time: SimTime,
+        src: Rank,
+        dst: Rank,
+        seq: u64,
+        bytes: u64,
+    ) -> SimTime {
         self.stats.messages += 1;
         self.stats.bytes += bytes;
         if src == dst {
             // Self-message: memcpy through the MPI library, no fabric.
             return send_time + self.params.mpi_latency;
         }
-        let seq = {
-            let c = &mut self.pair_seq[(src * self.nprocs + dst) as usize];
-            *c += 1;
-            *c
-        };
         // Only a cross-leaf route draws (its top switch), so only then
         // is the message's stream derived.
         let label = (u64::from(src) << 40) | (u64::from(dst) << 16) | (seq & 0xFFFF);
@@ -166,7 +164,7 @@ mod tests {
         let mut f = fabric(36);
         // Same leaf (ranks 0 and 1): 2 channels, 2 hop latencies.
         let t0 = SimTime::from_us(100);
-        let arrival = f.transfer(t0, 0, 1, 2048);
+        let arrival = f.transfer(t0, 0, 1, 1, 2048);
         let expect = t0
             + SimDuration::from_us(1)          // MPI latency
             + SimDuration::from_ns(200)        // 2 hops
@@ -179,7 +177,7 @@ mod tests {
         let mut f = fabric(128);
         let t0 = SimTime::from_us(100);
         // Ranks 0 (leaf 0) and 20 (leaf 1): 4 channels.
-        let arrival = f.transfer(t0, 0, 20, 2048);
+        let arrival = f.transfer(t0, 0, 20, 1, 2048);
         let expect =
             t0 + SimDuration::from_us(1) + SimDuration::from_ns(400) + SimDuration::from_ns(410);
         assert_eq!(arrival, expect);
@@ -190,8 +188,8 @@ mod tests {
         let mut f = fabric(36);
         let t0 = SimTime::from_us(0);
         // Two messages from rank 0: the host uplink is shared.
-        let a1 = f.transfer(t0, 0, 1, 1 << 20);
-        let a2 = f.transfer(t0, 0, 2, 1 << 20);
+        let a1 = f.transfer(t0, 0, 1, 1, 1 << 20);
+        let a2 = f.transfer(t0, 0, 2, 1, 1 << 20);
         assert!(a2 > a1, "second message must queue behind the first");
         // The second waits for the first's tail: ≥ one full serialization.
         let serial = f.params().serialize(1 << 20);
@@ -203,8 +201,8 @@ mod tests {
     fn disjoint_routes_do_not_contend() {
         let mut f = fabric(36);
         let t0 = SimTime::from_us(0);
-        let a1 = f.transfer(t0, 0, 1, 1 << 20);
-        let a2 = f.transfer(t0, 2, 3, 1 << 20);
+        let a1 = f.transfer(t0, 0, 1, 1, 1 << 20);
+        let a2 = f.transfer(t0, 2, 3, 1, 1 << 20);
         assert_eq!(a1, a2, "disjoint same-leaf routes are independent");
         assert_eq!(f.stats().contended, 0);
     }
@@ -213,24 +211,27 @@ mod tests {
     fn self_message_skips_fabric() {
         let mut f = fabric(8);
         let t0 = SimTime::from_us(5);
-        assert_eq!(f.transfer(t0, 3, 3, 1 << 30), t0 + SimDuration::from_us(1));
+        assert_eq!(
+            f.transfer(t0, 3, 3, 1, 1 << 30),
+            t0 + SimDuration::from_us(1)
+        );
     }
 
     #[test]
     fn bigger_messages_take_longer() {
         let mut f = fabric(8);
         let t0 = SimTime::from_us(0);
-        let small = f.transfer(t0, 0, 1, 1024);
+        let small = f.transfer(t0, 0, 1, 1, 1024);
         let mut f2 = fabric(8);
-        let large = f2.transfer(t0, 0, 1, 1 << 20);
+        let large = f2.transfer(t0, 0, 1, 1, 1 << 20);
         assert!(large > small);
     }
 
     #[test]
     fn stats_accumulate() {
         let mut f = fabric(8);
-        f.transfer(SimTime::ZERO, 0, 1, 100);
-        f.transfer(SimTime::ZERO, 1, 2, 200);
+        f.transfer(SimTime::ZERO, 0, 1, 1, 100);
+        f.transfer(SimTime::ZERO, 1, 2, 1, 200);
         assert_eq!(f.stats().messages, 2);
         assert_eq!(f.stats().bytes, 300);
     }

@@ -1528,10 +1528,10 @@ impl<'a> Replay<'a> {
         bytes: u64,
     ) -> Result<SimTime, ReplayError> {
         let (t, extra) = self.draw_send_fault(src as usize, t, bytes);
-        let at = self.fabric.transfer(t, src, dst, bytes) + extra;
-        self.last_arrival = self.last_arrival.max(at);
         let p = &mut self.scratch.pairs[(src * self.trace.nprocs + dst) as usize];
         let k = p.sent();
+        let at = self.fabric.transfer(t, src, dst, u64::from(k) + 1, bytes) + extra;
+        self.last_arrival = self.last_arrival.max(at);
         p.fifo.push_back(Arrival { at, taken: false });
         if p.waiter != NO_WAITER && p.waiter_k == k {
             let w = p.waiter;

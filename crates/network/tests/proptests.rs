@@ -45,6 +45,19 @@ fn arb_fault_config() -> impl Strategy<Value = FaultConfig> {
         })
 }
 
+/// The 1-based number of each message among those sent on its
+/// (src, dst) pair, counted here rather than by any replay engine.
+#[derive(Default)]
+struct PairSeq(std::collections::HashMap<(u32, u32), u64>);
+
+impl PairSeq {
+    fn next(&mut self, src: u32, dst: u32) -> u64 {
+        let n = self.0.entry((src, dst)).or_default();
+        *n += 1;
+        *n
+    }
+}
+
 proptest! {
     /// Transfers are causal (arrival after send) and monotone in size.
     #[test]
@@ -52,9 +65,10 @@ proptest! {
         msgs in proptest::collection::vec((0u32..36, 0u32..36, 1u64..1_000_000, 0u64..1_000_000), 1..100)
     ) {
         let mut f = Fabric::new(SimParams::paper(), 36, 7);
+        let mut seq = PairSeq::default();
         for &(src, dst, bytes, at_us) in &msgs {
             let t = SimTime::from_us(at_us);
-            let arrival = f.transfer(t, src, dst, bytes);
+            let arrival = f.transfer(t, src, dst, seq.next(src, dst), bytes);
             prop_assert!(arrival > t, "arrival not after send");
             let min = SimParams::paper().serialize(bytes);
             if src != dst {
@@ -73,8 +87,9 @@ proptest! {
     ) {
         let run = || {
             let mut f = Fabric::new(SimParams::paper(), 128, seed);
+            let mut seq = PairSeq::default();
             msgs.iter()
-                .map(|&(s, d, b)| f.transfer(SimTime::ZERO, s, d, b))
+                .map(|&(s, d, b)| f.transfer(SimTime::ZERO, s, d, seq.next(s, d), b))
                 .collect::<Vec<_>>()
         };
         prop_assert_eq!(run(), run());

@@ -236,8 +236,9 @@ impl Reference<'_> {
                 self.stats.degraded_extra += extra;
             }
         }
-        let at = self.fabric.transfer(t, src, dst, bytes) + extra;
         let pair = (src * self.trace.nprocs + dst) as usize;
+        let seq = self.arrivals[pair].len() as u64 + 1;
+        let at = self.fabric.transfer(t, src, dst, seq, bytes) + extra;
         self.arrivals[pair].push(at);
         if let Some(w) = self.waiters.remove(&(pair, self.arrivals[pair].len() - 1)) {
             self.heap.push(Reverse((self.ranks[w as usize].t, w)));
