@@ -273,9 +273,17 @@ fn run(cmd: Command) -> Result<(), String> {
                 if m.is_symmetric() { " (symmetric)" } else { "" }
             );
 
+            // A trace too long for 1 ms bins is binned wider; the line
+            // names the width used.
             let act = ActivityProfile::of(&t, SimDuration::from_ms(1));
+            let ms = act.bin.as_ns() / 1_000_000;
+            let per = if ms == 1 {
+                String::new()
+            } else {
+                format!("{ms} ")
+            };
             println!(
-                "activity: peak {} calls/ms, {:.0}% of 1 ms windows quiet",
+                "activity: peak {} calls/{per}ms, {:.0}% of {ms} ms windows quiet",
                 act.peak(),
                 100.0 * act.quiet_fraction()
             );

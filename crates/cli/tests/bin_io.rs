@@ -247,3 +247,38 @@ fn oversized_traces_are_typed_errors() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A 2-rank, 2-call trace with 10^13 ns bursts spans 2·10^7 ms: binned
+/// at 1 ms, `inspect` would hold tens of megabytes of empty bins. It
+/// bins at the smallest multiple of 1 ms that keeps each rank within
+/// 2^20 bins, and says so.
+#[test]
+fn inspect_widens_activity_bins_for_long_traces() {
+    let dir = std::env::temp_dir().join(format!("ibp-long-bins-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = dir.join("long.json");
+    let mut b = TraceBuilder::new("long", 2);
+    for r in 0..2 {
+        for _ in 0..2 {
+            b.compute(r, SimDuration::from_ns(10_000_000_000_000));
+            b.op(r, MpiOp::Allreduce { bytes: 8 });
+        }
+    }
+    let file = file.to_str().expect("utf-8 temp path");
+    ibp_trace::io::save(&b.build(), file).expect("save long trace");
+    let out = Command::new(env!("CARGO_BIN_EXE_ibpower"))
+        .args(["inspect", file])
+        .output()
+        .expect("spawn ibpower");
+    std::fs::remove_dir_all(&dir).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{out:?}");
+    let activity = stdout
+        .lines()
+        .find(|l| l.starts_with("activity:"))
+        .unwrap_or_else(|| panic!("no activity line: {stdout}"));
+    assert_eq!(
+        activity, "activity: peak 1 calls/20 ms, 100% of 20 ms windows quiet",
+        "{stdout}"
+    );
+}

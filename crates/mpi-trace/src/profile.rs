@@ -12,7 +12,7 @@
 //!   the communication is), the quantity Fig. 6 visualises.
 
 use crate::event::{MpiCall, MpiOp};
-use crate::trace::Trace;
+use crate::trace::{RankTrace, Trace};
 use ibp_simcore::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -150,31 +150,55 @@ impl CommMatrix {
     }
 }
 
+/// Nominal call-entry times of one rank (compute before each call,
+/// summed; saturating, so any in-memory trace is total).
+fn entry_times(rank: &RankTrace) -> impl Iterator<Item = u64> + '_ {
+    rank.events.compute().iter().scan(0u64, |t, gap| {
+        *t = t.saturating_add(gap.as_ns());
+        Some(*t)
+    })
+}
+
+/// Upper bound on [`ActivityProfile`] bins per rank: a trace whose span
+/// needs more bins at the requested width is binned at a wider one.
+pub const MAX_ACTIVITY_BINS: u64 = 1 << 20;
+
 /// Time-binned MPI activity per rank, using nominal times.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ActivityProfile {
-    /// Bin width.
+    /// Bin width: the requested width, or the smallest multiple of it
+    /// that keeps every rank within [`MAX_ACTIVITY_BINS`] bins.
     pub bin: SimDuration,
     /// Per-rank vectors of call counts per bin.
     pub bins: Vec<Vec<u32>>,
 }
 
 impl ActivityProfile {
-    /// Bin the call-entry times of `trace` into windows of `bin`.
+    /// Bin the call-entry times of `trace` into windows of `bin`,
+    /// widened to the smallest multiple of `bin` that needs at most
+    /// [`MAX_ACTIVITY_BINS`] bins per rank, so memory follows the
+    /// trace's size rather than its simulated span.
     ///
     /// # Panics
     /// Panics if `bin` is zero.
     pub fn of(trace: &Trace, bin: SimDuration) -> Self {
         assert!(!bin.is_zero(), "bin width must be positive");
+        let span = trace
+            .ranks
+            .iter()
+            .filter_map(|rank| entry_times(rank).last())
+            .max()
+            .unwrap_or(0);
+        // The smallest k with span / (k · bin) < MAX_ACTIVITY_BINS.
+        let k = span / bin.as_ns().saturating_mul(MAX_ACTIVITY_BINS) + 1;
+        let width = bin.as_ns().saturating_mul(k);
         let bins = trace
             .ranks
             .iter()
             .map(|rank| {
                 let mut v: Vec<u32> = Vec::new();
-                let mut t = 0u64;
-                for gap in rank.events.compute() {
-                    t += gap.as_ns();
-                    let idx = (t / bin.as_ns()) as usize;
+                for t in entry_times(rank) {
+                    let idx = (t / width) as usize;
                     if idx >= v.len() {
                         v.resize(idx + 1, 0);
                     }
@@ -183,7 +207,10 @@ impl ActivityProfile {
                 v
             })
             .collect();
-        ActivityProfile { bin, bins }
+        ActivityProfile {
+            bin: SimDuration::from_ns(width),
+            bins,
+        }
     }
 
     /// Peak calls in any bin of any rank.
@@ -304,6 +331,31 @@ mod tests {
         // With coarser bins the sendrecv+allreduce pair lands together.
         let coarse = ActivityProfile::of(&t, us(600));
         assert!(coarse.peak() >= 2, "peak {}", coarse.peak());
+    }
+
+    #[test]
+    fn activity_bins_widen_to_fit_the_cap() {
+        // Two calls per rank, 10^13 ns apart: 2·10^7 bins at 1 ms.
+        let mut b = TraceBuilder::new("long", 2);
+        for r in 0..2u32 {
+            for _ in 0..2 {
+                b.compute(r, SimDuration::from_ns(10_000_000_000_000));
+                b.op(r, MpiOp::Allreduce { bytes: 8 });
+            }
+        }
+        let p = ActivityProfile::of(&b.build(), SimDuration::from_ms(1));
+        assert_eq!(p.bin, SimDuration::from_ms(20), "smallest fitting multiple");
+        for v in &p.bins {
+            assert!(v.len() as u64 <= MAX_ACTIVITY_BINS, "{} bins", v.len());
+            assert_eq!(v.iter().sum::<u32>(), 2);
+        }
+        // One millisecond less of span fits at 19 ms.
+        let mut b = TraceBuilder::new("fits", 1);
+        b.compute(0, SimDuration::from_ms(19 * MAX_ACTIVITY_BINS - 1));
+        b.op(0, MpiOp::Barrier);
+        let p = ActivityProfile::of(&b.build(), SimDuration::from_ms(1));
+        assert_eq!(p.bin, SimDuration::from_ms(19));
+        assert_eq!(p.bins[0].len() as u64, MAX_ACTIVITY_BINS);
     }
 
     #[test]
