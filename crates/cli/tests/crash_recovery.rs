@@ -74,15 +74,18 @@ fn sigkill_mid_stream_resumes_to_parity_for_every_app() {
         let mut server = spawn_server(&sock, &store, &["--persist-every", "24", "--workers", "2"]);
         let endpoint = Endpoint::Unix(sock.clone());
         let mut cut_at = Vec::new();
+        let mut journals = Vec::new();
         let mut clients = Vec::new();
         for (sid, (rank, events, _, _)) in specs.iter().enumerate() {
             let mut c = Client::connect(&endpoint).expect("connect");
             c.open(sid as u32, *rank, &cfg).expect("open");
             let cut = (events.len() * 3 / 5).max(1);
+            let mut journal = Vec::new();
             for chunk in events[..cut].chunks(48) {
-                c.send_events(sid as u32, chunk).expect("stream");
+                journal.extend(c.send_events(sid as u32, chunk).expect("stream").1);
             }
             cut_at.push(cut as u64);
+            journals.push(journal);
             clients.push(c); // keep the connection open across the kill
         }
         // Give in-flight periodic persists a moment to land, then crash
@@ -97,11 +100,14 @@ fn sigkill_mid_stream_resumes_to_parity_for_every_app() {
         // Phase 2: restart on the same store; every session rehydrates
         // and resumes to full-stream parity.
         let mut server = spawn_server(&sock, &store, &["--persist-every", "24"]);
-        for (sid, (_, events, final_ns, golden)) in specs.iter().enumerate() {
+        for (sid, ((_, events, final_ns, golden), mut journal)) in
+            specs.iter().zip(journals).enumerate()
+        {
             let mut c = Client::connect(&endpoint).expect("reconnect");
-            let (resume_at, history) = c
+            let resume = c
                 .restore_from_store(sid as u32)
                 .expect("rehydrate from store");
+            let resume_at = resume.events_applied;
             assert!(
                 resume_at <= cut_at[sid],
                 "{}: cannot resume past the crash point ({resume_at} > {})",
@@ -113,13 +119,19 @@ fn sigkill_mid_stream_resumes_to_parity_for_every_app() {
                 "{}: periodic persistence never captured the session",
                 app.name()
             );
+            resume.align(&mut journal).unwrap_or_else(|e| {
+                panic!(
+                    "{}: the directives streamed before the crash must match \
+                     the server's count and digest: {e}",
+                    app.name()
+                )
+            });
             assert_eq!(
-                history.as_slice(),
-                &golden.directives[..history.len()],
-                "{}: replayed history diverges from the offline path",
+                journal.as_slice(),
+                &golden.directives[..journal.len()],
+                "{}: the resumed prefix diverges from the offline path",
                 app.name()
             );
-            let mut journal = history;
             for chunk in events[resume_at as usize..].chunks(48) {
                 let (_, d) = c.send_events(sid as u32, chunk).expect("resume");
                 journal.extend(d);

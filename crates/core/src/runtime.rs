@@ -61,6 +61,56 @@ fn default_kind() -> SleepKind {
     SleepKind::Wrps
 }
 
+/// The count and running 64-bit digest (FNV-1a over each directive's
+/// fields, in stream order) of a prefix of a directive stream. A
+/// [`RankRuntime`] keeps one over the directives taken out of it
+/// ([`RankRuntime::take_directives`]) and carries it in its snapshot,
+/// so a client that resumes a session can check the directives it
+/// holds against the server's without the server keeping them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DirectiveDigest {
+    /// Directives folded in.
+    pub count: u64,
+    /// FNV-1a 64 of their fields.
+    pub digest: u64,
+}
+
+impl DirectiveDigest {
+    /// The digest of no directives.
+    pub const EMPTY: DirectiveDigest = DirectiveDigest {
+        count: 0,
+        digest: 0xCBF2_9CE4_8422_2325,
+    };
+
+    /// Fold one more directive in.
+    pub fn push(&mut self, d: &LaneDirective) {
+        let words = [
+            d.after_event as u64,
+            d.delay.as_ns(),
+            d.timer.as_ns(),
+            d.predicted_idle.as_ns(),
+        ];
+        let bytes = words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .chain([d.kind as u8]);
+        for b in bytes {
+            self.digest = (self.digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+        }
+        self.count += 1;
+    }
+
+    /// The digest of `directives`, from empty.
+    #[must_use]
+    pub fn of(directives: &[LaneDirective]) -> Self {
+        let mut d = Self::EMPTY;
+        for x in directives {
+            d.push(x);
+        }
+        d
+    }
+}
+
 /// Everything the runtime derived for one rank: directives for the
 /// network simulator, per-event overheads/penalties to replay, and the
 /// summary counters.
@@ -244,7 +294,11 @@ pub struct RankRuntime {
     pending: Option<PendingSleep>,
     resilience: ResilienceState,
     stats: RankStats,
+    /// Directives issued and not yet taken by
+    /// [`RankRuntime::take_directives`].
     directives: Vec<LaneDirective>,
+    /// Count and digest of every directive taken so far.
+    taken: DirectiveDigest,
     overhead: Vec<SimDuration>,
     penalty: Vec<SimDuration>,
     event_idx: usize,
@@ -272,6 +326,7 @@ impl RankRuntime {
             resilience: ResilienceState::default(),
             stats: RankStats::default(),
             directives: Vec::new(),
+            taken: DirectiveDigest::EMPTY,
             overhead: Vec::new(),
             penalty: Vec::new(),
             event_idx: 0,
@@ -308,11 +363,36 @@ impl RankRuntime {
         &self.stats
     }
 
-    /// All lane directives issued so far, in event order. Streaming
-    /// consumers (the `ibp-serve` sessions) drain this incrementally by
-    /// remembering how many they have already forwarded.
+    /// Lane directives issued and not yet taken, in event order: every
+    /// directive so far unless a streaming consumer takes them with
+    /// [`RankRuntime::take_directives`].
     pub fn directives(&self) -> &[LaneDirective] {
         &self.directives
+    }
+
+    /// Move the untaken directives out, folding each into the count and
+    /// digest the snapshot carries ([`RankRuntime::taken`]). Streaming
+    /// consumers (the `ibp-serve` sessions) call this after every batch,
+    /// so the runtime holds only what it has not handed over yet.
+    pub fn take_directives(&mut self) -> Vec<LaneDirective> {
+        for d in &self.directives {
+            self.taken.push(d);
+        }
+        self.directives.drain(..).collect()
+    }
+
+    /// Count and digest of every directive taken so far, across
+    /// snapshot/restore cycles.
+    #[must_use]
+    pub fn taken(&self) -> DirectiveDigest {
+        self.taken
+    }
+
+    /// Hand back directives issued before a snapshot but not taken then
+    /// (a store record's tail): the next
+    /// [`RankRuntime::take_directives`] returns them first.
+    pub fn restore_untaken(&mut self, tail: &[LaneDirective]) {
+        self.directives.splice(0..0, tail.iter().copied());
     }
 
     /// Number of events intercepted so far.
@@ -516,7 +596,8 @@ impl RankRuntime {
     /// Capture the complete learned state (see [`RuntimeSnapshot`]).
     /// The per-event output vectors are *not* captured: a restored
     /// runtime starts them empty and continues pushing directives with
-    /// the correct absolute `after_event` indices.
+    /// the correct absolute `after_event` indices. The count and digest
+    /// of the directives taken so far are.
     #[must_use]
     pub fn snapshot(&self) -> RuntimeSnapshot {
         RuntimeSnapshot {
@@ -555,6 +636,8 @@ impl RankRuntime {
             },
             stats: self.stats.clone(),
             event_idx: self.event_idx,
+            directives_total: self.taken.count,
+            directives_digest: self.taken.digest,
         }
     }
 
@@ -661,6 +744,10 @@ impl RankRuntime {
             },
             stats: snap.stats.clone(),
             directives: Vec::new(),
+            taken: DirectiveDigest {
+                count: snap.directives_total,
+                digest: snap.directives_digest,
+            },
             overhead: Vec::new(),
             penalty: Vec::new(),
             event_idx: snap.event_idx,
@@ -1268,7 +1355,28 @@ mod tests {
             RuntimeSnapshot::from_json_bytes(&bytes),
             Err(SnapshotError::VersionMismatch {
                 found: 2,
-                expected: 3
+                expected: SNAPSHOT_VERSION
+            })
+        );
+
+        // A v3 snapshot (no delivered-directive count or digest) fails
+        // on its version too.
+        let mut v3 = good.to_value();
+        let serde::Value::Map(entries) = &mut v3 else {
+            panic!("snapshot serializes as an object");
+        };
+        entries.retain(|(k, _)| k != "directives_total" && k != "directives_digest");
+        for (key, value) in entries.iter_mut() {
+            if key == "version" {
+                *value = serde::Value::U64(3);
+            }
+        }
+        let bytes = serde_json::to_string(&v3).unwrap().into_bytes();
+        assert_eq!(
+            RuntimeSnapshot::from_json_bytes(&bytes),
+            Err(SnapshotError::VersionMismatch {
+                found: 3,
+                expected: SNAPSHOT_VERSION
             })
         );
 

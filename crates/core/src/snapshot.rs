@@ -6,7 +6,9 @@
 //! scan position, the prediction mode, the resilience controller and the
 //! cumulative statistics — but *not* the per-event output vectors
 //! (directives, overheads, penalties), which belong to whoever consumed
-//! them. Restoring a snapshot therefore yields a runtime that continues
+//! them; of the directives it keeps only the count and digest of those
+//! a streaming consumer took, so a resuming client can check what it
+//! holds. Restoring a snapshot therefore yields a runtime that continues
 //! the stream exactly where the original left off: every subsequent
 //! declaration and lane directive is byte-identical to an unbroken run
 //! (property-tested over all five paper workloads in the integration
@@ -40,7 +42,10 @@ use serde::{Deserialize, Serialize};
 ///   [`PowerConfig`].
 /// * 3 — one depth model: `PowerConfig::rungs` replaces `policy`, and
 ///   `RankStats::sleep_time` replaces the per-depth time fields.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// * 4 — bounded records: `directives_total` and `directives_digest`,
+///   the count and digest of the directives a streaming consumer has
+///   taken out of the runtime.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// A snapshot failed validation on restore.
 ///
@@ -266,6 +271,13 @@ pub struct RuntimeSnapshot {
     /// Number of events intercepted so far (`after_event` indices of
     /// post-restore directives continue from here).
     pub event_idx: usize,
+    /// Directives taken out of the runtime so far
+    /// ([`RankRuntime::take_directives`](crate::runtime::RankRuntime::take_directives)),
+    /// across restores.
+    pub directives_total: u64,
+    /// FNV-1a digest of those directives
+    /// ([`DirectiveDigest`](crate::runtime::DirectiveDigest)).
+    pub directives_digest: u64,
 }
 
 impl RuntimeSnapshot {

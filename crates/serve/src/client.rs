@@ -28,12 +28,15 @@
 //! instead of sinking the whole fleet. After a reconnect each session
 //! re-attaches just before its next frame, first by a store
 //! rehydration (empty-body `Restore`): the server answers with the
-//! resume position and replays the session's full directive history,
-//! so the client rebuilds its parity journal from event 0 and resumes
-//! streaming where the server left off. If the server has no usable
-//! record ([`error_code::NO_SNAPSHOT`]) the client falls back to a fresh
-//! `Open` and replays its own event stream from the start — the engine
-//! is deterministic, so either path converges on the same directives.
+//! resume position and the count and digest of the directives it
+//! delivered before it ([`Resume`]), the client truncates its parity
+//! journal to that count, checks the digest, and resumes streaming
+//! where the server left off. If the server has no usable record
+//! ([`error_code::NO_SNAPSHOT`]), or the journal does not match
+//! ([`ProtocolError::ResumeMismatch`]), the client falls back to a
+//! fresh `Open` and replays its own event stream from the start — the
+//! engine is deterministic, so either path converges on the same
+//! directives.
 
 use crate::chaos::ChaosConfig;
 use crate::metrics::ObsReport;
@@ -42,7 +45,7 @@ use crate::protocol::{
     WireEvent, CONNECTION_SESSION,
 };
 use crate::server::{Endpoint, Stream};
-use ibp_core::{LaneDirective, PowerConfig, RankStats};
+use ibp_core::{DirectiveDigest, LaneDirective, PowerConfig, RankStats};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use serde::Serialize;
@@ -182,30 +185,34 @@ impl Client {
     }
 
     /// Rehydrate a session from the server's durable snapshot store
-    /// (empty-body `Restore`). Returns the resume position and the
-    /// session's full directive history replayed from the stored
-    /// record, so the caller can rebuild its parity journal from
-    /// event 0. Fails with [`ProtocolError::Remote`] carrying
+    /// (empty-body `Restore`). Returns the resume position with the
+    /// count and digest of the directives delivered before it; the
+    /// caller aligns its parity journal with [`Resume::align`]. Fails
+    /// with [`ProtocolError::Remote`] carrying
     /// [`error_code::NO_SNAPSHOT`] when the server has no usable record
     /// — fall back to a fresh [`Client::open`].
-    pub fn restore_from_store(
-        &mut self,
-        session: u32,
-    ) -> Result<(u64, Vec<LaneDirective>), ProtocolError> {
+    pub fn restore_from_store(&mut self, session: u32) -> Result<Resume, ProtocolError> {
         self.send(&ClientFrame::Restore {
             session,
             snapshot: Vec::new(),
         })?;
-        let applied = self.expect("OpenAck", |f| match f {
-            ServerFrame::OpenAck { events_applied, .. } => Some(events_applied),
-            _ => None,
-        })?;
-        let history = self.expect("Directives", |f| match f {
-            ServerFrame::Directives { directives, .. } => Some(directives),
+        let resume = self.expect("Resumed", |f| match f {
+            ServerFrame::Resumed {
+                events_applied,
+                directives_total,
+                digest,
+                ..
+            } => Some(Resume {
+                events_applied,
+                delivered: DirectiveDigest {
+                    count: directives_total,
+                    digest,
+                },
+            }),
             _ => None,
         })?;
         self.open_sessions.push(session);
-        Ok((applied, history))
+        Ok(resume)
     }
 
     /// Stream one event batch; returns the server's total applied-event
@@ -679,6 +686,38 @@ fn pace_open(tickets: &AtomicU64, rate: u64, start: Instant) {
     }
 }
 
+/// Where a store rehydration resumes a session
+/// ([`Client::restore_from_store`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Resume {
+    /// Events the session has applied: stream on from here.
+    pub events_applied: u64,
+    /// Count and digest of the directives delivered before that point.
+    pub delivered: DirectiveDigest,
+}
+
+impl Resume {
+    /// Truncate `journal` — the directives the client received for the
+    /// session, from event 0 — to the server's count, after checking
+    /// that its prefix of that length has the server's digest. Leaves
+    /// the journal untouched and fails with
+    /// [`ProtocolError::ResumeMismatch`] when the client holds fewer
+    /// directives than the server delivered, or different ones.
+    pub fn align(&self, journal: &mut Vec<LaneDirective>) -> Result<(), ProtocolError> {
+        let prefix = usize::try_from(self.delivered.count)
+            .ok()
+            .and_then(|n| journal.get(..n));
+        if prefix.map(DirectiveDigest::of) != Some(self.delivered) {
+            return Err(ProtocolError::ResumeMismatch {
+                held: journal.len() as u64,
+                delivered: self.delivered.count,
+            });
+        }
+        journal.truncate(self.delivered.count as usize);
+        Ok(())
+    }
+}
+
 /// Sessions a driver actively streams at once. Every session in the
 /// partition is *open* for the whole run — a fleet of concurrent
 /// sessions — but traffic cycles through a bounded window of them: a
@@ -724,29 +763,47 @@ impl SessionState {
 
     /// Make a detached session live on `c` again: from the split's
     /// client-carried snapshot if there is one, else by store
-    /// rehydration (the server replays the full directive history, which
-    /// becomes the journal) — or, when the server has no usable record
-    /// ([`error_code::NO_SNAPSHOT`]), by a fresh `Open` and a replay from
-    /// event 0. The engine is deterministic, so every path converges on
-    /// the same directives.
+    /// rehydration (the journal is truncated to the server's directive
+    /// count and checked against its digest) — or, when the server has
+    /// no usable record ([`error_code::NO_SNAPSHOT`]) or the journal
+    /// does not match, by a fresh `Open` and a replay from event 0. The
+    /// engine is deterministic, so every path converges on the same
+    /// directives.
     fn reattach(&mut self, c: &mut Client, check: bool) -> Result<(), ProtocolError> {
         let total = self.spec.events.len();
         if let Some(snapshot) = &self.snapshot {
             self.cursor = (c.restore(self.id, snapshot)? as usize).min(total);
             self.snapshot = None;
         } else {
-            let (applied, history) = match c.restore_from_store(self.id) {
-                Err(ProtocolError::Remote { code, .. }) if code == error_code::NO_SNAPSHOT => {
-                    c.open(self.id, self.spec.rank, &self.spec.config)?;
-                    (0, Vec::new())
-                }
-                resumed => resumed?,
+            let resumed = match c.restore_from_store(self.id) {
+                Err(ProtocolError::Remote { code, .. }) if code == error_code::NO_SNAPSHOT => None,
+                resumed => Some(resumed?),
             };
+            // Without `check` there is no journal to compare; the
+            // server's count stands.
+            let aligned = match resumed {
+                Some(r) if !check || r.align(&mut self.journal).is_ok() => Some(r),
+                Some(_) => {
+                    // The journal lacks directives the server delivered:
+                    // retire the resumed session and start over.
+                    c.close(self.id, 0)?;
+                    None
+                }
+                None => None,
+            };
+            match aligned {
+                Some(r) => {
+                    self.cursor = (r.events_applied as usize).min(total);
+                    self.directives = r.delivered.count;
+                }
+                None => {
+                    c.open(self.id, self.spec.rank, &self.spec.config)?;
+                    self.cursor = 0;
+                    self.directives = 0;
+                    self.journal.clear();
+                }
+            }
             self.reconnects += 1;
-            self.cursor = (applied as usize).min(total);
-            self.directives = 0;
-            self.journal.clear();
-            self.record(history, check);
         }
         self.attached = true;
         Ok(())
@@ -955,4 +1012,69 @@ fn drive(
         }
     }
     Ok((outcomes, latencies_ns))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ibp_core::SleepKind;
+    use ibp_simcore::SimDuration;
+
+    fn journal(n: usize) -> Vec<LaneDirective> {
+        (0..n)
+            .map(|i| LaneDirective {
+                after_event: 3 * i,
+                delay: SimDuration::ZERO,
+                timer: SimDuration::from_us(100 + i as u64),
+                predicted_idle: SimDuration::from_us(200),
+                kind: SleepKind::Wrps,
+            })
+            .collect()
+    }
+
+    fn resume_after(delivered: &[LaneDirective]) -> Resume {
+        Resume {
+            events_applied: 77,
+            delivered: DirectiveDigest::of(delivered),
+        }
+    }
+
+    #[test]
+    fn align_truncates_a_matching_journal() {
+        let full = journal(9);
+        let mut held = full.clone();
+        resume_after(&full[..5])
+            .align(&mut held)
+            .expect("prefix matches");
+        assert_eq!(held, full[..5]);
+        resume_after(&full[..5])
+            .align(&mut held)
+            .expect("exact length");
+        assert_eq!(held, full[..5]);
+        resume_after(&[]).align(&mut held).expect("empty prefix");
+        assert!(held.is_empty());
+    }
+
+    #[test]
+    fn align_refuses_a_short_or_different_journal() {
+        let full = journal(9);
+        let mut held = full[..4].to_vec();
+        let short = resume_after(&full[..6]).align(&mut held);
+        assert!(matches!(
+            short,
+            Err(ProtocolError::ResumeMismatch {
+                held: 4,
+                delivered: 6
+            })
+        ));
+        assert_eq!(held, full[..4], "a failed align leaves the journal alone");
+
+        let mut other = full.clone();
+        other[2].timer = SimDuration::from_us(1);
+        let err = resume_after(&full[..6])
+            .align(&mut other)
+            .expect_err("digest differs");
+        assert!(err.to_string().contains("cannot resume"), "{err}");
+        assert_eq!(other.len(), 9);
+    }
 }

@@ -54,7 +54,7 @@ pub mod store;
 
 pub use chaos::{ChaosConfig, ChaosCounters, ChaosStream};
 pub use client::{
-    run_load, Client, LoadConfig, LoadReport, RetryPolicy, SessionOutcome, SessionSpec,
+    run_load, Client, LoadConfig, LoadReport, Resume, RetryPolicy, SessionOutcome, SessionSpec,
 };
 pub use metrics::{
     spawn_exporter, Histogram, MetricsRegistry, ObsReport, ServerProbe, SessionProbe, Stage,

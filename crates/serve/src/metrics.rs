@@ -526,7 +526,8 @@ pub struct StoreProbe {
     pub sessions: u32,
     /// Of those, records marked closed.
     pub closed: u32,
-    /// Of those, records whose directive history reaches event 0.
+    /// Of those, records that account for their directives from event
+    /// 0 (every record since snapshot version 4).
     pub complete_histories: u32,
 }
 

@@ -42,9 +42,11 @@ use ibp_trace::MpiCall;
 use std::io::{Read, Write};
 
 /// Protocol version carried in the handshake. v2 added the per-frame
-/// payload CRC and the resume position in `OpenAck`; v1 peers are
-/// rejected at the handshake, never mid-stream.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// payload CRC and the resume position in `OpenAck`; v3 answers a store
+/// rehydration with [`ServerFrame::Resumed`] (count and digest of the
+/// delivered directives) instead of replaying them. Peers of another
+/// version are rejected at the handshake, never mid-stream.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// The 4-byte connection magic.
 pub const MAGIC: [u8; 4] = *b"IBPS";
@@ -83,8 +85,9 @@ pub mod error_code {
     /// client should reconnect and restore.
     pub const OVERLOAD: u16 = 7;
     /// A store-backed `Restore` (empty snapshot body) found no usable
-    /// record for the session; the client should fall back to a fresh
-    /// `Open` and replay from the start.
+    /// record for the session (none stored, or the stored one failed
+    /// validation); the client should fall back to a fresh `Open` and
+    /// replay from the start.
     pub const NO_SNAPSHOT: u16 = 8;
 }
 
@@ -209,6 +212,17 @@ pub enum ProtocolError {
         /// CRC computed over the received payload.
         computed: u32,
     },
+    /// A store rehydration's directive count and digest
+    /// ([`ServerFrame::Resumed`]) do not match the directives the
+    /// client holds: it holds fewer, or different ones. The client
+    /// cannot resume at the server's position and must start the
+    /// session over from event 0.
+    ResumeMismatch {
+        /// Directives the client holds.
+        held: u64,
+        /// Directives the server has delivered.
+        delivered: u64,
+    },
     /// The resilient client exhausted its reconnect budget.
     GaveUp {
         /// Connection attempts made before giving up.
@@ -243,6 +257,11 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::ChecksumMismatch { announced, computed } => write!(
                 f,
                 "frame checksum mismatch: header says {announced:#010x}, payload hashes to {computed:#010x}"
+            ),
+            ProtocolError::ResumeMismatch { held, delivered } => write!(
+                f,
+                "cannot resume: the client holds {held} directives, which do not match \
+                 the count and digest of the {delivered} the server delivered"
             ),
             ProtocolError::GaveUp { attempts, last } => {
                 write!(f, "gave up after {attempts} connection attempts: {last}")
@@ -308,9 +327,9 @@ pub enum ClientFrame {
     ///
     /// An **empty** snapshot body asks the server to rehydrate the
     /// session from its durable store (`ibpower serve --store`) by
-    /// session id; the server answers `OpenAck` (with the resume
-    /// position) followed by a `Directives` frame replaying the stored
-    /// directive history, or an `Error` with
+    /// session id; the server answers [`ServerFrame::Resumed`] (the
+    /// resume position plus the count and digest of the directives
+    /// delivered before it), or an `Error` with
     /// [`error_code::NO_SNAPSHOT`] when no usable record exists.
     Restore {
         /// Client-chosen session id, unique per connection.
@@ -352,6 +371,21 @@ pub enum ServerFrame {
         /// `Open`, the resume position for a `Restore`. A reconnecting
         /// client continues streaming from this offset.
         events_applied: u64,
+    },
+    /// A store rehydration (empty-body `Restore`) accepted: the session
+    /// is open at the stored resume position. The client keeps the
+    /// first `directives_total` directives it holds for the session,
+    /// checks them against `digest`, and streams on from
+    /// `events_applied`.
+    Resumed {
+        /// The session that is now open.
+        session: u32,
+        /// Events the session has applied: the resume position.
+        events_applied: u64,
+        /// Directives delivered before the resume position.
+        directives_total: u64,
+        /// Their [`ibp_core::DirectiveDigest`].
+        digest: u64,
     },
     /// Response to one `Events` batch: every lane directive the batch
     /// produced (possibly none). Doubles as the batch acknowledgement.
@@ -422,6 +456,7 @@ const K_STATS: u8 = 0x83;
 const K_SNAPSHOT_DATA: u8 = 0x84;
 const K_CLOSED: u8 = 0x85;
 const K_QUERY_REPLY: u8 = 0x86;
+const K_RESUMED: u8 = 0x87;
 const K_ERROR: u8 = 0xEF;
 
 // ---------------------------------------------------------------- encode
@@ -536,6 +571,7 @@ impl ServerFrame {
     pub fn session(&self) -> u32 {
         match *self {
             ServerFrame::OpenAck { session, .. }
+            | ServerFrame::Resumed { session, .. }
             | ServerFrame::Directives { session, .. }
             | ServerFrame::Stats { session, .. }
             | ServerFrame::SnapshotData { session, .. }
@@ -558,6 +594,18 @@ impl ServerFrame {
                 out.push(K_OPEN_ACK);
                 put_u32(&mut out, *session);
                 put_u64(&mut out, *events_applied);
+            }
+            ServerFrame::Resumed {
+                session,
+                events_applied,
+                directives_total,
+                digest,
+            } => {
+                out.push(K_RESUMED);
+                put_u32(&mut out, *session);
+                put_u64(&mut out, *events_applied);
+                put_u64(&mut out, *directives_total);
+                put_u64(&mut out, *digest);
             }
             ServerFrame::Directives {
                 session,
@@ -797,6 +845,12 @@ pub fn decode_server(payload: &[u8]) -> Result<ServerFrame, ProtocolError> {
                 events_applied,
             }
         }
+        K_RESUMED => ServerFrame::Resumed {
+            session,
+            events_applied: rd.u64()?,
+            directives_total: rd.u64()?,
+            digest: rd.u64()?,
+        },
         K_DIRECTIVES => {
             let events_applied = rd.u64()?;
             let count = rd.u32()? as usize;
@@ -1075,6 +1129,12 @@ mod tests {
         roundtrip_server(ServerFrame::OpenAck {
             session: 3,
             events_applied: 12_345,
+        });
+        roundtrip_server(ServerFrame::Resumed {
+            session: 4,
+            events_applied: 12_345,
+            directives_total: 678,
+            digest: 0xDEAD_BEEF_0123_4567,
         });
         roundtrip_server(ServerFrame::Directives {
             session: 1,

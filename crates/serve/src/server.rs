@@ -123,7 +123,8 @@
 //! supervises the worker pool and respawns any thread that dies.
 //!
 //! **Durability.** With a [`SnapshotStore`] attached, sessions persist
-//! their full learned state (plus directive history) every
+//! their full learned state (with the count and digest of the
+//! directives delivered so far) every
 //! `persist_every` applied events, on every eviction, before every
 //! `Close` acknowledgement, when their connection drops, and in a
 //! final sweep when the server drains. A restarted server rehydrates
@@ -1910,7 +1911,7 @@ fn route(frame: ClientFrame, token: u64, r: &mut Reactor) {
                 return;
             };
             if !refuse_duplicate(&shared, conn, session) {
-                open_hot(&shared, conn, session, Session::open(rank, *config), None);
+                open_hot(&shared, conn, session, Session::open(rank, *config), false);
             }
         }
         ClientFrame::Restore { session, snapshot } => {
@@ -1925,7 +1926,7 @@ fn route(frame: ClientFrame, token: u64, r: &mut Reactor) {
                 return;
             }
             match Session::restore(&snapshot) {
-                Ok(restored) => open_hot(&shared, conn, session, restored, None),
+                Ok(restored) => open_hot(&shared, conn, session, restored, false),
                 Err(e) => send_error(
                     &conn.tx,
                     metrics,
@@ -2147,8 +2148,8 @@ fn prune_registry(shared: &Shared) {
 }
 
 /// Handle an empty-body `Restore`: rehydrate the session from the
-/// snapshot store, answering `OpenAck` (resume position) plus a
-/// `Directives` frame replaying the stored history.
+/// snapshot store, answering `Resumed` (the resume position with the
+/// count and digest of the directives delivered before it).
 fn restore_from_store(session: u32, token: u64, r: &mut Reactor) {
     let shared = Arc::clone(&r.shared);
     let metrics = &shared.metrics;
@@ -2166,20 +2167,7 @@ fn restore_from_store(session: u32, token: u64, r: &mut Reactor) {
         return;
     };
     let record = match store.load(session) {
-        Ok(Some(r)) if r.history_complete => r,
-        Ok(Some(_)) => {
-            send_error(
-                &conn.tx,
-                metrics,
-                session,
-                error_code::NO_SNAPSHOT,
-                format!(
-                    "session {session} has a stored snapshot but an incomplete directive \
-                     history; re-open and replay from the start"
-                ),
-            );
-            return;
-        }
+        Ok(Some(r)) => r,
         Ok(None) => {
             send_error(
                 &conn.tx,
@@ -2204,16 +2192,7 @@ fn restore_from_store(session: u32, token: u64, r: &mut Reactor) {
     match Session::restore_from_record(&record) {
         Ok(restored) => {
             metrics.sessions_rehydrated.fetch_add(1, Ordering::Relaxed);
-            // Replay the stored history so the client can rebuild its
-            // parity accounting from event 0 before resuming. The store
-            // loads only a record whose `events` matches its snapshot's
-            // event index, so this frame and `OpenAck` agree.
-            let history = ServerFrame::Directives {
-                session,
-                events_applied: record.events,
-                directives: record.directives,
-            };
-            open_hot(&shared, conn, session, restored, Some(history));
+            open_hot(&shared, conn, session, restored, true);
         }
         Err(e) => send_error(
             &conn.tx,
@@ -2248,16 +2227,24 @@ fn refuse_duplicate(shared: &Shared, conn: &Conn, session: u32) -> bool {
 
 /// Make `session` a hot session of `conn` under `id`: register its
 /// cell, count the open, answer `OpenAck` at the session's resume
-/// position (then `history`, a store restore's directive replay), and
-/// let the pager make room.
-fn open_hot(
-    shared: &Arc<Shared>,
-    conn: &mut Conn,
-    id: u32,
-    session: Session,
-    history: Option<ServerFrame>,
-) {
+/// position (`Resumed`, with the delivered count and digest, for a
+/// store rehydration), and let the pager make room.
+fn open_hot(shared: &Arc<Shared>, conn: &mut Conn, id: u32, session: Session, rehydrated: bool) {
     let events_applied = session.events_applied();
+    let delivered = session.delivered();
+    let ack = if rehydrated {
+        ServerFrame::Resumed {
+            session: id,
+            events_applied,
+            directives_total: delivered.count,
+            digest: delivered.digest,
+        }
+    } else {
+        ServerFrame::OpenAck {
+            session: id,
+            events_applied,
+        }
+    };
     let cell = new_cell(id, session, shared, &conn.tx);
     register(shared, id, &cell);
     conn.sessions.insert(id, Arc::clone(&cell));
@@ -2265,16 +2252,7 @@ fn open_hot(
         .metrics
         .sessions_opened
         .fetch_add(1, Ordering::Relaxed);
-    send_frame_local(
-        &conn.tx,
-        &ServerFrame::OpenAck {
-            session: id,
-            events_applied,
-        },
-    );
-    if let Some(frame) = history {
-        send_frame_local(&conn.tx, &frame);
-    }
+    send_frame_local(&conn.tx, &ack);
     lru_touch(shared, &cell);
     maybe_evict(shared);
 }

@@ -4,16 +4,19 @@
 use crate::metrics::SessionProbe;
 use crate::protocol::{ProtocolError, WireEvent};
 use crate::store::StoreRecord;
-use ibp_core::{LaneDirective, PowerConfig, RankRuntime, RankStats, RuntimeSnapshot, SleepKind};
+use ibp_core::{
+    DirectiveDigest, LaneDirective, PowerConfig, RankRuntime, RankStats, RuntimeSnapshot, SleepKind,
+};
 use ibp_network::{IbGeneration, LinkPower};
 use ibp_simcore::SimDuration;
 use ibp_trace::MpiCall;
 
 /// A live prediction engine for one simulated rank.
 ///
-/// Wraps [`RankRuntime`] with the bookkeeping the server needs: how many
-/// directives have already been streamed out (so each batch response
-/// carries only the *new* ones) and translation from wire events to the
+/// Wraps [`RankRuntime`] with the bookkeeping the server needs: each
+/// batch response carries only the directives the batch produced (the
+/// session takes them out of the runtime, which keeps their count and
+/// digest for resuming clients) and translation from wire events to the
 /// typed intercept API. Unknown Paraver call ids degrade to `Send` —
 /// the predictor keys on call identity, and an id outside the trace
 /// vocabulary still forms stable grams, so a shim linked against a newer
@@ -23,14 +26,7 @@ pub struct Session {
     /// knows it).
     pub rank: u32,
     runtime: RankRuntime,
-    directives_sent: usize,
     events_since_stats: u64,
-    /// Directives issued before this runtime epoch (recovered from the
-    /// snapshot store on a rehydrating restore); `history()` prepends
-    /// them so a persisted record always carries the session's complete
-    /// directive stream.
-    prefix: Vec<LaneDirective>,
-    prefix_complete: bool,
     events_since_persist: u64,
 }
 
@@ -38,55 +34,39 @@ impl Session {
     /// Open a fresh session learning from scratch.
     #[must_use]
     pub fn open(rank: u32, cfg: PowerConfig) -> Self {
+        Session::with_runtime(rank, RankRuntime::new(rank, cfg))
+    }
+
+    fn with_runtime(rank: u32, runtime: RankRuntime) -> Self {
         Session {
             rank,
-            runtime: RankRuntime::new(rank, cfg),
-            directives_sent: 0,
+            runtime,
             events_since_stats: 0,
-            prefix: Vec::new(),
-            prefix_complete: true,
             events_since_persist: 0,
         }
     }
 
     /// Open a session from a snapshot: the engine resumes prediction
-    /// with all learned state intact and reports only directives issued
-    /// after the restore point.
+    /// with all learned state intact, including the count and digest
+    /// of the directives delivered before the snapshot, and reports
+    /// only directives issued after the restore point.
     pub fn restore(snapshot: &[u8]) -> Result<Self, ProtocolError> {
         let snap = RuntimeSnapshot::from_json_bytes(snapshot)
             .map_err(|e| ProtocolError::BadSnapshot(e.to_string()))?;
         let runtime = RankRuntime::from_snapshot(&snap)
             .map_err(|e| ProtocolError::BadSnapshot(e.to_string()))?;
-        // A client-supplied mid-stream snapshot leaves this server
-        // blind to the directives issued before it; records persisted
-        // from such a session cannot seed a store rehydration.
-        let prefix_complete = snap.event_idx == 0;
-        Ok(Session {
-            rank: snap.rank,
-            runtime,
-            directives_sent: 0,
-            events_since_stats: 0,
-            prefix: Vec::new(),
-            prefix_complete,
-            events_since_persist: 0,
-        })
+        Ok(Session::with_runtime(snap.rank, runtime))
     }
 
     /// Rehydrate a session from a durable [`StoreRecord`]: the engine
-    /// resumes at the record's event position and the record's
-    /// directive history becomes the session's prefix.
+    /// resumes at the record's event position, and the record's
+    /// undelivered directives (normally none) go out with the next
+    /// batch.
     pub fn restore_from_record(record: &StoreRecord) -> Result<Self, ProtocolError> {
-        let runtime = RankRuntime::from_snapshot(&record.snapshot)
+        let mut runtime = RankRuntime::from_snapshot(&record.snapshot)
             .map_err(|e| ProtocolError::BadSnapshot(e.to_string()))?;
-        Ok(Session {
-            rank: record.rank,
-            runtime,
-            directives_sent: 0,
-            events_since_stats: 0,
-            prefix: record.directives.clone(),
-            prefix_complete: record.history_complete,
-            events_since_persist: 0,
-        })
+        runtime.restore_untaken(&record.directives);
+        Ok(Session::with_runtime(record.rank, runtime))
     }
 
     /// Apply one batch of wire events through the allocation-free
@@ -104,9 +84,10 @@ impl Session {
         }
         self.events_since_stats += events.len() as u64;
         self.events_since_persist += events.len() as u64;
-        let fresh = self.runtime.directives()[self.directives_sent..].to_vec();
-        self.directives_sent += fresh.len();
-        (self.runtime.events_seen() as u64, fresh)
+        (
+            self.runtime.events_seen() as u64,
+            self.runtime.take_directives(),
+        )
     }
 
     /// Cumulative statistics so far.
@@ -121,12 +102,12 @@ impl Session {
         self.runtime.snapshot().to_json_bytes()
     }
 
-    /// Total directives issued over the session's lifetime, including
-    /// any issued before a snapshot/restore cycle on the *restored*
-    /// runtime (the pre-restore count belongs to the previous session).
+    /// Count and digest of every directive delivered over the
+    /// session's lifetime, from event 0 and across restores: what a
+    /// store rehydration answers instead of replaying the directives.
     #[must_use]
-    pub fn directives_total(&self) -> u64 {
-        self.directives_sent as u64
+    pub fn delivered(&self) -> DirectiveDigest {
+        self.runtime.taken()
     }
 
     /// Events applied so far.
@@ -159,23 +140,23 @@ impl Session {
         self.events_since_persist = 0;
     }
 
-    /// The session's complete directive history — the rehydration
-    /// prefix plus everything this runtime epoch issued. This is what a
-    /// [`StoreRecord`] carries so a rehydrating client can rebuild its
-    /// parity accounting from event 0.
+    /// The directives issued but not yet delivered — the tail a
+    /// [`StoreRecord`] carries. [`Session::apply`] delivers everything
+    /// it issues, so this is normally empty; the delivered directives
+    /// live on only as [`Session::delivered`]'s count and digest, so a
+    /// record does not grow with the session.
     #[must_use]
     pub fn history(&self) -> Vec<LaneDirective> {
-        let mut v = Vec::with_capacity(self.prefix.len() + self.runtime.directives().len());
-        v.extend_from_slice(&self.prefix);
-        v.extend_from_slice(self.runtime.directives());
-        v
+        self.runtime.directives().to_vec()
     }
 
-    /// Whether [`Session::history`] really reaches back to event 0 (see
+    /// Always true: every session carries the count and digest of its
+    /// directives from event 0, whether it was opened, restored from a
+    /// client's snapshot or rehydrated (see
     /// [`StoreRecord::history_complete`]).
     #[must_use]
     pub fn history_complete(&self) -> bool {
-        self.prefix_complete
+        true
     }
 
     /// The engine's full learned state in typed form (the store's
@@ -208,7 +189,7 @@ impl Session {
             rank: self.rank,
             busy: false,
             events_applied: self.runtime.events_seen() as u64,
-            directives_sent: self.directives_sent as u64,
+            directives_sent: self.runtime.taken().count,
             predicting: self.runtime.predicting(),
             power_state,
             // The serve stack models the paper's link; derive its
@@ -238,10 +219,10 @@ impl Session {
     /// stats.
     #[must_use]
     pub fn close(self, final_compute_ns: u64) -> (Vec<LaneDirective>, u64, RankStats) {
+        let delivered = self.runtime.taken().count;
         let ann = self.runtime.finish(SimDuration::from_ns(final_compute_ns));
-        let fresh = ann.directives[self.directives_sent..].to_vec();
-        let total = self.directives_sent as u64 + fresh.len() as u64;
-        (fresh, total, ann.stats)
+        let total = delivered + ann.directives.len() as u64;
+        (ann.directives, total, ann.stats)
     }
 }
 
@@ -306,6 +287,68 @@ mod tests {
 
         assert_eq!(streamed, golden.directives);
         assert_eq!(stats, golden.stats);
+    }
+
+    /// A store record carries only the undelivered tail, so its
+    /// directive list stays empty however many events the session
+    /// applies; the snapshot's count and digest stand for what was
+    /// delivered, across a client-snapshot restore too.
+    #[test]
+    fn record_directives_do_not_grow_with_the_stream() {
+        let (events, final_compute, trace) = sample_stream();
+        let golden = annotate_rank(&trace.ranks[0], &PowerConfig::default());
+        let mut sess = Session::open(0, PowerConfig::default());
+        let mut streamed = Vec::new();
+        for (i, batch) in events.chunks(16).enumerate() {
+            streamed.extend(sess.apply(batch).1);
+            assert!(sess.history().is_empty(), "batch {i} left a tail");
+            assert!(sess.history_complete());
+            let snap = sess.snapshot();
+            assert_eq!(snap.directives_total, streamed.len() as u64);
+            assert_eq!(sess.delivered(), DirectiveDigest::of(&streamed));
+            if i == 4 {
+                // A split: the restored engine still knows the count.
+                sess = Session::restore(&sess.snapshot_bytes()).expect("restore");
+                assert_eq!(sess.delivered(), DirectiveDigest::of(&streamed));
+            }
+        }
+        assert!(streamed.len() > 10, "the stream must issue directives");
+        let (last, total, _) = sess.close(final_compute);
+        streamed.extend(last);
+        assert_eq!(streamed, golden.directives);
+        assert_eq!(total, golden.directives.len() as u64);
+    }
+
+    /// Directives a record holds as undelivered go out with the
+    /// rehydrated session's next batch, and only then count as
+    /// delivered.
+    #[test]
+    fn record_tail_is_delivered_after_rehydration() {
+        let (events, _, trace) = sample_stream();
+        let golden = annotate_rank(&trace.ranks[0], &PowerConfig::default());
+        let split = events.len() / 2;
+        let mut rt = RankRuntime::new(0, PowerConfig::default());
+        for &(call, gap) in &events[..split] {
+            rt.intercept(MpiCall::from_id(call).unwrap(), SimDuration::from_ns(gap));
+        }
+        let record = StoreRecord {
+            record_version: crate::store::RECORD_VERSION,
+            session: 3,
+            rank: 0,
+            events: split as u64,
+            closed: false,
+            history_complete: true,
+            directives: rt.directives().to_vec(),
+            snapshot: rt.snapshot(),
+        };
+        assert!(!record.directives.is_empty());
+        let mut sess = Session::restore_from_record(&record).expect("rehydrate");
+        assert_eq!(sess.delivered(), DirectiveDigest::EMPTY);
+        assert_eq!(sess.history(), record.directives);
+        let (_, fresh) = sess.apply(&events[split..split + 1]);
+        assert_eq!(fresh[..record.directives.len()], record.directives[..]);
+        assert_eq!(fresh[..], golden.directives[..fresh.len()]);
+        assert_eq!(sess.delivered(), DirectiveDigest::of(&fresh));
     }
 
     #[test]

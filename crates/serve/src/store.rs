@@ -1,7 +1,7 @@
 //! Durable snapshot store: crash-safe persistence of session state.
 //!
 //! `ibpower serve --store DIR` periodically persists every session's
-//! [`RuntimeSnapshot`] (plus its full directive history) to this store.
+//! [`RuntimeSnapshot`] to this store.
 //! After a crash — `kill -9`, panic, power loss — a restarted server
 //! reopens the directory, recovers every readable record, and
 //! reconnecting clients resume via an empty-body `Restore` without
@@ -21,8 +21,10 @@
 //!
 //! `crc` is the IEEE CRC-32 of the JSON payload (same function as the
 //! wire protocol's frame checksum). The JSON is a [`StoreRecord`]: the
-//! snapshot, the session's complete directive history, and resume
-//! metadata. A `MANIFEST.json` alongside the records summarises the
+//! snapshot (which carries the count and digest of the directives the
+//! session delivered, not the directives), any undelivered directives,
+//! and resume metadata, so a record does not grow with the session's
+//! directive stream. A `MANIFEST.json` alongside the records summarises the
 //! store for humans and fast listing; it is advisory — recovery trusts
 //! only the records themselves and rewrites the manifest to match.
 //!
@@ -56,7 +58,7 @@ pub const STORE_MAGIC: [u8; 4] = *b"IBPR";
 pub const RECORD_VERSION: u32 = 1;
 
 /// Upper bound on one record's JSON payload — large enough for any
-/// realistic snapshot + history, small enough that a corrupted length
+/// realistic snapshot, small enough that a corrupted length
 /// field cannot provoke a giant allocation.
 pub const MAX_RECORD_LEN: u32 = 64 * 1024 * 1024;
 
@@ -89,15 +91,15 @@ pub struct StoreRecord {
     pub events: u64,
     /// Whether the session has finished with a `Close`.
     pub closed: bool,
-    /// Whether `directives` really is the session's *complete* history
-    /// from event 0. False when the session was itself restored from a
-    /// client-supplied snapshot (the pre-restore directives never
-    /// passed through this server); such records cannot seed a
-    /// store-restore and are answered with `NO_SNAPSHOT`.
+    /// Whether the record accounts for the session's directives from
+    /// event 0. Always true since snapshot version 4: the snapshot's
+    /// `directives_total` and `directives_digest` cover them whatever
+    /// the session was restored from, including a client's snapshot.
     pub history_complete: bool,
-    /// Every directive issued over the session's lifetime, in event
-    /// order — replayed to a rehydrating client so its parity
-    /// accounting can restart from the resume position.
+    /// Directives the session had issued but not yet delivered when the
+    /// record was written, in event order — normally none, since every
+    /// batch reply delivers what the batch issued. A rehydrated session
+    /// sends them with its next reply.
     pub directives: Vec<LaneDirective>,
     /// The engine's full learned state.
     pub snapshot: RuntimeSnapshot,

@@ -471,20 +471,21 @@ fn graceful_stop_persists_unclosed_sessions() {
     let stop = server.stop_flag();
     let handle = std::thread::spawn(move || server.run());
     let mut client = Client::connect(&bound).expect("reconnect");
-    let (resume_at, history) = client.restore_from_store(9).expect("rehydrate");
+    let resume = client.restore_from_store(9).expect("rehydrate");
+    let resume_at = resume.events_applied;
     assert!(
         resume_at as usize <= half,
         "cannot resume past what was sent"
     );
     assert!(resume_at > 0, "drain persisted nothing");
-    assert_eq!(
-        history.as_slice(),
-        &sent[..history.len()],
-        "history must prefix the live run"
-    );
+    // The server's directive count and digest must match a prefix of
+    // what the first run streamed.
+    let mut journal = sent;
+    resume
+        .align(&mut journal)
+        .expect("count and digest match the live run's prefix");
 
     // Resume streaming to the end and check full-session parity.
-    let mut journal = history;
     for chunk in spec.events[resume_at as usize..].chunks(53) {
         let (_, d) = client.send_events(9, chunk).expect("resume events");
         journal.extend(d);

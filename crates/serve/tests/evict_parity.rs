@@ -13,8 +13,8 @@ use ibp_serve::protocol::{
     decode_server, error_code, read_frame, read_hello, write_frame, write_hello,
 };
 use ibp_serve::{
-    Client, ClientFrame, Endpoint, MetricsRegistry, ProtocolError, ServeConfig, ServeSummary,
-    Server, ServerFrame, SnapshotStore, Stage,
+    Client, ClientFrame, Endpoint, MetricsRegistry, ProtocolError, Resume, ServeConfig,
+    ServeSummary, Server, ServerFrame, SnapshotStore, Stage,
 };
 use ibp_trace::MpiCall;
 use ibp_workloads::{AppKind, Scaling};
@@ -69,11 +69,11 @@ fn scripts(sessions: usize) -> Vec<Script> {
 /// Reconnect and rehydrate with bounded retries: the server processes
 /// the old connection's hangup asynchronously, so the first attempts
 /// may race it and see a still-live (DUPLICATE) session.
-fn reconnect(bound: &Endpoint, session: u32) -> (Client, u64, Vec<ibp_core::LaneDirective>) {
+fn reconnect(bound: &Endpoint, session: u32) -> (Client, Resume) {
     for _ in 0..400 {
         let mut client = Client::connect(bound).expect("reconnect");
         match client.restore_from_store(session) {
-            Ok((resume_at, history)) => return (client, resume_at, history),
+            Ok(resume) => return (client, resume),
             Err(ProtocolError::Remote { .. }) => {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
@@ -144,29 +144,28 @@ proptest! {
             let script = &scripts[i];
 
             // Mid-stream reconnect for masked sessions: vanish without
-            // Close, rehydrate from the store, and restart the parity
-            // journal from the replayed history.
+            // Close, rehydrate from the store, and truncate the parity
+            // journal to the server's directive count.
             if !reconnected[i]
                 && reconnect_mask & (1 << i) != 0
                 && cursors[i] >= script.events.len() / 2
             {
                 reconnected[i] = true;
-                let (client, resume_at, history) = {
+                let (client, resume) = {
                     let fresh = Client::connect(&bound).expect("pre-reconnect");
                     std::mem::replace(&mut clients[i], fresh).abandon();
                     reconnect(&bound, i as u32)
                 };
                 clients[i] = client;
+                let resume_at = resume.events_applied;
                 prop_assert!(
                     resume_at as usize <= cursors[i],
                     "resume past what was sent: {} > {}", resume_at, cursors[i]
                 );
-                prop_assert_eq!(
-                    history.as_slice(),
-                    &journals[i][..history.len()],
-                    "replayed history must prefix the live stream"
+                prop_assert!(
+                    resume.align(&mut journals[i]).is_ok(),
+                    "the server's count and digest must match a prefix of the live stream"
                 );
-                journals[i] = history;
                 cursors[i] = resume_at as usize;
             }
 

@@ -8,7 +8,7 @@
 //! the second connection refuses session 0's first restore — by which
 //! time sessions 1 and 2 have already re-attached there.
 
-use ibp_core::{PowerConfig, RankStats};
+use ibp_core::{DirectiveDigest, PowerConfig, RankStats};
 use ibp_serve::protocol::{
     decode_client, error_code, read_frame, read_hello, write_frame, write_hello,
 };
@@ -94,24 +94,17 @@ fn scripted_server(listener: UnixListener, seen: Arc<Mutex<Seen>>) {
                             },
                         )
                     } else {
-                        let events_applied = applied[&session];
+                        // No directives were ever delivered.
+                        let none = DirectiveDigest::EMPTY;
                         reply(
                             &mut w,
-                            ServerFrame::OpenAck {
+                            ServerFrame::Resumed {
                                 session,
-                                events_applied,
+                                events_applied: applied[&session],
+                                directives_total: none.count,
+                                digest: none.digest,
                             },
                         )
-                        .and_then(|()| {
-                            reply(
-                                &mut w,
-                                ServerFrame::Directives {
-                                    session,
-                                    events_applied,
-                                    directives: Vec::new(),
-                                },
-                            )
-                        })
                     }
                 }
                 ClientFrame::Close { session, .. } => reply(

@@ -128,6 +128,58 @@ fn older_snapshot_layout_is_skipped_with_a_version_reason() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A record written before bounded records — its snapshot at version
+/// 3, without the delivered-directive count and digest, its directive
+/// list the whole history — is skipped with the snapshot version as
+/// the reason, and the same snapshot sent in a `Restore` is a typed
+/// `BadSnapshot`, never a panic.
+#[test]
+fn v3_snapshot_record_is_skipped_with_a_version_reason() {
+    let dir = temp_dir("v3");
+    std::fs::create_dir_all(&dir).unwrap();
+    let rt = trained_runtime(6, 120);
+    let mut record = serde::Serialize::to_value(&sample_record(6, 120));
+    let serde::Value::Map(fields) = &mut record else {
+        panic!("record serializes as an object");
+    };
+    for (key, value) in fields.iter_mut() {
+        if key == "directives" {
+            *value = serde::Serialize::to_value(&rt.directives().to_vec());
+        }
+        if let ("snapshot", serde::Value::Map(snap)) = (key.as_str(), value) {
+            snap.retain(|(k, _)| k != "directives_total" && k != "directives_digest");
+            for (k, v) in snap.iter_mut() {
+                if k == "version" {
+                    *v = serde::Value::U64(3);
+                }
+            }
+        }
+    }
+    let v3 = serde_json::to_string(&record).unwrap();
+    write_record_payload(&dir, 6, v3.as_bytes());
+
+    let (store, report) = SnapshotStore::open(&dir).expect("open skips the old record");
+    assert_eq!(report.loaded, 0, "{report:?}");
+    let (name, reason) = &report.skipped[0];
+    assert_eq!(name, &record_file_name(6));
+    assert!(reason.contains("snapshot version 3"), "{reason}");
+    assert!(store.load(6).unwrap().is_none());
+
+    let serde::Value::Map(fields) = &record else {
+        unreachable!()
+    };
+    let snapshot = &fields.iter().find(|(k, _)| k == "snapshot").unwrap().1;
+    let bytes = serde_json::to_string(snapshot).unwrap().into_bytes();
+    match ibp_serve::Session::restore(&bytes) {
+        Err(ibp_serve::ProtocolError::BadSnapshot(msg)) => {
+            assert!(msg.contains("version 3"), "{msg}")
+        }
+        Err(other) => panic!("expected BadSnapshot, got {other}"),
+        Ok(_) => panic!("a v3 snapshot must not restore"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A record from another record layout is skipped with the record
 /// version, whatever fields that layout has.
 #[test]
