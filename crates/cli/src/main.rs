@@ -110,11 +110,10 @@ fn render_report(ep: &ibp_serve::Endpoint, report: &ibp_serve::ObsReport) -> Str
     if let Some(st) = &s.store {
         let _ = writeln!(
             out,
-            "store    : {} record(s), {} closed, {} complete histories \
+            "store    : {} record(s), {} closed \
              ({} persisted, {} failures, {} rehydrated)",
             st.sessions,
             st.closed,
-            st.complete_histories,
             sum.snapshots_persisted,
             sum.persist_failures,
             sum.sessions_rehydrated

@@ -526,9 +526,6 @@ pub struct StoreProbe {
     pub sessions: u32,
     /// Of those, records marked closed.
     pub closed: u32,
-    /// Of those, records that account for their directives from event
-    /// 0 (every record since snapshot version 4).
-    pub complete_histories: u32,
 }
 
 /// Server-wide introspection record.
@@ -832,7 +829,6 @@ mod tests {
                 store: Some(StoreProbe {
                     sessions: 2,
                     closed: 1,
-                    complete_histories: 2,
                 }),
                 chaos_intensity: Some(0.05),
             },

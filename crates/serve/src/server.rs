@@ -2113,7 +2113,6 @@ fn build_report(shared: &Shared, target: u32) -> ObsReport {
         StoreProbe {
             sessions: entries.len() as u32,
             closed: entries.iter().filter(|(_, e)| e.closed).count() as u32,
-            complete_histories: entries.iter().filter(|(_, e)| e.history_complete).count() as u32,
         }
     });
     ObsReport {

@@ -114,8 +114,6 @@ pub struct StoreEntry {
     pub events: u64,
     /// Whether the session closed cleanly.
     pub closed: bool,
-    /// See [`StoreRecord::history_complete`].
-    pub history_complete: bool,
 }
 
 /// What [`SnapshotStore::open`] found on disk.
@@ -139,7 +137,6 @@ struct ManifestEntry {
     rank: u32,
     events: u64,
     closed: bool,
-    history_complete: bool,
 }
 
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -231,10 +228,7 @@ impl SnapshotStore {
                     let agrees = m.sessions.len() == index.len()
                         && m.sessions.iter().all(|e| {
                             index.get(&e.session).is_some_and(|ix| {
-                                ix.rank == e.rank
-                                    && ix.events == e.events
-                                    && ix.closed == e.closed
-                                    && ix.history_complete == e.history_complete
+                                ix.rank == e.rank && ix.events == e.events && ix.closed == e.closed
                             })
                         });
                     report.manifest_ok = agrees;
@@ -393,7 +387,6 @@ impl SnapshotStore {
                 rank: e.rank,
                 events: e.events,
                 closed: e.closed,
-                history_complete: e.history_complete,
             })
             .collect();
         sessions.sort_by_key(|e| e.session);
@@ -461,7 +454,6 @@ fn entry_of(record: &StoreRecord) -> StoreEntry {
         rank: record.rank,
         events: record.events,
         closed: record.closed,
-        history_complete: record.history_complete,
     }
 }
 
