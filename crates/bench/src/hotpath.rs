@@ -210,12 +210,11 @@ pub fn probe_intercept(iters: usize, reps: u32) -> Probe {
     let cfg = PowerConfig::paper(SimDuration::from_us(20), 0.01);
     measure(INTERCEPT_PROBE, reps, || {
         let mut rt = RankRuntime::new(0, cfg.clone());
-        rt.reserve_events(stream.len());
         for &(call, gap) in &stream {
             rt.intercept(call, gap);
         }
-        let ann = rt.finish(SimDuration::ZERO);
-        assert!(ann.stats.correct_calls > 0, "bench stream never predicted");
+        let stats = rt.finish(SimDuration::ZERO);
+        assert!(stats.correct_calls > 0, "bench stream never predicted");
         stream.len() as u64
     })
 }

@@ -18,21 +18,17 @@ use crate::snapshot::{GramBuilderSnapshot, GramInternerSnapshot, SnapshotError};
 use fxhash::FxHashMap;
 use ibp_simcore::SimDuration;
 use ibp_trace::MpiCall;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Identifier of a distinct gram *shape* (call-id sequence).
 pub type GramId = u32;
 
 /// A completed gram occurrence in the event stream.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Gram {
-    /// Interned shape id (equal ids ⇔ equal call sequences).
+    /// Interned shape id (equal ids ⇔ equal call sequences); its calls
+    /// are [`GramInterner::shape`].
     pub id: GramId,
-    /// Index of the gram's first MPI event in the rank's call stream.
-    pub first_event: usize,
-    /// Number of MPI calls in the gram.
-    pub len: u32,
     /// The idle gap that *preceded* this gram (≥ GT for every gram except
     /// the very first of the stream).
     pub preceding_idle: SimDuration,
@@ -133,9 +129,7 @@ impl GramInterner {
 pub struct GramBuilder {
     gt: SimDuration,
     current_calls: Vec<u16>,
-    current_first_event: usize,
     current_preceding_idle: SimDuration,
-    next_event: usize,
 }
 
 impl GramBuilder {
@@ -144,9 +138,7 @@ impl GramBuilder {
         GramBuilder {
             gt: cfg.grouping_threshold,
             current_calls: Vec::new(),
-            current_first_event: 0,
             current_preceding_idle: SimDuration::ZERO,
-            next_event: 0,
         }
     }
 
@@ -159,13 +151,9 @@ impl GramBuilder {
         previous_idle: SimDuration,
         interner: &mut GramInterner,
     ) -> Option<Gram> {
-        let event_idx = self.next_event;
-        self.next_event += 1;
-
         if self.current_calls.is_empty() {
             // Very first event of the stream opens gram 0.
             self.current_calls.push(call.id());
-            self.current_first_event = event_idx;
             self.current_preceding_idle = previous_idle;
             return None;
         }
@@ -178,19 +166,8 @@ impl GramBuilder {
             // Algorithm 1 line 3–7: gap ≥ GT → close current gram, open new.
             let closed = self.finish_current(interner);
             self.current_calls.push(call.id());
-            self.current_first_event = event_idx;
             self.current_preceding_idle = previous_idle;
             Some(closed)
-        }
-    }
-
-    /// Close and return the gram currently being built, if any. Call at
-    /// end of stream to flush the trailing gram.
-    pub fn flush(&mut self, interner: &mut GramInterner) -> Option<Gram> {
-        if self.current_calls.is_empty() {
-            None
-        } else {
-            Some(self.finish_current(interner))
         }
     }
 
@@ -198,9 +175,7 @@ impl GramBuilder {
     pub(crate) fn snapshot(&self) -> GramBuilderSnapshot {
         GramBuilderSnapshot {
             current_calls: self.current_calls.clone(),
-            current_first_event: self.current_first_event,
             current_preceding_idle: self.current_preceding_idle,
-            next_event: self.next_event,
         }
     }
 
@@ -210,9 +185,7 @@ impl GramBuilder {
         GramBuilder {
             gt: cfg.grouping_threshold,
             current_calls: snap.current_calls.clone(),
-            current_first_event: snap.current_first_event,
             current_preceding_idle: snap.current_preceding_idle,
-            next_event: snap.next_event,
         }
     }
 
@@ -220,8 +193,6 @@ impl GramBuilder {
         let id = interner.intern(&self.current_calls);
         let gram = Gram {
             id,
-            first_event: self.current_first_event,
-            len: self.current_calls.len() as u32,
             preceding_idle: self.current_preceding_idle,
         };
         self.current_calls.clear();
@@ -263,17 +234,15 @@ mod tests {
                 }
             }
         }
-        if let Some(g) = b.flush(&mut interner) {
-            grams.push(g);
-        }
         (grams, interner)
     }
 
     #[test]
     fn fig2_grouping() {
         let (grams, interner) = feed_fig2(2);
-        // Two iterations → grams: [41-41-41], [10], [10] × 2.
-        assert_eq!(grams.len(), 6);
+        // Two iterations → grams: [41-41-41], [10], [10] × 2, the last
+        // still open (no later call has closed it).
+        assert_eq!(grams.len(), 5);
         assert_eq!(interner.display(grams[0].id), "41-41-41");
         assert_eq!(interner.display(grams[1].id), "10");
         assert_eq!(interner.display(grams[2].id), "10");
@@ -294,15 +263,6 @@ mod tests {
     }
 
     #[test]
-    fn first_event_indices() {
-        let (grams, _) = feed_fig2(2);
-        assert_eq!(grams[0].first_event, 0);
-        assert_eq!(grams[1].first_event, 3);
-        assert_eq!(grams[2].first_event, 4);
-        assert_eq!(grams[3].first_event, 5);
-    }
-
-    #[test]
     fn gap_exactly_gt_splits() {
         let cfg = cfg();
         let mut b = GramBuilder::new(&cfg);
@@ -311,20 +271,7 @@ mod tests {
         // A gap of exactly GT must start a new gram (Alg. 1 uses `<` GT to
         // group, so `== GT` separates).
         let closed = b.push(Sendrecv, us(20), &mut i);
-        assert!(closed.is_some());
-        assert_eq!(closed.unwrap().len, 1);
-    }
-
-    #[test]
-    fn flush_emits_trailing_gram() {
-        let cfg = cfg();
-        let mut b = GramBuilder::new(&cfg);
-        let mut i = GramInterner::new();
-        b.push(Allreduce, us(0), &mut i);
-        b.push(Allreduce, us(1), &mut i);
-        let g = b.flush(&mut i).unwrap();
-        assert_eq!(g.len, 2);
-        assert!(b.flush(&mut i).is_none(), "second flush is empty");
+        assert_eq!(i.shape(closed.expect("gram closed").id).len(), 1);
     }
 
     #[test]

@@ -64,6 +64,8 @@ pub use pattern::{
     RunningMean, DEFAULT_OCCURRENCE_WINDOW,
 };
 pub use ppa::{Declaration, Ppa, PpaWork};
-pub use runtime::{annotate_rank, DirectiveDigest, LaneDirective, RankAnnotation, RankRuntime};
+pub use runtime::{
+    annotate_rank, DirectiveDigest, EventOutcome, LaneDirective, RankAnnotation, RankRuntime,
+};
 pub use snapshot::{RuntimeSnapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use stats::RankStats;

@@ -2,17 +2,18 @@
 //!
 //! A [`RuntimeSnapshot`] captures **everything** a
 //! [`RankRuntime`](crate::runtime::RankRuntime) has learned — interned gram shapes,
-//! the pattern list with occurrence windows and slot-gap means, the PPA
-//! scan position, the prediction mode, the resilience controller and the
-//! cumulative statistics — but *not* the per-event output vectors
-//! (directives, overheads, penalties), which belong to whoever consumed
-//! them; of the directives it keeps only the count and digest of those
-//! a streaming consumer took, so a resuming client can check what it
-//! holds. Restoring a snapshot therefore yields a runtime that continues
-//! the stream exactly where the original left off: every subsequent
-//! declaration and lane directive is byte-identical to an unbroken run
-//! (property-tested over all five paper workloads in the integration
-//! suite).
+//! the closed grams' ids and preceding idle gaps, the pattern list with
+//! occurrence windows and slot-gap means, the PPA scan position, the
+//! prediction mode, the resilience controller and the cumulative
+//! statistics. The runtime keeps no per-event output (each
+//! [`RankRuntime::intercept`](crate::runtime::RankRuntime::intercept)
+//! hands its outcome to the caller), so of the directives the snapshot
+//! holds only the count and digest of those issued, which lets a
+//! resuming client check what it holds. Restoring a snapshot therefore
+//! yields a runtime that continues the stream exactly where the original
+//! left off: every subsequent declaration and lane directive is
+//! byte-identical to an unbroken run (property-tested over all five
+//! paper workloads in the integration suite).
 //!
 //! This is what `ibp-serve` uses to let a disconnected client resume
 //! prediction without re-learning its pattern dictionary.
@@ -23,7 +24,7 @@
 //! runtime state.
 
 use crate::config::SleepKind;
-use crate::gram::{Gram, GramId};
+use crate::gram::GramId;
 use crate::pattern::{PatternId, RunningMean};
 use crate::ppa::PpaWork;
 use crate::stats::RankStats;
@@ -45,7 +46,13 @@ use serde::{Deserialize, Serialize};
 /// * 4 — bounded records: `directives_total` and `directives_digest`,
 ///   the count and digest of the directives a streaming consumer has
 ///   taken out of the runtime.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// * 5 — two gram columns: `gram_idle` (each closed gram's preceding
+///   idle gap) beside `gram_ids` replaces the `grams` array, the gram
+///   builder drops its event positions, and `directives_total` and
+///   `directives_digest` cover every directive issued (the runtime
+///   hands each one out as it issues it), the digest folding each
+///   directive's fields as 64-bit words instead of bytes.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// A snapshot failed validation on restore.
 ///
@@ -110,12 +117,8 @@ pub struct GramInternerSnapshot {
 pub struct GramBuilderSnapshot {
     /// Calls accumulated in the open gram.
     pub current_calls: Vec<u16>,
-    /// Stream index of the open gram's first event.
-    pub current_first_event: usize,
     /// Idle gap that preceded the open gram.
     pub current_preceding_idle: SimDuration,
-    /// Next event index the builder will assign.
-    pub next_event: usize,
 }
 
 /// A bounded occurrence ring buffer, normalized oldest-first.
@@ -239,8 +242,8 @@ pub struct ResilienceSnapshot {
     pub guard: f64,
 }
 
-/// Complete learned state of one [`crate::runtime::RankRuntime`], minus
-/// its per-event output vectors. See the module docs for the contract.
+/// Complete learned state of one [`crate::runtime::RankRuntime`]. See
+/// the module docs for the contract.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RuntimeSnapshot {
     /// Layout version ([`SNAPSHOT_VERSION`]).
@@ -253,10 +256,12 @@ pub struct RuntimeSnapshot {
     pub interner: GramInternerSnapshot,
     /// The open (not yet closed) gram.
     pub builder: GramBuilderSnapshot,
-    /// All closed grams, in stream order.
-    pub grams: Vec<Gram>,
-    /// Shape ids of the closed grams (the PPA's input array).
+    /// Shape ids of the closed grams, in stream order (the PPA's input
+    /// array).
     pub gram_ids: Vec<GramId>,
+    /// The idle gap before each closed gram (parallel to `gram_ids`):
+    /// what seeds a declared pattern's per-slot means.
+    pub gram_idle: Vec<SimDuration>,
     /// The PPA scanner.
     pub ppa: PpaSnapshot,
     /// Prediction mode.
@@ -271,11 +276,11 @@ pub struct RuntimeSnapshot {
     /// Number of events intercepted so far (`after_event` indices of
     /// post-restore directives continue from here).
     pub event_idx: usize,
-    /// Directives taken out of the runtime so far
-    /// ([`RankRuntime::take_directives`](crate::runtime::RankRuntime::take_directives)),
+    /// Directives issued so far
+    /// ([`RankRuntime::issued`](crate::runtime::RankRuntime::issued)),
     /// across restores.
     pub directives_total: u64,
-    /// FNV-1a digest of those directives
+    /// Running digest of those directives
     /// ([`DirectiveDigest`](crate::runtime::DirectiveDigest)).
     pub directives_digest: u64,
 }

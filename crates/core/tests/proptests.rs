@@ -21,14 +21,17 @@ fn call_of(idx: u8) -> MpiCall {
 }
 
 proptest! {
-    /// Gram formation is a partition: every event lands in exactly one
-    /// gram, grams are non-empty, and their first_event indices are
-    /// strictly increasing and contiguous.
+    /// Gram formation is a partition: the closed grams' shapes
+    /// concatenate to a prefix of the stream's call ids and the rest is
+    /// the open gram, every gap inside a gram is below GT, and every gram
+    /// after the first opens after a gap >= GT, which is the closed
+    /// gram's `preceding_idle`.
     #[test]
     fn gram_formation_partitions_events(
         stream in proptest::collection::vec((0u8..5, 0u64..200), 1..300)
     ) {
         let cfg = PowerConfig::paper(SimDuration::from_us(20), 0.05);
+        let gt = cfg.grouping_threshold;
         let mut b = GramBuilder::new(&cfg);
         let mut interner = GramInterner::new();
         let mut grams = Vec::new();
@@ -37,27 +40,35 @@ proptest! {
                 grams.push(g);
             }
         }
-        if let Some(g) = b.flush(&mut interner) {
-            grams.push(g);
-        }
-        let total: u32 = grams.iter().map(|g| g.len).sum();
-        prop_assert_eq!(total as usize, stream.len());
-        let mut expect_start = 0usize;
-        for g in &grams {
-            prop_assert!(g.len > 0);
-            prop_assert_eq!(g.first_event, expect_start);
-            expect_start += g.len as usize;
-        }
-        // Every gram after the first is preceded by a gap >= GT.
-        for g in grams.iter().skip(1) {
-            prop_assert!(g.preceding_idle >= cfg.grouping_threshold);
-        }
-        // All gaps inside a gram are < GT.
-        for g in &grams {
-            for k in 1..g.len as usize {
-                let (_, gap) = stream[g.first_event + k];
-                let _ = gap; // by construction of push(); checked via GT above
+        let calls: Vec<u16> = grams
+            .iter()
+            .flat_map(|g| interner.shape(g.id).iter().copied())
+            .collect();
+        let expect: Vec<u16> = stream.iter().map(|&(c, _)| call_of(c).id()).collect();
+        prop_assert_eq!(&calls[..], &expect[..calls.len()]);
+        // Each gram starts where the previous one ended.
+        let mut start = 0usize;
+        for (k, g) in grams.iter().enumerate() {
+            let len = interner.shape(g.id).len();
+            prop_assert!(len > 0);
+            let lead = SimDuration::from_us(stream[start].1);
+            prop_assert_eq!(g.preceding_idle, lead);
+            if k > 0 {
+                prop_assert!(lead >= gt, "gram {} opened after a gap below GT", k);
             }
+            for &(_, gap) in &stream[start + 1..start + len] {
+                prop_assert!(SimDuration::from_us(gap) < gt, "gram {} split by a long gap", k);
+            }
+            start += len;
+        }
+        // The open gram: at least one call, opened by a gap >= GT unless
+        // it is the stream's first gram, and no gap >= GT inside.
+        prop_assert!(start < stream.len());
+        if start > 0 {
+            prop_assert!(SimDuration::from_us(stream[start].1) >= gt);
+        }
+        for &(_, gap) in &stream[start + 1..] {
+            prop_assert!(SimDuration::from_us(gap) < gt, "open gram split by a long gap");
         }
     }
 

@@ -301,8 +301,9 @@ impl Client {
         }
     }
 
-    /// Finish the stream. Returns any directives issued by the final
-    /// compute interval, the lifetime directive count, and final stats.
+    /// Finish the stream. Returns the directives of any batch replies
+    /// that arrive before `Closed` (finishing itself issues none), the
+    /// lifetime directive count, and final stats.
     pub fn close(
         &mut self,
         session: u32,

@@ -2379,8 +2379,9 @@ fn record_of(id: u32, sess: &Session, closed: bool) -> StoreRecord {
         rank: sess.rank,
         events: sess.events_applied(),
         closed,
-        history_complete: sess.history_complete(),
-        directives: sess.history(),
+        history_complete: true,
+        // Every batch reply delivers what the batch issued.
+        directives: Vec::new(),
         snapshot: sess.snapshot(),
     }
 }
@@ -2577,8 +2578,8 @@ fn handle_work(cell: &Arc<SessionCell>, work: Work, shared: &Shared) {
             // engine lock (so the eviction pager can never interleave):
             // a crash between this point and the `Closed` ack leaves a
             // record the client can restore and re-close — the
-            // deterministic finish re-issues identical final
-            // directives.
+            // deterministic finish answers the identical total and
+            // stats.
             persist_locked(cell.id, sess, shared, true);
             let SessionSlot::Hot(sess) = std::mem::replace(&mut *guard, SessionSlot::Retired)
             else {
@@ -2597,23 +2598,9 @@ fn handle_work(cell: &Arc<SessionCell>, work: Work, shared: &Shared) {
                 reg.len()
             };
             refresh_shard_gauge(shared, idx, len);
-            let sess = *sess;
-            let events_applied = sess.events_applied();
-            let (fresh, directives_total, stats) = sess.close(final_compute_ns);
-            metrics
-                .directives_sent
-                .fetch_add(fresh.len() as u64, Ordering::Relaxed);
+            // Finishing issues no directive: the batches delivered them all.
+            let (_, directives_total, stats) = sess.close(final_compute_ns);
             metrics.sessions_closed.fetch_add(1, Ordering::Relaxed);
-            if !fresh.is_empty() {
-                send_frame(
-                    tx,
-                    &ServerFrame::Directives {
-                        session: cell.id,
-                        events_applied,
-                        directives: fresh,
-                    },
-                );
-            }
             send_frame(
                 tx,
                 &ServerFrame::Closed {

@@ -14,10 +14,10 @@ use ibp_trace::MpiCall;
 /// A live prediction engine for one simulated rank.
 ///
 /// Wraps [`RankRuntime`] with the bookkeeping the server needs: each
-/// batch response carries only the directives the batch produced (the
-/// session takes them out of the runtime, which keeps their count and
-/// digest for resuming clients) and translation from wire events to the
-/// typed intercept API. Unknown Paraver call ids degrade to `Send` —
+/// batch response carries the directives the batch's intercepts
+/// returned (the runtime keeps only their count and digest, for
+/// resuming clients) and translation from wire events to the typed
+/// intercept API. Unknown Paraver call ids degrade to `Send` —
 /// the predictor keys on call identity, and an id outside the trace
 /// vocabulary still forms stable grams, so a shim linked against a newer
 /// MPI can stream without a protocol upgrade.
@@ -59,13 +59,18 @@ impl Session {
     }
 
     /// Rehydrate a session from a durable [`StoreRecord`]: the engine
-    /// resumes at the record's event position, and the record's
-    /// undelivered directives (normally none) go out with the next
-    /// batch.
+    /// resumes at the record's event position. A session delivers every
+    /// directive with the batch that issued it, so a record carrying an
+    /// undelivered tail was not written by this build and is refused.
     pub fn restore_from_record(record: &StoreRecord) -> Result<Self, ProtocolError> {
-        let mut runtime = RankRuntime::from_snapshot(&record.snapshot)
+        if !record.directives.is_empty() {
+            return Err(ProtocolError::BadSnapshot(format!(
+                "record carries {} undelivered directives; records hold none",
+                record.directives.len()
+            )));
+        }
+        let runtime = RankRuntime::from_snapshot(&record.snapshot)
             .map_err(|e| ProtocolError::BadSnapshot(e.to_string()))?;
-        runtime.restore_untaken(&record.directives);
         Ok(Session::with_runtime(record.rank, runtime))
     }
 
@@ -77,17 +82,15 @@ impl Session {
     /// ([`crate::protocol::decode_client`] rejects the frame), so only an
     /// in-process caller can pass it.
     pub fn apply(&mut self, events: &[WireEvent]) -> (u64, Vec<LaneDirective>) {
-        self.runtime.reserve_events(events.len());
+        let mut directives = Vec::new();
         for &(call_id, gap_ns) in events {
             let call = MpiCall::from_id(call_id).unwrap_or(MpiCall::Send);
-            self.runtime.intercept(call, SimDuration::from_ns(gap_ns));
+            let out = self.runtime.intercept(call, SimDuration::from_ns(gap_ns));
+            directives.extend(out.directive);
         }
         self.events_since_stats += events.len() as u64;
         self.events_since_persist += events.len() as u64;
-        (
-            self.runtime.events_seen() as u64,
-            self.runtime.take_directives(),
-        )
+        (self.runtime.events_seen() as u64, directives)
     }
 
     /// Cumulative statistics so far.
@@ -105,9 +108,11 @@ impl Session {
     /// Count and digest of every directive delivered over the
     /// session's lifetime, from event 0 and across restores: what a
     /// store rehydration answers instead of replaying the directives.
+    /// Every directive is delivered with the batch that issued it, so
+    /// these are the runtime's issued count and digest.
     #[must_use]
     pub fn delivered(&self) -> DirectiveDigest {
-        self.runtime.taken()
+        self.runtime.issued()
     }
 
     /// Events applied so far.
@@ -141,19 +146,21 @@ impl Session {
     }
 
     /// The directives issued but not yet delivered — the tail a
-    /// [`StoreRecord`] carries. [`Session::apply`] delivers everything
-    /// it issues, so this is normally empty; the delivered directives
-    /// live on only as [`Session::delivered`]'s count and digest, so a
-    /// record does not grow with the session.
+    /// [`StoreRecord`] carries: always empty, since [`Session::apply`]
+    /// delivers everything it issues (the delivered ones live on as
+    /// [`Session::delivered`]'s count and digest). Kept, with
+    /// [`Session::history_complete`], for the benchmark harness that
+    /// builds records from a session.
     #[must_use]
     pub fn history(&self) -> Vec<LaneDirective> {
-        self.runtime.directives().to_vec()
+        Vec::new()
     }
 
     /// Always true: every session carries the count and digest of its
     /// directives from event 0, whether it was opened, restored from a
     /// client's snapshot or rehydrated (see
-    /// [`StoreRecord::history_complete`]).
+    /// [`StoreRecord::history_complete`]). Kept for the benchmark
+    /// harness, like [`Session::history`].
     #[must_use]
     pub fn history_complete(&self) -> bool {
         true
@@ -189,7 +196,7 @@ impl Session {
             rank: self.rank,
             busy: false,
             events_applied: self.runtime.events_seen() as u64,
-            directives_sent: self.runtime.taken().count,
+            directives_sent: self.runtime.issued().count,
             predicting: self.runtime.predicting(),
             power_state,
             // The serve stack models the paper's link; derive its
@@ -215,14 +222,14 @@ impl Session {
     }
 
     /// Finish the stream (trailing compute time) and return the final
-    /// accounting: any last directives, the lifetime total, and final
-    /// stats.
+    /// accounting: the directives left to send (always none: finishing
+    /// issues no directive; the shape is kept for the benchmark
+    /// harness), the lifetime total, and final stats.
     #[must_use]
     pub fn close(self, final_compute_ns: u64) -> (Vec<LaneDirective>, u64, RankStats) {
-        let delivered = self.runtime.taken().count;
-        let ann = self.runtime.finish(SimDuration::from_ns(final_compute_ns));
-        let total = delivered + ann.directives.len() as u64;
-        (ann.directives, total, ann.stats)
+        let total = self.runtime.issued().count;
+        let stats = self.runtime.finish(SimDuration::from_ns(final_compute_ns));
+        (Vec::new(), total, stats)
     }
 }
 
@@ -319,36 +326,34 @@ mod tests {
         assert_eq!(total, golden.directives.len() as u64);
     }
 
-    /// Directives a record holds as undelivered go out with the
-    /// rehydrated session's next batch, and only then count as
-    /// delivered.
+    /// A record carrying undelivered directives is refused with a typed
+    /// error (no build writes one), and the same record with an empty
+    /// tail rehydrates at its event position.
     #[test]
-    fn record_tail_is_delivered_after_rehydration() {
+    fn record_with_a_directive_tail_is_refused() {
         let (events, _, trace) = sample_stream();
         let golden = annotate_rank(&trace.ranks[0], &PowerConfig::default());
         let split = events.len() / 2;
-        let mut rt = RankRuntime::new(0, PowerConfig::default());
-        for &(call, gap) in &events[..split] {
-            rt.intercept(MpiCall::from_id(call).unwrap(), SimDuration::from_ns(gap));
-        }
-        let record = StoreRecord {
+        let mut sess = Session::open(0, PowerConfig::default());
+        let streamed = sess.apply(&events[..split]).1;
+        let mut record = StoreRecord {
             record_version: crate::store::RECORD_VERSION,
             session: 3,
             rank: 0,
             events: split as u64,
             closed: false,
             history_complete: true,
-            directives: rt.directives().to_vec(),
-            snapshot: rt.snapshot(),
+            directives: golden.directives[..1].to_vec(),
+            snapshot: sess.snapshot(),
         };
-        assert!(!record.directives.is_empty());
-        let mut sess = Session::restore_from_record(&record).expect("rehydrate");
-        assert_eq!(sess.delivered(), DirectiveDigest::EMPTY);
-        assert_eq!(sess.history(), record.directives);
-        let (_, fresh) = sess.apply(&events[split..split + 1]);
-        assert_eq!(fresh[..record.directives.len()], record.directives[..]);
-        assert_eq!(fresh[..], golden.directives[..fresh.len()]);
-        assert_eq!(sess.delivered(), DirectiveDigest::of(&fresh));
+        assert!(matches!(
+            Session::restore_from_record(&record),
+            Err(ProtocolError::BadSnapshot(m)) if m.contains("1 undelivered")
+        ));
+        record.directives.clear();
+        let sess = Session::restore_from_record(&record).expect("rehydrate");
+        assert_eq!(sess.events_applied(), split as u64);
+        assert_eq!(sess.delivered(), DirectiveDigest::of(&streamed));
     }
 
     #[test]

@@ -22,11 +22,12 @@
 //! `crc` is the IEEE CRC-32 of the JSON payload (same function as the
 //! wire protocol's frame checksum). The JSON is a [`StoreRecord`]: the
 //! snapshot (which carries the count and digest of the directives the
-//! session delivered, not the directives), any undelivered directives,
-//! and resume metadata, so a record does not grow with the session's
-//! directive stream. A `MANIFEST.json` alongside the records summarises the
-//! store for humans and fast listing; it is advisory — recovery trusts
-//! only the records themselves and rewrites the manifest to match.
+//! session delivered, not the directives), an always-empty undelivered
+//! tail, and resume metadata, so a record does not grow with the
+//! session's directive stream. A `MANIFEST.json` alongside the records
+//! summarises the store for humans and fast listing; it is advisory —
+//! recovery trusts only the records themselves and rewrites the
+//! manifest to match.
 //!
 //! ## Crash safety
 //!
@@ -35,10 +36,10 @@
 //! target; the directory is fsynced after the rename. A reader
 //! therefore sees either the old record or the new one, never a torn
 //! write. Recovery is corruption-tolerant by construction: a record
-//! that fails any check (magic, length, CRC, JSON, version) is skipped
-//! and reported in the [`RecoveryReport`], never panicked on —
-//! property-tested against arbitrary truncation and bit flips in
-//! `tests/store_corruption.rs`.
+//! that fails any check (magic, length, CRC, JSON, version, a non-empty
+//! directive tail) is skipped and reported in the [`RecoveryReport`],
+//! never panicked on — property-tested against arbitrary truncation
+//! and bit flips in `tests/store_corruption.rs`.
 
 use crate::protocol::crc32;
 use ibp_core::{LaneDirective, RuntimeSnapshot};
@@ -97,9 +98,12 @@ pub struct StoreRecord {
     /// the session was restored from, including a client's snapshot.
     pub history_complete: bool,
     /// Directives the session had issued but not yet delivered when the
-    /// record was written, in event order — normally none, since every
-    /// batch reply delivers what the batch issued. A rehydrated session
-    /// sends them with its next reply.
+    /// record was written: always empty, since every batch reply
+    /// delivers what the batch issued. A record whose tail is not empty
+    /// is refused: skipped on recovery and on load, and a `BadSnapshot`
+    /// from [`crate::Session::restore_from_record`]. The field stays so
+    /// the record's eight-field layout (and the benchmark harness that
+    /// builds one) is unchanged.
     pub directives: Vec<LaneDirective>,
     /// The engine's full learned state.
     pub snapshot: RuntimeSnapshot,
@@ -525,6 +529,12 @@ fn read_record_file(path: &Path) -> Result<StoreRecord, String> {
             record.events, record.snapshot.event_idx
         ));
     }
+    if !record.directives.is_empty() {
+        return Err(format!(
+            "record carries {} undelivered directives; records hold none",
+            record.directives.len()
+        ));
+    }
     Ok(record)
 }
 
@@ -571,7 +581,7 @@ mod tests {
             events: events as u64,
             closed: false,
             history_complete: true,
-            directives: rt.directives().to_vec(),
+            directives: Vec::new(),
             snapshot: rt.snapshot(),
         }
     }

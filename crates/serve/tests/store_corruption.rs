@@ -4,7 +4,7 @@
 //! keystone: a snapshot survives save → restore → save byte-for-byte,
 //! so a rehydrated session persists records identical to the original's.
 
-use ibp_core::{PowerConfig, RankRuntime};
+use ibp_core::{LaneDirective, PowerConfig, RankRuntime};
 use ibp_serve::store::{record_file_name, MANIFEST_NAME};
 use ibp_serve::{SnapshotStore, StoreRecord};
 use ibp_simcore::SimDuration;
@@ -26,9 +26,10 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// A runtime that has really learned something, so records carry a
-/// non-trivial snapshot and directive history.
-fn trained_runtime(rank: u32, events: usize) -> RankRuntime {
+/// non-trivial snapshot, and the directives it issued.
+fn trained_runtime(rank: u32, events: usize) -> (RankRuntime, Vec<LaneDirective>) {
     let mut rt = RankRuntime::new(rank, PowerConfig::default());
+    let mut directives = Vec::new();
     for i in 0..events {
         let call = if i % 5 < 3 {
             MpiCall::Sendrecv
@@ -36,13 +37,13 @@ fn trained_runtime(rank: u32, events: usize) -> RankRuntime {
             MpiCall::Allreduce
         };
         let gap = SimDuration::from_us(if i % 5 == 0 { 300 } else { 2 });
-        rt.intercept(call, gap);
+        directives.extend(rt.intercept(call, gap).directive);
     }
-    rt
+    (rt, directives)
 }
 
 fn sample_record(session: u32, events: usize) -> StoreRecord {
-    let rt = trained_runtime(session, events);
+    let (rt, _) = trained_runtime(session, events);
     StoreRecord {
         record_version: ibp_serve::store::RECORD_VERSION,
         session,
@@ -50,9 +51,56 @@ fn sample_record(session: u32, events: usize) -> StoreRecord {
         events: events as u64,
         closed: false,
         history_complete: true,
-        directives: rt.directives().to_vec(),
+        directives: Vec::new(),
         snapshot: rt.snapshot(),
     }
+}
+
+/// Assert that the store skips session `session`'s record with a reason
+/// containing `why`, and that `restore` (the in-process rehydration or a
+/// client's `Restore`) refuses it with a typed `BadSnapshot` whose
+/// message contains `why` too.
+fn assert_refused(
+    dir: &std::path::Path,
+    session: u32,
+    why: &str,
+    restore: Result<ibp_serve::Session, ibp_serve::ProtocolError>,
+) {
+    let (store, report) = SnapshotStore::open(dir).expect("open skips the record");
+    assert_eq!(report.loaded, 0, "{report:?}");
+    let (name, reason) = &report.skipped[0];
+    assert_eq!(name, &record_file_name(session));
+    assert!(reason.contains(why), "{reason}");
+    assert!(store.load(session).unwrap().is_none());
+    match restore {
+        Err(ibp_serve::ProtocolError::BadSnapshot(msg)) => assert!(msg.contains(why), "{msg}"),
+        Err(other) => panic!("expected BadSnapshot, got {other}"),
+        Ok(_) => panic!("the record must not restore"),
+    }
+}
+
+/// The `snapshot` entry of a serialized record.
+fn snapshot_field(record: &mut serde::Value) -> &mut Vec<(String, serde::Value)> {
+    let serde::Value::Map(fields) = record else {
+        panic!("record serializes as an object");
+    };
+    match fields.iter_mut().find(|(k, _)| k == "snapshot") {
+        Some((_, serde::Value::Map(snap))) => snap,
+        _ => panic!("record has a snapshot object"),
+    }
+}
+
+fn set_version(snap: &mut [(String, serde::Value)], version: u64) {
+    for (k, v) in snap.iter_mut() {
+        if k == "version" {
+            *v = serde::Value::U64(version);
+        }
+    }
+}
+
+fn snapshot_bytes(record: &mut serde::Value) -> Vec<u8> {
+    let snap = serde::Value::Map(snapshot_field(record).clone());
+    serde_json::to_string(&snap).unwrap().into_bytes()
 }
 
 /// Reopen the store over mutated bytes and require calm behaviour:
@@ -137,46 +185,98 @@ fn older_snapshot_layout_is_skipped_with_a_version_reason() {
 fn v3_snapshot_record_is_skipped_with_a_version_reason() {
     let dir = temp_dir("v3");
     std::fs::create_dir_all(&dir).unwrap();
-    let rt = trained_runtime(6, 120);
+    let (_, directives) = trained_runtime(6, 120);
     let mut record = serde::Serialize::to_value(&sample_record(6, 120));
     let serde::Value::Map(fields) = &mut record else {
         panic!("record serializes as an object");
     };
     for (key, value) in fields.iter_mut() {
         if key == "directives" {
-            *value = serde::Serialize::to_value(&rt.directives().to_vec());
-        }
-        if let ("snapshot", serde::Value::Map(snap)) = (key.as_str(), value) {
-            snap.retain(|(k, _)| k != "directives_total" && k != "directives_digest");
-            for (k, v) in snap.iter_mut() {
-                if k == "version" {
-                    *v = serde::Value::U64(3);
-                }
-            }
+            *value = serde::Serialize::to_value(&directives);
         }
     }
+    let snap = snapshot_field(&mut record);
+    snap.retain(|(k, _)| k != "directives_total" && k != "directives_digest");
+    set_version(snap, 3);
     let v3 = serde_json::to_string(&record).unwrap();
     write_record_payload(&dir, 6, v3.as_bytes());
 
-    let (store, report) = SnapshotStore::open(&dir).expect("open skips the old record");
-    assert_eq!(report.loaded, 0, "{report:?}");
-    let (name, reason) = &report.skipped[0];
-    assert_eq!(name, &record_file_name(6));
-    assert!(reason.contains("snapshot version 3"), "{reason}");
-    assert!(store.load(6).unwrap().is_none());
+    let restore = ibp_serve::Session::restore(&snapshot_bytes(&mut record));
+    assert_refused(&dir, 6, "snapshot version 3", restore);
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    let serde::Value::Map(fields) = &record else {
-        unreachable!()
-    };
-    let snapshot = &fields.iter().find(|(k, _)| k == "snapshot").unwrap().1;
-    let bytes = serde_json::to_string(snapshot).unwrap().into_bytes();
-    match ibp_serve::Session::restore(&bytes) {
-        Err(ibp_serve::ProtocolError::BadSnapshot(msg)) => {
-            assert!(msg.contains("version 3"), "{msg}")
+/// A record written before the two gram columns — its snapshot at
+/// version 4, with a `grams` array of `{id, first_event, len,
+/// preceding_idle}` instead of `gram_idle`, and a gram builder that
+/// counts events — is skipped with the snapshot version as the reason,
+/// and the same snapshot sent in a `Restore` is a typed `BadSnapshot`.
+#[test]
+fn v4_snapshot_record_is_skipped_with_a_version_reason() {
+    let dir = temp_dir("v4");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut record = serde::Serialize::to_value(&sample_record(8, 120));
+    let snap = snapshot_field(&mut record);
+    let column =
+        |snap: &[(String, serde::Value)], key: &str| match snap.iter().find(|(k, _)| k == key) {
+            Some((_, serde::Value::Seq(v))) => v.clone(),
+            _ => panic!("snapshot has a {key} array"),
+        };
+    let ids = column(snap, "gram_ids");
+    let idle = column(snap, "gram_idle");
+    assert!(!ids.is_empty(), "the trained runtime closed grams");
+    let grams = ids
+        .into_iter()
+        .zip(idle)
+        .enumerate()
+        .map(|(i, (id, preceding_idle))| {
+            serde::Value::Map(vec![
+                ("id".into(), id),
+                ("first_event".into(), serde::Value::U64(i as u64)),
+                ("len".into(), serde::Value::U64(1)),
+                ("preceding_idle".into(), preceding_idle),
+            ])
+        })
+        .collect();
+    snap.retain(|(k, _)| k != "gram_idle");
+    snap.push(("grams".into(), serde::Value::Seq(grams)));
+    for (k, v) in snap.iter_mut() {
+        if let ("builder", serde::Value::Map(builder)) = (k.as_str(), v) {
+            builder.push(("current_first_event".into(), serde::Value::U64(0)));
+            builder.push(("next_event".into(), serde::Value::U64(120)));
         }
-        Err(other) => panic!("expected BadSnapshot, got {other}"),
-        Ok(_) => panic!("a v3 snapshot must not restore"),
     }
+    set_version(snap, 4);
+    let v4 = serde_json::to_string(&record).unwrap();
+    write_record_payload(&dir, 8, v4.as_bytes());
+
+    let restore = ibp_serve::Session::restore(&snapshot_bytes(&mut record));
+    assert_refused(&dir, 8, "snapshot version 4", restore);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A current-layout record whose undelivered directive tail is not
+/// empty — no build writes one, so it is hostile input — is skipped on
+/// recovery with a reason, and rehydrating it in process is a typed
+/// `BadSnapshot`, never a panic.
+#[test]
+fn record_with_a_directive_tail_is_refused() {
+    let dir = temp_dir("tail");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (_, directives) = trained_runtime(9, 120);
+    assert!(
+        !directives.is_empty(),
+        "the trained runtime issued directives"
+    );
+    let record = StoreRecord {
+        directives,
+        ..sample_record(9, 120)
+    };
+    let json = serde_json::to_string(&record).unwrap();
+    write_record_payload(&dir, 9, json.as_bytes());
+
+    let restore = ibp_serve::Session::restore_from_record(&record);
+    assert_refused(&dir, 9, "undelivered directives", restore);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -36,6 +36,7 @@ fn main() {
     println!("# event  call           gap        predicting?");
     let mut event = 0;
     let mut first_prediction = None;
+    let mut directives = Vec::new();
     for iter in 0..6 {
         for (i, &(call, gap_us)) in iteration.iter().enumerate() {
             let gap = if iter == 0 && i == 0 {
@@ -43,7 +44,7 @@ fn main() {
             } else {
                 SimDuration::from_us(gap_us)
             };
-            rt.intercept(call, gap);
+            directives.extend(rt.intercept(call, gap).directive);
             event += 1;
             let predicting = rt.predicting();
             if predicting && first_prediction.is_none() {
@@ -58,7 +59,7 @@ fn main() {
         }
     }
 
-    let ann = rt.finish(SimDuration::ZERO);
+    let stats = rt.finish(SimDuration::ZERO);
     println!();
     match first_prediction {
         Some(e) => println!(
@@ -72,8 +73,8 @@ fn main() {
          sequence 41-41-41, 10, 10."
     );
     println!();
-    println!("Lane-off directives issued : {}", ann.stats.lane_off_count);
-    for d in ann.directives.iter().take(5) {
+    println!("Lane-off directives issued : {}", stats.lane_off_count);
+    for d in directives.iter().take(5) {
         println!(
             "  after event {:>3}: sleep timer {} (predicted idle {})",
             d.after_event + 1,
@@ -81,21 +82,21 @@ fn main() {
             d.predicted_idle
         );
     }
-    if ann.directives.len() > 5 {
-        println!("  ... and {} more", ann.directives.len() - 5);
+    if directives.len() > 5 {
+        println!("  ... and {} more", directives.len() - 5);
     }
     println!();
     println!(
         "Hit rate                   : {:.1}% of MPI calls correctly predicted",
-        ann.stats.hit_rate_pct()
+        stats.hit_rate_pct()
     );
     println!(
         "Nominal low-power time     : {} of {} total idle",
-        ann.stats.sleep_time[SleepKind::Wrps as usize],
-        ann.stats.nominal_duration
+        stats.sleep_time[SleepKind::Wrps as usize],
+        stats.nominal_duration
     );
     println!(
         "Estimated IB switch saving : {:.1}% (WRPS low-power draw 43%)",
-        ann.stats.est_power_saving_pct(0.43)
+        stats.est_power_saving_pct(0.43)
     );
 }

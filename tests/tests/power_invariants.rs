@@ -90,10 +90,9 @@ proptest! {
             }
         }
         prop_assert!(rt.predicting(), "periodic stream never predicted");
-        let ann = rt.finish(SimDuration::ZERO);
         // Learning takes at most ~5 periods (3 consecutive sightings of
         // a pattern of up to period_len grams plus scan lookahead).
-        let hit = ann.stats.hit_rate_pct();
+        let hit = rt.finish(SimDuration::ZERO).hit_rate_pct();
         prop_assert!(hit > 50.0, "hit rate only {hit}%");
     }
 
@@ -151,6 +150,7 @@ proptest! {
         let cfg = PowerConfig::paper(SimDuration::from_us(20), 0.01);
         let mut rt = RankRuntime::new(0, cfg);
         let mut max_gap = 0u32;
+        let mut directives = Vec::new();
         for &g in &gaps {
             let call = if rng.chance(0.5) {
                 MpiCall::Allreduce
@@ -158,10 +158,9 @@ proptest! {
                 MpiCall::Sendrecv
             };
             max_gap = max_gap.max(g);
-            rt.intercept(call, SimDuration::from_us(u64::from(g)));
+            directives.extend(rt.intercept(call, SimDuration::from_us(u64::from(g))).directive);
         }
-        let ann = rt.finish(SimDuration::ZERO);
-        for d in &ann.directives {
+        for d in &directives {
             prop_assert!(
                 d.predicted_idle <= SimDuration::from_us(u64::from(max_gap)),
                 "predicted idle {} above max observed {}us",
