@@ -520,6 +520,13 @@ pub fn render_robustness(rows: &[RobustnessPoint]) -> String {
 mod tests {
     use super::*;
 
+    /// Relative link energy of a policy against the unmanaged run: the
+    /// share of power it still draws times the share of time it runs,
+    /// (1 − saving)·(1 + slowdown).
+    fn relative_energy(saving_pct: f64, slowdown_pct: f64) -> f64 {
+        (1.0 - saving_pct / 100.0) * (1.0 + slowdown_pct / 100.0)
+    }
+
     #[test]
     fn oracle_bounds_ppa_from_above() {
         // Use a small ALYA for speed.
@@ -539,6 +546,67 @@ mod tests {
             ora_d <= ppa_d + 0.05,
             "oracle slowdown {ora_d} vs ppa {ppa_d}"
         );
+
+        // The bound that holds for every ablation policy is on energy:
+        // a reactive policy may save more power than the oracle, but it
+        // pays for it in run time.
+        let oracle_energy = relative_energy(ora_s, ora_d);
+        let us = SimDuration::from_us;
+        let policies = [
+            ("ppa", annotate_trace(&trace, &cfg)),
+            (
+                "reactive-0us",
+                annotate_ranks(&trace, 1, |r| reactive_annotate_rank(r, &cfg, us(0))),
+            ),
+            (
+                "reactive-50us",
+                annotate_ranks(&trace, 1, |r| reactive_annotate_rank(r, &cfg, us(50))),
+            ),
+            (
+                "history-8",
+                annotate_ranks(&trace, 1, |r| history_annotate_rank(r, &cfg, 8)),
+            ),
+        ];
+        for (name, ann) in &policies {
+            let (s, d) = run_policy(&trace, &baseline, ann, &params);
+            let energy = relative_energy(s, d);
+            assert!(
+                oracle_energy <= energy,
+                "oracle energy {oracle_energy} above {name}'s {energy}"
+            );
+        }
+    }
+
+    /// The committed ablation rows obey the same energy bound in every
+    /// application.
+    #[test]
+    fn committed_ablation_oracle_bounds_every_policy_on_energy() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/ablation.json");
+        let json = std::fs::read_to_string(path).expect("results/ablation.json is committed");
+        let rows: Vec<PolicyOutcome> = serde_json::from_str(&json).expect("ablation rows");
+        let mut apps = 0;
+        for app in AppKind::ALL {
+            let app_rows: Vec<&PolicyOutcome> =
+                rows.iter().filter(|r| r.app == app.name()).collect();
+            let energy = |r: &PolicyOutcome| relative_energy(r.saving_pct, r.slowdown_pct);
+            let oracle = app_rows
+                .iter()
+                .find(|r| r.policy == "oracle")
+                .unwrap_or_else(|| panic!("{} has an oracle row", app.name()));
+            for r in &app_rows {
+                assert!(
+                    energy(oracle) <= energy(r),
+                    "{}: oracle energy {} above {}'s {}",
+                    r.app,
+                    energy(oracle),
+                    r.policy,
+                    energy(r)
+                );
+            }
+            assert_eq!(app_rows.len(), 5, "{}: five policies", app.name());
+            apps += 1;
+        }
+        assert_eq!(apps, 5);
     }
 
     #[test]
