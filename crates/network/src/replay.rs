@@ -855,8 +855,19 @@ pub fn replay_with_scratch(
         .map(|s| s.t)
         .max()
         .unwrap_or(SimTime::ZERO);
+    let exec_time = exec.since(SimTime::ZERO);
+    // Accounting invariant: no host link sleeps or switches for longer
+    // than the run lasts, so its full-power residency is never negative.
+    for (r, s) in engine.ranks.iter().enumerate() {
+        let asleep = s.power.sleep_time.iter().copied().sum::<SimDuration>();
+        debug_assert!(
+            asleep + s.power.transition_time <= exec_time,
+            "link {r}: {asleep} asleep + {} in transition exceeds the {exec_time} run",
+            s.power.transition_time
+        );
+    }
     Ok(SimResult {
-        exec_time: exec.since(SimTime::ZERO),
+        exec_time,
         rank_finish: engine.ranks.iter().map(|s| s.t).collect(),
         link_sleep: engine.ranks.iter().map(|s| s.power.sleep_time).collect(),
         link_transition: engine
