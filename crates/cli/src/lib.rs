@@ -223,9 +223,8 @@ const COMMANDS: &[Spec] = &[
     Spec(
         "serve",
         "",
-        "--uds --tcp --workers --io-threads --queue --stats-every --session-limit --store \
-         --persist-every --max-hot-sessions --write-queue --idle-timeout-ms \
-         --write-timeout-ms --metrics-addr",
+        "--uds --tcp --workers --io-threads --session-limit --store --persist-every \
+         --max-hot-sessions --metrics-addr",
         "",
     ),
     Spec(
@@ -361,14 +360,7 @@ impl<'a> Args<'a> {
                 let config = ServeConfig {
                     workers: self.at_least("--workers", 1)?.unwrap_or(d.workers),
                     io_threads: self.at_least("--io-threads", 1)?.unwrap_or(d.io_threads),
-                    queue_depth: self.at_least("--queue", 1)?.unwrap_or(d.queue_depth),
-                    stats_every: self.num("--stats-every")?.unwrap_or(d.stats_every),
                     session_limit: self.at_least("--session-limit", 1)?,
-                    write_queue: self.at_least("--write-queue", 1)?.unwrap_or(d.write_queue),
-                    idle_timeout_ms: self.num("--idle-timeout-ms")?.unwrap_or(d.idle_timeout_ms),
-                    write_timeout_ms: self
-                        .num("--write-timeout-ms")?
-                        .unwrap_or(d.write_timeout_ms),
                     persist_every: self.num("--persist-every")?.unwrap_or(d.persist_every),
                     max_hot_sessions: self.at_least("--max-hot-sessions", 1)?,
                     metrics_addr: self.string("--metrics-addr"),
@@ -600,10 +592,8 @@ USAGE:
   ibpower exhibits <name> [--jobs N] [--serial] [--seed N] [--out DIR]
   ibpower bench-report [-o PATH] [--check] [--iters N] [--reps N] [--label S]
   ibpower serve    (--uds PATH | --tcp ADDR) [--workers N] [--io-threads N]
-                   [--queue N] [--stats-every N] [--session-limit N]
-                   [--store DIR] [--persist-every N] [--max-hot-sessions N]
-                   [--write-queue N] [--idle-timeout-ms N]
-                   [--write-timeout-ms N] [--metrics-addr ADDR]
+                   [--session-limit N] [--store DIR] [--persist-every N]
+                   [--max-hot-sessions N] [--metrics-addr ADDR]
   ibpower load     <app> <nprocs> (--uds PATH | --tcp ADDR) [--sessions N]
                    [--batch N] [--seed N] [--split F] [--check] [--gt US]
                    [--disp F] [--chaos F] [--chaos-seed N] [--retries N]
@@ -651,19 +641,15 @@ SERVE & LOAD: `serve` runs the online streaming prediction service — each
   trace's ranks.
 
 DURABILITY & CHAOS:
-  --store DIR        persist session state (snapshot + directive history)
-                     to DIR — atomic, CRC-checked records; on restart the
-                     server rehydrates sessions and clients resume via an
+  --store DIR        persist each session's learned state (its snapshot,
+                     with the count and digest of the directives it
+                     delivered) to DIR as one atomic, CRC-checked record
+                     file per session; on restart the server rehydrates
+                     sessions from those files and clients resume via an
                      empty-body Restore. SIGINT/SIGTERM drain gracefully,
                      flushing every live session first.
   --persist-every N  store-backed sessions also persist every N applied
                      events (default 256; 0 = only on close/drain)
-  --write-queue N    outbound frames buffered per connection before the
-                     oldest are shed with an in-band overload error
-                     (default 256) — a client that stops reading can no
-                     longer stall the worker pool
-  --idle-timeout-ms / --write-timeout-ms
-                     reap dead/stuck connections (defaults 0 = off, 30000)
   --chaos F          (load) wrap every connection in the seeded fault
                      injector at intensity F: partial writes, short reads,
                      stalls, resets, bit flips. The resilient client
@@ -998,7 +984,7 @@ mod tests {
             }
         );
         let c = parse(&argv(
-            "serve --tcp 127.0.0.1:9400 --workers 2 --queue 16 --stats-every 500 --session-limit 8",
+            "serve --tcp 127.0.0.1:9400 --workers 2 --io-threads 3 --session-limit 8",
         ))
         .unwrap();
         assert_eq!(
@@ -1007,8 +993,7 @@ mod tests {
                 endpoint: Endpoint::Tcp("127.0.0.1:9400".into()),
                 config: ServeConfig {
                     workers: 2,
-                    queue_depth: 16,
-                    stats_every: 500,
+                    io_threads: 3,
                     session_limit: Some(8),
                     ..ServeConfig::default()
                 },
@@ -1107,26 +1092,31 @@ mod tests {
     #[test]
     fn parses_serve_durability_flags() {
         let c = parse(&argv(
-            "serve --uds /tmp/ibp.sock --store /var/ibp --persist-every 64 \
-             --write-queue 32 --idle-timeout-ms 5000 --write-timeout-ms 1000",
+            "serve --uds /tmp/ibp.sock --store /var/ibp --persist-every 64",
         ))
         .unwrap();
         match c {
             Command::Serve { config, store, .. } => {
                 assert_eq!(store.as_deref(), Some("/var/ibp"));
                 assert_eq!(config.persist_every, 64);
-                assert_eq!(config.write_queue, 32);
-                assert_eq!(config.idle_timeout_ms, 5_000);
-                assert_eq!(config.write_timeout_ms, 1_000);
             }
             other => panic!("{other:?}"),
         }
         // --store takes a value: its argument must not leak into the
         // positional list.
         assert!(parse(&argv("serve --store d --uds a.sock")).is_ok());
-        assert!(parse(&argv("serve --uds a.sock --write-queue 0"))
-            .unwrap_err()
-            .contains("bad --write-queue"));
+        // Mailbox depth, write queue and write stall are fixed; stats
+        // come only on Flush and idle connections are kept.
+        for flag in [
+            "--queue",
+            "--stats-every",
+            "--write-queue",
+            "--idle-timeout-ms",
+            "--write-timeout-ms",
+        ] {
+            let err = parse(&argv(&format!("serve --uds a.sock {flag} 5"))).unwrap_err();
+            assert!(err.contains(&format!("unknown flag '{flag}'")), "{err}");
+        }
         assert!(parse(&argv("serve --uds a.sock --persist-every x"))
             .unwrap_err()
             .contains("bad --persist-every"));

@@ -618,13 +618,8 @@ fn run(cmd: Command) -> Result<(), String> {
                 let (store, recovery) = ibp_serve::SnapshotStore::open(std::path::Path::new(&dir))
                     .map_err(|e| format!("opening store {dir}: {e}"))?;
                 eprintln!(
-                    "store      : {dir} ({} sessions recovered{}{})",
+                    "store      : {dir} ({} sessions recovered{})",
                     recovery.loaded,
-                    if recovery.manifest_ok {
-                        ""
-                    } else {
-                        ", manifest healed"
-                    },
                     if recovery.skipped.is_empty() {
                         String::new()
                     } else {

@@ -136,8 +136,7 @@ fn sigkill_mid_stream_resumes_to_parity_for_every_app() {
                 let (_, d) = c.send_events(sid as u32, chunk).expect("resume");
                 journal.extend(d);
             }
-            let (tail, _, stats) = c.close(sid as u32, *final_ns).expect("close");
-            journal.extend(tail);
+            let (_, stats) = c.close(sid as u32, *final_ns).expect("close");
             assert_eq!(
                 &journal,
                 &golden.directives,

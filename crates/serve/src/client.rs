@@ -1,8 +1,7 @@
 //! Protocol client and the multi-session load generator.
 //!
 //! [`Client`] is a blocking, single-threaded protocol speaker: one
-//! request, then read until the matching response (tolerating
-//! unsolicited periodic [`ServerFrame::Stats`] in between). Dropping a
+//! request, then read until the matching response. Dropping a
 //! client sends a best-effort `Close` for every session it still has
 //! open and shuts the socket down; [`Client::abandon`] skips that, for
 //! callers that *want* the server to see an abrupt disconnect (crash
@@ -127,8 +126,8 @@ impl Client {
         }
     }
 
-    /// Read frames until `want` accepts one; unsolicited `Stats` frames
-    /// are skipped, `Error` frames become [`ProtocolError::Remote`].
+    /// Read frames until `want` accepts one; `QueryReply` frames are
+    /// skipped, `Error` frames become [`ProtocolError::Remote`].
     fn expect<T>(
         &mut self,
         what: &str,
@@ -139,7 +138,6 @@ impl Client {
                 ServerFrame::Error { code, message, .. } => {
                     return Err(ProtocolError::Remote { code, message })
                 }
-                ServerFrame::Stats { .. } => continue,
                 ServerFrame::QueryReply { .. } => continue,
                 other => match want(other) {
                     Some(v) => return Ok(v),
@@ -239,17 +237,10 @@ impl Client {
     /// Request an immediate statistics summary.
     pub fn flush_stats(&mut self, session: u32) -> Result<RankStats, ProtocolError> {
         self.send(&ClientFrame::Flush { session })?;
-        // Flush answers with Stats, which `expect` normally skips —
-        // match it directly here.
-        loop {
-            match self.recv()? {
-                ServerFrame::Error { code, message, .. } => {
-                    return Err(ProtocolError::Remote { code, message })
-                }
-                ServerFrame::Stats { stats, .. } => return Ok(*stats),
-                _ => continue,
-            }
-        }
+        self.expect("Stats", |f| match f {
+            ServerFrame::Stats { stats, .. } => Some(*stats),
+            _ => None,
+        })
     }
 
     /// Capture the session's learned state for a later [`Client::restore`].
@@ -285,58 +276,39 @@ impl Client {
     }
 
     fn expect_report(&mut self) -> Result<ObsReport, ProtocolError> {
-        loop {
-            match self.recv()? {
-                ServerFrame::Error { code, message, .. } => {
-                    return Err(ProtocolError::Remote { code, message })
-                }
-                ServerFrame::Stats { .. } => continue,
-                ServerFrame::QueryReply { report, .. } => return Ok(*report),
-                other => {
-                    return Err(ProtocolError::Unexpected(format!(
-                        "waiting for QueryReply, got {other:?}"
-                    )))
-                }
+        match self.recv()? {
+            ServerFrame::Error { code, message, .. } => {
+                Err(ProtocolError::Remote { code, message })
             }
+            ServerFrame::QueryReply { report, .. } => Ok(*report),
+            other => Err(ProtocolError::Unexpected(format!(
+                "waiting for QueryReply, got {other:?}"
+            ))),
         }
     }
 
-    /// Finish the stream. Returns the directives of any batch replies
-    /// that arrive before `Closed` (finishing itself issues none), the
-    /// lifetime directive count, and final stats.
+    /// Finish the stream. Returns the lifetime directive count and the
+    /// final stats; finishing issues no directives, and every batch's
+    /// directives came back with its own reply.
     pub fn close(
         &mut self,
         session: u32,
         final_compute_ns: u64,
-    ) -> Result<(Vec<LaneDirective>, u64, RankStats), ProtocolError> {
+    ) -> Result<(u64, RankStats), ProtocolError> {
         self.send(&ClientFrame::Close {
             session,
             final_compute_ns,
         })?;
-        let mut last = Vec::new();
-        loop {
-            match self.recv()? {
-                ServerFrame::Error { code, message, .. } => {
-                    return Err(ProtocolError::Remote { code, message })
-                }
-                ServerFrame::Stats { .. } => continue,
-                ServerFrame::QueryReply { .. } => continue,
-                ServerFrame::Directives { directives, .. } => last.extend(directives),
-                ServerFrame::Closed {
-                    directives_total,
-                    stats,
-                    ..
-                } => {
-                    self.open_sessions.retain(|&s| s != session);
-                    return Ok((last, directives_total, *stats));
-                }
-                other => {
-                    return Err(ProtocolError::Unexpected(format!(
-                        "waiting for Closed, got {other:?}"
-                    )))
-                }
-            }
-        }
+        let closed = self.expect("Closed", |f| match f {
+            ServerFrame::Closed {
+                directives_total,
+                stats,
+                ..
+            } => Some((directives_total, *stats)),
+            _ => None,
+        })?;
+        self.open_sessions.retain(|&s| s != session);
+        Ok(closed)
     }
 }
 
@@ -948,8 +920,7 @@ fn drive(
                 return Ok(true);
             }
             if s.cursor >= total {
-                let (tail, _total_directives, stats) = c.close(s.id, s.spec.final_compute_ns)?;
-                s.record(tail, cfg.check);
+                let (_total_directives, stats) = c.close(s.id, s.spec.final_compute_ns)?;
                 let journal = std::mem::take(&mut s.journal);
                 let golden = s.spec.golden_directives.as_ref().filter(|_| cfg.check);
                 let parity_ok = golden.map(|g| {

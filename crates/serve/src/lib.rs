@@ -7,7 +7,7 @@
 //! Unix-domain sockets, demultiplexes them into per-session
 //! [`ibp_core::RankRuntime`] engines (one session per simulated
 //! rank/client), and streams back [`ibp_core::LaneDirective`] decisions
-//! plus periodic [`ibp_core::RankStats`] summaries.
+//! plus [`ibp_core::RankStats`] summaries on `Flush` and `Close`.
 //!
 //! Layout:
 //! * [`protocol`] — the versioned CRC-checked length-prefixed frame

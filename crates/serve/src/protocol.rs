@@ -397,7 +397,7 @@ pub enum ServerFrame {
         /// Newly issued directives, in event order.
         directives: Vec<LaneDirective>,
     },
-    /// Periodic (or flush-requested) statistics summary.
+    /// Statistics summary, the answer to a `Flush`.
     Stats {
         /// Source session.
         session: u32,
@@ -836,15 +836,10 @@ pub fn decode_client(payload: &[u8]) -> Result<ClientFrame, ProtocolError> {
 pub fn decode_server(payload: &[u8]) -> Result<ServerFrame, ProtocolError> {
     let (mut rd, session) = reader(payload)?;
     let frame = match rd.kind {
-        K_OPEN_ACK => {
-            // v1 peers sent no body; tolerate that as position 0 so a
-            // decoder fed archived captures still works.
-            let events_applied = if rd.buf.len() > rd.pos { rd.u64()? } else { 0 };
-            ServerFrame::OpenAck {
-                session,
-                events_applied,
-            }
-        }
+        K_OPEN_ACK => ServerFrame::OpenAck {
+            session,
+            events_applied: rd.u64()?,
+        },
         K_RESUMED => ServerFrame::Resumed {
             session,
             events_applied: rd.u64()?,
@@ -1199,6 +1194,22 @@ mod tests {
             let r = decode_client(&full[..cut]);
             assert!(r.is_err(), "cut at {cut} decoded");
         }
+        // An OpenAck cut anywhere short of its resume position, the
+        // body-less form included, is malformed like any other frame.
+        let ack = ServerFrame::OpenAck {
+            session: 9,
+            events_applied: 7,
+        }
+        .encode();
+        for cut in 0..ack.len() {
+            assert!(
+                matches!(
+                    decode_server(&ack[..cut]),
+                    Err(ProtocolError::Malformed { .. })
+                ),
+                "OpenAck cut at {cut} decoded"
+            );
+        }
         // Events frame announcing more events than the body carries.
         let mut lying = ClientFrame::Events {
             session: 1,
@@ -1419,19 +1430,6 @@ mod tests {
             let bytes = &buf[start..];
             proptest::prop_assert_eq!(crc32(bytes), crc32_bytewise(bytes));
         }
-    }
-
-    #[test]
-    fn v1_openack_without_body_decodes_as_position_zero() {
-        let mut payload = vec![0x81u8]; // K_OPEN_ACK
-        payload.extend_from_slice(&9u32.to_le_bytes());
-        assert_eq!(
-            decode_server(&payload).unwrap(),
-            ServerFrame::OpenAck {
-                session: 9,
-                events_applied: 0
-            }
-        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!    │             │  applied inline, run to completion ─────────────┐
 //!    │             │  everything else (cold session, Snapshot, Close, │
 //!    │             ▼  work behind queued work, busy engine)           │
-//!    │   per-session mailbox (VecDeque, cap = queue_depth)            │
+//!    │   per-session mailbox (VecDeque, cap = QUEUE_DEPTH)            │
 //!    │             │  first push marks the session ready;             │
 //!    │             │  an inline batch's due checkpoint queues here    │
 //!    │             ▼                                                  │
@@ -46,7 +46,7 @@
 //! one helper, `apply_events`.
 //!
 //! **Backpressure (inbound).** A session's mailbox holds at most
-//! `queue_depth` pending work items. When it is full the connection
+//! `QUEUE_DEPTH` (64) pending work items. When it is full the connection
 //! *parks*: the loop stashes the unroutable work item, stops reading
 //! that socket (drops `EPOLLIN` interest), and registers a waiter on
 //! the mailbox. The worker's next `pop` re-arms the connection through
@@ -61,12 +61,14 @@
 //! worker threads. Each connection owns a bounded outbound queue;
 //! workers enqueue, kick the owning event loop, and move on, so a
 //! client that stops *reading* its socket can no longer stall the
-//! worker pool. When a connection's queue overflows, the oldest queued
-//! responses are shed and a single in-band [`ServerFrame::Error`] with
-//! [`error_code::OVERLOAD`] tells the client its response stream has a
-//! gap — the resilient client reconnects and restores. Memory per
-//! connection stays bounded no matter how slow the reader: queued
-//! frames move to the write buffer only once it has fully drained.
+//! worker pool. When a connection's queue overflows its `WRITE_QUEUE`
+//! (256) frames, the oldest queued responses are shed and a single
+//! in-band [`ServerFrame::Error`] with [`error_code::OVERLOAD`] tells
+//! the client its response stream has a gap — the resilient client
+//! reconnects and restores. Memory per connection stays bounded no
+//! matter how slow the reader: queued frames move to the write buffer
+//! only once it has fully drained. A peer that accepts no bytes for
+//! `WRITE_TIMEOUT` (30 s) while replies are pending is dropped.
 //!
 //! **Fairness.** An event loop applies at most `DRAIN_QUANTUM`
 //! batches inline per connection per wake; past that budget the
@@ -128,8 +130,9 @@
 //! `persist_every` applied events, on every eviction, before every
 //! `Close` acknowledgement, when their connection drops, and in a
 //! final sweep when the server drains. A restarted server rehydrates
-//! them for clients that `Restore` with an empty snapshot body. See
-//! the `store` module docs for the crash-safety contract.
+//! them from their record files for clients that `Restore` with an
+//! empty snapshot body. See the `store` module docs for the
+//! crash-safety contract.
 //!
 //! **Shutdown.** [`Server::stop_flag`] plus [`Server::wake_fd`] (an
 //! eventfd every loop watches) give signal handlers a bounded-latency
@@ -234,16 +237,6 @@ impl Stream {
         }
     }
 
-    /// Bound every blocking write so a stuck peer cannot pin the
-    /// connection's writer thread forever.
-    pub fn set_write_timeout(&self, dur: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_write_timeout(dur),
-            Stream::Unix(s) => s.set_write_timeout(dur),
-            Stream::Chaos(s) => s.get_ref().set_write_timeout(dur),
-        }
-    }
-
     /// Switch the underlying socket between blocking and nonblocking
     /// mode (the reactor runs every accepted connection nonblocking).
     pub fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
@@ -313,25 +306,9 @@ pub struct ServeConfig {
     /// protocol path for most deployments; raise for very high
     /// connection counts.
     pub io_threads: usize,
-    /// Pending work items per session before its connection parks
-    /// (stops reading) for backpressure.
-    pub queue_depth: usize,
-    /// Emit an unsolicited [`ServerFrame::Stats`] every this many events
-    /// per session (0 disables; `Flush` always answers immediately).
-    pub stats_every: u64,
     /// Stop the server after this many sessions have closed cleanly.
     /// `None` runs until [`Server::stop_flag`] is raised.
     pub session_limit: Option<u64>,
-    /// Outbound frames queued per connection before the oldest are
-    /// shed with an in-band overload error.
-    pub write_queue: usize,
-    /// Drop a connection when no frame arrives for this many
-    /// milliseconds (0 disables). Abandoned connections otherwise hold
-    /// their registration until the process exits.
-    pub idle_timeout_ms: u64,
-    /// Drop a connection whose peer has not accepted any bytes for
-    /// this many milliseconds while responses are pending (0 disables).
-    pub write_timeout_ms: u64,
     /// Persist each store-backed session every this many applied
     /// events (0 = only on `Close` and at drain). Ignored without a
     /// store.
@@ -362,12 +339,7 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 4,
             io_threads: 2,
-            queue_depth: 64,
-            stats_every: 0,
             session_limit: None,
-            write_queue: 256,
-            idle_timeout_ms: 0,
-            write_timeout_ms: 30_000,
             persist_every: 256,
             max_hot_sessions: None,
             metrics_addr: None,
@@ -412,8 +384,8 @@ pub struct ServeSummary {
 /// the shard, so lookups from different event loops rarely contend.
 pub const SESSION_TABLE_SHARDS: usize = 8;
 
-/// Reactor poll quantum: the upper bound on how stale idle/write
-/// timeout checks and a waker-less stop request can get.
+/// Reactor poll quantum: the upper bound on how stale the write-stall
+/// check and a waker-less stop request can get.
 const TICK_MS: i32 = 25;
 
 /// Everything shared by the event loops and workers.
@@ -463,6 +435,18 @@ enum Work {
 /// fairness).
 const DRAIN_QUANTUM: usize = 32;
 
+/// Pending work items per session mailbox before its connection parks
+/// (stops reading) for backpressure.
+const QUEUE_DEPTH: usize = 64;
+
+/// Outbound frames queued per connection before the oldest are shed
+/// with an in-band overload error.
+const WRITE_QUEUE: usize = 256;
+
+/// A connection whose peer has accepted no bytes for this long while
+/// responses are pending is dropped (a stuck reader).
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
 // ------------------------------------------------------- outbound queue
 
 struct OutboundState {
@@ -484,7 +468,6 @@ struct OutboundState {
 /// event loop, which writes them on writability.
 struct ConnTx {
     q: Mutex<OutboundState>,
-    cap: usize,
     metrics: Arc<MetricsRegistry>,
     /// The event loop that owns the connection's socket.
     home: Arc<LoopHandle>,
@@ -493,12 +476,7 @@ struct ConnTx {
 }
 
 impl ConnTx {
-    fn new(
-        cap: usize,
-        metrics: Arc<MetricsRegistry>,
-        home: Arc<LoopHandle>,
-        token: u64,
-    ) -> Arc<ConnTx> {
+    fn new(metrics: Arc<MetricsRegistry>, home: Arc<LoopHandle>, token: u64) -> Arc<ConnTx> {
         Arc::new(ConnTx {
             q: Mutex::new(OutboundState {
                 frames: VecDeque::new(),
@@ -506,8 +484,6 @@ impl ConnTx {
                 overload_pending: false,
                 flush_queued: false,
             }),
-            // Room for at least one response plus the overload error.
-            cap: cap.max(2),
             metrics,
             home,
             token,
@@ -526,8 +502,8 @@ impl ConnTx {
         }
         let mut shed = 0u64;
         let mut queued = 1u64;
-        if q.frames.len() >= self.cap {
-            while q.frames.len() >= self.cap.saturating_sub(1) {
+        if q.frames.len() >= WRITE_QUEUE {
+            while q.frames.len() >= WRITE_QUEUE - 1 {
                 q.frames.pop_front();
                 shed += 1;
             }
@@ -640,7 +616,6 @@ struct SessionCell {
     rank: u32,
     state: Mutex<SessionSlot>,
     mailbox: Mutex<MailboxState>,
-    cap: usize,
     tx: Arc<ConnTx>,
     /// For residency-gauge accounting on drop and LRU upkeep.
     metrics: Arc<MetricsRegistry>,
@@ -663,7 +638,7 @@ impl SessionCell {
     /// back for the connection to stash.
     fn try_push(&self, work: Work, waiter: impl FnOnce() -> Waiter) -> PushOutcome {
         let mut mb = lock_ok(&self.mailbox);
-        if mb.deque.len() >= self.cap {
+        if mb.deque.len() >= QUEUE_DEPTH {
             mb.waiter = Some(waiter());
             return PushOutcome::Full(work);
         }
@@ -1234,9 +1209,6 @@ impl Server {
                 }
             }
         }
-        if let Some(store) = shared.store.as_ref() {
-            let _ = store.flush_manifest();
-        }
         if let Listener::Unix(_, path) = &*listener {
             let _ = std::fs::remove_file(path);
         }
@@ -1290,7 +1262,6 @@ struct Conn {
     /// Batches this connection may still apply inline in the current
     /// wake; refilled to [`DRAIN_QUANTUM`] whenever the loop reads it.
     inline_budget: usize,
-    last_activity: Instant,
     write_blocked_since: Option<Instant>,
     /// Interest currently registered with the poller.
     interest: Interest,
@@ -1410,7 +1381,7 @@ impl Reactor {
             for &token in &touched {
                 self.service(&poller, token);
             }
-            self.sweep_timeouts(&poller);
+            self.reap_stuck_readers(&poller);
         }
         // Drain: persist and close every connection this loop owns.
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
@@ -1473,7 +1444,6 @@ impl Reactor {
             return;
         }
         let tx = ConnTx::new(
-            self.shared.cfg.write_queue,
             Arc::clone(&self.shared.metrics),
             Arc::clone(&self.handle),
             token,
@@ -1492,7 +1462,6 @@ impl Reactor {
                 sessions: HashMap::new(),
                 paused: None,
                 inline_budget: DRAIN_QUANTUM,
-                last_activity: Instant::now(),
                 write_blocked_since: None,
                 interest: Interest::READ,
                 closing: false,
@@ -1522,7 +1491,6 @@ impl Reactor {
                 }
                 Ok(n) => {
                     conn.rd.extend_from_slice(&self.scratch[..n]);
-                    conn.last_activity = Instant::now();
                     if n < self.scratch.len() {
                         break;
                     }
@@ -1777,33 +1745,21 @@ impl Reactor {
         }
     }
 
-    /// Enforce idle and write-stall timeouts (checked once per poll
-    /// quantum; `TICK_MS` bounds the slack).
-    fn sweep_timeouts(&mut self, poller: &Poller) {
-        let idle = self.shared.cfg.idle_timeout_ms;
-        let wstall = self.shared.cfg.write_timeout_ms;
-        if idle == 0 && wstall == 0 {
-            return;
-        }
+    /// Drop every connection whose peer has accepted no bytes for
+    /// [`WRITE_TIMEOUT`] while responses are pending (checked once per
+    /// poll quantum; `TICK_MS` bounds the slack).
+    fn reap_stuck_readers(&mut self, poller: &Poller) {
         let now = Instant::now();
-        let mut doomed: Vec<u64> = Vec::new();
-        for (token, conn) in &self.conns {
-            if idle > 0
-                && !conn.closing
-                && now.duration_since(conn.last_activity) >= Duration::from_millis(idle)
-            {
-                doomed.push(*token);
-                continue;
-            }
-            if wstall > 0 {
-                if let Some(since) = conn.write_blocked_since {
-                    if now.duration_since(since) >= Duration::from_millis(wstall) {
-                        doomed.push(*token);
-                    }
-                }
-            }
-        }
-        for token in doomed {
+        let stuck: Vec<u64> = self
+            .conns
+            .iter()
+            .filter(|(_, conn)| {
+                conn.write_blocked_since
+                    .is_some_and(|since| now.duration_since(since) >= WRITE_TIMEOUT)
+            })
+            .map(|(&token, _)| token)
+            .collect();
+        for token in stuck {
             if let Some(conn) = self.conns.get(&token) {
                 conn.tx.mark_dead();
             }
@@ -2043,9 +1999,6 @@ fn apply_inline(cell: &Arc<SessionCell>, batch: Batch, shared: &Shared) -> Resul
         return Ok(false);
     };
     send_frame_local(&cell.tx, &applied.reply);
-    if let Some(stats) = &applied.stats {
-        send_frame_local(&cell.tx, stats);
-    }
     lru_touch(shared, cell);
     Ok(applied.checkpoint)
 }
@@ -2109,10 +2062,10 @@ fn build_report(shared: &Shared, target: u32) -> ObsReport {
         probes.push(probe);
     }
     let store = shared.store.as_ref().map(|s| {
-        let entries = s.sessions();
+        let (sessions, closed) = s.session_counts();
         StoreProbe {
-            sessions: entries.len() as u32,
-            closed: entries.iter().filter(|(_, e)| e.closed).count() as u32,
+            sessions: sessions as u32,
+            closed: closed as u32,
         }
     });
     ObsReport {
@@ -2120,7 +2073,7 @@ fn build_report(shared: &Shared, target: u32) -> ObsReport {
             summary: metrics.summary(),
             sessions_live: cells.len() as u32,
             workers: shared.cfg.workers.max(1) as u32,
-            queue_depth_limit: shared.cfg.queue_depth.max(1) as u32,
+            queue_depth_limit: QUEUE_DEPTH as u32,
             ready_queue_depth: metrics.ready_queue_depth.load(Ordering::Relaxed) as u32,
             writer_queue_depth: metrics.writer_queue_depth.load(Ordering::Relaxed) as u32,
             hot_sessions: metrics.hot_sessions.load(Ordering::Relaxed) as u32,
@@ -2272,7 +2225,6 @@ fn new_cell(id: u32, session: Session, shared: &Arc<Shared>, tx: &Arc<ConnTx>) -
             scheduled: false,
             waiter: None,
         }),
-        cap: shared.cfg.queue_depth.max(1),
         tx: Arc::clone(tx),
         metrics: Arc::clone(&shared.metrics),
     })
@@ -2446,33 +2398,28 @@ fn retire_panicked(cell: &SessionCell, shared: &Shared) {
     );
 }
 
-/// What applying one [`Batch`] produced: the reply, an unsolicited
-/// `Stats` frame when the stats cadence fell due, and whether the
+/// What applying one [`Batch`] produced: the reply, and whether the
 /// periodic checkpoint fell due.
 struct Applied {
     reply: ServerFrame,
-    stats: Option<ServerFrame>,
     checkpoint: bool,
 }
 
 /// Apply one batch to a hot engine: the one copy of apply, its
-/// metrics, the stats cadence and the persist decision, shared by the
-/// event loop's inline path and the workers. Runs under the engine
-/// lock; the caller sends the replies after releasing it and decides
-/// where the checkpoint runs.
+/// metrics and the persist decision, shared by the event loop's inline
+/// path and the workers. Runs under the engine lock; the caller sends
+/// the reply after releasing it and decides where the checkpoint runs.
 fn apply_events(id: u32, sess: &mut Session, batch: &Batch, shared: &Shared) -> Applied {
     let metrics = &shared.metrics;
     let start = Instant::now();
     let Batch::Events(events) = batch else {
         let stats = sess.stats();
-        sess.mark_stats_emitted();
         metrics.observe_stage(Stage::Engine, start.elapsed());
         return Applied {
             reply: ServerFrame::Stats {
                 session: id,
                 stats: Box::new(stats),
             },
-            stats: None,
             checkpoint: false,
         };
     };
@@ -2483,14 +2430,6 @@ fn apply_events(id: u32, sess: &mut Session, batch: &Batch, shared: &Shared) -> 
     let depth_before = sess.pending_depth();
     let (events_applied, directives) = sess.apply(events);
     metrics.sleep_depth_changed(depth_before, sess.pending_depth());
-    let stats = (shared.cfg.stats_every > 0 && sess.events_since_stats() >= shared.cfg.stats_every)
-        .then(|| {
-            sess.mark_stats_emitted();
-            ServerFrame::Stats {
-                session: id,
-                stats: Box::new(sess.stats()),
-            }
-        });
     let checkpoint = shared.store.is_some()
         && shared.cfg.persist_every > 0
         && sess.events_since_persist() >= shared.cfg.persist_every;
@@ -2509,7 +2448,6 @@ fn apply_events(id: u32, sess: &mut Session, batch: &Batch, shared: &Shared) -> 
             events_applied,
             directives,
         },
-        stats,
         checkpoint,
     }
 }
@@ -2555,9 +2493,6 @@ fn handle_work(cell: &Arc<SessionCell>, work: Work, shared: &Shared) {
             let applied = apply_events(cell.id, sess, &batch, shared);
             drop(guard);
             send_frame(tx, &applied.reply);
-            if let Some(stats) = &applied.stats {
-                send_frame(tx, stats);
-            }
             if applied.checkpoint {
                 persist_cell(cell, shared, false);
             }

@@ -26,7 +26,6 @@ pub struct Session {
     /// knows it).
     pub rank: u32,
     runtime: RankRuntime,
-    events_since_stats: u64,
     events_since_persist: u64,
 }
 
@@ -41,7 +40,6 @@ impl Session {
         Session {
             rank,
             runtime,
-            events_since_stats: 0,
             events_since_persist: 0,
         }
     }
@@ -88,7 +86,6 @@ impl Session {
             let out = self.runtime.intercept(call, SimDuration::from_ns(gap_ns));
             directives.extend(out.directive);
         }
-        self.events_since_stats += events.len() as u64;
         self.events_since_persist += events.len() as u64;
         (self.runtime.events_seen() as u64, directives)
     }
@@ -119,18 +116,6 @@ impl Session {
     #[must_use]
     pub fn events_applied(&self) -> u64 {
         self.runtime.events_seen() as u64
-    }
-
-    /// Events applied since the last periodic stats emission; the caller
-    /// resets it when it emits.
-    #[must_use]
-    pub fn events_since_stats(&self) -> u64 {
-        self.events_since_stats
-    }
-
-    /// Mark a periodic stats summary as emitted.
-    pub fn mark_stats_emitted(&mut self) {
-        self.events_since_stats = 0;
     }
 
     /// Events applied since the last durable persist; the caller resets

@@ -11,7 +11,10 @@
 //!
 //! ## On-disk format
 //!
-//! One record file per session, `sess-<id>.snap`:
+//! One record file per session, `sess-<id>.snap`, and nothing else:
+//! the record files are the whole store. Open lists them, removes a
+//! crashed writer's temporary files, and ignores and leaves untouched
+//! every other entry in the directory.
 //!
 //! ```text
 //! +------+-------------+-------------+------------------------+
@@ -24,22 +27,19 @@
 //! snapshot (which carries the count and digest of the directives the
 //! session delivered, not the directives), an always-empty undelivered
 //! tail, and resume metadata, so a record does not grow with the
-//! session's directive stream. A `MANIFEST.json` alongside the records
-//! summarises the store for humans and fast listing; it is advisory —
-//! recovery trusts only the records themselves and rewrites the
-//! manifest to match.
+//! session's directive stream.
 //!
 //! ## Crash safety
 //!
-//! Every write (record or manifest) goes to a temporary file in the
-//! same directory, is fsynced, and is then atomically renamed over the
-//! target; the directory is fsynced after the rename. A reader
-//! therefore sees either the old record or the new one, never a torn
-//! write. Recovery is corruption-tolerant by construction: a record
-//! that fails any check (magic, length, CRC, JSON, version, a non-empty
-//! directive tail) is skipped and reported in the [`RecoveryReport`],
-//! never panicked on — property-tested against arbitrary truncation
-//! and bit flips in `tests/store_corruption.rs`.
+//! Every record write goes to a temporary file in the same directory,
+//! is fsynced, and is then atomically renamed over the target; the
+//! directory is fsynced after the rename. A reader therefore sees
+//! either the old record or the new one, never a torn write. Recovery
+//! is corruption-tolerant by construction: a record that fails any
+//! check (magic, length, CRC, JSON, version, a non-empty directive
+//! tail) is skipped and reported in the [`RecoveryReport`], never
+//! panicked on — property-tested against arbitrary truncation and bit
+//! flips in `tests/store_corruption.rs`.
 
 use crate::protocol::crc32;
 use ibp_core::{LaneDirective, RuntimeSnapshot};
@@ -63,18 +63,7 @@ pub const RECORD_VERSION: u32 = 1;
 /// field cannot provoke a giant allocation.
 pub const MAX_RECORD_LEN: u32 = 64 * 1024 * 1024;
 
-/// Manifest file name inside the store directory.
-pub const MANIFEST_NAME: &str = "MANIFEST.json";
-
 const RECORD_HEADER_LEN: usize = 12; // magic + len + crc
-
-/// Persists between manifest rewrites. The manifest is advisory (open
-/// rebuilds it from the records), so batching its rewrite is safe: a
-/// crash at worst leaves it up to this many persists stale, which the
-/// next open reports as `manifest_ok: false` and heals. At 100k
-/// sessions a per-persist rewrite would serialise every eviction
-/// behind an O(sessions) JSON dump + fsync.
-const MANIFEST_BATCH: u64 = 64;
 
 /// One persisted session: everything needed to resume its stream.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -109,17 +98,6 @@ pub struct StoreRecord {
     pub snapshot: RuntimeSnapshot,
 }
 
-/// In-memory index entry for one recovered or persisted session.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StoreEntry {
-    /// The rank the session annotates.
-    pub rank: u32,
-    /// Events applied at the last persist.
-    pub events: u64,
-    /// Whether the session closed cleanly.
-    pub closed: bool,
-}
-
 /// What [`SnapshotStore::open`] found on disk.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
@@ -129,24 +107,6 @@ pub struct RecoveryReport {
     /// left on disk untouched for post-mortems; a later persist of the
     /// same session overwrites them.
     pub skipped: Vec<(String, String)>,
-    /// Whether the manifest parsed and agreed with the records. A false
-    /// here is informational — the manifest is advisory and has been
-    /// rewritten from the records either way.
-    pub manifest_ok: bool,
-}
-
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ManifestEntry {
-    session: u32,
-    rank: u32,
-    events: u64,
-    closed: bool,
-}
-
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-struct Manifest {
-    version: u32,
-    sessions: Vec<ManifestEntry>,
 }
 
 /// Distinguishes concurrent writers' temporary files (multiple worker
@@ -156,17 +116,12 @@ static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// A directory of crash-safe session records. Cheap to share behind an
 /// `Arc`; all methods take `&self`.
 ///
-/// The index mutex serialises persists. The manifest rewrite is
-/// batched — every `MANIFEST_BATCH` (64) persists, on
-/// [`SnapshotStore::flush_manifest`], and on drop — so steady-state
-/// eviction traffic pays one record write per persist, not an
-/// O(sessions) manifest dump too.
+/// The index maps each stored session to its record's `closed` flag,
+/// and its mutex serialises persists. A persist is exactly one record
+/// write.
 pub struct SnapshotStore {
     dir: PathBuf,
-    index: Mutex<HashMap<u32, StoreEntry>>,
-    /// Persists since the last manifest rewrite. Only mutated under
-    /// the index lock; atomic so `flush_manifest` works on `&self`.
-    dirty_persists: AtomicU64,
+    index: Mutex<HashMap<u32, bool>>,
 }
 
 impl std::fmt::Debug for SnapshotStore {
@@ -185,10 +140,7 @@ impl SnapshotStore {
     /// removed.
     pub fn open(dir: &Path) -> io::Result<(SnapshotStore, RecoveryReport)> {
         fs::create_dir_all(dir)?;
-        let mut report = RecoveryReport {
-            manifest_ok: true,
-            ..RecoveryReport::default()
-        };
+        let mut report = RecoveryReport::default();
         let mut index = HashMap::new();
 
         for entry in fs::read_dir(dir)? {
@@ -214,89 +166,32 @@ impl SnapshotStore {
                     ));
                 }
                 Ok(record) => {
-                    index.insert(session, entry_of(&record));
+                    index.insert(session, record.closed);
                     report.loaded += 1;
                 }
                 Err(reason) => report.skipped.push((name, reason)),
             }
         }
 
-        // The manifest is advisory: parse it for the report, then
-        // rewrite it from the records (healing any corruption).
-        match fs::read(dir.join(MANIFEST_NAME)) {
-            Ok(bytes) => match std::str::from_utf8(&bytes)
-                .map_err(|e| e.to_string())
-                .and_then(|s| serde_json::from_str::<Manifest>(s).map_err(|e| e.to_string()))
-            {
-                Ok(m) => {
-                    let agrees = m.sessions.len() == index.len()
-                        && m.sessions.iter().all(|e| {
-                            index.get(&e.session).is_some_and(|ix| {
-                                ix.rank == e.rank && ix.events == e.events && ix.closed == e.closed
-                            })
-                        });
-                    report.manifest_ok = agrees;
-                }
-                Err(e) => {
-                    report.manifest_ok = false;
-                    report
-                        .skipped
-                        .push((MANIFEST_NAME.into(), format!("manifest unreadable: {e}")));
-                }
-            },
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                report.manifest_ok = index.is_empty();
-            }
-            Err(e) => return Err(e),
-        }
-
         let store = SnapshotStore {
             dir: dir.to_path_buf(),
             index: Mutex::new(index),
-            dirty_persists: AtomicU64::new(0),
         };
-        store.write_manifest(&store.lock_index())?;
         Ok((store, report))
     }
 
-    /// The directory this store lives in.
+    /// How many sessions the store holds, and how many of them closed.
     #[must_use]
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Number of sessions currently indexed.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lock_index().len()
-    }
-
-    /// Whether the store holds no sessions.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Metadata for one session, if stored.
-    #[must_use]
-    pub fn entry(&self, session: u32) -> Option<StoreEntry> {
-        self.lock_index().get(&session).cloned()
-    }
-
-    /// All stored sessions, ascending by id.
-    #[must_use]
-    pub fn sessions(&self) -> Vec<(u32, StoreEntry)> {
-        let mut v: Vec<_> = self
-            .lock_index()
-            .iter()
-            .map(|(&s, e)| (s, e.clone()))
-            .collect();
-        v.sort_by_key(|&(s, _)| s);
-        v
+    pub fn session_counts(&self) -> (usize, usize) {
+        let index = self.lock_index();
+        (
+            index.len(),
+            index.values().filter(|&&closed| closed).count(),
+        )
     }
 
     /// Atomically persist `record`, replacing any previous record for
-    /// the session, and update the manifest.
+    /// the session.
     pub fn persist(&self, record: &StoreRecord) -> io::Result<()> {
         self.persist_impl(record, true)
     }
@@ -334,28 +229,12 @@ impl SnapshotStore {
         bytes.extend_from_slice(&payload);
 
         // Hold the index lock across the write so concurrent persists
-        // of the same session cannot interleave their rename+manifest
-        // steps.
+        // of the same session cannot interleave their renames and index
+        // updates.
         let mut index = self.lock_index();
-        self.write_atomic_with(&record_file_name(record.session), &bytes, sync)?;
-        index.insert(record.session, entry_of(record));
-        if self.dirty_persists.fetch_add(1, Ordering::Relaxed) + 1 >= MANIFEST_BATCH {
-            self.dirty_persists.store(0, Ordering::Relaxed);
-            self.write_manifest(&index)?;
-        }
+        self.write_atomic(&record_file_name(record.session), &bytes, sync)?;
+        index.insert(record.session, record.closed);
         Ok(())
-    }
-
-    /// Rewrite the manifest now if any persists landed since the last
-    /// rewrite. Called on server drain (and from `Drop`) so a clean
-    /// shutdown always leaves the manifest in agreement with the
-    /// records; a no-op when nothing is pending.
-    pub fn flush_manifest(&self) -> io::Result<()> {
-        let index = self.lock_index();
-        if self.dirty_persists.swap(0, Ordering::Relaxed) == 0 {
-            return Ok(());
-        }
-        self.write_manifest(&index)
     }
 
     /// Load and revalidate one session's record. `Ok(None)` when the
@@ -376,44 +255,17 @@ impl SnapshotStore {
         }
     }
 
-    fn lock_index(&self) -> std::sync::MutexGuard<'_, HashMap<u32, StoreEntry>> {
+    fn lock_index(&self) -> std::sync::MutexGuard<'_, HashMap<u32, bool>> {
         // A panic while holding the lock leaves the map itself intact
         // (all mutations are single insert/remove calls), so poisoning
         // carries no information here.
         self.index.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn write_manifest(&self, index: &HashMap<u32, StoreEntry>) -> io::Result<()> {
-        let mut sessions: Vec<ManifestEntry> = index
-            .iter()
-            .map(|(&session, e)| ManifestEntry {
-                session,
-                rank: e.rank,
-                events: e.events,
-                closed: e.closed,
-            })
-            .collect();
-        sessions.sort_by_key(|e| e.session);
-        let manifest = Manifest {
-            version: RECORD_VERSION,
-            sessions,
-        };
-        let bytes = serde_json::to_string(&manifest)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-            .into_bytes();
-        self.write_atomic(MANIFEST_NAME, &bytes)
-    }
-
     /// tmp + fsync + rename + dir fsync: the target name only ever
-    /// points at a complete, flushed file.
-    fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
-        self.write_atomic_with(name, bytes, true)
-    }
-
-    /// [`write_atomic`](Self::write_atomic) with the fsyncs made
-    /// optional (`sync: false` is the pager's fast path — rename-atomic
-    /// but page-cache-durable only).
-    fn write_atomic_with(&self, name: &str, bytes: &[u8], sync: bool) -> io::Result<()> {
+    /// points at a complete, flushed file. `sync: false` is the pager's
+    /// fast path — rename-atomic but page-cache-durable only.
+    fn write_atomic(&self, name: &str, bytes: &[u8], sync: bool) -> io::Result<()> {
         let tmp = self.dir.join(format!(
             "{name}.tmp-{}-{}",
             std::process::id(),
@@ -442,22 +294,6 @@ impl SnapshotStore {
             }
         }
         Ok(())
-    }
-}
-
-impl Drop for SnapshotStore {
-    fn drop(&mut self) {
-        // Best-effort: the manifest is advisory, and open() heals a
-        // stale one, so a failed flush here loses nothing.
-        let _ = self.flush_manifest();
-    }
-}
-
-fn entry_of(record: &StoreRecord) -> StoreEntry {
-    StoreEntry {
-        rank: record.rank,
-        events: record.events,
-        closed: record.closed,
     }
 }
 
@@ -586,16 +422,25 @@ mod tests {
         }
     }
 
+    /// Every entry of `dir`, sorted by name.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn persist_load_roundtrip_and_recovery() {
         let dir = temp_dir("roundtrip");
         let (store, report) = SnapshotStore::open(&dir).unwrap();
         assert_eq!(report.loaded, 0);
-        assert!(report.manifest_ok);
 
         let rec = sample_record(3, 120);
         store.persist(&rec).unwrap();
-        assert_eq!(store.len(), 1);
+        assert_eq!(store.session_counts(), (1, 0));
         assert_eq!(store.load(3).unwrap().unwrap(), rec);
         assert!(store.load(4).unwrap().is_none());
 
@@ -604,7 +449,6 @@ mod tests {
         let (store, report) = SnapshotStore::open(&dir).unwrap();
         assert_eq!(report.loaded, 1);
         assert!(report.skipped.is_empty());
-        assert!(report.manifest_ok, "manifest should match the records");
         assert_eq!(store.load(3).unwrap().unwrap(), rec);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -614,14 +458,18 @@ mod tests {
         let dir = temp_dir("overwrite");
         let (store, _) = SnapshotStore::open(&dir).unwrap();
         store.persist(&sample_record(1, 40)).unwrap();
-        let newer = sample_record(1, 80);
+        let newer = StoreRecord {
+            closed: true,
+            ..sample_record(1, 80)
+        };
         store.persist(&newer).unwrap();
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.entry(1).unwrap().events, 80);
+        assert_eq!(store.session_counts(), (1, 1));
+        assert_eq!(store.load(1).unwrap().unwrap().events, 80);
 
         let (store, report) = SnapshotStore::open(&dir).unwrap();
         assert_eq!(report.loaded, 1);
-        assert_eq!(store.load(1).unwrap().unwrap().events, 80);
+        assert_eq!(store.session_counts(), (1, 1));
+        assert_eq!(store.load(1).unwrap().unwrap(), newer);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -650,51 +498,71 @@ mod tests {
     }
 
     #[test]
-    fn garbage_manifest_is_healed() {
-        let dir = temp_dir("manifest");
+    fn foreign_entries_never_fail_open_and_stay_untouched() {
+        // An old build's `MANIFEST.json`, as a file of any bytes or as a
+        // directory, is just another foreign entry: open recovers every
+        // record around it, reports nothing about it, and leaves it be.
+        for as_dir in [false, true] {
+            let dir = temp_dir("foreign");
+            let (store, _) = SnapshotStore::open(&dir).unwrap();
+            store.persist(&sample_record(7, 40)).unwrap();
+            store.persist(&sample_record(8, 24)).unwrap();
+            drop(store);
+            let foreign = dir.join("MANIFEST.json");
+            if as_dir {
+                fs::create_dir(&foreign).unwrap();
+            } else {
+                fs::write(&foreign, b"{definitely not json").unwrap();
+            }
+
+            let (store, report) = SnapshotStore::open(&dir).unwrap();
+            assert_eq!(report.loaded, 2, "as_dir = {as_dir}");
+            assert!(report.skipped.is_empty(), "{report:?}");
+            assert!(store.load(7).unwrap().is_some());
+            assert!(store.load(8).unwrap().is_some());
+            store.persist(&sample_record(9, 40)).unwrap();
+            drop(store);
+            assert_eq!(foreign.is_dir(), as_dir);
+            if !as_dir {
+                assert_eq!(fs::read(&foreign).unwrap(), b"{definitely not json");
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn every_persist_of_a_long_run_succeeds() {
+        // Each persist is one record write and reports only that write's
+        // outcome, however many persists run and whatever else sits in
+        // the directory: here a directory no file can be renamed over.
+        let dir = temp_dir("long-run");
         let (store, _) = SnapshotStore::open(&dir).unwrap();
-        store.persist(&sample_record(7, 40)).unwrap();
-        drop(store);
-        fs::write(dir.join(MANIFEST_NAME), b"{definitely not json").unwrap();
-
-        let (store, report) = SnapshotStore::open(&dir).unwrap();
-        assert!(!report.manifest_ok);
-        assert_eq!(report.loaded, 1);
-        assert!(store.load(7).unwrap().is_some());
-
-        // The reopen rewrote the manifest; a third open sees it clean.
+        fs::create_dir_all(dir.join("MANIFEST.json/held")).unwrap();
+        for session in 0..70 {
+            let rec = sample_record(session, 8);
+            if session % 2 == 0 {
+                store.persist_fast(&rec).unwrap();
+            } else {
+                store.persist(&rec).unwrap();
+            }
+        }
         drop(store);
         let (_, report) = SnapshotStore::open(&dir).unwrap();
-        assert!(report.manifest_ok);
+        assert_eq!(report.loaded, 70);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn manifest_rewrite_is_deferred_until_flush() {
-        let dir = temp_dir("batch");
+    fn the_directory_holds_only_record_files() {
+        let dir = temp_dir("only-records");
         let (store, _) = SnapshotStore::open(&dir).unwrap();
-        store.persist(&sample_record(5, 40)).unwrap();
-        // Below the batch threshold: the on-disk manifest still shows
-        // the empty store open() wrote.
-        let manifest: Manifest =
-            serde_json::from_str(&fs::read_to_string(dir.join(MANIFEST_NAME)).unwrap()).unwrap();
-        assert!(
-            manifest.sessions.is_empty(),
-            "manifest rewrite must be deferred"
-        );
-
-        store.flush_manifest().unwrap();
-        let manifest: Manifest =
-            serde_json::from_str(&fs::read_to_string(dir.join(MANIFEST_NAME)).unwrap()).unwrap();
-        assert_eq!(manifest.sessions.len(), 1);
-        assert_eq!(manifest.sessions[0].session, 5);
-
-        // Dropping the store flushes too: a second persist then drop
-        // leaves the manifest in agreement on reopen.
-        store.persist(&sample_record(6, 24)).unwrap();
+        assert!(listing(&dir).is_empty(), "open writes nothing");
+        store.persist(&sample_record(2, 40)).unwrap();
+        store.persist_fast(&sample_record(5, 40)).unwrap();
         drop(store);
-        let (_, report) = SnapshotStore::open(&dir).unwrap();
-        assert!(report.manifest_ok, "{report:?}");
+        let (store, _) = SnapshotStore::open(&dir).unwrap();
+        drop(store);
+        assert_eq!(listing(&dir), [record_file_name(2), record_file_name(5)]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -725,7 +593,7 @@ mod tests {
         let (store, report) = SnapshotStore::open(&dir).unwrap();
         assert_eq!(report.loaded, 1);
         assert_eq!(report.skipped.len(), 1);
-        assert!(store.entry(9).is_none());
+        assert!(store.load(9).unwrap().is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -416,7 +416,7 @@ fn worker_panic_is_isolated_to_its_session() {
         .send_events(1, &[(41, 0), (41, 2_000), (41, 2_000)])
         .expect("events");
     assert_eq!(applied, 3);
-    let (_tail, _total, _stats) = healthy.close(1, 0).expect("close");
+    let (_total, _stats) = healthy.close(1, 0).expect("close");
 
     victim.abandon();
     drop(healthy);
@@ -490,8 +490,7 @@ fn graceful_stop_persists_unclosed_sessions() {
         let (_, d) = client.send_events(9, chunk).expect("resume events");
         journal.extend(d);
     }
-    let (tail, _total, stats) = client.close(9, spec.final_compute_ns).expect("close");
-    journal.extend(tail);
+    let (_total, stats) = client.close(9, spec.final_compute_ns).expect("close");
     assert_eq!(
         Some(&journal),
         spec.golden_directives.as_ref(),

@@ -187,8 +187,7 @@ fn mid_stream_queries_do_not_perturb_the_stream() {
             probes += 1;
         }
     }
-    let (tail, _total, stats) = client.close(0, spec.final_compute_ns).expect("close");
-    journal.extend(tail);
+    let (_total, stats) = client.close(0, spec.final_compute_ns).expect("close");
     assert!(probes > 4, "the interleave exercised real probes");
     assert_eq!(&journal, golden, "queries perturbed the directive stream");
     assert_eq!(

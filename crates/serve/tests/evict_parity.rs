@@ -179,9 +179,7 @@ proptest! {
         }
 
         for (i, (client, script)) in clients.iter_mut().zip(&scripts).enumerate() {
-            let (tail, _total, stats) =
-                client.close(i as u32, script.final_compute_ns).expect("close");
-            journals[i].extend(tail);
+            let (_total, stats) = client.close(i as u32, script.final_compute_ns).expect("close");
             prop_assert_eq!(&journals[i], &script.golden, "session {} parity", i);
             prop_assert_eq!(&stats, &script.golden_stats, "session {} stats", i);
         }
@@ -332,9 +330,8 @@ proptest! {
                     cursors[i] = end;
                 }
                 _ => {
-                    let (tail, _total, stats) =
+                    let (_total, stats) =
                         client.close(id, script.final_compute_ns).expect("close");
-                    journals[i].extend(tail);
                     closed[i] = true;
                     prop_assert_eq!(&journals[i], &script.golden, "session {} parity", i);
                     prop_assert_eq!(&stats, &script.golden_stats, "session {} stats", i);
@@ -567,10 +564,9 @@ fn inline_panic_retires_only_its_session() {
             .send_events(i as u32, &script.events[half..])
             .expect("events");
         journals[i].extend(fresh);
-        let (tail, _, stats) = client
+        let (_, stats) = client
             .close(i as u32, script.final_compute_ns)
             .expect("close");
-        journals[i].extend(tail);
         assert_eq!(journals[i], script.golden, "session {i} parity");
         assert_eq!(stats, script.golden_stats, "session {i} stats");
     }

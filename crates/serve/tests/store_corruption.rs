@@ -5,7 +5,7 @@
 //! so a rehydrated session persists records identical to the original's.
 
 use ibp_core::{LaneDirective, PowerConfig, RankRuntime};
-use ibp_serve::store::{record_file_name, MANIFEST_NAME};
+use ibp_serve::store::record_file_name;
 use ibp_serve::{SnapshotStore, StoreRecord};
 use ibp_simcore::SimDuration;
 use ibp_trace::MpiCall;
@@ -363,28 +363,32 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Arbitrary manifest corruption never panics recovery, never loses
-    /// valid records, and is healed by the reopen.
+    /// Arbitrary bytes in a file that is not a record — an old build's
+    /// `MANIFEST.json`, a backup, a note — never change what recovery
+    /// loads or reports, and the file is left exactly as it was.
     #[test]
-    fn manifest_corruption_is_healed(
+    fn foreign_file_never_changes_recovery(
+        which in 0usize..5,
         soup in proptest::collection::vec(0u8..=255, 0..256),
     ) {
-        let dir = temp_dir("manifest");
+        let dir = temp_dir("foreign");
         let (store, _) = SnapshotStore::open(&dir).unwrap();
         store.persist(&sample_record(1, 24)).unwrap();
         store.persist(&sample_record(2, 48)).unwrap();
         drop(store);
-        std::fs::write(dir.join(MANIFEST_NAME), &soup).unwrap();
-
-        let (store, report) = SnapshotStore::open(&dir).expect("open survives manifest soup");
-        prop_assert_eq!(report.loaded, 2);
-        prop_assert!(store.load(1).unwrap().is_some());
-        prop_assert!(store.load(2).unwrap().is_some());
+        let (store, clean) = SnapshotStore::open(&dir).unwrap();
+        let want = [store.load(1).unwrap(), store.load(2).unwrap()];
         drop(store);
+        let name = ["MANIFEST.json", "sess-1.snap.bak", "sess-.snap", "sess-x.snap", "notes.txt"];
+        let foreign = dir.join(name[which]);
+        std::fs::write(&foreign, &soup).unwrap();
 
-        // The reopen rewrote the manifest from the records.
-        let (_, report) = SnapshotStore::open(&dir).expect("healed reopen");
-        prop_assert!(report.manifest_ok, "{:?}", report);
+        let (store, report) = SnapshotStore::open(&dir).expect("open survives a foreign file");
+        prop_assert_eq!(report.loaded, clean.loaded);
+        prop_assert!(report.skipped.is_empty(), "{:?}", report);
+        prop_assert_eq!([store.load(1).unwrap(), store.load(2).unwrap()], want);
+        drop(store);
+        prop_assert_eq!(std::fs::read(&foreign).unwrap(), soup);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
