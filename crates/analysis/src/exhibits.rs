@@ -4,7 +4,7 @@
 //! text block; the [`crate::registry`] entries write the JSON and hand the
 //! text to `ibpower exhibits`.
 
-use crate::experiment::{run_runtime_only, run_with_baseline, RunConfig, RunResult};
+use crate::experiment::{run_runtime_only, RunConfig, RunResult};
 use crate::gt_select::{sweep, GtPoint};
 use crate::paper_ref;
 use crate::report::{f1, f2, Table};
@@ -296,7 +296,9 @@ pub struct FigureRow {
 }
 
 /// Run one full figure on `grid`: GT selection + managed replay per
-/// cell, with the baseline replay shared through the engine's cache.
+/// cell, with the baseline replay shared through the engine's cache and
+/// the managed timing run reused across displacements where the
+/// annotations time identically ([`crate::CellCtx::managed_replay`]).
 pub fn figure(
     engine: &SweepEngine,
     grid: &ExhibitGrid,
@@ -307,11 +309,10 @@ pub fn figure(
     let measured: Vec<(f64, RunResult)> = engine.run_cells(
         &cells,
         |&k| k,
-        |ctx, key, _| {
+        |ctx, _, _| {
             let best = ctx.choose_gt(SELECT_DISPLACEMENT);
             let cfg = RunConfig::new(best.gt_us, displacement);
-            let r = run_with_baseline(&ctx.trace, key.app, &cfg, &ctx.baseline(), ctx.rank_jobs);
-            (best.gt_us, r)
+            (best.gt_us, ctx.run(&cfg))
         },
     );
 

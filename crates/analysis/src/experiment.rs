@@ -104,10 +104,29 @@ pub fn run_with_baseline(
     baseline: &SimResult,
     rank_jobs: usize,
 ) -> RunResult {
+    run_managed(trace, app, cfg, baseline, rank_jobs, |ann| {
+        replay(
+            trace,
+            Some(ann),
+            &SimParams::paper(),
+            &ReplayOptions::default(),
+        )
+        .expect("replay")
+    })
+}
+
+/// [`run_with_baseline`] with the managed replay left to `managed`
+/// (the sweep engine's [`crate::CellCtx::run`] reuses timing runs).
+pub(crate) fn run_managed(
+    trace: &Trace,
+    app: AppKind,
+    cfg: &RunConfig,
+    baseline: &SimResult,
+    rank_jobs: usize,
+    managed: impl FnOnce(&TraceAnnotations) -> SimResult,
+) -> RunResult {
     let ann = annotate_trace_jobs(trace, &cfg.power_config(), rank_jobs);
-    let params = SimParams::paper();
-    let opts = ReplayOptions::default();
-    let managed = replay(trace, Some(&ann), &params, &opts).expect("replay");
+    let managed = managed(&ann);
     collect(trace, app, cfg, &ann, Some((baseline, &managed)))
 }
 

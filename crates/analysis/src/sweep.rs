@@ -7,7 +7,10 @@
 //! [`SweepEngine`] executes a declarative list of cells on a rayon pool
 //! and memoizes those three artefacts behind keyed caches, so each
 //! unique trace is generated and baseline-replayed exactly once per
-//! sweep regardless of how many cells touch it.
+//! sweep regardless of how many cells touch it. It also keeps each
+//! key's last managed timing run ([`CellCtx::managed_replay`]), so a
+//! figure at another displacement that moved only the wake timers is
+//! scored, not replayed.
 //!
 //! ## Determinism guarantee
 //!
@@ -21,16 +24,21 @@
 //!   [`CellCtx::derived_seed`], a hash of the cell key — never from a
 //!   global counter or the pool's scheduling;
 //! * the cached artefacts are themselves deterministic pure functions
-//!   of the key, so a cache hit returns exactly what a recompute would.
+//!   of the key, so a cache hit returns exactly what a recompute would
+//!   (a timing hit too: it requires an equal [`TimingKey`], and debug
+//!   builds replay again to check).
 //!
 //! `--jobs 1` (`--serial`, [`SweepOptions::serial`], or `IBP_JOBS=1`)
 //! bypasses the pool entirely and runs the same closures in a plain
 //! loop on the calling thread; the golden-exhibit suite and the
 //! serial-vs-parallel property test pin the byte equality.
 
-use crate::experiment::make_trace;
+use crate::experiment::{make_trace, run_managed, RunConfig, RunResult};
 use crate::gt_select::{choose_gt, GtPoint};
-use ibp_network::{replay, ReplayOptions, SimParams, SimResult};
+use ibp_core::TraceAnnotations;
+use ibp_network::{
+    replay, replay_timing, ReplayOptions, ReplayTiming, SimParams, SimResult, TimingKey,
+};
 use ibp_trace::Trace;
 use ibp_workloads::{AppKind, Scaling};
 use serde::{Deserialize, Serialize};
@@ -170,6 +178,13 @@ pub struct SweepStats {
     pub gt_selections: u64,
     /// GT-selection cache hits.
     pub gt_hits: u64,
+    /// Managed replays that ran the timing loop.
+    #[serde(default)]
+    pub timings_computed: u64,
+    /// Managed replays scored on their cell's kept timing run (equal
+    /// [`TimingKey`]), without a timing loop.
+    #[serde(default)]
+    pub timing_hits: u64,
     /// Wall-clock milliseconds covered by these counters.
     pub wall_ms: u64,
     /// Heap bytes of the traces generated ([`Trace::heap_bytes`]).
@@ -197,6 +212,8 @@ impl SweepStats {
             baseline_hits: self.baseline_hits - earlier.baseline_hits,
             gt_selections: self.gt_selections - earlier.gt_selections,
             gt_hits: self.gt_hits - earlier.gt_hits,
+            timings_computed: self.timings_computed - earlier.timings_computed,
+            timing_hits: self.timing_hits - earlier.timing_hits,
             wall_ms: self.wall_ms - earlier.wall_ms,
             trace_bytes: self.trace_bytes - earlier.trace_bytes,
             peak_rss_mb: self.peak_rss_mb,
@@ -272,9 +289,9 @@ pub fn default_trace_fn() -> TraceFn {
 }
 
 /// The parallel sweep engine: a rayon pool plus keyed caches for
-/// traces, baseline replays and GT selections. One engine instance is
-/// shared across every exhibit of a run (`all` reuses traces between
-/// Table I, Table III and the figures).
+/// traces, baseline replays and GT selections, and one managed timing
+/// run per key. One engine instance is shared across every exhibit of a
+/// run (`all` reuses traces between Table I, Table III and the figures).
 pub struct SweepEngine {
     opts: SweepOptions,
     pool: rayon::ThreadPool,
@@ -282,6 +299,11 @@ pub struct SweepEngine {
     traces: KeyedCache<CellKey, Trace>,
     baselines: KeyedCache<CellKey, SimResult>,
     gt_choices: KeyedCache<(CellKey, u64), GtPoint>,
+    /// Per key, the timing run of its last managed replay: a miss
+    /// replaces it, so memory stays at one record per key.
+    timings: Mutex<HashMap<CellKey, Arc<ReplayTiming>>>,
+    timings_computed: AtomicU64,
+    timing_hits: AtomicU64,
     cells: AtomicU64,
     /// Heap bytes of every trace generated so far.
     trace_bytes: AtomicU64,
@@ -308,6 +330,9 @@ impl SweepEngine {
             traces: KeyedCache::new(),
             baselines: KeyedCache::new(),
             gt_choices: KeyedCache::new(),
+            timings: Mutex::new(HashMap::new()),
+            timings_computed: AtomicU64::new(0),
+            timing_hits: AtomicU64::new(0),
             cells: AtomicU64::new(0),
             trace_bytes: AtomicU64::new(0),
             started: Instant::now(),
@@ -420,6 +445,8 @@ impl SweepEngine {
         add(&self.baselines.hits, other.baseline_hits);
         add(&self.gt_choices.computed, other.gt_selections);
         add(&self.gt_choices.hits, other.gt_hits);
+        add(&self.timings_computed, other.timings_computed);
+        add(&self.timing_hits, other.timing_hits);
         add(&self.trace_bytes, other.trace_bytes);
     }
 
@@ -436,6 +463,8 @@ impl SweepEngine {
             baseline_hits: self.baselines.hits.load(Ordering::Relaxed),
             gt_selections: self.gt_choices.computed.load(Ordering::Relaxed),
             gt_hits: self.gt_choices.hits.load(Ordering::Relaxed),
+            timings_computed: self.timings_computed.load(Ordering::Relaxed),
+            timing_hits: self.timing_hits.load(Ordering::Relaxed),
             wall_ms: self.started.elapsed().as_millis() as u64,
             trace_bytes: self.trace_bytes.load(Ordering::Relaxed),
             peak_rss_mb: peak_rss_mb(),
@@ -462,6 +491,54 @@ impl CellCtx<'_> {
     /// The memoized fault-free baseline replay of this cell's trace.
     pub fn baseline(&self) -> Arc<SimResult> {
         self.engine.baseline(&self.key)
+    }
+
+    /// The fault-free managed replay of this cell's trace under `ann`.
+    /// If the engine's kept timing run for this key has `ann`'s
+    /// [`TimingKey`], the run is only scored (debug builds replay again
+    /// and require an equal result); otherwise the timing loop runs and
+    /// its record replaces the kept one.
+    pub fn managed_replay(&self, ann: &TraceAnnotations) -> SimResult {
+        let (params, opts) = (SimParams::paper(), ReplayOptions::default());
+        let engine = self.engine;
+        let slots = || {
+            engine
+                .timings
+                .lock()
+                .expect("a cell panicked holding the timings")
+        };
+        let kept = slots().get(&self.key).cloned();
+        if let Some(timing) = kept.filter(|t| t.key() == TimingKey::of(Some(ann))) {
+            engine.timing_hits.fetch_add(1, Ordering::Relaxed);
+            let result = timing.score(Some(ann), &params);
+            debug_assert_eq!(
+                result,
+                replay(&self.trace, Some(ann), &params, &opts).expect("managed replay"),
+                "a timing hit must score what a replay computes"
+            );
+            return result;
+        }
+        let timing = replay_timing(&self.trace, Some(ann), &params, &opts)
+            .expect("managed replay of a generated trace");
+        engine.timings_computed.fetch_add(1, Ordering::Relaxed);
+        let result = timing.score(Some(ann), &params);
+        slots().insert(self.key, Arc::new(timing));
+        result
+    }
+
+    /// Annotate this cell's trace at `cfg` and score its managed replay
+    /// ([`CellCtx::managed_replay`]) against the memoized baseline: what
+    /// [`crate::run_with_baseline`] computes, with the engine's timing
+    /// reuse.
+    pub fn run(&self, cfg: &RunConfig) -> RunResult {
+        run_managed(
+            &self.trace,
+            self.key.app,
+            cfg,
+            &self.baseline(),
+            self.rank_jobs,
+            |ann| self.managed_replay(ann),
+        )
     }
 
     /// Annotate this cell's trace, spreading ranks over the cell's

@@ -492,12 +492,14 @@ fn run(cmd: Command) -> Result<(), String> {
                 );
             }
             eprintln!(
-                "sweep: {} cells, {} job(s), {} traces generated / {} hits, {:.1}s, \
-                 traces {:.1} MiB, peak RSS {:.0} MiB",
+                "sweep: {} cells, {} job(s), {} traces generated / {} hits, \
+                 {} timing runs / {} hits, {:.1}s, traces {:.1} MiB, peak RSS {:.0} MiB",
                 stats.cells,
                 stats.jobs,
                 stats.traces_generated,
                 stats.trace_hits,
+                stats.timings_computed,
+                stats.timing_hits,
                 stats.wall_ms as f64 / 1000.0,
                 stats.trace_bytes as f64 / (1024.0 * 1024.0),
                 stats.peak_rss_mb

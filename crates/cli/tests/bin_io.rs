@@ -201,7 +201,8 @@ fn allreduce_trace(burst: impl Fn(u32, usize) -> u64) -> Trace {
 }
 
 /// A trace wider than the 252-node fat tree, or one whose compute the
-/// replay clock cannot hold, is refused with a typed error.
+/// replay clock (or whose sent bytes the fabric's counters) cannot hold,
+/// is refused with a typed error.
 #[test]
 fn oversized_traces_are_typed_errors() {
     let dir = std::env::temp_dir().join(format!("ibp-oversized-{}", std::process::id()));
@@ -244,6 +245,22 @@ fn oversized_traces_are_typed_errors() {
         for cmd in ["inspect", "annotate", "replay"] {
             assert_typed_error(&[cmd, &file], "rank 1");
         }
+    }
+
+    // Two allgathers of u64::MAX bytes: the fabric's byte total cannot
+    // hold them (a debug build's replay once panicked adding them up).
+    let mut b = TraceBuilder::new("bytes", 2);
+    for r in 0..2 {
+        for _ in 0..2 {
+            b.compute(r, SimDuration::from_us(10));
+            b.op(r, MpiOp::Allgather { bytes: u64::MAX });
+        }
+    }
+    let file = path("bytes.json");
+    ibp_trace::io::save(&b.build(), &file).expect("save hostile trace");
+    for cmd in ["inspect", "annotate", "replay"] {
+        assert_typed_error(&[cmd, &file], "rank 0 event 0: bytes sent exceed");
+        assert_typed_error(&[cmd, &file], "bytes.json");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

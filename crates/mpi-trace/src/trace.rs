@@ -25,6 +25,33 @@ use serde::{Deserialize, Serialize};
 /// over the whole trace (idle totals, call profiles) fits as well.
 const TRACE_COMPUTE_NS: u64 = u64::MAX >> 8;
 
+/// Payload bytes that all ranks of a trace may send together, counted
+/// by [`max_sent_bytes`]: [`Trace::validate`] caps each rank at this
+/// divided by the rank count, so the replay's fabric byte total (and any
+/// other sum of sent bytes) fits in a `u64`.
+const TRACE_SENT_BYTES: u64 = u64::MAX;
+
+/// An upper bound on the payload bytes `op` makes one rank of `nprocs`
+/// send: its payload times the messages it can send. A collective sends
+/// at most `nprocs − 1` messages per rank, a barrier 1 byte each. `None`
+/// when that overflows.
+fn max_sent_bytes(op: &MpiOp, nprocs: u32) -> Option<u64> {
+    let peers = u64::from(nprocs.saturating_sub(1));
+    match *op {
+        MpiOp::Send { bytes, .. } | MpiOp::Isend { bytes, .. } => Some(bytes),
+        MpiOp::Sendrecv { send_bytes, .. } => Some(send_bytes),
+        MpiOp::Barrier => Some(peers),
+        MpiOp::Bcast { bytes, .. }
+        | MpiOp::Reduce { bytes, .. }
+        | MpiOp::Allreduce { bytes }
+        | MpiOp::Allgather { bytes }
+        | MpiOp::Alltoall { bytes } => bytes.checked_mul(peers),
+        MpiOp::Recv { .. } | MpiOp::Irecv { .. } | MpiOp::Wait { .. } | MpiOp::Waitall { .. } => {
+            Some(0)
+        }
+    }
+}
+
 /// One trace record: the compute burst since the previous MPI call, then
 /// the MPI operation itself.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -122,7 +149,10 @@ impl Trace {
     /// * collective roots are in range,
     /// * each rank's compute (its bursts plus `final_compute`) stays at
     ///   or below `(u64::MAX >> 8) / nprocs` ns, its share of the replay
-    ///   clock's range at 252 ranks.
+    ///   clock's range at 252 ranks,
+    /// * the payload bytes each rank can send (every event's payload
+    ///   times the messages it can send) stay at or below
+    ///   `u64::MAX / nprocs`, so fabric byte totals fit in a `u64`.
     ///
     /// Returns a description of the first violation found.
     pub fn validate(&self) -> Result<(), String> {
@@ -152,8 +182,19 @@ impl Trace {
             }
             let in_range = |p: Rank| (p as usize) < self.ranks.len();
             let mut posted: std::collections::HashSet<u32> = std::collections::HashSet::new();
+            let sent_cap = TRACE_SENT_BYTES / u64::from(self.nprocs);
+            let mut sent = 0u64;
             for (j, ev) in r.events.iter().enumerate() {
                 let err = |msg: String| Err(format!("rank {i} event {j}: {msg}"));
+                match max_sent_bytes(&ev.op, self.nprocs).and_then(|b| sent.checked_add(b)) {
+                    Some(total) if total <= sent_cap => sent = total,
+                    _ => {
+                        return err(format!(
+                            "bytes sent exceed the {sent_cap} a rank may send in a {}-rank trace",
+                            self.nprocs
+                        ))
+                    }
+                }
                 match &ev.op {
                     MpiOp::Send { to, .. } | MpiOp::Isend { to, .. } if !in_range(*to) => {
                         return err(format!("peer {to} out of range"));
@@ -342,6 +383,39 @@ mod tests {
         b.op(0, MpiOp::Send { to: 5, bytes: 1 });
         let t = b.build();
         assert!(t.validate().unwrap_err().contains("out of range"));
+    }
+
+    #[test]
+    fn validate_caps_the_bytes_a_rank_sends() {
+        let allgathers = |bytes: u64| {
+            let mut b = TraceBuilder::new("bytes", 2);
+            for r in 0..2 {
+                b.op(r, MpiOp::Allgather { bytes });
+                b.op(r, MpiOp::Allgather { bytes });
+            }
+            b.build()
+        };
+        // Two ranks may send u64::MAX / 2 bytes each: two allgathers of
+        // a quarter of that fit, of u64::MAX bytes do not.
+        assert!(allgathers(u64::MAX / 4).validate().is_ok());
+        let err = allgathers(u64::MAX).validate().unwrap_err();
+        assert!(
+            err.starts_with("rank 0 event 0: bytes sent exceed"),
+            "{err}"
+        );
+        let err = allgathers(u64::MAX / 4 + 1).validate().unwrap_err();
+        assert!(err.starts_with("rank 0 event 1:"), "{err}");
+        // A collective's payload counts once per message it can send.
+        let mut b = TraceBuilder::new("alltoall", 3);
+        for r in 0..3 {
+            b.op(
+                r,
+                MpiOp::Alltoall {
+                    bytes: u64::MAX / 5,
+                },
+            );
+        }
+        assert!(b.build().validate().unwrap_err().contains("bytes sent"));
     }
 
     #[test]

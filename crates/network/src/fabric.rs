@@ -36,7 +36,8 @@ pub struct Fabric {
     /// Per-channel busy-until time.
     free: Vec<SimTime>,
     /// The routing stream's split base ([`DetRng::split_from`]): each
-    /// cross-leaf message derives its own stream from it.
+    /// cross-leaf message draws its top switch from its own stream
+    /// ([`DetRng::split_index`]).
     route_base: u64,
     stats: FabricStats,
     /// One-entry serialization-time memo `(bytes, serial)`: traces use a
@@ -106,7 +107,7 @@ impl Fabric {
         let label = (u64::from(src) << 40) | (u64::from(dst) << 16) | (seq & 0xFFFF);
         let route_base = self.route_base;
         let route = self.topo.route_with(src, dst, |tops| {
-            DetRng::split_from(route_base, label).index(tops as usize) as u32
+            DetRng::split_index(route_base, label, tops as usize) as u32
         });
         let serial = self.serial(bytes);
         let mut head = send_time + self.params.mpi_latency;

@@ -33,6 +33,7 @@ pub mod power;
 pub mod replay;
 pub mod results;
 pub mod switch_power;
+pub mod timing;
 pub mod topology;
 
 pub use collectives::{for_each_micro, MicroOp};
@@ -41,7 +42,11 @@ pub use fabric::{Fabric, FabricStats};
 pub use faults::{FaultConfig, FaultPlan, FaultStats, SendFault};
 pub use genlink::IbGeneration;
 pub use power::{LinkPower, LinkPowerTracker};
-pub use replay::{replay, replay_with_scratch, ReplayError, ReplayOptions, ReplayScratch};
+pub use replay::{
+    replay, replay_timing, replay_timing_with_scratch, replay_with_scratch, ReplayError,
+    ReplayOptions, ReplayScratch,
+};
 pub use results::SimResult;
 pub use switch_power::{SwitchPowerModel, SwitchPowerReport};
+pub use timing::{ReplayTiming, TimingKey};
 pub use topology::{ChannelId, FatTree};

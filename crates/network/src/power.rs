@@ -12,6 +12,7 @@ use crate::config::SimParams;
 use ibp_core::SleepKind;
 use ibp_simcore::{SimDuration, SimTime, StateTimeline};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// Power state of a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -140,21 +141,26 @@ impl LinkPowerTracker {
         self.floor
     }
 
-    /// Apply a batch of resolved windows in order — the slice-oriented
-    /// entry point the replay engine uses: window *resolution* (which
-    /// only needs timestamps) happens on the timing hot path, and the
-    /// link's whole power timeline is advanced here in one pass after
-    /// the run completes. Applying a batch in one call or split over
-    /// several calls gives identical accounting, because the only state
-    /// a window reads besides its own fields is the floor left by its
-    /// predecessor.
+    /// Apply a batch of resolved windows in order — the entry point
+    /// replay scoring uses ([`crate::ReplayTiming::score`]): window
+    /// *resolution* (which only needs timestamps) happens on the timing
+    /// hot path, and the link's whole power timeline is advanced here in
+    /// one pass after the run completes. Applying a batch in one call or
+    /// split over several calls gives identical accounting, because the
+    /// only state a window reads besides its own fields is the floor
+    /// left by its predecessor.
     ///
     /// Each window's lanes shut down at `t0` (clamped to the floor) and
     /// wake when the HCA timer fires or, earlier, on demand at `t_want`;
     /// a misfired timer (`None`) leaves only the demand wake. The depth's
     /// reactivation time bounds the low-power span on both sides.
-    pub fn apply_windows(&mut self, params: &SimParams, windows: &[SleepWindow]) {
+    pub fn apply_windows(
+        &mut self,
+        params: &SimParams,
+        windows: impl IntoIterator<Item = impl Borrow<SleepWindow>>,
+    ) {
         for w in windows {
+            let w = w.borrow();
             let react = params.react_of(w.kind);
             let t0 = w.t0.max(self.floor);
             let off_end = t0 + react;
@@ -209,7 +215,7 @@ mod tests {
     /// Apply one window and return the low-power span it achieved.
     fn apply(t: &mut LinkPowerTracker, p: &SimParams, w: SleepWindow) -> SimDuration {
         let before = t.sleep_time[w.kind as usize];
-        t.apply_windows(p, &[w]);
+        t.apply_windows(p, [w]);
         t.sleep_time[w.kind as usize] - before
     }
 
@@ -296,7 +302,7 @@ mod tests {
             single.apply_windows(&p, std::slice::from_ref(w));
         }
         let mut batched = LinkPowerTracker::new(true);
-        batched.apply_windows(&p, &windows);
+        batched.apply_windows(&p, windows);
         assert_eq!(batched.sleep_time, single.sleep_time);
         assert_eq!(batched.transition_time, single.transition_time);
         assert_eq!(batched.floor(), single.floor());

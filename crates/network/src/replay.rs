@@ -60,17 +60,20 @@
 //!
 //! Per-link *power* accounting is decoupled from the timing loop: sleep
 //! windows are resolved (timestamped) on the hot path but buffered, and
-//! each link's whole power timeline is advanced in one batched
-//! [`LinkPowerTracker::apply_windows`] pass after the run — bit-identical
-//! because a window's accounting depends only on its own fields and the
-//! floor left by its per-link predecessor.
+//! [`replay_timing`] returns them in a [`ReplayTiming`] without their
+//! wake timers. [`ReplayTiming::score`] then advances each link's whole
+//! power timeline in one batched pass, taking the timers from the
+//! annotation — bit-identical because a window's accounting depends only
+//! on its own fields and the floor left by its per-link predecessor.
+//! The timing loop never reads a directive's timer, so annotations that
+//! differ only in timers share one timing run ([`TimingKey`]).
 
 use crate::collectives::{for_each_micro, MicroOp};
 use crate::config::SimParams;
 use crate::fabric::Fabric;
 use crate::faults::{FaultConfig, FaultPlan, FaultStats};
-use crate::power::{LinkPowerTracker, SleepWindow};
 use crate::results::SimResult;
+use crate::timing::{ReplayTiming, ResolvedWindow, TimingKey};
 use fxhash::FxHashMap;
 use ibp_core::{SleepKind, TraceAnnotations};
 use ibp_simcore::{SimDuration, SimTime};
@@ -275,8 +278,9 @@ struct RankState {
     /// Open requests, keyed by absolute id.
     reqs: FxHashMap<u32, Req>,
     next_directive: usize,
-    pending_sleep: Option<(SimTime, SimDuration, SleepKind)>,
-    power: LinkPowerTracker,
+    /// The directive picked up after the last event: when the lanes shut
+    /// down and the depth (whose reactivation time a misfire costs).
+    pending_sleep: Option<(SimTime, SleepKind)>,
     done: bool,
 }
 
@@ -508,8 +512,11 @@ pub struct ReplayScratch {
     /// Per rank, where its entries start in `entry_step`.
     rank_entry_base: Vec<usize>,
     /// Resolved sleep windows per rank, buffered during the timing run
-    /// and applied in one batched power pass afterwards.
-    windows: Vec<Vec<SleepWindow>>,
+    /// and handed to its [`ReplayTiming`]; window `i` of a rank comes
+    /// from the rank's directive `i`.
+    windows: Vec<Vec<ResolvedWindow>>,
+    /// Per rank, the indices of its windows whose wake timer misfired.
+    misfired: Vec<Vec<usize>>,
     /// Memoized collective schedules, kept across `prepare` calls so a
     /// sweep decomposes each distinct collective once, not once per cell;
     /// `Coll` steps index into `scheds` through `sched_index`.
@@ -556,7 +563,12 @@ impl ReplayScratch {
         let windows: usize = self
             .windows
             .iter()
-            .map(|w| w.capacity() * size_of::<SleepWindow>())
+            .map(|w| w.capacity() * size_of::<ResolvedWindow>())
+            .chain(
+                self.misfired
+                    .iter()
+                    .map(|m| m.capacity() * size_of::<usize>()),
+            )
             .sum();
         let scheds: usize = self
             .scheds
@@ -576,7 +588,8 @@ impl ReplayScratch {
             + self.step_arg.capacity() * size_of::<u32>()
             + self.step_bytes.capacity() * size_of::<u64>()
             + (self.entry_step.capacity() + self.rank_entry_base.capacity()) * size_of::<usize>()
-            + self.windows.capacity() * size_of::<Vec<SleepWindow>>()
+            + (self.windows.capacity() + self.misfired.capacity())
+                * size_of::<Vec<ResolvedWindow>>()
             + windows
             + self.scheds.capacity() * size_of::<CollSched>()
             + scheds
@@ -610,6 +623,11 @@ impl ReplayScratch {
         self.windows.resize_with(nprocs as usize, Vec::new);
         for w in &mut self.windows {
             w.clear();
+        }
+        self.misfired.truncate(nprocs as usize);
+        self.misfired.resize_with(nprocs as usize, Vec::new);
+        for m in &mut self.misfired {
+            m.clear();
         }
         if self.scheds.len() > SCHED_CACHE_CAP {
             self.scheds.clear();
@@ -732,22 +750,15 @@ enum Entered {
 ///
 /// Engine buffers come from a per-thread [`ReplayScratch`], so repeated
 /// calls on one thread reuse their allocations; see
-/// [`replay_with_scratch`] to manage the scratch yourself.
+/// [`replay_with_scratch`] to manage the scratch yourself. The same as
+/// [`replay_timing`] followed by [`ReplayTiming::score`].
 pub fn replay(
     trace: &Trace,
     ann: Option<&TraceAnnotations>,
     params: &SimParams,
     opts: &ReplayOptions,
 ) -> Result<SimResult, ReplayError> {
-    thread_local! {
-        static SCRATCH: RefCell<ReplayScratch> = RefCell::new(ReplayScratch::new());
-    }
-    SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => replay_with_scratch(trace, ann, params, opts, &mut scratch),
-        // Re-entrant call (replay invoked from inside a replay-owned
-        // callback on this thread): fall back to a throwaway scratch.
-        Err(_) => replay_with_scratch(trace, ann, params, opts, &mut ReplayScratch::new()),
-    })
+    Ok(replay_timing(trace, ann, params, opts)?.score(ann, params))
 }
 
 /// [`replay`] with an explicitly managed buffer arena. The scratch is
@@ -760,6 +771,42 @@ pub fn replay_with_scratch(
     opts: &ReplayOptions,
     scratch: &mut ReplayScratch,
 ) -> Result<SimResult, ReplayError> {
+    Ok(replay_timing_with_scratch(trace, ann, params, opts, scratch)?.score(ann, params))
+}
+
+/// The timing half of [`replay`]: run the engine and keep what it
+/// timed — finish times, fabric and fault counters, and every link's
+/// resolved sleep windows without their wake timers — keyed by the
+/// [`TimingKey`] of `ann`. Score it against `ann`, or against any
+/// annotation with the same key, with [`ReplayTiming::score`].
+///
+/// Buffers come from a per-thread [`ReplayScratch`], as for [`replay`].
+pub fn replay_timing(
+    trace: &Trace,
+    ann: Option<&TraceAnnotations>,
+    params: &SimParams,
+    opts: &ReplayOptions,
+) -> Result<ReplayTiming, ReplayError> {
+    thread_local! {
+        static SCRATCH: RefCell<ReplayScratch> = RefCell::new(ReplayScratch::new());
+    }
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => replay_timing_with_scratch(trace, ann, params, opts, &mut scratch),
+        // Re-entrant call (replay invoked from inside a replay-owned
+        // callback on this thread): fall back to a throwaway scratch.
+        Err(_) => replay_timing_with_scratch(trace, ann, params, opts, &mut ReplayScratch::new()),
+    })
+}
+
+/// [`replay_timing`] with an explicitly managed buffer arena, as
+/// [`replay_with_scratch`] is to [`replay`].
+pub fn replay_timing_with_scratch(
+    trace: &Trace,
+    ann: Option<&TraceAnnotations>,
+    params: &SimParams,
+    opts: &ReplayOptions,
+    scratch: &mut ReplayScratch,
+) -> Result<ReplayTiming, ReplayError> {
     let n = trace.nprocs;
     if n < 1 {
         return Err(ReplayError::EmptyTrace);
@@ -813,7 +860,6 @@ pub fn replay_with_scratch(
             reqs: FxHashMap::default(),
             next_directive: 0,
             pending_sleep: None,
-            power: LinkPowerTracker::new(opts.record_timelines),
             done: false,
         })
         .collect();
@@ -842,51 +888,15 @@ pub fn replay_with_scratch(
         .extend((0..n).map(|r| Reverse(u64::from(r))));
     engine.run()?;
 
-    // Batched power pass: the timing loop only buffered each link's
-    // resolved sleep windows; advance every link's power timeline in one
-    // slice call now that the run is over.
-    for (state, windows) in engine.ranks.iter_mut().zip(engine.scratch.windows.iter()) {
-        state.power.apply_windows(&engine.params, windows);
-    }
-
-    let exec = engine
-        .ranks
-        .iter()
-        .map(|s| s.t)
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    let exec_time = exec.since(SimTime::ZERO);
-    // Accounting invariant: no host link sleeps or switches for longer
-    // than the run lasts, so its full-power residency is never negative.
-    for (r, s) in engine.ranks.iter().enumerate() {
-        let asleep = s.power.sleep_time.iter().copied().sum::<SimDuration>();
-        debug_assert!(
-            asleep + s.power.transition_time <= exec_time,
-            "link {r}: {asleep} asleep + {} in transition exceeds the {exec_time} run",
-            s.power.transition_time
-        );
-    }
-    Ok(SimResult {
-        exec_time,
-        rank_finish: engine.ranks.iter().map(|s| s.t).collect(),
-        link_sleep: engine.ranks.iter().map(|s| s.power.sleep_time).collect(),
-        link_transition: engine
-            .ranks
-            .iter()
-            .map(|s| s.power.transition_time)
-            .collect(),
-        link_sleeps: engine.ranks.iter().map(|s| s.power.sleeps).collect(),
-        timelines: opts.record_timelines.then(|| {
-            engine
-                .ranks
-                .iter()
-                .map(|s| s.power.timeline.clone().expect("recording enabled"))
-                .collect()
-        }),
-        fabric: engine.fabric.stats(),
-        sleep_power_fraction: SleepKind::ALL.map(|kind| params.draw_of(kind)),
-        faults: engine.fault_stats,
-    })
+    Ok(ReplayTiming::new(
+        TimingKey::of(ann),
+        engine.ranks.iter().map(|s| s.t).collect(),
+        engine.fabric.stats(),
+        engine.fault_stats,
+        &engine.scratch.windows,
+        &engine.scratch.misfired,
+        opts.record_timelines,
+    ))
 }
 
 impl<'a> Replay<'a> {
@@ -1304,22 +1314,15 @@ impl<'a> Replay<'a> {
                     .params
                     .compute_end(state.t, self.trace.ranks[ri].final_compute);
                 state.t = t;
-                if let Some((t0, timer, kind)) = state.pending_sleep.take() {
+                if let Some((t0, _)) = state.pending_sleep.take() {
                     // No later demand exists; the run's end bounds the
                     // window. A misfire here charges no stall (the rank
                     // is done) but still voids the wake timer.
-                    let timer = if misfire {
+                    if misfire {
                         self.fault_stats.wake_misfires += 1;
-                        None
-                    } else {
-                        Some(timer)
-                    };
-                    self.scratch.windows[ri].push(SleepWindow {
-                        t0,
-                        timer,
-                        t_want: t,
-                        kind,
-                    });
+                        self.scratch.misfired[ri].push(self.scratch.windows[ri].len());
+                    }
+                    self.scratch.windows[ri].push(ResolvedWindow { t0, t_want: t });
                 }
                 state.done = true;
             }
@@ -1334,8 +1337,8 @@ impl<'a> Replay<'a> {
 
         // Compute burst (+ mechanism overhead), then the rank wants the
         // network: resolve any pending sleep against that demand, then
-        // serve the reactivation stall. Window *accounting* is buffered
-        // ([`ReplayScratch::windows`]) and applied after the run.
+        // serve the reactivation stall. Window *accounting* is left to
+        // [`ReplayTiming::score`]; the run only buffers the window.
         {
             let misfire = self.ranks[ri].pending_sleep.is_some()
                 && self
@@ -1345,28 +1348,26 @@ impl<'a> Replay<'a> {
             let state = &mut self.ranks[ri];
             state.t = self.params.compute_end(state.t, compute + overhead);
             match state.pending_sleep.take() {
-                Some((t0, _timer, kind)) if misfire => {
+                Some((t0, kind)) if misfire => {
                     // Misfired wake timer: lanes stay low until this
                     // demand, and the rank pays the full reactivation
                     // time *instead of* the runtime's predicted penalty
                     // (the reactive wake replaces the planned one).
-                    self.scratch.windows[ri].push(SleepWindow {
+                    let windows = &mut self.scratch.windows[ri];
+                    self.scratch.misfired[ri].push(windows.len());
+                    windows.push(ResolvedWindow {
                         t0,
-                        timer: None,
                         t_want: state.t,
-                        kind,
                     });
                     let react = self.params.react_of(kind);
                     state.t += react;
                     self.fault_stats.wake_misfires += 1;
                     self.fault_stats.misfire_stall += react;
                 }
-                Some((t0, timer, kind)) => {
-                    self.scratch.windows[ri].push(SleepWindow {
+                Some((t0, _)) => {
+                    self.scratch.windows[ri].push(ResolvedWindow {
                         t0,
-                        timer: Some(timer),
                         t_want: state.t,
-                        kind,
                     });
                     state.t += penalty;
                 }
@@ -1431,11 +1432,8 @@ impl<'a> Replay<'a> {
                 // reactive-policy delay); a window still in its wake
                 // transition pushes the start forward (the tracker clamps
                 // to its floor).
-                state.pending_sleep = Some((
-                    state.t + ra.directives[di].delay,
-                    ra.directives[di].timer,
-                    ra.directives[di].kind,
-                ));
+                state.pending_sleep =
+                    Some((state.t + ra.directives[di].delay, ra.directives[di].kind));
             }
         }
     }

@@ -7,7 +7,7 @@ use ibp_core::SleepKind;
 use ibp_simcore::{SimDuration, SimTime, StateTimeline};
 
 /// Outcome of one replay run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimResult {
     /// End-to-end execution time (latest rank finish).
     pub exec_time: SimDuration,

@@ -27,10 +27,12 @@ pub type ChannelId = u32;
 /// The fat-tree topology with rank→node placement.
 #[derive(Debug, Clone)]
 pub struct FatTree {
-    nodes_per_leaf: u32,
     leaf_count: u32,
     top_count: u32,
     nodes: u32,
+    /// The leaf switch of every node: routing looks it up twice per
+    /// message instead of dividing.
+    leaf: Vec<u32>,
 }
 
 /// A route: the channels a message traverses, in fixed storage (a
@@ -66,11 +68,12 @@ impl FatTree {
             nprocs,
             params.node_capacity()
         );
+        let nodes = params.node_capacity();
         FatTree {
-            nodes_per_leaf: params.nodes_per_leaf,
             leaf_count: params.leaf_count,
             top_count: params.top_count,
-            nodes: params.node_capacity(),
+            nodes,
+            leaf: (0..nodes).map(|n| n / params.nodes_per_leaf).collect(),
         }
     }
 
@@ -86,8 +89,9 @@ impl FatTree {
     }
 
     /// The leaf switch a node hangs off.
+    #[inline]
     pub fn leaf_of(&self, node: u32) -> u32 {
-        node / self.nodes_per_leaf
+        self.leaf[node as usize]
     }
 
     /// Host uplink channel of a node (node → leaf).

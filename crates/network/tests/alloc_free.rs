@@ -1,13 +1,16 @@
 //! Counting-allocator proof that replay allocates nothing per event or
 //! per message: once a scratch has been warmed, a managed replay of R
-//! rounds and one of 2R rounds make the same number of heap requests.
-//! What remains is fixed per replay (per-rank state, the fabric, the
-//! result vectors). The library forbids `unsafe`; this integration-test
+//! rounds and one of 2R rounds make the same number of heap requests,
+//! and so do its two halves, the timing run and the power score. What
+//! remains is fixed per replay (per-rank state, the fabric, the
+//! exactly sized timing record, the result vectors). The library forbids `unsafe`; this integration-test
 //! binary is a separate crate, so a `#[global_allocator]` wrapper is
 //! allowed here.
 
 use ibp_core::{annotate_trace, PowerConfig, TraceAnnotations};
-use ibp_network::{replay_with_scratch, ReplayOptions, ReplayScratch, SimParams};
+use ibp_network::{
+    replay_timing_with_scratch, replay_with_scratch, ReplayOptions, ReplayScratch, SimParams,
+};
 use ibp_simcore::SimDuration;
 use ibp_trace::{MpiOp, Trace, TraceBuilder};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -145,7 +148,7 @@ fn managed_replay_allocations_do_not_grow_with_rounds() {
     let mut scratch = ReplayScratch::new();
     replay_with_scratch(&long.0, Some(&long.1), &params, &opts, &mut scratch).expect("warm-up");
 
-    let counts: Vec<u64> = runs
+    let counts: Vec<[u64; 3]> = runs
         .iter()
         .map(|(trace, ann)| {
             let (allocs, result) = count_allocs(|| {
@@ -157,15 +160,23 @@ fn managed_replay_allocations_do_not_grow_with_rounds() {
                 result.link_sleeps.iter().sum::<u64>() > 0,
                 "no sleep windows"
             );
-            allocs
+            let (timing_allocs, timing) = count_allocs(|| {
+                replay_timing_with_scratch(trace, Some(ann), &params, &opts, &mut scratch)
+            });
+            let timing = timing.expect("timing run");
+            let (score_allocs, scored) = count_allocs(|| timing.score(Some(ann), &params));
+            assert_eq!(scored, result);
+            [allocs, timing_allocs, score_allocs]
         })
         .collect();
-    assert_eq!(
-        counts[0],
-        counts[1],
-        "replay of {ROUNDS} rounds made {} heap requests, of {} rounds {}",
-        counts[0],
-        2 * ROUNDS,
-        counts[1]
-    );
+    for (i, what) in ["replay", "timing run", "score"].into_iter().enumerate() {
+        assert_eq!(
+            counts[0][i],
+            counts[1][i],
+            "{what} of {ROUNDS} rounds made {} heap requests, of {} rounds {}",
+            counts[0][i],
+            2 * ROUNDS,
+            counts[1][i]
+        );
+    }
 }

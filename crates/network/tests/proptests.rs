@@ -162,7 +162,7 @@ proptest! {
             let t0 = t_cursor + SimDuration::from_us(gap_us);
             let timer = SimDuration::from_us(timer_us);
             let t_want = t0 + timer + SimDuration::from_us(want_extra_us);
-            tracker.apply_windows(&p, &[SleepWindow {
+            tracker.apply_windows(&p, [SleepWindow {
                 t0,
                 timer: Some(timer),
                 t_want,

@@ -11,6 +11,24 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// The SplitMix64 increment.
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 output function.
+#[inline]
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The seed of [`DetRng::split_from`]'s stream: the SplitMix64
+/// finalizer over (fresh draw ^ label).
+#[inline]
+fn split_seed(base: u64, label: u64) -> u64 {
+    mix64(base.wrapping_add(GOLDEN) ^ label.wrapping_mul(0xBF58_476D_1CE4_E5B9))
+}
+
 /// A deterministic, splittable random number generator.
 #[derive(Debug, Clone)]
 pub struct DetRng {
@@ -39,13 +57,26 @@ impl DetRng {
     /// `parent.split(label)`. A consumer that splits one parent many
     /// times (one stream per message) draws `base` once.
     pub fn split_from(base: u64, label: u64) -> DetRng {
-        // SplitMix64 finalizer over (fresh draw ^ label).
-        let mut z =
-            base.wrapping_add(0x9E37_79B9_7F4A_7C15) ^ label.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        DetRng::seed_from_u64(z)
+        DetRng::seed_from_u64(split_seed(base, label))
+    }
+
+    /// `split_from(base, label).index(n)`, without building the stream:
+    /// the generator's first output needs only two of its four seed
+    /// words. For consumers that draw once per stream (a message's
+    /// route). Mirrors the vendored `StdRng` (xoshiro256++ seeded by
+    /// SplitMix64, Lemire's multiply-shift range mapping); a unit test
+    /// pins the equality.
+    ///
+    /// # Panics
+    /// Panics if `n == 0`.
+    #[inline]
+    pub fn split_index(base: u64, label: u64, n: usize) -> usize {
+        assert!(n > 0, "index: empty range");
+        let seed = split_seed(base, label);
+        let s0 = mix64(seed.wrapping_add(GOLDEN));
+        let s3 = mix64(seed.wrapping_add(GOLDEN.wrapping_mul(4)));
+        let first = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
+        ((u128::from(first) * n as u128) >> 64) as usize
     }
 
     /// Uniform draw in `[0, 1)`.
@@ -161,6 +192,25 @@ mod tests {
                 assert_eq!(a.next_u64(), w, "split({label:#x})");
                 assert_eq!(b.next_u64(), w, "split_from(base, {label:#x})");
             }
+        }
+    }
+
+    #[test]
+    fn split_index_is_the_split_streams_first_index() {
+        let mut inputs = DetRng::seed_from_u64(0x5EED);
+        for i in 0..100_000 {
+            let (base, label) = (inputs.next_u64(), inputs.next_u64());
+            // Small ranges (a top-switch draw) and the full width.
+            let n = match i % 4 {
+                0 => usize::MAX,
+                1 => (inputs.next_u64() as usize).max(1),
+                _ => 1 + inputs.index(64),
+            };
+            assert_eq!(
+                DetRng::split_index(base, label, n),
+                DetRng::split_from(base, label).index(n),
+                "base {base:#x} label {label:#x} n {n}"
+            );
         }
     }
 

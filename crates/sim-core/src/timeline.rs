@@ -31,7 +31,7 @@ impl<S> StateInterval<S> {
 /// same state again is a no-op (intervals stay maximal); recording a new
 /// state at the exact time of the previous transition *replaces* it (the
 /// zero-length interval is dropped).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StateTimeline<S> {
     /// (transition time, new state) pairs, strictly increasing in time.
     transitions: Vec<(SimTime, S)>,
