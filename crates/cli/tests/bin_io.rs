@@ -265,6 +265,46 @@ fn oversized_traces_are_typed_errors() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Ranks that disagree on a collective — `Allreduce` against
+/// `Allgather` at the same position, or `Bcast` from different roots —
+/// are an erroneous MPI program: every command that loads the trace
+/// refuses it with one `error:` line naming the file and the rank.
+#[test]
+fn mismatched_collectives_are_typed_errors() {
+    let dir = std::env::temp_dir().join(format!("ibp-collectives-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let cases = [
+        (
+            "kinds.json",
+            [MpiOp::Allreduce { bytes: 8 }, MpiOp::Allgather { bytes: 8 }],
+            "rank 1 event 0: collective 0 is MPI_Allgather but rank 0's is MPI_Allreduce at event 0",
+        ),
+        (
+            "roots.json",
+            [
+                MpiOp::Bcast { root: 0, bytes: 8 },
+                MpiOp::Bcast { root: 1, bytes: 8 },
+            ],
+            "rank 1 event 0: collective 0 is MPI_Bcast (root 1)",
+        ),
+    ];
+    for (name, ops, reason) in cases {
+        let mut b = TraceBuilder::new("mismatch", 2);
+        for (r, op) in ops.into_iter().enumerate() {
+            b.compute(r as u32, SimDuration::from_us(10));
+            b.op(r as u32, op);
+        }
+        let file = dir.join(name);
+        let file = file.to_str().expect("utf-8 temp path");
+        ibp_trace::io::save(&b.build(), file).expect("save hostile trace");
+        for cmd in ["inspect", "annotate", "replay"] {
+            assert_typed_error(&[cmd, file], reason);
+            assert_typed_error(&[cmd, file], name);
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A 2-rank, 2-call trace with 10^13 ns bursts spans 2·10^7 ms: binned
 /// at 1 ms, `inspect` would hold tens of megabytes of empty bins. It
 /// bins at the smallest multiple of 1 ms that keeps each rank within

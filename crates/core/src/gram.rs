@@ -95,8 +95,15 @@ impl GramInterner {
     }
 
     /// Rebuild an interner from a snapshot. Shapes must be distinct —
-    /// interning them in order reproduces the original id assignment.
+    /// interning them in order reproduces the original id assignment —
+    /// and non-empty: a gram holds at least one call, and prediction
+    /// reads each slot's first call.
     pub(crate) fn from_snapshot(snap: &GramInternerSnapshot) -> Result<Self, SnapshotError> {
+        if let Some(id) = snap.shapes.iter().position(Vec::is_empty) {
+            return Err(SnapshotError::Inconsistent(format!(
+                "gram interner snapshot holds an empty shape at id {id}"
+            )));
+        }
         let mut interner = GramInterner::new();
         for shape in &snap.shapes {
             let _ = interner.intern(shape);

@@ -63,7 +63,7 @@ pub use pattern::{
     OccurrenceWindow, PatternEntry, PatternId, PatternInterner, PatternList, PatternUpdate,
     RunningMean, DEFAULT_OCCURRENCE_WINDOW,
 };
-pub use ppa::{Declaration, Ppa, PpaWork};
+pub use ppa::{Declaration, Ppa};
 pub use runtime::{
     annotate_rank, DirectiveDigest, EventOutcome, LaneDirective, RankAnnotation, RankRuntime,
 };

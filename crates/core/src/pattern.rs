@@ -17,12 +17,11 @@
 use fxhash::FxHashMap;
 use ibp_simcore::SimDuration;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::gram::GramId;
-use crate::snapshot::{
-    OccurrenceWindowSnapshot, PatternEntrySnapshot, PatternListSnapshot, SnapshotError,
-};
+use crate::snapshot::{PatternEntrySnapshot, PatternListSnapshot, SnapshotError};
 
 /// A pattern key: the sequence of gram shape-ids.
 pub type PatternKey = Box<[GramId]>;
@@ -75,69 +74,40 @@ impl RunningMean {
     }
 }
 
-/// Bounded recency window over gram positions: keeps the newest
-/// `capacity` recorded positions (a ring buffer) plus the all-time
-/// count, so `frequency` keeps the paper's semantics while `checkO`
-/// walks at most `capacity` entries.
-#[derive(Debug, Clone)]
+/// Bounded recency window over gram positions: the newest recorded
+/// positions, oldest first, at most the owning [`PatternList`]'s window
+/// of them, so `checkO` walks at most that many entries.
+#[derive(Debug, Clone, Default)]
 pub struct OccurrenceWindow {
-    buf: Vec<usize>,
-    /// Index of the oldest element once the ring has wrapped.
-    start: usize,
-    capacity: usize,
-    total: u64,
+    positions: VecDeque<usize>,
 }
 
 impl OccurrenceWindow {
-    /// Create an empty window bounded to `capacity` positions (≥ 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        OccurrenceWindow {
-            buf: Vec::new(),
-            start: 0,
-            capacity: capacity.max(1),
-            total: 0,
-        }
-    }
-
-    /// Record `pos`, evicting the oldest retained position when full.
-    /// A position equal to the most recent one is ignored (rescans after
-    /// a relaunch may revisit positions). Returns whether it was kept.
+    /// Record `pos`, evicting the oldest retained position once `window`
+    /// (≥ 1) are held. A position equal to the most recent one is
+    /// ignored (rescans after a relaunch may revisit positions).
     #[inline]
-    pub fn record(&mut self, pos: usize) -> bool {
+    pub fn record(&mut self, pos: usize, window: usize) {
         if self.last() == Some(pos) {
-            return false;
+            return;
         }
-        if self.buf.len() < self.capacity {
-            self.buf.push(pos);
-        } else {
-            self.buf[self.start] = pos;
-            self.start = (self.start + 1) % self.capacity;
+        if self.positions.len() >= window {
+            self.positions.pop_front();
         }
-        self.total += 1;
-        true
+        self.positions.push_back(pos);
     }
 
     /// Most recently recorded position.
     #[inline]
     #[must_use]
     pub fn last(&self) -> Option<usize> {
-        if self.buf.is_empty() {
-            None
-        } else if self.buf.len() < self.capacity || self.start == 0 {
-            self.buf.last().copied()
-        } else {
-            Some(self.buf[self.start - 1])
-        }
+        self.positions.back().copied()
     }
 
     /// Retained positions, oldest first. Allocation-free.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.buf[self.start..]
-            .iter()
-            .chain(self.buf[..self.start].iter())
-            .copied()
+        self.positions.iter().copied()
     }
 
     /// Retained positions as a vector, oldest first (test/debug helper).
@@ -145,72 +115,12 @@ impl OccurrenceWindow {
     pub fn to_vec(&self) -> Vec<usize> {
         self.iter().collect()
     }
-
-    /// Whether `pos` is retained in the window.
-    #[must_use]
-    pub fn contains(&self, pos: usize) -> bool {
-        self.iter().any(|p| p == pos)
-    }
-
-    /// Number of positions currently retained (≤ capacity).
-    #[inline]
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing was ever recorded.
-    #[inline]
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// All-time number of recorded positions (the paper's `frequency`).
-    #[inline]
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Snapshot, normalized oldest-first (`start = 0`). Behaviourally
-    /// identical to the live ring: every reader goes through `iter`
-    /// (oldest first) or `last`, both of which are rotation-invariant.
-    pub(crate) fn snapshot(&self) -> OccurrenceWindowSnapshot {
-        OccurrenceWindowSnapshot {
-            positions: self.to_vec(),
-            capacity: self.capacity,
-            total: self.total,
-        }
-    }
-
-    /// Rebuild from a snapshot, revalidating the ring invariants.
-    pub(crate) fn from_snapshot(snap: &OccurrenceWindowSnapshot) -> Result<Self, SnapshotError> {
-        let capacity = snap.capacity.max(1);
-        if snap.positions.len() > capacity {
-            return Err(SnapshotError::Inconsistent(format!(
-                "occurrence window holds {} positions over capacity {capacity}",
-                snap.positions.len()
-            )));
-        }
-        if snap.total < snap.positions.len() as u64 {
-            return Err(SnapshotError::Inconsistent(format!(
-                "occurrence window total {} below retained {}",
-                snap.total,
-                snap.positions.len()
-            )));
-        }
-        Ok(OccurrenceWindow {
-            buf: snap.positions.clone(),
-            start: 0,
-            capacity,
-            total: snap.total,
-        })
-    }
 }
 
-/// One pattern object (the paper's `pattern` struct: sequence, length,
-/// positions, frequency, inter-gram times, number of MPI calls).
+/// One pattern object: what the PPA and the controller read of the
+/// paper's `pattern` struct (positions and inter-gram times; the
+/// sequence is the interned key). The paper's frequency and MPI-call
+/// count drive no decision and are not kept.
 #[derive(Debug, Clone)]
 pub struct PatternEntry {
     /// Recent gram positions at which the scanner observed this pattern.
@@ -222,19 +132,16 @@ pub struct PatternEntry {
     /// (`slot_gaps[j]` = gap before the j-th gram of the pattern).
     /// Populated at declaration and refined while predicting.
     pub slot_gaps: Vec<RunningMean>,
-    /// Total number of MPI calls covered by one pattern occurrence.
-    pub mpi_calls: u32,
 }
 
 impl PatternEntry {
     fn new(first_pos: usize, window: usize) -> Self {
-        let mut occurrences = OccurrenceWindow::new(window);
-        occurrences.record(first_pos);
+        let mut occurrences = OccurrenceWindow::default();
+        occurrences.record(first_pos, window);
         PatternEntry {
             occurrences,
             detected: false,
             slot_gaps: Vec::new(),
-            mpi_calls: 0,
         }
     }
 }
@@ -316,7 +223,7 @@ pub struct PatternUpdate {
 pub struct PatternList {
     interner: PatternInterner,
     entries: Vec<Option<PatternEntry>>,
-    live: usize,
+    /// Occurrence positions each entry retains (≥ 1).
     window: usize,
 }
 
@@ -340,15 +247,8 @@ impl PatternList {
         PatternList {
             interner: PatternInterner::default(),
             entries: Vec::new(),
-            live: 0,
             window: window.max(1),
         }
-    }
-
-    /// The configured occurrence-window bound.
-    #[must_use]
-    pub fn window(&self) -> usize {
-        self.window
     }
 
     /// Record an occurrence of `key` at gram position `pos` (the paper's
@@ -361,7 +261,6 @@ impl PatternList {
                 let id = self.interner.intern(key);
                 debug_assert_eq!(id as usize, self.entries.len());
                 self.entries.push(Some(PatternEntry::new(pos, self.window)));
-                self.live += 1;
                 PatternUpdate {
                     id,
                     is_new: true,
@@ -377,7 +276,7 @@ impl PatternList {
         let slot = &mut self.entries[id as usize];
         match slot {
             Some(entry) => {
-                entry.occurrences.record(pos);
+                entry.occurrences.record(pos, self.window);
                 PatternUpdate {
                     id,
                     is_new: false,
@@ -386,7 +285,6 @@ impl PatternList {
             }
             None => {
                 *slot = Some(PatternEntry::new(pos, self.window));
-                self.live += 1;
                 PatternUpdate {
                     id,
                     is_new: true,
@@ -448,36 +346,35 @@ impl PatternList {
     /// only the entry dies.
     pub fn remove(&mut self, key: &[GramId]) -> Option<PatternEntry> {
         let id = self.id_of(key)?;
-        let removed = self.entries[id as usize].take();
-        if removed.is_some() {
-            self.live -= 1;
-        }
-        removed
+        self.entries[id as usize].take()
     }
 
     /// Snapshot the whole list: keys in id order, entries id-indexed.
     pub(crate) fn snapshot(&self) -> PatternListSnapshot {
         PatternListSnapshot {
-            window: self.window,
             keys: self.interner.keys.iter().map(|k| k.to_vec()).collect(),
             entries: self
                 .entries
                 .iter()
                 .map(|slot| {
                     slot.as_ref().map(|e| PatternEntrySnapshot {
-                        occurrences: e.occurrences.snapshot(),
+                        occurrences: e.occurrences.to_vec(),
                         detected: e.detected,
                         slot_gaps: e.slot_gaps.clone(),
-                        mpi_calls: e.mpi_calls,
                     })
                 })
                 .collect(),
         }
     }
 
-    /// Rebuild a list from a snapshot, revalidating interner/entry
-    /// alignment. Keys interned in order reproduce the original ids.
-    pub(crate) fn from_snapshot(snap: &PatternListSnapshot) -> Result<Self, SnapshotError> {
+    /// Rebuild a list whose entries retain at most `window` positions
+    /// (the config's `occurrence_window`) from a snapshot, revalidating
+    /// interner/entry alignment. Keys interned in order reproduce the
+    /// original ids.
+    pub(crate) fn from_snapshot(
+        snap: &PatternListSnapshot,
+        window: usize,
+    ) -> Result<Self, SnapshotError> {
         if snap.entries.len() != snap.keys.len() {
             return Err(SnapshotError::Inconsistent(format!(
                 "pattern list snapshot has {} entries for {} keys",
@@ -485,51 +382,44 @@ impl PatternList {
                 snap.keys.len()
             )));
         }
-        let mut interner = PatternInterner::default();
-        for key in &snap.keys {
-            let _ = interner.intern(key);
+        if let Some(key) = snap.keys.iter().find(|k| k.len() < 2) {
+            return Err(SnapshotError::Inconsistent(format!(
+                "pattern key {key:?} is shorter than a bi-gram"
+            )));
         }
-        if interner.len() != snap.keys.len() {
+        let mut list = PatternList::with_window(window);
+        for key in &snap.keys {
+            let _ = list.interner.intern(key);
+        }
+        if list.interner.len() != snap.keys.len() {
             return Err(SnapshotError::Inconsistent(format!(
                 "pattern list snapshot holds duplicate keys: {} distinct of {}",
-                interner.len(),
+                list.interner.len(),
                 snap.keys.len()
             )));
         }
-        let mut entries = Vec::with_capacity(snap.entries.len());
-        let mut live = 0;
         for slot in &snap.entries {
-            entries.push(match slot {
+            list.entries.push(match slot {
                 None => None,
                 Some(e) => {
-                    live += 1;
+                    if e.occurrences.len() > list.window {
+                        return Err(SnapshotError::Inconsistent(format!(
+                            "occurrence window holds {} positions over the window of {}",
+                            e.occurrences.len(),
+                            list.window
+                        )));
+                    }
                     Some(PatternEntry {
-                        occurrences: OccurrenceWindow::from_snapshot(&e.occurrences)?,
+                        occurrences: OccurrenceWindow {
+                            positions: e.occurrences.iter().copied().collect(),
+                        },
                         detected: e.detected,
                         slot_gaps: e.slot_gaps.clone(),
-                        mpi_calls: e.mpi_calls,
                     })
                 }
             });
         }
-        Ok(PatternList {
-            interner,
-            entries,
-            live,
-            window: snap.window.max(1),
-        })
-    }
-
-    /// Number of stored (live) patterns.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.live
-    }
-
-    /// True when no patterns are stored.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
+        Ok(list)
     }
 }
 
@@ -552,7 +442,6 @@ mod tests {
         let mut pl = PatternList::new();
         assert!(pl.update(&[1, 2], 0).is_new, "first occurrence is new");
         assert!(!pl.update(&[1, 2], 3).is_new, "second occurrence is not");
-        assert_eq!(pl.get(&[1, 2]).unwrap().occurrences.total(), 2);
         assert_eq!(pl.get(&[1, 2]).unwrap().occurrences.to_vec(), vec![0, 3]);
     }
 
@@ -561,7 +450,7 @@ mod tests {
         let mut pl = PatternList::new();
         let _ = pl.update(&[1, 2], 5);
         let _ = pl.update(&[1, 2], 5);
-        assert_eq!(pl.get(&[1, 2]).unwrap().occurrences.total(), 1);
+        assert_eq!(pl.get(&[1, 2]).unwrap().occurrences.to_vec(), vec![5]);
     }
 
     #[test]
@@ -570,7 +459,6 @@ mod tests {
         let _ = pl.update(&[1, 2, 3], 0);
         assert!(pl.remove(&[1, 2, 3]).is_some());
         assert!(pl.get(&[1, 2, 3]).is_none());
-        assert!(pl.is_empty());
         assert!(pl.remove(&[1, 2, 3]).is_none(), "double remove is a no-op");
     }
 
@@ -589,7 +477,6 @@ mod tests {
         assert!(again.is_new);
         assert!(!again.detected, "revived entry starts undetected");
         assert_eq!(pl.get(&[7, 8]).unwrap().occurrences.to_vec(), vec![9]);
-        assert_eq!(pl.len(), 1);
     }
 
     #[test]
@@ -597,7 +484,6 @@ mod tests {
         let mut pl = PatternList::new();
         let _ = pl.update(&[1, 2], 0);
         let _ = pl.update(&[2, 1], 1);
-        assert_eq!(pl.len(), 2);
         assert_eq!(pl.get(&[1, 2]).unwrap().occurrences.to_vec(), vec![0]);
         assert_eq!(pl.get(&[2, 1]).unwrap().occurrences.to_vec(), vec![1]);
     }
@@ -612,21 +498,17 @@ mod tests {
     }
 
     #[test]
-    fn occurrence_window_bounds_retention_but_counts_all() {
-        let mut w = OccurrenceWindow::new(4);
+    fn occurrence_window_bounds_retention() {
+        let mut w = OccurrenceWindow::default();
         for pos in 0..10 {
-            assert!(w.record(pos * 3));
+            w.record(pos * 3, 4);
         }
-        assert_eq!(w.len(), 4);
-        assert_eq!(w.total(), 10);
         // Newest four positions retained, oldest first.
         assert_eq!(w.to_vec(), vec![18, 21, 24, 27]);
         assert_eq!(w.last(), Some(27));
-        assert!(w.contains(21));
-        assert!(!w.contains(0), "old positions evicted");
-        // Consecutive duplicate ignored even across the ring boundary.
-        assert!(!w.record(27));
-        assert_eq!(w.total(), 10);
+        // Consecutive duplicate ignored on a full window.
+        w.record(27, 4);
+        assert_eq!(w.to_vec(), vec![18, 21, 24, 27]);
     }
 
     #[test]
@@ -637,11 +519,6 @@ mod tests {
         }
         let e = pl.get(&[1, 2]).unwrap();
         assert_eq!(e.occurrences.to_vec(), vec![10, 15]);
-        assert_eq!(
-            e.occurrences.total(),
-            4,
-            "frequency keeps the all-time count"
-        );
     }
 
     #[test]

@@ -39,7 +39,6 @@ use crate::gram::GramId;
 use crate::pattern::{PatternId, PatternList, RunningMean, DEFAULT_OCCURRENCE_WINDOW};
 use crate::snapshot::{PhaseSnapshot, PpaSnapshot, SnapshotError};
 use fxhash::FxHashMap;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of a PPA declaration: prediction may start.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,7 +54,7 @@ pub struct Declaration {
 }
 
 /// Scanner phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     /// Sliding over bi-grams looking for a repeat.
     Seek,
@@ -65,17 +64,6 @@ enum Phase {
         /// Number of consecutive repeats observed so far.
         consecutive: u32,
     },
-}
-
-/// Counters describing how much work the PPA has done — inputs to the
-/// Table IV overhead model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PpaWork {
-    /// Number of `advance` calls that made progress (PPA invocations).
-    pub invocations: u64,
-    /// Gram elements examined across all invocations (comparisons,
-    /// hash-key constructions).
-    pub elements: u64,
 }
 
 /// The PPA state machine for one MPI process.
@@ -96,16 +84,17 @@ pub struct Ppa {
     detected_order: FxHashMap<PatternId, u32>,
     /// Distinct lengths among detected patterns — the re-arm check probes
     /// one gram-array suffix per length (length-bucketed suffix index)
-    /// instead of scanning every detected key.
+    /// instead of scanning every detected key. Their order does not
+    /// matter: among matches the highest declaration order wins.
     detected_lens: Vec<usize>,
     next_detected_order: u32,
     /// First gram position that counts as "fresh" for the re-arm check:
     /// a re-appearance must consist entirely of grams observed after the
     /// last declaration or relaunch.
     min_fresh: usize,
-    work: PpaWork,
-    /// Work done by the most recent `advance` call (for per-call overhead
-    /// attribution).
+    /// Gram elements examined (comparisons, hash-key constructions) by
+    /// the most recent `advance` call: the runtime charges its overhead
+    /// from this (Table IV's cost model).
     last_elements: u64,
 }
 
@@ -135,7 +124,6 @@ impl Ppa {
             detected_lens: Vec::new(),
             next_detected_order: 0,
             min_fresh: 0,
-            work: PpaWork::default(),
             last_elements: 0,
         }
     }
@@ -153,21 +141,16 @@ impl Ppa {
         &mut self.pl
     }
 
-    /// Cumulative work counters.
-    #[must_use]
-    pub fn work(&self) -> PpaWork {
-        self.work
-    }
-
-    /// Gram elements examined by the most recent `advance` call.
+    /// Gram elements examined by the most recent `advance` call (zero
+    /// when it made no progress).
     #[must_use]
     pub fn last_elements(&self) -> u64 {
         self.last_elements
     }
 
-    /// Snapshot the complete scanner state. The detected-order map is
-    /// flattened to a vector sorted by pattern id so the serialized form
-    /// is deterministic.
+    /// Snapshot the scanner state. The detected-order map is flattened
+    /// to a vector sorted by pattern id so the serialized form is
+    /// deterministic.
     pub(crate) fn snapshot(&self) -> PpaSnapshot {
         let mut detected: Vec<(PatternId, u32)> =
             self.detected_order.iter().map(|(&k, &v)| (k, v)).collect();
@@ -180,30 +163,33 @@ impl Ppa {
                 Phase::Seek => PhaseSnapshot::Seek,
                 Phase::Track { consecutive } => PhaseSnapshot::Track { consecutive },
             },
-            min_consecutive: self.min_consecutive,
             max_pattern_size: self.max_pattern_size,
             frozen: self.frozen,
             detected,
-            detected_lens: self.detected_lens.clone(),
             next_detected_order: self.next_detected_order,
             min_fresh: self.min_fresh,
-            work: self.work,
-            last_elements: self.last_elements,
         }
     }
 
-    /// Rebuild a scanner from a snapshot, revalidating the declaration
-    /// policy and every pattern id the detected index references.
-    pub(crate) fn from_snapshot(snap: &PpaSnapshot) -> Result<Self, SnapshotError> {
-        if snap.min_consecutive < 2 || snap.max_pattern_size < 2 || snap.pattern_size < 2 {
+    /// Rebuild a scanner with the config's declaration threshold and
+    /// occurrence window from a snapshot, revalidating the declaration
+    /// policy and every pattern id the detected index references. The
+    /// detected lengths are rebuilt from the detected keys.
+    pub(crate) fn from_snapshot(
+        snap: &PpaSnapshot,
+        min_consecutive: u32,
+        window: usize,
+    ) -> Result<Self, SnapshotError> {
+        if min_consecutive < 2 || snap.max_pattern_size < 2 || snap.pattern_size < 2 {
             return Err(SnapshotError::Inconsistent(format!(
-                "PPA policy out of range: min_consecutive {}, max_pattern_size {}, pattern_size {}",
-                snap.min_consecutive, snap.max_pattern_size, snap.pattern_size
+                "PPA policy out of range: min_consecutive {min_consecutive}, max_pattern_size {}, pattern_size {}",
+                snap.max_pattern_size, snap.pattern_size
             )));
         }
-        let pl = PatternList::from_snapshot(&snap.pattern_list)?;
+        let pl = PatternList::from_snapshot(&snap.pattern_list, window)?;
         let nkeys = snap.pattern_list.keys.len();
         let mut detected_order = FxHashMap::default();
+        let mut detected_lens = Vec::new();
         for &(id, ord) in &snap.detected {
             if id as usize >= nkeys {
                 return Err(SnapshotError::DanglingId {
@@ -217,7 +203,10 @@ impl Ppa {
                     "pattern id {id} listed twice in detected index"
                 )));
             }
+            detected_lens.push(pl.key(id).len());
         }
+        detected_lens.sort_unstable();
+        detected_lens.dedup();
         Ok(Ppa {
             pl,
             pos: snap.pos,
@@ -226,15 +215,14 @@ impl Ppa {
                 PhaseSnapshot::Seek => Phase::Seek,
                 PhaseSnapshot::Track { consecutive } => Phase::Track { consecutive },
             },
-            min_consecutive: snap.min_consecutive,
+            min_consecutive,
             max_pattern_size: snap.max_pattern_size,
             frozen: snap.frozen,
             detected_order,
-            detected_lens: snap.detected_lens.clone(),
+            detected_lens,
             next_detected_order: snap.next_detected_order,
             min_fresh: snap.min_fresh,
-            work: snap.work,
-            last_elements: snap.last_elements,
+            last_elements: 0,
         })
     }
 
@@ -253,29 +241,16 @@ impl Ppa {
     /// predictable.
     pub fn advance(&mut self, grams: &[GramId]) -> Option<Declaration> {
         self.last_elements = 0;
-        let mut progressed = false;
         // Fast re-arm: a previously declared pattern re-appears once. The
         // paper: "if the pattern is mispredicted and in near future the
         // same pattern appears again we don't wait for three consecutive
         // appearances but declare on the first new appearance". Checked
         // against the newly-closed suffix of the gram array so rotated
         // re-alignments cannot hide the pattern from the scanner.
-        if let Some(decl) = self.check_rearm(grams, &mut progressed) {
-            if progressed {
-                self.work.invocations += 1;
-                self.work.elements += self.last_elements;
-            }
-            return Some(decl);
-        }
-        let result = self.scan(grams, &mut progressed);
-        if progressed {
-            self.work.invocations += 1;
-            self.work.elements += self.last_elements;
-        }
-        result
+        self.check_rearm(grams).or_else(|| self.scan(grams))
     }
 
-    fn check_rearm(&mut self, grams: &[GramId], progressed: &mut bool) -> Option<Declaration> {
+    fn check_rearm(&mut self, grams: &[GramId]) -> Option<Declaration> {
         if self.detected_order.is_empty() {
             return None;
         }
@@ -298,7 +273,6 @@ impl Ppa {
             }
         }
         let (_, id, len) = best?;
-        *progressed = true;
         self.last_elements += len as u64;
         let pattern: Box<[GramId]> = self.pl.key(id).into();
         let predict_from = n;
@@ -311,7 +285,7 @@ impl Ppa {
         })
     }
 
-    fn scan(&mut self, grams: &[GramId], progressed: &mut bool) -> Option<Declaration> {
+    fn scan(&mut self, grams: &[GramId]) -> Option<Declaration> {
         loop {
             match self.phase {
                 Phase::Seek => {
@@ -319,7 +293,6 @@ impl Ppa {
                     if self.pos + 2 > grams.len() {
                         return None;
                     }
-                    *progressed = true;
                     self.last_elements += 2;
                     let key = &grams[self.pos..self.pos + 2];
                     let up = self.pl.update(key, self.pos);
@@ -350,7 +323,6 @@ impl Ppa {
                     if self.pos + 2 * size > grams.len() {
                         return None;
                     }
-                    *progressed = true;
                     self.last_elements += 2 * size as u64;
                     let (cur, rest) = grams[self.pos..].split_at(size);
                     if &rest[..size] == cur {
@@ -462,9 +434,11 @@ impl Ppa {
             self.pattern_size = size + 1;
             true
         } else {
-            // Algorithm 2 line 38: discard the failed candidate if it was
-            // speculatively inserted (we never inserted it, so this is a
-            // no-op kept for parity with the paper).
+            // Algorithm 2 line 38: discard the failed candidate. This
+            // tombstones a live entry when an earlier growth at another
+            // position inserted the same grown key and checkO accepted
+            // it there; the key stays interned, and a later sighting
+            // revives it as a fresh, undetected entry.
             self.pl.remove(grown);
             false
         }
@@ -551,8 +525,7 @@ mod tests {
         let _ = feed_until_declaration(&grams, &mut ppa);
         // The seed bi-grams of Fig. 3's insertion table are present.
         let ab = ppa.pattern_list().get(&[A, B]).unwrap();
-        assert!(ab.occurrences.contains(0));
-        assert!(ab.occurrences.contains(3));
+        assert!(ab.occurrences.to_vec().starts_with(&[0, 3]));
         assert!(ppa.pattern_list().get(&[B, B]).is_some());
         assert!(ppa.pattern_list().get(&[B, A]).is_some());
     }
@@ -600,7 +573,7 @@ mod tests {
         let mut ppa = Ppa::new(3, 64);
         assert!(feed_until_declaration(&grams, &mut ppa).is_none());
         // But the pattern list has been filling with unique bi-grams.
-        assert!(ppa.pattern_list().len() >= 48);
+        assert!((0..48).all(|g| ppa.pattern_list().get(&[g, g + 1]).is_some()));
     }
 
     #[test]
@@ -640,16 +613,22 @@ mod tests {
     }
 
     #[test]
-    fn work_counters_accumulate() {
+    fn last_elements_counts_each_advance() {
         let grams = alya_grams(18);
         let mut ppa = Ppa::new(3, 64);
-        let _ = feed_until_declaration(&grams, &mut ppa);
-        let w = ppa.work();
-        assert!(w.invocations > 0);
-        assert!(
-            w.elements >= w.invocations,
-            "each invocation examines >= 1 element"
-        );
+        // One gram holds no bi-gram yet: no work.
+        assert!(ppa.advance(&grams[..1]).is_none());
+        assert_eq!(ppa.last_elements(), 0);
+        // The first bi-gram is one insertion of two elements.
+        assert!(ppa.advance(&grams[..2]).is_none());
+        assert_eq!(ppa.last_elements(), 2);
+        let later: u64 = (3..=12)
+            .map(|n| {
+                let _ = ppa.advance(&grams[..n]);
+                ppa.last_elements()
+            })
+            .sum();
+        assert!(later > 0);
     }
 
     #[test]
@@ -716,9 +695,52 @@ mod tests {
             let b = bounded.advance(&grams[..n]);
             let u = unbounded.advance(&grams[..n]);
             assert_eq!(b, u, "divergence at gram {n}");
+            // The same work, so the same overhead charge, at every step.
+            assert_eq!(
+                bounded.last_elements(),
+                unbounded.last_elements(),
+                "work diverges at gram {n}"
+            );
             // Mirror the runtime: a declaration relaunches scanning only
             // via after_declaration, which both sides share.
         }
-        assert_eq!(bounded.work(), unbounded.work());
+    }
+
+    #[test]
+    fn failed_check_o_tombstones_a_grown_pattern_and_a_later_sighting_revives_it() {
+        // X Y Z recurs, but once as X Y W. With a 2-deep window the
+        // prefix (X, Y) retains only its last two positions.
+        const X: GramId = 0;
+        const Y: GramId = 1;
+        const Z: GramId = 2;
+        const W: GramId = 3;
+        let grams = [
+            X, Y, Z, 10, X, Y, Z, 11, X, Y, W, 12, X, Y, Z, 13, X, Y, Z, 14,
+        ];
+        let mut ppa = Ppa::with_window(3, 64, 2);
+        let mut fed = 0;
+        let mut feed = |ppa: &mut Ppa, upto: usize| {
+            for n in fed + 1..=upto {
+                assert!(ppa.advance(&grams[..n]).is_none(), "no declaration");
+            }
+            fed = upto;
+        };
+        // At 4, (X, Y) grows to (X, Y, Z): checkO finds it at 0.
+        feed(&mut ppa, 12);
+        let xyz = ppa.pattern_list().id_of(&[X, Y, Z]).expect("grown");
+        let entry = ppa.pattern_list().entry(xyz).expect("live");
+        assert_eq!(entry.occurrences.to_vec(), vec![4]);
+        // At 12 the prefix's window holds {8, 12}, and 8 extends to
+        // (X, Y, W): checkO fails and the live (X, Y, Z) is tombstoned.
+        feed(&mut ppa, 16);
+        assert_eq!(ppa.pattern_list().id_of(&[X, Y, Z]), Some(xyz));
+        assert!(ppa.pattern_list().entry(xyz).is_none(), "tombstoned");
+        // At 16 the window holds {12, 16}; 12 extends to (X, Y, Z), so
+        // the growth succeeds and revives a fresh, undetected entry.
+        feed(&mut ppa, grams.len());
+        let entry = ppa.pattern_list().entry(xyz).expect("revived");
+        assert_eq!(entry.occurrences.to_vec(), vec![16]);
+        assert!(!entry.detected);
+        assert!(entry.slot_gaps.is_empty());
     }
 }

@@ -300,6 +300,15 @@ fn slot_mean(ppa: &Ppa, pattern: PatternId, slot: usize) -> SimDuration {
         .unwrap_or(SimDuration::ZERO)
 }
 
+/// The expected call-id sequence of each slot of a pattern: its grams'
+/// interned shapes.
+fn slot_shapes(interner: &GramInterner, pattern: &[GramId]) -> Vec<Box<[u16]>> {
+    pattern
+        .iter()
+        .map(|&gid| interner.shape(gid).into())
+        .collect()
+}
+
 /// Per-rank interception runtime (see module docs).
 #[derive(Debug)]
 pub struct RankRuntime {
@@ -318,7 +327,6 @@ pub struct RankRuntime {
     stats: RankStats,
     /// Count and digest of every directive issued so far.
     issued: DirectiveDigest,
-    event_idx: usize,
 }
 
 impl RankRuntime {
@@ -343,7 +351,6 @@ impl RankRuntime {
             resilience: ResilienceState::default(),
             stats: RankStats::default(),
             issued: DirectiveDigest::EMPTY,
-            event_idx: 0,
         }
     }
 
@@ -372,7 +379,7 @@ impl RankRuntime {
 
     /// Number of events intercepted so far.
     pub fn events_seen(&self) -> usize {
-        self.event_idx
+        self.stats.total_calls as usize
     }
 
     /// Phase of the declared pattern while predicting:
@@ -568,7 +575,6 @@ impl RankRuntime {
             }
         }
 
-        self.event_idx += 1;
         EventOutcome {
             overhead: event_overhead,
             penalty: event_penalty,
@@ -595,12 +601,11 @@ impl RankRuntime {
                 Mode::Learning => ModeSnapshot::Learning,
                 Mode::Predicting {
                     pattern,
-                    shapes,
                     slot,
                     progress,
+                    ..
                 } => ModeSnapshot::Predicting {
                     pattern: *pattern,
-                    shapes: shapes.iter().map(|s| s.to_vec()).collect(),
                     slot: *slot,
                     progress: *progress,
                 },
@@ -617,7 +622,6 @@ impl RankRuntime {
                 guard: self.resilience.guard,
             },
             stats: self.stats.clone(),
-            event_idx: self.event_idx,
             directives_total: self.issued.count,
             directives_digest: self.issued.digest,
         }
@@ -661,25 +665,30 @@ impl RankRuntime {
                 len: interner.len(),
             });
         }
-        let ppa = Ppa::from_snapshot(&snap.ppa)?;
-        let mode = match &snap.mode {
+        let ppa = Ppa::from_snapshot(
+            &snap.ppa,
+            snap.cfg.min_consecutive,
+            snap.cfg.occurrence_window,
+        )?;
+        let mode = match snap.mode {
             ModeSnapshot::Learning => Mode::Learning,
             ModeSnapshot::Predicting {
                 pattern,
-                shapes,
                 slot,
                 progress,
             } => {
-                if *pattern as usize >= snap.ppa.pattern_list.keys.len() {
+                let nkeys = snap.ppa.pattern_list.keys.len();
+                if pattern as usize >= nkeys {
                     return Err(SnapshotError::DanglingId {
                         what: "pattern",
-                        id: u64::from(*pattern),
-                        len: snap.ppa.pattern_list.keys.len(),
+                        id: u64::from(pattern),
+                        len: nkeys,
                     });
                 }
-                let ok = *slot < shapes.len()
+                let shapes = slot_shapes(&interner, ppa.pattern_list().key(pattern));
+                let ok = slot < shapes.len()
                     && shapes.iter().all(|s| !s.is_empty())
-                    && (*progress == 0 || *progress < shapes[*slot].len());
+                    && (progress == 0 || progress < shapes[slot].len());
                 if !ok {
                     return Err(SnapshotError::Inconsistent(format!(
                         "predicting mode out of range: slot {slot}, progress {progress}, {} shapes",
@@ -687,13 +696,10 @@ impl RankRuntime {
                     )));
                 }
                 Mode::Predicting {
-                    pattern: *pattern,
-                    shapes: shapes
-                        .iter()
-                        .map(|s| s.clone().into_boxed_slice())
-                        .collect(),
-                    slot: *slot,
-                    progress: *progress,
+                    pattern,
+                    shapes,
+                    slot,
+                    progress,
                 }
             }
         };
@@ -722,7 +728,6 @@ impl RankRuntime {
                 count: snap.directives_total,
                 digest: snap.directives_digest,
             },
-            event_idx: snap.event_idx,
         })
     }
 
@@ -742,11 +747,7 @@ impl RankRuntime {
         pattern: Box<[GramId]>,
         first_call: MpiCall,
     ) -> Option<LaneDirective> {
-        // Resolve expected call-id sequences.
-        let shapes: Vec<Box<[u16]>> = pattern
-            .iter()
-            .map(|&gid| self.interner.shape(gid).into())
-            .collect();
+        let shapes = slot_shapes(&self.interner, &pattern);
         let pattern_id = self
             .ppa
             .pattern_list()
@@ -766,7 +767,6 @@ impl RankRuntime {
                 entry.slot_gaps = seed_slot_gaps(entry.occurrences.iter(), pattern.len(), |i| {
                     gram_idle.get(i).copied()
                 });
-                entry.mpi_calls = shapes.iter().map(|s| s.len() as u32).sum();
             }
         }
 
@@ -826,8 +826,9 @@ impl RankRuntime {
         }
         let disp = self.cfg.displacement + self.resilience.guard;
         let (kind, timer) = self.cfg.plan_sleep_with(disp, predicted_idle)?;
+        // `total_calls` already counts the current event.
         let directive = LaneDirective {
-            after_event: self.event_idx,
+            after_event: self.stats.total_calls as usize - 1,
             delay: SimDuration::ZERO,
             timer,
             predicted_idle,
@@ -1335,6 +1336,59 @@ mod tests {
             panic!("runtime should be predicting after 8 iterations");
         }
 
+        // The predicted pattern's shapes are rebuilt from its key: a
+        // dangling pattern id and progress past the slot's rebuilt shape
+        // are refused.
+        let mut bad = good.clone();
+        if let ModeSnapshot::Predicting { pattern, .. } = &mut bad.mode {
+            *pattern = 9_999;
+        }
+        assert!(matches!(
+            RankRuntime::from_snapshot(&bad),
+            Err(SnapshotError::DanglingId {
+                what: "pattern",
+                id: 9_999,
+                ..
+            })
+        ));
+        let mut bad = good.clone();
+        if let ModeSnapshot::Predicting { progress, .. } = &mut bad.mode {
+            *progress = 1_000; // past the current slot's shape
+        }
+        assert!(matches!(
+            RankRuntime::from_snapshot(&bad),
+            Err(SnapshotError::Inconsistent(_))
+        ));
+        // An empty interned shape is refused in either mode: once a
+        // pattern holding it re-arms, its first slot has no call to
+        // predict.
+        for mode in [good.mode.clone(), ModeSnapshot::Learning] {
+            let mut bad = good.clone();
+            bad.interner.shapes[0].clear();
+            bad.mode = mode;
+            assert!(matches!(
+                RankRuntime::from_snapshot(&bad),
+                Err(SnapshotError::Inconsistent(m)) if m.contains("empty shape at id 0")
+            ));
+        }
+
+        // A pattern key shorter than a bi-gram (an empty one would
+        // re-arm as a pattern with no slots).
+        let mut bad = good.clone();
+        bad.ppa.pattern_list.keys[0].clear();
+        assert!(matches!(
+            RankRuntime::from_snapshot(&bad),
+            Err(SnapshotError::Inconsistent(m)) if m.contains("shorter than a bi-gram")
+        ));
+
+        // An entry retaining more positions than the config's window.
+        let mut bad = good.clone();
+        bad.cfg.occurrence_window = 1;
+        assert!(matches!(
+            RankRuntime::from_snapshot(&bad),
+            Err(SnapshotError::Inconsistent(m)) if m.contains("window of 1")
+        ));
+
         // A v2 snapshot (the `policy` enum and per-depth time fields)
         // fails on its version, through the one JSON decoder.
         let mut v2 = good.to_value();
@@ -1398,8 +1452,52 @@ mod tests {
             })
         );
 
+        // A v5 snapshot (occurrence windows with `capacity` and `total`,
+        // stored `detected_lens`, `shapes` and `event_idx`) fails on its
+        // version, decoded or not.
+        let bytes = v5_snapshot_json(&good);
+        assert_eq!(
+            RuntimeSnapshot::from_json_bytes(&bytes),
+            Err(SnapshotError::VersionMismatch {
+                found: 5,
+                expected: SNAPSHOT_VERSION
+            })
+        );
+        let mut v5 = good.clone();
+        v5.version = 5;
+        assert_eq!(
+            RankRuntime::from_snapshot(&v5).err(),
+            Some(SnapshotError::VersionMismatch {
+                found: 5,
+                expected: 6
+            })
+        );
+
         // The untouched snapshot still restores.
         assert!(RankRuntime::from_snapshot(&good).is_ok());
+    }
+
+    /// `snap` in the v5 layout: the derived fields stored beside the
+    /// learned ones.
+    fn v5_snapshot_json(snap: &RuntimeSnapshot) -> Vec<u8> {
+        use serde::Value;
+        let mut v5 = snap.to_value();
+        let Value::Map(entries) = &mut v5 else {
+            panic!("snapshot serializes as an object");
+        };
+        for (key, value) in entries.iter_mut() {
+            match (key.as_str(), value) {
+                ("version", value) => *value = Value::U64(5),
+                ("ppa", Value::Map(ppa)) => {
+                    ppa.push(("min_consecutive".into(), Value::U64(3)));
+                    ppa.push(("detected_lens".into(), Value::Seq(vec![Value::U64(3)])));
+                    ppa.push(("last_elements".into(), Value::U64(0)));
+                }
+                _ => {}
+            }
+        }
+        entries.push(("event_idx".into(), Value::U64(snap.stats.total_calls)));
+        serde_json::to_string(&v5).unwrap().into_bytes()
     }
 
     /// `snap` in the v4 layout: a `grams` array of

@@ -18,15 +18,20 @@
 //! This is what `ibp-serve` uses to let a disconnected client resume
 //! prediction without re-learning its pattern dictionary.
 //!
+//! A snapshot holds no state the restore can derive: the occurrence
+//! window bound and the declaration threshold come from the embedded
+//! config, the detected patterns' lengths from their keys, the
+//! predicted pattern's per-slot call sequences from its key through the
+//! gram interner, and the event count from the statistics.
+//!
 //! Snapshots are plain-old-data with `serde` derives; hash maps are
-//! stored as sorted key/value vectors and ring buffers are normalized
-//! (oldest first), so the serialized form is deterministic for a given
-//! runtime state.
+//! stored as sorted key/value vectors and occurrence windows oldest
+//! first, so the serialized form is deterministic for a given runtime
+//! state.
 
 use crate::config::SleepKind;
 use crate::gram::GramId;
 use crate::pattern::{PatternId, RunningMean};
-use crate::ppa::PpaWork;
 use crate::stats::RankStats;
 use crate::PowerConfig;
 use ibp_simcore::SimDuration;
@@ -52,7 +57,14 @@ use serde::{Deserialize, Serialize};
 ///   `directives_digest` cover every directive issued (the runtime
 ///   hands each one out as it issues it), the digest folding each
 ///   directive's fields as 64-bit words instead of bytes.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// * 6 — learned state only: a pattern entry's occurrences are a plain
+///   position list (no per-window capacity, no all-time total) and it
+///   carries no MPI-call count; the pattern list's window, the PPA's
+///   `min_consecutive`, `detected_lens`, `work` and `last_elements`,
+///   the predicting mode's `shapes` and the runtime's `event_idx` are
+///   gone — each is rebuilt on restore from the config, the pattern
+///   keys, the gram interner or `stats.total_calls`.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// A snapshot failed validation on restore.
 ///
@@ -78,7 +90,7 @@ pub enum SnapshotError {
         len: usize,
     },
     /// A structural invariant does not hold (duplicate interner keys,
-    /// occurrence window larger than its capacity, …).
+    /// occurrence window larger than the configured bound, …).
     Inconsistent(String),
 }
 
@@ -121,36 +133,22 @@ pub struct GramBuilderSnapshot {
     pub current_preceding_idle: SimDuration,
 }
 
-/// A bounded occurrence ring buffer, normalized oldest-first.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OccurrenceWindowSnapshot {
-    /// Retained positions, oldest first (≤ `capacity` of them).
-    pub positions: Vec<usize>,
-    /// Retention bound.
-    pub capacity: usize,
-    /// All-time number of recorded positions.
-    pub total: u64,
-}
-
 /// One live pattern entry.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PatternEntrySnapshot {
-    /// Recent occurrence positions.
-    pub occurrences: OccurrenceWindowSnapshot,
+    /// Retained occurrence positions, oldest first (at most the
+    /// config's `occurrence_window` of them).
+    pub occurrences: Vec<usize>,
     /// Whether the pattern was ever declared predictable.
     pub detected: bool,
     /// Per-slot idle-gap running means.
     pub slot_gaps: Vec<RunningMean>,
-    /// MPI calls covered by one occurrence.
-    pub mpi_calls: u32,
 }
 
 /// The pattern list: interned keys in id order plus id-indexed entries
 /// (`None` = tombstoned key, exactly as the live structure keeps them).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PatternListSnapshot {
-    /// Occurrence-window bound for every entry.
-    pub window: usize,
     /// Interned keys, in id order (index = [`PatternId`]).
     pub keys: Vec<Vec<GramId>>,
     /// Entries; `entries[id]` is `None` when the key is tombstoned.
@@ -180,24 +178,16 @@ pub struct PpaSnapshot {
     pub pattern_size: usize,
     /// Scanner phase.
     pub phase: PhaseSnapshot,
-    /// Declaration policy: consecutive repeats required.
-    pub min_consecutive: u32,
     /// Pattern-length cap (frozen to the declared length once declared).
     pub max_pattern_size: usize,
     /// Whether `max_pattern_size` has been frozen by a declaration.
     pub frozen: bool,
     /// Declaration order of every detected pattern, sorted by pattern id.
     pub detected: Vec<(PatternId, u32)>,
-    /// Distinct detected pattern lengths, in first-seen order.
-    pub detected_lens: Vec<usize>,
     /// Next declaration-order stamp.
     pub next_detected_order: u32,
     /// First gram position considered fresh for the re-arm check.
     pub min_fresh: usize,
-    /// Cumulative work counters.
-    pub work: PpaWork,
-    /// Elements examined by the most recent `advance`.
-    pub last_elements: u64,
 }
 
 /// The runtime's prediction mode.
@@ -207,10 +197,9 @@ pub enum ModeSnapshot {
     Learning,
     /// Power-mode control is tracking a declared pattern.
     Predicting {
-        /// Interned id of the declared pattern.
+        /// Interned id of the declared pattern (its key's gram shapes
+        /// are the slots' expected call sequences).
         pattern: PatternId,
-        /// Expected call-id sequence of each pattern slot.
-        shapes: Vec<Vec<u16>>,
         /// Slot currently being matched.
         slot: usize,
         /// Calls already matched within the current slot's gram.
@@ -271,11 +260,10 @@ pub struct RuntimeSnapshot {
     /// Resilience controller state.
     pub resilience: ResilienceSnapshot,
     /// Cumulative statistics (carried so post-restore stats match an
-    /// unbroken run).
+    /// unbroken run). Its `total_calls` is the number of events
+    /// intercepted so far: `after_event` indices of post-restore
+    /// directives continue from there.
     pub stats: RankStats,
-    /// Number of events intercepted so far (`after_event` indices of
-    /// post-restore directives continue from here).
-    pub event_idx: usize,
     /// Directives issued so far
     /// ([`RankRuntime::issued`](crate::runtime::RankRuntime::issued)),
     /// across restores.

@@ -31,6 +31,28 @@ const TRACE_COMPUTE_NS: u64 = u64::MAX >> 8;
 /// other sum of sent bytes) fits in a `u64`.
 const TRACE_SENT_BYTES: u64 = u64::MAX;
 
+/// What every rank must agree on about a collective: its kind and, for
+/// rooted ones, the root. `None` for point-to-point operations.
+fn collective(op: &MpiOp) -> Option<(MpiCall, Option<Rank>)> {
+    match *op {
+        MpiOp::Barrier
+        | MpiOp::Allreduce { .. }
+        | MpiOp::Allgather { .. }
+        | MpiOp::Alltoall { .. } => Some((op.call(), None)),
+        MpiOp::Bcast { root, .. } | MpiOp::Reduce { root, .. } => Some((op.call(), Some(root))),
+        _ => None,
+    }
+}
+
+/// A collective as error messages name it: `MPI_Bcast (root 1)`,
+/// `MPI_Allreduce`.
+fn describe((call, root): (MpiCall, Option<Rank>)) -> String {
+    match root {
+        Some(root) => format!("{call} (root {root})"),
+        None => call.to_string(),
+    }
+}
+
 /// An upper bound on the payload bytes `op` makes one rank of `nprocs`
 /// send: its payload times the messages it can send. A collective sends
 /// at most `nprocs − 1` messages per rank, a barrier 1 byte each. `None`
@@ -147,6 +169,9 @@ impl Trace {
     /// * every `Wait`/`Waitall` request was previously posted by an
     ///   `Isend`/`Irecv` on the same rank and is claimed exactly once,
     /// * collective roots are in range,
+    /// * every rank issues the same sequence of collectives — kind and
+    ///   root, in order, and as many (replay matches collectives across
+    ///   ranks by position),
     /// * each rank's compute (its bursts plus `final_compute`) stays at
     ///   or below `(u64::MAX >> 8) / nprocs` ns, its share of the replay
     ///   clock's range at 252 ranks,
@@ -163,6 +188,9 @@ impl Trace {
                 self.ranks.len()
             ));
         }
+        // Rank 0's collectives (event index, kind and root): the
+        // sequence every other rank must issue.
+        let mut reference = Vec::new();
         for (i, r) in self.ranks.iter().enumerate() {
             if r.rank as usize != i {
                 return Err(format!("rank {} stored at position {}", r.rank, i));
@@ -184,8 +212,25 @@ impl Trace {
             let mut posted: std::collections::HashSet<u32> = std::collections::HashSet::new();
             let sent_cap = TRACE_SENT_BYTES / u64::from(self.nprocs);
             let mut sent = 0u64;
+            let mut collectives = 0;
             for (j, ev) in r.events.iter().enumerate() {
                 let err = |msg: String| Err(format!("rank {i} event {j}: {msg}"));
+                if let Some(c) = collective(&ev.op) {
+                    if i == 0 {
+                        reference.push((j, c));
+                    } else if reference.get(collectives).map(|r| r.1) != Some(c) {
+                        let theirs = reference
+                            .get(collectives)
+                            .map_or("none".into(), |&(j0, c0)| {
+                                format!("{} at event {j0}", describe(c0))
+                            });
+                        return err(format!(
+                            "collective {collectives} is {} but rank 0's is {theirs}",
+                            describe(c)
+                        ));
+                    }
+                    collectives += 1;
+                }
                 match max_sent_bytes(&ev.op, self.nprocs).and_then(|b| sent.checked_add(b)) {
                     Some(total) if total <= sent_cap => sent = total,
                     _ => {
@@ -228,6 +273,13 @@ impl Trace {
                 return Err(format!(
                     "rank {i}: {} request(s) never completed by wait",
                     posted.len()
+                ));
+            }
+            if let Some(&(j0, c0)) = reference.get(collectives) {
+                return Err(format!(
+                    "rank {i}: issues {collectives} collectives but rank 0's collective \
+                     {collectives} is {} at event {j0}",
+                    describe(c0)
                 ));
             }
         }
@@ -416,6 +468,62 @@ mod tests {
             );
         }
         assert!(b.build().validate().unwrap_err().contains("bytes sent"));
+    }
+
+    #[test]
+    fn validate_requires_every_rank_to_issue_the_same_collectives() {
+        let trace = |ops: [[MpiOp; 2]; 2]| {
+            let mut b = TraceBuilder::new("coll", 2);
+            for (r, ops) in ops.into_iter().enumerate() {
+                for op in ops {
+                    b.op(r as Rank, op);
+                }
+            }
+            b.build()
+        };
+        let bcast = |root| MpiOp::Bcast { root, bytes: 8 };
+        let ar = MpiOp::Allreduce { bytes: 8 };
+        let ag = MpiOp::Allgather { bytes: 8 };
+        // Point-to-point operations between collectives do not count.
+        let send = MpiOp::Send { to: 0, bytes: 1 };
+        let recv = MpiOp::Recv { from: 1, bytes: 1 };
+        assert!(
+            trace([[recv.clone(), ar.clone()], [send.clone(), ar.clone()]])
+                .validate()
+                .is_ok()
+        );
+        // Kinds differ at the same position.
+        let err = trace([[bcast(0), ar.clone()], [bcast(0), ag.clone()]])
+            .validate()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            "rank 1 event 1: collective 1 is MPI_Allgather but rank 0's is MPI_Allreduce at event 1"
+        );
+        // Roots differ.
+        let err = trace([[bcast(0), ar.clone()], [bcast(1), ar.clone()]])
+            .validate()
+            .unwrap_err();
+        assert!(
+            err.starts_with("rank 1 event 0: collective 0 is MPI_Bcast (root 1)"),
+            "{err}"
+        );
+        // One rank issues more collectives, or fewer.
+        let extra = MpiOp::Reduce { root: 0, bytes: 8 };
+        let err = trace([[MpiOp::Barrier, send], [MpiOp::Barrier, extra]])
+            .validate()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            "rank 1 event 1: collective 1 is MPI_Reduce (root 0) but rank 0's is none"
+        );
+        let err = trace([[ar.clone(), ag], [ar, recv]])
+            .validate()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            "rank 1: issues 1 collectives but rank 0's collective 1 is MPI_Allgather at event 1"
+        );
     }
 
     #[test]

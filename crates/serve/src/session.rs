@@ -69,7 +69,7 @@ impl Session {
         }
         let runtime = RankRuntime::from_snapshot(&record.snapshot)
             .map_err(|e| ProtocolError::BadSnapshot(e.to_string()))?;
-        Ok(Session::with_runtime(record.rank, runtime))
+        Ok(Session::with_runtime(record.snapshot.rank, runtime))
     }
 
     /// Apply one batch of wire events through the allocation-free

@@ -359,10 +359,16 @@ fn read_record_file(path: &Path) -> Result<StoreRecord, String> {
     }
     let record =
         StoreRecord::from_value(&value).map_err(|e| format!("record layout invalid: {e}"))?;
-    if record.events != record.snapshot.event_idx as u64 {
+    if record.events != record.snapshot.stats.total_calls {
         return Err(format!(
-            "resume position {} disagrees with snapshot event index {}",
-            record.events, record.snapshot.event_idx
+            "resume position {} disagrees with snapshot event count {}",
+            record.events, record.snapshot.stats.total_calls
+        ));
+    }
+    if record.rank != record.snapshot.rank {
+        return Err(format!(
+            "record rank {} disagrees with snapshot rank {}",
+            record.rank, record.snapshot.rank
         ));
     }
     if !record.directives.is_empty() {

@@ -255,6 +255,48 @@ fn v4_snapshot_record_is_skipped_with_a_version_reason() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A record written before the snapshot dropped its derived copies —
+/// its snapshot at version 5, with `event_idx`, the PPA's
+/// `min_consecutive`, `detected_lens`, `work` and `last_elements`, and
+/// occurrence windows carrying `capacity` and `total` — is skipped with
+/// the snapshot version as the reason, and the same snapshot sent in a
+/// `Restore` is a typed `BadSnapshot`.
+#[test]
+fn v5_snapshot_record_is_skipped_with_a_version_reason() {
+    use serde::Value;
+    let dir = temp_dir("v5");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut record = serde::Serialize::to_value(&sample_record(10, 120));
+    let snap = snapshot_field(&mut record);
+    for (k, v) in snap.iter_mut() {
+        if let ("ppa", Value::Map(ppa)) = (k.as_str(), v) {
+            for (k, v) in ppa.iter_mut() {
+                if let ("pattern_list", Value::Map(list)) = (k.as_str(), v) {
+                    list.push(("window".into(), Value::U64(64)));
+                }
+            }
+            ppa.push(("min_consecutive".into(), Value::U64(3)));
+            ppa.push(("detected_lens".into(), Value::Seq(Vec::new())));
+            ppa.push((
+                "work".into(),
+                Value::Map(vec![
+                    ("invocations".into(), Value::U64(1)),
+                    ("elements".into(), Value::U64(2)),
+                ]),
+            ));
+            ppa.push(("last_elements".into(), Value::U64(0)));
+        }
+    }
+    snap.push(("event_idx".into(), Value::U64(120)));
+    set_version(snap, 5);
+    let v5 = serde_json::to_string(&record).unwrap();
+    write_record_payload(&dir, 10, v5.as_bytes());
+
+    let restore = ibp_serve::Session::restore(&snapshot_bytes(&mut record));
+    assert_refused(&dir, 10, "snapshot version 5", restore);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A current-layout record whose undelivered directive tail is not
 /// empty — no build writes one, so it is hostile input — is skipped on
 /// recovery with a reason, and rehydrating it in process is a typed
@@ -277,6 +319,35 @@ fn record_with_a_directive_tail_is_refused() {
 
     let restore = ibp_serve::Session::restore_from_record(&record);
     assert_refused(&dir, 9, "undelivered directives", restore);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A record whose `rank` disagrees with its snapshot's is skipped on
+/// recovery with a reason naming both ranks, and rehydrating it in
+/// process labels the session with the engine's rank.
+#[test]
+fn record_with_a_foreign_rank_is_refused() {
+    let dir = temp_dir("rank");
+    std::fs::create_dir_all(&dir).unwrap();
+    let record = StoreRecord {
+        rank: 7,
+        ..sample_record(5, 60)
+    };
+    assert_eq!(record.snapshot.rank, 5);
+    let json = serde_json::to_string(&record).unwrap();
+    write_record_payload(&dir, 5, json.as_bytes());
+
+    let (store, report) = SnapshotStore::open(&dir).expect("open skips the record");
+    assert_eq!(report.loaded, 0, "{report:?}");
+    let (name, reason) = &report.skipped[0];
+    assert_eq!(name, &record_file_name(5));
+    assert!(
+        reason.contains("record rank 7 disagrees with snapshot rank 5"),
+        "{reason}"
+    );
+    assert!(store.load(5).unwrap().is_none());
+    let session = ibp_serve::Session::restore_from_record(&record).expect("rehydrate");
+    assert_eq!(session.rank, 5);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -65,4 +65,21 @@ mod tests {
             );
         }
     }
+
+    /// Replay pairs collectives across ranks by position, so
+    /// `Trace::validate` requires every rank to issue the same
+    /// collectives in the same order: each application's full-length
+    /// trace at its smallest paper scale, under both scalings, does.
+    #[test]
+    fn full_traces_validate_at_the_smallest_paper_scale() {
+        for app in AppKind::ALL {
+            for scaling in [Scaling::Strong, Scaling::Weak] {
+                let w = app.workload(scaling);
+                let n = w.paper_procs()[0];
+                if let Err(e) = w.generate(n, 0xD1C0).validate() {
+                    panic!("{} at {n} ({scaling:?}): {e}", app.name());
+                }
+            }
+        }
+    }
 }
