@@ -5,8 +5,8 @@
 //! text to `ibpower exhibits`.
 
 use crate::experiment::{run_runtime_only, RunConfig, RunResult};
-use crate::gt_select::{sweep, GtPoint};
-use crate::paper_ref;
+use crate::gt_select::GtPoint;
+use crate::paper_ref::{self, SCALE_LABELS};
 use crate::report::{f1, f2, Table};
 use crate::sweep::{CellKey, SweepEngine};
 use ibp_trace::IdleDistribution;
@@ -360,9 +360,8 @@ pub fn figure(
 /// Render a figure as two tables (savings, slowdown) with the AVERAGE
 /// series the paper plots.
 pub fn render_figure(fig: &FigureData) -> String {
-    // Column labels for the paper's scale axis; a capped grid (the
-    // golden suite) renders a prefix of them.
-    const SCALE_LABELS: [&str; 5] = ["8/9", "16", "32/36", "64", "128/100"];
+    // A capped grid (the golden suite) renders a prefix of the scale
+    // labels.
     let ncols = fig
         .rows
         .iter()
@@ -438,7 +437,8 @@ pub struct Fig10Data {
     pub curves: Vec<(u32, Vec<GtPoint>)>,
 }
 
-/// Compute Fig. 10.
+/// Compute Fig. 10: the memoized sweep curves Table III selects from
+/// (computed here only when Table III has not run on this engine).
 pub fn fig10(engine: &SweepEngine, seed: u64) -> Fig10Data {
     let cells: Vec<CellKey> = [64u32, 128]
         .iter()
@@ -447,7 +447,7 @@ pub fn fig10(engine: &SweepEngine, seed: u64) -> Fig10Data {
     let curves = engine.run_cells(
         &cells,
         |&k| k,
-        |ctx, key, _| (key.nprocs, sweep(&ctx.trace, SELECT_DISPLACEMENT)),
+        |ctx, key, _| (key.nprocs, ctx.gt_curve(SELECT_DISPLACEMENT).to_vec()),
     );
     Fig10Data { curves }
 }

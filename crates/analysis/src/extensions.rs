@@ -16,7 +16,7 @@
 
 use crate::experiment::RunConfig;
 use crate::report::{f1, f2, Table};
-use crate::sweep::{CellKey, SweepEngine, SweepOptions, SweepStats, TraceFn, VARIANT_WEAK};
+use crate::sweep::{CellKey, SweepEngine, VARIANT_JITTER, VARIANT_WEAK};
 use ibp_core::{
     annotate_trace, history_annotate_rank, map_ranks, oracle_annotate_rank, reactive_annotate_rank,
     PowerConfig, RankAnnotation, TraceAnnotations,
@@ -24,7 +24,7 @@ use ibp_core::{
 use ibp_network::{replay, ReplayOptions, SimParams, SimResult};
 use ibp_simcore::SimDuration;
 use ibp_trace::{RankTrace, Trace};
-use ibp_workloads::{AppKind, Scaling, Workload};
+use ibp_workloads::{AppKind, Scaling};
 use serde::{Deserialize, Serialize};
 
 /// One policy's outcome on one application.
@@ -338,37 +338,19 @@ pub struct RobustnessPoint {
 /// The jitter multipliers [`robustness_study`] sweeps.
 pub const JITTER_MULTIPLIERS: [f64; 7] = [0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0];
 
-/// Trace source for the robustness study: the cell variant indexes
-/// [`JITTER_MULTIPLIERS`], scaling ALYA's compute-gap sigmas.
-fn jitter_trace_fn() -> TraceFn {
-    std::sync::Arc::new(|key: &CellKey| {
-        let mult = JITTER_MULTIPLIERS[key.variant as usize];
-        let mut alya = ibp_workloads::Alya::default();
-        alya.assembly_gap.sigma *= mult;
-        alya.solver_gap.sigma *= mult;
-        alya.generate(key.nprocs, key.seed)
-    })
-}
-
 /// Failure injection: scale ALYA's compute jitter and displacement-test
-/// the mechanism. Builds its own engine (the jitter workloads are not
-/// the paper grid's, so they get a private trace cache) and returns the
-/// rows plus that engine's [`SweepStats`].
-pub fn robustness_study(
-    opts: SweepOptions,
-    nprocs: u32,
-    seed: u64,
-) -> (Vec<RobustnessPoint>, SweepStats) {
-    let engine = SweepEngine::with_trace_fn(opts, jitter_trace_fn());
+/// the mechanism. The jittered traces are [`VARIANT_JITTER`] cells of
+/// the caller's engine, so its counters report this study's work.
+pub fn robustness_study(engine: &SweepEngine, nprocs: u32, seed: u64) -> Vec<RobustnessPoint> {
     let cells: Vec<CellKey> = (0..JITTER_MULTIPLIERS.len() as u32)
         .map(|i| CellKey {
             app: AppKind::Alya,
             nprocs,
             seed,
-            variant: i,
+            variant: VARIANT_JITTER + i,
         })
         .collect();
-    let rows = engine.run_cells(
+    engine.run_cells(
         &cells,
         |&k| k,
         |ctx, key, _| {
@@ -379,7 +361,7 @@ pub fn robustness_study(
             let managed =
                 replay(&ctx.trace, Some(&ann), &params, &ReplayOptions::default()).expect("replay");
             RobustnessPoint {
-                jitter_multiplier: JITTER_MULTIPLIERS[key.variant as usize],
+                jitter_multiplier: JITTER_MULTIPLIERS[(key.variant - VARIANT_JITTER) as usize],
                 hit_rate_pct: agg.hit_rate_pct(),
                 saving_pct: managed.power_saving_pct(),
                 slowdown_pct: managed.slowdown_pct(&ctx.baseline()),
@@ -387,9 +369,7 @@ pub fn robustness_study(
                     / agg.total_calls.max(1) as f64,
             }
         },
-    );
-    let stats = engine.stats();
-    (rows, stats)
+    )
 }
 
 /// One fault-rate level's outcome in the fault-tolerance study.
@@ -519,6 +499,8 @@ pub fn render_robustness(rows: &[RobustnessPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepOptions;
+    use ibp_workloads::Workload;
 
     /// Relative link energy of a policy against the unmanaged run: the
     /// share of power it still draws times the share of time it runs,
@@ -696,7 +678,9 @@ mod tests {
 
     #[test]
     fn robustness_degrades_gracefully() {
-        let (rows, stats) = robustness_study(SweepOptions::default(), 8, 5);
+        let engine = SweepEngine::new(SweepOptions::default());
+        let rows = robustness_study(&engine, 8, 5);
+        let stats = engine.stats();
         assert_eq!(stats.traces_generated as usize, JITTER_MULTIPLIERS.len());
         let first = &rows[0];
         let last = rows.last().unwrap();
@@ -705,5 +689,26 @@ mod tests {
         assert!(last.saving_pct < first.saving_pct);
         // …but never catastrophic slowdown (stalls are T_react-capped).
         assert!(last.slowdown_pct < 5.0, "{}", last.slowdown_pct);
+    }
+
+    #[test]
+    fn robustness_on_a_shared_engine_matches_a_standalone_run() {
+        // A shared, parallel engine that already holds the same key's
+        // paper-workload trace and baseline: the jitter variants must
+        // neither collide with them nor depend on the pool.
+        let (nprocs, seed) = (4, 3);
+        let shared = SweepEngine::new(SweepOptions::with_jobs(2));
+        shared.baseline(&CellKey::new(AppKind::Alya, nprocs, seed));
+        let mark = shared.stats();
+        let rows = robustness_study(&shared, nprocs, seed);
+        let standalone = robustness_study(&SweepEngine::new(SweepOptions::serial()), nprocs, seed);
+        assert_eq!(
+            serde_json::to_string(&rows).unwrap(),
+            serde_json::to_string(&standalone).unwrap()
+        );
+        let delta = shared.stats().since(&mark);
+        assert_eq!(delta.cells as usize, JITTER_MULTIPLIERS.len());
+        assert_eq!(delta.traces_generated as usize, JITTER_MULTIPLIERS.len());
+        assert_eq!(delta.baselines_computed as usize, JITTER_MULTIPLIERS.len());
     }
 }

@@ -128,12 +128,6 @@ pub fn select(points: &[GtPoint]) -> &GtPoint {
         .expect("non-empty sweep")
 }
 
-/// Sweep + select in one step for one trace.
-pub fn choose_gt(trace: &Trace, displacement: f64) -> GtPoint {
-    let points = sweep(trace, displacement);
-    select(&points).clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -42,7 +42,7 @@ pub use experiment::{
 pub use generation::{
     generation_frontier, render_generation_frontier, GenerationFrontierRow, FRONTIER_GENERATIONS,
 };
-pub use gt_select::{choose_gt, select, sweep, GtPoint, GT_GRID_US};
+pub use gt_select::{select, sweep, GtPoint, GT_GRID_US};
 pub use output::OutputDir;
 pub use registry::{Exhibit, EXHIBITS};
 pub use report::Table;

@@ -173,12 +173,7 @@ pub const EXHIBITS: &[Exhibit] = &[
     Exhibit {
         name: "robustness",
         run: |engine, _, seed, out| {
-            // The jitter workloads get a private trace cache; fold its
-            // counters into the shared engine's so the sidecar reports
-            // this study's cells.
-            let (rows, stats) =
-                extensions::robustness_study(engine.options().clone(), EXTENSION_PROCS, seed);
-            engine.absorb(&stats);
+            let rows = extensions::robustness_study(engine, EXTENSION_PROCS, seed);
             study(
                 out,
                 "robustness",
@@ -272,7 +267,7 @@ mod tests {
     }
 
     #[test]
-    fn robustness_delta_counts_its_private_cells() {
+    fn robustness_delta_counts_its_cells() {
         let dir = std::env::temp_dir().join(format!("ibp-registry-rob-{}", std::process::id()));
         let out = OutputDir::new(&dir).unwrap();
         let engine = SweepEngine::new(crate::SweepOptions::serial());

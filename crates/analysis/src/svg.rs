@@ -24,6 +24,7 @@
 //!   ink and the dark-stepped palette.
 
 use crate::exhibits::FigureData;
+use crate::paper_ref::SCALE_LABELS;
 use std::fmt::Write as _;
 
 /// Light or dark rendering.
@@ -182,8 +183,7 @@ pub fn figure_svg(fig: &FigureData, mode: Mode) -> String {
     );
 
     // Bars with paper ticks.
-    let labels = ["8/9", "16", "32/36", "64", "128/100"];
-    for (g, label) in labels.iter().enumerate().take(nscales) {
+    for (g, label) in SCALE_LABELS.iter().enumerate().take(nscales) {
         let gx = ml + g as f64 * group_w + (group_w - cluster_w) / 2.0;
         for (i, row) in fig.rows.iter().enumerate() {
             let val = row.savings_pct[g];

@@ -3,11 +3,13 @@
 //! The paper's exhibits are a grid of `(app × nprocs × GT ×
 //! displacement)` cells, and many cells share the expensive parts: the
 //! workload trace (a pure function of `(app, nprocs, seed)`), the
-//! baseline replay of that trace, and the GT-selection sweep. The
-//! [`SweepEngine`] executes a declarative list of cells on a rayon pool
-//! and memoizes those three artefacts behind keyed caches, so each
-//! unique trace is generated and baseline-replayed exactly once per
-//! sweep regardless of how many cells touch it. It also keeps each
+//! baseline replay of that trace, and the GT-selection sweep curve. The
+//! [`SweepEngine`] executes a declarative list of cells on the
+//! process-wide pool (through [`ibp_core::map_ordered`], the fan-out
+//! rank annotation uses too) and memoizes those three artefacts behind
+//! keyed caches, so each unique trace is generated and baseline-replayed
+//! once, and each (trace, displacement) pair GT-swept once, regardless
+//! of how many cells touch it. It also keeps each
 //! key's last managed timing run ([`CellCtx::managed_replay`]), so a
 //! figure at another displacement that moved only the wake timers is
 //! scored, not replayed.
@@ -28,33 +30,38 @@
 //!   (a timing hit too: it requires an equal [`TimingKey`], and debug
 //!   builds replay again to check).
 //!
-//! `--jobs 1` (`--serial`, [`SweepOptions::serial`], or `IBP_JOBS=1`)
-//! bypasses the pool entirely and runs the same closures in a plain
-//! loop on the calling thread; the golden-exhibit suite and the
+//! `--jobs 1` ([`SweepOptions::serial`], or `IBP_JOBS=1`) bypasses the
+//! pool entirely and runs the same closures in a plain loop on the
+//! calling thread; the golden-exhibit suite and the
 //! serial-vs-parallel property test pin the byte equality.
 
 use crate::experiment::{make_trace, run_managed, RunConfig, RunResult};
-use crate::gt_select::{choose_gt, GtPoint};
-use ibp_core::TraceAnnotations;
+use crate::extensions::JITTER_MULTIPLIERS;
+use crate::gt_select::{select, sweep, GtPoint};
+use ibp_core::{map_ordered, TraceAnnotations};
 use ibp_network::{
     replay, replay_timing, ReplayOptions, ReplayTiming, SimParams, SimResult, TimingKey,
 };
 use ibp_trace::Trace;
-use ibp_workloads::{AppKind, Scaling};
+use ibp_workloads::{Alya, AppKind, Scaling, Workload};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Trace-generation variant encoded in a [`CellKey`]. The default trace
-/// function understands strong and weak scaling; studies with bespoke
-/// generators (e.g. jitter amplification) install their own function via
-/// [`SweepEngine::with_trace_fn`] and assign variants as they see fit.
+/// Trace-generation variant encoded in a [`CellKey`]: the paper's
+/// strong-scaling workloads. [`default_trace_fn`] also understands
+/// [`VARIANT_WEAK`] and the [`VARIANT_JITTER`] range; tests install
+/// their own source via [`SweepEngine::with_trace_fn`].
 pub const VARIANT_STRONG: u32 = 0;
 /// Weak-scaling variant (per-rank work fixed); see [`VARIANT_STRONG`].
 pub const VARIANT_WEAK: u32 = 1;
+/// First jitter-amplified ALYA variant (the robustness study): variant
+/// `VARIANT_JITTER + i` scales ALYA's compute-gap sigmas by
+/// [`JITTER_MULTIPLIERS`]`[i]`.
+pub const VARIANT_JITTER: u32 = 2;
 
 /// Identity of the memoizable part of one grid cell: everything trace
 /// generation (and hence the baseline replay) depends on. GT and
@@ -174,9 +181,9 @@ pub struct SweepStats {
     pub baselines_computed: u64,
     /// Baseline-cache hits.
     pub baseline_hits: u64,
-    /// GT-selection sweeps computed (unique (key, displacement) pairs).
+    /// GT sweep curves computed (unique (key, displacement) pairs).
     pub gt_selections: u64,
-    /// GT-selection cache hits.
+    /// GT-curve cache hits (selections and plotted curves alike).
     pub gt_hits: u64,
     /// Managed replays that ran the timing loop.
     #[serde(default)]
@@ -276,7 +283,8 @@ impl<K: std::hash::Hash + Eq + Clone, V> KeyedCache<K, V> {
 pub type TraceFn = Arc<dyn Fn(&CellKey) -> Trace + Send + Sync>;
 
 /// The default trace source: strong-scaling paper workloads for
-/// [`VARIANT_STRONG`], weak-scaling ones for [`VARIANT_WEAK`].
+/// [`VARIANT_STRONG`], weak-scaling ones for [`VARIANT_WEAK`], and
+/// jitter-amplified ALYA for the [`VARIANT_JITTER`] range.
 pub fn default_trace_fn() -> TraceFn {
     Arc::new(|key: &CellKey| match key.variant {
         VARIANT_STRONG => make_trace(key.app, key.nprocs, key.seed),
@@ -284,21 +292,31 @@ pub fn default_trace_fn() -> TraceFn {
             .app
             .workload(Scaling::Weak)
             .generate(key.nprocs, key.seed),
-        other => panic!("no default workload for trace variant {other}"),
+        variant if variant >= VARIANT_JITTER && key.app == AppKind::Alya => {
+            let mult = JITTER_MULTIPLIERS[(variant - VARIANT_JITTER) as usize];
+            let mut alya = Alya::default();
+            alya.assembly_gap.sigma *= mult;
+            alya.solver_gap.sigma *= mult;
+            alya.generate(key.nprocs, key.seed)
+        }
+        other => panic!(
+            "no default {} workload for trace variant {other}",
+            key.app.name()
+        ),
     })
 }
 
-/// The parallel sweep engine: a rayon pool plus keyed caches for
-/// traces, baseline replays and GT selections, and one managed timing
-/// run per key. One engine instance is shared across every exhibit of a
-/// run (`all` reuses traces between Table I, Table III and the figures).
+/// The parallel sweep engine: keyed caches for traces, baseline
+/// replays and GT sweep curves, and one managed timing run per key. One
+/// engine instance is shared across every exhibit of a run (`all`
+/// reuses traces between Table I, Table III and the figures, and Fig.
+/// 10 plots the curves Table III selected from).
 pub struct SweepEngine {
     opts: SweepOptions,
-    pool: rayon::ThreadPool,
     trace_fn: TraceFn,
     traces: KeyedCache<CellKey, Trace>,
     baselines: KeyedCache<CellKey, SimResult>,
-    gt_choices: KeyedCache<(CellKey, u64), GtPoint>,
+    gt_curves: KeyedCache<(CellKey, u64), Vec<GtPoint>>,
     /// Per key, the timing run of its last managed replay: a miss
     /// replaces it, so memory stays at one record per key.
     timings: Mutex<HashMap<CellKey, Arc<ReplayTiming>>>,
@@ -316,20 +334,15 @@ impl SweepEngine {
         Self::with_trace_fn(opts, default_trace_fn())
     }
 
-    /// An engine generating traces through `trace_fn` (tests and
-    /// bespoke studies: shrunk workloads, jitter amplification, …).
+    /// An engine generating traces through `trace_fn` (tests: shrunk
+    /// workloads).
     pub fn with_trace_fn(opts: SweepOptions, trace_fn: TraceFn) -> Self {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(opts.effective_jobs())
-            .build()
-            .expect("thread pool");
         SweepEngine {
             opts,
-            pool,
             trace_fn,
             traces: KeyedCache::new(),
             baselines: KeyedCache::new(),
-            gt_choices: KeyedCache::new(),
+            gt_curves: KeyedCache::new(),
             timings: Mutex::new(HashMap::new()),
             timings_computed: AtomicU64::new(0),
             timing_hits: AtomicU64::new(0),
@@ -337,11 +350,6 @@ impl SweepEngine {
             trace_bytes: AtomicU64::new(0),
             started: Instant::now(),
         }
-    }
-
-    /// The options this engine runs with.
-    pub fn options(&self) -> &SweepOptions {
-        &self.opts
     }
 
     /// The memoized trace for `key` (generated on first use).
@@ -363,19 +371,27 @@ impl SweepEngine {
         })
     }
 
-    /// The memoized GT selection for `key` at `displacement`.
-    pub fn choose_gt(&self, key: &CellKey, displacement: f64) -> Arc<GtPoint> {
+    /// The memoized GT sweep curve ([`sweep`]) for `key` at
+    /// `displacement`: computed once per (key, displacement) pair.
+    pub fn gt_curve(&self, key: &CellKey, displacement: f64) -> Arc<Vec<GtPoint>> {
         let trace = self.trace(key);
-        self.gt_choices
+        self.gt_curves
             .get_or_compute(&(*key, displacement.to_bits()), || {
-                choose_gt(&trace, displacement)
+                sweep(&trace, displacement)
             })
     }
 
+    /// The GT selected ([`select`]) from the memoized curve for `key` at
+    /// `displacement`.
+    pub fn choose_gt(&self, key: &CellKey, displacement: f64) -> Arc<GtPoint> {
+        Arc::new(select(&self.gt_curve(key, displacement)).clone())
+    }
+
     /// Execute one cell list: `work(ctx, item, index)` for every item,
-    /// on the pool (or serially at one worker), with results
-    /// collected **by index**. `key_of` maps an item to the cell key
-    /// whose memoized trace the context carries.
+    /// at most `jobs` cells at once on the process-wide pool (or
+    /// serially at one worker), with results collected **by index**.
+    /// `key_of` maps an item to the cell key whose memoized trace the
+    /// context carries.
     pub fn run_cells<I, T, K, F>(&self, items: &[I], key_of: K, work: F) -> Vec<T>
     where
         I: Sync,
@@ -391,34 +407,9 @@ impl SweepEngine {
         // Byte-identical either way — rank annotation is an independent
         // per-rank map (see ibp_core::map_ranks).
         let rank_jobs = (jobs / items.len().max(1)).max(1);
-        if jobs <= 1 || items.len() <= 1 {
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| {
-                    let ctx = self.ctx_jobs(key_of(item), rank_jobs);
-                    work(&ctx, item, i)
-                })
-                .collect();
-        }
-        let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        self.pool.scope(|s| {
-            for _ in 0..jobs.min(items.len()) {
-                s.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let ctx = self.ctx_jobs(key_of(&items[i]), rank_jobs);
-                    *slots[i].lock().unwrap() = Some(work(&ctx, &items[i], i));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|m| m.into_inner().unwrap().expect("cell executed"))
-            .collect()
+        map_ordered(items, jobs, |i, item| {
+            work(&self.ctx_jobs(key_of(item), rank_jobs), item, i)
+        })
     }
 
     fn ctx_jobs(&self, key: CellKey, rank_jobs: usize) -> CellCtx<'_> {
@@ -428,26 +419,6 @@ impl SweepEngine {
             rank_jobs,
             engine: self,
         }
-    }
-
-    /// Add another engine's counters to this one's, so that a study
-    /// run on a private engine (see [`SweepEngine::with_trace_fn`])
-    /// reports its work through the shared one. `jobs`, `parallel`,
-    /// `wall_ms` and `peak_rss_mb` stay this engine's own: the private
-    /// run's wall time already elapsed inside this engine's, and its
-    /// memory peak inside this process's.
-    pub fn absorb(&self, other: &SweepStats) {
-        let add = |counter: &AtomicU64, n: u64| counter.fetch_add(n, Ordering::Relaxed);
-        add(&self.cells, other.cells);
-        add(&self.traces.computed, other.traces_generated);
-        add(&self.traces.hits, other.trace_hits);
-        add(&self.baselines.computed, other.baselines_computed);
-        add(&self.baselines.hits, other.baseline_hits);
-        add(&self.gt_choices.computed, other.gt_selections);
-        add(&self.gt_choices.hits, other.gt_hits);
-        add(&self.timings_computed, other.timings_computed);
-        add(&self.timing_hits, other.timing_hits);
-        add(&self.trace_bytes, other.trace_bytes);
     }
 
     /// Cumulative counters since engine construction. Use
@@ -461,8 +432,8 @@ impl SweepEngine {
             trace_hits: self.traces.hits.load(Ordering::Relaxed),
             baselines_computed: self.baselines.computed.load(Ordering::Relaxed),
             baseline_hits: self.baselines.hits.load(Ordering::Relaxed),
-            gt_selections: self.gt_choices.computed.load(Ordering::Relaxed),
-            gt_hits: self.gt_choices.hits.load(Ordering::Relaxed),
+            gt_selections: self.gt_curves.computed.load(Ordering::Relaxed),
+            gt_hits: self.gt_curves.hits.load(Ordering::Relaxed),
             timings_computed: self.timings_computed.load(Ordering::Relaxed),
             timing_hits: self.timing_hits.load(Ordering::Relaxed),
             wall_ms: self.started.elapsed().as_millis() as u64,
@@ -551,6 +522,11 @@ impl CellCtx<'_> {
     /// The memoized GT selection for this cell at `displacement`.
     pub fn choose_gt(&self, displacement: f64) -> Arc<GtPoint> {
         self.engine.choose_gt(&self.key, displacement)
+    }
+
+    /// The memoized GT sweep curve for this cell at `displacement`.
+    pub fn gt_curve(&self, displacement: f64) -> Arc<Vec<GtPoint>> {
+        self.engine.gt_curve(&self.key, displacement)
     }
 
     /// A seed derived from the cell key and `salt` — the only sanctioned
@@ -696,6 +672,63 @@ mod tests {
         assert_eq!(*rank_jobs, 8, "single cell receives the whole budget");
         let serial = ibp_core::annotate_trace(&e.trace(&key), &cfg);
         assert_eq!(*parallel, serial);
+    }
+
+    #[test]
+    fn gt_curve_is_swept_once_and_selected_from() {
+        let e = engine(2);
+        let key = CellKey::new(AppKind::Alya, 4, 3);
+        let curves = e.run_cells(&[0u8; 2], |_| key, |ctx, _, _| ctx.gt_curve(0.01));
+        assert!(Arc::ptr_eq(&curves[0], &curves[1]));
+        let s = e.stats();
+        assert_eq!((s.gt_selections, s.gt_hits), (1, 1), "{s:?}");
+        let chosen = e.choose_gt(&key, 0.01);
+        let bits = |p: &GtPoint| [p.gt_us, p.hit_rate_pct, p.est_saving_pct].map(f64::to_bits);
+        assert_eq!(bits(select(&curves[0])), bits(&chosen));
+        assert_eq!(bits(&e.choose_gt(&key, 0.01)), bits(&chosen));
+        let s = e.stats();
+        assert_eq!((s.gt_selections, s.gt_hits), (1, 3), "{s:?}");
+        // The curve is the sweep of the cell's trace; another
+        // displacement is another curve.
+        let fresh = sweep(&e.trace(&key), 0.01);
+        assert_eq!(
+            fresh.iter().map(bits).collect::<Vec<_>>(),
+            curves[0].iter().map(bits).collect::<Vec<_>>()
+        );
+        e.gt_curve(&key, 0.05);
+        assert_eq!(e.stats().gt_selections, 2);
+    }
+
+    #[test]
+    fn default_trace_fn_generates_jitter_variants_of_alya() {
+        let trace_fn = default_trace_fn();
+        let key = |variant| CellKey {
+            variant,
+            ..CellKey::new(AppKind::Alya, 4, 9)
+        };
+        // Multiplier 1 is ALYA's own jitter; larger ones change the gaps.
+        let unit = JITTER_MULTIPLIERS.iter().position(|&m| m == 1.0).unwrap() as u32;
+        let one = trace_fn(&key(VARIANT_JITTER + unit));
+        let plain = Alya::default().generate(4, 9);
+        assert_eq!(
+            serde_json::to_string(&one).unwrap(),
+            serde_json::to_string(&plain).unwrap()
+        );
+        let last = trace_fn(&key(VARIANT_JITTER + JITTER_MULTIPLIERS.len() as u32 - 1));
+        assert_ne!(
+            serde_json::to_string(&last).unwrap(),
+            serde_json::to_string(&plain).unwrap()
+        );
+        let past_end = VARIANT_JITTER + JITTER_MULTIPLIERS.len() as u32;
+        assert!(
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| trace_fn(&key(past_end))))
+                .is_err()
+        );
+        let wrf = CellKey {
+            variant: VARIANT_JITTER,
+            ..CellKey::new(AppKind::Wrf, 4, 9)
+        };
+        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| trace_fn(&wrf))).is_err());
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub enum Command {
     Exhibits {
         /// A name from the `ibp_analysis::EXHIBITS` registry, or `all`.
         name: String,
-        /// Worker count (`--jobs N`, `--serial` = 1, else `IBP_JOBS`).
+        /// Worker count (`--jobs N`, else `IBP_JOBS`).
         sweep: SweepOptions,
         /// Generation seed.
         seed: u64,
@@ -218,7 +218,7 @@ const COMMANDS: &[Spec] = &[
         "--resilient",
     ),
     Spec("prv", "<trace.json>", "-o", ""),
-    Spec("exhibits", "<exhibit>", "--jobs --seed --out", "--serial"),
+    Spec("exhibits", "<exhibit>", "--jobs --seed --out", ""),
     Spec("bench-report", "", "-o --iters --reps --label", "--check"),
     Spec(
         "serve",
@@ -334,13 +334,11 @@ impl<'a> Args<'a> {
                 if name != "all" && Exhibit::find(name).is_none() {
                     return Err(format!("unknown exhibit '{name}' {}", names()));
                 }
-                let jobs = self.at_least("--jobs", 1)?;
                 Command::Exhibits {
                     name: name.into(),
-                    sweep: match (self.switch("--serial"), jobs) {
-                        (true, _) => SweepOptions::serial(),
-                        (false, Some(n)) => SweepOptions::with_jobs(n),
-                        (false, None) => SweepOptions::from_env()?,
+                    sweep: match self.at_least("--jobs", 1)? {
+                        Some(n) => SweepOptions::with_jobs(n),
+                        None => SweepOptions::from_env()?,
                     },
                     seed: self.seed("--seed")?.unwrap_or(SEED),
                     out: self.string("--out"),
@@ -589,7 +587,7 @@ USAGE:
   ibpower experiment <app> <nprocs> [--gt US] [--disp F] [--seed N]
                    [--fault-rate F] [--fault-seed N] [--resilient] [--budget PCT]
   ibpower prv      <trace.json> [-o out.prv]
-  ibpower exhibits <name> [--jobs N] [--serial] [--seed N] [--out DIR]
+  ibpower exhibits <name> [--jobs N] [--seed N] [--out DIR]
   ibpower bench-report [-o PATH] [--check] [--iters N] [--reps N] [--label S]
   ibpower serve    (--uds PATH | --tcp ADDR) [--workers N] [--io-threads N]
                    [--session-limit N] [--store DIR] [--persist-every N]
@@ -610,9 +608,9 @@ EXHIBITS: {exhibits}
   studies beyond it, run on the parallel sweep engine (traces and
   baselines memoized per key; results are byte-identical for any --jobs
   value). `all` runs every exhibit on one shared engine and also writes
-  summary.txt with every rendered table. --jobs N sets the worker count
-  (default: IBP_JOBS, else all cores); --serial is --jobs 1 (the
-  in-thread path); --out DIR overrides the results directory (default:
+  summary.txt with every rendered table. --jobs N runs at most N cells
+  at once (default: IBP_JOBS, else all cores; 1 is the in-thread
+  path); --out DIR overrides the results directory (default:
   IBP_RESULTS_DIR or results/). Each exhibit writes <name>.json (figures
   also SVGs) and a <name>.stats.json with its cache counters.
   generation_frontier sweeps the five apps across IB generations
@@ -896,19 +894,20 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        // --serial is --jobs 1, whatever --jobs or IBP_JOBS say.
-        for line in [
-            "exhibits all --serial",
-            "exhibits all --jobs 1",
-            "exhibits all --jobs 8 --serial",
-        ] {
-            match parse(&argv(line)).unwrap() {
-                Command::Exhibits { name, sweep, .. } => {
-                    assert_eq!(name, "all");
-                    assert_eq!(sweep, SweepOptions::serial(), "{line}");
-                }
-                other => panic!("{other:?}"),
+        // --jobs 1 is the serial path; --serial is no longer a flag.
+        match parse(&argv("exhibits all --jobs 1")).unwrap() {
+            Command::Exhibits { name, sweep, .. } => {
+                assert_eq!(name, "all");
+                assert_eq!(sweep, SweepOptions::serial());
             }
+            other => panic!("{other:?}"),
+        }
+        for line in ["exhibits all --serial", "exhibits all --jobs 8 --serial"] {
+            let err = parse(&argv(line)).unwrap_err();
+            assert!(
+                err.contains("exhibits") && err.contains("--serial"),
+                "{err}"
+            );
         }
         match parse(&argv("exhibits all")).unwrap() {
             Command::Exhibits { sweep, .. } => assert_eq!(sweep, SweepOptions::from_env().unwrap()),
@@ -933,8 +932,8 @@ mod tests {
             err.contains("exhibits") && err.contains("--jobs needs a value"),
             "{err}"
         );
-        let err = parse(&argv("exhibits all --serial --serial")).unwrap_err();
-        assert!(err.contains("--serial given twice"), "{err}");
+        let err = parse(&argv("exhibits all --jobs 2 --jobs 2")).unwrap_err();
+        assert!(err.contains("--jobs given twice"), "{err}");
     }
 
     #[test]
@@ -1442,7 +1441,7 @@ mod tests {
                 exhibits("all", SweepOptions::with_jobs(2), None),
             ),
             (
-                "exhibits all --serial",
+                "exhibits all --jobs 1",
                 exhibits("all", SweepOptions::serial(), None),
             ),
             (

@@ -102,24 +102,45 @@ where
     T: Send,
     F: Fn(&RankTrace) -> T + Sync,
 {
-    let jobs = effective_jobs(ranks, jobs);
-    if jobs <= 1 || ranks.len() <= 1 {
-        return ranks.iter().map(f).collect();
+    map_ordered(ranks, effective_jobs(ranks, jobs), |_, rank| f(rank))
+}
+
+/// Map `f(index, item)` over `items` on up to `jobs` concurrent tasks,
+/// collecting results **by index**, never by completion order. The one
+/// fan-out of the workspace: rank annotation ([`map_ranks`]) and the
+/// sweep engine's cells both run through it.
+///
+/// `jobs <= 1` (or at most one item) runs inline on the calling thread.
+/// Otherwise `jobs` self-scheduling tasks go to the process-wide
+/// persistent pool, so concurrency is capped at `jobs` and at the pool's
+/// width, and repeated calls reuse the same parked workers. A call made
+/// from inside a task nests safely: the waiting thread runs queued tasks
+/// until its own finish.
+pub fn map_ordered<I, T, F>(items: &[I], jobs: usize, f: F) -> Vec<T>
+where
+    I: Sync,
+    T: Send,
+    F: Fn(usize, &I) -> T + Sync,
+{
+    let jobs = jobs.min(items.len());
+    if jobs <= 1 {
+        return items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| f(i, item))
+            .collect();
     }
-    // Runs on the process-wide persistent pool: spawning exactly `jobs`
-    // self-scheduling tasks caps concurrency at `jobs` regardless of the
-    // pool's width, and repeated calls reuse the same parked workers.
-    let slots: Vec<Mutex<Option<T>>> = ranks.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     rayon::global_pool().scope(|s| {
         for _ in 0..jobs {
             s.spawn(|_| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= ranks.len() {
+                if i >= items.len() {
                     break;
                 }
-                let out = f(&ranks[i]);
-                *slots[i].lock().expect("rank slot poisoned") = Some(out);
+                let out = f(i, &items[i]);
+                *slots[i].lock().expect("result slot poisoned") = Some(out);
             });
         }
     });
@@ -127,8 +148,8 @@ where
         .into_iter()
         .map(|m| {
             m.into_inner()
-                .expect("rank slot poisoned")
-                .expect("every rank index was claimed exactly once")
+                .expect("result slot poisoned")
+                .expect("every index was claimed exactly once")
         })
         .collect()
 }

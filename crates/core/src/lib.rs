@@ -53,7 +53,7 @@ pub mod snapshot;
 pub mod stats;
 
 pub use annotate::{
-    annotate_trace, annotate_trace_jobs, effective_jobs, map_ranks, TraceAnnotations,
+    annotate_trace, annotate_trace_jobs, effective_jobs, map_ordered, map_ranks, TraceAnnotations,
     SERIAL_CUTOVER_EVENTS,
 };
 pub use baselines::{history_annotate_rank, oracle_annotate_rank, reactive_annotate_rank};

@@ -23,9 +23,6 @@ use std::sync::Arc;
 use crate::gram::GramId;
 use crate::snapshot::{PatternEntrySnapshot, PatternListSnapshot, SnapshotError};
 
-/// A pattern key: the sequence of gram shape-ids.
-pub type PatternKey = Box<[GramId]>;
-
 /// Dense identifier of an interned pattern key (stable across removal
 /// and re-insertion of the entry).
 pub type PatternId = u32;
@@ -64,13 +61,6 @@ impl RunningMean {
     #[must_use]
     pub fn mean(&self) -> SimDuration {
         SimDuration::from_ns(self.mean_ns.round() as u64)
-    }
-
-    /// Number of observations.
-    #[inline]
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.n
     }
 }
 
@@ -186,16 +176,11 @@ impl PatternInterner {
         &self.keys[id as usize]
     }
 
-    /// Number of distinct keys interned so far.
+    /// Number of distinct keys interned so far (the snapshot restore's
+    /// consistency check).
     #[must_use]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.keys.len()
-    }
-
-    /// True when nothing has been interned.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
     }
 }
 
@@ -333,14 +318,6 @@ impl PatternList {
         self.entry(self.id_of(key)?)
     }
 
-    /// Look up a pattern mutably (allocation-free).
-    #[inline]
-    #[must_use]
-    pub fn get_mut(&mut self, key: &[GramId]) -> Option<&mut PatternEntry> {
-        let id = self.id_of(key)?;
-        self.entry_mut(id)
-    }
-
     /// Remove a pattern (Algorithm 2 line 38: a grown n-gram whose
     /// construction check failed is discarded). The key stays interned;
     /// only the entry dies.
@@ -434,7 +411,9 @@ mod tests {
         m.push(SimDuration::from_us(100));
         m.push(SimDuration::from_us(200));
         assert_eq!(m.mean(), SimDuration::from_us(150));
-        assert_eq!(m.count(), 2);
+        // Weighted by both observations: a third of 600 µs gives 300.
+        m.push(SimDuration::from_us(600));
+        assert_eq!(m.mean(), SimDuration::from_us(300));
     }
 
     #[test]
@@ -466,7 +445,7 @@ mod tests {
     fn removed_key_keeps_id_and_revives_fresh() {
         let mut pl = PatternList::new();
         let first = pl.update(&[7, 8], 2);
-        pl.get_mut(&[7, 8]).unwrap().detected = true;
+        pl.entry_mut(first.id).unwrap().detected = true;
         pl.remove(&[7, 8]);
         // The id survives the tombstone (the suffix index relies on it)…
         assert_eq!(pl.id_of(&[7, 8]), Some(first.id));
@@ -492,7 +471,8 @@ mod tests {
     fn update_detected_reflects_entry_state() {
         let mut pl = PatternList::new();
         assert!(!pl.update(&[4, 5], 0).detected);
-        pl.get_mut(&[4, 5]).unwrap().detected = true;
+        let id = pl.id_of(&[4, 5]).unwrap();
+        pl.entry_mut(id).unwrap().detected = true;
         let up = pl.update(&[4, 5], 6);
         assert!(up.detected && !up.is_new);
     }

@@ -641,7 +641,11 @@ mod tests {
         assert_eq!(slots[0].mean(), SimDuration::from_us(106));
         // Slot 2: grams 5, 8, 11 → mean 108 µs.
         assert_eq!(slots[2].mean(), SimDuration::from_us(108));
-        assert_eq!(slots[0].count(), 3);
+        // Slot 0 holds three observations: a fourth of 146 µs moves the
+        // mean to (3·106 + 146) / 4 = 116 µs.
+        let mut slot0 = slots[0].clone();
+        slot0.push(SimDuration::from_us(146));
+        assert_eq!(slot0.mean(), SimDuration::from_us(116));
     }
 
     #[test]

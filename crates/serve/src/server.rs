@@ -873,11 +873,21 @@ fn ensure_hot(
     }
 }
 
-/// Terminal transition: drop the engine (if any), fix the residency
-/// gauges, and forget the LRU entry. Used by `Close`, worker panics,
-/// and rehydration failures.
+/// Terminal transition: take the engine (if any), fix the residency
+/// gauges, and forget the LRU entry. Used by worker panics and
+/// rehydration failures; `Close` calls [`retire_locked`] directly.
 fn retire_cell(cell: &SessionCell, shared: &Shared) -> Option<Box<Session>> {
-    let mut guard = lock_ok(&cell.state);
+    retire_locked(lock_ok(&cell.state), cell.id, shared)
+}
+
+/// [`retire_cell`] under an engine lock the caller already holds. The
+/// lock is released before the LRU entry goes: the LRU lock is only
+/// ever held alone (see [`maybe_evict`]).
+fn retire_locked(
+    mut guard: MutexGuard<'_, SessionSlot>,
+    id: u32,
+    shared: &Shared,
+) -> Option<Box<Session>> {
     let prev = std::mem::replace(&mut *guard, SessionSlot::Retired);
     drop(guard);
     let out = match prev {
@@ -895,7 +905,7 @@ fn retire_cell(cell: &SessionCell, shared: &Shared) -> Option<Box<Session>> {
         SessionSlot::Retired => None,
     };
     if paging_enabled(shared) {
-        lock_ok(&shared.lru).remove(cell.id);
+        lock_ok(&shared.lru).remove(id);
     }
     out
 }
@@ -2516,16 +2526,8 @@ fn handle_work(cell: &Arc<SessionCell>, work: Work, shared: &Shared) {
             // deterministic finish answers the identical total and
             // stats.
             persist_locked(cell.id, sess, shared, true);
-            let SessionSlot::Hot(sess) = std::mem::replace(&mut *guard, SessionSlot::Retired)
-            else {
-                unreachable!("slot is hot: established above");
-            };
-            metrics.hot_sessions.fetch_sub(1, Ordering::Relaxed);
-            metrics.sleep_depth_changed(sess.pending_depth(), None);
-            drop(guard);
-            if paging_enabled(shared) {
-                lock_ok(&shared.lru).remove(cell.id);
-            }
+            let sess =
+                retire_locked(guard, cell.id, shared).expect("slot is hot: established above");
             let idx = shard_of(cell.id);
             let len = {
                 let mut reg = lock_ok(&shared.shards[idx]);

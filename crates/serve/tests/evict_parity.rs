@@ -576,3 +576,71 @@ fn inline_panic_retires_only_its_session() {
     assert_eq!(summary.sessions_closed, 2, "{summary:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every session of a paged fleet (hot cap below the session count)
+/// opens, streams, is evicted and rehydrated, and closes; afterwards
+/// every residency gauge reads zero: no hot or cold engine, no armed
+/// sleep at any depth, no live session.
+#[test]
+fn closing_a_paged_fleet_zeroes_every_residency_gauge() {
+    const SESSIONS: usize = 6;
+    const BATCH: usize = 64;
+    let dir = temp_dir();
+    let (store, _) = SnapshotStore::open(&dir.join("store")).expect("store");
+    let server = Running::start(
+        &Endpoint::Unix(dir.join("gauges.sock")),
+        ServeConfig {
+            workers: 2,
+            io_threads: 1,
+            persist_every: 0,
+            max_hot_sessions: Some(2),
+            ..Default::default()
+        },
+        Some(Arc::new(store)),
+    );
+    let scripts = scripts(SESSIONS);
+    let mut client = Client::connect(&server.bound).expect("connect");
+    for (i, script) in scripts.iter().enumerate() {
+        client
+            .open(i as u32, script.rank, &PowerConfig::default())
+            .expect("open");
+    }
+    // Round robin: each batch to a cold session rehydrates it and
+    // evicts the least recently used one.
+    let longest = scripts.iter().map(|s| s.events.len()).max().unwrap();
+    for start in (0..longest).step_by(BATCH) {
+        for (i, script) in scripts.iter().enumerate() {
+            let end = (start + BATCH).min(script.events.len());
+            if start < end {
+                client
+                    .send_events(i as u32, &script.events[start..end])
+                    .expect("events");
+            }
+        }
+    }
+    let gauge = |g: &AtomicU64| g.load(Ordering::Relaxed);
+    let m = &server.metrics;
+    assert!(gauge(&m.evictions) > 0, "no evictions happened");
+    assert!(
+        gauge(&m.sessions_rehydrated) > 0,
+        "no rehydrations happened"
+    );
+    assert_eq!(gauge(&m.sessions_live), SESSIONS as u64);
+    for (i, script) in scripts.iter().enumerate() {
+        let (_, stats) = client
+            .close(i as u32, script.final_compute_ns)
+            .expect("close");
+        assert_eq!(stats, script.golden_stats, "session {i} stats");
+    }
+    assert_eq!(gauge(&m.hot_sessions), 0, "hot sessions");
+    assert_eq!(gauge(&m.cold_sessions), 0, "cold sessions");
+    for (depth, asleep) in m.sessions_asleep.iter().enumerate() {
+        assert_eq!(gauge(asleep), 0, "sessions asleep at depth {depth}");
+    }
+    assert_eq!(gauge(&m.sessions_live), 0, "live sessions");
+    drop(client);
+    let summary = server.stop();
+    assert_eq!(summary.worker_panics, 0, "{summary:?}");
+    assert_eq!(summary.sessions_closed, SESSIONS as u64, "{summary:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
